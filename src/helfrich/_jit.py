@@ -2,8 +2,7 @@
 
 Set ``HELFRICH_JIT=0`` in the environment before import to disable numba
 and run the identical kernel source uncompiled (useful for debugging and
-as a dependency-free fallback).  ``benchmarks/bench_kernels.py`` compares
-the two paths.
+as a dependency-free fallback).
 """
 
 import os

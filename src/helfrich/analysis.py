@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
+from ._jit import unjitted
 from .cubic import HelfrichParams, eval_q
 from .errors import MissingEvent, NotBiconcave, OutOfRange
 from .solver import (
@@ -24,6 +26,7 @@ from .solver import (
     MAX_OF_W,
     ZERO_OF_W,
     Trajectory,
+    axis_series,
 )
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "EtaReport",
     "extract_landmarks",
     "classify",
+    "curvature_geometry",
     "geometry_at",
     "el_residual",
     "equator_identity_residual",
@@ -159,35 +163,46 @@ def classify(traj: Trajectory, landmarks: Landmarks) -> Classification:
     return Classification(BICONCAVE, c1, c2, c3, "C1, C2, C3 all hold")
 
 
-def _geometry_from_w(r, w, wp, params: HelfrichParams, eta=None) -> tuple:
+# element-wise libm pow: numpy's vectorized power can differ from it in
+# the last bit, and array and scalar evaluations must agree exactly
+_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _graph_curvatures(r, w, wp):
     P = 1.0 + w * w
-    sq = math.sqrt(P)
-    km = w / (r * sq)
-    kl = wp / (P * sq)
-    H = 0.5 * (km + kl)
-    K = km * kl
-    if eta is None:
-        eta = (r * wp * wp / (P * P * sq) - w * w / (r * sq)
-               - 2.0 * params.c0 * w
-               - (params.c0 ** 2 + params.lam) * r * sq
-               + 0.5 * params.p * r * r * w)
-    return km, kl, H, K, eta
+    sq = np.sqrt(P)
+    return w / (r * sq), wp / (P * sq), P, sq
 
 
-def _eta_chart_b(u, s, q, params: HelfrichParams) -> float:
-    """eta evaluated in inverse-chart variables.
+def curvature_geometry(chart: str, x, y, params: HelfrichParams) -> tuple:
+    """(kappa_m, kappa_l, H, K, eta) at chart states ``y``, shape (6,) or (n, 6).
 
-    Every term of eta diverges like 1/|u'| individually; grouping in
-    (u, s, q) exposes the cancellation, leaving B(u, s, q)/s with B -> 0
-    at the equator.
+    ``x`` is r on chart A and z on chart B, where the geometry does not
+    depend on it.  On chart B every term of eta diverges like 1/|u'|;
+    grouping in (u, s, q) exposes the cancellation, leaving B(u, s, q)/s
+    with B -> 0 at the equator (NaN where s = 0).  For |s| <= 1e-6 the
+    curvatures use the inverse-chart form.
     """
-    P = s * s + 1.0
-    sq = math.sqrt(P)
-    B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * params.c0
-         + (params.c0 ** 2 + params.lam) * u * sq + 0.5 * params.p * u * u)
-    if s == 0.0:
-        return math.nan
-    return B / s
+    c0, lam, p = params.c0, params.lam, params.p
+    if chart == "A":
+        r, w, wp = x, y[..., 0], y[..., 1]
+        km, kl, P, sq = _graph_curvatures(r, w, wp)
+        eta = (r * wp * wp / (P * P * sq) - w * w / (r * sq) - 2.0 * c0 * w
+               - (c0 ** 2 + lam) * r * sq + 0.5 * p * r * r * w)
+    else:
+        u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
+        P = s * s + 1.0
+        sq = np.sqrt(P)
+        B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * c0
+             + (c0 ** 2 + lam) * u * sq + 0.5 * p * u * u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.where(s == 0.0, np.nan, B / s)
+            km, kl, _, _ = _graph_curvatures(
+                u, 1.0 / s, -q / np.asarray(_pow(s, 3), dtype=float))
+        steep = np.abs(s) > 1e-6
+        km = np.where(steep, km, -1.0 / (u * sq))
+        kl = np.where(steep, kl, q / (P * sq))
+    return km, kl, 0.5 * (km + kl), km * kl, eta
 
 
 def geometry_at(traj: Trajectory, r: float | None = None,
@@ -207,30 +222,15 @@ def geometry_at(traj: Trajectory, r: float | None = None,
             w0p = traj.w0p
             return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
                                   -2.0 * params.c0)
-        if r < traj.eps_start:
-            y = traj.series_eval(np.array([r]))[0]
-        else:
-            y = traj.chart_a.eval(r)
-        km, kl, H, K, eta = _geometry_from_w(r, y[0], y[1], params)
-        return GeometrySample(float(r), float(y[2]), km, kl, H, K, eta)
+        y = traj.series_eval(r)[0] if r < traj.eps_start else traj.chart_a.eval(r)
+        geom = curvature_geometry("A", r, y, params)
+        return GeometrySample(float(r), float(y[2]), *map(float, geom))
 
     if traj.chart_b is None:
         raise OutOfRange("trajectory has no chart-B portion")
     y = traj.chart_b.eval(z)
-    u, s, q = float(y[0]), float(y[1]), float(y[2])
-    eta = _eta_chart_b(u, s, q, params)
-    if abs(s) > 1e-6:
-        w = 1.0 / s
-        wp = -q / s ** 3
-        km, kl, H, K, _ = _geometry_from_w(u, w, wp, params)
-    else:
-        P = s * s + 1.0
-        sq = math.sqrt(P)
-        km = -1.0 / (u * sq)
-        kl = q / (P * sq)
-        H = 0.5 * (km + kl)
-        K = km * kl
-    return GeometrySample(u, float(z), km, kl, H, K, eta)
+    geom = curvature_geometry("B", z, y, params)
+    return GeometrySample(float(y[0]), float(z), *map(float, geom))
 
 
 def el_residual(traj: Trajectory, n_samples: int = 2000) -> float:
@@ -272,11 +272,8 @@ def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float
     ev = traj.first_event(EQUATOR)
     if ev is None:
         raise MissingEvent("no Equator event in trajectory")
-    u, s, q = float(ev.state[0]), float(ev.state[1]), float(ev.state[2])
-    P = s * s + 1.0
-    km = -1.0 / (u * math.sqrt(P))
-    kl = q / (P * math.sqrt(P))
-    K2 = (km * kl) ** 2
+    u = float(ev.state[0])
+    K2 = float(curvature_geometry("B", ev.x, ev.state, params)[3]) ** 2
     target = (-1.0 / u) * eval_q(-1.0 / u, params)
     return abs(K2 - target) / max(K2, 1e-30)
 
@@ -300,13 +297,8 @@ def eta_boundedness(traj: Trajectory, n_per_decade: int = 4,
     tau = tau_sw * 10.0 ** (-k / n_per_decade)
     zs = z_inf + tau
     Y = traj.chart_b.eval_many(zs)
-    u, s, q = Y[:, 0], Y[:, 1], Y[:, 2]
-    P = s * s + 1.0
-    sq = np.sqrt(P)
-    c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
-    B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * c0
-         + (c0 ** 2 + lam) * u * sq + 0.5 * p * u * u)
-    eta = B / s
+    eta = curvature_geometry("B", zs, Y, traj.params)[4]
+    eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
     eta_abs = np.abs(eta)
 
     sup_eta = float(eta_abs.max())
@@ -319,7 +311,7 @@ def eta_boundedness(traj: Trajectory, n_per_decade: int = 4,
     lastd = tau <= tau[-1] * 10.0 ** 1.0
     A = np.stack([np.ones(lastd.sum()), tau[lastd]], axis=1)
     eta_limit = float(np.linalg.lstsq(A, eta[lastd], rcond=None)[0][0])
-    etaup_limit = float(np.linalg.lstsq(A, (-B)[lastd], rcond=None)[0][0])
+    etaup_limit = float(np.linalg.lstsq(A, eta_up[lastd], rcond=None)[0][0])
     return EtaReport(sup_eta, eta_limit, etaup_limit, diverging, len(tau))
 
 
@@ -343,41 +335,24 @@ def requadrature_totals(traj: Trajectory, n_a: int = 400_001,
                         n_b: int = 100_001) -> SurfaceTotals:
     """Independent trapezoid re-quadrature of the dense output.
 
-    Cross-checks the in-step accumulators of :func:`surface_totals`.
+    Cross-checks the in-step accumulators of :func:`surface_totals`; the
+    integrands are the accumulator rows of the uncompiled right-hand
+    sides, which broadcast over (6, N) state arrays.
     """
-    ev = traj.first_event(EQUATOR)
-    if ev is None:
+    if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
-    eps = traj.eps_start
-    w0p, a3 = traj.w0p, traj.a3
-
-    # series piece [0, eps]
-    area = 0.5 * eps ** 2 + 0.125 * w0p ** 2 * eps ** 4
-    vol = 0.25 * w0p * eps ** 4 + a3 * eps ** 6 / 6.0
-    energy = 0.5 * ((2.0 * w0p + c0) ** 2 + lam) * eps ** 2
-
-    seg = traj.chart_a
-    rs = np.linspace(seg.x_start, seg.x_end, n_a)
-    Y = seg.eval_many(rs)
-    w, wp = Y[:, 0], Y[:, 1]
-    P = 1.0 + w * w
-    sq = np.sqrt(P)
-    twoH = (wp + (w / rs) * P) / (P * sq)
-    area += float(np.trapezoid(rs * sq, rs))
-    vol += float(np.trapezoid(rs * rs * w, rs))
-    energy += float(np.trapezoid(((twoH + c0) ** 2 + lam) * rs * sq, rs))
-
-    segb = traj.chart_b
-    zs = np.linspace(segb.x_start, segb.x_end, n_b)
-    Yb = segb.eval_many(zs)
-    u, s, q = Yb[:, 0], Yb[:, 1], Yb[:, 2]
-    Pb = s * s + 1.0
-    sqb = np.sqrt(Pb)
-    twoHb = (q - Pb / u) / (Pb * sqb)
-    area += float(np.trapezoid(-u * sqb, zs))
-    vol += float(np.trapezoid(u * u, zs))
-    energy += float(np.trapezoid(-((twoHb + c0) ** 2 + lam) * u * sqb, zs))
+    # series piece [0, eps], then one trapezoid pass per chart
+    area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
+    for seg, n, rhs in ((traj.chart_a, n_a, kernels.rhs_chart_a_arr),
+                        (traj.chart_b, n_b, kernels.rhs_chart_b_arr)):
+        xs = np.linspace(seg.x_start, seg.x_end, n)
+        F = np.empty((kernels.NSTATE, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unjitted(rhs)(xs, seg.eval_many(xs).T, c0, lam, p, F)
+        area += float(np.trapezoid(F[3], xs))
+        vol += float(np.trapezoid(F[4], xs))
+        energy += float(np.trapezoid(F[5], xs))
 
     volume = -2.0 * math.pi * vol
     return SurfaceTotals(4.0 * math.pi * area, volume,
@@ -408,24 +383,19 @@ def profile_points(traj: Trajectory, n: int = 1024) -> np.ndarray:
     Returns an (m, 2) array tracing the curve counter-clockwise through
     (0, Z(0)), (r_inf, 0), (0, -Z(0)), (-r_inf, 0) with Z = z - z_inf.
     """
-    lm = extract_landmarks(traj)
-    cls = classify(traj, lm)
+    cls = classify(traj, extract_landmarks(traj))
     if cls.verdict != BICONCAVE:
         raise NotBiconcave(f"classification is {cls.verdict}")
-    z_inf = lm.z_inf
-    quarter = _quarter_profile(traj, max(16, n // 4))
-    x, y = quarter[:, 0], quarter[:, 1] - z_inf
-    y[-1] = 0.0  # exact by the shift definition
+    x, y = _quarter_profile(traj, max(16, n // 4)).T
     ur = np.stack([x, y], axis=1)
     lr = np.stack([x[::-1], -y[::-1]], axis=1)
     ll = np.stack([-x, -y], axis=1)
     ul = np.stack([-x[::-1], y[::-1]], axis=1)
-    pts = np.concatenate([ur, lr[1:], ll[1:], ul[1:]], axis=0)
-    return pts
+    return np.concatenate([ur, lr[1:], ll[1:], ul[1:]], axis=0)
 
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
-    """(r, z) samples from the axis to the equator, m points."""
+    """(r, z - z_inf) samples from the axis to the equator, m + 1 points."""
     seg_a, seg_b = traj.chart_a, traj.chart_b
     m_b = max(8, m // 4)
     m_a = m - m_b
@@ -438,4 +408,7 @@ def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     zs = np.linspace(seg_b.x_start, seg_b.x_end, m_b + 1)[1:]
     us = seg_b.eval_many(zs)[:, 0]
     b_part = np.stack([us, zs], axis=1)
-    return np.concatenate([a_part, b_part], axis=0)
+    quarter = np.concatenate([a_part, b_part], axis=0)
+    quarter[:, 1] -= traj.first_event(EQUATOR).x
+    quarter[-1, 1] = 0.0  # exact by the shift definition
+    return quarter

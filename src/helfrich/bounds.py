@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
+from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
+                       extract_landmarks)
 from .cubic import DerivedConstants, HelfrichParams, analyze_cubic, eval_r
 from .errors import HelfrichError, MissingEvent
 from .solver import EQUATOR, SolverConfig, Trajectory, integrate
@@ -24,6 +25,7 @@ __all__ = [
     "AsymptoticReport",
     "PhaseCell",
     "check_single",
+    "solve_and_classify",
     "asymptotic_sweep",
     "phase_sweep",
     "default_w0p_grid",
@@ -143,9 +145,9 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
     rs = np.linspace(traj.eps_start, r0, 4001)
     Y = traj.chart_a.eval_many(rs)
     w, wp = Y[:, 0], Y[:, 1]
+    kap = curvature_geometry("A", rs, Y, params)[0]
     P = 1.0 + w * w
     sq = np.sqrt(P)
-    kap = w / (rs * sq)
     kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
     one_minus = 1.0 - rs * rs * kap * kap
 
@@ -257,6 +259,22 @@ class AsymptoticReport:
         return not self.band_failures and (self.neg_area_ratio_inf or 0.0) > 0.0
 
 
+def solve_and_classify(params: HelfrichParams, w0p: float,
+                       cfg: SolverConfig | None = None):
+    """Integrate, extract landmarks and classify one point.
+
+    Returns (trajectory, landmarks, verdict).  A ``HelfrichError`` is
+    reported as verdict ``Error:<Name>`` with no trajectory and empty
+    landmarks, so that one failing point does not end a sweep.
+    """
+    try:
+        traj = integrate(params, w0p, cfg)
+        lm = extract_landmarks(traj)
+        return traj, lm, classify(traj, lm).verdict
+    except HelfrichError as exc:
+        return None, Landmarks(*[None] * 8), f"Error:{type(exc).__name__}"
+
+
 def default_w0p_grid(n: int = 16, lo: float = 1e-4, hi: float = 1e-1) -> np.ndarray:
     return np.geomspace(hi, lo, n)
 
@@ -278,9 +296,8 @@ def asymptotic_sweep(params: HelfrichParams, w0p_grid=None,
         w0p_grid = np.sort(np.asarray(w0p_grid, dtype=float))[::-1]
         runs = []
         for w0p in w0p_grid:
-            traj = integrate(params, float(w0p), cfg)
-            lm = extract_landmarks(traj)
-            runs.append((float(w0p), classify(traj, lm).verdict, lm))
+            _, lm, verdict = solve_and_classify(params, float(w0p), cfg)
+            runs.append((float(w0p), verdict, lm))
     else:
         runs = sorted(runs, key=lambda t: -t[0])
     p = params.p
@@ -316,16 +333,12 @@ def asymptotic_sweep(params: HelfrichParams, w0p_grid=None,
             failures.append(f"pos-area ratio {r.pos_area_ratio:.4g} above 8.8/p at w0p={r.w0p:g}")
 
     neg_inf = min((r.neg_area_ratio for r in good), default=None)
-    limits = {
-        "rm2_over_w0p": {"value": good[-1].rm2_over_w0p if good else None,
-                         "limit_constant": 32.0 / (3.0 * p)},
-        "r02_over_w0p": {"value": good[-1].r02_over_w0p if good else None,
-                         "limit_constant": 32.0 / p},
-        "slope_ratio": {"value": good[-1].slope_ratio if good else None,
-                        "limit_band": [-2.0, -2.0 / 3.0]},
-        "pos_area_ratio": {"value": good[-1].pos_area_ratio if good else None,
-                           "limit_constant": 8.0 / p},
-    }
+    limits = {name: {"value": getattr(good[-1], name) if good else None, key: value}
+              for name, key, value in (
+                  ("rm2_over_w0p", "limit_constant", 32.0 / (3.0 * p)),
+                  ("r02_over_w0p", "limit_constant", 32.0 / p),
+                  ("slope_ratio", "limit_band", [-2.0, -2.0 / 3.0]),
+                  ("pos_area_ratio", "limit_constant", 8.0 / p))}
     return AsymptoticReport(tuple(records), tuple(excluded), tuple(failures),
                             limits, neg_inf)
 
@@ -357,13 +370,7 @@ def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
     for c0, lam, p, w0p in grid:
         params = HelfrichParams(c0, lam, p)
         ca = analyze_cubic(params)
-        try:
-            traj = integrate(params, w0p, cfg)
-            lm = extract_landmarks(traj)
-            verdict = classify(traj, lm).verdict
-        except HelfrichError as exc:
-            lm = Landmarks(None, None, None, None, None, None, None, None)
-            verdict = f"Error:{type(exc).__name__}"
+        _, lm, verdict = solve_and_classify(params, w0p, cfg)
         expected = (ca.all_roots_positive
                     and w0p <= 0.1 * ca.smallest_root)
         cells.append(PhaseCell(

@@ -25,7 +25,7 @@ from .analysis import (
     profile_points,
     surface_totals,
 )
-from .bounds import asymptotic_sweep, check_single, phase_sweep
+from .bounds import asymptotic_sweep, check_single, phase_sweep, solve_and_classify
 from .cubic import HelfrichParams, derived_constants
 from .errors import HelfrichError, MissingEvent
 from .export import (
@@ -244,12 +244,10 @@ def _cmd_verify(parser, args):
     all_pass = True
     for w0p in grid:
         w0p = float(w0p)
-        traj = integrate(params, w0p, cfg)
-        lm = extract_landmarks(traj)
-        cls = classify(traj, lm)
-        runs.append((w0p, cls.verdict, lm))
-        if cls.verdict != BICONCAVE:
-            excluded.append({"w0p": w0p, "classification": cls.verdict})
+        traj, lm, verdict = solve_and_classify(params, w0p, cfg)
+        runs.append((w0p, verdict, lm))
+        if verdict != BICONCAVE:
+            excluded.append({"w0p": w0p, "classification": verdict})
             continue
         report = check_single(traj, lm, params, derived_constants(params, w0p))
         all_pass &= report.passed

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidSlope
 
 __all__ = [
@@ -53,16 +51,6 @@ class HelfrichParams:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
-
-    @property
-    def q_coeffs(self) -> tuple[float, float, float, float]:
-        """Monic coefficients of Q, highest degree first."""
-        return (1.0, 2.0 * self.c0, self.c0 ** 2 + self.lam, -0.5 * self.p)
-
-    @property
-    def r_coeffs(self) -> tuple[float, float, float]:
-        """Coefficients of R = Q - t^3, highest degree first."""
-        return (2.0 * self.c0, self.c0 ** 2 + self.lam, -0.5 * self.p)
 
 
 def eval_q(t, params: HelfrichParams):
@@ -160,8 +148,7 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
     c0, lam, p = params.c0, params.lam, params.p
     scale = _coeff_scale(params)
 
-    def f(t):
-        return ((t + 2.0 * c0) * t + (c0 * c0 + lam)) * t - 0.5 * p
+    f = lambda t: eval_q(t, params)
 
     def df(t):
         return (3.0 * t + 4.0 * c0) * t + (c0 * c0 + lam)
@@ -262,30 +249,3 @@ def derived_constants(params: HelfrichParams, w0p: float) -> DerivedConstants:
     delta = min(delta_plus / 8.0, delta_minus / 2.0)
     return DerivedConstants(mu, delta_plus, delta_minus, xi, delta, float(w0p))
 
-
-def _refined_max(f, lo, hi, n) -> float:
-    """Max of f on [lo, hi] by dense sampling with local zoom passes."""
-    t = np.linspace(lo, hi, n)
-    v = f(t)
-    for _ in range(3):
-        i = int(np.argmax(v))
-        a, b = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
-        t = np.linspace(a, b, 1001)
-        v = f(t)
-    return float(v.max())
-
-
-def sample_extrema_oracle(params: HelfrichParams, w0p: float, n: int = 100_000):
-    """Dense-sampling reference for (mu, delta_plus, delta_minus).
-
-    Independent of :func:`derived_constants` (no calculus, only sampling
-    with zoom refinement); used by tests to cross-check the closed-form
-    extrema.
-    """
-    f_pos = lambda t: -eval_q(t, params)
-    f_neg = lambda t: eval_q(t, params)
-    mu = _refined_max(f_pos, 0.0, w0p, n)
-    delta_plus = -_refined_max(f_neg, 0.0, w0p, n)
-    lo = -10.0 * (1.0 + abs(params.c0) + abs(params.lam) + abs(params.p))
-    delta_minus = -_refined_max(f_neg, lo, 0.0, n)
-    return mu, delta_plus, delta_minus

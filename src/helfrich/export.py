@@ -13,7 +13,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from .analysis import _quarter_profile, extract_landmarks, geometry_at
+from .analysis import _quarter_profile, curvature_geometry
 from .solver import Trajectory
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "render_svg",
     "build_mesh",
     "write_obj",
-    "mesh_area_volume",
 ]
 
 PROFILE_COLUMNS = ("r", "z", "w", "kappa_m", "kappa_l", "H", "K")
@@ -62,29 +61,28 @@ def write_json(path, payload) -> None:
 
 
 def profile_rows(traj: Trajectory, n_a: int = 1024, n_b: int = 512):
-    """Profile samples as (r, z, w, kappa_m, kappa_l, H, K) tuples.
+    """Profile samples as an (n, 7) array of (r, z, w, kappa_m, kappa_l, H, K).
 
     Chart-B rows are emitted r-indexed; the final row sits at the
     equator, where w is -inf and the curvatures take their limit values.
     """
     w0p = traj.w0p
-    rows = [(0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p)]
+    rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, n_a)
-    for r in rs:
-        g = geometry_at(traj, r=float(r))
-        rows.append((g.r, g.z, traj.chart_a.eval(float(r))[0],
-                     g.kappa_m, g.kappa_l, g.H, g.K))
+    Y = seg.eval_many(rs)
+    geom = curvature_geometry("A", rs, Y, traj.params)[:4]
+    rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
     if traj.chart_b is not None:
         segb = traj.chart_b
         zs = np.linspace(segb.x_start, segb.x_end, n_b + 1)[1:]
-        for z in zs:
-            y = segb.eval(float(z))
-            s = y[1]
-            w = 1.0 / s if s != 0.0 else float("-inf")
-            g = geometry_at(traj, z=float(z))
-            rows.append((g.r, float(z), w, g.kappa_m, g.kappa_l, g.H, g.K))
-    return rows
+        Y = segb.eval_many(zs)
+        u, s = Y[:, 0], Y[:, 1]
+        with np.errstate(divide="ignore"):
+            w = np.where(s != 0.0, 1.0 / s, -np.inf)
+        geom = curvature_geometry("B", zs, Y, traj.params)[:4]
+        rows.append(np.stack([u, zs, w, *geom], axis=1))
+    return np.concatenate(rows)
 
 
 def write_profile_csv(path, traj: Trajectory, n_a: int = 1024, n_b: int = 512) -> None:
@@ -191,11 +189,7 @@ def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256):
     Vertex count is n_theta * (2 n_profile - 1) + 2 (interior rings plus
     the two poles).
     """
-    lm = extract_landmarks(traj)
-    quarter = _quarter_profile(traj, n_profile)  # n_profile + 1 points
-    r_u = quarter[:, 0]
-    z_u = quarter[:, 1] - lm.z_inf
-    z_u[-1] = 0.0
+    r_u, z_u = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
     # full profile pole..equator..pole: 2 n_profile + 1 points
     r_full = np.concatenate([r_u, r_u[-2::-1]])
     z_full = np.concatenate([z_u, -z_u[-2::-1]])
@@ -228,16 +222,6 @@ def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256):
     for k in range(n_theta):
         faces.append((last, ring_idx(n_rings, k + 1), ring_idx(n_rings, k)))
     return verts, np.array(faces, dtype=np.int64)
-
-
-def mesh_area_volume(verts: np.ndarray, faces: np.ndarray) -> tuple[float, float]:
-    v0 = verts[faces[:, 0]]
-    v1 = verts[faces[:, 1]]
-    v2 = verts[faces[:, 2]]
-    cross = np.cross(v1 - v0, v2 - v0)
-    area = 0.5 * float(np.linalg.norm(cross, axis=1).sum())
-    volume = float(np.einsum("ij,ij->i", v0, np.cross(v1, v2)).sum()) / 6.0
-    return area, volume
 
 
 def write_obj(path, verts: np.ndarray, faces: np.ndarray) -> None:

@@ -1,5 +1,5 @@
-"""Hot numerical kernels: shape-equation right-hand sides and one
-embedded Dormand-Prince 5(4) step for each coordinate chart.
+"""Hot numerical kernels: shape-equation right-hand sides and the
+embedded Dormand-Prince 5(4) step, built once per coordinate chart.
 
 State layout, chart A (independent variable r):
     y = [w, wp, z, area_acc, vol_acc, energy_acc]
@@ -114,95 +114,62 @@ def rhs_chart_b_arr(z, y, c0, lam, p, out):
     return out
 
 
-@njit
-def dopri5_step_a(r, y, h, f0, c0, lam, p, rtol, atol):
-    """One embedded step of chart A.
+def _make_step(rhs):
+    """One embedded Dormand-Prince 5(4) step over the right-hand side ``rhs``.
 
-    Returns (y_new, f_new, err, cont): the FSAL stage f_new, the scalar
-    weighted error norm, and the five dense-output vectors of the step.
+    The returned step(x, y, h, f0, c0, lam, p, rtol, atol) gives
+    (y_new, f_new, err, cont): the FSAL stage f_new, the scalar weighted
+    error norm, and the five dense-output vectors of the step.  Under
+    numba, ``rhs`` is a jitted function that the closure captures as a
+    compile-time constant.
     """
-    n = y.shape[0]
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    k5 = np.empty(n)
-    k6 = np.empty(n)
-    k7 = np.empty(n)
 
-    yt = y + h * (_A21 * f0)
-    rhs_chart_a_arr(r + _C2 * h, yt, c0, lam, p, k2)
-    yt = y + h * (_A31 * f0 + _A32 * k2)
-    rhs_chart_a_arr(r + _C3 * h, yt, c0, lam, p, k3)
-    yt = y + h * (_A41 * f0 + _A42 * k2 + _A43 * k3)
-    rhs_chart_a_arr(r + _C4 * h, yt, c0, lam, p, k4)
-    yt = y + h * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-    rhs_chart_a_arr(r + _C5 * h, yt, c0, lam, p, k5)
-    yt = y + h * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-    rhs_chart_a_arr(r + h, yt, c0, lam, p, k6)
-    y_new = y + h * (_B1 * f0 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    rhs_chart_a_arr(r + h, y_new, c0, lam, p, k7)
+    @njit
+    def step(x, y, h, f0, c0, lam, p, rtol, atol):
+        n = y.shape[0]
+        k2 = np.empty(n)
+        k3 = np.empty(n)
+        k4 = np.empty(n)
+        k5 = np.empty(n)
+        k6 = np.empty(n)
+        k7 = np.empty(n)
 
-    err = 0.0
-    for i in range(n):
-        e = h * (_E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                 + _E6 * k6[i] + _E7 * k7[i])
-        sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-        err += (e / sc) ** 2
-    err = np.sqrt(err / n)
+        yt = y + h * (_A21 * f0)
+        rhs(x + _C2 * h, yt, c0, lam, p, k2)
+        yt = y + h * (_A31 * f0 + _A32 * k2)
+        rhs(x + _C3 * h, yt, c0, lam, p, k3)
+        yt = y + h * (_A41 * f0 + _A42 * k2 + _A43 * k3)
+        rhs(x + _C4 * h, yt, c0, lam, p, k4)
+        yt = y + h * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        rhs(x + _C5 * h, yt, c0, lam, p, k5)
+        yt = y + h * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        rhs(x + h, yt, c0, lam, p, k6)
+        y_new = y + h * (_B1 * f0 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        rhs(x + h, y_new, c0, lam, p, k7)
 
-    cont = np.empty((5, n))
-    for i in range(n):
-        d2 = y_new[i] - y[i]
-        d3 = h * f0[i] - d2
-        cont[0, i] = y[i]
-        cont[1, i] = d2
-        cont[2, i] = d3
-        cont[3, i] = d2 - h * k7[i] - d3
-        cont[4, i] = h * (_D1 * f0[i] + _D3 * k3[i] + _D4 * k4[i]
-                          + _D5 * k5[i] + _D6 * k6[i] + _D7 * k7[i])
-    return y_new, k7, err, cont
+        err = 0.0
+        for i in range(n):
+            e = h * (_E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
+                     + _E6 * k6[i] + _E7 * k7[i])
+            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
+            err += (e / sc) ** 2
+        err = np.sqrt(err / n)
+
+        cont = np.empty((5, n))
+        for i in range(n):
+            d2 = y_new[i] - y[i]
+            d3 = h * f0[i] - d2
+            cont[0, i] = y[i]
+            cont[1, i] = d2
+            cont[2, i] = d3
+            cont[3, i] = d2 - h * k7[i] - d3
+            cont[4, i] = h * (_D1 * f0[i] + _D3 * k3[i] + _D4 * k4[i]
+                              + _D5 * k5[i] + _D6 * k6[i] + _D7 * k7[i])
+        return y_new, k7, err, cont
+
+    return step
 
 
-@njit
-def dopri5_step_b(z, y, h, f0, c0, lam, p, rtol, atol):
-    """One embedded step of chart B (same scheme, chart-B right-hand side)."""
-    n = y.shape[0]
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    k5 = np.empty(n)
-    k6 = np.empty(n)
-    k7 = np.empty(n)
-
-    yt = y + h * (_A21 * f0)
-    rhs_chart_b_arr(z + _C2 * h, yt, c0, lam, p, k2)
-    yt = y + h * (_A31 * f0 + _A32 * k2)
-    rhs_chart_b_arr(z + _C3 * h, yt, c0, lam, p, k3)
-    yt = y + h * (_A41 * f0 + _A42 * k2 + _A43 * k3)
-    rhs_chart_b_arr(z + _C4 * h, yt, c0, lam, p, k4)
-    yt = y + h * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-    rhs_chart_b_arr(z + _C5 * h, yt, c0, lam, p, k5)
-    yt = y + h * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-    rhs_chart_b_arr(z + h, yt, c0, lam, p, k6)
-    y_new = y + h * (_B1 * f0 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    rhs_chart_b_arr(z + h, y_new, c0, lam, p, k7)
-
-    err = 0.0
-    for i in range(n):
-        e = h * (_E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                 + _E6 * k6[i] + _E7 * k7[i])
-        sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-        err += (e / sc) ** 2
-    err = np.sqrt(err / n)
-
-    cont = np.empty((5, n))
-    for i in range(n):
-        d2 = y_new[i] - y[i]
-        d3 = h * f0[i] - d2
-        cont[0, i] = y[i]
-        cont[1, i] = d2
-        cont[2, i] = d3
-        cont[3, i] = d2 - h * k7[i] - d3
-        cont[4, i] = h * (_D1 * f0[i] + _D3 * k3[i] + _D4 * k4[i]
-                          + _D5 * k5[i] + _D6 * k6[i] + _D7 * k7[i])
-    return y_new, k7, err, cont
+# module attributes read at call time by ``solver.integrate``
+dopri5_step_a = _make_step(rhs_chart_a_arr)
+dopri5_step_b = _make_step(rhs_chart_b_arr)

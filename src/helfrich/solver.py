@@ -16,7 +16,7 @@ blow-up) are located on the dense output by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "rhs_chart_b",
     "rhs_kappa",
     "series_coefficient",
+    "axis_series",
     "series_start",
     "chart_switch",
     "integrate",
@@ -96,8 +97,19 @@ class SolverConfig:
             raise InvalidParams(f"w_switch must be > 1, got {self.w_switch!r}")
 
 
+class _ChartState:
+    """Conversion between a chart state and (x, six-vector) arrays."""
+
+    def to_array(self) -> np.ndarray:
+        return np.array(astuple(self)[1:])
+
+    @classmethod
+    def from_array(cls, x: float, y: np.ndarray):
+        return cls(x, *y)
+
+
 @dataclass(frozen=True)
-class ChartAState:
+class ChartAState(_ChartState):
     """Graph-chart state at radius r."""
 
     r: float
@@ -108,18 +120,9 @@ class ChartAState:
     vol_acc: float = 0.0
     energy_acc: float = 0.0
 
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.w, self.wp, self.z, self.area_acc, self.vol_acc, self.energy_acc]
-        )
-
-    @classmethod
-    def from_array(cls, r: float, y: np.ndarray) -> "ChartAState":
-        return cls(r, y[0], y[1], y[2], y[3], y[4], y[5])
-
 
 @dataclass(frozen=True)
-class ChartBState:
+class ChartBState(_ChartState):
     """Inverse-chart state at height z.
 
     ``up`` = u'(z) = 1/w and ``upp`` = u''(z) = -w'/w^3.  The equation
@@ -135,36 +138,25 @@ class ChartBState:
     vol_acc: float = 0.0
     energy_acc: float = 0.0
 
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.u, self.up, self.upp, self.area_acc, self.vol_acc, self.energy_acc]
-        )
 
-    @classmethod
-    def from_array(cls, z: float, y: np.ndarray) -> "ChartBState":
-        return cls(z, y[0], y[1], y[2], y[3], y[4], y[5])
+def _rhs(kernel, x: float, state, params: HelfrichParams) -> np.ndarray:
+    out = np.empty(kernels.NSTATE)
+    kernel(x, state.to_array(), params.c0, params.lam, params.p, out)
+    return out
 
 
 def rhs_chart_a(state: ChartAState, params: HelfrichParams) -> np.ndarray:
     """Derivatives of (w, wp, z, area, vol, energy) with respect to r."""
     if state.r <= 0.0:
         raise NonPositiveRadius(f"r must be > 0, got {state.r!r}")
-    out = np.empty(kernels.NSTATE)
-    kernels.rhs_chart_a_arr(
-        state.r, state.to_array(), params.c0, params.lam, params.p, out
-    )
-    return out
+    return _rhs(kernels.rhs_chart_a_arr, state.r, state, params)
 
 
 def rhs_chart_b(state: ChartBState, params: HelfrichParams) -> np.ndarray:
     """Derivatives of (u, up, upp, area, vol, energy) with respect to z."""
     if state.u <= 0.0:
         raise NonPositiveRadius(f"u must be > 0, got {state.u!r}")
-    out = np.empty(kernels.NSTATE)
-    kernels.rhs_chart_b_arr(
-        state.z, state.to_array(), params.c0, params.lam, params.p, out
-    )
-    return out
+    return _rhs(kernels.rhs_chart_b_arr, state.z, state, params)
 
 
 def rhs_kappa(r: float, kappa: float, kappap: float, params: HelfrichParams) -> float:
@@ -194,6 +186,21 @@ def series_coefficient(params: HelfrichParams, w0p: float) -> float:
     return (eval_q(w0p, params) + 7.0 * w0p ** 3) / 16.0
 
 
+def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
+    """Truncated axis series (w, wp, z, area, vol, energy) at r.
+
+    ``r`` may be a scalar or an ndarray; the six values have its type.
+    """
+    return (
+        w0p * r + a3 * r ** 3,
+        w0p + 3.0 * a3 * r ** 2,
+        0.5 * w0p * r ** 2 + 0.25 * a3 * r ** 4,
+        0.5 * r ** 2 + 0.125 * w0p ** 2 * r ** 4,
+        0.25 * w0p * r ** 4 + a3 * r ** 6 / 6.0,
+        0.5 * ((2.0 * w0p + params.c0) ** 2 + params.lam) * r ** 2,
+    )
+
+
 def series_start(params: HelfrichParams, w0p: float, eps: float) -> ChartAState:
     """Truncated-series state at r = eps, clearing the axis singularity."""
     if not (w0p > 0.0):
@@ -205,13 +212,7 @@ def series_start(params: HelfrichParams, w0p: float, eps: float) -> ChartAState:
     a3 = series_coefficient(params, w0p)
     if abs(a3) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    w = w0p * eps + a3 * eps ** 3
-    wp = w0p + 3.0 * a3 * eps ** 2
-    z = 0.5 * w0p * eps ** 2 + 0.25 * a3 * eps ** 4
-    area = 0.5 * eps ** 2 + 0.125 * w0p ** 2 * eps ** 4
-    vol = 0.25 * w0p * eps ** 4 + a3 * eps ** 6 / 6.0
-    energy = 0.5 * ((2.0 * w0p + params.c0) ** 2 + params.lam) * eps ** 2
-    return ChartAState(eps, w, wp, z, area, vol, energy)
+    return ChartAState(eps, *axis_series(params, w0p, a3, eps))
 
 
 def chart_switch(a: ChartAState) -> ChartBState:
@@ -243,6 +244,7 @@ class DenseSegment:
         return float(self.xs[0])
 
     def _locate(self, x: np.ndarray):
+        self._check_range(x)
         key = x if self.ascending else -x
         idx = np.searchsorted(self._key, key, side="right") - 1
         idx = np.clip(idx, 0, len(self.xs) - 2)
@@ -258,21 +260,15 @@ class DenseSegment:
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
 
     def eval_many(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_range(x)
-        idx, th = self._locate(x)
-        r1, r2, r3, r4, r5 = (self.conts[idx, k, :] for k in range(5))
-        th = th[:, None]
-        return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+        idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
+        return _quartic(self.conts[idx].swapaxes(0, 1), th[:, None])
 
     def eval(self, x: float) -> np.ndarray:
         return self.eval_many(np.array([x]))[0]
 
     def deriv_many(self, x) -> np.ndarray:
         """State derivative with respect to the independent variable."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_range(x)
-        idx, th = self._locate(x)
+        idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         h = (self.xs[idx + 1] - self.xs[idx])[:, None]
         r2, r3, r4, r5 = (self.conts[idx, k, :] for k in range(1, 5))
         th = th[:, None]
@@ -289,27 +285,28 @@ class DenseSegment:
 
     def find_crossing(self, component: int, target: float, x_lo=None, x_hi=None,
                       tol: float = 1e-12) -> float:
-        """Bisect for the first x where state[component] crosses ``target``."""
+        """First x where state[component] crosses ``target``.
+
+        The step nodes inside [x_lo, x_hi] bracket the first sign change;
+        that step's polynomial is then bisected.
+        """
         lo = self.x_start if x_lo is None else x_lo
         hi = self.x_end if x_hi is None else x_hi
-        g = lambda x: self.eval(x)[component] - target
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
+        sgn = 1.0 if self.ascending else -1.0
+        inner = self.xs[(self._key > sgn * lo) & (self._key < sgn * hi)]
+        xk = np.concatenate([[lo], inner, [hi]])
+        g = self.eval_many(xk)[:, component] - target
+        if g[0] == 0.0:
             return lo
-        if glo * ghi > 0.0:
+        change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
+        if len(change) == 0:
             raise OutOfRange("no crossing in the requested range")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if abs(hi - lo) <= tol * (1.0 + abs(mid)):
-                return mid
-            gm = g(mid)
-            if gm == 0.0:
-                return mid
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        a, b = xk[change[0]], xk[change[0] + 1]
+        (i,), (th_a,) = self._locate(np.array([a]))
+        h = self.xs[i + 1] - self.xs[i]
+        th = _bisect_step(self.conts[i], component, target, h, self.xs[i], tol,
+                          th_a, (b - self.xs[i]) / h)
+        return self.xs[i] + th * h
 
 
 @dataclass(frozen=True)
@@ -334,29 +331,19 @@ class Trajectory:
     events: list[Event]
     status: str
     eps_start: float
-    a3: float
+
+    @property
+    def a3(self) -> float:
+        """Cubic coefficient of the axis series."""
+        return series_coefficient(self.params, self.w0p)
 
     def first_event(self, kind: str) -> Event | None:
-        for ev in self.events:
-            if ev.kind == kind:
-                return ev
-        return None
-
-    def events_of(self, kind: str) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == kind]
+        return next((ev for ev in self.events if ev.kind == kind), None)
 
     def series_eval(self, r) -> np.ndarray:
         """Series state on [0, eps_start), same layout as chart-A states."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        w0p, a3 = self.w0p, self.a3
-        c0, lam = self.params.c0, self.params.lam
-        w = w0p * r + a3 * r ** 3
-        wp = w0p + 3.0 * a3 * r ** 2
-        z = 0.5 * w0p * r ** 2 + 0.25 * a3 * r ** 4
-        area = 0.5 * r ** 2 + 0.125 * w0p ** 2 * r ** 4
-        vol = 0.25 * w0p * r ** 4 + a3 * r ** 6 / 6.0
-        energy = 0.5 * ((2.0 * w0p + c0) ** 2 + lam) * r ** 2
-        return np.stack([w, wp, z, area, vol, energy], axis=1)
+        return np.stack(axis_series(self.params, self.w0p, self.a3, r), axis=1)
 
 
 def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
@@ -384,23 +371,22 @@ class _EventSpec:
     priority: int
 
 
-def _locate_theta(conts_step, idx, target, cross, h, x0, event_tol):
-    """Bisect the dense polynomial of one component for its crossing."""
-    r1, r2, r3, r4, r5 = conts_step
+def _quartic(cont, th):
+    """Quartic continuous extension from its five vectors ``cont`` at theta."""
+    r1, r2, r3, r4, r5 = cont
+    return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
 
-    def g(th):
-        val = r1[idx] + th * (
-            r2[idx] + (1.0 - th) * (r3[idx] + th * (r4[idx] + (1.0 - th) * r5[idx]))
-        )
-        return val - target
 
-    lo, hi = 0.0, 1.0
-    glo = g(lo)
+def _bisect_step(cont, idx, target, h, x0, tol, lo=0.0, hi=1.0):
+    """Theta in [lo, hi] where component ``idx`` of one step's polynomial
+    crosses ``target``; bisects until |h| times the bracket <= tol (1 + |x0|)."""
+    c = cont[:, idx].tolist()
+    glo = _quartic(c, lo) - target
     for _ in range(200):
-        if abs(hi - lo) * abs(h) <= event_tol * (1.0 + abs(x0)):
+        if abs(hi - lo) * abs(h) <= tol * (1.0 + abs(x0)):
             break
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
+        gm = _quartic(c, mid) - target
         if (gm > 0.0) == (glo > 0.0):
             lo, glo = mid, gm
         else:
@@ -408,17 +394,12 @@ def _locate_theta(conts_step, idx, target, cross, h, x0, event_tol):
     return 0.5 * (lo + hi)
 
 
-def _eval_cont(conts_step, th):
-    r1, r2, r3, r4, r5 = conts_step
-    return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
-
-
 def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
-               event_specs, steps_budget, h_init=None):
+               event_specs, steps_budget):
     """Adaptive loop on one chart.
 
-    Returns (segment, events, status, steps_used, terminal_event_or_None).
-    ``status`` is one of 'terminal', 'aborted', 'limit'.
+    Returns (segment, events, steps_used, terminal_event_or_None); the
+    event is None when the step budget or x_limit ended the chart.
     """
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
@@ -431,9 +412,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         raise InvalidParams(f"right-hand side not finite at start of chart {chart}")
 
     h_cap = abs(x_limit - x)
-    h = h_init if h_init is not None else _initial_step(
-        rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p, h_cap
-    )
+    h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p, h_cap)
     h = max(h, 1e-13 * (1.0 + abs(x)))
 
     xs = [x]
@@ -446,13 +425,13 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     while True:
         if steps >= steps_budget:
             events.append(Event(ABORTED, chart, x, y.copy()))
-            return _make_segment(xs, conts, x), events, "aborted", steps, None
+            return _make_segment(xs, conts, x), events, steps, None
         if h < 1e-14 * (1.0 + abs(x)):
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         remaining = (x_limit - x) * direction
         if remaining <= 1e-14 * (1.0 + abs(x)):
             events.append(Event(ABORTED, chart, x, y.copy()))
-            return _make_segment(xs, conts, x), events, "limit", steps, None
+            return _make_segment(xs, conts, x), events, steps, None
         h_use = min(h, remaining)
 
         y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
@@ -479,17 +458,15 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             g1 = y1[spec.idx] - spec.target
             crossed = (g0 > 0.0 >= g1) if spec.cross < 0 else (g0 < 0.0 <= g1)
             if crossed:
-                th = _locate_theta(cont, spec.idx, spec.target, spec.cross, hd, x,
-                                   cfg.event_tol)
+                th = _bisect_step(cont, spec.idx, spec.target, hd, x, cfg.event_tol)
                 hits.append((th, spec.priority, spec))
         hits.sort(key=lambda t: (t[0], t[1]))
         for th, _, spec in hits:
             x_ev = x + th * hd
-            y_ev = _eval_cont(cont, th)
+            y_ev = _quartic(cont, th)
             events.append(Event(spec.kind, chart, x_ev, y_ev))
             if spec.terminal:
-                return (_make_segment(xs, conts, x_ev), events, "terminal", steps,
-                        events[-1])
+                return _make_segment(xs, conts, x_ev), events, steps, events[-1]
 
         x, y, f = x_new, y1, f1
 
@@ -532,7 +509,6 @@ def integrate(params: HelfrichParams, w0p: float,
         r_max = 1e3 * math.sqrt(w0p / params.p + 1.0)
 
     start = series_start(params, w0p, eps)
-    a3 = series_coefficient(params, w0p)
 
     specs_a = [
         _EventSpec(MAX_OF_W, 1, 0.0, -1, False, 0),
@@ -540,44 +516,24 @@ def integrate(params: HelfrichParams, w0p: float,
         _EventSpec(CHART_SWITCH, 0, -cfg.w_switch, -1, True, 2),
         _EventSpec(BLOWUP_POSITIVE, 0, +cfg.w_switch, +1, True, 3),
     ]
-    seg_a, events, status_a, used, term = _run_chart(
+    seg_a, events, used, term = _run_chart(
         kernels.dopri5_step_a, kernels.rhs_chart_a_arr, "A",
         eps, start.to_array(), +1, r_max, params, cfg, specs_a, cfg.max_steps,
     )
-
-    if status_a in ("aborted", "limit") or term is None:
-        return Trajectory(params, w0p, cfg, seg_a, None, events, ABORTED, eps, a3)
-    if term.kind == BLOWUP_POSITIVE:
-        return Trajectory(params, w0p, cfg, seg_a, None, events, BLOWUP_POSITIVE, eps, a3)
+    if term is None or term.kind == BLOWUP_POSITIVE:
+        status = ABORTED if term is None else BLOWUP_POSITIVE
+        return Trajectory(params, w0p, cfg, seg_a, None, events, status, eps)
 
     # chart switch: w < 0 guaranteed by the event definition
-    a_state = ChartAState.from_array(term.x, term.state)
-    b0 = chart_switch(a_state)
+    b0 = chart_switch(ChartAState.from_array(term.x, term.state))
     z_limit = b0.z - cfg.w_switch * r_max  # finiteness cap for the descent
     specs_b = [_EventSpec(EQUATOR, 1, 0.0, +1, True, 0)]
-    seg_b, events_b, status_b, used_b, term_b = _run_chart(
+    seg_b, events_b, _, term_b = _run_chart(
         kernels.dopri5_step_b, kernels.rhs_chart_b_arr, "B",
         b0.z, b0.to_array(), -1, z_limit, params, cfg, specs_b,
         cfg.max_steps - used,
     )
     events.extend(events_b)
-    if status_b == "terminal" and term_b is not None and term_b.kind == EQUATOR:
-        status = EQUATOR
-    else:
-        status = ABORTED
-    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, status, eps, a3)
+    status = ABORTED if term_b is None else EQUATOR  # Equator is B's only terminal
+    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, status, eps)
 
-
-def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
-                       r1: float, n_steps: int) -> np.ndarray:
-    """Fixed-step propagation of chart A (order studies and restarts)."""
-    c0, lam, p = params.c0, params.lam, params.p
-    h = (r1 - r0) / n_steps
-    y = np.array(y0, dtype=float)
-    f = np.empty_like(y)
-    kernels.rhs_chart_a_arr(r0, y, c0, lam, p, f)
-    x = r0
-    for _ in range(n_steps):
-        y, f, _, _ = kernels.dopri5_step_a(x, y, h, f, c0, lam, p, 1e-6, 1e-6)
-        x += h
-    return y

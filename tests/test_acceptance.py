@@ -26,9 +26,9 @@ from helfrich import (
 )
 from helfrich import cli
 from helfrich.analysis import BICONCAVE
-from helfrich.cubic import sample_extrema_oracle
 from helfrich.solver import ChartAState
 from tests.conftest import FIGURE_W0P, PAPER
+from oracles import sample_extrema_oracle
 
 
 def _report(num, desc, ok):

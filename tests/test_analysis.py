@@ -24,6 +24,7 @@ from helfrich import (
 )
 from helfrich.analysis import BICONCAVE, MULTIMODAL, NON_NEGATIVE_DISPLACEMENT, INDETERMINATE
 from helfrich.errors import MissingEvent, NotBiconcave
+from helfrich.export import profile_rows
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -219,6 +220,34 @@ def test_sphere_quadrature_path():
     area, volume = profile_quadrature_totals(r, z)
     assert abs(area - 4 * np.pi) / (4 * np.pi) <= 1e-6
     assert abs(volume - 4 * np.pi / 3) / (4 * np.pi / 3) <= 1e-6
+
+
+def _scalar_curvatures(r, w, wp):
+    P = 1.0 + w * w
+    sq = math.sqrt(P)
+    return w / (r * sq), wp / (P * sq)
+
+
+def test_profile_rows_equal_scalar_formulas(figure_runs):
+    """Array profile rows equal a row-by-row evaluation in Python floats,
+    bit for bit, so profile.csv does not depend on numpy's vector math."""
+    traj = figure_runs[0.2][0]  # a run where numpy's power differs from libm
+    rows = profile_rows(traj).tolist()
+    n_a = 1024
+    for i, (r, z, w, km, kl, H, K) in enumerate(rows[1:]):
+        if i < n_a:
+            y = traj.chart_a.eval(r).tolist()
+            want = _scalar_curvatures(r, y[0], y[1])
+            assert (z, w) == (y[2], y[0])
+        else:
+            u, s, q = traj.chart_b.eval(z).tolist()[:3]
+            if abs(s) > 1e-6:
+                want = _scalar_curvatures(u, 1.0 / s, -q / s ** 3)
+            else:
+                P = s * s + 1.0
+                want = (-1.0 / (u * math.sqrt(P)), q / (P * math.sqrt(P)))
+            assert r == u
+        assert (km, kl, H, K) == (*want, 0.5 * (want[0] + want[1]), want[0] * want[1])
 
 
 def test_profile_shape(ref_traj, ref_landmarks):

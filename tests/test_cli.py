@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helfrich import cli
-from helfrich.export import PROFILE_COLUMNS, fmt17, mesh_area_volume
+from helfrich.export import PROFILE_COLUMNS, fmt17
+from oracles import mesh_area_volume
 
 PAPER_FLAGS = ["--c0", "1", "--lambda", "0.25", "--p", "1"]
 SOLVE_FLAGS = PAPER_FLAGS + ["--w0p", "0.05"]
@@ -66,6 +67,20 @@ def test_verify_excludes_non_biconcave(tmp_path):
     report = json.loads((tmp_path / "bounds_report.json").read_text())
     assert len(report["excluded"]) >= 1
     assert code == 0  # remaining checks pass
+
+
+def test_verify_isolates_failing_points(tmp_path):
+    # a fixed eps_start of 0.01 leaves the series region at the smallest w0p
+    code = run_cli(["verify", *PAPER_FLAGS, "--eps-start", "0.01",
+                    "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "bounds_report.json").read_text())
+    errors = [e for e in report["excluded"]
+              if e["classification"] == "Error:EpsTooLarge"]
+    assert errors and len(errors) == len(report["excluded"])
+    assert min(e["w0p"] for e in errors) == min(report["grid"])
+    assert len(report["per_point"]) + len(errors) == len(report["grid"]) == 16
+    assert sorted(report["asymptotics"]["excluded"]) == sorted(e["w0p"] for e in errors)
+    assert code == 0  # the remaining points pass every check
 
 
 def test_verify_rejects_zero_points(capsys):

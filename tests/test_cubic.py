@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helfrich import HelfrichParams, analyze_cubic, derived_constants, eval_q, eval_r
-from helfrich.cubic import sample_extrema_oracle
 from helfrich.errors import InvalidSlope
+from oracles import sample_extrema_oracle
 
 params_st = st.builds(
     HelfrichParams,

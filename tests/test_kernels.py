@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helfrich import HelfrichParams, SolverConfig, integrate, rhs_chart_a, rhs_kappa
-from helfrich.solver import ChartAState, fixed_step_chart_a
+from helfrich.solver import ChartAState
 from helfrich import kernels
-from helfrich._jit import unjitted
+from helfrich._jit import JIT_ENABLED, unjitted
 from helfrich.errors import NonPositiveRadius, SingularDenominator
+from oracles import fixed_step_chart_a
 
 
 def _state(r, w, wp):
@@ -199,22 +200,28 @@ def test_adaptive_error_scales_with_tolerance(paper_params):
 
 
 def test_jit_and_python_paths_agree(paper_params):
+    """Compiled and source kernels agree on both charts.  Without numba
+    (or with HELFRICH_JIT=0) the two are one object, which is asserted."""
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
-    y = np.array([0.02, 0.04, 0.001, 0.01, 0.0001, 0.02])
-    f0 = np.empty(6)
-    kernels.rhs_chart_a_arr(0.5, y, c0, lam, p, f0)
-    f0_py = np.empty(6)
-    unjitted(kernels.rhs_chart_a_arr)(0.5, y, c0, lam, p, f0_py)
-    assert np.array_equal(f0, f0_py)
-    got = kernels.dopri5_step_a(0.5, y, 0.05, f0, c0, lam, p, 1e-10, 1e-12)
-    want = unjitted(kernels.dopri5_step_a)(0.5, y, 0.05, f0, c0, lam, p,
-                                           1e-10, 1e-12)
-    for a, b in zip(got, want):
-        assert np.allclose(a, b, rtol=1e-15, atol=1e-18)
-
-    yb = np.array([2.0, -0.1, -1.2, 0.5, -0.3, 0.8])
-    fb = np.empty(6)
-    kernels.rhs_chart_b_arr(-0.3, yb, c0, lam, p, fb)
-    fb_py = np.empty(6)
-    unjitted(kernels.rhs_chart_b_arr)(-0.3, yb, c0, lam, p, fb_py)
-    assert np.array_equal(fb, fb_py)
+    cases = [
+        ("A", kernels.rhs_chart_a_arr, kernels.dopri5_step_a, 0.5,
+         np.array([0.02, 0.04, 0.001, 0.01, 0.0001, 0.02]), 0.05),
+        ("B", kernels.rhs_chart_b_arr, kernels.dopri5_step_b, -0.3,
+         np.array([2.0, -0.1, -1.2, 0.5, -0.3, 0.8]), -0.01),
+    ]
+    path = "numba against python" if JIT_ENABLED else "python only, identity checked"
+    print(f"kernel paths compared: {path}")
+    for chart, rhs, step, x, y, h in cases:
+        f0 = np.empty(6)
+        rhs(x, y, c0, lam, p, f0)
+        got = step(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+        assert all(np.all(np.isfinite(v)) for v in got), chart
+        if not JIT_ENABLED:
+            assert unjitted(rhs) is rhs and unjitted(step) is step, chart
+            continue
+        f0_py = np.empty(6)
+        unjitted(rhs)(x, y, c0, lam, p, f0_py)
+        assert np.array_equal(f0, f0_py), chart
+        want = unjitted(step)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=1e-15, atol=1e-18), chart

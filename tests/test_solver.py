@@ -217,6 +217,22 @@ def test_chart_overlap_agreement(paper_params):
     assert abs(zb - z_at) / max(1e-3, abs(z_at)) <= 1e-8
 
 
+def test_find_crossing_matches_events_and_takes_first(ref_traj):
+    seg = ref_traj.chart_a
+    r0 = ref_traj.first_event(ZERO_OF_W).x
+    assert abs(seg.find_crossing(0, 0.0) - r0) <= 1e-11 * r0
+    # w rises to w_max at r_m, then falls: half of w_max is crossed twice
+    ev_max = ref_traj.first_event(MAX_OF_W)
+    half = 0.5 * ev_max.state[0]
+    r_up = seg.find_crossing(0, half)
+    assert r_up < ev_max.x
+    assert abs(seg.eval(r_up)[0] - half) <= 1e-12
+    r_down = seg.find_crossing(0, half, x_lo=ev_max.x)
+    assert ev_max.x < r_down < r0
+    with pytest.raises(OutOfRange):
+        seg.find_crossing(0, 2.0 * ev_max.state[0])
+
+
 def test_event_idempotence(paper_params):
     base = SolverConfig(rel_tol=1e-8, abs_tol=1e-10)
     tight = SolverConfig(rel_tol=5e-9, abs_tol=5e-11)
