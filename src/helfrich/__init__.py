@@ -60,7 +60,6 @@ from .bounds import (
     PhaseCell,
     asymptotic_sweep,
     check_single,
-    default_w0p_grid,
     phase_sweep,
 )
 

@@ -46,6 +46,7 @@ __all__ = [
     "requadrature_totals",
     "profile_quadrature_totals",
     "profile_points",
+    "mirror_quarter",
     "BICONCAVE",
     "MULTIMODAL",
     "NON_NEGATIVE_DISPLACEMENT",
@@ -108,11 +109,11 @@ class EtaReport:
     n_samples: int
 
 
-def extract_landmarks(traj: Trajectory, scan_points: int = 10_001) -> Landmarks:
+def extract_landmarks(traj: Trajectory) -> Landmarks:
     """Read landmarks off the event list; count critical points of w.
 
-    The count scans w' on (eps, r0) at resolution <= r0/1e4; tangencies
-    of w' without a sign change are not counted.
+    The count scans w' on (eps, r0) at 10,001 points, a resolution of
+    r0/1e4; tangencies of w' without a sign change are not counted.
     """
     ev_max = traj.first_event(MAX_OF_W)
     ev_zero = traj.first_event(ZERO_OF_W)
@@ -131,8 +132,7 @@ def extract_landmarks(traj: Trajectory, scan_points: int = 10_001) -> Landmarks:
 
     n_crit = None
     if r0 is not None:
-        n = max(scan_points, 10_001)
-        rs = np.linspace(traj.eps_start, r0, n)
+        rs = np.linspace(traj.eps_start, r0, 10_001)
         wp = traj.chart_a.eval_many(rs)[:, 1]
         sgn = np.sign(wp)
         sgn = sgn[sgn != 0.0]
@@ -233,16 +233,15 @@ def geometry_at(traj: Trajectory, r: float | None = None,
     return GeometrySample(float(y[0]), float(z), *map(float, geom))
 
 
-def el_residual(traj: Trajectory, n_samples: int = 2000) -> float:
+def el_residual(traj: Trajectory) -> float:
     """Max normalized residual of the variational integrand on chart A.
 
-    w and w' come from the dense output, w'' from its derivative; at
-    each sample the integrand is normalized by the largest individual
-    term so the result is a relative defect.
+    At 2000 samples, w and w' come from the dense output, w'' from its
+    derivative; each sample's integrand is normalized by the largest
+    individual term so the result is a relative defect.
     """
     seg = traj.chart_a
-    n = max(n_samples, 1000)
-    rs = np.linspace(seg.x_start, seg.x_end, n)
+    rs = np.linspace(seg.x_start, seg.x_end, 2000)
     Y = seg.eval_many(rs)
     D = seg.deriv_many(rs)
     w, wp = Y[:, 0], Y[:, 1]
@@ -278,9 +277,8 @@ def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float
     return abs(K2 - target) / max(K2, 1e-30)
 
 
-def eta_boundedness(traj: Trajectory, n_per_decade: int = 4,
-                    decades: float = 6.0) -> EtaReport:
-    """Sample eta along chart B approaching the equator.
+def eta_boundedness(traj: Trajectory) -> EtaReport:
+    """Sample eta on chart B, 4 per decade of z - z_inf over 6 decades.
 
     Reports the running sup, a linear extrapolation of eta to the
     equator, the extrapolated limit of eta * |u'| (which must vanish),
@@ -290,6 +288,7 @@ def eta_boundedness(traj: Trajectory, n_per_decade: int = 4,
     ev = traj.first_event(EQUATOR)
     if ev is None or traj.chart_b is None:
         raise MissingEvent("no Equator event in trajectory")
+    n_per_decade, decades = 4, 6.0
     z_inf = ev.x
     z_sw = traj.chart_b.x_start
     tau_sw = z_sw - z_inf
@@ -331,21 +330,21 @@ def surface_totals(traj: Trajectory) -> SurfaceTotals:
     return SurfaceTotals(area, volume, energy)
 
 
-def requadrature_totals(traj: Trajectory, n_a: int = 400_001,
-                        n_b: int = 100_001) -> SurfaceTotals:
+def requadrature_totals(traj: Trajectory) -> SurfaceTotals:
     """Independent trapezoid re-quadrature of the dense output.
 
     Cross-checks the in-step accumulators of :func:`surface_totals`; the
     integrands are the accumulator rows of the uncompiled right-hand
-    sides, which broadcast over (6, N) state arrays.
+    sides, which broadcast over (6, N) state arrays, on 400,001 chart-A
+    and 100,001 chart-B nodes.
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     # series piece [0, eps], then one trapezoid pass per chart
     area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
-    for seg, n, rhs in ((traj.chart_a, n_a, kernels.rhs_chart_a_arr),
-                        (traj.chart_b, n_b, kernels.rhs_chart_b_arr)):
+    for seg, n, rhs in ((traj.chart_a, 400_001, kernels.rhs_chart_a_arr),
+                        (traj.chart_b, 100_001, kernels.rhs_chart_b_arr)):
         xs = np.linspace(seg.x_start, seg.x_end, n)
         F = np.empty((kernels.NSTATE, n))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,20 +376,24 @@ def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, floa
     return area, volume
 
 
-def profile_points(traj: Trajectory, n: int = 1024) -> np.ndarray:
-    """Closed mirrored cross-section curve of a biconcave solution.
-
-    Returns an (m, 2) array tracing the curve counter-clockwise through
-    (0, Z(0)), (r_inf, 0), (0, -Z(0)), (-r_inf, 0) with Z = z - z_inf.
-    """
+def profile_points(traj: Trajectory) -> np.ndarray:
+    """Closed mirrored cross-section curve (1025 points) of a biconcave solution."""
     cls = classify(traj, extract_landmarks(traj))
     if cls.verdict != BICONCAVE:
         raise NotBiconcave(f"classification is {cls.verdict}")
-    x, y = _quarter_profile(traj, max(16, n // 4)).T
-    ur = np.stack([x, y], axis=1)
-    lr = np.stack([x[::-1], -y[::-1]], axis=1)
-    ll = np.stack([-x, -y], axis=1)
-    ul = np.stack([-x[::-1], y[::-1]], axis=1)
+    return mirror_quarter(*_quarter_profile(traj, 256).T)
+
+
+def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Close an axis-to-equator quarter (r, Z) by reflection in both axes.
+
+    Returns a (4 len(r) - 3, 2) array tracing the curve through (0, Z(0)),
+    (r_inf, 0), (0, -Z(0)), (-r_inf, 0) and back to (0, Z(0)).
+    """
+    ur = np.stack([r, Z], axis=1)
+    lr = np.stack([r[::-1], -Z[::-1]], axis=1)
+    ll = np.stack([-r, -Z], axis=1)
+    ul = np.stack([-r[::-1], Z[::-1]], axis=1)
     return np.concatenate([ur, lr[1:], ll[1:], ul[1:]], axis=0)
 
 

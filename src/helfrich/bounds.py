@@ -28,7 +28,6 @@ __all__ = [
     "solve_and_classify",
     "asymptotic_sweep",
     "phase_sweep",
-    "default_w0p_grid",
 ]
 
 CHECK_IDS = [
@@ -47,6 +46,8 @@ CHECK_IDS = [
 ]
 
 _PTWISE_TOL = 1e-8  # slack for the re-asserted pointwise inequalities
+_BAND = 0.1  # relative band of the small-slope limit ratios
+_BAND_W0P_MAX = 1e-2  # the band applies where w0p <= this
 
 
 @dataclass(frozen=True)
@@ -275,31 +276,15 @@ def solve_and_classify(params: HelfrichParams, w0p: float,
         return None, Landmarks(*[None] * 8), f"Error:{type(exc).__name__}"
 
 
-def default_w0p_grid(n: int = 16, lo: float = 1e-4, hi: float = 1e-1) -> np.ndarray:
-    return np.geomspace(hi, lo, n)
+def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
+    """Compare the landmark ratios of a w0p sweep toward zero with the
+    limit constants 32/(3p), 32/p, -2, -2/3, and 8/p.
 
-
-def asymptotic_sweep(params: HelfrichParams, w0p_grid=None,
-                     cfg: SolverConfig | None = None,
-                     band: float = 0.1, band_w0p_max: float = 1e-2,
-                     runs=None) -> AsymptoticReport:
-    """Sweep w0p toward zero and compare landmark ratios with the limit
-    constants 32/(3p), 32/p, -2, -2/3, and 8/p.
-
+    ``runs`` holds one (w0p, verdict, landmarks) triple per grid point.
     Relative band of 10% applies only where w0p <= 1e-2; the positive-
-    area ratio is checked at the two smallest grid points.  ``runs`` may
-    carry precomputed (w0p, verdict, landmarks) triples for the grid.
+    area ratio is checked at the two smallest grid points.
     """
-    if runs is None:
-        if w0p_grid is None:
-            w0p_grid = default_w0p_grid()
-        w0p_grid = np.sort(np.asarray(w0p_grid, dtype=float))[::-1]
-        runs = []
-        for w0p in w0p_grid:
-            _, lm, verdict = solve_and_classify(params, float(w0p), cfg)
-            runs.append((float(w0p), verdict, lm))
-    else:
-        runs = sorted(runs, key=lambda t: -t[0])
+    runs = sorted(runs, key=lambda t: -t[0])
     p = params.p
     records = []
     excluded = []
@@ -318,16 +303,16 @@ def asymptotic_sweep(params: HelfrichParams, w0p_grid=None,
             neg_area_ratio=(lm.z_r0 - lm.z_inf) / w0p,
         )
         records.append(rec)
-        if w0p <= band_w0p_max:
-            if rec.rm2_over_w0p < (32.0 / (3.0 * p)) * (1.0 - band):
+        if w0p <= _BAND_W0P_MAX:
+            if rec.rm2_over_w0p < (32.0 / (3.0 * p)) * (1.0 - _BAND):
                 failures.append(f"rm2/w0p={rec.rm2_over_w0p:.4g} below band at w0p={w0p:g}")
-            if rec.r02_over_w0p > (32.0 / p) * (1.0 + band):
+            if rec.r02_over_w0p > (32.0 / p) * (1.0 + _BAND):
                 failures.append(f"r0^2/w0p={rec.r02_over_w0p:.4g} above band at w0p={w0p:g}")
-            if not (-2.0 - 2.0 * band <= rec.slope_ratio <= -2.0 / 3.0 + (2.0 / 3.0) * band):
+            if not (-2.0 - 2.0 * _BAND <= rec.slope_ratio <= -2.0 / 3.0 + (2.0 / 3.0) * _BAND):
                 failures.append(f"wp(r0)/w0p={rec.slope_ratio:.4g} outside band at w0p={w0p:g}")
 
     good = [r for r in records if r.classification == BICONCAVE]
-    small = [r for r in good if r.w0p <= band_w0p_max]
+    small = [r for r in good if r.w0p <= _BAND_W0P_MAX]
     for r in small[-2:]:  # two smallest points inside the asymptotic regime
         if r.pos_area_ratio > (8.0 / p) * 1.1:
             failures.append(f"pos-area ratio {r.pos_area_ratio:.4g} above 8.8/p at w0p={r.w0p:g}")

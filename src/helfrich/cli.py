@@ -1,5 +1,9 @@
 """Command-line entry points: solve, verify, sweep, plot, mesh.
 
+Each subcommand is one entry of ``COMMANDS``; its option rows drive the
+parser, the accepted config-file keys and the resolution of each value
+(flag, then config key, then default).
+
 Exit codes: 0 success/Biconcave, 1 solver or check failure, 2 other
 classification, 3 anomaly cells in a sweep, 64 usage error.
 """
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -22,6 +27,7 @@ from .analysis import (
     el_residual,
     equator_identity_residual,
     extract_landmarks,
+    mirror_quarter,
     profile_points,
     surface_totals,
 )
@@ -62,6 +68,11 @@ SOLVER_OPTS = [
     Opt("--max-steps", "max_steps", int, 1_000_000, "step budget"),
     Opt("--event-tol", "event_tol", float, 1e-12, "event location tolerance"),
 ]
+# every command takes these; --config names the file and is no config key
+COMMON_OPTS = SOLVER_OPTS + [
+    Opt("--out", "out", str, None, "output directory (default: $OUTPUT_DIR or .)"),
+    Opt("--config", "config", str, None, "JSON config file with flag names as keys"),
+]
 SWEEP_OPTS = [
     Opt("--sweep-min", "sweep_min", float, 1e-4, "smallest w0p of the sweep"),
     Opt("--sweep-max", "sweep_max", float, 1e-1, "largest w0p of the sweep"),
@@ -77,6 +88,9 @@ RANGE_OPTS = [
     Opt("--p-range", "p_range", str, "1:1:1", "p grid"),
     Opt("--w0p-range", "w0p_range", str, "0.05:0.05:1", "w0p grid"),
 ]
+FORMAT_OPT = Opt("--format", "format", str, "csv,json",
+                 "comma list of csv,json,svg,obj (default csv,json)")
+IN_OPT = Opt("--in", "infile", str, None, "existing profile.csv to plot instead of solving")
 
 VALID_FORMATS = ("csv", "json", "svg", "obj")
 
@@ -87,16 +101,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_opts(sp, opts):
-    for o in opts:
-        sp.add_argument(o.flag, dest=o.dest, type=o.conv, default=None, help=o.help)
+def _key(opt: Opt) -> str:
+    return opt.flag.lstrip("-")
 
 
-def _flag_key(flag: str) -> str:
-    return flag.lstrip("-")
-
-
-def _load_config(parser, path, allowed):
+def _load_config(parser, path, opts):
     if path is None:
         return {}
     try:
@@ -106,6 +115,7 @@ def _load_config(parser, path, allowed):
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         parser.error(f"config file {path} must hold a JSON object")
+    allowed = {_key(o) for o in opts} - {"config"}
     for key in data:
         if key not in allowed:
             parser.error(f"unknown config key {key!r}")
@@ -113,51 +123,56 @@ def _load_config(parser, path, allowed):
 
 
 def _resolve(parser, args, opts, config):
+    """Flag beats config key beats default; a config value passes the
+    flag's converter, and a null one counts as unset."""
     vals = {}
     for o in opts:
-        v = getattr(args, o.dest)
-        key = _flag_key(o.flag)
-        if v is None and key in config:
+        v, key = getattr(args, o.dest), _key(o)
+        if v is None and config.get(key) is not None:
             try:
                 v = o.conv(config[key])
             except (TypeError, ValueError):
                 parser.error(f"config key {key!r} has invalid value {config[key]!r}")
-        if v is None:
-            v = o.default
-        vals[o.dest] = v
+        vals[o.dest] = o.default if v is None else v
     return vals
 
 
-def _require_params(parser, pv, need_w0p=True):
-    for o in PARAM_OPTS + ([W0P_OPT] if need_w0p else []):
-        if pv.get(o.dest) is None:
+def _params(parser, vals, opts=PARAM_OPTS + [W0P_OPT]):
+    """Check that the physical parameters are given and finite."""
+    for o in opts:
+        if vals[o.dest] is None:
             parser.error(f"{o.flag} is required")
-    if need_w0p and not (pv["w0p"] > 0.0):
+        if not math.isfinite(vals[o.dest]):
+            parser.error(f"{o.flag} must be finite, got {vals[o.dest]!r}")
+    if W0P_OPT in opts and not vals["w0p"] > 0.0:
         parser.error("--w0p must be > 0")
+    return HelfrichParams(vals["c0"], vals["lam"], vals["p"])
 
 
-def _out_dir(args, config):
-    out = getattr(args, "out", None)
-    if out is None:
-        out = config.get("out")
-    if out is None:
-        out = os.environ.get("OUTPUT_DIR", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _solver_config(parser, sv):
+def _open_out(parser, vals):
+    """Check the solver config, the last usage check, then create the
+    output directory: a usage error writes nothing."""
     try:
-        return SolverConfig(**sv)
+        cfg = SolverConfig(**{o.dest: vals[o.dest] for o in SOLVER_OPTS})
     except HelfrichError as exc:
         parser.error(str(exc))
+    out = vals["out"] if vals["out"] is not None else os.environ.get("OUTPUT_DIR", ".")
+    os.makedirs(out, exist_ok=True)
+    return cfg, out
 
 
-def _report_payload(params, w0p, sv, traj, lm, cls):
+def _solve(params, w0p, cfg):
+    """Integrate one profile and classify it; solver errors propagate."""
+    traj = integrate(params, w0p, cfg)
+    lm = extract_landmarks(traj)
+    return traj, lm, classify(traj, lm)
+
+
+def _report_payload(params, w0p, cfg, traj, lm, cls):
     consts = derived_constants(params, w0p)
     payload = {
         "params": {"c0": params.c0, "lambda": params.lam, "p": params.p, "w0p": w0p},
-        "config": sv,
+        "config": asdict(cfg),
         "status": traj.status,
         "landmarks": asdict(lm),
         "classification": asdict(cls),
@@ -182,34 +197,22 @@ def _annotation(params, w0p):
             f"w0p={w0p:g}")
 
 
-def _cmd_solve(parser, args):
-    allowed = {_flag_key(o.flag) for o in PARAM_OPTS + [W0P_OPT] + SOLVER_OPTS}
-    allowed |= {"out", "format"}
-    config = _load_config(parser, args.config, allowed)
-    pv = _resolve(parser, args, PARAM_OPTS + [W0P_OPT], config)
-    sv = _resolve(parser, args, SOLVER_OPTS, config)
-    _require_params(parser, pv)
-    fmt = args.format if args.format is not None else config.get("format", "csv,json")
-    formats = [f.strip() for f in fmt.split(",") if f.strip()]
+def _cmd_solve(parser, v):
+    params = _params(parser, v)
+    formats = [f.strip() for f in v["format"].split(",") if f.strip()]
     for f in formats:
         if f not in VALID_FORMATS:
             parser.error(f"--format: unknown format {f!r}")
-    out = _out_dir(args, config)
-
-    params = HelfrichParams(pv["c0"], pv["lam"], pv["p"])
-    cfg = _solver_config(parser, sv)
-    traj = integrate(params, pv["w0p"], cfg)
-    lm = extract_landmarks(traj)
-    cls = classify(traj, lm)
+    cfg, out = _open_out(parser, v)
+    traj, lm, cls = _solve(params, v["w0p"], cfg)
 
     if "csv" in formats:
         write_profile_csv(os.path.join(out, "profile.csv"), traj)
     if "json" in formats:
         write_json(os.path.join(out, "report.json"),
-                   _report_payload(params, pv["w0p"], sv, traj, lm, cls))
+                   _report_payload(params, v["w0p"], cfg, traj, lm, cls))
     if "svg" in formats and cls.verdict == BICONCAVE:
-        pts = profile_points(traj)
-        svg = render_svg(pts, _annotation(params, pv["w0p"]))
+        svg = render_svg(profile_points(traj), _annotation(params, v["w0p"]))
         with open(os.path.join(out, "profile.svg"), "w", newline="\n") as fh:
             fh.write(svg)
     if "obj" in formats and cls.verdict == BICONCAVE:
@@ -220,23 +223,14 @@ def _cmd_solve(parser, args):
     return EX_OK if cls.verdict == BICONCAVE else EX_NOT_BICONCAVE
 
 
-def _cmd_verify(parser, args):
-    allowed = {_flag_key(o.flag) for o in PARAM_OPTS + SOLVER_OPTS + SWEEP_OPTS}
-    allowed |= {"out"}
-    config = _load_config(parser, args.config, allowed)
-    pv = _resolve(parser, args, PARAM_OPTS, config)
-    sv = _resolve(parser, args, SOLVER_OPTS, config)
-    wv = _resolve(parser, args, SWEEP_OPTS, config)
-    _require_params(parser, pv, need_w0p=False)
-    if wv["sweep_points"] < 1:
+def _cmd_verify(parser, v):
+    params = _params(parser, v, PARAM_OPTS)
+    if v["sweep_points"] < 1:
         parser.error("--sweep-points must be >= 1")
-    if not (0.0 < wv["sweep_min"] <= wv["sweep_max"]):
+    if not (0.0 < v["sweep_min"] <= v["sweep_max"]):
         parser.error("--sweep-min/--sweep-max must satisfy 0 < min <= max")
-    out = _out_dir(args, config)
-
-    params = HelfrichParams(pv["c0"], pv["lam"], pv["p"])
-    cfg = _solver_config(parser, sv)
-    grid = np.geomspace(wv["sweep_max"], wv["sweep_min"], wv["sweep_points"])
+    cfg, out = _open_out(parser, v)
+    grid = np.geomspace(v["sweep_max"], v["sweep_min"], v["sweep_points"])
 
     per_point = []
     excluded = []
@@ -253,12 +247,12 @@ def _cmd_verify(parser, args):
         all_pass &= report.passed
         per_point.append(asdict(report))
 
-    asym = asymptotic_sweep(params, cfg=cfg, runs=runs)
+    asym = asymptotic_sweep(params, runs)
     all_pass &= asym.passed
 
     payload = {
         "params": {"c0": params.c0, "lambda": params.lam, "p": params.p},
-        "grid": [float(v) for v in grid],
+        "grid": [float(w) for w in grid],
         "per_point": per_point,
         "excluded": excluded,
         "asymptotics": asdict(asym),
@@ -279,6 +273,8 @@ def _parse_range(parser, spec, flag):
         count = int(parts[2])
     except ValueError:
         parser.error(f"{flag} must be start:stop:count, got {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        parser.error(f"{flag}: start and stop must be finite, got {spec!r}")
     if count < 1:
         parser.error(f"{flag}: count must be >= 1")
     if count == 1:
@@ -286,21 +282,10 @@ def _parse_range(parser, spec, flag):
     return list(np.linspace(start, stop, count))
 
 
-def _cmd_sweep(parser, args):
-    allowed = {_flag_key(o.flag) for o in RANGE_OPTS + SOLVER_OPTS} | {"out"}
-    config = _load_config(parser, args.config, allowed)
-    rv = _resolve(parser, args, RANGE_OPTS, config)
-    sv = _resolve(parser, args, SOLVER_OPTS, config)
-    out = _out_dir(args, config)
-    cfg = _solver_config(parser, sv)
-
-    grid = itertools.product(
-        _parse_range(parser, rv["c0_range"], "--c0-range"),
-        _parse_range(parser, rv["lam_range"], "--lambda-range"),
-        _parse_range(parser, rv["p_range"], "--p-range"),
-        _parse_range(parser, rv["w0p_range"], "--w0p-range"),
-    )
-    cells = phase_sweep(grid, cfg)
+def _cmd_sweep(parser, v):
+    axes = [_parse_range(parser, v[o.dest], o.flag) for o in RANGE_OPTS]
+    cfg, out = _open_out(parser, v)
+    cells = phase_sweep(itertools.product(*axes), cfg)
 
     path = os.path.join(out, "phase.csv")
     cols = ["c0", "lambda", "p", "w0p", "classification", "r_M", "r0",
@@ -310,8 +295,8 @@ def _cmd_sweep(parser, args):
         for c in cells:
             vals = [fmt17(c.c0), fmt17(c.lam), fmt17(c.p), fmt17(c.w0p),
                     c.classification]
-            for v in (c.r_m, c.r0, c.wp_r0, c.r_inf, c.z_inf):
-                vals.append("" if v is None else fmt17(v))
+            for x in (c.r_m, c.r0, c.wp_r0, c.r_inf, c.z_inf):
+                vals.append("" if x is None else fmt17(x))
             vals.append("true" if c.roots_all_positive else "false")
             fh.write(",".join(vals) + "\n")
     n_anom = sum(c.anomaly for c in cells)
@@ -319,7 +304,7 @@ def _cmd_sweep(parser, args):
     return EX_ANOMALY if n_anom else EX_OK
 
 
-def _profile_pts_from_csv(parser, path):
+def _profile_pts_from_csv(path):
     cols = read_profile_csv(path)
     r, z, w = cols["r"], cols["z"], cols["w"]
     z_inf = z[-1]
@@ -327,38 +312,27 @@ def _profile_pts_from_csv(parser, path):
     # a biconcave profile descends to its equator with a steep tangent
     if not (Z[0] > 0.0 and abs(Z[-1]) < 1e-12 * (1 + abs(z_inf)) and w[-1] <= -5.0):
         return None
-    x = np.concatenate([r, r[::-1][1:], r[1:], r[::-1][1:]])
-    y = np.concatenate([Z, -Z[::-1][1:], -Z[1:], Z[::-1][1:]])
-    sign = np.concatenate([np.ones(len(r)), np.ones(len(r) - 1),
-                           -np.ones(len(r) - 1), -np.ones(len(r) - 1)])
-    return np.stack([x * sign, y], axis=1)
+    return mirror_quarter(r, Z)
 
 
-def _cmd_plot(parser, args):
-    allowed = {_flag_key(o.flag) for o in PARAM_OPTS + [W0P_OPT] + SOLVER_OPTS}
-    allowed |= {"out", "in"}
-    config = _load_config(parser, args.config, allowed)
-    out = _out_dir(args, config)
-    src = args.infile if args.infile is not None else config.get("in")
+def _cmd_plot(parser, v):
+    src = v["infile"]
+    params = _params(parser, v) if src is None else None
+    cfg, out = _open_out(parser, v)
 
     if src is not None:
-        pts = _profile_pts_from_csv(parser, src)
+        pts = _profile_pts_from_csv(src)
         if pts is None:
             print("plot: input profile is not biconcave", file=sys.stderr)
             return EX_NOT_BICONCAVE
         annotation = os.path.basename(src)
     else:
-        pv = _resolve(parser, args, PARAM_OPTS + [W0P_OPT], config)
-        sv = _resolve(parser, args, SOLVER_OPTS, config)
-        _require_params(parser, pv)
-        params = HelfrichParams(pv["c0"], pv["lam"], pv["p"])
-        traj = integrate(params, pv["w0p"], _solver_config(parser, sv))
-        cls = classify(traj, extract_landmarks(traj))
+        traj, _, cls = _solve(params, v["w0p"], cfg)
         if cls.verdict != BICONCAVE:
             print(f"plot: classification is {cls.verdict}", file=sys.stderr)
             return EX_NOT_BICONCAVE
         pts = profile_points(traj)
-        annotation = _annotation(params, pv["w0p"])
+        annotation = _annotation(params, v["w0p"])
 
     path = os.path.join(out, "profile.svg")
     with open(path, "w", newline="\n") as fh:
@@ -367,82 +341,58 @@ def _cmd_plot(parser, args):
     return EX_OK
 
 
-def _cmd_mesh(parser, args):
-    allowed = {_flag_key(o.flag) for o in PARAM_OPTS + [W0P_OPT] + SOLVER_OPTS + MESH_OPTS}
-    allowed |= {"out"}
-    config = _load_config(parser, args.config, allowed)
-    pv = _resolve(parser, args, PARAM_OPTS + [W0P_OPT], config)
-    sv = _resolve(parser, args, SOLVER_OPTS, config)
-    mv = _resolve(parser, args, MESH_OPTS, config)
-    _require_params(parser, pv)
-    out = _out_dir(args, config)
-
-    params = HelfrichParams(pv["c0"], pv["lam"], pv["p"])
-    traj = integrate(params, pv["w0p"], _solver_config(parser, sv))
-    cls = classify(traj, extract_landmarks(traj))
+def _cmd_mesh(parser, v):
+    params = _params(parser, v)
+    cfg, out = _open_out(parser, v)
+    traj, _, cls = _solve(params, v["w0p"], cfg)
     if cls.verdict != BICONCAVE:
         print(f"mesh: classification is {cls.verdict}", file=sys.stderr)
         return EX_NOT_BICONCAVE
-    verts, faces = build_mesh(traj, mv["segments_theta"], mv["segments_profile"])
+    verts, faces = build_mesh(traj, v["segments_theta"], v["segments_profile"])
     path = os.path.join(out, "mesh.obj")
     write_obj(path, verts, faces)
     print(f"mesh: wrote {path} ({len(verts)} vertices, {len(faces)} faces)")
     return EX_OK
 
 
+# name: (help, option rows in parser order, handler)
+COMMANDS = {
+    "solve": ("integrate one profile and emit files",
+              PARAM_OPTS + [W0P_OPT] + COMMON_OPTS + [FORMAT_OPT], _cmd_solve),
+    "verify": ("run the estimate checks over a w0p sweep",
+               PARAM_OPTS + COMMON_OPTS + SWEEP_OPTS, _cmd_verify),
+    "sweep": ("classify a parameter grid into phase.csv",
+              RANGE_OPTS + COMMON_OPTS, _cmd_sweep),
+    "plot": ("render the mirrored cross-section as SVG",
+             PARAM_OPTS + [W0P_OPT] + COMMON_OPTS + [IN_OPT], _cmd_plot),
+    "mesh": ("emit a watertight OBJ of the revolved surface",
+             PARAM_OPTS + [W0P_OPT] + COMMON_OPTS + MESH_OPTS, _cmd_mesh),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="helfrich",
                      description="axisymmetric vesicle shape-equation toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(sp, with_w0p=True):
-        _add_opts(sp, PARAM_OPTS)
-        if with_w0p:
-            _add_opts(sp, [W0P_OPT])
-        _add_opts(sp, SOLVER_OPTS)
-        sp.add_argument("--out", dest="out", default=None,
-                        help="output directory (default: $OUTPUT_DIR or .)")
-        sp.add_argument("--config", dest="config", default=None,
-                        help="JSON config file with flag names as keys")
-
-    sp = sub.add_parser("solve", help="integrate one profile and emit files")
-    common(sp)
-    sp.add_argument("--format", dest="format", default=None,
-                    help="comma list of csv,json,svg,obj (default csv,json)")
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("verify", help="run the estimate checks over a w0p sweep")
-    common(sp, with_w0p=False)
-    _add_opts(sp, SWEEP_OPTS)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("sweep", help="classify a parameter grid into phase.csv")
-    _add_opts(sp, RANGE_OPTS)
-    _add_opts(sp, SOLVER_OPTS)
-    sp.add_argument("--out", dest="out", default=None)
-    sp.add_argument("--config", dest="config", default=None)
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("plot", help="render the mirrored cross-section as SVG")
-    common(sp)
-    sp.add_argument("--in", dest="infile", default=None,
-                    help="existing profile.csv to plot instead of solving")
-    sp.set_defaults(func=_cmd_plot)
-
-    sp = sub.add_parser("mesh", help="emit a watertight OBJ of the revolved surface")
-    common(sp)
-    _add_opts(sp, MESH_OPTS)
-    sp.set_defaults(func=_cmd_mesh)
+    for name, (help_, opts, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for o in opts:
+            sp.add_argument(o.flag, dest=o.dest, type=o.conv, default=None, help=o.help)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Usage errors exit 64 in a fixed order (config
+    file, required parameters, command checks, solver config) before the
+    output directory is created."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.error("a subcommand is required (solve, verify, sweep, plot, mesh)")
+    if args.command is None:
+        parser.error(f"a subcommand is required ({', '.join(COMMANDS)})")
+    _, opts, handler = COMMANDS[args.command]
+    vals = _resolve(parser, args, opts, _load_config(parser, args.config, opts))
     try:
-        return args.func(parser, args)
+        return handler(parser, vals)
     except HelfrichError as exc:
         print(f"helfrich: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_ERROR

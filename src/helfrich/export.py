@@ -60,22 +60,23 @@ def write_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
-def profile_rows(traj: Trajectory, n_a: int = 1024, n_b: int = 512):
+def profile_rows(traj: Trajectory):
     """Profile samples as an (n, 7) array of (r, z, w, kappa_m, kappa_l, H, K).
 
-    Chart-B rows are emitted r-indexed; the final row sits at the
+    One row on the axis, 1024 on chart A and, if the run reached chart B,
+    512 there.  Chart-B rows are emitted r-indexed; the final row sits at the
     equator, where w is -inf and the curvatures take their limit values.
     """
     w0p = traj.w0p
     rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
     seg = traj.chart_a
-    rs = np.linspace(seg.x_start, seg.x_end, n_a)
+    rs = np.linspace(seg.x_start, seg.x_end, 1024)
     Y = seg.eval_many(rs)
     geom = curvature_geometry("A", rs, Y, traj.params)[:4]
     rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
     if traj.chart_b is not None:
         segb = traj.chart_b
-        zs = np.linspace(segb.x_start, segb.x_end, n_b + 1)[1:]
+        zs = np.linspace(segb.x_start, segb.x_end, 513)[1:]
         Y = segb.eval_many(zs)
         u, s = Y[:, 0], Y[:, 1]
         with np.errstate(divide="ignore"):
@@ -85,8 +86,8 @@ def profile_rows(traj: Trajectory, n_a: int = 1024, n_b: int = 512):
     return np.concatenate(rows)
 
 
-def write_profile_csv(path, traj: Trajectory, n_a: int = 1024, n_b: int = 512) -> None:
-    rows = profile_rows(traj, n_a, n_b)
+def write_profile_csv(path, traj: Trajectory) -> None:
+    rows = profile_rows(traj)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(PROFILE_COLUMNS) + "\n")
         for row in rows:
@@ -113,8 +114,9 @@ def _nice_tick(span: float) -> float:
     return mag * 10.0
 
 
-def render_svg(points: np.ndarray, annotation: str, width: int = 720) -> str:
-    """Deterministic SVG of a closed curve with equal-aspect axes and ticks."""
+def render_svg(points: np.ndarray, annotation: str) -> str:
+    """Deterministic 720-px-wide SVG of a closed curve with equal-aspect axes and ticks."""
+    width = 720
     pts = np.asarray(points, dtype=float)
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)

@@ -251,7 +251,7 @@ def test_profile_rows_equal_scalar_formulas(figure_runs):
 
 
 def test_profile_shape(ref_traj, ref_landmarks):
-    pts = profile_points(ref_traj, 512)
+    pts = profile_points(ref_traj)
     x, y = pts[:, 0], pts[:, 1]
     # closed curve through the four seam points
     assert np.allclose(pts[0], pts[-1])

@@ -209,26 +209,68 @@ def test_config_file_and_unknown_key(tmp_path):
     assert ei.value.code == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plot", "--c0", "1"], "--lambda is required"),
+    (["sweep", "--c0-range", "1:2"], "--c0-range"),
+    (["sweep", "--c0-range=nan:1:1"], "--c0-range"),
+    (["sweep", "--w0p-range=0.01:inf:2"], "--w0p-range"),
+    (["solve", "--c0", "nan", "--lambda", "0.25", "--p", "1", "--w0p", "0.05"], "--c0"),
+    (["solve", "--c0", "1", "--lambda=-inf", "--p", "1", "--w0p", "0.05"], "--lambda"),
+    (["mesh", "--c0", "1", "--lambda", "0.25", "--p", "nan", "--w0p", "0.05"], "--p"),
+    (["solve", *PAPER_FLAGS, "--w0p", "inf"], "--w0p"),
+    (["solve", *SOLVE_FLAGS, "--rel-tol", "-1"], "rel_tol"),
+    (["solve", "--config", "{cfg}"], "unknown format '5'"),
+])
+def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
+    """Non-finite values, bad config values and bad grids are usage errors,
+    and a usage error leaves no output directory behind."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c0": 1, "lambda": 0.25, "p": 1, "w0p": 0.05,
+                               "format": 5}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ei:
+        run_cli([a.format(cfg=cfg) for a in argv] + ["--out", str(out)])
+    assert ei.value.code == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _opt_values(opt, i):
+    """Distinct flag and config values of an option's type."""
+    if opt.conv is str:
+        return f"flag-{i}", f"cfg-{i}"
+    return opt.conv(2 + i), opt.conv(100 + i)
+
+
 @settings(max_examples=25, deadline=None)
-@given(flag_keys=st.sets(st.sampled_from(["c0", "lambda", "p", "w0p", "rel-tol"])),
-       cfg_keys=st.sets(st.sampled_from(["c0", "lambda", "p", "w0p", "rel-tol"])))
-def test_config_precedence_property(flag_keys, cfg_keys, tmp_path_factory):
-    """Flag beats config file beats default, for any key subset."""
-    flag_vals = {"c0": 2.0, "lambda": 0.5, "p": 2.0, "w0p": 0.01, "rel-tol": 1e-7}
-    cfg_vals = {"c0": 3.0, "lambda": 0.7, "p": 3.0, "w0p": 0.02, "rel-tol": 1e-6}
-    defaults = {"c0": None, "lambda": None, "p": None, "w0p": None,
-                "rel-tol": 1e-10}
-    argv = ["solve"]
-    for k in sorted(flag_keys):
-        argv += [f"--{k}", repr(flag_vals[k])]
+@given(data=st.data())
+def test_config_precedence_property(data, tmp_path_factory):
+    """For every subcommand's option table and any key subsets: flag beats
+    config file beats default, and a key outside the table exits 64."""
     parser = cli.build_parser()
-    args = parser.parse_args(argv)
-    config = {k: cfg_vals[k] for k in cfg_keys}
-    opts = cli.PARAM_OPTS + [cli.W0P_OPT] + cli.SOLVER_OPTS
-    resolved = cli._resolve(parser, args, opts, config)
-    by_flag = {cli._flag_key(o.flag): o.dest for o in opts}
-    for k in ("c0", "lambda", "p", "w0p", "rel-tol"):
-        want = (flag_vals[k] if k in flag_keys
-                else cfg_vals[k] if k in cfg_keys
-                else defaults[k])
-        assert resolved[by_flag[k]] == want
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    all_keys = {o.flag.lstrip("-") for _, table, _ in cli.COMMANDS.values()
+                for o in table}
+    for command, (_, table, _) in cli.COMMANDS.items():
+        opts = [o for o in table if o.dest != "config"]
+        keys = [o.flag.lstrip("-") for o in opts]
+        flag_keys = data.draw(st.sets(st.sampled_from(keys)), label=f"{command} flags")
+        cfg_keys = data.draw(st.sets(st.sampled_from(keys)), label=f"{command} config")
+        argv, config = [command], {}
+        for i, (o, k) in enumerate(zip(opts, keys)):
+            flag_val, cfg_val = _opt_values(o, i)
+            if k in flag_keys:
+                argv.append(f"{o.flag}={flag_val!s}")
+            if k in cfg_keys:
+                config[k] = cfg_val
+        resolved = cli._resolve(parser, parser.parse_args(argv), opts, config)
+        for i, (o, k) in enumerate(zip(opts, keys)):
+            flag_val, cfg_val = _opt_values(o, i)
+            want = flag_val if k in flag_keys else cfg_val if k in cfg_keys else o.default
+            assert resolved[o.dest] == want
+
+        unknown = sorted(all_keys - set(keys) | {"config", "nonsense"})
+        path.write_text(json.dumps({data.draw(st.sampled_from(unknown)): 1}))
+        with pytest.raises(SystemExit) as ei:
+            cli.main([command, "--config", str(path)])
+        assert ei.value.code == 64
