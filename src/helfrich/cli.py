@@ -138,7 +138,8 @@ def _resolve(parser, args, opts, config):
 
 
 def _params(parser, vals, opts=PARAM_OPTS + [W0P_OPT]):
-    """Check that the physical parameters are given and finite."""
+    """Check that the options ``opts`` are given and finite; return the
+    physical parameters."""
     for o in opts:
         if vals[o.dest] is None:
             parser.error(f"{o.flag} is required")
@@ -224,7 +225,7 @@ def _cmd_solve(parser, v):
 
 
 def _cmd_verify(parser, v):
-    params = _params(parser, v, PARAM_OPTS)
+    params = _params(parser, v, PARAM_OPTS + SWEEP_OPTS[:2])
     if v["sweep_points"] < 1:
         parser.error("--sweep-points must be >= 1")
     if not (0.0 < v["sweep_min"] <= v["sweep_max"]):
@@ -304,10 +305,15 @@ def _cmd_sweep(parser, v):
     return EX_ANOMALY if n_anom else EX_OK
 
 
-def _profile_pts_from_csv(path):
-    cols = read_profile_csv(path)
-    r, z, w = cols["r"], cols["z"], cols["w"]
-    z_inf = z[-1]
+def _profile_pts_from_csv(parser, path):
+    """Closed curve of a biconcave profile.csv, or None for another shape."""
+    try:
+        cols = read_profile_csv(path)
+        r, z, w = cols["r"], cols["z"], cols["w"]
+        z_inf = z[-1]
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        parser.error(f"--in: cannot read rows of r, z and w from {path} "
+                     f"({type(exc).__name__}: {exc})")
     Z = z - z_inf
     # a biconcave profile descends to its equator with a steep tangent
     if not (Z[0] > 0.0 and abs(Z[-1]) < 1e-12 * (1 + abs(z_inf)) and w[-1] <= -5.0):
@@ -317,16 +323,16 @@ def _profile_pts_from_csv(path):
 
 def _cmd_plot(parser, v):
     src = v["infile"]
-    params = _params(parser, v) if src is None else None
-    cfg, out = _open_out(parser, v)
-
     if src is not None:
-        pts = _profile_pts_from_csv(src)
+        pts = _profile_pts_from_csv(parser, src)
+        _, out = _open_out(parser, v)
         if pts is None:
             print("plot: input profile is not biconcave", file=sys.stderr)
             return EX_NOT_BICONCAVE
         annotation = os.path.basename(src)
     else:
+        params = _params(parser, v)
+        cfg, out = _open_out(parser, v)
         traj, _, cls = _solve(params, v["w0p"], cfg)
         if cls.verdict != BICONCAVE:
             print(f"plot: classification is {cls.verdict}", file=sys.stderr)
@@ -343,6 +349,10 @@ def _cmd_plot(parser, v):
 
 def _cmd_mesh(parser, v):
     params = _params(parser, v)
+    # 3 angles close a ring; 8 profile segments keep the axis point
+    for o, least in zip(MESH_OPTS, (3, 8)):
+        if v[o.dest] < least:
+            parser.error(f"{o.flag} must be >= {least}")
     cfg, out = _open_out(parser, v)
     traj, _, cls = _solve(params, v["w0p"], cfg)
     if cls.verdict != BICONCAVE:

@@ -13,7 +13,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from .analysis import _quarter_profile, curvature_geometry
+from .analysis import _quarter_profile, curvature_geometry, mirror_quarter
 from .solver import Trajectory
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 PROFILE_COLUMNS = ("r", "z", "w", "kappa_m", "kappa_l", "H", "K")
+_CHUNK_ROWS = 4096  # rows per write: bounds the text held at once
 
 
 def fmt17(x: float) -> str:
@@ -43,12 +44,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, float) and math.isnan(obj):
         return None
     return obj
@@ -87,21 +84,17 @@ def profile_rows(traj: Trajectory):
 
 
 def write_profile_csv(path, traj: Trajectory) -> None:
-    rows = profile_rows(traj)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(PROFILE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(PROFILE_COLUMNS)) + "\n",
+                    profile_rows(traj))
 
 
 def read_profile_csv(path) -> dict[str, np.ndarray]:
     with open(path, "r", newline="\n") as fh:
         header = fh.readline().strip().split(",")
-        data = [[] for _ in header]
-        for line in fh:
-            for i, tok in enumerate(line.strip().split(",")):
-                data[i].append(float(tok))
-    return {name: np.array(col) for name, col in zip(header, data)}
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return dict(zip(header, data.T))
 
 
 def _nice_tick(span: float) -> float:
@@ -188,47 +181,42 @@ def render_svg(points: np.ndarray, annotation: str) -> str:
 def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256):
     """Watertight triangle mesh of the revolved, reflected profile.
 
-    Vertex count is n_theta * (2 n_profile - 1) + 2 (interior rings plus
-    the two poles).
+    Vertex count is n_theta * (2 n_profile - 1) + 2: the two poles and the
+    rings between them, ring j (from 0) holding vertices 1 + j n_theta + k.
     """
-    r_u, z_u = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
-    # full profile pole..equator..pole: 2 n_profile + 1 points
-    r_full = np.concatenate([r_u, r_u[-2::-1]])
-    z_full = np.concatenate([z_u, -z_u[-2::-1]])
+    quarter = _quarter_profile(traj, n_profile)  # n_profile + 1 points
+    # pole..equator..pole: the first 2 n_profile + 1 points of the closed curve
+    r_full, z_full = mirror_quarter(*quarter.T)[: 2 * len(quarter) - 1].T
 
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
+    r_in, z_in = r_full[1:-1, None], z_full[1:-1, None]
+    rings = np.stack(np.broadcast_arrays(r_in * np.cos(theta), r_in * np.sin(theta),
+                                         z_in), axis=-1).reshape(-1, 3)
+    verts = np.concatenate([[[0.0, 0.0, z_full[0]]], rings, [[0.0, 0.0, z_full[-1]]]])
 
-    verts = [np.array([0.0, 0.0, z_full[0]])]
-    for j in range(1, len(r_full) - 1):
-        ring = np.stack([r_full[j] * ct, r_full[j] * st,
-                         np.full(n_theta, z_full[j])], axis=1)
-        verts.extend(ring)
-    verts.append(np.array([0.0, 0.0, z_full[-1]]))
-    verts = np.array(verts)
-
-    def ring_idx(j, k):
-        return 1 + (j - 1) * n_theta + (k % n_theta)
-
-    faces = []
-    n_rings = len(r_full) - 2
-    for k in range(n_theta):
-        faces.append((0, ring_idx(1, k), ring_idx(1, k + 1)))
-    for j in range(1, n_rings):
-        for k in range(n_theta):
-            a, b = ring_idx(j, k), ring_idx(j, k + 1)
-            c, d = ring_idx(j + 1, k), ring_idx(j + 1, k + 1)
-            faces.append((a, c, d))
-            faces.append((a, d, b))
+    k = np.arange(n_theta, dtype=np.int64)
+    k1 = (k + 1) % n_theta
+    start = 1 + n_theta * np.arange(len(r_full) - 2, dtype=np.int64)[:, None]
+    a, b = start[:-1] + k, start[:-1] + k1  # quad corners on ring j
+    c, d = a + n_theta, b + n_theta  # and on ring j + 1
     last = len(verts) - 1
-    for k in range(n_theta):
-        faces.append((last, ring_idx(n_rings, k + 1), ring_idx(n_rings, k)))
-    return verts, np.array(faces, dtype=np.int64)
+    return verts, np.concatenate([
+        np.stack([np.zeros_like(k), 1 + k, 1 + k1], axis=1),
+        np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3),
+        np.stack([np.full_like(k, last), start[-1] + k1, start[-1] + k], axis=1),
+    ])
+
+
+def _write_rows(fh, fmt: str, rows) -> None:
+    """Write ``fmt`` %-formatted with each row of a 2-D array, one ``write``
+    per ``_CHUNK_ROWS`` rows."""
+    rows = np.asarray(rows)
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[i:i + _CHUNK_ROWS]
+        fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_obj(path, verts: np.ndarray, faces: np.ndarray) -> None:
     with open(path, "w", newline="\n") as fh:
-        for v in verts:
-            fh.write(f"v {fmt17(v[0])} {fmt17(v[1])} {fmt17(v[2])}\n")
-        for f in faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
+        _write_rows(fh, "f %d %d %d\n", np.asarray(faces) + 1)

@@ -220,16 +220,29 @@ def test_config_file_and_unknown_key(tmp_path):
     (["solve", *PAPER_FLAGS, "--w0p", "inf"], "--w0p"),
     (["solve", *SOLVE_FLAGS, "--rel-tol", "-1"], "rel_tol"),
     (["solve", "--config", "{cfg}"], "unknown format '5'"),
+    (["plot", "--in", "{dir}/missing.csv"], "--in: cannot read"),
+    (["plot", "--in", "{csv}"], "--in"),
+    (["mesh", *SOLVE_FLAGS, "--segments-theta", "0"], "--segments-theta must be >= 3"),
+    (["mesh", *SOLVE_FLAGS, "--segments-theta", "2"], "--segments-theta must be >= 3"),
+    (["mesh", *SOLVE_FLAGS, "--segments-profile", "6"], "--segments-profile must be >= 8"),
+    (["mesh", *SOLVE_FLAGS, "--segments-profile", "7"], "--segments-profile must be >= 8"),
+    (["verify", *PAPER_FLAGS, "--sweep-max", "inf", "--sweep-points", "3"],
+     "--sweep-max must be finite"),
+    (["verify", *PAPER_FLAGS, "--sweep-min", "nan"], "--sweep-min must be finite"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
-    """Non-finite values, bad config values and bad grids are usage errors,
-    and a usage error leaves no output directory behind."""
+    """Non-finite values, bad config values, bad grids, unreadable inputs
+    and too coarse meshes are usage errors, and a usage error leaves no
+    output directory behind."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c0": 1, "lambda": 0.25, "p": 1, "w0p": 0.05,
                                "format": 5}))
+    csv = tmp_path / "no_rzw.csv"
+    csv.write_text("a,b\n1,2\n")
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as ei:
-        run_cli([a.format(cfg=cfg) for a in argv] + ["--out", str(out)])
+        run_cli([a.format(cfg=cfg, csv=csv, dir=tmp_path) for a in argv]
+                + ["--out", str(out)])
     assert ei.value.code == 64
     assert message in capsys.readouterr().err
     assert not out.exists()
