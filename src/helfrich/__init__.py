@@ -16,6 +16,7 @@ from .cubic import (
     eval_q,
     eval_r,
 )
+from .kernels import kernel_backend
 from .solver import (
     ABORTED,
     BLOWUP_POSITIVE,

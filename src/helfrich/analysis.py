@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._jit import unjitted
 from .cubic import HelfrichParams, eval_q
 from .errors import MissingEvent, NotBiconcave, OutOfRange
 from .solver import (
@@ -334,21 +333,20 @@ def requadrature_totals(traj: Trajectory) -> SurfaceTotals:
     """Independent trapezoid re-quadrature of the dense output.
 
     Cross-checks the in-step accumulators of :func:`surface_totals`; the
-    integrands are the accumulator rows of the uncompiled right-hand
-    sides, which broadcast over (6, N) state arrays, on 400,001 chart-A
-    and 100,001 chart-B nodes.
+    integrands are the accumulator rows of the right-hand sides'
+    ``np.sqrt`` instances, broadcast over (6, N) state arrays, on 400,001
+    chart-A and 100,001 chart-B nodes.
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     # series piece [0, eps], then one trapezoid pass per chart
     area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
-    for seg, n, rhs in ((traj.chart_a, 400_001, kernels.rhs_chart_a_arr),
-                        (traj.chart_b, 100_001, kernels.rhs_chart_b_arr)):
+    for seg, n, rhs in ((traj.chart_a, 400_001, kernels.rhs_a_many),
+                        (traj.chart_b, 100_001, kernels.rhs_b_many)):
         xs = np.linspace(seg.x_start, seg.x_end, n)
-        F = np.empty((kernels.NSTATE, n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            unjitted(rhs)(xs, seg.eval_many(xs).T, c0, lam, p, F)
+            F = rhs(xs, seg.eval_many(xs).T, c0, lam, p)
         area += float(np.trapezoid(F[3], xs))
         vol += float(np.trapezoid(F[4], xs))
         energy += float(np.trapezoid(F[5], xs))

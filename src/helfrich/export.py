@@ -7,6 +7,7 @@ are fixed, and nothing carries timestamps.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, is_dataclass
@@ -91,9 +92,14 @@ def write_profile_csv(path, traj: Trajectory) -> None:
 
 
 def read_profile_csv(path) -> dict[str, np.ndarray]:
+    """Columns of a profile CSV by header name; a file without data rows
+    gives one empty column per name."""
     with open(path, "r", newline="\n") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = fh.read()
+    if not body.strip():
+        return {name: np.empty(0) for name in header}
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     return dict(zip(header, data.T))
 
 

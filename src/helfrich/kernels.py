@@ -18,14 +18,32 @@ The chart-B equation is third order in u; its right-hand side has a
 exactly at the equator), so stages evaluated across s = 0 stay on the
 smooth continuation of the blow-down branch.
 
-Kernels are numba-compiled unless HELFRICH_JIT=0 (see ``_jit``).
+Each right-hand side is written once, in a factory over the square root
+it uses.  The ``math.sqrt`` instance (``rhs_a``, ``rhs_b``) takes and
+returns Python floats and feeds the step; the ``np.sqrt`` instance
+(``rhs_a_many``, ``rhs_b_many``) broadcasts over (6, N) state arrays.
+The step works on Python floats, lists and tuples, because numpy
+arithmetic on 6-element arrays and ``np.float64`` scalars costs several
+times the arithmetic itself.  Python floats raise ``ZeroDivisionError``
+and ``OverflowError`` where ndarrays give inf or nan; the caller treats
+either as a failed step.
+
+The step and the scalar right-hand sides keep to the subset numba
+compiles (scalars, tuples, lists built inside the function, ``zip``
+loops, ``math.sqrt``) and are compiled when numba is importable
+and HELFRICH_JIT is not 0 (see ``_jit``).  That the compiled path builds
+and matches is unverified: the suite has only run without numba.
 """
+
+import math
 
 import numpy as np
 
 from ._jit import njit
 
 NSTATE = 6
+# leading components the right-hand sides read; the rest are quadratures
+NDYN = 3
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -61,115 +79,119 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 )
 
 
-@njit
-def rhs_chart_a_arr(r, y, c0, lam, p, out):
-    """Chart-A derivatives with respect to r, written into ``out``."""
-    w = y[0]
-    wp = y[1]
-    P = 1.0 + w * w
-    sq = np.sqrt(P)
-    # w'' solved from the shape equation; the 1/r^2 group is rearranged to
-    # w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r
-    wpp = (
-        2.5 * w * wp * wp / P
-        - (wp - w / r) / r
-        + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
-        + c0 * w * w * P * sq / r
-        + 0.5 * (c0 * c0 + lam) * w * P * P
-        - 0.25 * p * r * P * P * sq
-    )
-    twoH = (wp + (w / r) * P) / (P * sq)
-    out[0] = wp
-    out[1] = wpp
-    out[2] = w
-    out[3] = r * sq
-    out[4] = r * r * w
-    out[5] = ((twoH + c0) ** 2 + lam) * r * sq
-    return out
+def _make_rhs_a(sqrt):
+    """Chart-A derivatives with respect to r, as a 6-tuple; reads y[:NDYN]."""
+
+    def rhs(r, y, c0, lam, p):
+        w = y[0]
+        wp = y[1]
+        P = 1.0 + w * w
+        sq = sqrt(P)
+        # w'' solved from the shape equation; the 1/r^2 group is rearranged to
+        # w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r
+        wpp = (
+            2.5 * w * wp * wp / P
+            - (wp - w / r) / r
+            + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
+            + c0 * w * w * P * sq / r
+            + 0.5 * (c0 * c0 + lam) * w * P * P
+            - 0.25 * p * r * P * P * sq
+        )
+        twoH = (wp + (w / r) * P) / (P * sq)
+        return (wp, wpp, w, r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq)
+
+    return rhs
 
 
-@njit
-def rhs_chart_b_arr(z, y, c0, lam, p, out):
-    """Chart-B derivatives with respect to z, written into ``out``."""
-    u = y[0]
-    s = y[1]
-    q = y[2]
-    P = s * s + 1.0
-    sq = np.sqrt(P)
-    # coefficient of the removable 1/s pole; vanishes at the equator
-    N = (
-        q * q * (6.0 * s * s + 1.0) / (2.0 * P)
-        - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
-        + c0 * P * sq / u
-        - 0.5 * (c0 * c0 + lam) * P * P
-        - 0.25 * p * u * P * P * sq
-    )
-    twoH = (q - P / u) / (P * sq)
-    out[0] = s
-    out[1] = q
-    out[2] = N / s - q * s / u
-    out[3] = -u * sq
-    out[4] = u * u
-    out[5] = -((twoH + c0) ** 2 + lam) * u * sq
-    return out
+def _make_rhs_b(sqrt):
+    """Chart-B derivatives with respect to z, as a 6-tuple; reads y[:NDYN]."""
+
+    def rhs(z, y, c0, lam, p):
+        u = y[0]
+        s = y[1]
+        q = y[2]
+        P = s * s + 1.0
+        sq = sqrt(P)
+        # coefficient of the removable 1/s pole; vanishes at the equator
+        N = (
+            q * q * (6.0 * s * s + 1.0) / (2.0 * P)
+            - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
+            + c0 * P * sq / u
+            - 0.5 * (c0 * c0 + lam) * P * P
+            - 0.25 * p * u * P * P * sq
+        )
+        twoH = (q - P / u) / (P * sq)
+        return (s, q, N / s - q * s / u, -u * sq, u * u,
+                -((twoH + c0) ** 2 + lam) * u * sq)
+
+    return rhs
+
+
+rhs_a = njit(_make_rhs_a(math.sqrt))
+rhs_b = njit(_make_rhs_b(math.sqrt))
+rhs_a_many = _make_rhs_a(np.sqrt)
+rhs_b_many = _make_rhs_b(np.sqrt)
 
 
 def _make_step(rhs):
     """One embedded Dormand-Prince 5(4) step over the right-hand side ``rhs``.
 
-    The returned step(x, y, h, f0, c0, lam, p, rtol, atol) gives
-    (y_new, f_new, err, cont): the FSAL stage f_new, the scalar weighted
-    error norm, and the five dense-output vectors of the step.  Under
-    numba, ``rhs`` is a jitted function that the closure captures as a
-    compile-time constant.
+    The returned step(x, y, h, f0, c0, lam, p, rtol, atol) takes the
+    state ``y`` and its derivative ``f0`` as sequences of six floats and
+    gives (y_new, f_new, err, cont): the new state, the FSAL stage f_new,
+    the scalar weighted error norm, and the five dense-output rows of the
+    step (a tuple of five six-float sequences, the first one ``y``).
+    ``rhs`` reads only the first NDYN components of a state, so the stage
+    states carry only those.  Under numba, ``rhs`` is a jitted function
+    that the closure captures as a compile-time constant.
     """
 
     @njit
     def step(x, y, h, f0, c0, lam, p, rtol, atol):
-        n = y.shape[0]
-        k2 = np.empty(n)
-        k3 = np.empty(n)
-        k4 = np.empty(n)
-        k5 = np.empty(n)
-        k6 = np.empty(n)
-        k7 = np.empty(n)
+        yd = y[:NDYN]
+        k2 = rhs(x + _C2 * h, [a + h * (_A21 * b) for a, b in zip(yd, f0)],
+                 c0, lam, p)
+        k3 = rhs(x + _C3 * h, [a + h * (_A31 * b + _A32 * c)
+                               for a, b, c in zip(yd, f0, k2)], c0, lam, p)
+        k4 = rhs(x + _C4 * h, [a + h * (_A41 * b + _A42 * c + _A43 * d)
+                               for a, b, c, d in zip(yd, f0, k2, k3)], c0, lam, p)
+        k5 = rhs(x + _C5 * h, [a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                               for a, b, c, d, e in zip(yd, f0, k2, k3, k4)],
+                 c0, lam, p)
+        k6 = rhs(x + h, [a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+                         for a, b, c, d, e, g in zip(yd, f0, k2, k3, k4, k5)],
+                 c0, lam, p)
+        y_new = [a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * k)
+                 for a, b, d, e, g, k in zip(y, f0, k3, k4, k5, k6)]
+        k7 = rhs(x + h, y_new, c0, lam, p)
 
-        yt = y + h * (_A21 * f0)
-        rhs(x + _C2 * h, yt, c0, lam, p, k2)
-        yt = y + h * (_A31 * f0 + _A32 * k2)
-        rhs(x + _C3 * h, yt, c0, lam, p, k3)
-        yt = y + h * (_A41 * f0 + _A42 * k2 + _A43 * k3)
-        rhs(x + _C4 * h, yt, c0, lam, p, k4)
-        yt = y + h * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        rhs(x + _C5 * h, yt, c0, lam, p, k5)
-        yt = y + h * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        rhs(x + h, yt, c0, lam, p, k6)
-        y_new = y + h * (_B1 * f0 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        rhs(x + h, y_new, c0, lam, p, k7)
-
+        # error norm and dense-output rows in one pass over the components
         err = 0.0
-        for i in range(n):
-            e = h * (_E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            err += (e / sc) ** 2
-        err = np.sqrt(err / n)
-
-        cont = np.empty((5, n))
-        for i in range(n):
-            d2 = y_new[i] - y[i]
-            d3 = h * f0[i] - d2
-            cont[0, i] = y[i]
-            cont[1, i] = d2
-            cont[2, i] = d3
-            cont[3, i] = d2 - h * k7[i] - d3
-            cont[4, i] = h * (_D1 * f0[i] + _D3 * k3[i] + _D4 * k4[i]
-                              + _D5 * k5[i] + _D6 * k6[i] + _D7 * k7[i])
-        return y_new, k7, err, cont
+        d2 = []
+        d3 = []
+        d4 = []
+        d5 = []
+        for a, an, b, d, e, g, k, m in zip(y, y_new, f0, k3, k4, k5, k6, k7):
+            dy = h * (_E1 * b + _E3 * d + _E4 * e + _E5 * g + _E6 * k + _E7 * m)
+            sc = atol + rtol * max(abs(a), abs(an))
+            err += (dy / sc) ** 2
+            r2 = an - a
+            r3 = h * b - r2
+            d2.append(r2)
+            d3.append(r3)
+            d4.append(r2 - h * m - r3)
+            d5.append(h * (_D1 * b + _D3 * d + _D4 * e + _D5 * g + _D6 * k + _D7 * m))
+        err = math.sqrt(err / len(y))
+        return y_new, k7, err, (y, d2, d3, d4, d5)
 
     return step
 
 
 # module attributes read at call time by ``solver.integrate``
-dopri5_step_a = _make_step(rhs_chart_a_arr)
-dopri5_step_b = _make_step(rhs_chart_b_arr)
+dopri5_step_a = _make_step(rhs_a)
+dopri5_step_b = _make_step(rhs_b)
+
+
+def kernel_backend() -> str:
+    """``"numba"`` when the step kernels are compiled, else ``"python"``."""
+    return "numba" if hasattr(dopri5_step_a, "py_func") else "python"

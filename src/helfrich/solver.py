@@ -16,6 +16,7 @@ blow-up) are located on the dense output by bisection.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -140,23 +141,22 @@ class ChartBState(_ChartState):
 
 
 def _rhs(kernel, x: float, state, params: HelfrichParams) -> np.ndarray:
-    out = np.empty(kernels.NSTATE)
-    kernel(x, state.to_array(), params.c0, params.lam, params.p, out)
-    return out
+    # ndarray elements keep numpy's inf/nan results where Python floats raise
+    return np.array(kernel(x, state.to_array(), params.c0, params.lam, params.p))
 
 
 def rhs_chart_a(state: ChartAState, params: HelfrichParams) -> np.ndarray:
     """Derivatives of (w, wp, z, area, vol, energy) with respect to r."""
     if state.r <= 0.0:
         raise NonPositiveRadius(f"r must be > 0, got {state.r!r}")
-    return _rhs(kernels.rhs_chart_a_arr, state.r, state, params)
+    return _rhs(kernels.rhs_a, state.r, state, params)
 
 
 def rhs_chart_b(state: ChartBState, params: HelfrichParams) -> np.ndarray:
     """Derivatives of (u, up, upp, area, vol, energy) with respect to z."""
     if state.u <= 0.0:
         raise NonPositiveRadius(f"u must be > 0, got {state.u!r}")
-    return _rhs(kernels.rhs_chart_b_arr, state.z, state, params)
+    return _rhs(kernels.rhs_b, state.z, state, params)
 
 
 def rhs_kappa(r: float, kappa: float, kappap: float, params: HelfrichParams) -> float:
@@ -304,8 +304,8 @@ class DenseSegment:
         a, b = xk[change[0]], xk[change[0] + 1]
         (i,), (th_a,) = self._locate(np.array([a]))
         h = self.xs[i + 1] - self.xs[i]
-        th = _bisect_step(self.conts[i], component, target, h, self.xs[i], tol,
-                          th_a, (b - self.xs[i]) / h)
+        th = _bisect_step(self.conts[i, :, component].tolist(), target, h,
+                          self.xs[i], tol, th_a, (b - self.xs[i]) / h)
         return self.xs[i] + th * h
 
 
@@ -353,8 +353,7 @@ def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
     y1 = y + h0 * direction * f
-    f1 = np.empty_like(y)
-    rhs(x + h0 * direction, y1, c0, lam, p, f1)
+    f1 = np.array(rhs(x + h0 * direction, y1, c0, lam, p))
     d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
@@ -377,10 +376,10 @@ def _quartic(cont, th):
     return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
 
 
-def _bisect_step(cont, idx, target, h, x0, tol, lo=0.0, hi=1.0):
-    """Theta in [lo, hi] where component ``idx`` of one step's polynomial
-    crosses ``target``; bisects until |h| times the bracket <= tol (1 + |x0|)."""
-    c = cont[:, idx].tolist()
+def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
+    """Theta in [lo, hi] where one component's step polynomial, with the
+    five coefficients ``c``, crosses ``target``; bisects until |h| times
+    the bracket <= tol (1 + |x0|)."""
     glo = _quartic(c, lo) - target
     for _ in range(200):
         if abs(hi - lo) * abs(h) <= tol * (1.0 + abs(x0)):
@@ -404,19 +403,21 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
+    # the start runs on ndarrays, whose elements give inf where floats raise;
+    # the loop carries Python floats
     x = float(x0)
-    y = np.array(y0, dtype=float)
-    f = np.empty_like(y)
-    rhs_fn(x, y, c0, lam, p, f)
+    y = np.asarray(y0, dtype=float)
+    f = np.array(rhs_fn(x, y, c0, lam, p))
     if not np.all(np.isfinite(f)):
         raise InvalidParams(f"right-hand side not finite at start of chart {chart}")
 
     h_cap = abs(x_limit - x)
     h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p, h_cap)
     h = max(h, 1e-13 * (1.0 + abs(x)))
+    y, f = y.tolist(), f.tolist()
 
     xs = [x]
-    conts: list[np.ndarray] = []
+    conts = array("d")  # five dense-output rows per accepted step, flat
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -424,20 +425,24 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
 
     while True:
         if steps >= steps_budget:
-            events.append(Event(ABORTED, chart, x, y.copy()))
+            events.append(Event(ABORTED, chart, x, np.array(y)))
             return _make_segment(xs, conts, x), events, steps, None
         if h < 1e-14 * (1.0 + abs(x)):
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         remaining = (x_limit - x) * direction
         if remaining <= 1e-14 * (1.0 + abs(x)):
-            events.append(Event(ABORTED, chart, x, y.copy()))
+            events.append(Event(ABORTED, chart, x, np.array(y)))
             return _make_segment(xs, conts, x), events, steps, None
         h_use = min(h, remaining)
 
-        y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
-                                    rtol, atol)
+        try:
+            y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
+                                        rtol, atol)
+        except (OverflowError, ZeroDivisionError):
+            # a stage left the float range (ndarrays would give inf or nan)
+            y1, err = (), math.inf
         steps += 1
-        if not (np.all(np.isfinite(y1)) and math.isfinite(err)):
+        if not (all(map(math.isfinite, y1)) and math.isfinite(err)):
             err = math.inf
 
         if err > 1.0:
@@ -447,7 +452,8 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             continue
 
         hd = direction * h_use
-        conts.append(cont)
+        for row in cont:
+            conts.fromlist(row)
         x_new = x + hd
         xs.append(x_new)
 
@@ -458,12 +464,13 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             g1 = y1[spec.idx] - spec.target
             crossed = (g0 > 0.0 >= g1) if spec.cross < 0 else (g0 < 0.0 <= g1)
             if crossed:
-                th = _bisect_step(cont, spec.idx, spec.target, hd, x, cfg.event_tol)
+                th = _bisect_step([row[spec.idx] for row in cont], spec.target, hd,
+                                  x, cfg.event_tol)
                 hits.append((th, spec.priority, spec))
         hits.sort(key=lambda t: (t[0], t[1]))
         for th, _, spec in hits:
             x_ev = x + th * hd
-            y_ev = _quartic(cont, th)
+            y_ev = np.array([_quartic(c, th) for c in zip(*cont)])
             events.append(Event(spec.kind, chart, x_ev, y_ev))
             if spec.terminal:
                 return _make_segment(xs, conts, x_ev), events, steps, events[-1]
@@ -484,7 +491,8 @@ def _make_segment(xs, conts, x_end) -> DenseSegment:
         # degenerate single-point segment: synthesize a zero-length step
         y = np.zeros((5, kernels.NSTATE))
         return DenseSegment(np.array([xs[0], xs[0]]), y[None, :, :], x_end)
-    return DenseSegment(np.array(xs), np.stack(conts), x_end)
+    return DenseSegment(np.array(xs), np.frombuffer(conts).reshape(-1, 5, kernels.NSTATE),
+                        x_end)
 
 
 def integrate(params: HelfrichParams, w0p: float,
@@ -517,7 +525,7 @@ def integrate(params: HelfrichParams, w0p: float,
         _EventSpec(BLOWUP_POSITIVE, 0, +cfg.w_switch, +1, True, 3),
     ]
     seg_a, events, used, term = _run_chart(
-        kernels.dopri5_step_a, kernels.rhs_chart_a_arr, "A",
+        kernels.dopri5_step_a, kernels.rhs_a, "A",
         eps, start.to_array(), +1, r_max, params, cfg, specs_a, cfg.max_steps,
     )
     if term is None or term.kind == BLOWUP_POSITIVE:
@@ -529,7 +537,7 @@ def integrate(params: HelfrichParams, w0p: float,
     z_limit = b0.z - cfg.w_switch * r_max  # finiteness cap for the descent
     specs_b = [_EventSpec(EQUATOR, 1, 0.0, +1, True, 0)]
     seg_b, events_b, _, term_b = _run_chart(
-        kernels.dopri5_step_b, kernels.rhs_chart_b_arr, "B",
+        kernels.dopri5_step_b, kernels.rhs_b, "B",
         b0.z, b0.to_array(), -1, z_limit, params, cfg, specs_b,
         cfg.max_steps - used,
     )

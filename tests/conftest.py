@@ -7,10 +7,15 @@ from helfrich import (
     classify,
     extract_landmarks,
     integrate,
+    kernel_backend,
 )
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)
+
+
+def pytest_report_header(config):
+    return f"helfrich kernel backend: {kernel_backend()}"
 
 
 @pytest.fixture(scope="session")

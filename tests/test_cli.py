@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,7 @@ def test_config_file_and_unknown_key(tmp_path):
     (["verify", *PAPER_FLAGS, "--sweep-max", "inf", "--sweep-points", "3"],
      "--sweep-max must be finite"),
     (["verify", *PAPER_FLAGS, "--sweep-min", "nan"], "--sweep-min must be finite"),
+    (["plot", "--in", "{dir}/header_only.csv"], "--in: cannot read"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
     """Non-finite values, bad config values, bad grids, unreadable inputs
@@ -239,12 +241,17 @@ def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys)
                                "format": 5}))
     csv = tmp_path / "no_rzw.csv"
     csv.write_text("a,b\n1,2\n")
+    (tmp_path / "header_only.csv").write_text("r,z,w\n")
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as ei:
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(SystemExit) as ei:
+        warnings.simplefilter("always")
         run_cli([a.format(cfg=cfg, csv=csv, dir=tmp_path) for a in argv]
                 + ["--out", str(out)])
     assert ei.value.code == 64
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err and not caught, [str(w.message) for w in caught]
     assert not out.exists()
 
 

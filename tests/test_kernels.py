@@ -8,7 +8,8 @@ from helfrich.solver import ChartAState
 from helfrich import kernels
 from helfrich._jit import JIT_ENABLED, unjitted
 from helfrich.errors import NonPositiveRadius, SingularDenominator
-from oracles import fixed_step_chart_a
+from hypothesis import given, settings, strategies as st
+from oracles import fixed_step_chart_a, make_step_arr, rhs_chart_a_arr, rhs_chart_b_arr
 
 
 def _state(r, w, wp):
@@ -150,10 +151,10 @@ def test_dense_output_consistency_and_order(paper_params):
     r0 = 0.6
 
     def dense_midpoint_error(h):
-        f0 = np.empty(6)
-        kernels.rhs_chart_a_arr(r0, y0, c0, lam, p, f0)
-        y1, f1, _, cont = kernels.dopri5_step_a(r0, y0, h, f0, c0, lam, p,
-                                                1e-10, 1e-12)
+        f0 = kernels.rhs_a(r0, y0.tolist(), c0, lam, p)
+        y1, f1, _, cont = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
+                                                p, 1e-10, 1e-12)
+        y1, cont = np.asarray(y1), np.asarray(cont)
         th = 0.5
         mid = cont[0] + th * (cont[1] + (1 - th) * (
             cont[2] + th * (cont[3] + (1 - th) * cont[4])))
@@ -204,24 +205,92 @@ def test_jit_and_python_paths_agree(paper_params):
     (or with HELFRICH_JIT=0) the two are one object, which is asserted."""
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     cases = [
-        ("A", kernels.rhs_chart_a_arr, kernels.dopri5_step_a, 0.5,
-         np.array([0.02, 0.04, 0.001, 0.01, 0.0001, 0.02]), 0.05),
-        ("B", kernels.rhs_chart_b_arr, kernels.dopri5_step_b, -0.3,
-         np.array([2.0, -0.1, -1.2, 0.5, -0.3, 0.8]), -0.01),
+        ("A", kernels.rhs_a, kernels.dopri5_step_a, 0.5,
+         [0.02, 0.04, 0.001, 0.01, 0.0001, 0.02], 0.05),
+        ("B", kernels.rhs_b, kernels.dopri5_step_b, -0.3,
+         [2.0, -0.1, -1.2, 0.5, -0.3, 0.8], -0.01),
     ]
     path = "numba against python" if JIT_ENABLED else "python only, identity checked"
     print(f"kernel paths compared: {path}")
     for chart, rhs, step, x, y, h in cases:
-        f0 = np.empty(6)
-        rhs(x, y, c0, lam, p, f0)
+        f0 = rhs(x, y, c0, lam, p)
         got = step(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
         assert all(np.all(np.isfinite(v)) for v in got), chart
         if not JIT_ENABLED:
             assert unjitted(rhs) is rhs and unjitted(step) is step, chart
             continue
-        f0_py = np.empty(6)
-        unjitted(rhs)(x, y, c0, lam, p, f0_py)
+        f0_py = unjitted(rhs)(x, y, c0, lam, p)
         assert np.array_equal(f0, f0_py), chart
         want = unjitted(step)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
         for a, b in zip(got, want):
             assert np.allclose(a, b, rtol=1e-15, atol=1e-18), chart
+
+
+_ORACLES = {
+    "A": (kernels.rhs_a, "dopri5_step_a", rhs_chart_a_arr, make_step_arr(rhs_chart_a_arr)),
+    "B": (kernels.rhs_b, "dopri5_step_b", rhs_chart_b_arr, make_step_arr(rhs_chart_b_arr)),
+}
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _step_case(draw):
+    """A chart, a state on it, parameters and a signed step size.  Chart-B
+    states include |s| < 1e-3, the slopes met near the equator."""
+    chart = draw(st.sampled_from("AB"))
+    lead = st.floats(-4.0, 4.0, **_finite)
+    y = draw(st.lists(lead, min_size=6, max_size=6))
+    if chart == "A":
+        x = draw(st.floats(1e-3, 5.0, **_finite))
+    else:
+        x = draw(st.floats(-5.0, 5.0, **_finite))
+        y[0] = draw(st.floats(1e-2, 5.0, **_finite))
+        # s = 0 is the equator itself, where f0 has its removable 1/s pole
+        bound = draw(st.sampled_from((1e-3, 4.0)))
+        y[1] = draw(st.floats(-bound, bound, **_finite).filter(lambda v: v != 0.0))
+    c0 = draw(st.floats(-5.0, 5.0, **_finite))
+    lam = draw(st.floats(-3.0, 3.0, **_finite))
+    p = draw(st.floats(1e-4, 1e2, **_finite))
+    h = draw(st.floats(1e-6, 0.5, **_finite)) * draw(st.sampled_from((-1.0, 1.0)))
+    return chart, x, y, h, c0, lam, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_case())
+def test_float_kernels_match_ndarray_oracle_bit_for_bit(case):
+    """The float right-hand sides and step repeat the ndarray kernels'
+    arithmetic exactly: y_new, f_new, err and cont are equal bit for bit.
+    Where a float stage leaves the double range and raises, the ndarray
+    step gave a non-finite state or error, which the solver rejects alike."""
+    chart, x, y, h, c0, lam, p = case
+    rhs, step_name, rhs_arr, step_arr = _ORACLES[chart]
+    f0 = rhs(x, y, c0, lam, p)
+    with np.errstate(all="ignore"):
+        f0_arr = rhs_arr(x, np.array(y), c0, lam, p, np.empty(6))
+        want = step_arr(x, np.array(y), h, f0_arr, c0, lam, p, 1e-10, 1e-12)
+    assert np.array_equal(f0, f0_arr, equal_nan=True)
+    try:
+        got = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+    except (OverflowError, ZeroDivisionError):
+        assert not (np.all(np.isfinite(want[0])) and np.isfinite(want[2]))
+        return
+    y_new, f_new, err, cont = got
+    assert np.array_equal(y_new, want[0], equal_nan=True)
+    assert np.array_equal(f_new, want[1], equal_nan=True)
+    assert err == want[2] or (math.isnan(err) and math.isnan(want[2]))
+    assert np.array_equal(np.asarray(cont), want[3], equal_nan=True)
+
+
+@pytest.mark.parametrize("chart", "AB")
+def test_step_returns_python_floats(chart):
+    """Every value the step gives back is a Python float: an np.float64
+    (from np.sqrt or an ndarray element) would triple the cost of a step."""
+    rhs, step_name = _ORACLES[chart][:2]
+    x, y, h = ((0.5, [0.02, 0.04, 0.001, 0.01, 0.0001, 0.02], 0.05) if chart == "A"
+               else (-0.3, [2.0, -0.1, -1.2, 0.5, -0.3, 0.8], -0.01))
+    f0 = rhs(x, y, 1.0, 0.25, 1.0)
+    y_new, f_new, err, cont = getattr(kernels, step_name)(x, y, h, f0, 1.0, 0.25,
+                                                          1.0, 1e-10, 1e-12)
+    values = [*f0, *y_new, *f_new, err, *(v for row in cont for v in row)]
+    assert len(values) == 6 + 6 + 6 + 1 + 30
+    assert all(type(v) is float for v in values), {type(v) for v in values}

@@ -29,6 +29,7 @@ from helfrich.errors import (
     InvalidParams,
     InvalidSlope,
     OutOfRange,
+    StepUnderflow,
 )
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
@@ -267,3 +268,13 @@ def test_equator_state_is_regular(ref_traj):
     assert abs(s) <= 1e-9          # u' vanishes at the equator
     assert q < 0.0                 # longitudinal curvature is negative there
     assert np.all(np.isfinite(ev.state))
+
+
+def test_float_overflow_in_a_step_rejects_it():
+    """Extreme finite parameters overflow a trial step's float stages, which
+    raise where ndarray stages gave inf; the step is rejected as before, so
+    the run ends in the same StepUnderflow at the same radius."""
+    params = HelfrichParams(9.60133067103221e+25, -2.8506641194562764e+40,
+                            4.1623073478829046e+42)
+    with pytest.raises(StepUnderflow, match="at x=2.0509102086518992e-27 "):
+        integrate(params, 1.6413406131863478e-06, SolverConfig(max_steps=5000))
