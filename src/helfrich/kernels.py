@@ -22,17 +22,18 @@ Each right-hand side is written once, in a factory over the square root
 it uses.  The ``math.sqrt`` instance (``rhs_a``, ``rhs_b``) takes and
 returns Python floats and feeds the step; the ``np.sqrt`` instance
 (``rhs_a_many``, ``rhs_b_many``) broadcasts over (6, N) state arrays.
-The step works on Python floats, lists and tuples, because numpy
-arithmetic on 6-element arrays and ``np.float64`` scalars costs several
-times the arithmetic itself.  Python floats raise ``ZeroDivisionError``
-and ``OverflowError`` where ndarrays give inf or nan; the caller treats
-either as a failed step.
+The step works on Python floats, because numpy arithmetic on 6-element
+arrays and ``np.float64`` scalars costs several times the arithmetic
+itself, and it is written out one local scalar per component, because
+list comprehensions over ``zip`` cost more than the sums they build.
+Python floats raise ``ZeroDivisionError`` and ``OverflowError`` where
+ndarrays give inf or nan; the caller treats either as a failed step.
 
 The step and the scalar right-hand sides keep to the subset numba
-compiles (scalars, tuples, lists built inside the function, ``zip``
-loops, ``math.sqrt``) and are compiled when numba is importable
-and HELFRICH_JIT is not 0 (see ``_jit``).  That the compiled path builds
-and matches is unverified: the suite has only run without numba.
+compiles (scalars, tuples, list literals, ``math.sqrt``) and are
+compiled when numba is importable and HELFRICH_JIT is not 0 (see
+``_jit``).  That the compiled path builds and matches is unverified: the
+suite has only run without numba.
 """
 
 import math
@@ -42,8 +43,6 @@ import numpy as np
 from ._jit import njit
 
 NSTATE = 6
-# leading components the right-hand sides read; the rest are quadratures
-NDYN = 3
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -80,7 +79,7 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 
 
 def _make_rhs_a(sqrt):
-    """Chart-A derivatives with respect to r, as a 6-tuple; reads y[:NDYN]."""
+    """Chart-A derivatives with respect to r, as a 6-tuple; reads y[:3]."""
 
     def rhs(r, y, c0, lam, p):
         w = y[0]
@@ -104,7 +103,7 @@ def _make_rhs_a(sqrt):
 
 
 def _make_rhs_b(sqrt):
-    """Chart-B derivatives with respect to z, as a 6-tuple; reads y[:NDYN]."""
+    """Chart-B derivatives with respect to z, as a 6-tuple; reads y[:3]."""
 
     def rhs(z, y, c0, lam, p):
         u = y[0]
@@ -138,50 +137,110 @@ def _make_step(rhs):
 
     The returned step(x, y, h, f0, c0, lam, p, rtol, atol) takes the
     state ``y`` and its derivative ``f0`` as sequences of six floats and
-    gives (y_new, f_new, err, cont): the new state, the FSAL stage f_new,
-    the scalar weighted error norm, and the five dense-output rows of the
-    step (a tuple of five six-float sequences, the first one ``y``).
-    ``rhs`` reads only the first NDYN components of a state, so the stage
-    states carry only those.  Under numba, ``rhs`` is a jitted function
-    that the closure captures as a compile-time constant.
+    gives (y_new, f_new, err, cont): the new state as a list, the FSAL
+    stage f_new (the tuple ``rhs`` returned), the scalar weighted error
+    norm, and the five dense-output rows of the step (``y`` and four
+    lists of six floats).
+
+    The arithmetic is written out one local scalar per component:
+    ``y0..y5`` is the state, ``kS_i`` component i of stage S (stage 1 is
+    ``f0``), so each tableau coefficient's index names its stage, and
+    ``yn0..yn5`` is the new state.  ``rhs`` reads only the first three
+    components of a state (the rest are quadratures), so the stage states
+    carry only those.  Each sum keeps the order of its tableau row, and
+    the error norm adds its squares in component order.  Under numba,
+    ``rhs`` is a jitted function that the closure captures as a
+    compile-time constant.
     """
 
     @njit
     def step(x, y, h, f0, c0, lam, p, rtol, atol):
-        yd = y[:NDYN]
-        k2 = rhs(x + _C2 * h, [a + h * (_A21 * b) for a, b in zip(yd, f0)],
-                 c0, lam, p)
-        k3 = rhs(x + _C3 * h, [a + h * (_A31 * b + _A32 * c)
-                               for a, b, c in zip(yd, f0, k2)], c0, lam, p)
-        k4 = rhs(x + _C4 * h, [a + h * (_A41 * b + _A42 * c + _A43 * d)
-                               for a, b, c, d in zip(yd, f0, k2, k3)], c0, lam, p)
-        k5 = rhs(x + _C5 * h, [a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-                               for a, b, c, d, e in zip(yd, f0, k2, k3, k4)],
-                 c0, lam, p)
-        k6 = rhs(x + h, [a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-                         for a, b, c, d, e, g in zip(yd, f0, k2, k3, k4, k5)],
-                 c0, lam, p)
-        y_new = [a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * k)
-                 for a, b, d, e, g, k in zip(y, f0, k3, k4, k5, k6)]
+        y0, y1, y2, y3, y4, y5 = y
+        k1_0, k1_1, k1_2, k1_3, k1_4, k1_5 = f0
+        k2_0, k2_1, k2_2, _, _, _ = rhs(
+            x + _C2 * h,
+            (y0 + h * (_A21 * k1_0),
+             y1 + h * (_A21 * k1_1),
+             y2 + h * (_A21 * k1_2)),
+            c0, lam, p)
+        k3_0, k3_1, k3_2, k3_3, k3_4, k3_5 = rhs(
+            x + _C3 * h,
+            (y0 + h * (_A31 * k1_0 + _A32 * k2_0),
+             y1 + h * (_A31 * k1_1 + _A32 * k2_1),
+             y2 + h * (_A31 * k1_2 + _A32 * k2_2)),
+            c0, lam, p)
+        k4_0, k4_1, k4_2, k4_3, k4_4, k4_5 = rhs(
+            x + _C4 * h,
+            (y0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
+             y1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
+             y2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2)),
+            c0, lam, p)
+        k5_0, k5_1, k5_2, k5_3, k5_4, k5_5 = rhs(
+            x + _C5 * h,
+            (y0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
+             y1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
+             y2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2)),
+            c0, lam, p)
+        k6_0, k6_1, k6_2, k6_3, k6_4, k6_5 = rhs(
+            x + h,
+            (y0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
+             y1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
+             y2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2)),
+            c0, lam, p)
+        yn0 = y0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
+        yn1 = y1 + h * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
+        yn2 = y2 + h * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2)
+        yn3 = y3 + h * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3)
+        yn4 = y4 + h * (_B1 * k1_4 + _B3 * k3_4 + _B4 * k4_4 + _B5 * k5_4 + _B6 * k6_4)
+        yn5 = y5 + h * (_B1 * k1_5 + _B3 * k3_5 + _B4 * k4_5 + _B5 * k5_5 + _B6 * k6_5)
+        y_new = [yn0, yn1, yn2, yn3, yn4, yn5]
         k7 = rhs(x + h, y_new, c0, lam, p)
+        k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = k7
 
-        # error norm and dense-output rows in one pass over the components
+        # error norm: difference of the 5th- and 4th-order solutions,
+        # scaled per component
         err = 0.0
-        d2 = []
-        d3 = []
-        d4 = []
-        d5 = []
-        for a, an, b, d, e, g, k, m in zip(y, y_new, f0, k3, k4, k5, k6, k7):
-            dy = h * (_E1 * b + _E3 * d + _E4 * e + _E5 * g + _E6 * k + _E7 * m)
-            sc = atol + rtol * max(abs(a), abs(an))
-            err += (dy / sc) ** 2
-            r2 = an - a
-            r3 = h * b - r2
-            d2.append(r2)
-            d3.append(r3)
-            d4.append(r2 - h * m - r3)
-            d5.append(h * (_D1 * b + _D3 * d + _D4 * e + _D5 * g + _D6 * k + _D7 * m))
-        err = math.sqrt(err / len(y))
+        err += (h * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0
+                     + _E7 * k7_0) / (atol + rtol * max(abs(y0), abs(yn0)))) ** 2
+        err += (h * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1
+                     + _E7 * k7_1) / (atol + rtol * max(abs(y1), abs(yn1)))) ** 2
+        err += (h * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2
+                     + _E7 * k7_2) / (atol + rtol * max(abs(y2), abs(yn2)))) ** 2
+        err += (h * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3
+                     + _E7 * k7_3) / (atol + rtol * max(abs(y3), abs(yn3)))) ** 2
+        err += (h * (_E1 * k1_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4
+                     + _E7 * k7_4) / (atol + rtol * max(abs(y4), abs(yn4)))) ** 2
+        err += (h * (_E1 * k1_5 + _E3 * k3_5 + _E4 * k4_5 + _E5 * k5_5 + _E6 * k6_5
+                     + _E7 * k7_5) / (atol + rtol * max(abs(y5), abs(yn5)))) ** 2
+        err = math.sqrt(err / NSTATE)
+
+        # dense-output rows 2-5; row 1 is y
+        r2_0 = yn0 - y0
+        r2_1 = yn1 - y1
+        r2_2 = yn2 - y2
+        r2_3 = yn3 - y3
+        r2_4 = yn4 - y4
+        r2_5 = yn5 - y5
+        r3_0 = h * k1_0 - r2_0
+        r3_1 = h * k1_1 - r2_1
+        r3_2 = h * k1_2 - r2_2
+        r3_3 = h * k1_3 - r2_3
+        r3_4 = h * k1_4 - r2_4
+        r3_5 = h * k1_5 - r2_5
+        d2 = [r2_0, r2_1, r2_2, r2_3, r2_4, r2_5]
+        d3 = [r3_0, r3_1, r3_2, r3_3, r3_4, r3_5]
+        d4 = [r2_0 - h * k7_0 - r3_0,
+              r2_1 - h * k7_1 - r3_1,
+              r2_2 - h * k7_2 - r3_2,
+              r2_3 - h * k7_3 - r3_3,
+              r2_4 - h * k7_4 - r3_4,
+              r2_5 - h * k7_5 - r3_5]
+        d5 = [h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0 + _D6 * k6_0 + _D7 * k7_0),
+              h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1 + _D6 * k6_1 + _D7 * k7_1),
+              h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2 + _D6 * k6_2 + _D7 * k7_2),
+              h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3 + _D6 * k6_3 + _D7 * k7_3),
+              h * (_D1 * k1_4 + _D3 * k3_4 + _D4 * k4_4 + _D5 * k5_4 + _D6 * k6_4 + _D7 * k7_4),
+              h * (_D1 * k1_5 + _D3 * k3_5 + _D4 * k4_5 + _D5 * k5_5 + _D6 * k6_5 + _D7 * k7_5)]
         return y_new, k7, err, (y, d2, d3, d4, d5)
 
     return step

@@ -90,12 +90,18 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParams(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
-        if self.abs_tol <= 0.0:
-            raise InvalidParams(f"abs_tol must be > 0, got {self.abs_tol!r}")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise InvalidParams(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if self.eps_start is not None and not (self.eps_start > 0.0):
             raise InvalidParams(f"eps_start must be > 0, got {self.eps_start!r}")
-        if not (self.w_switch > 1.0):
-            raise InvalidParams(f"w_switch must be > 1, got {self.w_switch!r}")
+        if not (1.0 < self.w_switch < math.inf):
+            raise InvalidParams(f"w_switch must be finite and > 1, got {self.w_switch!r}")
+        if self.r_max is not None and not (0.0 < self.r_max < math.inf):
+            raise InvalidParams(f"r_max must be finite and > 0, got {self.r_max!r}")
+        if not (self.max_steps >= 1):
+            raise InvalidParams(f"max_steps must be >= 1, got {self.max_steps!r}")
+        if not (0.0 < self.event_tol < math.inf):
+            raise InvalidParams(f"event_tol must be finite and > 0, got {self.event_tol!r}")
 
 
 class _ChartState:
@@ -249,7 +255,8 @@ class DenseSegment:
         idx = np.searchsorted(self._key, key, side="right") - 1
         idx = np.clip(idx, 0, len(self.xs) - 2)
         h = self.xs[idx + 1] - self.xs[idx]
-        theta = (x - self.xs[idx]) / h
+        # theta = 0 on the zero-length step of a chart that took no step
+        theta = np.divide(x - self.xs[idx], h, out=np.zeros_like(h), where=h != 0.0)
         return idx, theta
 
     def _check_range(self, x: np.ndarray):
@@ -278,7 +285,8 @@ class DenseSegment:
             + th * (2.0 - 3.0 * th) * r4
             + 2.0 * th * (1.0 - th) * (1.0 - 2.0 * th) * r5
         )
-        return dth / h
+        # a zero-length step has no derivative to give
+        return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0)
 
     def deriv(self, x: float) -> np.ndarray:
         return self.deriv_many(np.array([x]))[0]
@@ -426,13 +434,13 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     while True:
         if steps >= steps_budget:
             events.append(Event(ABORTED, chart, x, np.array(y)))
-            return _make_segment(xs, conts, x), events, steps, None
+            return _make_segment(xs, conts, x, y), events, steps, None
         if h < 1e-14 * (1.0 + abs(x)):
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         remaining = (x_limit - x) * direction
         if remaining <= 1e-14 * (1.0 + abs(x)):
             events.append(Event(ABORTED, chart, x, np.array(y)))
-            return _make_segment(xs, conts, x), events, steps, None
+            return _make_segment(xs, conts, x, y), events, steps, None
         h_use = min(h, remaining)
 
         try:
@@ -473,7 +481,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             y_ev = np.array([_quartic(c, th) for c in zip(*cont)])
             events.append(Event(spec.kind, chart, x_ev, y_ev))
             if spec.terminal:
-                return _make_segment(xs, conts, x_ev), events, steps, events[-1]
+                return _make_segment(xs, conts, x_ev, y), events, steps, events[-1]
 
         x, y, f = x_new, y1, f1
 
@@ -486,11 +494,11 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         err_prev = max(err, 1e-4)
 
 
-def _make_segment(xs, conts, x_end) -> DenseSegment:
+def _make_segment(xs, conts, x_end, y) -> DenseSegment:
     if not conts:
-        # degenerate single-point segment: synthesize a zero-length step
-        y = np.zeros((5, kernels.NSTATE))
-        return DenseSegment(np.array([xs[0], xs[0]]), y[None, :, :], x_end)
+        # a chart that took no step: one zero-length step holding its state y
+        xs = [xs[0], xs[0]]
+        conts = array("d", list(y) + [0.0] * (4 * kernels.NSTATE))
     return DenseSegment(np.array(xs), np.frombuffer(conts).reshape(-1, 5, kernels.NSTATE),
                         x_end)
 

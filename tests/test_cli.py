@@ -231,6 +231,11 @@ def test_config_file_and_unknown_key(tmp_path):
      "--sweep-max must be finite"),
     (["verify", *PAPER_FLAGS, "--sweep-min", "nan"], "--sweep-min must be finite"),
     (["plot", "--in", "{dir}/header_only.csv"], "--in: cannot read"),
+    (["solve", *SOLVE_FLAGS, "--abs-tol", "nan"], "abs_tol"),
+    (["solve", *SOLVE_FLAGS, "--w-switch", "inf"], "w_switch"),
+    (["solve", *SOLVE_FLAGS, "--r-max", "nan"], "r_max"),
+    (["solve", *SOLVE_FLAGS, "--event-tol", "inf"], "event_tol"),
+    (["solve", *SOLVE_FLAGS, "--max-steps", "0"], "max_steps"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
     """Non-finite values, bad config values, bad grids, unreadable inputs
@@ -253,6 +258,20 @@ def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys)
     assert message in err
     assert "Warning" not in err and not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+def test_solve_without_a_step_exits_2_without_warning(tmp_path, capsys):
+    """An r_max below eps_start leaves chart A without a step; its
+    zero-length dense segment evaluates to the start state, silently."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["solve", *SOLVE_FLAGS, "--r-max", "1e-6", "--out", str(tmp_path)])
+    assert code == 2
+    assert "Warning" not in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    rows = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    assert np.all(rows[1:, 0] == 1e-5) and np.all(rows[1:, 2] > 0.0)
 
 
 def _opt_values(opt, i):
