@@ -374,9 +374,14 @@ def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, floa
     return area, volume
 
 
-def profile_points(traj: Trajectory) -> np.ndarray:
-    """Closed mirrored cross-section curve (1025 points) of a biconcave solution."""
-    cls = classify(traj, extract_landmarks(traj))
+def profile_points(traj: Trajectory, cls: Classification | None = None) -> np.ndarray:
+    """Closed mirrored cross-section curve (1025 points) of a biconcave solution.
+
+    ``cls`` is the caller's classification of ``traj``; without it the
+    trajectory is classified here.
+    """
+    if cls is None:
+        cls = classify(traj, extract_landmarks(traj))
     if cls.verdict != BICONCAVE:
         raise NotBiconcave(f"classification is {cls.verdict}")
     return mirror_quarter(*_quarter_profile(traj, 256).T)

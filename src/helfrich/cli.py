@@ -213,12 +213,11 @@ def _cmd_solve(parser, v):
         write_json(os.path.join(out, "report.json"),
                    _report_payload(params, v["w0p"], cfg, traj, lm, cls))
     if "svg" in formats and cls.verdict == BICONCAVE:
-        svg = render_svg(profile_points(traj), _annotation(params, v["w0p"]))
+        svg = render_svg(profile_points(traj, cls), _annotation(params, v["w0p"]))
         with open(os.path.join(out, "profile.svg"), "w", newline="\n") as fh:
             fh.write(svg)
     if "obj" in formats and cls.verdict == BICONCAVE:
-        verts, faces = build_mesh(traj)
-        write_obj(os.path.join(out, "mesh.obj"), verts, faces)
+        write_obj(os.path.join(out, "mesh.obj"), build_mesh(traj))
 
     print(f"classification: {cls.verdict} ({cls.evidence})")
     return EX_OK if cls.verdict == BICONCAVE else EX_NOT_BICONCAVE
@@ -337,7 +336,7 @@ def _cmd_plot(parser, v):
         if cls.verdict != BICONCAVE:
             print(f"plot: classification is {cls.verdict}", file=sys.stderr)
             return EX_NOT_BICONCAVE
-        pts = profile_points(traj)
+        pts = profile_points(traj, cls)
         annotation = _annotation(params, v["w0p"])
 
     path = os.path.join(out, "profile.svg")
@@ -358,10 +357,10 @@ def _cmd_mesh(parser, v):
     if cls.verdict != BICONCAVE:
         print(f"mesh: classification is {cls.verdict}", file=sys.stderr)
         return EX_NOT_BICONCAVE
-    verts, faces = build_mesh(traj, v["segments_theta"], v["segments_profile"])
+    mesh = build_mesh(traj, v["segments_theta"], v["segments_profile"])
     path = os.path.join(out, "mesh.obj")
-    write_obj(path, verts, faces)
-    print(f"mesh: wrote {path} ({len(verts)} vertices, {len(faces)} faces)")
+    write_obj(path, mesh)
+    print(f"mesh: wrote {path} ({mesh.n_verts} vertices, {len(mesh.faces)} faces)")
     return EX_OK
 
 

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import asdict, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "read_profile_csv",
     "write_json",
     "render_svg",
+    "Mesh",
     "build_mesh",
     "write_obj",
 ]
@@ -184,33 +186,40 @@ def render_svg(points: np.ndarray, annotation: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256):
-    """Watertight triangle mesh of the revolved, reflected profile.
+class Mesh(NamedTuple):
+    """Revolved surface: profile point i sits at height z[i] and radius
+    r[min(i, len(z) - 1 - i)], the profile being mirrored at the equator.
+    Points 0 and -1 are the poles, each other point is a ring of n_theta
+    vertices; ``faces`` holds 0-based indices into pole, rings, pole."""
 
-    Vertex count is n_theta * (2 n_profile - 1) + 2: the two poles and the
-    rings between them, ring j (from 0) holding vertices 1 + j n_theta + k.
-    """
-    quarter = _quarter_profile(traj, n_profile)  # n_profile + 1 points
+    r: np.ndarray
+    z: np.ndarray
+    n_theta: int
+    faces: np.ndarray
+
+    @property
+    def n_verts(self) -> int:
+        return self.n_theta * (len(self.z) - 2) + 2
+
+
+def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Mesh:
+    """Watertight triangle mesh of the revolved, reflected profile:
+    n_theta * (2 n_profile - 1) + 2 vertices."""
+    r, Z = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
     # pole..equator..pole: the first 2 n_profile + 1 points of the closed curve
-    r_full, z_full = mirror_quarter(*quarter.T)[: 2 * len(quarter) - 1].T
-
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    r_in, z_in = r_full[1:-1, None], z_full[1:-1, None]
-    rings = np.stack(np.broadcast_arrays(r_in * np.cos(theta), r_in * np.sin(theta),
-                                         z_in), axis=-1).reshape(-1, 3)
-    verts = np.concatenate([[[0.0, 0.0, z_full[0]]], rings, [[0.0, 0.0, z_full[-1]]]])
+    z = mirror_quarter(r, Z)[: 2 * len(r) - 1, 1]
 
     k = np.arange(n_theta, dtype=np.int64)
     k1 = (k + 1) % n_theta
-    start = 1 + n_theta * np.arange(len(r_full) - 2, dtype=np.int64)[:, None]
+    start = 1 + n_theta * np.arange(len(z) - 2, dtype=np.int64)[:, None]
     a, b = start[:-1] + k, start[:-1] + k1  # quad corners on ring j
     c, d = a + n_theta, b + n_theta  # and on ring j + 1
-    last = len(verts) - 1
-    return verts, np.concatenate([
+    last = start[-1, 0] + n_theta  # the far pole follows the last ring
+    return Mesh(r, z, n_theta, np.concatenate([
         np.stack([np.zeros_like(k), 1 + k, 1 + k1], axis=1),
         np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3),
         np.stack([np.full_like(k, last), start[-1] + k1, start[-1] + k], axis=1),
-    ])
+    ]))
 
 
 def _write_rows(fh, fmt: str, rows) -> None:
@@ -222,7 +231,24 @@ def _write_rows(fh, fmt: str, rows) -> None:
         fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def write_obj(path, verts: np.ndarray, faces: np.ndarray) -> None:
+def write_obj(path, mesh: Mesh) -> None:
     with open(path, "w", newline="\n") as fh:
-        _write_rows(fh, "v %.17g %.17g %.17g\n", verts)
-        _write_rows(fh, "f %d %d %d\n", np.asarray(faces) + 1)
+        _write_vertices(fh, mesh)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+
+
+def _write_vertices(fh, mesh: Mesh) -> None:
+    """Vertex lines, each radius's x/y text formatted once: into a template
+    with ``z`` (in no ``%.17g`` text) as the z field, which each ring of
+    that radius fills in.  The templates are freed before the faces."""
+    theta = 2.0 * math.pi * np.arange(mesh.n_theta) / mesh.n_theta
+    r = mesh.r[1:, None]  # the axis radius 0 holds only the poles
+    xy = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(len(r), -1)
+    line = "v %.17g %.17g z\n" * mesh.n_theta
+    rings = [line % tuple(row.tolist()) for row in xy]
+    z = mesh.z.tolist()
+    last = len(z) - 1
+    fh.write("v 0 0 %.17g\n" % z[0])
+    for i in range(1, last):
+        fh.write(rings[min(i, last - i) - 1].replace("z", "%.17g" % z[i]))
+    fh.write("v 0 0 %.17g\n" % z[last])

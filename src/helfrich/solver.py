@@ -92,8 +92,8 @@ class SolverConfig:
             raise InvalidParams(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         if not (0.0 < self.abs_tol < math.inf):
             raise InvalidParams(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        if self.eps_start is not None and not (self.eps_start > 0.0):
-            raise InvalidParams(f"eps_start must be > 0, got {self.eps_start!r}")
+        if self.eps_start is not None and not (0.0 < self.eps_start < math.inf):
+            raise InvalidParams(f"eps_start must be finite and > 0, got {self.eps_start!r}")
         if not (1.0 < self.w_switch < math.inf):
             raise InvalidParams(f"w_switch must be finite and > 1, got {self.w_switch!r}")
         if self.r_max is not None and not (0.0 < self.r_max < math.inf):

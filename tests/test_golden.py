@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of each file that three reference commands
+"""Golden outputs: the sha256 of each file that five reference commands
 write.
 
 A change that keeps the arithmetic keeps these bytes, so a speed-up or a
@@ -37,6 +37,15 @@ GOLDEN = {
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
             "mesh.obj": "505bc1404baf82c00980d94d22b59c74758808521c9c2e8690fd289221db17f5",
         },
+    ),
+    "mesh": (
+        ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
+         "--segments-theta", "7", "--segments-profile", "9"],
+        {"mesh.obj": "cd401add9c09983d35691f4acc4ea6de46d60e182e469006c3fa5b0e2f32559f"},
+    ),
+    "plot": (
+        ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
+        {"profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0"},
     ),
 }
 
