@@ -112,7 +112,8 @@ def extract_landmarks(traj: Trajectory) -> Landmarks:
     """Read landmarks off the event list; count critical points of w.
 
     The count scans w' on (eps, r0) at 10,001 points, a resolution of
-    r0/1e4; tangencies of w' without a sign change are not counted.
+    r0/1e4; tangencies of w' without a sign change are not counted.  Only
+    the w' component of the dense output is evaluated.
     """
     ev_max = traj.first_event(MAX_OF_W)
     ev_zero = traj.first_event(ZERO_OF_W)
@@ -132,7 +133,7 @@ def extract_landmarks(traj: Trajectory) -> Landmarks:
     n_crit = None
     if r0 is not None:
         rs = np.linspace(traj.eps_start, r0, 10_001)
-        wp = traj.chart_a.eval_many(rs)[:, 1]
+        wp = traj.chart_a.eval_many(rs, 1)
         sgn = np.sign(wp)
         sgn = sgn[sgn != 0.0]
         n_crit = int(np.count_nonzero(sgn[1:] * sgn[:-1] < 0.0))
@@ -175,6 +176,9 @@ def _graph_curvatures(r, w, wp):
 
 def curvature_geometry(chart: str, x, y, params: HelfrichParams) -> tuple:
     """(kappa_m, kappa_l, H, K, eta) at chart states ``y``, shape (6,) or (n, 6).
+
+    Only the leading components are read, two on chart A and three on
+    chart B, so ``y`` may hold just those.
 
     ``x`` is r on chart A and z on chart B, where the geometry does not
     depend on it.  On chart B every term of eta diverges like 1/|u'|;
@@ -241,7 +245,7 @@ def el_residual(traj: Trajectory) -> float:
     """
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, 2000)
-    Y = seg.eval_many(rs)
+    Y = seg.eval_many(rs, slice(0, 2))
     D = seg.deriv_many(rs)
     w, wp = Y[:, 0], Y[:, 1]
     wpp = D[:, 1]
@@ -294,7 +298,7 @@ def eta_boundedness(traj: Trajectory) -> EtaReport:
     k = np.arange(0, int(decades * n_per_decade) + 1)
     tau = tau_sw * 10.0 ** (-k / n_per_decade)
     zs = z_inf + tau
-    Y = traj.chart_b.eval_many(zs)
+    Y = traj.chart_b.eval_many(zs, slice(0, 3))
     eta = curvature_geometry("B", zs, Y, traj.params)[4]
     eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
     eta_abs = np.abs(eta)
@@ -346,7 +350,7 @@ def requadrature_totals(traj: Trajectory) -> SurfaceTotals:
                         (traj.chart_b, 100_001, kernels.rhs_b_many)):
         xs = np.linspace(seg.x_start, seg.x_end, n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            F = rhs(xs, seg.eval_many(xs).T, c0, lam, p)
+            F = rhs(xs, seg.eval_many(xs, slice(0, 3)).T, c0, lam, p)
         area += float(np.trapezoid(F[3], xs))
         vol += float(np.trapezoid(F[4], xs))
         energy += float(np.trapezoid(F[5], xs))
@@ -409,10 +413,10 @@ def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     inside = rs < traj.eps_start
     za = np.empty_like(rs)
     za[inside] = traj.series_eval(rs[inside])[:, 2]
-    za[~inside] = seg_a.eval_many(rs[~inside])[:, 2]
+    za[~inside] = seg_a.eval_many(rs[~inside], 2)
     a_part = np.stack([rs, za], axis=1)
     zs = np.linspace(seg_b.x_start, seg_b.x_end, m_b + 1)[1:]
-    us = seg_b.eval_many(zs)[:, 0]
+    us = seg_b.eval_many(zs, 0)
     b_part = np.stack([us, zs], axis=1)
     quarter = np.concatenate([a_part, b_part], axis=0)
     quarter[:, 1] -= traj.first_event(EQUATOR).x

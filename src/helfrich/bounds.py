@@ -144,7 +144,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
 
     # pointwise re-assertions on (0, r0)
     rs = np.linspace(traj.eps_start, r0, 4001)
-    Y = traj.chart_a.eval_many(rs)
+    Y = traj.chart_a.eval_many(rs, slice(0, 2))
     w, wp = Y[:, 0], Y[:, 1]
     kap = curvature_geometry("A", rs, Y, params)[0]
     P = 1.0 + w * w

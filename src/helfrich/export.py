@@ -71,13 +71,13 @@ def profile_rows(traj: Trajectory):
     rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, 1024)
-    Y = seg.eval_many(rs)
+    Y = seg.eval_many(rs, slice(0, 3))
     geom = curvature_geometry("A", rs, Y, traj.params)[:4]
     rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
     if traj.chart_b is not None:
         segb = traj.chart_b
         zs = np.linspace(segb.x_start, segb.x_end, 513)[1:]
-        Y = segb.eval_many(zs)
+        Y = segb.eval_many(zs, slice(0, 3))
         u, s = Y[:, 0], Y[:, 1]
         with np.errstate(divide="ignore"):
             w = np.where(s != 0.0, 1.0 / s, -np.inf)

@@ -26,7 +26,11 @@ The step works on Python floats, because numpy arithmetic on 6-element
 arrays and ``np.float64`` scalars costs several times the arithmetic
 itself, and it is written out one local scalar per component, because
 list comprehensions over ``zip`` cost more than the sums they build.
-Python floats raise ``ZeroDivisionError`` and ``OverflowError`` where
+For the same reason it calls no builtin it can do without: the
+per-component max of the error scale is a conditional expression, and
+the dense output comes back as one flat list of 30 floats (five rows of
+six) that the solver appends to its storage as it is.  Python floats
+raise ``ZeroDivisionError`` and ``OverflowError`` where
 ndarrays give inf or nan; the caller treats either as a failed step.
 
 The step and the scalar right-hand sides keep to the subset numba
@@ -139,8 +143,9 @@ def _make_step(rhs):
     state ``y`` and its derivative ``f0`` as sequences of six floats and
     gives (y_new, f_new, err, cont): the new state as a list, the FSAL
     stage f_new (the tuple ``rhs`` returned), the scalar weighted error
-    norm, and the five dense-output rows of the step (``y`` and four
-    lists of six floats).
+    norm, and the step's dense output as one flat list of 30 floats, its
+    five rows of six in storage order (row 1 is ``y``), so that the
+    caller appends it in one call and reads component i as ``cont[i::6]``.
 
     The arithmetic is written out one local scalar per component:
     ``y0..y5`` is the state, ``kS_i`` component i of stage S (stage 1 is
@@ -148,9 +153,11 @@ def _make_step(rhs):
     ``yn0..yn5`` is the new state.  ``rhs`` reads only the first three
     components of a state (the rest are quadratures), so the stage states
     carry only those.  Each sum keeps the order of its tableau row, and
-    the error norm adds its squares in component order.  Under numba,
-    ``rhs`` is a jitted function that the closure captures as a
-    compile-time constant.
+    the error norm adds its squares in component order.  Its scale
+    max(|y_i|, |yn_i|) is written ``b if b > a else a`` with a = |y_i| and
+    b = |yn_i|: exactly the value ``max(a, b)`` returns, NaN included,
+    without a builtin call.  Under numba, ``rhs`` is a jitted function
+    that the closure captures as a compile-time constant.
     """
 
     @njit
@@ -198,23 +205,35 @@ def _make_step(rhs):
         k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = k7
 
         # error norm: difference of the 5th- and 4th-order solutions,
-        # scaled per component
+        # scaled per component by max(|y_i|, |yn_i|)
         err = 0.0
+        a = abs(y0)
+        b = abs(yn0)
         err += (h * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0
-                     + _E7 * k7_0) / (atol + rtol * max(abs(y0), abs(yn0)))) ** 2
+                     + _E7 * k7_0) / (atol + rtol * (b if b > a else a))) ** 2
+        a = abs(y1)
+        b = abs(yn1)
         err += (h * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1
-                     + _E7 * k7_1) / (atol + rtol * max(abs(y1), abs(yn1)))) ** 2
+                     + _E7 * k7_1) / (atol + rtol * (b if b > a else a))) ** 2
+        a = abs(y2)
+        b = abs(yn2)
         err += (h * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2
-                     + _E7 * k7_2) / (atol + rtol * max(abs(y2), abs(yn2)))) ** 2
+                     + _E7 * k7_2) / (atol + rtol * (b if b > a else a))) ** 2
+        a = abs(y3)
+        b = abs(yn3)
         err += (h * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3
-                     + _E7 * k7_3) / (atol + rtol * max(abs(y3), abs(yn3)))) ** 2
+                     + _E7 * k7_3) / (atol + rtol * (b if b > a else a))) ** 2
+        a = abs(y4)
+        b = abs(yn4)
         err += (h * (_E1 * k1_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4
-                     + _E7 * k7_4) / (atol + rtol * max(abs(y4), abs(yn4)))) ** 2
+                     + _E7 * k7_4) / (atol + rtol * (b if b > a else a))) ** 2
+        a = abs(y5)
+        b = abs(yn5)
         err += (h * (_E1 * k1_5 + _E3 * k3_5 + _E4 * k4_5 + _E5 * k5_5 + _E6 * k6_5
-                     + _E7 * k7_5) / (atol + rtol * max(abs(y5), abs(yn5)))) ** 2
+                     + _E7 * k7_5) / (atol + rtol * (b if b > a else a))) ** 2
         err = math.sqrt(err / NSTATE)
 
-        # dense-output rows 2-5; row 1 is y
+        # dense output, five rows of six in storage order; row 1 is y
         r2_0 = yn0 - y0
         r2_1 = yn1 - y1
         r2_2 = yn2 - y2
@@ -227,21 +246,23 @@ def _make_step(rhs):
         r3_3 = h * k1_3 - r2_3
         r3_4 = h * k1_4 - r2_4
         r3_5 = h * k1_5 - r2_5
-        d2 = [r2_0, r2_1, r2_2, r2_3, r2_4, r2_5]
-        d3 = [r3_0, r3_1, r3_2, r3_3, r3_4, r3_5]
-        d4 = [r2_0 - h * k7_0 - r3_0,
-              r2_1 - h * k7_1 - r3_1,
-              r2_2 - h * k7_2 - r3_2,
-              r2_3 - h * k7_3 - r3_3,
-              r2_4 - h * k7_4 - r3_4,
-              r2_5 - h * k7_5 - r3_5]
-        d5 = [h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0 + _D6 * k6_0 + _D7 * k7_0),
-              h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1 + _D6 * k6_1 + _D7 * k7_1),
-              h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2 + _D6 * k6_2 + _D7 * k7_2),
-              h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3 + _D6 * k6_3 + _D7 * k7_3),
-              h * (_D1 * k1_4 + _D3 * k3_4 + _D4 * k4_4 + _D5 * k5_4 + _D6 * k6_4 + _D7 * k7_4),
-              h * (_D1 * k1_5 + _D3 * k3_5 + _D4 * k4_5 + _D5 * k5_5 + _D6 * k6_5 + _D7 * k7_5)]
-        return y_new, k7, err, (y, d2, d3, d4, d5)
+        return y_new, k7, err, [
+            y0, y1, y2, y3, y4, y5,
+            r2_0, r2_1, r2_2, r2_3, r2_4, r2_5,
+            r3_0, r3_1, r3_2, r3_3, r3_4, r3_5,
+            r2_0 - h * k7_0 - r3_0,
+            r2_1 - h * k7_1 - r3_1,
+            r2_2 - h * k7_2 - r3_2,
+            r2_3 - h * k7_3 - r3_3,
+            r2_4 - h * k7_4 - r3_4,
+            r2_5 - h * k7_5 - r3_5,
+            h * (_D1 * k1_0 + _D3 * k3_0 + _D4 * k4_0 + _D5 * k5_0 + _D6 * k6_0 + _D7 * k7_0),
+            h * (_D1 * k1_1 + _D3 * k3_1 + _D4 * k4_1 + _D5 * k5_1 + _D6 * k6_1 + _D7 * k7_1),
+            h * (_D1 * k1_2 + _D3 * k3_2 + _D4 * k4_2 + _D5 * k5_2 + _D6 * k6_2 + _D7 * k7_2),
+            h * (_D1 * k1_3 + _D3 * k3_3 + _D4 * k4_3 + _D5 * k5_3 + _D6 * k6_3 + _D7 * k7_3),
+            h * (_D1 * k1_4 + _D3 * k3_4 + _D4 * k4_4 + _D5 * k5_4 + _D6 * k6_4 + _D7 * k7_4),
+            h * (_D1 * k1_5 + _D3 * k3_5 + _D4 * k4_5 + _D5 * k5_5 + _D6 * k6_5 + _D7 * k7_5),
+        ]
 
     return step
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,8 +94,10 @@ class SolverConfig:
             raise InvalidParams(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if self.eps_start is not None and not (0.0 < self.eps_start < math.inf):
             raise InvalidParams(f"eps_start must be finite and > 0, got {self.eps_start!r}")
-        if not (1.0 < self.w_switch < math.inf):
-            raise InvalidParams(f"w_switch must be finite and > 1, got {self.w_switch!r}")
+        # at 1e6 the chart-A steps toward w = -w_switch underflow on the
+        # paper's point (1e5 still solves); 1e4 keeps a margin
+        if not (1.0 < self.w_switch <= 1e4):
+            raise InvalidParams(f"w_switch must be in (1, 1e4], got {self.w_switch!r}")
         if self.r_max is not None and not (0.0 < self.r_max < math.inf):
             raise InvalidParams(f"r_max must be finite and > 0, got {self.r_max!r}")
         if not (self.max_steps >= 1):
@@ -108,7 +110,7 @@ class _ChartState:
     """Conversion between a chart state and (x, six-vector) arrays."""
 
     def to_array(self) -> np.ndarray:
-        return np.array(astuple(self)[1:])
+        return np.array([getattr(self, f.name) for f in fields(self)[1:]])
 
     @classmethod
     def from_array(cls, x: float, y: np.ndarray):
@@ -235,6 +237,11 @@ class DenseSegment:
 
     ``xs`` holds the step nodes (ascending for chart A, descending for
     chart B); ``conts[i]`` the five dense-output vectors of step i.
+
+    ``eval_many(x, cols)`` evaluates only the state components ``cols``
+    selects: an int gives shape (n,), a slice (n, k), and the default
+    ``slice(None)`` all six, (n, 6).  Each value is the one the full
+    evaluation gives, bit for bit, at a fraction of the cost.
     """
 
     def __init__(self, xs: np.ndarray, conts: np.ndarray, x_end: float):
@@ -244,6 +251,9 @@ class DenseSegment:
         # trajectory may terminate mid-step at an event
         self.x_end = float(x_end)
         self._key = self.xs if self.ascending else -self.xs
+        # (5, 6, steps) view: a query takes the steps of the components it
+        # reads, so each row it computes on is contiguous along the queries
+        self._rows = self.conts.transpose(1, 2, 0)
 
     @property
     def x_start(self) -> float:
@@ -266,9 +276,9 @@ class DenseSegment:
         if np.any(x < lo - pad) or np.any(x > hi + pad):
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
 
-    def eval_many(self, x) -> np.ndarray:
+    def eval_many(self, x, cols=slice(None)) -> np.ndarray:
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
-        return _quartic(self.conts[idx].swapaxes(0, 1), th[:, None])
+        return _quartic(self._rows[:, cols].take(idx, axis=-1), th).T
 
     def eval(self, x: float) -> np.ndarray:
         return self.eval_many(np.array([x]))[0]
@@ -303,7 +313,7 @@ class DenseSegment:
         sgn = 1.0 if self.ascending else -1.0
         inner = self.xs[(self._key > sgn * lo) & (self._key < sgn * hi)]
         xk = np.concatenate([[lo], inner, [hi]])
-        g = self.eval_many(xk)[:, component] - target
+        g = self.eval_many(xk, component) - target
         if g[0] == 0.0:
             return lo
         change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
@@ -389,8 +399,10 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     five coefficients ``c``, crosses ``target``; bisects until |h| times
     the bracket <= tol (1 + |x0|)."""
     glo = _quartic(c, lo) - target
+    h_abs = abs(h)
+    bound = tol * (1.0 + abs(x0))
     for _ in range(200):
-        if abs(hi - lo) * abs(h) <= tol * (1.0 + abs(x0)):
+        if abs(hi - lo) * h_abs <= bound:
             break
         mid = 0.5 * (lo + hi)
         gm = _quartic(c, mid) - target
@@ -430,18 +442,24 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     err_prev = 1e-4
     steps = 0
     rejected = False
+    # (spec, component, target, downward) of each event, unpacked once
+    scans = [(spec, spec.idx, spec.target, spec.cross < 0) for spec in event_specs]
 
+    # min and max are written out as conditional expressions that return
+    # the builtins' values: ``b if b < a else a`` is min(a, b) and
+    # ``b if b > a else a`` is max(a, b)
     while True:
+        h_min = 1e-14 * (1.0 + abs(x))
         if steps >= steps_budget:
             events.append(Event(ABORTED, chart, x, np.array(y)))
             return _make_segment(xs, conts, x, y), events, steps, None
-        if h < 1e-14 * (1.0 + abs(x)):
+        if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         remaining = (x_limit - x) * direction
-        if remaining <= 1e-14 * (1.0 + abs(x)):
+        if remaining <= h_min:
             events.append(Event(ABORTED, chart, x, np.array(y)))
             return _make_segment(xs, conts, x, y), events, steps, None
-        h_use = min(h, remaining)
+        h_use = remaining if remaining < h else h
 
         try:
             y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
@@ -456,42 +474,44 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         if err > 1.0:
             rejected = True
             fac = _SAFETY * err ** (-_ALPHA) if math.isfinite(err) else 0.1
-            h = h_use * min(0.9, max(0.1, fac))
+            fac = fac if fac > 0.1 else 0.1
+            h = h_use * (fac if fac < 0.9 else 0.9)
             continue
 
         hd = direction * h_use
-        for row in cont:
-            conts.fromlist(row)
+        conts.fromlist(cont)
         x_new = x + hd
         xs.append(x_new)
 
-        # event scan on this step
-        hits = []
-        for spec in event_specs:
-            g0 = y[spec.idx] - spec.target
-            g1 = y1[spec.idx] - spec.target
-            crossed = (g0 > 0.0 >= g1) if spec.cross < 0 else (g0 < 0.0 <= g1)
-            if crossed:
-                th = _bisect_step([row[spec.idx] for row in cont], spec.target, hd,
-                                  x, cfg.event_tol)
+        # event scan on this step; component i of the step is cont[i::6]
+        hits = None
+        for spec, i, target, downward in scans:
+            g0 = y[i] - target
+            g1 = y1[i] - target
+            if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
+                th = _bisect_step(cont[i::6], target, hd, x, cfg.event_tol)
+                if hits is None:
+                    hits = []
                 hits.append((th, spec.priority, spec))
-        hits.sort(key=lambda t: (t[0], t[1]))
-        for th, _, spec in hits:
-            x_ev = x + th * hd
-            y_ev = np.array([_quartic(c, th) for c in zip(*cont)])
-            events.append(Event(spec.kind, chart, x_ev, y_ev))
-            if spec.terminal:
-                return _make_segment(xs, conts, x_ev, y), events, steps, events[-1]
+        if hits is not None:
+            hits.sort(key=lambda t: (t[0], t[1]))
+            for th, _, spec in hits:
+                x_ev = x + th * hd
+                y_ev = np.array([_quartic(cont[i::6], th) for i in range(kernels.NSTATE)])
+                events.append(Event(spec.kind, chart, x_ev, y_ev))
+                if spec.terminal:
+                    return _make_segment(xs, conts, x_ev, y), events, steps, events[-1]
 
         x, y, f = x_new, y1, f1
 
         fac = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0.0 else _FAC_MAX
-        fac = min(_FAC_MAX, max(_FAC_MIN, fac))
+        fac = fac if fac > _FAC_MIN else _FAC_MIN
+        fac = fac if fac < _FAC_MAX else _FAC_MAX
         if rejected:
-            fac = min(1.0, fac)
+            fac = fac if fac < 1.0 else 1.0
             rejected = False
         h = h_use * fac
-        err_prev = max(err, 1e-4)
+        err_prev = 1e-4 if 1e-4 > err else err
 
 
 def _make_segment(xs, conts, x_end, y) -> DenseSegment:

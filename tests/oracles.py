@@ -3,7 +3,8 @@
 Each one is independent of the package code path it cross-checks: a
 fixed-step propagation for order studies, the ndarray right-hand sides and
 step that the float kernels must match bit for bit, dense sampling for the
-closed-form extrema of Q, a triangle-sum for mesh area and volume, and the
+closed-form extrema of Q, a triangle-sum for mesh area and volume, the
+critical-point scan on the full dense-output evaluation, and the
 element-by-element emitters that the array emitters must match byte for
 byte.
 """
@@ -149,6 +150,16 @@ def make_step_arr(rhs):
         return y_new, k7, err, cont
 
     return step
+
+
+def critical_points_full_scan(traj, r0: float) -> int:
+    """Sign changes of w' on (eps, r0) at 10,001 points, read from the
+    evaluation of all six dense-output components."""
+    rs = np.linspace(traj.eps_start, r0, 10_001)
+    wp = traj.chart_a.eval_many(rs)[:, 1]
+    sgn = np.sign(wp)
+    sgn = sgn[sgn != 0.0]
+    return int(np.count_nonzero(sgn[1:] * sgn[:-1] < 0.0))
 
 
 def _refined_max(f, lo, hi, n) -> float:

@@ -237,6 +237,7 @@ def test_config_file_and_unknown_key(tmp_path):
     (["solve", *SOLVE_FLAGS, "--event-tol", "inf"], "event_tol"),
     (["solve", *SOLVE_FLAGS, "--max-steps", "0"], "max_steps"),
     (["solve", *SOLVE_FLAGS, "--eps-start", "inf"], "eps_start"),
+    (["solve", *SOLVE_FLAGS, "--w-switch", "1e6"], "w_switch"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
     """Non-finite values, bad config values, bad grids, unreadable inputs

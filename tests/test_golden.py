@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of each file that five reference commands
-write.
+write, and the step and event counts of the reference solve.
 
 A change that keeps the arithmetic keeps these bytes, so a speed-up or a
 refactor that alters any output fails here.  The hashes pin this
@@ -7,14 +7,16 @@ platform's libm (the last bit of ``pow``, ``sqrt`` and the ``%.17g``
 formatting all reach the files) and the python kernel backend; a
 numba-compiled step may round differently and is not pinned.  A change
 that alters an output on purpose updates the hash here and states the
-old and the new value.
+old and the new value.  A change to the step sequence shows first in the
+counts, which say how the run differs where a hash only says that it does.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from helfrich import cli, kernel_backend
+from helfrich import HelfrichParams, cli, integrate, kernel_backend, kernels
 
 PAPER_FLAGS = ["--c0", "1", "--lambda", "0.25", "--p", "1"]
 
@@ -59,3 +61,34 @@ def test_outputs_match_golden_sha256(command, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in hashes}
     assert got == hashes
+
+
+# the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
+# accepted steps and events per chart
+STEP_COUNTS = {
+    "calls": {"A": 403, "B": 52},
+    "accepted": {"A": 398, "B": 36},
+    "events": {"MaxOfW": 1, "ZeroOfW": 1, "ChartSwitch": 1, "Equator": 1},
+}
+
+
+@pytest.mark.skipif(kernel_backend() != "python",
+                    reason="the counts pin the python kernel backend")
+def test_reference_solve_step_counts(monkeypatch):
+    calls = Counter()
+
+    def counted(chart, step):
+        def wrapper(*args):
+            calls[chart] += 1
+            return step(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "dopri5_step_a", counted("A", kernels.dopri5_step_a))
+    monkeypatch.setattr(kernels, "dopri5_step_b", counted("B", kernels.dopri5_step_b))
+    traj = integrate(HelfrichParams(1.0, 0.25, 1.0), 0.05)
+    got = {
+        "calls": dict(calls),
+        "accepted": {"A": len(traj.chart_a.conts), "B": len(traj.chart_b.conts)},
+        "events": dict(Counter(ev.kind for ev in traj.events)),
+    }
+    assert got == STEP_COUNTS

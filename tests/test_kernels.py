@@ -154,7 +154,7 @@ def test_dense_output_consistency_and_order(paper_params):
         f0 = kernels.rhs_a(r0, y0.tolist(), c0, lam, p)
         y1, f1, _, cont = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
                                                 p, 1e-10, 1e-12)
-        y1, cont = np.asarray(y1), np.asarray(cont)
+        y1, cont = np.asarray(y1), np.reshape(cont, (5, 6))
         th = 0.5
         mid = cont[0] + th * (cont[1] + (1 - th) * (
             cont[2] + th * (cont[3] + (1 - th) * cont[4])))
@@ -278,7 +278,7 @@ def test_float_kernels_match_ndarray_oracle_bit_for_bit(case):
     assert np.array_equal(y_new, want[0], equal_nan=True)
     assert np.array_equal(f_new, want[1], equal_nan=True)
     assert err == want[2] or (math.isnan(err) and math.isnan(want[2]))
-    assert np.array_equal(np.asarray(cont), want[3], equal_nan=True)
+    assert np.array_equal(np.reshape(cont, (5, 6)), want[3], equal_nan=True)
 
 
 @pytest.mark.parametrize("chart", "AB")
@@ -291,6 +291,33 @@ def test_step_returns_python_floats(chart):
     f0 = rhs(x, y, 1.0, 0.25, 1.0)
     y_new, f_new, err, cont = getattr(kernels, step_name)(x, y, h, f0, 1.0, 0.25,
                                                           1.0, 1e-10, 1e-12)
-    values = [*f0, *y_new, *f_new, err, *(v for row in cont for v in row)]
+    rows = [cont[6 * k:6 * k + 6] for k in range(5)]  # the flat list as (5, 6)
+    values = [*f0, *y_new, *f_new, err, *(v for row in rows for v in row)]
     assert len(values) == 6 + 6 + 6 + 1 + 30
     assert all(type(v) is float for v in values), {type(v) for v in values}
+
+
+@pytest.mark.parametrize("chart, x, y, h, params", [
+    # c0 = lam = p = 0 and w = w' = 0: every stage of components 0, 1, 2, 4
+    # and 5 is zero, so y_new equals y there and |y_i| ties |yn_i|
+    ("A", 0.5, [0.0, -0.0, 0.25, -0.0, -1.5, 0.0], 0.05, (0.0, 0.0, 0.0)),
+    ("A", 0.5, [-0.0, 0.0, -0.25, 0.0, 1.5, -0.0], -0.05, (0.0, 0.0, 0.0)),
+    # signed zeros beside growing components
+    ("A", 0.5, [-0.0, 0.05, 0.0, -0.0, 0.0, -0.0], 0.05, (1.0, 0.25, 1.0)),
+    ("B", -0.3, [2.0, -0.1, -1.2, 0.0, -0.0, 0.0], -0.01, (1.0, 0.25, 1.0)),
+])
+def test_error_norm_ties_and_signed_zeros(chart, x, y, h, params):
+    """The written-out max(|y_i|, |yn_i|) of the error scale gives the
+    ndarray oracle's err and dense output bit for bit on ties and zeros."""
+    rhs, step_name, rhs_arr, step_arr = _ORACLES[chart]
+    c0, lam, p = params
+    f0 = rhs(x, y, c0, lam, p)
+    want = step_arr(x, np.array(y), h, rhs_arr(x, np.array(y), c0, lam, p, np.empty(6)),
+                    c0, lam, p, 1e-10, 1e-12)
+    y_new, _, err, cont = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p,
+                                                      1e-10, 1e-12)
+    if params == (0.0, 0.0, 0.0):
+        assert all(abs(y_new[i]) == abs(y[i]) for i in (0, 1, 2, 4, 5))
+    assert err.hex() == float(want[2]).hex()
+    assert np.array_equal(np.reshape(cont, (5, 6)).view(np.uint64),
+                          want[3].view(np.uint64))

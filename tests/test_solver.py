@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helfrich import (
     ChartAState,
@@ -31,6 +32,9 @@ from helfrich.errors import (
     OutOfRange,
     StepUnderflow,
 )
+
+from conftest import FIGURE_W0P
+from oracles import critical_points_full_scan
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -278,3 +282,47 @@ def test_float_overflow_in_a_step_rejects_it():
                             4.1623073478829046e+42)
     with pytest.raises(StepUnderflow, match="at x=2.0509102086518992e-27 "):
         integrate(params, 1.6413406131863478e-06, SolverConfig(max_steps=5000))
+
+
+def test_w_switch_above_1e4_is_rejected():
+    """Beyond |w| = 1e4 the chart-A steps toward the switch underflow
+    (w_switch = 1e6 ends in StepUnderflow at r = 3.1786 on the paper's
+    point), so the configuration refuses it up front."""
+    assert SolverConfig(w_switch=1e4).w_switch == 1e4
+    for bad in (math.nextafter(1e4, math.inf), 1e6, 1e300):
+        with pytest.raises(InvalidParams, match="w_switch"):
+            SolverConfig(w_switch=bad)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w0p=st.sampled_from(FIGURE_W0P), chart=st.sampled_from("AB"),
+       t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       k=st.integers(0, 5), ab=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
+    """Evaluating some components gives the full evaluation's columns
+    bit for bit, on both charts of the figure trajectories."""
+    traj = figure_runs[w0p][0]
+    seg = traj.chart_a if chart == "A" else traj.chart_b
+    x = seg.x_start + np.asarray(t) * (seg.x_end - seg.x_start)
+    full = seg.eval_many(x)
+    a, b = sorted(ab)
+    got_k = seg.eval_many(x, k)
+    got_ab = seg.eval_many(x, slice(a, b))
+    assert got_k.shape == full[:, k].shape
+    assert got_ab.shape == full[:, a:b].shape
+    assert np.array_equal(_bits(got_k), _bits(full[:, k]))
+    assert np.array_equal(_bits(got_ab), _bits(full[:, a:b]))
+
+
+def test_critical_point_count_matches_full_scan(figure_runs, sweep_runs):
+    """The landmark count, read from w' alone, equals the scan of the full
+    six-component evaluation."""
+    runs = [(traj, lm) for traj, lm, _ in figure_runs.values()]
+    runs += [(traj, lm) for _, traj, lm, _ in sweep_runs]
+    for traj, lm in runs:
+        assert lm.r0 is not None
+        assert lm.n_critical_points == critical_points_full_scan(traj, lm.r0)
