@@ -246,9 +246,8 @@ def el_residual(traj: Trajectory) -> float:
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, 2000)
     Y = seg.eval_many(rs, slice(0, 2))
-    D = seg.deriv_many(rs)
+    wpp = seg.deriv_many(rs, 1)
     w, wp = Y[:, 0], Y[:, 1]
-    wpp = D[:, 1]
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     P = 1.0 + w * w
     sq = np.sqrt(P)

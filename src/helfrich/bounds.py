@@ -9,13 +9,17 @@ Skipped, never Pass.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
                        extract_landmarks)
-from .cubic import DerivedConstants, HelfrichParams, analyze_cubic, eval_r
+from .cubic import (DerivedConstants, HelfrichParams, analyze_cubic,
+                    derived_constants, eval_r)
 from .errors import HelfrichError, MissingEvent
 from .solver import EQUATOR, SolverConfig, Trajectory, integrate
 
@@ -26,6 +30,7 @@ __all__ = [
     "PhaseCell",
     "check_single",
     "solve_and_classify",
+    "verify_point",
     "asymptotic_sweep",
     "phase_sweep",
 ]
@@ -276,6 +281,108 @@ def solve_and_classify(params: HelfrichParams, w0p: float,
         return None, Landmarks(*[None] * 8), f"Error:{type(exc).__name__}"
 
 
+def verify_point(params: HelfrichParams, w0p: float,
+                 cfg: SolverConfig | None = None):
+    """Solve and classify one point of a w0p sweep and, if it is
+    Biconcave, check its estimates.
+
+    Returns (landmarks, verdict, ``BoundsReport`` or None); the trajectory
+    stays with the caller, so a point computed in a worker process sends
+    back only these.
+    """
+    traj, lm, verdict = solve_and_classify(params, w0p, cfg)
+    if verdict != BICONCAVE:
+        return lm, verdict, None
+    return lm, verdict, check_single(traj, lm, params, derived_constants(params, w0p))
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask, or all of them where the
+    platform has no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(n_items: int) -> int:
+    """Processes ``_map_points`` spreads ``n_items`` over: one per CPU, at
+    most one per item, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_cpu_count(), n_items))
+
+
+def _map_points(fn, items) -> list:
+    """``[fn(x) for x in items]``, computed on every available CPU.
+
+    With n workers, n - 1 forked children compute the strides
+    ``items[k::n]`` while this process computes ``items[0::n]``.  Each
+    child pickles its results back through a pipe and ends with
+    ``os._exit``: it never returns into the caller and never flushes the
+    stdio buffers it inherited.  The results come back in input order.
+    An exception raised in any share is raised here with its type and
+    message.  Every child is reaped before this returns or raises, and is
+    killed first if this process itself raised.  ``fn`` must be free of
+    side effects the caller relies on, since a child's are lost.  A fork
+    copies only the calling thread: the package starts no threads, and a
+    caller with threads that hold locks ``fn`` needs would hang a child.
+    """
+    items = list(items)
+    n = _worker_count(len(items))
+    if n < 2:
+        return [fn(x) for x in items]
+    pids, readers = [], []
+    done = False
+    try:
+        for k in range(1, n):
+            rfd, wfd = os.pipe()
+            readers.append(rfd)
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_share(fn, items[k::n], wfd)  # never returns
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        shares = [[fn(x) for x in items[0::n]]]
+        for rfd in readers:
+            with os.fdopen(rfd, "rb", closefd=False) as fh:
+                try:
+                    ok, value = pickle.load(fh)
+                except EOFError:
+                    raise ChildProcessError(
+                        "a worker process ended without sending its results") from None
+            if not ok:
+                raise value
+            shares.append(value)
+        done = True
+    finally:
+        for rfd in readers:
+            os.close(rfd)
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % n][i // n] for i in range(len(items))]
+
+
+def _run_share(fn, share, wfd) -> None:
+    """Child side of ``_map_points``: compute ``share``, send (True,
+    results) or (False, exception) through ``wfd``, and end the process."""
+    code = 1
+    try:
+        try:
+            msg = (True, [fn(x) for x in share])
+        except Exception as exc:
+            msg = (False, exc)
+        data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
     """Compare the landmark ratios of a w0p sweep toward zero with the
     limit constants 32/(3p), 32/p, -2, -2/3, and 8/p.
@@ -344,23 +451,25 @@ class PhaseCell:
     z_inf: float | None = None
 
 
+def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
+    c0, lam, p, w0p = cell
+    params = HelfrichParams(c0, lam, p)
+    ca = analyze_cubic(params)
+    _, lm, verdict = solve_and_classify(params, w0p, cfg)
+    expected = ca.all_roots_positive and w0p <= 0.1 * ca.smallest_root
+    return PhaseCell(
+        c0, lam, p, w0p, verdict, ca.all_roots_positive,
+        bool(expected and verdict != BICONCAVE),
+        lm.r_m, lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf,
+    )
+
+
 def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
     """Classify every (c0, lambda, p, w0p) cell of a finite grid.
 
     Cells with all-positive roots and w0p at most a tenth of the
     smallest root are expected biconcave; such a cell that fails to
-    classify Biconcave is flagged as an anomaly.
+    classify Biconcave is flagged as an anomaly.  The cells are solved
+    side by side on every available CPU (see ``_map_points``).
     """
-    cells = []
-    for c0, lam, p, w0p in grid:
-        params = HelfrichParams(c0, lam, p)
-        ca = analyze_cubic(params)
-        _, lm, verdict = solve_and_classify(params, w0p, cfg)
-        expected = (ca.all_roots_positive
-                    and w0p <= 0.1 * ca.smallest_root)
-        cells.append(PhaseCell(
-            c0, lam, p, w0p, verdict, ca.all_roots_positive,
-            bool(expected and verdict != BICONCAVE),
-            lm.r_m, lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf,
-        ))
-    return cells
+    return _map_points(lambda cell: _phase_cell(cell, cfg), grid)

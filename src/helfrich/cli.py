@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from collections import namedtuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from .analysis import (
     profile_points,
     surface_totals,
 )
-from .bounds import asymptotic_sweep, check_single, phase_sweep, solve_and_classify
+from .bounds import _map_points, asymptotic_sweep, check_single, phase_sweep, verify_point
 from .cubic import HelfrichParams, derived_constants
 from .errors import HelfrichError, MissingEvent
 from .export import (
@@ -173,11 +172,11 @@ def _report_payload(params, w0p, cfg, traj, lm, cls):
     consts = derived_constants(params, w0p)
     payload = {
         "params": {"c0": params.c0, "lambda": params.lam, "p": params.p, "w0p": w0p},
-        "config": asdict(cfg),
+        "config": cfg,
         "status": traj.status,
-        "landmarks": asdict(lm),
-        "classification": asdict(cls),
-        "derived_constants": asdict(consts),
+        "landmarks": lm,
+        "classification": cls,
+        "derived_constants": consts,
         "el_residual": el_residual(traj),
         "equator_identity_residual": None,
         "totals": None,
@@ -185,9 +184,9 @@ def _report_payload(params, w0p, cfg, traj, lm, cls):
     }
     if traj.first_event(EQUATOR) is not None:
         payload["equator_identity_residual"] = equator_identity_residual(traj, params)
-        payload["totals"] = asdict(surface_totals(traj))
+        payload["totals"] = surface_totals(traj)
         try:
-            payload["bounds_report"] = asdict(check_single(traj, lm, params, consts))
+            payload["bounds_report"] = check_single(traj, lm, params, consts)
         except MissingEvent:
             pass
     return payload
@@ -230,32 +229,31 @@ def _cmd_verify(parser, v):
     if not (0.0 < v["sweep_min"] <= v["sweep_max"]):
         parser.error("--sweep-min/--sweep-max must satisfy 0 < min <= max")
     cfg, out = _open_out(parser, v)
-    grid = np.geomspace(v["sweep_max"], v["sweep_min"], v["sweep_points"])
+    grid = [float(w) for w in np.geomspace(v["sweep_max"], v["sweep_min"],
+                                           v["sweep_points"])]
+    points = _map_points(lambda w0p: verify_point(params, w0p, cfg), grid)
 
     per_point = []
     excluded = []
     runs = []
     all_pass = True
-    for w0p in grid:
-        w0p = float(w0p)
-        traj, lm, verdict = solve_and_classify(params, w0p, cfg)
+    for w0p, (lm, verdict, report) in zip(grid, points):
         runs.append((w0p, verdict, lm))
-        if verdict != BICONCAVE:
+        if report is None:
             excluded.append({"w0p": w0p, "classification": verdict})
             continue
-        report = check_single(traj, lm, params, derived_constants(params, w0p))
         all_pass &= report.passed
-        per_point.append(asdict(report))
+        per_point.append(report)
 
     asym = asymptotic_sweep(params, runs)
     all_pass &= asym.passed
 
     payload = {
         "params": {"c0": params.c0, "lambda": params.lam, "p": params.p},
-        "grid": [float(w) for w in grid],
+        "grid": grid,
         "per_point": per_point,
         "excluded": excluded,
-        "asymptotics": asdict(asym),
+        "asymptotics": asym,
         "all_passed": bool(all_pass),
     }
     write_json(os.path.join(out, "bounds_report.json"), payload)

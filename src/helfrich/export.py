@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,10 @@ def fmt17(x: float) -> str:
 
 
 def _jsonable(obj):
+    """JSON-ready copy of ``obj``: a dataclass instance becomes a dict of
+    its fields, walked in place rather than deep-copied first."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

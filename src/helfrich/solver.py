@@ -238,10 +238,11 @@ class DenseSegment:
     ``xs`` holds the step nodes (ascending for chart A, descending for
     chart B); ``conts[i]`` the five dense-output vectors of step i.
 
-    ``eval_many(x, cols)`` evaluates only the state components ``cols``
-    selects: an int gives shape (n,), a slice (n, k), and the default
-    ``slice(None)`` all six, (n, 6).  Each value is the one the full
-    evaluation gives, bit for bit, at a fraction of the cost.
+    ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
+    state components ``cols`` selects: an int gives shape (n,), a slice
+    (n, k), and the default ``slice(None)`` all six, (n, 6).  Each value
+    is the one the full evaluation gives, bit for bit, at a fraction of
+    the cost.
     """
 
     def __init__(self, xs: np.ndarray, conts: np.ndarray, x_end: float):
@@ -283,12 +284,12 @@ class DenseSegment:
     def eval(self, x: float) -> np.ndarray:
         return self.eval_many(np.array([x]))[0]
 
-    def deriv_many(self, x) -> np.ndarray:
-        """State derivative with respect to the independent variable."""
+    def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
+        """Derivative of the components ``cols`` selects with respect to
+        the independent variable; shapes as for ``eval_many``."""
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
-        h = (self.xs[idx + 1] - self.xs[idx])[:, None]
-        r2, r3, r4, r5 = (self.conts[idx, k, :] for k in range(1, 5))
-        th = th[:, None]
+        h = self.xs[idx + 1] - self.xs[idx]
+        r2, r3, r4, r5 = self._rows[1:, cols].take(idx, axis=-1)
         dth = (
             r2
             + (1.0 - 2.0 * th) * r3
@@ -296,7 +297,7 @@ class DenseSegment:
             + 2.0 * th * (1.0 - th) * (1.0 - 2.0 * th) * r5
         )
         # a zero-length step has no derivative to give
-        return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0)
+        return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
 
     def deriv(self, x: float) -> np.ndarray:
         return self.deriv_many(np.array([x]))[0]

@@ -4,6 +4,7 @@ import pytest
 from helfrich import (
     HelfrichParams,
     analyze_cubic,
+    bounds,
     classify,
     extract_landmarks,
     integrate,
@@ -15,7 +16,9 @@ FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)
 
 
 def pytest_report_header(config):
-    return f"helfrich kernel backend: {kernel_backend()}"
+    workers = bounds._worker_count(bounds._cpu_count())
+    return (f"helfrich kernel backend: {kernel_backend()}; "
+            f"sweep/verify worker processes: {workers}")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from helfrich import (
     integrate,
     phase_sweep,
 )
+from helfrich import bounds
 from helfrich.analysis import BICONCAVE
 from helfrich.bounds import CHECK_IDS
 from helfrich.errors import MissingEvent
@@ -141,3 +144,98 @@ def test_phase_sweep_above_root_never_anomaly():
     root = analyze_cubic(params).smallest_root
     cells = phase_sweep([(1.0, 0.25, 1.0, root * 1.5)])
     assert not cells[0].anomaly
+
+
+# _map_points: the worker count is forced through bounds._cpu_count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Number of os.fork calls this process makes."""
+    count = [0]
+    real = os.fork
+
+    def counted():
+        count[0] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_points_keeps_input_order(monkeypatch, forks):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 3)
+    got = bounds._map_points(lambda x: (x * x, os.getpid()), range(10))
+    assert [v for v, _ in got] == [x * x for x in range(10)]
+    pids = [pid for _, pid in got]
+    assert pids[0::3] == [os.getpid()] * 4  # this process computes share 0
+    assert len(set(pids)) == 3
+    assert forks[0] == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, MissingEvent])
+def test_map_points_child_error_reaches_caller(monkeypatch, exc_type):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise exc_type(f"bad point {x}")
+        return x
+
+    with pytest.raises(exc_type, match=r"^bad point 1$") as ei:
+        bounds._map_points(fn, [0, 1, 2, 3])
+    assert type(ei.value) is exc_type
+    _assert_no_child_left()
+
+
+def test_map_points_parent_error_kills_children(monkeypatch):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent:
+            raise RuntimeError("parent share failed")
+        time.sleep(60)  # only a kill ends the child in time
+        return x
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent share failed"):
+        bounds._map_points(fn, [0, 1])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, n_items", [(1, 5), (4, 1), (4, 0)])
+def test_map_points_serial_without_fork(monkeypatch, forks, cpus, n_items):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: cpus)
+    assert bounds._map_points(lambda x: x + 1, range(n_items)) == list(range(1, n_items + 1))
+    assert forks[0] == 0
+
+
+def test_map_points_serial_where_fork_is_missing(monkeypatch):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert bounds._worker_count(10) == 1
+    parent = os.getpid()
+    assert bounds._map_points(lambda x: os.getpid(), range(3)) == [parent] * 3
+
+
+def test_map_points_child_without_results_is_an_error(monkeypatch):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise SystemExit(2)  # not an Exception: the child sends nothing
+        return x
+
+    with pytest.raises(ChildProcessError, match="without sending its results"):
+        bounds._map_points(fn, [0, 1])
+    _assert_no_child_left()

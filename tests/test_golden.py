@@ -12,11 +12,12 @@ counts, which say how the run differs where a hash only says that it does.
 """
 
 import hashlib
+import os
 from collections import Counter
 
 import pytest
 
-from helfrich import HelfrichParams, cli, integrate, kernel_backend, kernels
+from helfrich import HelfrichParams, bounds, cli, integrate, kernel_backend, kernels
 
 PAPER_FLAGS = ["--c0", "1", "--lambda", "0.25", "--p", "1"]
 
@@ -61,6 +62,22 @@ def test_outputs_match_golden_sha256(command, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in hashes}
     assert got == hashes
+
+
+@pytest.mark.skipif(kernel_backend() != "python",
+                    reason="the hashes pin the python kernel backend")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
+                                                           monkeypatch, tmp_path):
+    """A serial run and a run split over two processes write the same
+    bytes as the golden run on this host's CPUs."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: workers)
+    test_outputs_match_golden_sha256(command, tmp_path)
+    assert len(forks) == workers - 1
 
 
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,

@@ -303,19 +303,22 @@ def _bits(a):
        t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
        k=st.integers(0, 5), ab=st.tuples(st.integers(0, 6), st.integers(0, 6)))
 def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
-    """Evaluating some components gives the full evaluation's columns
-    bit for bit, on both charts of the figure trajectories."""
+    """Evaluating, or differentiating, some components gives the full
+    evaluation's columns bit for bit, on both charts of the figure
+    trajectories."""
     traj = figure_runs[w0p][0]
     seg = traj.chart_a if chart == "A" else traj.chart_b
     x = seg.x_start + np.asarray(t) * (seg.x_end - seg.x_start)
-    full = seg.eval_many(x)
     a, b = sorted(ab)
-    got_k = seg.eval_many(x, k)
-    got_ab = seg.eval_many(x, slice(a, b))
-    assert got_k.shape == full[:, k].shape
-    assert got_ab.shape == full[:, a:b].shape
-    assert np.array_equal(_bits(got_k), _bits(full[:, k]))
-    assert np.array_equal(_bits(got_ab), _bits(full[:, a:b]))
+    for many in (seg.eval_many, seg.deriv_many):
+        full = many(x)
+        assert full.shape == (len(x), 6)
+        got_k = many(x, k)
+        got_ab = many(x, slice(a, b))
+        assert got_k.shape == full[:, k].shape
+        assert got_ab.shape == full[:, a:b].shape
+        assert np.array_equal(_bits(got_k), _bits(full[:, k]))
+        assert np.array_equal(_bits(got_ab), _bits(full[:, a:b]))
 
 
 def test_critical_point_count_matches_full_scan(figure_runs, sweep_runs):
