@@ -11,6 +11,7 @@ classification, 3 anomaly cells in a sweep, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -377,7 +378,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = _Parser(prog="helfrich",
                      description="axisymmetric vesicle shape-equation toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -32,6 +32,7 @@ __all__ = [
 
 PROFILE_COLUMNS = ("r", "z", "w", "kappa_m", "kappa_l", "H", "K")
 _CHUNK_ROWS = 4096  # rows per write: bounds the text held at once
+_FACE_ROWS = 4 * _CHUNK_ROWS  # OBJ face lines per write, each about 20 bytes
 
 
 def fmt17(x: float) -> str:
@@ -178,7 +179,9 @@ def render_svg(points: np.ndarray, annotation: str) -> str:
                 f'fill="#444">{format(t, "g")}</text>'
             )
         t += tick
-    d = "M " + " L ".join(f"{f(X(x))},{f(Y(y))}" for x, y in pts) + " Z"
+    # X and Y on the coordinate columns: the same IEEE operations per point
+    xy = np.stack([X(pts[:, 0]), Y(pts[:, 1])], axis=1)
+    d = "M " + " L ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist()) + " Z"
     out.append(f'<path d="{d}" fill="none" stroke="#c22" stroke-width="1.6"/>')
     out.append(
         f'<text x="{f(width / 2)}" y="{f(height - 8)}" font-size="12" '
@@ -236,7 +239,34 @@ def _write_rows(fh, fmt: str, rows) -> None:
 def write_obj(path, mesh: Mesh) -> None:
     with open(path, "w", newline="\n") as fh:
         _write_vertices(fh, mesh)
-        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+        _write_faces(fh, mesh.faces, mesh.n_verts)
+
+
+def _write_faces(fh, faces, n_verts: int) -> None:
+    """Face lines ``f a b c`` of the 1-based indices ``faces + 1``, the text
+    ``"f %d %d %d\\n"`` gives, without formatting each index: row i of a
+    table holds the decimal text of i = 1..n_verts, padded on the left with
+    NUL bytes to one width, and each line is assembled from three table
+    rows by ``take``; dropping the NULs leaves the text.  One ``write`` per
+    ``_FACE_ROWS`` lines."""
+    width = len(str(n_verts))
+    idx = np.arange(n_verts + 1, dtype=np.min_scalar_type(n_verts))
+    table = np.empty((n_verts + 1, width), np.uint8)
+    for col in range(width):  # one digit column at a time, most significant first
+        q = idx // 10 ** (width - 1 - col)
+        table[:, col] = q % 10 + ord("0")
+        table[q == 0, col] = 0  # a leading zero (row 0, never written, is all NUL)
+    table = table.view(f"V{width}").ravel()
+    line = np.dtype([("f", "S2"), ("a", table.dtype), ("s1", "S1"), ("b", table.dtype),
+                     ("s2", "S1"), ("c", table.dtype), ("nl", "S1")])
+    for i in range(0, len(faces), _FACE_ROWS):
+        chunk = faces[i:i + _FACE_ROWS] + 1
+        rec = np.empty(len(chunk), line)
+        rec["f"], rec["s1"], rec["s2"], rec["nl"] = b"f ", b" ", b" ", b"\n"
+        for name, col in zip("abc", chunk.T):
+            rec[name] = table.take(col)
+        text = rec.view(np.uint8)
+        fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
 def _write_vertices(fh, mesh: Mesh) -> None:

@@ -143,9 +143,11 @@ def _make_step(rhs):
     state ``y`` and its derivative ``f0`` as sequences of six floats and
     gives (y_new, f_new, err, cont): the new state as a list, the FSAL
     stage f_new (the tuple ``rhs`` returned), the scalar weighted error
-    norm, and the step's dense output as one flat list of 30 floats, its
-    five rows of six in storage order (row 1 is ``y``), so that the
-    caller appends it in one call and reads component i as ``cont[i::6]``.
+    norm (NaN when the new state holds an inf or NaN, so that one
+    finiteness test on it rejects such a step), and the step's dense
+    output as one flat list of 30 floats, its five rows of six in storage
+    order (row 1 is ``y``), so that the caller appends it in one call and
+    reads component i as ``cont[i::6]``.
 
     The arithmetic is written out one local scalar per component:
     ``y0..y5`` is the state, ``kS_i`` component i of stage S (stage 1 is
@@ -231,7 +233,10 @@ def _make_step(rhs):
         b = abs(yn5)
         err += (h * (_E1 * k1_5 + _E3 * k3_5 + _E4 * k4_5 + _E5 * k5_5 + _E6 * k6_5
                      + _E7 * k7_5) / (atol + rtol * (b if b > a else a))) ** 2
-        err = math.sqrt(err / NSTATE)
+        # plus 0 * yn_i: +-0 for a finite yn_i, so err keeps its bits, and
+        # NaN for an inf or NaN one, which the scale above would hide
+        err = math.sqrt(err / NSTATE) + (0.0 * yn0 + 0.0 * yn1 + 0.0 * yn2
+                                         + 0.0 * yn3 + 0.0 * yn4 + 0.0 * yn5)
 
         # dense output, five rows of six in storage order; row 1 is y
         r2_0 = yn0 - y0

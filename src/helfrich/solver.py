@@ -467,9 +467,9 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
                                         rtol, atol)
         except (OverflowError, ZeroDivisionError):
             # a stage left the float range (ndarrays would give inf or nan)
-            y1, err = (), math.inf
+            err = math.inf
         steps += 1
-        if not (all(map(math.isfinite, y1)) and math.isfinite(err)):
+        if not math.isfinite(err):  # also NaN when the new state is not finite
             err = math.inf
 
         if err > 1.0:

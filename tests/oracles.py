@@ -5,8 +5,8 @@ fixed-step propagation for order studies, the ndarray right-hand sides and
 step that the float kernels must match bit for bit, dense sampling for the
 closed-form extrema of Q, a triangle-sum for mesh area and volume, the
 critical-point scan on the full dense-output evaluation, and the
-element-by-element emitters that the array emitters must match byte for
-byte.
+element-by-element emitters (profile CSV, SVG path, OBJ) that the array
+emitters must match byte for byte.
 """
 
 import math
@@ -207,6 +207,20 @@ def write_profile_csv_loops(path, traj) -> None:
         fh.write(",".join(PROFILE_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(fmt17(v) for v in row) + "\n")
+
+
+def svg_path_loops(points: np.ndarray) -> str:
+    """The ``d`` attribute of ``render_svg``'s curve, one point at a time:
+    each coordinate mapped to pixels and formatted on its own."""
+    pts = np.asarray(points, dtype=float)
+    xmin, ymin = pts.min(axis=0)
+    xmax, ymax = pts.max(axis=0)
+    pad = 0.08 * max(xmax - xmin, ymax - ymin)
+    xmin, xmax, ymax = xmin - pad, xmax + pad, ymax + pad
+    scale = (720 - 2.0) / (xmax - xmin)
+    f = lambda v: format(v, ".3f")
+    return "M " + " L ".join(
+        f"{f((x - xmin) * scale + 1.0)},{f((ymax - y) * scale + 1.0)}" for x, y in pts) + " Z"
 
 
 def build_mesh_loops(traj, n_theta: int, n_profile: int):

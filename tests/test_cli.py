@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -260,6 +261,33 @@ def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys)
     assert message in err
     assert "Warning" not in err and not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+def _run_recorded(argv, out, capsys):
+    """Exit code, standard output and error, and every output file's bytes
+    of one ``main`` call writing to ``out``."""
+    try:
+        code = cli.main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, capsys.readouterr(), files
+
+
+def test_parser_shared_across_commands_gives_fresh_parser_results(tmp_path, capsys):
+    """One process runs a usage error, a solve and a sweep on the parser
+    built once; each gives the exit code, messages and bytes that a parser
+    built for it alone gives."""
+    runs = [["solve", *PAPER_FLAGS, "--w0p", "inf"],
+            ["solve", *SOLVE_FLAGS, "--format", "csv,json,svg"],
+            ["sweep", "--w0p-range", "0.02:0.06:2"]]
+    outs = [tmp_path / f"run{i}" for i in range(len(runs))]
+    shared = [_run_recorded(argv, out, capsys) for argv, out in zip(runs, outs)]
+    assert [code for code, _, _ in shared] == [64, 0, 0]
+    for argv, out, want in zip(runs, outs, shared):
+        shutil.rmtree(out, ignore_errors=True)
+        cli.build_parser.cache_clear()
+        assert _run_recorded(argv, out, capsys) == want, argv
 
 
 def test_solve_without_a_step_exits_2_without_warning(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """The array emitters write the same bytes as element-by-element loops."""
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,14 +10,22 @@ from hypothesis import strategies as st
 
 from helfrich import HelfrichParams, integrate
 from helfrich.export import (
+    _FACE_ROWS,
     PROFILE_COLUMNS,
+    _write_faces,
     build_mesh,
     profile_rows,
     read_profile_csv,
+    render_svg,
     write_obj,
     write_profile_csv,
 )
-from oracles import build_mesh_loops, write_obj_loops, write_profile_csv_loops
+from oracles import (
+    build_mesh_loops,
+    svg_path_loops,
+    write_obj_loops,
+    write_profile_csv_loops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +79,54 @@ def test_read_profile_csv_round_trip_bit_exact(ref_traj, tmp_path):
     assert list(cols) == list(PROFILE_COLUMNS)
     for i, name in enumerate(PROFILE_COLUMNS):
         assert cols[name].tobytes() == rows[:, i].tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, _FACE_ROWS, _FACE_ROWS + 1])
+@pytest.mark.parametrize("n_verts", [1, 9, 10, 99, 100, 9999, 10000, 99999, 100000])
+def test_face_lines_match_percent_d(n_verts, rows):
+    """The digit-table face writer gives the text ``"f %d %d %d\\n"`` gives
+    at every digit-width boundary of the 1-based indices, for both extreme
+    indices, and for none, one, one chunk and one chunk plus one rows."""
+    rng = np.random.default_rng(n_verts * 7 + rows)
+    faces = rng.integers(0, n_verts, size=(rows, 3), dtype=np.int64)
+    if rows:
+        faces[0, 0], faces[-1, -1] = 0, n_verts - 1
+    fh = io.StringIO()
+    _write_faces(fh, faces, n_verts)
+    want = "".join("f %d %d %d\n" % tuple(row) for row in (faces + 1).tolist())
+    assert fh.getvalue() == want
+
+
+def test_write_obj_traced_peak_below_3_mb(ref_traj, tmp_path):
+    """The OBJ writer holds one chunk of text at a time: on the default
+    128 x 256 mesh its traced allocations peak below 3 MB (formatting the
+    whole face block with %d per row chunk peaked at 3.6 MB)."""
+    mesh = build_mesh(ref_traj)
+    tracemalloc.start()
+    try:
+        write_obj(tmp_path / "mesh.obj", mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
+@st.composite
+def _closed_curves(draw):
+    """n points on a star-shaped closed curve about a random centre."""
+    n = draw(st.integers(3, 200))
+    radii = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    cx, cy = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    r = np.array(radii)
+    return np.stack([cx + r * np.cos(theta), cy + r * np.sin(theta)], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_closed_curves())
+def test_svg_path_matches_per_point_loop(points):
+    """The path formatted in one call is the per-point formatting's text."""
+    svg = render_svg(points, "curve")
+    path = next(line for line in svg.splitlines() if line.startswith("<path "))
+    assert path.startswith(f'<path d="{svg_path_loops(points)}" ')
+

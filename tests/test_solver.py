@@ -23,7 +23,9 @@ from helfrich.solver import (
     EQUATOR,
     MAX_OF_W,
     ZERO_OF_W,
+    _run_chart,
 )
+from helfrich import kernels
 from helfrich.errors import (
     BadSwitch,
     EpsTooLarge,
@@ -34,7 +36,7 @@ from helfrich.errors import (
 )
 
 from conftest import FIGURE_W0P
-from oracles import critical_points_full_scan
+from oracles import critical_points_full_scan, make_step_arr, rhs_chart_a_arr
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -282,6 +284,36 @@ def test_float_overflow_in_a_step_rejects_it():
                             4.1623073478829046e+42)
     with pytest.raises(StepUnderflow, match="at x=2.0509102086518992e-27 "):
         integrate(params, 1.6413406131863478e-06, SolverConfig(max_steps=5000))
+
+
+def test_step_whose_new_state_overflows_has_non_finite_err():
+    """area_acc = 1.7e308 with a positive area derivative overflows the new
+    state's area to inf, which the error-norm scale max(|y_i|, |yn_i|) = inf
+    hides: the ndarray step's err stays finite.  The float step's err is not
+    finite, and the chart loop, which tests only err, rejects the step."""
+    # w = w' = 0 and c0 = lam = p = 0: only the area integrand r is nonzero,
+    # so the step adds about h^2 / 2 to area_acc and nothing elsewhere
+    x, y, h = 1.0, [0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0], 1e154
+    f0 = kernels.rhs_a(x, y, 0.0, 0.0, 0.0)
+    assert f0[3] > 0.0
+    y_new, _, err, _ = kernels.dopri5_step_a(x, y, h, f0, 0.0, 0.0, 0.0, 1e-10, 1e-12)
+    assert y_new[3] == math.inf
+    assert all(math.isfinite(v) for v in y_new[:3] + y_new[4:])
+    assert not math.isfinite(err)
+    with np.errstate(all="ignore"):
+        old = make_step_arr(rhs_chart_a_arr)(x, np.array(y), h, np.array(f0), 0.0, 0.0,
+                                             0.0, 1e-10, 1e-12)
+    assert old[0][3] == math.inf and math.isfinite(old[2])
+
+    # every trial step is that step, whatever h the loop asks for
+    def step(x, y, _h, *rest):
+        return kernels.dopri5_step_a(x, y, h, *rest)
+
+    seg, events, steps, terminal = _run_chart(
+        step, kernels.rhs_a, "A", x, y, 1.0, 2.0, HelfrichParams(0.0, 0.0, 0.0),
+        SolverConfig(), [], 1)
+    assert (steps, terminal) == (1, None)
+    assert events[-1].kind == ABORTED and events[-1].x == x == seg.x_end
 
 
 def test_w_switch_above_1e4_is_rejected():
