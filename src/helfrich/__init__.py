@@ -31,27 +31,18 @@ from .solver import (
     Trajectory,
     chart_switch,
     integrate,
-    rhs_chart_a,
-    rhs_chart_b,
-    rhs_kappa,
     series_coefficient,
     series_start,
 )
 from .analysis import (
     Classification,
-    EtaReport,
-    GeometrySample,
     Landmarks,
     SurfaceTotals,
     classify,
     el_residual,
     equator_identity_residual,
-    eta_boundedness,
     extract_landmarks,
-    geometry_at,
     profile_points,
-    profile_quadrature_totals,
-    requadrature_totals,
     surface_totals,
 )
 from .bounds import (

@@ -33,8 +33,3 @@ else:
             return f
 
         return wrap
-
-
-def unjitted(func):
-    """Return the original Python function behind a possibly-jitted one."""
-    return getattr(func, "py_func", func)

@@ -1,5 +1,6 @@
-"""Turn trajectories into landmarks, classifications, pointwise geometry,
-global totals, and residual checks of the variational equation.
+"""Turn trajectories into landmarks, classifications, curvature geometry,
+global totals, residual checks of the variational equation and the
+closed cross-section curve.
 
 The target shape is defined by three conditions on w = z':
 C1 the profile slope is unimodal on (0, r0); C2 it blows down at a
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .cubic import HelfrichParams, eval_q
-from .errors import MissingEvent, NotBiconcave, OutOfRange
+from .errors import MissingEvent, NotBiconcave
 from .solver import (
     ABORTED,
     BLOWUP_POSITIVE,
@@ -25,25 +25,18 @@ from .solver import (
     MAX_OF_W,
     ZERO_OF_W,
     Trajectory,
-    axis_series,
 )
 
 __all__ = [
     "Landmarks",
     "Classification",
-    "GeometrySample",
     "SurfaceTotals",
-    "EtaReport",
     "extract_landmarks",
     "classify",
     "curvature_geometry",
-    "geometry_at",
     "el_residual",
     "equator_identity_residual",
-    "eta_boundedness",
     "surface_totals",
-    "requadrature_totals",
-    "profile_quadrature_totals",
     "profile_points",
     "mirror_quarter",
     "BICONCAVE",
@@ -82,30 +75,10 @@ class Classification:
 
 
 @dataclass(frozen=True)
-class GeometrySample:
-    r: float
-    z: float
-    kappa_m: float
-    kappa_l: float
-    H: float
-    K: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class SurfaceTotals:
     area: float
     volume: float
     helfrich_energy: float
-
-
-@dataclass(frozen=True)
-class EtaReport:
-    sup_eta: float
-    eta_limit: float
-    eta_times_up_limit: float
-    diverging: bool
-    n_samples: int
 
 
 def extract_landmarks(traj: Trajectory) -> Landmarks:
@@ -208,34 +181,6 @@ def curvature_geometry(chart: str, x, y, params: HelfrichParams) -> tuple:
     return km, kl, 0.5 * (km + kl), km * kl, eta
 
 
-def geometry_at(traj: Trajectory, r: float | None = None,
-                z: float | None = None) -> GeometrySample:
-    """Curvatures, H, K, and eta at a point of the trajectory.
-
-    Query chart A by radius ``r`` (the series region below eps_start is
-    covered) or chart B by height ``z``.
-    """
-    params = traj.params
-    if (r is None) == (z is None):
-        raise ValueError("pass exactly one of r or z")
-    if r is not None:
-        if r < 0.0:
-            raise OutOfRange(f"r must be >= 0, got {r!r}")
-        if r == 0.0:
-            w0p = traj.w0p
-            return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
-                                  -2.0 * params.c0)
-        y = traj.series_eval(r)[0] if r < traj.eps_start else traj.chart_a.eval(r)
-        geom = curvature_geometry("A", r, y, params)
-        return GeometrySample(float(r), float(y[2]), *map(float, geom))
-
-    if traj.chart_b is None:
-        raise OutOfRange("trajectory has no chart-B portion")
-    y = traj.chart_b.eval(z)
-    geom = curvature_geometry("B", z, y, params)
-    return GeometrySample(float(y[0]), float(z), *map(float, geom))
-
-
 def el_residual(traj: Trajectory) -> float:
     """Max normalized residual of the variational integrand on chart A.
 
@@ -279,43 +224,6 @@ def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float
     return abs(K2 - target) / max(K2, 1e-30)
 
 
-def eta_boundedness(traj: Trajectory) -> EtaReport:
-    """Sample eta on chart B, 4 per decade of z - z_inf over 6 decades.
-
-    Reports the running sup, a linear extrapolation of eta to the
-    equator, the extrapolated limit of eta * |u'| (which must vanish),
-    and a divergence flag if |eta| grows monotonically by more than 10x
-    over the last two sampled decades of (z - z_inf).
-    """
-    ev = traj.first_event(EQUATOR)
-    if ev is None or traj.chart_b is None:
-        raise MissingEvent("no Equator event in trajectory")
-    n_per_decade, decades = 4, 6.0
-    z_inf = ev.x
-    z_sw = traj.chart_b.x_start
-    tau_sw = z_sw - z_inf
-    k = np.arange(0, int(decades * n_per_decade) + 1)
-    tau = tau_sw * 10.0 ** (-k / n_per_decade)
-    zs = z_inf + tau
-    Y = traj.chart_b.eval_many(zs, slice(0, 3))
-    eta = curvature_geometry("B", zs, Y, traj.params)[4]
-    eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
-    eta_abs = np.abs(eta)
-
-    sup_eta = float(eta_abs.max())
-    last2 = tau <= tau[0] * 10.0 ** (-(decades - 2.0))
-    ea = eta_abs[last2]
-    diverging = bool(len(ea) >= 3 and np.all(np.diff(ea) >= 0.0)
-                     and ea[-1] > 10.0 * ea[0])
-
-    # linear-in-tau extrapolation over the last decade
-    lastd = tau <= tau[-1] * 10.0 ** 1.0
-    A = np.stack([np.ones(lastd.sum()), tau[lastd]], axis=1)
-    eta_limit = float(np.linalg.lstsq(A, eta[lastd], rcond=None)[0][0])
-    etaup_limit = float(np.linalg.lstsq(A, eta_up[lastd], rcond=None)[0][0])
-    return EtaReport(sup_eta, eta_limit, etaup_limit, diverging, len(tau))
-
-
 def surface_totals(traj: Trajectory) -> SurfaceTotals:
     """Closed-surface area, enclosed volume, and bending energy.
 
@@ -332,59 +240,11 @@ def surface_totals(traj: Trajectory) -> SurfaceTotals:
     return SurfaceTotals(area, volume, energy)
 
 
-def requadrature_totals(traj: Trajectory) -> SurfaceTotals:
-    """Independent trapezoid re-quadrature of the dense output.
-
-    Cross-checks the in-step accumulators of :func:`surface_totals`; the
-    integrands are the accumulator rows of the right-hand sides'
-    ``np.sqrt`` instances, broadcast over (6, N) state arrays, on 400,001
-    chart-A and 100,001 chart-B nodes.
-    """
-    if traj.first_event(EQUATOR) is None:
-        raise MissingEvent("no Equator event in trajectory")
-    c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
-    # series piece [0, eps], then one trapezoid pass per chart
-    area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
-    for seg, n, rhs in ((traj.chart_a, 400_001, kernels.rhs_a_many),
-                        (traj.chart_b, 100_001, kernels.rhs_b_many)):
-        xs = np.linspace(seg.x_start, seg.x_end, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = rhs(xs, seg.eval_many(xs, slice(0, 3)).T, c0, lam, p)
-        area += float(np.trapezoid(F[3], xs))
-        vol += float(np.trapezoid(F[4], xs))
-        energy += float(np.trapezoid(F[5], xs))
-
-    volume = -2.0 * math.pi * vol
-    return SurfaceTotals(4.0 * math.pi * area, volume,
-                         4.0 * math.pi * energy + p * volume)
-
-
-def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """Area and volume of the closed surface from an upper-half polyline.
-
-    ``(r, z)`` runs from the axis to the equator with z(equator) = 0.
-    Chord-based quadrature, regular through the vertical tangent; used
-    to validate the quadrature path against exact bodies.
-    """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    dr = np.diff(r)
-    dz = np.diff(z)
-    rbar = 0.5 * (r[1:] + r[:-1])
-    dl = np.sqrt(dr * dr + dz * dz)
-    area = 4.0 * math.pi * float(np.sum(rbar * dl))
-    volume = -2.0 * math.pi * float(np.sum(rbar * rbar * dz))
-    return area, volume
-
-
-def profile_points(traj: Trajectory, cls: Classification | None = None) -> np.ndarray:
+def profile_points(traj: Trajectory, cls: Classification) -> np.ndarray:
     """Closed mirrored cross-section curve (1025 points) of a biconcave solution.
 
-    ``cls`` is the caller's classification of ``traj``; without it the
-    trajectory is classified here.
+    ``cls`` is the caller's classification of ``traj``.
     """
-    if cls is None:
-        cls = classify(traj, extract_landmarks(traj))
     if cls.verdict != BICONCAVE:
         raise NotBiconcave(f"classification is {cls.verdict}")
     return mirror_quarter(*_quarter_profile(traj, 256).T)

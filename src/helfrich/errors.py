@@ -17,14 +17,6 @@ class EpsTooLarge(HelfrichError, ValueError):
     """Series start radius too large for the truncated expansion."""
 
 
-class NonPositiveRadius(HelfrichError, ValueError):
-    """Radius must be strictly positive."""
-
-
-class SingularDenominator(HelfrichError, ZeroDivisionError):
-    """1 - r^2 kappa^2 vanished in the curvature-form right-hand side."""
-
-
 class BadSwitch(HelfrichError, ValueError):
     """Chart switch requested at a state with w >= 0."""
 

@@ -18,14 +18,12 @@ The chart-B equation is third order in u; its right-hand side has a
 exactly at the equator), so stages evaluated across s = 0 stay on the
 smooth continuation of the blow-down branch.
 
-Each right-hand side is written once, in a factory over the square root
-it uses.  The ``math.sqrt`` instance (``rhs_a``, ``rhs_b``) takes and
-returns Python floats and feeds the step; the ``np.sqrt`` instance
-(``rhs_a_many``, ``rhs_b_many``) broadcasts over (6, N) state arrays.
-The step works on Python floats, because numpy arithmetic on 6-element
-arrays and ``np.float64`` scalars costs several times the arithmetic
-itself, and it is written out one local scalar per component, because
-list comprehensions over ``zip`` cost more than the sums they build.
+The right-hand sides ``rhs_a`` and ``rhs_b`` and the step work on
+Python floats, because numpy arithmetic on 6-element arrays and
+``np.float64`` scalars costs several times the arithmetic itself; the
+tests hold an ndarray twin of each right-hand side.  The step is written
+out one local scalar per component, because list comprehensions over
+``zip`` cost more than the sums they build.
 For the same reason it calls no builtin it can do without: the
 per-component max of the error scale is a conditional expression, and
 the dense output comes back as one flat list of 30 floats (five rows of
@@ -33,7 +31,7 @@ six) that the solver appends to its storage as it is.  Python floats
 raise ``ZeroDivisionError`` and ``OverflowError`` where
 ndarrays give inf or nan; the caller treats either as a failed step.
 
-The step and the scalar right-hand sides keep to the subset numba
+The step and the right-hand sides keep to the subset numba
 compiles (scalars, tuples, list literals, ``math.sqrt``) and are
 compiled when numba is importable and HELFRICH_JIT is not 0 (see
 ``_jit``).  That the compiled path builds and matches is unverified: the
@@ -41,8 +39,6 @@ suite has only run without numba.
 """
 
 import math
-
-import numpy as np
 
 from ._jit import njit
 
@@ -82,58 +78,46 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 )
 
 
-def _make_rhs_a(sqrt):
+@njit
+def rhs_a(r, y, c0, lam, p):
     """Chart-A derivatives with respect to r, as a 6-tuple; reads y[:3]."""
-
-    def rhs(r, y, c0, lam, p):
-        w = y[0]
-        wp = y[1]
-        P = 1.0 + w * w
-        sq = sqrt(P)
-        # w'' solved from the shape equation; the 1/r^2 group is rearranged to
-        # w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r
-        wpp = (
-            2.5 * w * wp * wp / P
-            - (wp - w / r) / r
-            + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
-            + c0 * w * w * P * sq / r
-            + 0.5 * (c0 * c0 + lam) * w * P * P
-            - 0.25 * p * r * P * P * sq
-        )
-        twoH = (wp + (w / r) * P) / (P * sq)
-        return (wp, wpp, w, r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq)
-
-    return rhs
+    w = y[0]
+    wp = y[1]
+    P = 1.0 + w * w
+    sq = math.sqrt(P)
+    # w'' solved from the shape equation; the 1/r^2 group is rearranged to
+    # w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r
+    wpp = (
+        2.5 * w * wp * wp / P
+        - (wp - w / r) / r
+        + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
+        + c0 * w * w * P * sq / r
+        + 0.5 * (c0 * c0 + lam) * w * P * P
+        - 0.25 * p * r * P * P * sq
+    )
+    twoH = (wp + (w / r) * P) / (P * sq)
+    return (wp, wpp, w, r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq)
 
 
-def _make_rhs_b(sqrt):
+@njit
+def rhs_b(z, y, c0, lam, p):
     """Chart-B derivatives with respect to z, as a 6-tuple; reads y[:3]."""
-
-    def rhs(z, y, c0, lam, p):
-        u = y[0]
-        s = y[1]
-        q = y[2]
-        P = s * s + 1.0
-        sq = sqrt(P)
-        # coefficient of the removable 1/s pole; vanishes at the equator
-        N = (
-            q * q * (6.0 * s * s + 1.0) / (2.0 * P)
-            - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
-            + c0 * P * sq / u
-            - 0.5 * (c0 * c0 + lam) * P * P
-            - 0.25 * p * u * P * P * sq
-        )
-        twoH = (q - P / u) / (P * sq)
-        return (s, q, N / s - q * s / u, -u * sq, u * u,
-                -((twoH + c0) ** 2 + lam) * u * sq)
-
-    return rhs
-
-
-rhs_a = njit(_make_rhs_a(math.sqrt))
-rhs_b = njit(_make_rhs_b(math.sqrt))
-rhs_a_many = _make_rhs_a(np.sqrt)
-rhs_b_many = _make_rhs_b(np.sqrt)
+    u = y[0]
+    s = y[1]
+    q = y[2]
+    P = s * s + 1.0
+    sq = math.sqrt(P)
+    # coefficient of the removable 1/s pole; vanishes at the equator
+    N = (
+        q * q * (6.0 * s * s + 1.0) / (2.0 * P)
+        - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
+        + c0 * P * sq / u
+        - 0.5 * (c0 * c0 + lam) * P * P
+        - 0.25 * p * u * P * P * sq
+    )
+    twoH = (q - P / u) / (P * sq)
+    return (s, q, N / s - q * s / u, -u * sq, u * u,
+            -((twoH + c0) ** 2 + lam) * u * sq)
 
 
 def _make_step(rhs):

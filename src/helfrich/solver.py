@@ -28,9 +28,7 @@ from .errors import (
     EpsTooLarge,
     InvalidParams,
     InvalidSlope,
-    NonPositiveRadius,
     OutOfRange,
-    SingularDenominator,
     StepUnderflow,
 )
 
@@ -41,9 +39,6 @@ __all__ = [
     "Event",
     "Trajectory",
     "DenseSegment",
-    "rhs_chart_a",
-    "rhs_chart_b",
-    "rhs_kappa",
     "series_coefficient",
     "axis_series",
     "series_start",
@@ -146,43 +141,6 @@ class ChartBState(_ChartState):
     area_acc: float = 0.0
     vol_acc: float = 0.0
     energy_acc: float = 0.0
-
-
-def _rhs(kernel, x: float, state, params: HelfrichParams) -> np.ndarray:
-    # ndarray elements keep numpy's inf/nan results where Python floats raise
-    return np.array(kernel(x, state.to_array(), params.c0, params.lam, params.p))
-
-
-def rhs_chart_a(state: ChartAState, params: HelfrichParams) -> np.ndarray:
-    """Derivatives of (w, wp, z, area, vol, energy) with respect to r."""
-    if state.r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {state.r!r}")
-    return _rhs(kernels.rhs_a, state.r, state, params)
-
-
-def rhs_chart_b(state: ChartBState, params: HelfrichParams) -> np.ndarray:
-    """Derivatives of (u, up, upp, area, vol, energy) with respect to z."""
-    if state.u <= 0.0:
-        raise NonPositiveRadius(f"u must be > 0, got {state.u!r}")
-    return _rhs(kernels.rhs_b, state.z, state, params)
-
-
-def rhs_kappa(r: float, kappa: float, kappap: float, params: HelfrichParams) -> float:
-    """Second derivative of the meridional curvature kappa(r).
-
-    Valid while r^2 kappa^2 < 1 (profile representable as a graph).
-    """
-    if r <= 0.0:
-        raise NonPositiveRadius(f"r must be > 0, got {r!r}")
-    denom = 1.0 - r * r * kappa * kappa
-    if abs(denom) < 1e-12:
-        raise SingularDenominator(f"1 - r^2 kappa^2 = {denom!r} too close to zero")
-    rq = r * eval_q(kappa, params)
-    return (
-        -kappa * (r * kappap + kappa) ** 2 / (2.0 * denom)
-        - 3.0 * kappap / r
-        + rq / (2.0 * r * denom)
-    )
 
 
 def series_coefficient(params: HelfrichParams, w0p: float) -> float:
@@ -301,31 +259,6 @@ class DenseSegment:
 
     def deriv(self, x: float) -> np.ndarray:
         return self.deriv_many(np.array([x]))[0]
-
-    def find_crossing(self, component: int, target: float, x_lo=None, x_hi=None,
-                      tol: float = 1e-12) -> float:
-        """First x where state[component] crosses ``target``.
-
-        The step nodes inside [x_lo, x_hi] bracket the first sign change;
-        that step's polynomial is then bisected.
-        """
-        lo = self.x_start if x_lo is None else x_lo
-        hi = self.x_end if x_hi is None else x_hi
-        sgn = 1.0 if self.ascending else -1.0
-        inner = self.xs[(self._key > sgn * lo) & (self._key < sgn * hi)]
-        xk = np.concatenate([[lo], inner, [hi]])
-        g = self.eval_many(xk, component) - target
-        if g[0] == 0.0:
-            return lo
-        change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
-        if len(change) == 0:
-            raise OutOfRange("no crossing in the requested range")
-        a, b = xk[change[0]], xk[change[0] + 1]
-        (i,), (th_a,) = self._locate(np.array([a]))
-        h = self.xs[i + 1] - self.xs[i]
-        th = _bisect_step(self.conts[i, :, component].tolist(), target, h,
-                          self.xs[i], tol, th_a, (b - self.xs[i]) / h)
-        return self.xs[i] + th * h
 
 
 @dataclass(frozen=True)

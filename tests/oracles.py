@@ -7,16 +7,27 @@ closed-form extrema of Q, a triangle-sum for mesh area and volume, the
 critical-point scan on the full dense-output evaluation, and the
 element-by-element emitters (profile CSV, SVG path, OBJ) that the array
 emitters must match byte for byte.
+
+The integrity references of the paper's checks live here too, because no
+command computes them: the 50-digit series-start defect, the curvature
+derivatives and the curvature-form right-hand side ``rhs_kappa``, the
+crossing search ``find_crossing`` on a dense segment, the point geometry
+``geometry_at``, the eta sampling ``eta_boundedness`` toward the equator,
+the trapezoid ``requadrature_totals`` of the dense output and the chord
+quadrature ``profile_quadrature_totals`` of a polyline.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from helfrich import kernels
-from helfrich.analysis import _quarter_profile
+from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometry
 from helfrich.cubic import HelfrichParams, eval_q
+from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, fmt17, profile_rows
+from helfrich.solver import EQUATOR, _bisect_step, axis_series
 
 
 def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
@@ -267,3 +278,214 @@ def write_obj_loops(path, verts: np.ndarray, faces: np.ndarray) -> None:
             fh.write(f"v {fmt17(v[0])} {fmt17(v[1])} {fmt17(v[2])}\n")
         for f in faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def series_residual(params, w0p, eps, with_a3=True):
+    """Defect of the truncated series against the solved-for w''.
+
+    Evaluated in 50-digit arithmetic: the true defect at eps = 1e-5 is
+    ~1e-17, far below double-precision cancellation noise.
+    """
+    import mpmath as mp
+    with mp.workdps(50):
+        c0, lam, p = mp.mpf(params.c0), mp.mpf(params.lam), mp.mpf(params.p)
+        a, r = mp.mpf(w0p), mp.mpf(eps)
+        q = ((a + 2 * c0) * a + (c0 ** 2 + lam)) * a - p / 2
+        b = (q + 7 * a ** 3) / 16 if with_a3 else mp.mpf(0)
+        w = a * r + b * r ** 3
+        wp = a + 3 * b * r ** 2
+        P = 1 + w * w
+        wpp_ode = (mp.mpf(5) / 2 * w * wp * wp / P - (wp - w / r) / r
+                   + w ** 3 * (3 + w * w) / (2 * r * r)
+                   + c0 * w * w * P ** mp.mpf(1.5) / r
+                   + (c0 ** 2 + lam) * w * P ** 2 / 2
+                   - p * r * P ** mp.mpf(2.5) / 4)
+        return float(abs(6 * b * r - wpp_ode))
+
+
+def kappa_derivs(r, w, wp, wpp):
+    """Meridional curvature kappa = w / (r sqrt(1+w^2)) and its first two
+    r-derivatives, by the chain rule from w, w' and w''."""
+    P = 1.0 + w * w
+    k = w / (r * math.sqrt(P))
+    kp = wp / (r * P ** 1.5) - w / (r * r * math.sqrt(P))
+    kpp = (wpp / (r * P ** 1.5) - 3.0 * w * wp * wp / (r * P ** 2.5)
+           - 2.0 * wp / (r * r * P ** 1.5) + 2.0 * w / (r ** 3 * math.sqrt(P)))
+    return k, kp, kpp
+
+
+def rhs_kappa(r: float, kappa: float, kappap: float, params: HelfrichParams) -> float:
+    """Second derivative of the meridional curvature kappa(r), from the
+    curvature form of the shape equation.
+
+    Valid while r^2 kappa^2 < 1 (profile representable as a graph); raises
+    ValueError for r <= 0 and ZeroDivisionError where 1 - r^2 kappa^2 is
+    within 1e-12 of zero.
+    """
+    if r <= 0.0:
+        raise ValueError(f"r must be > 0, got {r!r}")
+    denom = 1.0 - r * r * kappa * kappa
+    if abs(denom) < 1e-12:
+        raise ZeroDivisionError(f"1 - r^2 kappa^2 = {denom!r} too close to zero")
+    rq = r * eval_q(kappa, params)
+    return (
+        -kappa * (r * kappap + kappa) ** 2 / (2.0 * denom)
+        - 3.0 * kappap / r
+        + rq / (2.0 * r * denom)
+    )
+
+
+def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
+                  tol: float = 1e-12) -> float:
+    """First x where component ``component`` of the dense segment ``seg``
+    crosses ``target``.
+
+    The step nodes inside [x_lo, x_hi] bracket the first sign change; that
+    step's polynomial is then bisected with the solver's event bisection.
+    """
+    lo = seg.x_start if x_lo is None else x_lo
+    hi = seg.x_end if x_hi is None else x_hi
+    sgn = 1.0 if seg.ascending else -1.0
+    inner = seg.xs[(seg._key > sgn * lo) & (seg._key < sgn * hi)]
+    xk = np.concatenate([[lo], inner, [hi]])
+    g = seg.eval_many(xk, component) - target
+    if g[0] == 0.0:
+        return lo
+    change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
+    if len(change) == 0:
+        raise OutOfRange("no crossing in the requested range")
+    a, b = xk[change[0]], xk[change[0] + 1]
+    (i,), (th_a,) = seg._locate(np.array([a]))
+    h = seg.xs[i + 1] - seg.xs[i]
+    th = _bisect_step(seg.conts[i, :, component].tolist(), target, h,
+                      seg.xs[i], tol, th_a, (b - seg.xs[i]) / h)
+    return seg.xs[i] + th * h
+
+
+@dataclass(frozen=True)
+class GeometrySample:
+    r: float
+    z: float
+    kappa_m: float
+    kappa_l: float
+    H: float
+    K: float
+    eta: float
+
+
+def geometry_at(traj, r: float | None = None, z: float | None = None) -> GeometrySample:
+    """Curvatures, H, K, and eta at a point of the trajectory.
+
+    Query chart A by radius ``r`` (the series region below eps_start is
+    covered) or chart B by height ``z``.
+    """
+    params = traj.params
+    if (r is None) == (z is None):
+        raise ValueError("pass exactly one of r or z")
+    if r is not None:
+        if r < 0.0:
+            raise OutOfRange(f"r must be >= 0, got {r!r}")
+        if r == 0.0:
+            w0p = traj.w0p
+            return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
+                                  -2.0 * params.c0)
+        y = traj.series_eval(r)[0] if r < traj.eps_start else traj.chart_a.eval(r)
+        geom = curvature_geometry("A", r, y, params)
+        return GeometrySample(float(r), float(y[2]), *map(float, geom))
+
+    if traj.chart_b is None:
+        raise OutOfRange("trajectory has no chart-B portion")
+    y = traj.chart_b.eval(z)
+    geom = curvature_geometry("B", z, y, params)
+    return GeometrySample(float(y[0]), float(z), *map(float, geom))
+
+
+@dataclass(frozen=True)
+class EtaReport:
+    sup_eta: float
+    eta_limit: float
+    eta_times_up_limit: float
+    diverging: bool
+    n_samples: int
+
+
+def eta_boundedness(traj) -> EtaReport:
+    """Sample eta on chart B, 4 per decade of z - z_inf over 6 decades.
+
+    Reports the running sup, a linear extrapolation of eta to the
+    equator, the extrapolated limit of eta * |u'| (which must vanish),
+    and a divergence flag if |eta| grows monotonically by more than 10x
+    over the last two sampled decades of (z - z_inf).
+    """
+    ev = traj.first_event(EQUATOR)
+    if ev is None or traj.chart_b is None:
+        raise MissingEvent("no Equator event in trajectory")
+    n_per_decade, decades = 4, 6.0
+    z_inf = ev.x
+    z_sw = traj.chart_b.x_start
+    tau_sw = z_sw - z_inf
+    k = np.arange(0, int(decades * n_per_decade) + 1)
+    tau = tau_sw * 10.0 ** (-k / n_per_decade)
+    zs = z_inf + tau
+    Y = traj.chart_b.eval_many(zs, slice(0, 3))
+    eta = curvature_geometry("B", zs, Y, traj.params)[4]
+    eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
+    eta_abs = np.abs(eta)
+
+    sup_eta = float(eta_abs.max())
+    last2 = tau <= tau[0] * 10.0 ** (-(decades - 2.0))
+    ea = eta_abs[last2]
+    diverging = bool(len(ea) >= 3 and np.all(np.diff(ea) >= 0.0)
+                     and ea[-1] > 10.0 * ea[0])
+
+    # linear-in-tau extrapolation over the last decade
+    lastd = tau <= tau[-1] * 10.0 ** 1.0
+    A = np.stack([np.ones(lastd.sum()), tau[lastd]], axis=1)
+    eta_limit = float(np.linalg.lstsq(A, eta[lastd], rcond=None)[0][0])
+    etaup_limit = float(np.linalg.lstsq(A, eta_up[lastd], rcond=None)[0][0])
+    return EtaReport(sup_eta, eta_limit, etaup_limit, diverging, len(tau))
+
+
+def requadrature_totals(traj) -> SurfaceTotals:
+    """Independent trapezoid re-quadrature of the dense output.
+
+    Cross-checks the in-step accumulators of ``surface_totals``; the
+    integrands are the accumulator rows of ``rhs_chart_a_arr`` and
+    ``rhs_chart_b_arr``, broadcast over (6, N) state arrays, on 400,001
+    chart-A and 100,001 chart-B nodes.
+    """
+    if traj.first_event(EQUATOR) is None:
+        raise MissingEvent("no Equator event in trajectory")
+    c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
+    # series piece [0, eps], then one trapezoid pass per chart
+    area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
+    for seg, n, rhs in ((traj.chart_a, 400_001, rhs_chart_a_arr),
+                        (traj.chart_b, 100_001, rhs_chart_b_arr)):
+        xs = np.linspace(seg.x_start, seg.x_end, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = rhs(xs, seg.eval_many(xs, slice(0, 3)).T, c0, lam, p, np.empty((6, n)))
+        area += float(np.trapezoid(F[3], xs))
+        vol += float(np.trapezoid(F[4], xs))
+        energy += float(np.trapezoid(F[5], xs))
+
+    volume = -2.0 * math.pi * vol
+    return SurfaceTotals(4.0 * math.pi * area, volume,
+                         4.0 * math.pi * energy + p * volume)
+
+
+def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Area and volume of the closed surface from an upper-half polyline.
+
+    ``(r, z)`` runs from the axis to the equator with z(equator) = 0.
+    Chord-based quadrature, regular through the vertical tangent; checked
+    against exact bodies.
+    """
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    dr = np.diff(r)
+    dz = np.diff(z)
+    rbar = 0.5 * (r[1:] + r[:-1])
+    dl = np.sqrt(dr * dr + dz * dz)
+    area = 4.0 * math.pi * float(np.sum(rbar * dl))
+    volume = -2.0 * math.pi * float(np.sum(rbar * rbar * dz))
+    return area, volume

@@ -16,19 +16,24 @@ from helfrich import (
     derived_constants,
     equator_identity_residual,
     el_residual,
+    eval_q,
     extract_landmarks,
     integrate,
+    kernels,
     profile_points,
-    profile_quadrature_totals,
-    requadrature_totals,
-    rhs_chart_a,
     surface_totals,
 )
 from helfrich import cli
 from helfrich.analysis import BICONCAVE
-from helfrich.solver import ChartAState
-from tests.conftest import FIGURE_W0P, PAPER
-from oracles import sample_extrema_oracle
+from conftest import FIGURE_W0P, PAPER
+from oracles import (
+    find_crossing,
+    kappa_derivs,
+    profile_quadrature_totals,
+    requadrature_totals,
+    sample_extrema_oracle,
+    series_residual,
+)
 
 
 def _report(num, desc, ok):
@@ -43,7 +48,7 @@ def test_criterion_01_figure_reproduction(figure_runs, tmp_path):
         code = cli.main(["plot", "--c0", "1", "--lambda", "0.25", "--p", "1",
                          "--w0p", str(w0p), "--out", str(tmp_path / str(w0p))])
         ok &= code == 0 and (tmp_path / str(w0p) / "profile.svg").exists()
-        pts = profile_points(traj)
+        pts = profile_points(traj, cls)
         ok &= bool(np.allclose(pts[0], pts[-1]))  # closed curve
         # two dimples: the axis points sit strictly below the humps
         quarter = pts[: len(pts) // 4]
@@ -142,9 +147,9 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
     # chart overlap at w = -15 between a deep chart-A run and chart B
     deep = integrate(paper_params, 0.05, SolverConfig(w_switch=20.0))
     full = integrate(paper_params, 0.05)
-    r_at = deep.chart_a.find_crossing(0, -15.0)
+    r_at = find_crossing(deep.chart_a, 0, -15.0)
     z_at = deep.chart_a.eval(r_at)[2]
-    zb = full.chart_b.find_crossing(1, -1.0 / 15.0)
+    zb = find_crossing(full.chart_b, 1, -1.0 / 15.0)
     overlap = max(abs(full.chart_b.eval(zb)[0] - r_at) / r_at,
                   abs(zb - z_at) / max(1e-3, abs(z_at)))
     ok &= overlap <= 1e-8
@@ -152,22 +157,20 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
     residuals = [el_residual(traj) for traj, _, _ in figure_runs.values()]
     ok &= max(residuals) <= 1e-6
 
-    from tests.test_solver import _series_residual
     eps = np.array([1e-3, 1e-4, 1e-5])
-    res3 = [_series_residual(paper_params, 0.1, e, True) for e in eps]
+    res3 = [series_residual(paper_params, 0.1, e, True) for e in eps]
     slope = np.polyfit(np.log10(eps), np.log10(res3), 1)[0]
     ok &= slope >= 2.5
 
-    from tests.test_kernels import _kappa_derivs
-    from helfrich import eval_q
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(1000):
         r = rng.uniform(0.05, 3.0)
         w = rng.uniform(-4.0, 4.0)
         wp = rng.uniform(-4.0, 4.0)
-        wpp = rhs_chart_a(ChartAState(r, w, wp, 0.0), paper_params)[1]
-        k, kp, kpp = _kappa_derivs(r, w, wp, wpp)
+        wpp = kernels.rhs_a(r, (w, wp, 0.0), paper_params.c0, paper_params.lam,
+                            paper_params.p)[1]
+        k, kp, kpp = kappa_derivs(r, w, wp, wpp)
         denom = 1.0 - r * r * k * k
         terms = np.array([-r * k * (r * kp + k) ** 2 / (2 * denom), -3.0 * kp,
                           r * eval_q(k, paper_params) / (2 * denom)])

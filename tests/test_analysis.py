@@ -12,19 +12,16 @@ from helfrich import (
     classify,
     el_residual,
     equator_identity_residual,
-    eta_boundedness,
     eval_q,
     extract_landmarks,
-    geometry_at,
     integrate,
     profile_points,
-    profile_quadrature_totals,
-    requadrature_totals,
     surface_totals,
 )
 from helfrich.analysis import BICONCAVE, MULTIMODAL, NON_NEGATIVE_DISPLACEMENT, INDETERMINATE
 from helfrich.errors import MissingEvent, NotBiconcave
 from helfrich.export import profile_rows
+from oracles import eta_boundedness, geometry_at, requadrature_totals
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -214,14 +211,6 @@ def test_requadrature_oracle(ref_traj):
         tot.helfrich_energy) <= 1e-7
 
 
-def test_sphere_quadrature_path():
-    phi = np.linspace(0.0, np.pi / 2, 20001)
-    r, z = np.sin(phi), np.cos(phi)
-    area, volume = profile_quadrature_totals(r, z)
-    assert abs(area - 4 * np.pi) / (4 * np.pi) <= 1e-6
-    assert abs(volume - 4 * np.pi / 3) / (4 * np.pi / 3) <= 1e-6
-
-
 def _scalar_curvatures(r, w, wp):
     P = 1.0 + w * w
     sq = math.sqrt(P)
@@ -251,7 +240,7 @@ def test_profile_rows_equal_scalar_formulas(figure_runs):
 
 
 def test_profile_shape(ref_traj, ref_landmarks):
-    pts = profile_points(ref_traj)
+    pts = profile_points(ref_traj, classify(ref_traj, ref_landmarks))
     x, y = pts[:, 0], pts[:, 1]
     # closed curve through the four seam points
     assert np.allclose(pts[0], pts[-1])
@@ -273,8 +262,9 @@ def test_profile_shape(ref_traj, ref_landmarks):
 
 
 def test_profile_rejects_non_biconcave(blowup_traj):
+    cls = classify(blowup_traj, extract_landmarks(blowup_traj))
     with pytest.raises(NotBiconcave):
-        profile_points(blowup_traj)
+        profile_points(blowup_traj, cls)
 
 
 def test_critical_point_count_stable_under_tolerance():

@@ -12,7 +12,6 @@ from helfrich import (
     derived_constants,
     eval_r,
     integrate,
-    rhs_chart_a,
     series_coefficient,
     series_start,
 )
@@ -36,7 +35,13 @@ from helfrich.errors import (
 )
 
 from conftest import FIGURE_W0P
-from oracles import critical_points_full_scan, make_step_arr, rhs_chart_a_arr
+from oracles import (
+    critical_points_full_scan,
+    find_crossing,
+    make_step_arr,
+    rhs_chart_a_arr,
+    series_residual,
+)
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -60,34 +65,11 @@ def test_series_rejections():
         series_start(PAPER, 0.1, 10.0)
 
 
-def _series_residual(params, w0p, eps, with_a3=True):
-    """Defect of the truncated series against the solved-for w''.
-
-    Evaluated in 50-digit arithmetic: the true defect at eps = 1e-5 is
-    ~1e-17, far below double-precision cancellation noise.
-    """
-    import mpmath as mp
-    with mp.workdps(50):
-        c0, lam, p = mp.mpf(params.c0), mp.mpf(params.lam), mp.mpf(params.p)
-        a, r = mp.mpf(w0p), mp.mpf(eps)
-        q = ((a + 2 * c0) * a + (c0 ** 2 + lam)) * a - p / 2
-        b = (q + 7 * a ** 3) / 16 if with_a3 else mp.mpf(0)
-        w = a * r + b * r ** 3
-        wp = a + 3 * b * r ** 2
-        P = 1 + w * w
-        wpp_ode = (mp.mpf(5) / 2 * w * wp * wp / P - (wp - w / r) / r
-                   + w ** 3 * (3 + w * w) / (2 * r * r)
-                   + c0 * w * w * P ** mp.mpf(1.5) / r
-                   + (c0 ** 2 + lam) * w * P ** 2 / 2
-                   - p * r * P ** mp.mpf(2.5) / 4)
-        return float(abs(6 * b * r - wpp_ode))
-
-
 def test_series_residual_order():
     """With the cubic term the start defect is O(eps^3); without it O(eps)."""
     eps = np.array([1e-3, 1e-4, 1e-5])
-    res3 = np.array([_series_residual(PAPER, 0.1, e, True) for e in eps])
-    res1 = np.array([_series_residual(PAPER, 0.1, e, False) for e in eps])
+    res3 = np.array([series_residual(PAPER, 0.1, e, True) for e in eps])
+    res1 = np.array([series_residual(PAPER, 0.1, e, False) for e in eps])
     slope3 = np.polyfit(np.log10(eps), np.log10(res3), 1)[0]
     slope1 = np.polyfit(np.log10(eps), np.log10(res1), 1)[0]
     assert slope3 >= 2.5
@@ -109,7 +91,7 @@ def test_rhs_matches_high_precision_reference():
                    + c0 * w * w * P ** mp.mpf(1.5) / r
                    + (c0 ** 2 + lam) * w * P ** 2 / 2
                    - p * r * P ** mp.mpf(2.5) / 4)
-            got = rhs_chart_a(ChartAState(rv, wv, wpv, 0.0), PAPER)[1]
+            got = kernels.rhs_a(rv, (wv, wpv, 0.0), PAPER.c0, PAPER.lam, PAPER.p)[1]
             assert abs(got - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
 
 
@@ -209,35 +191,20 @@ def test_pointwise_bounds_on_positive_arc(ref_traj, ref_landmarks):
     assert np.all(1.0 - rs ** 2 * kap ** 2 >= dc.xi - 1e-8)
 
 
-def test_chart_overlap_agreement(paper_params):
-    """Chart A pushed to |w| = 20 and the regular chart-B run agree at the
-    matching slope w = -15."""
-    cfg_deep = SolverConfig(w_switch=20.0)
-    deep = integrate(paper_params, 0.05, cfg_deep)
-    full = integrate(paper_params, 0.05)
-    r_at = deep.chart_a.find_crossing(0, -15.0)
-    z_at = deep.chart_a.eval(r_at)[2]
-    # in chart B, w = -15 means u' = -1/15
-    zb = full.chart_b.find_crossing(1, -1.0 / 15.0)
-    yb = full.chart_b.eval(zb)
-    assert abs(yb[0] - r_at) / r_at <= 1e-8
-    assert abs(zb - z_at) / max(1e-3, abs(z_at)) <= 1e-8
-
-
 def test_find_crossing_matches_events_and_takes_first(ref_traj):
     seg = ref_traj.chart_a
     r0 = ref_traj.first_event(ZERO_OF_W).x
-    assert abs(seg.find_crossing(0, 0.0) - r0) <= 1e-11 * r0
+    assert abs(find_crossing(seg, 0, 0.0) - r0) <= 1e-11 * r0
     # w rises to w_max at r_m, then falls: half of w_max is crossed twice
     ev_max = ref_traj.first_event(MAX_OF_W)
     half = 0.5 * ev_max.state[0]
-    r_up = seg.find_crossing(0, half)
+    r_up = find_crossing(seg, 0, half)
     assert r_up < ev_max.x
     assert abs(seg.eval(r_up)[0] - half) <= 1e-12
-    r_down = seg.find_crossing(0, half, x_lo=ev_max.x)
+    r_down = find_crossing(seg, 0, half, x_lo=ev_max.x)
     assert ev_max.x < r_down < r0
     with pytest.raises(OutOfRange):
-        seg.find_crossing(0, 2.0 * ev_max.state[0])
+        find_crossing(seg, 0, 2.0 * ev_max.state[0])
 
 
 def test_event_idempotence(paper_params):
