@@ -24,8 +24,6 @@ from .solver import (
     EQUATOR,
     MAX_OF_W,
     ZERO_OF_W,
-    ChartAState,
-    ChartBState,
     Event,
     SolverConfig,
     Trajectory,

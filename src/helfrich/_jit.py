@@ -17,19 +17,10 @@ if JIT_ENABLED:
 
 if JIT_ENABLED:
 
-    def njit(func=None, **kwargs):
-        kwargs.setdefault("cache", True)
-        if func is not None:
-            return _numba_njit(**kwargs)(func)
-        return _numba_njit(**kwargs)
+    def njit(func):
+        return _numba_njit(cache=True)(func)
 
 else:
 
-    def njit(func=None, **kwargs):
-        if func is not None:
-            return func
-
-        def wrap(f):
-            return f
-
-        return wrap
+    def njit(func):
+        return func

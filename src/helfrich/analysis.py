@@ -53,7 +53,12 @@ INDETERMINATE = "Indeterminate"
 
 @dataclass(frozen=True)
 class Landmarks:
-    """Key positions of one trajectory; absent events leave fields None."""
+    """Key positions of one trajectory; absent events leave fields None.
+
+    ``n_critical_points`` counts the sign changes of w' on (eps, r0), read
+    from the ``MaxOfW`` events; it resolves sign changes one accepted
+    step apart (see ``extract_landmarks``).
+    """
 
     r_m: float | None
     w_max: float | None
@@ -82,34 +87,33 @@ class SurfaceTotals:
 
 
 def extract_landmarks(traj: Trajectory) -> Landmarks:
-    """Read landmarks off the event list; count critical points of w.
+    """Read landmarks and the count of critical points of w off the event
+    list; no dense output is evaluated.
 
-    The count scans w' on (eps, r0) at 10,001 points, a resolution of
-    r0/1e4; tangencies of w' without a sign change are not counted.  Only
-    the w' component of the dense output is evaluated.
+    Each ``MaxOfW`` event is a downward sign change of w', found when w'
+    changes sign between the ends of an accepted step.  w' starts
+    positive (the series start keeps it within 3% of w0p), and sign
+    changes alternate, so the n ``MaxOfW`` events on (eps, r0) bring
+    2n - 1 sign changes when w'(r0) < 0 and 2n otherwise.  Two sign
+    changes inside one accepted step go unseen, as do tangencies of w'
+    without a sign change.
     """
     ev_max = traj.first_event(MAX_OF_W)
     ev_zero = traj.first_event(ZERO_OF_W)
     ev_eq = traj.first_event(EQUATOR)
 
-    r_m = w_max = r0 = wp_r0 = z_r0 = r_inf = z_inf = None
+    r_m = w_max = r0 = wp_r0 = z_r0 = r_inf = z_inf = n_crit = None
     if ev_max is not None:
         r_m, w_max = ev_max.x, float(ev_max.state[0])
     if ev_zero is not None:
         r0 = ev_zero.x
         wp_r0 = float(ev_zero.state[1])
         z_r0 = float(ev_zero.state[2])
+        n_max = sum(ev.kind == MAX_OF_W and ev.x < r0 for ev in traj.events)
+        n_crit = 2 * n_max - (wp_r0 < 0.0)
     if ev_eq is not None:
         r_inf = float(ev_eq.state[0])
         z_inf = ev_eq.x
-
-    n_crit = None
-    if r0 is not None:
-        rs = np.linspace(traj.eps_start, r0, 10_001)
-        wp = traj.chart_a.eval_many(rs, 1)
-        sgn = np.sign(wp)
-        sgn = sgn[sgn != 0.0]
-        n_crit = int(np.count_nonzero(sgn[1:] * sgn[:-1] < 0.0))
     return Landmarks(r_m, w_max, r0, wp_r0, z_r0, r_inf, z_inf, n_crit)
 
 
@@ -144,41 +148,32 @@ _pow = np.frompyfunc(pow, 2, 1)
 def _graph_curvatures(r, w, wp):
     P = 1.0 + w * w
     sq = np.sqrt(P)
-    return w / (r * sq), wp / (P * sq), P, sq
+    return w / (r * sq), wp / (P * sq)
 
 
-def curvature_geometry(chart: str, x, y, params: HelfrichParams) -> tuple:
-    """(kappa_m, kappa_l, H, K, eta) at chart states ``y``, shape (6,) or (n, 6).
+def curvature_geometry(chart: str, x, y) -> tuple:
+    """(kappa_m, kappa_l, H, K) at chart states ``y``, shape (6,) or (n, 6).
 
     Only the leading components are read, two on chart A and three on
     chart B, so ``y`` may hold just those.
 
     ``x`` is r on chart A and z on chart B, where the geometry does not
-    depend on it.  On chart B every term of eta diverges like 1/|u'|;
-    grouping in (u, s, q) exposes the cancellation, leaving B(u, s, q)/s
-    with B -> 0 at the equator (NaN where s = 0).  For |s| <= 1e-6 the
-    curvatures use the inverse-chart form.
+    depend on it.  For |s| <= 1e-6 the chart-B curvatures use the
+    inverse-chart form.
     """
-    c0, lam, p = params.c0, params.lam, params.p
     if chart == "A":
-        r, w, wp = x, y[..., 0], y[..., 1]
-        km, kl, P, sq = _graph_curvatures(r, w, wp)
-        eta = (r * wp * wp / (P * P * sq) - w * w / (r * sq) - 2.0 * c0 * w
-               - (c0 ** 2 + lam) * r * sq + 0.5 * p * r * r * w)
+        km, kl = _graph_curvatures(x, y[..., 0], y[..., 1])
     else:
         u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
         P = s * s + 1.0
         sq = np.sqrt(P)
-        B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * c0
-             + (c0 ** 2 + lam) * u * sq + 0.5 * p * u * u)
         with np.errstate(divide="ignore", invalid="ignore"):
-            eta = np.where(s == 0.0, np.nan, B / s)
-            km, kl, _, _ = _graph_curvatures(
+            km, kl = _graph_curvatures(
                 u, 1.0 / s, -q / np.asarray(_pow(s, 3), dtype=float))
         steep = np.abs(s) > 1e-6
         km = np.where(steep, km, -1.0 / (u * sq))
         kl = np.where(steep, kl, q / (P * sq))
-    return km, kl, 0.5 * (km + kl), km * kl, eta
+    return km, kl, 0.5 * (km + kl), km * kl
 
 
 def el_residual(traj: Trajectory) -> float:
@@ -219,7 +214,7 @@ def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float
     if ev is None:
         raise MissingEvent("no Equator event in trajectory")
     u = float(ev.state[0])
-    K2 = float(curvature_geometry("B", ev.x, ev.state, params)[3]) ** 2
+    K2 = float(curvature_geometry("B", ev.x, ev.state)[3]) ** 2
     target = (-1.0 / u) * eval_q(-1.0 / u, params)
     return abs(K2 - target) / max(K2, 1e-30)
 

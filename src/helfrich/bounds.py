@@ -151,7 +151,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
     rs = np.linspace(traj.eps_start, r0, 4001)
     Y = traj.chart_a.eval_many(rs, slice(0, 2))
     w, wp = Y[:, 0], Y[:, 1]
-    kap = curvature_geometry("A", rs, Y, params)[0]
+    kap = curvature_geometry("A", rs, Y)[0]
     P = 1.0 + w * w
     sq = np.sqrt(P)
     kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)

@@ -75,7 +75,7 @@ def profile_rows(traj: Trajectory):
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, 1024)
     Y = seg.eval_many(rs, slice(0, 3))
-    geom = curvature_geometry("A", rs, Y, traj.params)[:4]
+    geom = curvature_geometry("A", rs, Y)
     rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
     if traj.chart_b is not None:
         segb = traj.chart_b
@@ -84,7 +84,7 @@ def profile_rows(traj: Trajectory):
         u, s = Y[:, 0], Y[:, 1]
         with np.errstate(divide="ignore"):
             w = np.where(s != 0.0, 1.0 / s, -np.inf)
-        geom = curvature_geometry("B", zs, Y, traj.params)[:4]
+        geom = curvature_geometry("B", zs, Y)
         rows.append(np.stack([u, zs, w, *geom], axis=1))
     return np.concatenate(rows)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import (
 
 __all__ = [
     "SolverConfig",
-    "ChartAState",
-    "ChartBState",
     "Event",
     "Trajectory",
     "DenseSegment",
@@ -101,48 +99,6 @@ class SolverConfig:
             raise InvalidParams(f"event_tol must be finite and > 0, got {self.event_tol!r}")
 
 
-class _ChartState:
-    """Conversion between a chart state and (x, six-vector) arrays."""
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)[1:]])
-
-    @classmethod
-    def from_array(cls, x: float, y: np.ndarray):
-        return cls(x, *y)
-
-
-@dataclass(frozen=True)
-class ChartAState(_ChartState):
-    """Graph-chart state at radius r."""
-
-    r: float
-    w: float
-    wp: float
-    z: float
-    area_acc: float = 0.0
-    vol_acc: float = 0.0
-    energy_acc: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChartBState(_ChartState):
-    """Inverse-chart state at height z.
-
-    ``up`` = u'(z) = 1/w and ``upp`` = u''(z) = -w'/w^3.  The equation
-    for u(z) is third order, so u'' is part of the dynamical state; it
-    equals the longitudinal curvature at the equator.
-    """
-
-    z: float
-    u: float
-    up: float
-    upp: float
-    area_acc: float = 0.0
-    vol_acc: float = 0.0
-    energy_acc: float = 0.0
-
-
 def series_coefficient(params: HelfrichParams, w0p: float) -> float:
     """Cubic coefficient a3 of the axis expansion w = w0p r + a3 r^3 + ...
 
@@ -167,8 +123,9 @@ def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
     )
 
 
-def series_start(params: HelfrichParams, w0p: float, eps: float) -> ChartAState:
-    """Truncated-series state at r = eps, clearing the axis singularity."""
+def series_start(params: HelfrichParams, w0p: float, eps: float) -> np.ndarray:
+    """Truncated-series chart-A state at r = eps, clearing the axis
+    singularity; the six components are laid out as in ``kernels``."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
@@ -178,16 +135,17 @@ def series_start(params: HelfrichParams, w0p: float, eps: float) -> ChartAState:
     a3 = series_coefficient(params, w0p)
     if abs(a3) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    return ChartAState(eps, *axis_series(params, w0p, a3, eps))
+    return np.array(axis_series(params, w0p, a3, eps))
 
 
-def chart_switch(a: ChartAState) -> ChartBState:
-    """Convert a graph-chart state to the inverse chart at the same point."""
-    if a.w >= 0.0:
-        raise BadSwitch(f"chart switch requires w < 0, got w={a.w!r}")
-    up = 1.0 / a.w
-    upp = -a.wp / a.w ** 3
-    return ChartBState(a.z, a.r, up, upp, a.area_acc, a.vol_acc, a.energy_acc)
+def chart_switch(r: float, y) -> np.ndarray:
+    """Chart-B state [r, 1/w, -w'/w^3, area, vol, energy] at the point
+    where the chart-A state at radius ``r`` is ``y``; its height y[2]
+    becomes chart B's independent variable."""
+    w = y[0]
+    if w >= 0.0:
+        raise BadSwitch(f"chart switch requires w < 0, got w={w!r}")
+    return np.array([r, 1.0 / w, -y[1] / w ** 3, y[3], y[4], y[5]])
 
 
 class DenseSegment:
@@ -478,8 +436,6 @@ def integrate(params: HelfrichParams, w0p: float,
     if r_max is None:
         r_max = 1e3 * math.sqrt(w0p / params.p + 1.0)
 
-    start = series_start(params, w0p, eps)
-
     specs_a = [
         _EventSpec(MAX_OF_W, 1, 0.0, -1, False, 0),
         _EventSpec(ZERO_OF_W, 0, 0.0, -1, False, 1),
@@ -488,19 +444,20 @@ def integrate(params: HelfrichParams, w0p: float,
     ]
     seg_a, events, used, term = _run_chart(
         kernels.dopri5_step_a, kernels.rhs_a, "A",
-        eps, start.to_array(), +1, r_max, params, cfg, specs_a, cfg.max_steps,
+        eps, series_start(params, w0p, eps), +1, r_max, params, cfg, specs_a,
+        cfg.max_steps,
     )
     if term is None or term.kind == BLOWUP_POSITIVE:
         status = ABORTED if term is None else BLOWUP_POSITIVE
         return Trajectory(params, w0p, cfg, seg_a, None, events, status, eps)
 
     # chart switch: w < 0 guaranteed by the event definition
-    b0 = chart_switch(ChartAState.from_array(term.x, term.state))
-    z_limit = b0.z - cfg.w_switch * r_max  # finiteness cap for the descent
+    z_sw = term.state[2]
+    z_limit = z_sw - cfg.w_switch * r_max  # finiteness cap for the descent
     specs_b = [_EventSpec(EQUATOR, 1, 0.0, +1, True, 0)]
     seg_b, events_b, _, term_b = _run_chart(
         kernels.dopri5_step_b, kernels.rhs_b, "B",
-        b0.z, b0.to_array(), -1, z_limit, params, cfg, specs_b,
+        z_sw, chart_switch(term.x, term.state), -1, z_limit, params, cfg, specs_b,
         cfg.max_steps - used,
     )
     events.extend(events_b)

@@ -11,10 +11,11 @@ emitters must match byte for byte.
 The integrity references of the paper's checks live here too, because no
 command computes them: the 50-digit series-start defect, the curvature
 derivatives and the curvature-form right-hand side ``rhs_kappa``, the
-crossing search ``find_crossing`` on a dense segment, the point geometry
-``geometry_at``, the eta sampling ``eta_boundedness`` toward the equator,
-the trapezoid ``requadrature_totals`` of the dense output and the chord
-quadrature ``profile_quadrature_totals`` of a polyline.
+crossing search ``find_crossing`` on a dense segment, eta on both charts
+``eta_at``, the point geometry ``geometry_at``, the eta sampling
+``eta_boundedness`` toward the equator, the trapezoid
+``requadrature_totals`` of the dense output and the chord quadrature
+``profile_quadrature_totals`` of a polyline.
 """
 
 import math
@@ -362,6 +363,30 @@ def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
     return seg.xs[i] + th * h
 
 
+def eta_at(chart: str, x, y, params: HelfrichParams):
+    """Eta at chart states ``y``, shape (6,) or (n, 6); ``x`` is r on
+    chart A and z on chart B.
+
+    On chart B every term of eta diverges like 1/|u'|; grouping in
+    (u, s, q) exposes the cancellation, leaving B(u, s, q)/s with B -> 0
+    at the equator (NaN where s = 0).
+    """
+    c0, lam, p = params.c0, params.lam, params.p
+    if chart == "A":
+        r, w, wp = x, y[..., 0], y[..., 1]
+        P = 1.0 + w * w
+        sq = np.sqrt(P)
+        return (r * wp * wp / (P * P * sq) - w * w / (r * sq) - 2.0 * c0 * w
+                - (c0 ** 2 + lam) * r * sq + 0.5 * p * r * r * w)
+    u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
+    P = s * s + 1.0
+    sq = np.sqrt(P)
+    B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * c0
+         + (c0 ** 2 + lam) * u * sq + 0.5 * p * u * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s == 0.0, np.nan, B / s)
+
+
 @dataclass(frozen=True)
 class GeometrySample:
     r: float
@@ -390,13 +415,13 @@ def geometry_at(traj, r: float | None = None, z: float | None = None) -> Geometr
             return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
                                   -2.0 * params.c0)
         y = traj.series_eval(r)[0] if r < traj.eps_start else traj.chart_a.eval(r)
-        geom = curvature_geometry("A", r, y, params)
+        geom = (*curvature_geometry("A", r, y), eta_at("A", r, y, params))
         return GeometrySample(float(r), float(y[2]), *map(float, geom))
 
     if traj.chart_b is None:
         raise OutOfRange("trajectory has no chart-B portion")
     y = traj.chart_b.eval(z)
-    geom = curvature_geometry("B", z, y, params)
+    geom = (*curvature_geometry("B", z, y), eta_at("B", z, y, params))
     return GeometrySample(float(y[0]), float(z), *map(float, geom))
 
 
@@ -428,7 +453,7 @@ def eta_boundedness(traj) -> EtaReport:
     tau = tau_sw * 10.0 ** (-k / n_per_decade)
     zs = z_inf + tau
     Y = traj.chart_b.eval_many(zs, slice(0, 3))
-    eta = curvature_geometry("B", zs, Y, traj.params)[4]
+    eta = eta_at("B", zs, Y, traj.params)
     eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
     eta_abs = np.abs(eta)
 

@@ -7,6 +7,9 @@ import pytest
 from helfrich import (
     BLOWUP_POSITIVE,
     EQUATOR,
+    MAX_OF_W,
+    ZERO_OF_W,
+    Event,
     HelfrichParams,
     SolverConfig,
     classify,
@@ -60,6 +63,22 @@ def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
     assert classify(ref_traj, fake_up).verdict == NON_NEGATIVE_DISPLACEMENT
     aborted = integrate(PAPER, 0.05, SolverConfig(r_max=1.0))
     assert classify(aborted, extract_landmarks(aborted)).verdict == INDETERMINATE
+
+
+@pytest.mark.parametrize("max_xs, wp_r0, want", [
+    ([0.5], -1.0, 1),
+    ([0.5, 3.0], -1.0, 1),  # a maximum beyond r0 = 2 is not counted
+    ([0.5, 1.5], -1.0, 3),
+    ([0.5, 1.5], 1.0, 4),
+])
+def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
+    """w' starts positive and its sign changes alternate, so n maxima on
+    (eps, r0) bring 2n - 1 sign changes when w'(r0) < 0 and 2n otherwise."""
+    events = [Event(MAX_OF_W, "A", x, np.zeros(6)) for x in max_xs]
+    events.append(Event(ZERO_OF_W, "A", 2.0, np.array([0.0, wp_r0, 0, 0, 0, 0])))
+    events.sort(key=lambda ev: ev.x)
+    lm = extract_landmarks(replace(ref_traj, events=events))
+    assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
 
 
 def test_geometry_near_axis(ref_traj):

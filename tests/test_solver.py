@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helfrich import (
-    ChartAState,
     HelfrichParams,
     SolverConfig,
     chart_switch,
     derived_constants,
     eval_r,
+    extract_landmarks,
     integrate,
     series_coefficient,
     series_start,
@@ -22,6 +22,7 @@ from helfrich.solver import (
     EQUATOR,
     MAX_OF_W,
     ZERO_OF_W,
+    DenseSegment,
     _run_chart,
 )
 from helfrich import kernels
@@ -55,7 +56,7 @@ def test_series_coefficient_reference_value():
 def test_series_slope_limit():
     for eps in (1e-6, 1e-7, 1e-8):
         st = series_start(PAPER, 0.1, eps)
-        assert math.isclose(st.w / eps, 0.1, rel_tol=1e-10)
+        assert math.isclose(st[0] / eps, 0.1, rel_tol=1e-10)
 
 
 def test_series_rejections():
@@ -96,18 +97,19 @@ def test_rhs_matches_high_precision_reference():
 
 
 def test_chart_switch_definition():
-    a = ChartAState(2.0, -10.0, -3.0, -0.3, 1.5, -0.7, 2.5)
-    b = chart_switch(a)
-    assert b.z == -0.3 and b.u == 2.0 and b.up == -0.1
-    assert math.isclose(b.upp, -(-3.0) / (-10.0) ** 3, rel_tol=1e-15)
-    assert (b.area_acc, b.vol_acc, b.energy_acc) == (1.5, -0.7, 2.5)
+    a = np.array([-10.0, -3.0, -0.3, 1.5, -0.7, 2.5])  # state at r = 2
+    b = chart_switch(2.0, a)
+    assert b.shape == (6,)
+    assert b[0] == 2.0 and b[1] == -0.1
+    assert math.isclose(b[2], -(-3.0) / (-10.0) ** 3, rel_tol=1e-15)
+    assert tuple(b[3:]) == (1.5, -0.7, 2.5)
     # round trip
-    assert math.isclose(1.0 / b.up, a.w, rel_tol=1e-15)
+    assert math.isclose(1.0 / b[1], a[0], rel_tol=1e-15)
 
 
 def test_chart_switch_rejects_nonnegative_w():
     with pytest.raises(BadSwitch):
-        chart_switch(ChartAState(1.0, 0.5, -1.0, 0.0))
+        chart_switch(1.0, np.array([0.5, -1.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_integrate_reference_is_equator(ref_traj, ref_landmarks):
@@ -321,10 +323,24 @@ def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
 
 
 def test_critical_point_count_matches_full_scan(figure_runs, sweep_runs):
-    """The landmark count, read from w' alone, equals the scan of the full
-    six-component evaluation."""
+    """The landmark count, read from the MaxOfW events, equals the scan of
+    the full six-component evaluation.  The last run has nine MaxOfW
+    events beyond r0, which the count must leave out."""
     runs = [(traj, lm) for traj, lm, _ in figure_runs.values()]
     runs += [(traj, lm) for _, traj, lm, _ in sweep_runs]
+    traj = integrate(HelfrichParams(0.491, -0.92, 0.01997), 0.2722)
+    assert sum(ev.kind == MAX_OF_W for ev in traj.events) == 10
+    runs.append((traj, extract_landmarks(traj)))
     for traj, lm in runs:
         assert lm.r0 is not None
         assert lm.n_critical_points == critical_points_full_scan(traj, lm.r0)
+
+
+def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
+    """extract_landmarks reads the event list alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense output evaluated")
+
+    monkeypatch.setattr(DenseSegment, "eval_many", refuse)
+    monkeypatch.setattr(DenseSegment, "deriv_many", refuse)
+    assert extract_landmarks(ref_traj) == ref_landmarks
