@@ -117,12 +117,10 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
         raise MissingEvent("check_single requires a ZeroOfW event")
 
     w0p = consts.w0p
-    dp, dm, xi, delta = (consts.delta_plus, consts.delta_minus, consts.xi,
-                         consts.delta)
-    ca = analyze_cubic(params)
-    hyp_pos = bool(ca.all_roots_positive and dp > 0.0)
-    hyp_xi = bool(hyp_pos and math.isfinite(xi) and xi > 0.0)
-    hyp_neg = bool(ca.all_roots_positive and delta > 0.0)
+    dp, xi, delta = consts.delta_plus, consts.xi, consts.delta
+    # delta > 0: delta_plus > 0 and all real roots positive (Q < 0 on t <= 0)
+    hyp = bool(delta > 0.0)
+    hyp_xi = bool(hyp and xi > 0.0)
 
     r0, wp_r0, z_r0 = landmarks.r0, landmarks.wp_r0, landmarks.z_r0
     r_inf, z_inf = landmarks.r_inf, landmarks.z_inf
@@ -131,12 +129,12 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
     records = []
 
     rhs = 16.0 * w0p / dp if dp > 0.0 else None
-    records.append(_make("R0Upper", hyp_pos, r0 ** 2, rhs,
+    records.append(_make("R0Upper", hyp, r0 ** 2, rhs,
                          _scale_tol(r0 ** 2, rhs or 0.0),
                          {"variant_64_bound": (64.0 * w0p / dp) if dp > 0 else None}))
 
     rhs = -dp * r0 ** 2 / 8.0 if dp > 0.0 else None
-    records.append(_make("WpR0Upper", hyp_pos, wp_r0, rhs,
+    records.append(_make("WpR0Upper", hyp, wp_r0, rhs,
                          _scale_tol(wp_r0, rhs or 0.0)))
 
     if hyp_xi:
@@ -175,10 +173,10 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
         info = {"variant_r2_bound_max": float(np.max(kap_p + dp * rs * rs / 8.0))}
     else:
         lhs, info = None, {}
-    records.append(_make("KappaPrimeBound", hyp_pos, lhs, 0.0, _PTWISE_TOL, info))
+    records.append(_make("KappaPrimeBound", hyp, lhs, 0.0, _PTWISE_TOL, info))
 
     lhs = float(np.max(kap - (w0p - dp * rs * rs / 16.0))) if dp > 0 else None
-    records.append(_make("KappaBound", hyp_pos, lhs, 0.0, _PTWISE_TOL))
+    records.append(_make("KappaBound", hyp, lhs, 0.0, _PTWISE_TOL))
 
     lhs = float(np.max(xi - one_minus)) if hyp_xi else None
     records.append(_make("XiFloor", hyp_xi, lhs, 0.0, _PTWISE_TOL))
@@ -186,15 +184,15 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
     B2 = delta * r0 ** 2 * abs(wp_r0)
     B = math.sqrt(B2) if B2 > 0.0 else 0.0
     x = r_inf - r0
-    if hyp_neg:
+    if hyp:
         rhs = math.pi / (2.0 * B)
-        dproof = min(dp / 4.0, dm / 2.0)
+        dproof = min(dp / 4.0, consts.delta_minus / 2.0)
         info = {"variant_quarter_delta_bound": math.pi / (2.0 * math.sqrt(dproof * r0 ** 2 * abs(wp_r0)))}
     else:
         rhs, info = None, {}
-    records.append(_make("RInfUpper", hyp_neg, x, rhs, _scale_tol(x, rhs or 0.0), info))
+    records.append(_make("RInfUpper", hyp, x, rhs, _scale_tol(x, rhs or 0.0), info))
 
-    if hyp_neg and B * x < math.pi / 2.0 * (1.0 + 1e-9):
+    if hyp and B * x < math.pi / 2.0 * (1.0 + 1e-9):
         bx = min(B * x, math.pi / 2.0 * (1.0 - 1e-15))
         log_bound = math.log(1.0 / math.cos(bx)) / B
         quad_bound = 0.5 * B * x * x
@@ -202,7 +200,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
                 "b_lower_chain": math.sqrt(delta * dp / 8.0) * r0 ** 2}
         records.append(_make("NegAreaLower", True, log_bound, int_neg,
                              _scale_tol(log_bound, int_neg), info))
-    elif hyp_neg:
+    elif hyp:
         # B x < pi/2 is guaranteed on valid runs; a violation is a solver defect
         records.append(CheckRecord("NegAreaLower", True, B * x, math.pi / 2.0,
                                    math.pi / 2.0 - B * x, 0.0, "Fail",
@@ -269,16 +267,20 @@ def solve_and_classify(params: HelfrichParams, w0p: float,
                        cfg: SolverConfig | None = None):
     """Integrate, extract landmarks and classify one point.
 
-    Returns (trajectory, landmarks, verdict).  A ``HelfrichError`` is
-    reported as verdict ``Error:<Name>`` with no trajectory and empty
-    landmarks, so that one failing point does not end a sweep.
+    Returns (trajectory, landmarks, verdict).  A ``HelfrichError`` or a
+    float overflow is reported as verdict ``Error:<Name>`` with no
+    trajectory and empty landmarks, so that one failing point ends no sweep.
     """
     try:
         traj = integrate(params, w0p, cfg)
         lm = extract_landmarks(traj)
         return traj, lm, classify(traj, lm).verdict
-    except HelfrichError as exc:
-        return None, Landmarks(*[None] * 8), f"Error:{type(exc).__name__}"
+    except (HelfrichError, ArithmeticError) as exc:
+        return None, Landmarks(*[None] * 8), _error_verdict(exc)
+
+
+def _error_verdict(exc: Exception) -> str:
+    return f"Error:{type(exc).__name__}"
 
 
 def verify_point(params: HelfrichParams, w0p: float,
@@ -454,9 +456,12 @@ class PhaseCell:
 def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
     c0, lam, p, w0p = cell
     params = HelfrichParams(c0, lam, p)
-    ca = analyze_cubic(params)
+    try:
+        ca = analyze_cubic(params)
+    except ArithmeticError as exc:
+        return PhaseCell(c0, lam, p, w0p, _error_verdict(exc), False, False)
     _, lm, verdict = solve_and_classify(params, w0p, cfg)
-    expected = ca.all_roots_positive and w0p <= 0.1 * ca.smallest_root
+    expected = ca.all_roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
     return PhaseCell(
         c0, lam, p, w0p, verdict, ca.all_roots_positive,
         bool(expected and verdict != BICONCAVE),
@@ -467,9 +472,11 @@ def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
 def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
     """Classify every (c0, lambda, p, w0p) cell of a finite grid.
 
-    Cells with all-positive roots and w0p at most a tenth of the
+    Cells with all-positive roots and 0 < w0p at most a tenth of the
     smallest root are expected biconcave; such a cell that fails to
-    classify Biconcave is flagged as an anomaly.  The cells are solved
-    side by side on every available CPU (see ``_map_points``).
+    classify Biconcave is flagged as an anomaly.  A cell whose cubic
+    analysis overflows gets the verdict ``Error:<Name>``, as a failing
+    solve does, with ``roots_all_positive`` false, and is no anomaly.
+    The cells are solved side by side on every CPU (see ``_map_points``).
     """
     return _map_points(lambda cell: _phase_cell(cell, cfg), grid)

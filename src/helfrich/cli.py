@@ -59,14 +59,15 @@ PARAM_OPTS = [
     Opt("--p", "p", float, None, "osmotic pressure difference"),
 ]
 W0P_OPT = Opt("--w0p", "w0p", float, None, "initial slope w'(0) > 0")
+# SOLVER_OPTS and MESH_OPTS take their defaults from SolverConfig and build_mesh
 SOLVER_OPTS = [
-    Opt("--rel-tol", "rel_tol", float, 1e-10, "relative tolerance"),
-    Opt("--abs-tol", "abs_tol", float, 1e-12, "absolute tolerance"),
+    Opt("--rel-tol", "rel_tol", float, None, "relative tolerance"),
+    Opt("--abs-tol", "abs_tol", float, None, "absolute tolerance"),
     Opt("--eps-start", "eps_start", float, None, "series start radius"),
-    Opt("--w-switch", "w_switch", float, 10.0, "|w| threshold for the chart switch"),
+    Opt("--w-switch", "w_switch", float, None, "|w| threshold for the chart switch"),
     Opt("--r-max", "r_max", float, None, "abort radius"),
-    Opt("--max-steps", "max_steps", int, 1_000_000, "step budget"),
-    Opt("--event-tol", "event_tol", float, 1e-12, "event location tolerance"),
+    Opt("--max-steps", "max_steps", int, None, "step budget"),
+    Opt("--event-tol", "event_tol", float, None, "event location tolerance"),
 ]
 # every command takes these; --config names the file and is no config key
 COMMON_OPTS = SOLVER_OPTS + [
@@ -79,8 +80,8 @@ SWEEP_OPTS = [
     Opt("--sweep-points", "sweep_points", int, 16, "number of sweep points"),
 ]
 MESH_OPTS = [
-    Opt("--segments-theta", "segments_theta", int, 128, "angular segments"),
-    Opt("--segments-profile", "segments_profile", int, 256, "profile segments per half"),
+    Opt("--segments-theta", "n_theta", int, None, "angular segments"),
+    Opt("--segments-profile", "n_profile", int, None, "profile segments per half"),
 ]
 RANGE_OPTS = [
     Opt("--c0-range", "c0_range", str, "1:1:1", "c0 grid as start:stop:count"),
@@ -150,11 +151,16 @@ def _params(parser, vals, opts=PARAM_OPTS + [W0P_OPT]):
     return HelfrichParams(vals["c0"], vals["lam"], vals["p"])
 
 
+def _given(vals, opts) -> dict:
+    """The values of the options ``opts`` that a flag or config key set."""
+    return {o.dest: vals[o.dest] for o in opts if vals[o.dest] is not None}
+
+
 def _open_out(parser, vals):
     """Check the solver config, the last usage check, then create the
     output directory: a usage error writes nothing."""
     try:
-        cfg = SolverConfig(**{o.dest: vals[o.dest] for o in SOLVER_OPTS})
+        cfg = SolverConfig(**_given(vals, SOLVER_OPTS))
     except HelfrichError as exc:
         parser.error(str(exc))
     out = vals["out"] if vals["out"] is not None else os.environ.get("OUTPUT_DIR", ".")
@@ -349,14 +355,14 @@ def _cmd_mesh(parser, v):
     params = _params(parser, v)
     # 3 angles close a ring; 8 profile segments keep the axis point
     for o, least in zip(MESH_OPTS, (3, 8)):
-        if v[o.dest] < least:
+        if v[o.dest] is not None and v[o.dest] < least:
             parser.error(f"{o.flag} must be >= {least}")
     cfg, out = _open_out(parser, v)
     traj, _, cls = _solve(params, v["w0p"], cfg)
     if cls.verdict != BICONCAVE:
         print(f"mesh: classification is {cls.verdict}", file=sys.stderr)
         return EX_NOT_BICONCAVE
-    mesh = build_mesh(traj, v["segments_theta"], v["segments_profile"])
+    mesh = build_mesh(traj, **_given(v, MESH_OPTS))
     path = os.path.join(out, "mesh.obj")
     write_obj(path, mesh)
     print(f"mesh: wrote {path} ({mesh.n_verts} vertices, {len(mesh.faces)} faces)")
@@ -404,7 +410,7 @@ def main(argv=None) -> int:
     vals = _resolve(parser, args, opts, _load_config(parser, args.config, opts))
     try:
         return handler(parser, vals)
-    except HelfrichError as exc:
+    except (HelfrichError, ArithmeticError) as exc:
         print(f"helfrich: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_ERROR
 

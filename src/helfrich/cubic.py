@@ -96,7 +96,6 @@ class CubicAnalysis:
 
     real_roots: tuple[tuple[float, int], ...]
     all_roots_positive: bool
-    critical_points: tuple[float, ...]
 
     @property
     def smallest_root(self) -> float:
@@ -171,7 +170,7 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
         for v, m in roots:
             merged[v] = merged.get(v, 0) + m
         out = tuple(sorted(merged.items()))
-        return CubicAnalysis(out, False, tuple(crit))
+        return CubicAnalysis(out, False)
 
     bound = 1.0 + scale  # Cauchy bound for a monic cubic
     xs = [-bound] + [t for t in crit if -bound < t < bound] + [bound]
@@ -207,7 +206,7 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
         roots_m = [(v, m) for v, m in roots_m if m == 1][:3] or [(crit[0], 3)]
 
     all_pos = all(v > 0.0 for v, _ in roots_m)
-    return CubicAnalysis(tuple(roots_m), all_pos, tuple(crit))
+    return CubicAnalysis(tuple(roots_m), all_pos)
 
 
 @dataclass(frozen=True)

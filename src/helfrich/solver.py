@@ -270,16 +270,6 @@ def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     return min(100.0 * h0, h1, h_cap)
 
 
-@dataclass
-class _EventSpec:
-    kind: str
-    idx: int
-    target: float
-    cross: int  # +1 upward, -1 downward
-    terminal: bool
-    priority: int
-
-
 def _quartic(cont, th):
     """Quartic continuous extension from its five vectors ``cont`` at theta."""
     r1, r2, r3, r4, r5 = cont
@@ -306,11 +296,14 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
 
 
 def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
-               event_specs, steps_budget):
+               event_table, steps_budget):
     """Adaptive loop on one chart.
 
-    Returns (segment, events, steps_used, terminal_event_or_None); the
-    event is None when the step budget or x_limit ended the chart.
+    ``event_table`` holds one (kind, component, target, downward,
+    terminal) row per event; hits inside one step are recorded by theta,
+    and in table order where theta ties.  Returns (segment, events,
+    steps_used); the last event ends the chart: a terminal row's, or
+    ``Aborted`` when the step budget or x_limit did.
     """
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
@@ -334,23 +327,19 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     err_prev = 1e-4
     steps = 0
     rejected = False
-    # (spec, component, target, downward) of each event, unpacked once
-    scans = [(spec, spec.idx, spec.target, spec.cross < 0) for spec in event_specs]
 
     # min and max are written out as conditional expressions that return
     # the builtins' values: ``b if b < a else a`` is min(a, b) and
     # ``b if b > a else a`` is max(a, b)
     while True:
         h_min = 1e-14 * (1.0 + abs(x))
-        if steps >= steps_budget:
+        remaining = (x_limit - x) * direction
+        # the budget is tested before the step size, x_limit after it
+        if steps >= steps_budget or remaining <= h_min <= h:
             events.append(Event(ABORTED, chart, x, np.array(y)))
-            return _make_segment(xs, conts, x, y), events, steps, None
+            return _make_segment(xs, conts, x, y), events, steps
         if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
-        remaining = (x_limit - x) * direction
-        if remaining <= h_min:
-            events.append(Event(ABORTED, chart, x, np.array(y)))
-            return _make_segment(xs, conts, x, y), events, steps, None
         h_use = remaining if remaining < h else h
 
         try:
@@ -377,22 +366,22 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
 
         # event scan on this step; component i of the step is cont[i::6]
         hits = None
-        for spec, i, target, downward in scans:
+        for kind, i, target, downward, terminal in event_table:
             g0 = y[i] - target
             g1 = y1[i] - target
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
                 th = _bisect_step(cont[i::6], target, hd, x, cfg.event_tol)
                 if hits is None:
                     hits = []
-                hits.append((th, spec.priority, spec))
+                hits.append((th, kind, terminal))
         if hits is not None:
-            hits.sort(key=lambda t: (t[0], t[1]))
-            for th, _, spec in hits:
+            hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
+            for th, kind, terminal in hits:
                 x_ev = x + th * hd
                 y_ev = np.array([_quartic(cont[i::6], th) for i in range(kernels.NSTATE)])
-                events.append(Event(spec.kind, chart, x_ev, y_ev))
-                if spec.terminal:
-                    return _make_segment(xs, conts, x_ev, y), events, steps, events[-1]
+                events.append(Event(kind, chart, x_ev, y_ev))
+                if terminal:
+                    return _make_segment(xs, conts, x_ev, y), events, steps
 
         x, y, f = x_new, y1, f1
 
@@ -429,38 +418,33 @@ def integrate(params: HelfrichParams, w0p: float,
         raise InvalidParams(f"p must be > 0 for the blow-down analysis, got {params.p!r}")
     cfg = cfg or SolverConfig()
 
-    eps = cfg.eps_start
-    if eps is None:
-        eps = min(1e-5, 1e-3 * math.sqrt(32.0 * w0p / (3.0 * params.p)))
-    r_max = cfg.r_max
-    if r_max is None:
-        r_max = 1e3 * math.sqrt(w0p / params.p + 1.0)
+    eps = cfg.eps_start or min(1e-5, 1e-3 * math.sqrt(32.0 * w0p / (3.0 * params.p)))
+    r_max = cfg.r_max or 1e3 * math.sqrt(w0p / params.p + 1.0)
 
-    specs_a = [
-        _EventSpec(MAX_OF_W, 1, 0.0, -1, False, 0),
-        _EventSpec(ZERO_OF_W, 0, 0.0, -1, False, 1),
-        _EventSpec(CHART_SWITCH, 0, -cfg.w_switch, -1, True, 2),
-        _EventSpec(BLOWUP_POSITIVE, 0, +cfg.w_switch, +1, True, 3),
+    # (kind, component, target, downward, terminal)
+    table_a = [
+        (MAX_OF_W, 1, 0.0, True, False),
+        (ZERO_OF_W, 0, 0.0, True, False),
+        (CHART_SWITCH, 0, -cfg.w_switch, True, True),
+        (BLOWUP_POSITIVE, 0, +cfg.w_switch, False, True),
     ]
-    seg_a, events, used, term = _run_chart(
+    seg_a, events, used = _run_chart(
         kernels.dopri5_step_a, kernels.rhs_a, "A",
-        eps, series_start(params, w0p, eps), +1, r_max, params, cfg, specs_a,
+        eps, series_start(params, w0p, eps), +1, r_max, params, cfg, table_a,
         cfg.max_steps,
     )
-    if term is None or term.kind == BLOWUP_POSITIVE:
-        status = ABORTED if term is None else BLOWUP_POSITIVE
-        return Trajectory(params, w0p, cfg, seg_a, None, events, status, eps)
+    term = events[-1]
+    if term.kind != CHART_SWITCH:
+        return Trajectory(params, w0p, cfg, seg_a, None, events, term.kind, eps)
 
     # chart switch: w < 0 guaranteed by the event definition
     z_sw = term.state[2]
     z_limit = z_sw - cfg.w_switch * r_max  # finiteness cap for the descent
-    specs_b = [_EventSpec(EQUATOR, 1, 0.0, +1, True, 0)]
-    seg_b, events_b, _, term_b = _run_chart(
+    seg_b, events_b, _ = _run_chart(
         kernels.dopri5_step_b, kernels.rhs_b, "B",
-        z_sw, chart_switch(term.x, term.state), -1, z_limit, params, cfg, specs_b,
-        cfg.max_steps - used,
+        z_sw, chart_switch(term.x, term.state), -1, z_limit, params, cfg,
+        [(EQUATOR, 1, 0.0, False, True)], cfg.max_steps - used,
     )
     events.extend(events_b)
-    status = ABORTED if term_b is None else EQUATOR  # Equator is B's only terminal
-    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, status, eps)
+    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, events[-1].kind, eps)
 

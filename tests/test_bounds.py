@@ -98,6 +98,23 @@ def test_checks_skip_when_roots_not_all_positive():
             assert rec.status == "Skipped"
 
 
+def test_check_single_needs_no_root_isolation(ref_traj, ref_landmarks, ref_report,
+                                             monkeypatch):
+    """The hypotheses are read off the derived constants alone."""
+    def refuse(params):
+        raise AssertionError("analyze_cubic called")
+
+    monkeypatch.setattr(bounds, "analyze_cubic", refuse)
+    assert check_single(ref_traj, ref_landmarks, PAPER,
+                        derived_constants(PAPER, 0.05)) == ref_report
+
+
+def test_overflowing_point_is_an_error_verdict():
+    traj, lm, verdict = bounds.solve_and_classify(PAPER, 1e200)
+    assert (traj, verdict) == (None, "Error:OverflowError")
+    assert all(v is None for v in vars(lm).values())
+
+
 def test_reports_are_reproducible(ref_traj, ref_landmarks):
     a = check_single(ref_traj, ref_landmarks, PAPER, derived_constants(PAPER, 0.05))
     b = check_single(ref_traj, ref_landmarks, PAPER, derived_constants(PAPER, 0.05))

@@ -52,6 +52,20 @@ def test_solve_blowup_exit_code(tmp_path):
     assert report["classification"]["verdict"] == "BlowUpPositive"
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--w0p", "0.05", "--eps-start", "1"], "EpsTooLarge"),
+    (["--w0p", "1e200"], "OverflowError"),
+])
+def test_solver_error_exits_1_with_one_line(extra, name, tmp_path, capsys):
+    """A solver error, or a float overflow, ends the command with exit 1
+    and one message line instead of a traceback."""
+    code = run_cli(["solve", *PAPER_FLAGS, *extra, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"helfrich: {name}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_small_sweep(tmp_path):
     code = run_cli(["verify", *PAPER_FLAGS, "--sweep-points", "5",
                     "--sweep-min", "1e-3", "--out", str(tmp_path)])
@@ -101,6 +115,21 @@ def test_sweep_grid_shape(tmp_path):
                         "r_inf,z_inf,roots_all_positive")
     assert len(lines) == 13  # 12 cells + header
     assert all(line.split(",")[4] == "Biconcave" for line in lines[1:])
+
+
+@pytest.mark.parametrize("flags, error_row", [
+    # w0p = 0 is no slope the paper admits, so the cell is not expected biconcave
+    (["--w0p-range", "0:0.05:2"], "1,0.25,1,0,Error:InvalidSlope,,,,,,true"),
+    # c0^2 overflows in the cubic analysis
+    (["--c0-range=1:1e160:2"],
+     "1e+160,0.25,1,0.050000000000000003,Error:OverflowError,,,,,,false"),
+])
+def test_sweep_writes_error_rows_without_anomaly(flags, error_row, tmp_path):
+    code = run_cli(["sweep", *flags, "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "phase.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and error_row in rows
+    assert sum(",Biconcave," in row for row in rows) == 1
 
 
 def test_sweep_anomaly_exit_code(tmp_path, monkeypatch):

@@ -163,3 +163,57 @@ def test_positive_parameters_give_positive_roots_and_constants():
         dc = derived_constants(params, w0p)
         assert dc.delta_plus > 0 and dc.delta_minus > 0 and dc.delta > 0
         assert dc.xi < 1.0
+
+
+
+def _double_root_params(a: int, b: int) -> HelfrichParams:
+    """Q = (t - a)^2 (t - b); small integers keep every coefficient, and
+    Q at the critical point a, exact."""
+    c0 = -(2 * a + b) / 2
+    return HelfrichParams(c0, a * a + 2 * a * b - c0 * c0, 2 * a * a * b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # the fuzz ranges of the ROADMAP baseline, and p <= 0; |p| >= 1e-4 keeps
+    # clear of analyze_cubic's rounding band (see the test below)
+    st.builds(HelfrichParams, st.floats(-5, 5), st.floats(-3, 3),
+              st.one_of(st.floats(-4, 2).map(lambda e: 10.0 ** e),
+                        st.floats(-4, -1e-4), st.just(0.0))),
+    st.builds(_double_root_params, st.integers(-4, 4), st.integers(-4, 4)),
+))
+def test_roots_positive_iff_delta_minus_positive(params):
+    """Q -> -inf as t -> -inf, so every real root is positive iff Q < 0 on
+    (-inf, 0], that is iff delta_minus > 0: the estimate hypotheses need
+    no root isolation."""
+    dm = derived_constants(params, 0.1).delta_minus
+    assert analyze_cubic(params).all_roots_positive == (dm > 0.0)
+
+
+def test_double_roots_leave_delta_minus_at_zero():
+    """A double root at t <= 0 puts the maximum of Q on (-inf, 0] at 0."""
+    for a, b in ((-1, 2), (-2, 1), (0, 3)):
+        params = _double_root_params(a, b)
+        assert not analyze_cubic(params).all_roots_positive
+        assert derived_constants(params, 0.1).delta_minus == 0.0
+
+
+def test_root_isolation_rounding_band_differs_from_delta_minus():
+    """analyze_cubic decides within its rounding tolerance, where
+    delta_minus reads the sign of Q exactly; there check_single's
+    hypotheses, read off delta_minus, differ from the root isolation.
+
+    * Q = t (t + 1)^2 - p/2 with p = 1e-14 has one real root, near p/2 > 0,
+      and Q(-1) = -p/2 < 0; analyze_cubic takes |Q(-1)| for a double root.
+    * With p = -8e-298 < 0, Q(0) > 0 puts a root below 0; the bisection
+      stops at about 1e-16 from 0 and reports a positive root.
+    """
+    params = HelfrichParams(1.0, 0.0, 1e-14)
+    assert eval_q(-1.0, params) == -0.5e-14
+    assert (-1.0, 2) in analyze_cubic(params).real_roots
+    assert not analyze_cubic(params).all_roots_positive
+    assert derived_constants(params, 0.1).delta_minus == 0.5e-14
+
+    params = HelfrichParams(1e-10, 0.0, -8e-298)
+    assert analyze_cubic(params).all_roots_positive
+    assert derived_constants(params, 0.1).delta_minus == -4e-298

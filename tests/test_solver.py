@@ -278,11 +278,11 @@ def test_step_whose_new_state_overflows_has_non_finite_err():
     def step(x, y, _h, *rest):
         return kernels.dopri5_step_a(x, y, h, *rest)
 
-    seg, events, steps, terminal = _run_chart(
+    seg, events, steps = _run_chart(
         step, kernels.rhs_a, "A", x, y, 1.0, 2.0, HelfrichParams(0.0, 0.0, 0.0),
         SolverConfig(), [], 1)
-    assert (steps, terminal) == (1, None)
-    assert events[-1].kind == ABORTED and events[-1].x == x == seg.x_end
+    assert steps == 1
+    assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
 
 
 def test_w_switch_above_1e4_is_rejected():
@@ -344,3 +344,26 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
     monkeypatch.setattr(DenseSegment, "eval_many", refuse)
     monkeypatch.setattr(DenseSegment, "deriv_many", refuse)
     assert extract_landmarks(ref_traj) == ref_landmarks
+
+
+def test_run_chart_records_tied_events_in_table_order(ref_traj):
+    """Rows that cross at the same theta are recorded in table order up to
+    the first terminal one, which ends the chart as its last event."""
+    params, w0p = HelfrichParams(1.0, 0.25, 1.0), 0.05
+    eps = ref_traj.eps_start
+    table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
+             ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
+    seg, events, _ = _run_chart(
+        kernels.dopri5_step_a, kernels.rhs_a, "A", eps, series_start(params, w0p, eps),
+        +1, 1e3 * math.sqrt(w0p / params.p + 1.0), params, SolverConfig(), table,
+        1_000_000)
+    assert [ev.kind for ev in events] == ["second", "first", "end"]
+    r0 = ref_traj.first_event(ZERO_OF_W).x
+    assert all(ev.x == r0 for ev in events) and seg.x_end == r0
+
+
+def test_status_is_the_last_event(ref_traj, blowup_traj):
+    aborted = integrate(HelfrichParams(1.0, 0.25, 1.0), 0.05, SolverConfig(max_steps=20))
+    for traj, status in ((ref_traj, EQUATOR), (blowup_traj, BLOWUP_POSITIVE),
+                         (aborted, ABORTED)):
+        assert traj.status == traj.events[-1].kind == status
