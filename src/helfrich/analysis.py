@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import HelfrichParams, eval_q
+from .cubic import eval_q
 from .errors import MissingEvent, NotBiconcave
 from .solver import (
     ABORTED,
@@ -204,7 +204,7 @@ def el_residual(traj: Trajectory) -> float:
     return float(resid.max())
 
 
-def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float:
+def equator_identity_residual(traj: Trajectory) -> float:
     """Relative defect of K(r_inf)^2 = (-1/r_inf) Q(-1/r_inf).
 
     K at the equator is the product of the meridional curvature -1/r_inf
@@ -215,7 +215,7 @@ def equator_identity_residual(traj: Trajectory, params: HelfrichParams) -> float
         raise MissingEvent("no Equator event in trajectory")
     u = float(ev.state[0])
     K2 = float(curvature_geometry("B", ev.x, ev.state)[3]) ** 2
-    target = (-1.0 / u) * eval_q(-1.0 / u, params)
+    target = (-1.0 / u) * eval_q(-1.0 / u, traj.params)
     return abs(K2 - target) / max(K2, 1e-30)
 
 
@@ -264,7 +264,7 @@ def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     m_b = max(8, m // 4)
     m_a = m - m_b
     rs = np.linspace(0.0, seg_a.x_end, m_a + 1)
-    inside = rs < traj.eps_start
+    inside = rs < seg_a.x_start
     za = np.empty_like(rs)
     za[inside] = traj.series_eval(rs[inside])[:, 2]
     za[~inside] = seg_a.eval_many(rs[~inside], 2)

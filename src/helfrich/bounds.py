@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
                        extract_landmarks)
-from .cubic import (DerivedConstants, HelfrichParams, analyze_cubic,
+from .cubic import (HelfrichParams, analyze_cubic, delta_minus,
                     derived_constants, eval_r)
 from .errors import HelfrichError, MissingEvent
 from .solver import EQUATOR, SolverConfig, Trajectory, integrate
@@ -29,25 +29,11 @@ __all__ = [
     "AsymptoticReport",
     "PhaseCell",
     "check_single",
+    "solve",
     "solve_and_classify",
     "verify_point",
     "asymptotic_sweep",
     "phase_sweep",
-]
-
-CHECK_IDS = [
-    "R0Upper",
-    "WpR0Upper",
-    "AreaPosUpper",
-    "KappaMonotone",
-    "KappaPrimeBound",
-    "KappaBound",
-    "XiFloor",
-    "RInfUpper",
-    "NegAreaLower",
-    "WprimeOrdBounded",
-    "ZInfNegative",
-    "IntVLowerRatio",
 ]
 
 _PTWISE_TOL = 1e-8  # slack for the re-asserted pointwise inequalities
@@ -78,12 +64,6 @@ class BoundsReport:
     def passed(self) -> bool:
         return all(rec.status != "Fail" for rec in self.records)
 
-    def record(self, check_id: str) -> CheckRecord:
-        for rec in self.records:
-            if rec.check_id == check_id:
-                return rec
-        raise KeyError(check_id)
-
 
 def _make(check_id, hyp, lhs, rhs, tol, info=None):
     if not hyp:
@@ -108,15 +88,17 @@ def _r_max_on_interval(params: HelfrichParams, w0p: float) -> float:
     return max(eval_r(t, params) for t in cand)
 
 
-def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
-                 consts: DerivedConstants) -> BoundsReport:
-    """Evaluate every single-run estimate on an equator-reaching trajectory."""
-    if traj.first_event(EQUATOR) is None:
+def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
+    """Evaluate every single-run estimate on an equator-reaching trajectory,
+    with the constants of -Q at the run's own parameters and slope."""
+    ev = traj.first_event(EQUATOR)
+    if ev is None:
         raise MissingEvent("check_single requires an Equator trajectory")
     if landmarks.r0 is None:
         raise MissingEvent("check_single requires a ZeroOfW event")
 
-    w0p = consts.w0p
+    params, w0p = traj.params, traj.w0p
+    consts = derived_constants(params, w0p)
     dp, xi, delta = consts.delta_plus, consts.xi, consts.delta
     # delta > 0: delta_plus > 0 and all real roots positive (Q < 0 on t <= 0)
     hyp = bool(delta > 0.0)
@@ -146,7 +128,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
                          _scale_tol(z_r0, rhs or 0.0), info))
 
     # pointwise re-assertions on (0, r0)
-    rs = np.linspace(traj.eps_start, r0, 4001)
+    rs = np.linspace(traj.chart_a.x_start, r0, 4001)
     Y = traj.chart_a.eval_many(rs, slice(0, 2))
     w, wp = Y[:, 0], Y[:, 1]
     kap = curvature_geometry("A", rs, Y)[0]
@@ -210,7 +192,6 @@ def check_single(traj: Trajectory, landmarks: Landmarks, params: HelfrichParams,
 
     # blow-down growth ratio w'^2 / (|w| (1+w^2)^(5/2)) on chart B
     nodes = traj.chart_b.conts[:, 0, :]
-    ev = traj.first_event(EQUATOR)
     sb, qb = nodes[:, 1], nodes[:, 2]
     Pb = sb * sb + 1.0
     ratio = qb * qb / (Pb ** 2 * np.sqrt(Pb))
@@ -263,20 +244,27 @@ class AsymptoticReport:
         return not self.band_failures and (self.neg_area_ratio_inf or 0.0) > 0.0
 
 
-def solve_and_classify(params: HelfrichParams, w0p: float,
-                       cfg: SolverConfig | None = None):
+def solve(params: HelfrichParams, w0p: float, cfg: SolverConfig | None = None):
     """Integrate, extract landmarks and classify one point.
 
-    Returns (trajectory, landmarks, verdict).  A ``HelfrichError`` or a
-    float overflow is reported as verdict ``Error:<Name>`` with no
-    trajectory and empty landmarks, so that one failing point ends no sweep.
+    Returns (trajectory, landmarks, ``Classification``); solver errors
+    propagate.
     """
+    traj = integrate(params, w0p, cfg)
+    lm = extract_landmarks(traj)
+    return traj, lm, classify(traj, lm)
+
+
+def solve_and_classify(params: HelfrichParams, w0p: float,
+                       cfg: SolverConfig | None = None):
+    """``solve`` returning (trajectory, landmarks, verdict); a
+    ``HelfrichError`` or a float overflow is the verdict ``Error:<Name>``
+    with no trajectory and empty landmarks, so one point ends no sweep."""
     try:
-        traj = integrate(params, w0p, cfg)
-        lm = extract_landmarks(traj)
-        return traj, lm, classify(traj, lm).verdict
+        traj, lm, cls = solve(params, w0p, cfg)
     except (HelfrichError, ArithmeticError) as exc:
         return None, Landmarks(*[None] * 8), _error_verdict(exc)
+    return traj, lm, cls.verdict
 
 
 def _error_verdict(exc: Exception) -> str:
@@ -295,7 +283,7 @@ def verify_point(params: HelfrichParams, w0p: float,
     traj, lm, verdict = solve_and_classify(params, w0p, cfg)
     if verdict != BICONCAVE:
         return lm, verdict, None
-    return lm, verdict, check_single(traj, lm, params, derived_constants(params, w0p))
+    return lm, verdict, check_single(traj, lm)
 
 
 def _cpu_count() -> int:
@@ -458,12 +446,13 @@ def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
     params = HelfrichParams(c0, lam, p)
     try:
         ca = analyze_cubic(params)
+        roots_positive = delta_minus(params) > 0.0
     except ArithmeticError as exc:
         return PhaseCell(c0, lam, p, w0p, _error_verdict(exc), False, False)
     _, lm, verdict = solve_and_classify(params, w0p, cfg)
-    expected = ca.all_roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
+    expected = roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
     return PhaseCell(
-        c0, lam, p, w0p, verdict, ca.all_roots_positive,
+        c0, lam, p, w0p, verdict, roots_positive,
         bool(expected and verdict != BICONCAVE),
         lm.r_m, lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf,
     )
@@ -472,8 +461,9 @@ def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
 def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
     """Classify every (c0, lambda, p, w0p) cell of a finite grid.
 
-    Cells with all-positive roots and 0 < w0p at most a tenth of the
-    smallest root are expected biconcave; such a cell that fails to
+    Cells with all-positive roots (``delta_minus`` > 0, the test
+    ``check_single`` applies) and 0 < w0p at most a tenth of the smallest
+    root are expected biconcave; such a cell that fails to
     classify Biconcave is flagged as an anomaly.  A cell whose cubic
     analysis overflows gets the verdict ``Error:<Name>``, as a failing
     solve does, with ``roots_all_positive`` false, and is no anomaly.

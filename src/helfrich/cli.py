@@ -23,15 +23,14 @@ import numpy as np
 
 from .analysis import (
     BICONCAVE,
-    classify,
     el_residual,
     equator_identity_residual,
-    extract_landmarks,
     mirror_quarter,
     profile_points,
     surface_totals,
 )
-from .bounds import _map_points, asymptotic_sweep, check_single, phase_sweep, verify_point
+from .bounds import (_map_points, asymptotic_sweep, check_single, phase_sweep, solve,
+                     verify_point)
 from .cubic import HelfrichParams, derived_constants
 from .errors import HelfrichError, MissingEvent
 from .export import (
@@ -43,7 +42,7 @@ from .export import (
     write_obj,
     write_profile_csv,
 )
-from .solver import EQUATOR, SolverConfig, integrate
+from .solver import EQUATOR, SolverConfig
 
 EX_OK = 0
 EX_ERROR = 1
@@ -168,32 +167,25 @@ def _open_out(parser, vals):
     return cfg, out
 
 
-def _solve(params, w0p, cfg):
-    """Integrate one profile and classify it; solver errors propagate."""
-    traj = integrate(params, w0p, cfg)
-    lm = extract_landmarks(traj)
-    return traj, lm, classify(traj, lm)
-
-
-def _report_payload(params, w0p, cfg, traj, lm, cls):
-    consts = derived_constants(params, w0p)
+def _report_payload(traj, lm, cls):
+    params, w0p = traj.params, traj.w0p
     payload = {
         "params": {"c0": params.c0, "lambda": params.lam, "p": params.p, "w0p": w0p},
-        "config": cfg,
+        "config": traj.cfg,
         "status": traj.status,
         "landmarks": lm,
         "classification": cls,
-        "derived_constants": consts,
+        "derived_constants": derived_constants(params, w0p),
         "el_residual": el_residual(traj),
         "equator_identity_residual": None,
         "totals": None,
         "bounds_report": None,
     }
     if traj.first_event(EQUATOR) is not None:
-        payload["equator_identity_residual"] = equator_identity_residual(traj, params)
+        payload["equator_identity_residual"] = equator_identity_residual(traj)
         payload["totals"] = surface_totals(traj)
         try:
-            payload["bounds_report"] = check_single(traj, lm, params, consts)
+            payload["bounds_report"] = check_single(traj, lm)
         except MissingEvent:
             pass
     return payload
@@ -211,13 +203,13 @@ def _cmd_solve(parser, v):
         if f not in VALID_FORMATS:
             parser.error(f"--format: unknown format {f!r}")
     cfg, out = _open_out(parser, v)
-    traj, lm, cls = _solve(params, v["w0p"], cfg)
+    traj, lm, cls = solve(params, v["w0p"], cfg)
 
     if "csv" in formats:
         write_profile_csv(os.path.join(out, "profile.csv"), traj)
     if "json" in formats:
         write_json(os.path.join(out, "report.json"),
-                   _report_payload(params, v["w0p"], cfg, traj, lm, cls))
+                   _report_payload(traj, lm, cls))
     if "svg" in formats and cls.verdict == BICONCAVE:
         svg = render_svg(profile_points(traj, cls), _annotation(params, v["w0p"]))
         with open(os.path.join(out, "profile.svg"), "w", newline="\n") as fh:
@@ -337,7 +329,7 @@ def _cmd_plot(parser, v):
     else:
         params = _params(parser, v)
         cfg, out = _open_out(parser, v)
-        traj, _, cls = _solve(params, v["w0p"], cfg)
+        traj, _, cls = solve(params, v["w0p"], cfg)
         if cls.verdict != BICONCAVE:
             print(f"plot: classification is {cls.verdict}", file=sys.stderr)
             return EX_NOT_BICONCAVE
@@ -358,7 +350,7 @@ def _cmd_mesh(parser, v):
         if v[o.dest] is not None and v[o.dest] < least:
             parser.error(f"{o.flag} must be >= {least}")
     cfg, out = _open_out(parser, v)
-    traj, _, cls = _solve(params, v["w0p"], cfg)
+    traj, _, cls = solve(params, v["w0p"], cfg)
     if cls.verdict != BICONCAVE:
         print(f"mesh: classification is {cls.verdict}", file=sys.stderr)
         return EX_NOT_BICONCAVE

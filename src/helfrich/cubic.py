@@ -24,6 +24,7 @@ __all__ = [
     "eval_q",
     "eval_r",
     "analyze_cubic",
+    "delta_minus",
     "derived_constants",
 ]
 
@@ -226,6 +227,13 @@ class DerivedConstants:
     w0p: float
 
 
+def delta_minus(params: HelfrichParams) -> float:
+    """Min of -Q over t <= 0, taken at 0 and the negative critical points;
+    every real root of Q is positive iff it is > 0."""
+    crit = _q_critical_points(params)
+    return -max(eval_q(t, params) for t in [0.0] + [t for t in crit if t < 0.0])
+
+
 def derived_constants(params: HelfrichParams, w0p: float) -> DerivedConstants:
     """Extrema of Q taken at interval endpoints plus interior roots of Q'."""
     if not (w0p > 0.0):
@@ -236,15 +244,11 @@ def derived_constants(params: HelfrichParams, w0p: float) -> DerivedConstants:
     qv = [eval_q(t, params) for t in cand]
     mu = -min(qv)
     delta_plus = -max(qv)
-
-    # sup of Q over t <= 0 is attained at 0 or at a negative critical point
-    cand_neg = [0.0] + [t for t in crit if t < 0.0]
-    delta_minus = -max(eval_q(t, params) for t in cand_neg)
-
+    d_minus = delta_minus(params)
     if delta_plus > 0.0:
         xi = 1.0 - 64.0 * w0p ** 3 / (27.0 * delta_plus)
     else:
         xi = math.nan
-    delta = min(delta_plus / 8.0, delta_minus / 2.0)
-    return DerivedConstants(mu, delta_plus, delta_minus, xi, delta, float(w0p))
+    delta = min(delta_plus / 8.0, d_minus / 2.0)
+    return DerivedConstants(mu, delta_plus, d_minus, xi, delta, float(w0p))
 

@@ -197,9 +197,6 @@ class DenseSegment:
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         return _quartic(self._rows[:, cols].take(idx, axis=-1), th).T
 
-    def eval(self, x: float) -> np.ndarray:
-        return self.eval_many(np.array([x]))[0]
-
     def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
         """Derivative of the components ``cols`` selects with respect to
         the independent variable; shapes as for ``eval_many``."""
@@ -214,9 +211,6 @@ class DenseSegment:
         )
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
-
-    def deriv(self, x: float) -> np.ndarray:
-        return self.deriv_many(np.array([x]))[0]
 
 
 @dataclass(frozen=True)
@@ -239,32 +233,44 @@ class Trajectory:
     chart_a: DenseSegment
     chart_b: DenseSegment | None
     events: list[Event]
-    status: str
-    eps_start: float
 
     @property
-    def a3(self) -> float:
-        """Cubic coefficient of the axis series."""
-        return series_coefficient(self.params, self.w0p)
+    def status(self) -> str:
+        """Why the run stopped: the kind of its last event."""
+        return self.events[-1].kind
 
     def first_event(self, kind: str) -> Event | None:
         return next((ev for ev in self.events if ev.kind == kind), None)
 
     def series_eval(self, r) -> np.ndarray:
-        """Series state on [0, eps_start), same layout as chart-A states."""
+        """Series state on [0, chart_a.x_start), same layout as chart-A states."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.stack(axis_series(self.params, self.w0p, self.a3, r), axis=1)
+        a3 = series_coefficient(self.params, self.w0p)
+        return np.stack(axis_series(self.params, self.w0p, a3, r), axis=1)
+
+
+def _rms(v, sc) -> float:
+    """Root mean square of v_i / sc_i, summed in component order as numpy's
+    ``mean`` does (the builtin ``sum`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for a, b in zip(v, sc):
+        total += (a / b) * (a / b)
+    return math.sqrt(total / 6)
 
 
 def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
-    sc = atol + rtol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
+    """First step size from the start state ``y`` and its derivative ``f``,
+    sequences of six floats; a norm that is not finite is InvalidParams."""
+    sc = [atol + rtol * abs(v) for v in y]
+    d0 = _rms(y, sc)
+    d1 = _rms(f, sc)
+    if not (math.isfinite(d0) and math.isfinite(d1)):
+        raise InvalidParams(f"scaled start state or right-hand side not finite at x={x!r}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
-    y1 = y + h0 * direction * f
-    f1 = np.array(rhs(x + h0 * direction, y1, c0, lam, p))
-    d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
+    hd = h0 * direction
+    f1 = rhs(x + hd, [v + hd * fv for v, fv in zip(y, f)], c0, lam, p)
+    d2 = _rms([a - b for a, b in zip(f1, f)], sc) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
     return min(100.0 * h0, h1, h_cap)
@@ -308,18 +314,16 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
-    # the start runs on ndarrays, whose elements give inf where floats raise;
-    # the loop carries Python floats
-    x = float(x0)
-    y = np.asarray(y0, dtype=float)
-    f = np.array(rhs_fn(x, y, c0, lam, p))
-    if not np.all(np.isfinite(f)):
-        raise InvalidParams(f"right-hand side not finite at start of chart {chart}")
-
+    # the loop runs on Python floats, which raise where ndarrays give inf
+    x, x_limit = float(x0), float(x_limit)
+    y = [float(v) for v in y0]
+    try:
+        f = rhs_fn(x, y, c0, lam, p)
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidParams(f"right-hand side not finite at start of chart {chart}") from None
     h_cap = abs(x_limit - x)
     h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p, h_cap)
     h = max(h, 1e-13 * (1.0 + abs(x)))
-    y, f = y.tolist(), f.tolist()
 
     xs = [x]
     conts = array("d")  # five dense-output rows per accepted step, flat
@@ -435,7 +439,7 @@ def integrate(params: HelfrichParams, w0p: float,
     )
     term = events[-1]
     if term.kind != CHART_SWITCH:
-        return Trajectory(params, w0p, cfg, seg_a, None, events, term.kind, eps)
+        return Trajectory(params, w0p, cfg, seg_a, None, events)
 
     # chart switch: w < 0 guaranteed by the event definition
     z_sw = term.state[2]
@@ -446,5 +450,5 @@ def integrate(params: HelfrichParams, w0p: float,
         [(EQUATOR, 1, 0.0, False, True)], cfg.max_steps - used,
     )
     events.extend(events_b)
-    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, events[-1].kind, eps)
+    return Trajectory(params, w0p, cfg, seg_a, seg_b, events)
 

@@ -1,12 +1,12 @@
 """Reference computations used only by the tests.
 
 Each one is independent of the package code path it cross-checks: a
-fixed-step propagation for order studies, the ndarray right-hand sides and
-step that the float kernels must match bit for bit, dense sampling for the
-closed-form extrema of Q, a triangle-sum for mesh area and volume, the
-critical-point scan on the full dense-output evaluation, and the
-element-by-element emitters (profile CSV, SVG path, OBJ) that the array
-emitters must match byte for byte.
+fixed-step propagation for order studies, the ndarray right-hand sides,
+step and first step size that the float code must match bit for bit,
+dense sampling for the closed-form extrema of Q, a triangle-sum for mesh
+area and volume, the critical-point scan on the full dense-output
+evaluation, and the element-by-element emitters (profile CSV, SVG path,
+OBJ) that the array emitters must match byte for byte.
 
 The integrity references of the paper's checks live here too, because no
 command computes them: the 50-digit series-start defect, the curvature
@@ -28,7 +28,7 @@ from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometr
 from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, fmt17, profile_rows
-from helfrich.solver import EQUATOR, _bisect_step, axis_series
+from helfrich.solver import EQUATOR, _bisect_step, axis_series, series_coefficient
 
 
 def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
@@ -164,10 +164,27 @@ def make_step_arr(rhs):
     return step
 
 
+def initial_step_arr(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
+    """The solver's first step size computed on ndarrays ``y`` and ``f``,
+    with numpy's mean of squares for each scaled norm: the reference for
+    the float ``solver._initial_step``."""
+    sc = atol + rtol * np.abs(y)
+    d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, h_cap)
+    y1 = y + h0 * direction * f
+    f1 = np.array(rhs(x + h0 * direction, y1, c0, lam, p))
+    d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
+    dm = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
+    return min(100.0 * h0, h1, h_cap)
+
+
 def critical_points_full_scan(traj, r0: float) -> int:
     """Sign changes of w' on (eps, r0) at 10,001 points, read from the
     evaluation of all six dense-output components."""
-    rs = np.linspace(traj.eps_start, r0, 10_001)
+    rs = np.linspace(traj.chart_a.x_start, r0, 10_001)
     wp = traj.chart_a.eval_many(rs)[:, 1]
     sgn = np.sign(wp)
     sgn = sgn[sgn != 0.0]
@@ -414,13 +431,14 @@ def geometry_at(traj, r: float | None = None, z: float | None = None) -> Geometr
             w0p = traj.w0p
             return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
                                   -2.0 * params.c0)
-        y = traj.series_eval(r)[0] if r < traj.eps_start else traj.chart_a.eval(r)
+        seg = traj.chart_a
+        y = traj.series_eval(r)[0] if r < seg.x_start else seg.eval_many(r)[0]
         geom = (*curvature_geometry("A", r, y), eta_at("A", r, y, params))
         return GeometrySample(float(r), float(y[2]), *map(float, geom))
 
     if traj.chart_b is None:
         raise OutOfRange("trajectory has no chart-B portion")
-    y = traj.chart_b.eval(z)
+    y = traj.chart_b.eval_many(z)[0]
     geom = (*curvature_geometry("B", z, y), eta_at("B", z, y, params))
     return GeometrySample(float(y[0]), float(z), *map(float, geom))
 
@@ -483,7 +501,8 @@ def requadrature_totals(traj) -> SurfaceTotals:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     # series piece [0, eps], then one trapezoid pass per chart
-    area, vol, energy = axis_series(traj.params, traj.w0p, traj.a3, traj.eps_start)[3:]
+    a3 = series_coefficient(traj.params, traj.w0p)
+    area, vol, energy = axis_series(traj.params, traj.w0p, a3, traj.chart_a.x_start)[3:]
     for seg, n, rhs in ((traj.chart_a, 400_001, rhs_chart_a_arr),
                         (traj.chart_b, 100_001, rhs_chart_b_arr)):
         xs = np.linspace(seg.x_start, seg.x_end, n)

@@ -79,12 +79,12 @@ def test_criterion_03_first_zero_bounds(figure_runs, random_triples):
              for params, w0p, traj, lm, cls in random_triples
              if cls.verdict == BICONCAVE]
     for params, w0p, traj, lm in runs:
-        rep = check_single(traj, lm, params, derived_constants(params, w0p))
+        recs = {rec.check_id: rec for rec in check_single(traj, lm).records}
         for cid in ("R0Upper", "WpR0Upper"):
-            rec = rep.record(cid)
+            rec = recs[cid]
             ok &= rec.status == "Pass"
-        worst_r0 = min(worst_r0, rep.record("R0Upper").margin)
-        worst_wp = min(worst_wp, rep.record("WpR0Upper").margin)
+        worst_r0 = min(worst_r0, recs["R0Upper"].margin)
+        worst_wp = min(worst_wp, recs["WpR0Upper"].margin)
     _report(3, f"first-zero bounds on {len(runs)} runs "
                f"(min margins: r0 {worst_r0:.3g}, slope {worst_wp:.3g})", ok)
 
@@ -135,7 +135,7 @@ def test_criterion_07_equator_identity(figure_runs):
         res = []
         for rt in (1e-10, 1e-12):
             traj = integrate(PAPER, w0p, SolverConfig(rel_tol=rt, abs_tol=1e-14))
-            res.append(equator_identity_residual(traj, PAPER))
+            res.append(equator_identity_residual(traj))
         ok &= res[0] <= 1e-4
         ok &= res[1] < res[0]  # decreases as the tolerance tightens to 1e-12
         details.append(f"{w0p}: {res[0]:.1e}->{res[1]:.1e}")
@@ -148,9 +148,9 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
     deep = integrate(paper_params, 0.05, SolverConfig(w_switch=20.0))
     full = integrate(paper_params, 0.05)
     r_at = find_crossing(deep.chart_a, 0, -15.0)
-    z_at = deep.chart_a.eval(r_at)[2]
+    z_at = deep.chart_a.eval_many(r_at)[0][2]
     zb = find_crossing(full.chart_b, 1, -1.0 / 15.0)
-    overlap = max(abs(full.chart_b.eval(zb)[0] - r_at) / r_at,
+    overlap = max(abs(full.chart_b.eval_many(zb)[0][0] - r_at) / r_at,
                   abs(zb - z_at) / max(1e-3, abs(z_at)))
     ok &= overlap <= 1e-8
 

@@ -51,7 +51,7 @@ def test_blowup_has_no_zero_landmarks(blowup_traj):
     with pytest.raises(MissingEvent):
         surface_totals(blowup_traj)
     with pytest.raises(MissingEvent):
-        equator_identity_residual(blowup_traj, HelfrichParams(5.0, 0.0, 0.1))
+        equator_identity_residual(blowup_traj)
 
 
 def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
@@ -82,7 +82,7 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
 
 
 def test_geometry_near_axis(ref_traj):
-    g = geometry_at(ref_traj, r=ref_traj.eps_start / 2)
+    g = geometry_at(ref_traj, r=ref_traj.chart_a.x_start / 2)
     assert math.isclose(g.kappa_m, 0.05, rel_tol=1e-6)
     assert math.isclose(g.kappa_l, 0.05, rel_tol=1e-6)
     g0 = geometry_at(ref_traj, r=0.0)
@@ -109,7 +109,7 @@ def test_geometry_H_appendix_form_consistency(ref_traj):
     rs = np.linspace(seg.x_start, seg.x_end, 500)
     for r in rs[::25]:
         g = geometry_at(ref_traj, r=float(r))
-        y = seg.eval(float(r))
+        y = seg.eval_many(float(r))[0]
         w, wp = y[0], y[1]
         P = 1.0 + w * w
         H_graph = (wp + (w / r) * P) / (2.0 * P ** 1.5)
@@ -118,7 +118,7 @@ def test_geometry_H_appendix_form_consistency(ref_traj):
 
 
 def test_gauss_curvature_sign_tracks_slope_gradient(ref_traj, ref_landmarks):
-    rs = np.linspace(ref_traj.eps_start, ref_landmarks.r0 * 0.999, 2001)
+    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0 * 0.999, 2001)
     Y = ref_traj.chart_a.eval_many(rs)
     w, wp = Y[:, 0], Y[:, 1]
     P = 1.0 + w * w
@@ -144,8 +144,8 @@ def test_el_residual_linear_sensitivity(ref_traj, paper_params):
     """Perturbing w'' shifts the integrand linearly."""
     seg = ref_traj.chart_a
     r = float(0.5 * (seg.x_start + seg.x_end))
-    y = seg.eval(r)
-    d = seg.deriv(r)
+    y = seg.eval_many(r)[0]
+    d = seg.deriv_many(r)[0]
     w, wp, wpp = y[0], y[1], d[1]
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     P = 1.0 + w * w
@@ -168,8 +168,8 @@ def test_el_residual_linear_sensitivity(ref_traj, paper_params):
     assert math.isclose(shift, expected, rel_tol=1e-9)
 
 
-def test_equator_identity_reference(ref_traj, paper_params):
-    resid = equator_identity_residual(ref_traj, paper_params)
+def test_equator_identity_reference(ref_traj):
+    resid = equator_identity_residual(ref_traj)
     assert resid <= 1e-4
 
 
@@ -177,7 +177,7 @@ def test_equator_identity_shrinks_with_tolerance():
     res = []
     for rt in (1e-8, 1e-10, 1e-12):
         traj = integrate(PAPER, 0.05, SolverConfig(rel_tol=rt, abs_tol=1e-14))
-        res.append(equator_identity_residual(traj, PAPER))
+        res.append(equator_identity_residual(traj))
     assert res[0] > res[1] > res[2]
 
 
@@ -244,11 +244,11 @@ def test_profile_rows_equal_scalar_formulas(figure_runs):
     n_a = 1024
     for i, (r, z, w, km, kl, H, K) in enumerate(rows[1:]):
         if i < n_a:
-            y = traj.chart_a.eval(r).tolist()
+            y = traj.chart_a.eval_many(r)[0].tolist()
             want = _scalar_curvatures(r, y[0], y[1])
             assert (z, w) == (y[2], y[0])
         else:
-            u, s, q = traj.chart_b.eval(z).tolist()[:3]
+            u, s, q = traj.chart_b.eval_many(z)[0].tolist()[:3]
             if abs(s) > 1e-6:
                 want = _scalar_curvatures(u, 1.0 / s, -q / s ** 3)
             else:

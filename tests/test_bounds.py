@@ -16,16 +16,33 @@ from helfrich import (
 )
 from helfrich import bounds
 from helfrich.analysis import BICONCAVE
-from helfrich.bounds import CHECK_IDS
 from helfrich.errors import MissingEvent
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
+CHECK_IDS = [
+    "R0Upper",
+    "WpR0Upper",
+    "AreaPosUpper",
+    "KappaMonotone",
+    "KappaPrimeBound",
+    "KappaBound",
+    "XiFloor",
+    "RInfUpper",
+    "NegAreaLower",
+    "WprimeOrdBounded",
+    "ZInfNegative",
+    "IntVLowerRatio",
+]
+
+
+def _record(report, check_id):
+    """The record of ``report`` with id ``check_id``."""
+    return next(rec for rec in report.records if rec.check_id == check_id)
 
 
 @pytest.fixture(scope="module")
 def ref_report(ref_traj, ref_landmarks):
-    return check_single(ref_traj, ref_landmarks, PAPER,
-                        derived_constants(PAPER, 0.05))
+    return check_single(ref_traj, ref_landmarks)
 
 
 def test_all_checks_present_and_pass(ref_report):
@@ -48,7 +65,7 @@ def test_delta_definition():
 
 def test_b_lower_bound_chain(ref_report, ref_landmarks):
     """B = sqrt(delta r0^2 |w'(r0)|) >= sqrt(delta delta_plus / 8) r0^2."""
-    rec = ref_report.record("NegAreaLower")
+    rec = _record(ref_report, "NegAreaLower")
     dc = derived_constants(PAPER, 0.05)
     B = math.sqrt(dc.delta * ref_landmarks.r0 ** 2 * abs(ref_landmarks.wp_r0))
     assert B >= rec.info["b_lower_chain"] - 1e-12
@@ -56,7 +73,7 @@ def test_b_lower_bound_chain(ref_report, ref_landmarks):
 
 
 def test_neg_area_precondition(ref_report):
-    rec = ref_report.record("NegAreaLower")
+    rec = _record(ref_report, "NegAreaLower")
     assert rec.info["b_times_x"] <= math.pi / 2.0 * (1.0 + 1e-9)
     # chain: actual >= log bound >= quadratic bound
     assert rec.rhs >= rec.lhs - rec.tol
@@ -64,9 +81,9 @@ def test_neg_area_precondition(ref_report):
 
 
 def test_informational_variants_reported(ref_report):
-    assert "variant_64_bound" in ref_report.record("R0Upper").info
-    assert "variant_delta32_bound" in ref_report.record("AreaPosUpper").info
-    assert "variant_quarter_delta_bound" in ref_report.record("RInfUpper").info
+    assert "variant_64_bound" in _record(ref_report, "R0Upper").info
+    assert "variant_delta32_bound" in _record(ref_report, "AreaPosUpper").info
+    assert "variant_quarter_delta_bound" in _record(ref_report, "RInfUpper").info
     # the adopted area-bound constant is the one consistent with the
     # small-slope limit 8/p
     dc = derived_constants(PAPER, 1e-6)
@@ -75,10 +92,8 @@ def test_informational_variants_reported(ref_report):
 
 
 def test_check_single_requires_equator(blowup_traj):
-    params = HelfrichParams(5.0, 0.0, 0.1)
     with pytest.raises(MissingEvent):
-        check_single(blowup_traj, extract_landmarks(blowup_traj), params,
-                     derived_constants(params, 1.0))
+        check_single(blowup_traj, extract_landmarks(blowup_traj))
 
 
 def test_checks_skip_when_roots_not_all_positive():
@@ -90,7 +105,7 @@ def test_checks_skip_when_roots_not_all_positive():
     lm = extract_landmarks(traj)
     if lm.r_inf is None:
         pytest.skip("no equator outside the guaranteed regime")
-    rep = check_single(traj, lm, params, derived_constants(params, 0.05))
+    rep = check_single(traj, lm)
     skipped = {rec.check_id for rec in rep.records if rec.status == "Skipped"}
     assert {"R0Upper", "WpR0Upper", "RInfUpper", "NegAreaLower"} <= skipped
     for rec in rep.records:
@@ -105,8 +120,7 @@ def test_check_single_needs_no_root_isolation(ref_traj, ref_landmarks, ref_repor
         raise AssertionError("analyze_cubic called")
 
     monkeypatch.setattr(bounds, "analyze_cubic", refuse)
-    assert check_single(ref_traj, ref_landmarks, PAPER,
-                        derived_constants(PAPER, 0.05)) == ref_report
+    assert check_single(ref_traj, ref_landmarks) == ref_report
 
 
 def test_overflowing_point_is_an_error_verdict():
@@ -116,8 +130,8 @@ def test_overflowing_point_is_an_error_verdict():
 
 
 def test_reports_are_reproducible(ref_traj, ref_landmarks):
-    a = check_single(ref_traj, ref_landmarks, PAPER, derived_constants(PAPER, 0.05))
-    b = check_single(ref_traj, ref_landmarks, PAPER, derived_constants(PAPER, 0.05))
+    a = check_single(ref_traj, ref_landmarks)
+    b = check_single(ref_traj, ref_landmarks)
     assert a == b
 
 

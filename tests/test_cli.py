@@ -132,6 +132,35 @@ def test_sweep_writes_error_rows_without_anomaly(flags, error_row, tmp_path):
     assert sum(",Biconcave," in row for row in rows) == 1
 
 
+@pytest.mark.parametrize("c0, lam, p, w0p, roots_all_positive", [
+    # Q(0) = -p/2 > 0 forces a negative root (delta_minus = -4e-298)
+    ("1e-10", "0", "-8e-298", "1e-320", "false"),
+    # the only real root is p/2 > 0, next to a near-double root at -1
+    ("1", "0", "1e-14", "0.05", "true"),
+])
+def test_sweep_roots_column_reads_delta_minus(c0, lam, p, w0p, roots_all_positive,
+                                              tmp_path):
+    """phase.csv and the anomaly rule read the sign of delta_minus, the
+    test check_single applies, not the rounding band of the root isolation."""
+    code = run_cli(["sweep", f"--c0-range={c0}:{c0}:1", f"--lambda-range={lam}:{lam}:1",
+                    f"--p-range={p}:{p}:1", f"--w0p-range={w0p}:{w0p}:1",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    row = (tmp_path / "phase.csv").read_text().splitlines()[1]
+    assert row.split(",")[-1] == roots_all_positive
+
+
+def test_sweep_overflowing_start_is_invalid_params(tmp_path, capsys):
+    """A right-hand side whose scaled norm overflows at the chart start is
+    InvalidParams, with no numpy warning (pytest turns one into an error).
+    The cell is one the rule expects Biconcave, so the sweep exits 3."""
+    code = run_cli(["sweep", "--p-range", "1:1e300:2", "--out", str(tmp_path)])
+    assert code == 3
+    rows = (tmp_path / "phase.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["Biconcave", "Error:InvalidParams"]
+    assert "Warning" not in capsys.readouterr().err
+
+
 def test_sweep_anomaly_exit_code(tmp_path, monkeypatch):
     from helfrich.bounds import PhaseCell
     monkeypatch.setattr(cli, "phase_sweep", lambda grid, cfg: [

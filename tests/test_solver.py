@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helfrich import (
     HelfrichParams,
@@ -23,6 +23,7 @@ from helfrich.solver import (
     MAX_OF_W,
     ZERO_OF_W,
     DenseSegment,
+    _initial_step,
     _run_chart,
 )
 from helfrich import kernels
@@ -39,6 +40,7 @@ from conftest import FIGURE_W0P
 from oracles import (
     critical_points_full_scan,
     find_crossing,
+    initial_step_arr,
     make_step_arr,
     rhs_chart_a_arr,
     series_residual,
@@ -174,7 +176,7 @@ def test_z_is_quadrature_of_w(ref_traj, ref_landmarks):
 def test_kappa_decreases_when_r_negative(ref_traj, ref_landmarks):
     """Monotone drop of the meridional curvature under the sign hypothesis."""
     assert eval_r(0.05, PAPER) < 0  # hypothesis R < 0 on [0, w0p]
-    rs = np.linspace(ref_traj.eps_start, ref_landmarks.r0, 4001)
+    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0, 4001)
     Y = ref_traj.chart_a.eval_many(rs)
     kap = Y[:, 0] / (rs * np.sqrt(1.0 + Y[:, 0] ** 2))
     assert np.max(np.diff(kap)) < 1e-9
@@ -182,7 +184,7 @@ def test_kappa_decreases_when_r_negative(ref_traj, ref_landmarks):
 
 def test_pointwise_bounds_on_positive_arc(ref_traj, ref_landmarks):
     dc = derived_constants(PAPER, 0.05)
-    rs = np.linspace(ref_traj.eps_start, ref_landmarks.r0, 4001)
+    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0, 4001)
     Y = ref_traj.chart_a.eval_many(rs)
     w, wp = Y[:, 0], Y[:, 1]
     P = 1.0 + w * w
@@ -202,7 +204,7 @@ def test_find_crossing_matches_events_and_takes_first(ref_traj):
     half = 0.5 * ev_max.state[0]
     r_up = find_crossing(seg, 0, half)
     assert r_up < ev_max.x
-    assert abs(seg.eval(r_up)[0] - half) <= 1e-12
+    assert abs(seg.eval_many(r_up)[0][0] - half) <= 1e-12
     r_down = find_crossing(seg, 0, half, x_lo=ev_max.x)
     assert ev_max.x < r_down < r0
     with pytest.raises(OutOfRange):
@@ -232,9 +234,9 @@ def test_integration_is_deterministic(paper_params):
 
 def test_dense_segment_range_checks(ref_traj):
     with pytest.raises(OutOfRange):
-        ref_traj.chart_a.eval(ref_traj.chart_a.x_end * 2.0)
+        ref_traj.chart_a.eval_many(ref_traj.chart_a.x_end * 2.0)
     with pytest.raises(OutOfRange):
-        ref_traj.chart_a.eval(-1.0)
+        ref_traj.chart_a.eval_many(-1.0)
 
 
 def test_equator_state_is_regular(ref_traj):
@@ -350,7 +352,7 @@ def test_run_chart_records_tied_events_in_table_order(ref_traj):
     """Rows that cross at the same theta are recorded in table order up to
     the first terminal one, which ends the chart as its last event."""
     params, w0p = HelfrichParams(1.0, 0.25, 1.0), 0.05
-    eps = ref_traj.eps_start
+    eps = ref_traj.chart_a.x_start
     table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
              ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
     seg, events, _ = _run_chart(
@@ -367,3 +369,80 @@ def test_status_is_the_last_event(ref_traj, blowup_traj):
     for traj, status in ((ref_traj, EQUATOR), (blowup_traj, BLOWUP_POSITIVE),
                          (aborted, ABORTED)):
         assert traj.status == traj.events[-1].kind == status
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _start_case(draw):
+    """A chart start as ``integrate`` makes one: the series start of chart
+    A at its default radius, or a chart-B state ``chart_switch`` gives at
+    a chart-A state with w <= -1.01; with parameters, tolerances and a
+    step cap."""
+    c0 = draw(st.floats(-5.0, 5.0, **_finite))
+    lam = draw(st.floats(-3.0, 3.0, **_finite))
+    p = draw(st.floats(1e-4, 1e2, **_finite))
+    params = HelfrichParams(c0, lam, p)
+    if draw(st.sampled_from("AB")) == "A":
+        w0p = draw(st.floats(1e-6, 1.0, **_finite))
+        x = min(1e-5, 1e-3 * math.sqrt(32.0 * w0p / (3.0 * p)))
+        y = series_start(params, w0p, x)
+        rhs, direction = kernels.rhs_a, +1
+    else:
+        r = draw(st.floats(1e-2, 5.0, **_finite))
+        ya = [draw(st.floats(-1e4, -1.01, **_finite))]
+        ya += draw(st.lists(st.floats(-4.0, 4.0, **_finite), min_size=5, max_size=5))
+        y = chart_switch(r, ya)
+        x, rhs, direction = ya[2], kernels.rhs_b, -1
+    tols = draw(st.sampled_from(((1e-10, 1e-12), (1e-6, 1e-8), (1e-12, 1e-14))))
+    h_cap = draw(st.floats(1e-6, 1e4, **_finite))
+    return rhs, x, [float(v) for v in y], direction, tols, params, h_cap
+
+
+def _first_steps(rhs, x, y, direction, tols, params, h_cap):
+    c0, lam, p = params.c0, params.lam, params.p
+    f = rhs(x, y, c0, lam, p)
+    got = _initial_step(rhs, x, y, f, direction, *tols, c0, lam, p, h_cap)
+    want = initial_step_arr(rhs, x, np.array(y), np.array(f), direction, *tols,
+                            c0, lam, p, h_cap)
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_start_case())
+@example(case=(kernels.rhs_a, 1e-5, series_start(PAPER, 0.05, 1e-5).tolist(), +1,
+               (1e-10, 1e-12), PAPER, 1e3 * math.sqrt(1.05) - 1e-5))  # the reference point
+def test_initial_step_matches_ndarray_oracle_bit_for_bit(case):
+    """The float first step size sums its norms in numpy's order: the same
+    h, bit for bit, as the ndarray computation it replaced."""
+    got, want = _first_steps(*case)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+def test_run_chart_calls_rhs_on_python_floats(monkeypatch):
+    """The chart start and the first-step trial run on Python floats, as
+    the loop does: no ndarray or numpy scalar reaches the right-hand side."""
+    seen = set()
+
+    def recording(rhs):
+        def wrapped(x, y, c0, lam, p):
+            seen.update(type(v) for v in (x, *y))
+            return rhs(x, y, c0, lam, p)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "rhs_a", recording(kernels.rhs_a))
+    monkeypatch.setattr(kernels, "rhs_b", recording(kernels.rhs_b))
+    assert integrate(PAPER, 0.05).status == EQUATOR
+    assert seen == {float}
+
+
+def test_overflowing_chart_start_is_invalid_params():
+    # f is finite, but its scaled norm (f / sc)^2 overflows
+    with pytest.raises(InvalidParams, match="not finite"):
+        integrate(HelfrichParams(1.0, 0.25, 1e300), 0.05)
+    # w ** 3 raises OverflowError in the right-hand side itself
+    with pytest.raises(InvalidParams, match="start of chart A"):
+        _run_chart(kernels.dopri5_step_a, kernels.rhs_a, "A", 1e-5,
+                   [1e110, 0.0, 0.0, 0.0, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(),
+                   [], 10)
