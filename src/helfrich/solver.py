@@ -7,10 +7,12 @@ The profile is integrated in two coordinate charts:
 * chart B: inverse-graph coordinates u(z) = r(z), through the vertical
   tangent down to the equator, where u'(z) = 0 is a regular point.
 
-An embedded Dormand-Prince 5(4) pair with a proportional-integral step
-controller supplies a quartic continuous extension on every accepted
-step; events (maximum of w, zero of w, chart switch, equator, positive
-blow-up) are located on the dense output by bisection.
+The embedded DOP853 pair (8th order, with 5th- and 3rd-order error
+estimates) and a proportional-integral step controller supply a
+7th-order continuous extension on every accepted step; events (maximum
+of w, zero of w, chart switch, equator, positive blow-up) are located on
+the dense output by bisection.  No chart-A step is longer than its start
+radius, the distance to the axis singularity at r = 0.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ BLOWUP_POSITIVE = "BlowUpPositive"
 ABORTED = "Aborted"
 
 _SAFETY = 0.9
-_ALPHA = 0.17  # PI controller exponents for a 5th-order pair
+# PI controller exponents for an 8th-order pair, as dop853.f's expo1
 _BETA = 0.04
+_ALPHA = 1.0 / 8.0 - 0.2 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 
@@ -149,10 +152,11 @@ def chart_switch(r: float, y) -> np.ndarray:
 
 
 class DenseSegment:
-    """Quartic continuous extension over the accepted steps of one chart.
+    """7th-order continuous extension over the accepted steps of one chart.
 
     ``xs`` holds the step nodes (ascending for chart A, descending for
-    chart B); ``conts[i]`` the five dense-output vectors of step i.
+    chart B); ``conts[i]`` the ``kernels.NROWS`` dense-output rows of step
+    i: its start state and the interpolant's rows F0..F6.
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
@@ -168,7 +172,7 @@ class DenseSegment:
         # trajectory may terminate mid-step at an event
         self.x_end = float(x_end)
         self._key = self.xs if self.ascending else -self.xs
-        # (5, 6, steps) view: a query takes the steps of the components it
+        # (NROWS, 6, steps) view: a query takes the steps of the components it
         # reads, so each row it computes on is contiguous along the queries
         self._rows = self.conts.transpose(1, 2, 0)
 
@@ -195,20 +199,26 @@ class DenseSegment:
 
     def eval_many(self, x, cols=slice(None)) -> np.ndarray:
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
-        return _quartic(self._rows[:, cols].take(idx, axis=-1), th).T
+        return _interpolant(self._rows[:, cols].take(idx, axis=-1), th).T
 
     def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
         """Derivative of the components ``cols`` selects with respect to
         the independent variable; shapes as for ``eval_many``."""
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         h = self.xs[idx + 1] - self.xs[idx]
-        r2, r3, r4, r5 = self._rows[1:, cols].take(idx, axis=-1)
-        dth = (
-            r2
-            + (1.0 - 2.0 * th) * r3
-            + th * (2.0 - 3.0 * th) * r4
-            + 2.0 * th * (1.0 - th) * (1.0 - 2.0 * th) * r5
-        )
+        _, r2, r3, r4, r5, r6, r7, r8 = self._rows[:, cols].take(idx, axis=-1)
+        # the nested form of ``_interpolant`` differentiated from the
+        # inside out: a level v = r + t w, where t is theta or 1 - theta and
+        # w the level inside it, has the derivative dv = +-w + t dw
+        u = 1.0 - th
+        v = r7 + th * r8
+        dv = r8
+        v, dv = r6 + u * v, u * dv - v
+        v, dv = r5 + th * v, v + th * dv
+        v, dv = r4 + u * v, u * dv - v
+        v, dv = r3 + th * v, v + th * dv
+        v, dv = r2 + u * v, u * dv - v
+        dth = v + th * dv
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
 
@@ -259,8 +269,9 @@ def _rms(v, sc) -> float:
 
 
 def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
-    """First step size from the start state ``y`` and its derivative ``f``,
-    sequences of six floats; a norm that is not finite is InvalidParams."""
+    """First step size for an 8th-order pair from the start state ``y`` and
+    its derivative ``f``, sequences of six floats, at most ``h_cap`` > 0; a
+    norm that is not finite is InvalidParams."""
     sc = [atol + rtol * abs(v) for v in y]
     d0 = _rms(y, sc)
     d1 = _rms(f, sc)
@@ -272,28 +283,31 @@ def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     f1 = rhs(x + hd, [v + hd * fv for v, fv in zip(y, f)], c0, lam, p)
     d2 = _rms([a - b for a, b in zip(f1, f)], sc) / h0
     dm = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
+    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.125
     return min(100.0 * h0, h1, h_cap)
 
 
-def _quartic(cont, th):
-    """Quartic continuous extension from its five vectors ``cont`` at theta."""
-    r1, r2, r3, r4, r5 = cont
-    return r1 + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+def _interpolant(cont, th):
+    """The degree-7 continuous extension at theta from its NROWS rows
+    ``cont``: y + t(F0 + (1-t)(F1 + t(F2 + ... (F5 + t F6)))), the nesting
+    of scipy's DOP853 dense output."""
+    r1, r2, r3, r4, r5, r6, r7, r8 = cont
+    u = 1.0 - th
+    return r1 + th * (r2 + u * (r3 + th * (r4 + u * (r5 + th * (r6 + u * (r7 + th * r8))))))
 
 
 def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     """Theta in [lo, hi] where one component's step polynomial, with the
-    five coefficients ``c``, crosses ``target``; bisects until |h| times
+    NROWS coefficients ``c``, crosses ``target``; bisects until |h| times
     the bracket <= tol (1 + |x0|)."""
-    glo = _quartic(c, lo) - target
+    glo = _interpolant(c, lo) - target
     h_abs = abs(h)
     bound = tol * (1.0 + abs(x0))
     for _ in range(200):
         if abs(hi - lo) * h_abs <= bound:
             break
         mid = 0.5 * (lo + hi)
-        gm = _quartic(c, mid) - target
+        gm = _interpolant(c, mid) - target
         if (gm > 0.0) == (glo > 0.0):
             lo, glo = mid, gm
         else:
@@ -322,11 +336,20 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     except (OverflowError, ZeroDivisionError):
         raise InvalidParams(f"right-hand side not finite at start of chart {chart}") from None
     h_cap = abs(x_limit - x)
-    h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p, h_cap)
+    # a chart that starts on its limit takes no step and ends Aborted below
+    h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p,
+                      h_cap) if h_cap > 0.0 else 0.0
     h = max(h, 1e-13 * (1.0 + abs(x)))
+    # chart A's x is the radius, its distance to the axis singularity at
+    # r = 0.  No step there is longer than x, because a longer one leaves
+    # the interpolant off near the axis; and its step-size floor is
+    # relative to x alone, so that a start closer to the axis than the
+    # absolute floor 1e-14 can still step out
+    axis_cap = chart == "A"
+    floor_abs = 0.0 if axis_cap else 1.0
 
     xs = [x]
-    conts = array("d")  # five dense-output rows per accepted step, flat
+    conts = array("d")  # NROWS dense-output rows per accepted step, flat
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -336,7 +359,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     # the builtins' values: ``b if b < a else a`` is min(a, b) and
     # ``b if b > a else a`` is max(a, b)
     while True:
-        h_min = 1e-14 * (1.0 + abs(x))
+        h_min = 1e-14 * (floor_abs + abs(x))
         remaining = (x_limit - x) * direction
         # the budget is tested before the step size, x_limit after it
         if steps >= steps_budget or remaining <= h_min <= h:
@@ -345,6 +368,8 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         h_use = remaining if remaining < h else h
+        if axis_cap and h_use > x:
+            h_use = x
 
         try:
             y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
@@ -382,7 +407,8 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
             for th, kind, terminal in hits:
                 x_ev = x + th * hd
-                y_ev = np.array([_quartic(cont[i::6], th) for i in range(kernels.NSTATE)])
+                y_ev = np.array([_interpolant(cont[i::6], th)
+                                 for i in range(kernels.NSTATE)])
                 events.append(Event(kind, chart, x_ev, y_ev))
                 if terminal:
                     return _make_segment(xs, conts, x_ev, y), events, steps
@@ -403,9 +429,9 @@ def _make_segment(xs, conts, x_end, y) -> DenseSegment:
     if not conts:
         # a chart that took no step: one zero-length step holding its state y
         xs = [xs[0], xs[0]]
-        conts = array("d", list(y) + [0.0] * (4 * kernels.NSTATE))
-    return DenseSegment(np.array(xs), np.frombuffer(conts).reshape(-1, 5, kernels.NSTATE),
-                        x_end)
+        conts = array("d", list(y) + [0.0] * ((kernels.NROWS - 1) * kernels.NSTATE))
+    return DenseSegment(
+        np.array(xs), np.frombuffer(conts).reshape(-1, kernels.NROWS, kernels.NSTATE), x_end)
 
 
 def integrate(params: HelfrichParams, w0p: float,

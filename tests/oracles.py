@@ -2,7 +2,7 @@
 
 Each one is independent of the package code path it cross-checks: a
 fixed-step propagation for order studies, the ndarray right-hand sides,
-step and first step size that the float code must match bit for bit,
+DOP853 step and first step size that the float code must match bit for bit,
 dense sampling for the closed-form extrema of Q, a triangle-sum for mesh
 area and volume, the critical-point scan on the full dense-output
 evaluation, and the element-by-element emitters (profile CSV, SVG path,
@@ -29,6 +29,7 @@ from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, fmt17, profile_rows
 from helfrich.solver import EQUATOR, _bisect_step, axis_series, series_coefficient
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 
 def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
@@ -40,8 +41,11 @@ def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
     f = kernels.rhs_a(r0, y, c0, lam, p)
     x = r0
     for _ in range(n_steps):
-        y, f, _, _ = kernels.dopri5_step_a(x, y, h, f, c0, lam, p, 1e-6, 1e-6)
+        # the step hands back f_new only when it accepts, so f is computed
+        # here, from the same arguments the step's FSAL stage would use
+        y = kernels.dopri5_step_a(x, y, h, f, c0, lam, p, 1e-6, 1e-6)[0]
         x += h
+        f = kernels.rhs_a(x, y, c0, lam, p)
     return np.asarray(y)
 
 
@@ -97,69 +101,60 @@ def rhs_chart_b_arr(z, y, c0, lam, p, out):
     return out
 
 
-# Dormand-Prince 5(4) tableau of the reference step, written out on its own
-# so that a changed coefficient in the package shows as a mismatch
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0,
-    -1.0 / 40.0)
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+def _tableau_sum(row, K, stages):
+    """Sum of row[j] * K[j] over the first ``stages`` stages, in tableau
+    order and over the nonzero weights only, as the written-out step adds
+    its terms."""
+    total = None
+    for j in range(stages):
+        if row[j] != 0.0:
+            term = row[j] * K[j]
+            total = term if total is None else total + term
+    return total
 
 
 def make_step_arr(rhs):
-    """Embedded Dormand-Prince 5(4) step on ndarrays over ``rhs(x, y, c0,
-    lam, p, out)``; returns (y_new, f_new, err, cont) with cont (5, n)."""
+    """Embedded DOP853 step on ndarrays over ``rhs(x, y, c0, lam, p,
+    out)``, from scipy's DOP853 arrays (a changed coefficient in the
+    package shows as a mismatch); returns (y_new, f_new, err, cont) with
+    cont (8, n), and None for f_new and cont when err > 1."""
+    A, B, C = _dop853.A, _dop853.B, _dop853.C
+    E3, E5, D = _dop853.E3, _dop853.E5, _dop853.D
+    n_stages = _dop853.N_STAGES
+
     def step(x, y, h, f0, c0, lam, p, rtol, atol):
         n = y.shape[0]
-        k2 = np.empty(n)
-        k3 = np.empty(n)
-        k4 = np.empty(n)
-        k5 = np.empty(n)
-        k6 = np.empty(n)
-        k7 = np.empty(n)
+        K = np.empty((_dop853.N_STAGES_EXTENDED, n))
+        K[0] = f0
+        for s in range(1, n_stages):
+            rhs(x + C[s] * h, y + h * _tableau_sum(A[s], K, s), c0, lam, p, K[s])
+        y_new = y + h * _tableau_sum(B, K, n_stages)
 
-        yt = y + h * (_A21 * f0)
-        rhs(x + _C2 * h, yt, c0, lam, p, k2)
-        yt = y + h * (_A31 * f0 + _A32 * k2)
-        rhs(x + _C3 * h, yt, c0, lam, p, k3)
-        yt = y + h * (_A41 * f0 + _A42 * k2 + _A43 * k3)
-        rhs(x + _C4 * h, yt, c0, lam, p, k4)
-        yt = y + h * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        rhs(x + _C5 * h, yt, c0, lam, p, k5)
-        yt = y + h * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        rhs(x + h, yt, c0, lam, p, k6)
-        y_new = y + h * (_B1 * f0 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        rhs(x + h, y_new, c0, lam, p, k7)
-
-        err = 0.0
+        err5 = _tableau_sum(E5, K, n_stages + 1)
+        err3 = _tableau_sum(E3, K, n_stages + 1)
+        s5 = s3 = 0.0
         for i in range(n):
-            e = h * (_E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
             sc = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            err += (e / sc) ** 2
-        err = np.sqrt(err / n)
+            e = err5[i] / sc
+            s5 += e * e
+            e = err3[i] / sc
+            s3 += e * e
+        d = s5 + 0.01 * s3
+        err = 0.0 if d == 0.0 else abs(h) * s5 / np.sqrt(d * n)
+        if not err <= 1.0:
+            return y_new, None, err, None
 
-        cont = np.empty((5, n))
-        for i in range(n):
-            d2 = y_new[i] - y[i]
-            d3 = h * f0[i] - d2
-            cont[0, i] = y[i]
-            cont[1, i] = d2
-            cont[2, i] = d3
-            cont[3, i] = d2 - h * k7[i] - d3
-            cont[4, i] = h * (_D1 * f0[i] + _D3 * k3[i] + _D4 * k4[i]
-                              + _D5 * k5[i] + _D6 * k6[i] + _D7 * k7[i])
-        return y_new, k7, err, cont
+        rhs(x + h, y_new, c0, lam, p, K[n_stages])
+        for s in range(n_stages + 1, _dop853.N_STAGES_EXTENDED):
+            rhs(x + C[s] * h, y + h * _tableau_sum(A[s], K, s), c0, lam, p, K[s])
+        cont = np.empty((8, n))
+        cont[0] = y
+        cont[1] = y_new - y
+        cont[2] = h * f0 - cont[1]
+        cont[3] = 2.0 * cont[1] - h * (K[n_stages] + f0)
+        for r in range(4):
+            cont[4 + r] = h * _tableau_sum(D[r], K, _dop853.N_STAGES_EXTENDED)
+        return y_new, K[n_stages].copy(), err, cont
 
     return step
 
@@ -177,7 +172,7 @@ def initial_step_arr(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     f1 = np.array(rhs(x + h0 * direction, y1, c0, lam, p))
     d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
     dm = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
+    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** (1.0 / 8.0)
     return min(100.0 * h0, h1, h_cap)
 
 

@@ -25,26 +25,26 @@ GOLDEN = {
     "sweep": (
         ["sweep", "--c0-range=-1:2:3", "--lambda-range=-0.5:1:2",
          "--p-range", "0.5:4:2", "--w0p-range", "0.001:0.5:3"],
-        {"phase.csv": "4f7a48ae2cd1ba742f90c55826e2da5f7df1eb90ebaa4ba14d025fedc7a09272"},
+        {"phase.csv": "040b145df5ae58c83aefc2008fd24633a699a4cfef6d1c257ab7ec8114388f19"},
     ),
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "9972af56957106d874eefb755fe16e663db82e588ae9b1c2337ece6c8f11013f"},
+            "d0d35932cbb83870b337e208bd32282fb0729e716db1c8fe2a5977e5c69e5e1e"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "bb2b4197d32504c08071cbb4874521bc0a913f6b4b892f2ad611000b957eb00e",
-            "report.json": "d4bfd9ffcefcce5d6540ad5c12733bd534e035822263f5e985291466b6637271",
+            "profile.csv": "3ffd60b29e67fde1aad1bbc401e3f0ed71e9a95c4707697b3bd647b14bd69f76",
+            "report.json": "ae16f9a9ca2eae875e1674e8d8001ecbe04273043a51e453e722190be4d43104",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "505bc1404baf82c00980d94d22b59c74758808521c9c2e8690fd289221db17f5",
+            "mesh.obj": "6c05a161d00aeb9d75c36c1071adecf36cc7a51bc2f870b6a963bc4a3c05ed00",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "cd401add9c09983d35691f4acc4ea6de46d60e182e469006c3fa5b0e2f32559f"},
+        {"mesh.obj": "156f14f93c6c0d69149658e1bed60d57eb60bd8f0a4707dc9382e0f69eaef50f"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
@@ -83,8 +83,8 @@ def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
 # accepted steps and events per chart
 STEP_COUNTS = {
-    "calls": {"A": 403, "B": 52},
-    "accepted": {"A": 398, "B": 36},
+    "calls": {"A": 105, "B": 17},
+    "accepted": {"A": 87, "B": 9},
     "events": {"MaxOfW": 1, "ZeroOfW": 1, "ChartSwitch": 1, "Equator": 1},
 }
 

@@ -152,12 +152,15 @@ def test_dense_output_consistency_and_order(paper_params):
 
     def dense_midpoint_error(h):
         f0 = kernels.rhs_a(r0, y0.tolist(), c0, lam, p)
-        y1, f1, _, cont = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
-                                                p, 1e-10, 1e-12)
-        y1, cont = np.asarray(y1), np.reshape(cont, (5, 6))
-        th = 0.5
-        mid = cont[0] + th * (cont[1] + (1 - th) * (
-            cont[2] + th * (cont[3] + (1 - th) * cont[4])))
+        # tolerances loose enough that the step is accepted and has a
+        # dense output at either size
+        y1, f1, err, cont = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
+                                                  p, 1e-6, 1e-6)
+        assert err <= 1.0
+        y1, cont = np.asarray(y1), np.reshape(cont, (kernels.NROWS, 6))
+        th, u = 0.5, 0.5
+        mid = cont[0] + th * (cont[1] + u * (cont[2] + th * (cont[3] + u * (
+            cont[4] + th * (cont[5] + u * (cont[6] + th * cont[7]))))))
         end = cont[0] + cont[1]
         assert np.allclose(end, y1, rtol=0, atol=1e-16)  # theta = 1 is exact
         ref = fixed_step_chart_a(paper_params, r0, y0, r0 + th * h, 2000)
@@ -166,21 +169,23 @@ def test_dense_output_consistency_and_order(paper_params):
     e1 = dense_midpoint_error(0.2)
     e2 = dense_midpoint_error(0.1)
     order = math.log2(e1 / e2)
-    assert order >= 3.5  # quartic interpolant: local error O(h^5) ideally
+    assert order >= 7.0  # 7th-order interpolant: local error O(h^8) ideally
 
 
-def test_fixed_step_order_at_least_four(paper_params):
-    """Step-halving on the fixed-step variant shows fifth-order decay."""
-    y0 = np.array([0.001, 0.05, 0.0, 0.0, 0.0, 0.0])
-    ra, rb = 0.02, 1.0
-    ref = fixed_step_chart_a(paper_params, ra, y0, rb, 8192)
+def test_fixed_step_order_eight(paper_params):
+    """Step-halving on the fixed-step variant shows eighth-order decay.
+    The interval lies off the axis: near r = 0 the 1/r terms keep an
+    eighth-order step pre-asymptotic down to the rounding floor."""
+    y0 = np.array([0.02, 0.04, 0.001, 0.0, 0.0, 0.0])
+    ra, rb = 0.5, 1.5
+    ref = fixed_step_chart_a(paper_params, ra, y0, rb, 4096)
     errs = []
-    for n in (64, 128, 256):
+    for n in (4, 8, 16):
         y = fixed_step_chart_a(paper_params, ra, y0, rb, n)
         errs.append(np.max(np.abs(y - ref) / (1.0 + np.abs(ref))))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
-    assert order1 >= 4.0 and order2 >= 4.0
+    assert order1 >= 7.0 and order2 >= 7.5
 
 
 def test_adaptive_error_scales_with_tolerance(paper_params):
@@ -255,35 +260,49 @@ def _step_case(draw):
     return chart, x, y, h, c0, lam, p
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_step_case())
-def test_float_kernels_match_ndarray_oracle_bit_for_bit(case):
-    """The float right-hand sides and step repeat the ndarray kernels'
-    arithmetic exactly: y_new, f_new, err and cont are equal bit for bit,
-    except that err is not finite wherever y_new is not (the ndarray err
-    can be finite there).  Where a float stage leaves the double range and
-    raises, the ndarray step gave a non-finite state or error, which the
-    solver rejects alike."""
-    chart, x, y, h, c0, lam, p = case
+def _match_oracle(chart, x, y, h, c0, lam, p, rtol, atol):
+    """Run the float step and its ndarray twin on one case and assert that
+    they agree: y_new bit for bit; err too, except that err is not finite
+    wherever y_new is not (the ndarray err can be finite there); and, on
+    a step both accept, f_new and the dense rows bit for bit.  Where a
+    float stage leaves the double range and raises, the ndarray step gave
+    a value that is not finite, which the solver rejects alike.  Returns
+    whether the step was accepted."""
     rhs, step_name, rhs_arr, step_arr = _ORACLES[chart]
     f0 = rhs(x, y, c0, lam, p)
     with np.errstate(all="ignore"):
         f0_arr = rhs_arr(x, np.array(y), c0, lam, p, np.empty(6))
-        want = step_arr(x, np.array(y), h, f0_arr, c0, lam, p, 1e-10, 1e-12)
+        want = step_arr(x, np.array(y), h, f0_arr, c0, lam, p, rtol, atol)
     assert np.array_equal(f0, f0_arr, equal_nan=True)
     try:
-        got = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+        got = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p, rtol, atol)
     except (OverflowError, ZeroDivisionError):
-        assert not (np.all(np.isfinite(want[0])) and np.isfinite(want[2]))
-        return
+        assert not all(np.all(np.isfinite(v)) for v in want if v is not None)
+        return False
     y_new, f_new, err, cont = got
     assert np.array_equal(y_new, want[0], equal_nan=True)
+    if not np.all(np.isfinite(want[0])):
+        assert not math.isfinite(err) and f_new is None and cont is None
+        return False
+    assert err == want[2] or (math.isnan(err) and math.isnan(want[2]))
+    if want[3] is None:
+        assert f_new is None and cont is None
+        return False
     assert np.array_equal(f_new, want[1], equal_nan=True)
-    if np.all(np.isfinite(want[0])):
-        assert err == want[2] or (math.isnan(err) and math.isnan(want[2]))
-    else:
-        assert not math.isfinite(err)
-    assert np.array_equal(np.reshape(cont, (5, 6)), want[3], equal_nan=True)
+    assert np.array_equal(np.reshape(cont, (kernels.NROWS, 6)), want[3], equal_nan=True)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_case())
+def test_float_kernels_match_ndarray_oracle_bit_for_bit(case):
+    """The float right-hand sides and step repeat the ndarray kernels'
+    arithmetic exactly (see ``_match_oracle``).  The solver's tolerances
+    reject most drawn steps, which then have no dense output; loose ones
+    accept most, so that the FSAL stage and the dense rows are compared
+    as well."""
+    for rtol, atol in ((1e-10, 1e-12), (1e-3, 1e3)):
+        _match_oracle(*case, rtol, atol)
 
 
 @pytest.mark.parametrize("chart", "AB")
@@ -296,9 +315,9 @@ def test_step_returns_python_floats(chart):
     f0 = rhs(x, y, 1.0, 0.25, 1.0)
     y_new, f_new, err, cont = getattr(kernels, step_name)(x, y, h, f0, 1.0, 0.25,
                                                           1.0, 1e-10, 1e-12)
-    rows = [cont[6 * k:6 * k + 6] for k in range(5)]  # the flat list as (5, 6)
+    rows = [cont[6 * k:6 * k + 6] for k in range(kernels.NROWS)]  # the flat list as (8, 6)
     values = [*f0, *y_new, *f_new, err, *(v for row in rows for v in row)]
-    assert len(values) == 6 + 6 + 6 + 1 + 30
+    assert len(values) == 6 + 6 + 6 + 1 + 48
     assert all(type(v) is float for v in values), {type(v) for v in values}
 
 
@@ -323,6 +342,6 @@ def test_error_norm_ties_and_signed_zeros(chart, x, y, h, params):
                                                       1e-10, 1e-12)
     if params == (0.0, 0.0, 0.0):
         assert all(abs(y_new[i]) == abs(y[i]) for i in (0, 1, 2, 4, 5))
-    assert err.hex() == float(want[2]).hex()
-    assert np.array_equal(np.reshape(cont, (5, 6)).view(np.uint64),
+    assert err <= 1.0 and err.hex() == float(want[2]).hex()
+    assert np.array_equal(np.reshape(cont, (kernels.NROWS, 6)).view(np.uint64),
                           want[3].view(np.uint64))

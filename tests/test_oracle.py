@@ -1,0 +1,59 @@
+"""The solver's landmarks against an independent integrator.
+
+scipy's ``solve_ivp`` with its own DOP853, step-size control and event
+location, at tolerances far tighter than the package's, integrates the
+same chart-A right-hand side from the same series start.  Where the
+profile first crosses w = 0, r0 and w'(r0) must agree to 1e-9 relative.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from helfrich import HelfrichParams, SolverConfig, extract_landmarks, integrate, kernels
+from helfrich.solver import series_start
+
+# (c0, lambda, p, w0p): the reference point, an oscillating cell with ten
+# maxima of w, two cells of the fuzz set, a large-p cell and a small-slope
+# point of a verify grid, whose series start lies closest to the axis
+CELLS = [
+    (1.0, 0.25, 1.0, 0.05),
+    (0.491, -0.92, 0.01997, 0.2722),
+    (-0.279, -2.396, 0.0403, 0.0189),
+    (0.2328, 0.3617, 0.2241, 0.1475),
+    (2.0, 1.0, 5.0, 1e-3),
+    (-1.924297712971017, -0.9211122702013553, 1.8286734499794792, 1e-4),
+]
+
+
+def _scipy_r0(params, w0p, eps, r_max, w_switch):
+    """r0 and w'(r0) at the first downward zero of w, by scipy's DOP853."""
+    def zero_of_w(r, y):
+        return y[0]
+
+    def chart_switch(r, y):
+        return y[0] + w_switch
+
+    zero_of_w.direction = -1.0
+    chart_switch.direction = -1.0
+    chart_switch.terminal = True
+    sol = solve_ivp(lambda r, y: kernels.rhs_a(r, y, params.c0, params.lam, params.p),
+                    (eps, r_max), series_start(params, w0p, eps), method="DOP853",
+                    rtol=1e-13, atol=1e-15, events=(zero_of_w, chart_switch))
+    assert sol.status in (0, 1), sol.message
+    return sol.t_events[0][0], sol.y_events[0][0][1]
+
+
+@pytest.mark.parametrize("c0, lam, p, w0p", CELLS)
+def test_r0_and_slope_match_scipy_dop853(c0, lam, p, w0p):
+    params = HelfrichParams(c0, lam, p)
+    traj = integrate(params, w0p)
+    lm = extract_landmarks(traj)
+    cfg = SolverConfig()
+    r0, wp_r0 = _scipy_r0(params, w0p, traj.chart_a.x_start,
+                          1e3 * math.sqrt(w0p / p + 1.0), cfg.w_switch)
+    assert np.isfinite(r0) and np.isfinite(wp_r0)
+    assert lm.r0 == pytest.approx(r0, rel=1e-9, abs=0.0)
+    assert lm.wp_r0 == pytest.approx(wp_r0, rel=1e-9, abs=0.0)

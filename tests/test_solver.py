@@ -248,13 +248,31 @@ def test_equator_state_is_regular(ref_traj):
 
 
 def test_float_overflow_in_a_step_rejects_it():
-    """Extreme finite parameters overflow a trial step's float stages, which
-    raise where ndarray stages gave inf; the step is rejected as before, so
-    the run ends in the same StepUnderflow at the same radius."""
-    params = HelfrichParams(9.60133067103221e+25, -2.8506641194562764e+40,
-                            4.1623073478829046e+42)
-    with pytest.raises(StepUnderflow, match="at x=2.0509102086518992e-27 "):
-        integrate(params, 1.6413406131863478e-06, SolverConfig(max_steps=5000))
+    """A trial step far too long overflows the float stages, which raise
+    where the ndarray stages give inf; the chart loop rejects the step and
+    retries at a tenth of its size, and the run goes on to its limit."""
+    c0, lam, p = PAPER.c0, PAPER.lam, PAPER.p
+    x, y = 1.0, [0.5, 0.1, 0.0, 0.0, 0.0, 0.0]
+    f0 = kernels.rhs_a(x, y, c0, lam, p)
+    # stage 2 holds w = 0.5 + 1e120 A21 f0[0], whose cube is beyond 1.8e308
+    with pytest.raises(OverflowError):
+        kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p, 1e-10, 1e-12)
+    with np.errstate(all="ignore"):
+        y_arr = make_step_arr(rhs_chart_a_arr)(x, np.array(y), 1e120, np.array(f0), c0, lam,
+                                               p, 1e-10, 1e-12)[0]
+    assert not np.all(np.isfinite(y_arr))
+
+    asked = []
+
+    def step(x, y, h, *rest):
+        asked.append(h)
+        return kernels.dopri5_step_a(x, y, 1e120 if len(asked) == 1 else h, *rest)
+
+    seg, events, steps = _run_chart(step, kernels.rhs_a, "A", x, y, +1, 2.0, PAPER,
+                                    SolverConfig(), [], 1000)
+    assert asked[1] == 0.1 * asked[0]
+    assert steps >= len(seg.xs)  # more tries than accepted steps
+    assert [ev.kind for ev in events] == [ABORTED] and seg.x_end == 2.0
 
 
 def test_step_whose_new_state_overflows_has_non_finite_err():
@@ -285,6 +303,16 @@ def test_step_whose_new_state_overflows_has_non_finite_err():
         SolverConfig(), [], 1)
     assert steps == 1
     assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-20])
+def test_start_closer_to_the_axis_than_1e_14_solves(eps, ref_landmarks):
+    """Chart-A steps are no longer than their radius, so next to the axis
+    they are shorter than an absolute floor of 1e-14 would allow; the
+    floor there is relative to r, and the run reaches the equator."""
+    traj = integrate(PAPER, 0.05, SolverConfig(eps_start=eps))
+    assert traj.status == EQUATOR and traj.chart_a.x_start == eps
+    assert extract_landmarks(traj).r0 == pytest.approx(ref_landmarks.r0, rel=1e-9)
 
 
 def test_w_switch_above_1e4_is_rejected():
