@@ -25,6 +25,8 @@ from .solver import (
     MAX_OF_W,
     ZERO_OF_W,
     Trajectory,
+    axis_series,
+    series_coefficient,
 )
 
 __all__ = [
@@ -152,7 +154,8 @@ def _graph_curvatures(r, w, wp):
 
 
 def curvature_geometry(chart: str, x, y) -> tuple:
-    """(kappa_m, kappa_l, H, K) at chart states ``y``, shape (6,) or (n, 6).
+    """(kappa_m, kappa_l, H, K) at chart states ``y``, shape (NSTATE,) or
+    (n, NSTATE).
 
     Only the leading components are read, two on chart A and three on
     chart B, so ``y`` may hold just those.
@@ -219,19 +222,59 @@ def equator_identity_residual(traj: Trajectory) -> float:
     return abs(K2 - target) / max(K2, 1e-30)
 
 
+# 5-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(5)
+# written out: importing numpy.polynomial costs start-up time and memory
+_GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                  0.5384693101056831, 0.906179845938664])
+_GL_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                  0.4786286704993663, 0.23692688505618928])
+
+
+def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
+    """Integrals of the area, volume and energy densities over one chart.
+
+    Each accepted step, the last one cut at ``x_end``, gets the 5-point
+    Gauss-Legendre rule on its degree-7 interpolant.  The densities are
+    those of the upper half in the chart's variable: r sqrt(1+w^2),
+    r^2 w and [(2H+c0)^2 + lambda] r sqrt(1+w^2) per dr on chart A, and
+    -u sqrt(1+s^2), u^2 and [(2H+c0)^2 + lambda] (-u sqrt(1+s^2)) per dz
+    on chart B.
+    """
+    lo = seg.xs[:-1]
+    span = np.append(seg.xs[1:-1], seg.x_end) - lo
+    x = (lo[:, None] + span[:, None] * (0.5 + 0.5 * _GL_X)).ravel()
+    y = seg.eval_many(x)
+    H = curvature_geometry(chart, x, y)[2]
+    if chart == "A":
+        w = y[:, 0]
+        area = x * np.sqrt(1.0 + w * w)
+        vol = x * x * w
+    else:
+        u, s = y[:, 0], y[:, 1]
+        area = -u * np.sqrt(s * s + 1.0)
+        vol = u * u
+    energy = ((2.0 * H + params.c0) ** 2 + params.lam) * area
+    return (np.stack([area, vol, energy]).reshape(3, -1, 5) @ (0.5 * _GL_W)) @ span
+
+
 def surface_totals(traj: Trajectory) -> SurfaceTotals:
     """Closed-surface area, enclosed volume, and bending energy.
 
-    The accumulators cover the upper half; the reflection doubles them.
+    The series piece on [0, eps] and the quadrature of the dense output
+    over both charts cover the upper half; the reflection doubles them.
     Volume uses the sign convention that makes a convex body positive.
     """
-    ev = traj.first_event(EQUATOR)
-    if ev is None:
+    if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
-    area_acc, vol_acc, energy_acc = (float(v) for v in ev.state[3:6])
-    area = 4.0 * math.pi * area_acc
-    volume = -2.0 * math.pi * vol_acc
-    energy = 4.0 * math.pi * energy_acc + traj.params.p * volume
+    params = traj.params
+    a3 = series_coefficient(params, traj.w0p)
+    area_acc, vol_acc, energy_acc = (
+        np.array(axis_series(params, traj.w0p, a3, traj.chart_a.x_start)[3:])
+        + _chart_quadratures("A", traj.chart_a, params)
+        + _chart_quadratures("B", traj.chart_b, params))
+    area = 4.0 * math.pi * float(area_acc)
+    volume = -2.0 * math.pi * float(vol_acc)
+    energy = 4.0 * math.pi * float(energy_acc) + params.p * volume
     return SurfaceTotals(area, volume, energy)
 
 

@@ -82,8 +82,10 @@ def profile_rows(traj: Trajectory):
         zs = np.linspace(segb.x_start, segb.x_end, 513)[1:]
         Y = segb.eval_many(zs, slice(0, 3))
         u, s = Y[:, 0], Y[:, 1]
+        # w = 1/s < 0 on the descent; at the equator the interpolated s
+        # rounds to either side of 0, and w is -inf there or far below 0
         with np.errstate(divide="ignore"):
-            w = np.where(s != 0.0, 1.0 / s, -np.inf)
+            w = -1.0 / np.abs(s)
         geom = curvature_geometry("B", zs, Y)
         rows.append(np.stack([u, zs, w, *geom], axis=1))
     return np.concatenate(rows)

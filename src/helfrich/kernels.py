@@ -2,16 +2,16 @@
 embedded DOP853 step, built once per coordinate chart.
 
 State layout, chart A (independent variable r):
-    y = [w, wp, z, area_acc, vol_acc, energy_acc]
-with w = z'(r), wp = w'(r), and the quadrature accumulators
-    area_acc   = int r sqrt(1+w^2) dr
-    vol_acc    = int r^2 w dr
-    energy_acc = int [(2H+c0)^2 + lambda] r sqrt(1+w^2) dr.
+    y = [w, wp, z]
+with w = z'(r) and wp = w'(r).
 
 State layout, chart B (independent variable z, decreasing):
-    y = [u, s, q, area_acc, vol_acc, energy_acc]
-with u = r(z), s = u'(z) = 1/w, q = u''(z) = -w'/w^3.  The accumulators
-continue the same integrals in the z parametrization.
+    y = [u, s, q]
+with u = r(z), s = u'(z) = 1/w, q = u''(z) = -w'/w^3.
+
+The surface area, volume and energy are quadratures that no right-hand
+side reads: ``analysis.surface_totals`` computes them on demand from the
+dense output, so the steps carry these NSTATE = 3 components only.
 
 The chart-B equation is third order in u; its right-hand side has a
 1/s factor that is removable along solutions (the coefficient vanishes
@@ -22,16 +22,16 @@ The step is Hairer's DOP853: an 8th-order Runge-Kutta pair with 5th- and
 3rd-order error estimates and a 7th-order continuous extension, with
 the tableau of scipy's ``dop853_coefficients``.  The right-hand sides
 ``rhs_a`` and ``rhs_b`` and the step work on Python floats, because
-numpy arithmetic on 6-element arrays and ``np.float64`` scalars costs
+numpy arithmetic on 3-element arrays and ``np.float64`` scalars costs
 several times the arithmetic itself; the tests hold an ndarray twin of
 each right-hand side and of the step.  The step is written out one
 local scalar per component, because list comprehensions over ``zip``
 cost more than the sums they build.
 For the same reason it calls no builtin it can do without: the
 per-component max of the error scale is a conditional expression, and
-the dense output comes back as one flat list of NROWS * NSTATE = 48
-floats (eight rows of six) that the solver appends to its storage as it
-is.  Python floats raise ``ZeroDivisionError`` and ``OverflowError``
+the dense output comes back as one flat list of NROWS * NSTATE = 24
+floats (eight rows of three) that the solver appends to its storage as
+it is.  Python floats raise ``ZeroDivisionError`` and ``OverflowError``
 where ndarrays give inf or nan; the caller treats either as a failed
 step.
 
@@ -46,7 +46,7 @@ import math
 
 from ._jit import njit
 
-NSTATE = 6
+NSTATE = 3
 NROWS = 8  # dense-output rows per accepted step: y and the interpolant's F0..F6
 
 # DOP853 tableau with 1-based stage indices, only its nonzero entries:
@@ -121,7 +121,7 @@ _D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_1
 
 @njit
 def rhs_a(r, y, c0, lam, p):
-    """Chart-A derivatives with respect to r, as a 6-tuple; reads y[:3]."""
+    """Chart-A derivatives (w', w'', z') with respect to r."""
     w = y[0]
     wp = y[1]
     P = 1.0 + w * w
@@ -136,13 +136,12 @@ def rhs_a(r, y, c0, lam, p):
         + 0.5 * (c0 * c0 + lam) * w * P * P
         - 0.25 * p * r * P * P * sq
     )
-    twoH = (wp + (w / r) * P) / (P * sq)
-    return (wp, wpp, w, r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq)
+    return (wp, wpp, w)
 
 
 @njit
 def rhs_b(z, y, c0, lam, p):
-    """Chart-B derivatives with respect to z, as a 6-tuple; reads y[:3]."""
+    """Chart-B derivatives (u', u'', u''') with respect to z."""
     u = y[0]
     s = y[1]
     q = y[2]
@@ -156,84 +155,79 @@ def rhs_b(z, y, c0, lam, p):
         - 0.5 * (c0 * c0 + lam) * P * P
         - 0.25 * p * u * P * P * sq
     )
-    twoH = (q - P / u) / (P * sq)
-    return (s, q, N / s - q * s / u, -u * sq, u * u,
-            -((twoH + c0) ** 2 + lam) * u * sq)
+    return (s, q, N / s - q * s / u)
 
 
 def _make_step(rhs):
     """One embedded DOP853 step over the right-hand side ``rhs``.
 
     The returned step(x, y, h, f0, c0, lam, p, rtol, atol) takes the
-    state ``y`` and its derivative ``f0`` as sequences of six floats and
-    gives (y_new, f_new, err, cont).  ``y_new`` is the new state as a
+    state ``y`` and its derivative ``f0`` as sequences of NSTATE floats
+    and gives (y_new, f_new, err, cont).  ``y_new`` is the new state as a
     list and ``err`` the scalar weighted error norm: scipy's DOP853 norm
-    |h| s5 / sqrt(6 (s5 + 0.01 s3)), where s5 and s3 sum the squares of
-    the E5 and E3 estimates over the components, each divided by
+    |h| s5 / sqrt(NSTATE (s5 + 0.01 s3)), where s5 and s3 sum the squares
+    of the E5 and E3 estimates over the components, each divided by
     atol + rtol max(|y_i|, |yn_i|).  It is NaN when the new state holds
     an inf or NaN, so that one finiteness test on it rejects such a step.
     Only an accepted step (err <= 1) goes on: ``f_new`` is its FSAL stage
     (the tuple ``rhs`` returned at the new state) and ``cont`` its dense
     output as one flat list of NROWS * NSTATE floats, the rows y, F0..F6
-    of six in storage order, so that the caller appends it in one call
-    and reads component i as ``cont[i::6]``.  A rejected step gives None
-    for both and spends no right-hand side call on them.
+    of NSTATE each in storage order, so that the caller appends it in one
+    call and reads component i as ``cont[i::NSTATE]``.  A rejected step
+    gives None for both and spends no right-hand side call on them.
 
     The arithmetic is written out one local scalar per component:
-    ``y0..y5`` is the state, ``kS_i`` component i of stage S (stage 1 is
+    ``y0..y2`` is the state, ``kS_i`` component i of stage S (stage 1 is
     ``f0``), so each tableau coefficient's index names its stage, and
-    ``yn0..yn5`` is the new state.  ``rhs`` reads only the first three
-    components of a state (the rest are quadratures), so the stage states
-    carry only those, and of stages 2-5, which no weight row uses, the
-    step keeps only those components.  Each sum keeps the order of its tableau row, and the error
-    norm adds its squares in component order.  Its scale
-    max(|y_i|, |yn_i|) is written ``b if b > a else a`` with a = |y_i| and
-    b = |yn_i|: exactly the value ``max(a, b)`` returns, NaN included,
-    without a builtin call.  Under numba, ``rhs`` is a jitted function
-    that the closure captures as a compile-time constant.
+    ``yn0..yn2`` is the new state.  Each sum keeps the order of its
+    tableau row, and the error norm adds its squares in component order.
+    Its scale max(|y_i|, |yn_i|) is written ``b if b > a else a`` with
+    a = |y_i| and b = |yn_i|: exactly the value ``max(a, b)`` returns, NaN
+    included, without a builtin call.  Under numba, ``rhs`` is a jitted
+    function that the closure captures as a compile-time constant.
     """
 
     @njit
     def step(x, y, h, f0, c0, lam, p, rtol, atol):
-        y0, y1, y2, y3, y4, y5 = y
-        k1_0, k1_1, k1_2, k1_3, k1_4, k1_5 = f0
-        k2_0, k2_1, k2_2, _, _, _ = rhs(
+        y0, y1, y2 = y
+        k1_0, k1_1, k1_2 = f0
+        k2_0, k2_1, k2_2 = rhs(
             x + _C2 * h,
             (y0 + h * (_A2_1 * k1_0),
              y1 + h * (_A2_1 * k1_1),
              y2 + h * (_A2_1 * k1_2)),
             c0, lam, p)
-        k3_0, k3_1, k3_2, _, _, _ = rhs(
+        k3_0, k3_1, k3_2 = rhs(
             x + _C3 * h,
             (y0 + h * (_A3_1 * k1_0 + _A3_2 * k2_0),
              y1 + h * (_A3_1 * k1_1 + _A3_2 * k2_1),
              y2 + h * (_A3_1 * k1_2 + _A3_2 * k2_2)),
             c0, lam, p)
-        k4_0, k4_1, k4_2, _, _, _ = rhs(
+        k4_0, k4_1, k4_2 = rhs(
             x + _C4 * h,
             (y0 + h * (_A4_1 * k1_0 + _A4_3 * k3_0),
              y1 + h * (_A4_1 * k1_1 + _A4_3 * k3_1),
              y2 + h * (_A4_1 * k1_2 + _A4_3 * k3_2)),
             c0, lam, p)
-        k5_0, k5_1, k5_2, _, _, _ = rhs(
+        k5_0, k5_1, k5_2 = rhs(
             x + _C5 * h,
             (y0 + h * (_A5_1 * k1_0 + _A5_3 * k3_0 + _A5_4 * k4_0),
              y1 + h * (_A5_1 * k1_1 + _A5_3 * k3_1 + _A5_4 * k4_1),
              y2 + h * (_A5_1 * k1_2 + _A5_3 * k3_2 + _A5_4 * k4_2)),
             c0, lam, p)
-        k6_0, k6_1, k6_2, k6_3, k6_4, k6_5 = rhs(
+        k6_0, k6_1, k6_2 = rhs(
             x + _C6 * h,
             (y0 + h * (_A6_1 * k1_0 + _A6_4 * k4_0 + _A6_5 * k5_0),
              y1 + h * (_A6_1 * k1_1 + _A6_4 * k4_1 + _A6_5 * k5_1),
              y2 + h * (_A6_1 * k1_2 + _A6_4 * k4_2 + _A6_5 * k5_2)),
             c0, lam, p)
-        k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = rhs(
+        k7_0, k7_1, k7_2 = rhs(
             x + _C7 * h,
             (y0 + h * (_A7_1 * k1_0 + _A7_4 * k4_0 + _A7_5 * k5_0 + _A7_6 * k6_0),
              y1 + h * (_A7_1 * k1_1 + _A7_4 * k4_1 + _A7_5 * k5_1 + _A7_6 * k6_1),
              y2 + h * (_A7_1 * k1_2 + _A7_4 * k4_2 + _A7_5 * k5_2 + _A7_6 * k6_2)),
             c0, lam, p)
-        k8_0, k8_1, k8_2, k8_3, k8_4, k8_5 = rhs(
+        k8_0, k8_1, k8_2 = rhs(
             x + _C8 * h,
             (y0 + h * (_A8_1 * k1_0 + _A8_4 * k4_0 + _A8_5 * k5_0 + _A8_6 * k6_0
                        + _A8_7 * k7_0),
@@ -242,7 +236,7 @@ def _make_step(rhs):
              y2 + h * (_A8_1 * k1_2 + _A8_4 * k4_2 + _A8_5 * k5_2 + _A8_6 * k6_2
                        + _A8_7 * k7_2)),
             c0, lam, p)
-        k9_0, k9_1, k9_2, k9_3, k9_4, k9_5 = rhs(
+        k9_0, k9_1, k9_2 = rhs(
             x + _C9 * h,
             (y0 + h * (_A9_1 * k1_0 + _A9_4 * k4_0 + _A9_5 * k5_0 + _A9_6 * k6_0
                        + _A9_7 * k7_0 + _A9_8 * k8_0),
@@ -251,7 +245,7 @@ def _make_step(rhs):
              y2 + h * (_A9_1 * k1_2 + _A9_4 * k4_2 + _A9_5 * k5_2 + _A9_6 * k6_2
                        + _A9_7 * k7_2 + _A9_8 * k8_2)),
             c0, lam, p)
-        k10_0, k10_1, k10_2, k10_3, k10_4, k10_5 = rhs(
+        k10_0, k10_1, k10_2 = rhs(
             x + _C10 * h,
             (y0 + h * (_A10_1 * k1_0 + _A10_4 * k4_0 + _A10_5 * k5_0 + _A10_6 * k6_0
                        + _A10_7 * k7_0 + _A10_8 * k8_0 + _A10_9 * k9_0),
@@ -260,7 +254,7 @@ def _make_step(rhs):
              y2 + h * (_A10_1 * k1_2 + _A10_4 * k4_2 + _A10_5 * k5_2 + _A10_6 * k6_2
                        + _A10_7 * k7_2 + _A10_8 * k8_2 + _A10_9 * k9_2)),
             c0, lam, p)
-        k11_0, k11_1, k11_2, k11_3, k11_4, k11_5 = rhs(
+        k11_0, k11_1, k11_2 = rhs(
             x + _C11 * h,
             (y0 + h * (_A11_1 * k1_0 + _A11_4 * k4_0 + _A11_5 * k5_0 + _A11_6 * k6_0
                        + _A11_7 * k7_0 + _A11_8 * k8_0 + _A11_9 * k9_0 + _A11_10 * k10_0),
@@ -269,7 +263,7 @@ def _make_step(rhs):
              y2 + h * (_A11_1 * k1_2 + _A11_4 * k4_2 + _A11_5 * k5_2 + _A11_6 * k6_2
                        + _A11_7 * k7_2 + _A11_8 * k8_2 + _A11_9 * k9_2 + _A11_10 * k10_2)),
             c0, lam, p)
-        k12_0, k12_1, k12_2, k12_3, k12_4, k12_5 = rhs(
+        k12_0, k12_1, k12_2 = rhs(
             x + h,
             (y0 + h * (_A12_1 * k1_0 + _A12_4 * k4_0 + _A12_5 * k5_0 + _A12_6 * k6_0
                        + _A12_7 * k7_0 + _A12_8 * k8_0 + _A12_9 * k9_0 + _A12_10 * k10_0
@@ -287,13 +281,7 @@ def _make_step(rhs):
                         + _B10 * k10_1 + _B11 * k11_1 + _B12 * k12_1)
         yn2 = y2 + h * (_B1 * k1_2 + _B6 * k6_2 + _B7 * k7_2 + _B8 * k8_2 + _B9 * k9_2
                         + _B10 * k10_2 + _B11 * k11_2 + _B12 * k12_2)
-        yn3 = y3 + h * (_B1 * k1_3 + _B6 * k6_3 + _B7 * k7_3 + _B8 * k8_3 + _B9 * k9_3
-                        + _B10 * k10_3 + _B11 * k11_3 + _B12 * k12_3)
-        yn4 = y4 + h * (_B1 * k1_4 + _B6 * k6_4 + _B7 * k7_4 + _B8 * k8_4 + _B9 * k9_4
-                        + _B10 * k10_4 + _B11 * k11_4 + _B12 * k12_4)
-        yn5 = y5 + h * (_B1 * k1_5 + _B6 * k6_5 + _B7 * k7_5 + _B8 * k8_5 + _B9 * k9_5
-                        + _B10 * k10_5 + _B11 * k11_5 + _B12 * k12_5)
-        y_new = [yn0, yn1, yn2, yn3, yn4, yn5]
+        y_new = [yn0, yn1, yn2]
 
         # error norm from the 5th- and 3rd-order estimates, each scaled
         # per component by max(|y_i|, |yn_i|)
@@ -326,44 +314,17 @@ def _make_step(rhs):
         e = (_E3_1 * k1_2 + _E3_6 * k6_2 + _E3_7 * k7_2 + _E3_8 * k8_2 + _E3_9 * k9_2
              + _E3_10 * k10_2 + _E3_11 * k11_2 + _E3_12 * k12_2) / sc
         s3 += e * e
-        a = abs(y3)
-        b = abs(yn3)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_3 + _E5_6 * k6_3 + _E5_7 * k7_3 + _E5_8 * k8_3 + _E5_9 * k9_3
-             + _E5_10 * k10_3 + _E5_11 * k11_3 + _E5_12 * k12_3) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_3 + _E3_6 * k6_3 + _E3_7 * k7_3 + _E3_8 * k8_3 + _E3_9 * k9_3
-             + _E3_10 * k10_3 + _E3_11 * k11_3 + _E3_12 * k12_3) / sc
-        s3 += e * e
-        a = abs(y4)
-        b = abs(yn4)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_4 + _E5_6 * k6_4 + _E5_7 * k7_4 + _E5_8 * k8_4 + _E5_9 * k9_4
-             + _E5_10 * k10_4 + _E5_11 * k11_4 + _E5_12 * k12_4) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_4 + _E3_6 * k6_4 + _E3_7 * k7_4 + _E3_8 * k8_4 + _E3_9 * k9_4
-             + _E3_10 * k10_4 + _E3_11 * k11_4 + _E3_12 * k12_4) / sc
-        s3 += e * e
-        a = abs(y5)
-        b = abs(yn5)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_5 + _E5_6 * k6_5 + _E5_7 * k7_5 + _E5_8 * k8_5 + _E5_9 * k9_5
-             + _E5_10 * k10_5 + _E5_11 * k11_5 + _E5_12 * k12_5) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_5 + _E3_6 * k6_5 + _E3_7 * k7_5 + _E3_8 * k8_5 + _E3_9 * k9_5
-             + _E3_10 * k10_5 + _E3_11 * k11_5 + _E3_12 * k12_5) / sc
-        s3 += e * e
         d = s5 + 0.01 * s3  # 0 only when both estimates vanish: err is then 0
         # plus 0 * yn_i: +-0 for a finite yn_i, so err keeps its bits, and
         # NaN for an inf or NaN one, which the scale above would hide
         err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * NSTATE)) + (
-            0.0 * yn0 + 0.0 * yn1 + 0.0 * yn2 + 0.0 * yn3 + 0.0 * yn4 + 0.0 * yn5)
+            0.0 * yn0 + 0.0 * yn1 + 0.0 * yn2)
         if not err <= 1.0:
             return y_new, None, err, None
 
         k13 = rhs(x + h, y_new, c0, lam, p)
-        k13_0, k13_1, k13_2, k13_3, k13_4, k13_5 = k13
-        k14_0, k14_1, k14_2, k14_3, k14_4, k14_5 = rhs(
+        k13_0, k13_1, k13_2 = k13
+        k14_0, k14_1, k14_2 = rhs(
             x + _C14 * h,
             (y0 + h * (_A14_1 * k1_0 + _A14_7 * k7_0 + _A14_8 * k8_0 + _A14_9 * k9_0
                        + _A14_10 * k10_0 + _A14_11 * k11_0 + _A14_12 * k12_0
@@ -375,7 +336,7 @@ def _make_step(rhs):
                        + _A14_10 * k10_2 + _A14_11 * k11_2 + _A14_12 * k12_2
                        + _A14_13 * k13_2)),
             c0, lam, p)
-        k15_0, k15_1, k15_2, k15_3, k15_4, k15_5 = rhs(
+        k15_0, k15_1, k15_2 = rhs(
             x + _C15 * h,
             (y0 + h * (_A15_1 * k1_0 + _A15_6 * k6_0 + _A15_7 * k7_0 + _A15_8 * k8_0
                        + _A15_11 * k11_0 + _A15_12 * k12_0 + _A15_13 * k13_0
@@ -387,7 +348,7 @@ def _make_step(rhs):
                        + _A15_11 * k11_2 + _A15_12 * k12_2 + _A15_13 * k13_2
                        + _A15_14 * k14_2)),
             c0, lam, p)
-        k16_0, k16_1, k16_2, k16_3, k16_4, k16_5 = rhs(
+        k16_0, k16_1, k16_2 = rhs(
             x + _C16 * h,
             (y0 + h * (_A16_1 * k1_0 + _A16_6 * k6_0 + _A16_7 * k7_0 + _A16_8 * k8_0
                        + _A16_9 * k9_0 + _A16_13 * k13_0 + _A16_14 * k14_0
@@ -400,28 +361,19 @@ def _make_step(rhs):
                        + _A16_15 * k15_2)),
             c0, lam, p)
 
-        # dense output, rows y, F0..F6 of six in storage order
+        # dense output, rows y, F0..F6 of NSTATE in storage order
         f0_0 = yn0 - y0
         f0_1 = yn1 - y1
         f0_2 = yn2 - y2
-        f0_3 = yn3 - y3
-        f0_4 = yn4 - y4
-        f0_5 = yn5 - y5
         return y_new, k13, err, [
-            y0, y1, y2, y3, y4, y5,
-            f0_0, f0_1, f0_2, f0_3, f0_4, f0_5,
+            y0, y1, y2,
+            f0_0, f0_1, f0_2,
             h * k1_0 - f0_0,
             h * k1_1 - f0_1,
             h * k1_2 - f0_2,
-            h * k1_3 - f0_3,
-            h * k1_4 - f0_4,
-            h * k1_5 - f0_5,
             2.0 * f0_0 - h * (k13_0 + k1_0),
             2.0 * f0_1 - h * (k13_1 + k1_1),
             2.0 * f0_2 - h * (k13_2 + k1_2),
-            2.0 * f0_3 - h * (k13_3 + k1_3),
-            2.0 * f0_4 - h * (k13_4 + k1_4),
-            2.0 * f0_5 - h * (k13_5 + k1_5),
             h * (_D3_1 * k1_0 + _D3_6 * k6_0 + _D3_7 * k7_0 + _D3_8 * k8_0 + _D3_9 * k9_0
                  + _D3_10 * k10_0 + _D3_11 * k11_0 + _D3_12 * k12_0 + _D3_13 * k13_0
                  + _D3_14 * k14_0 + _D3_15 * k15_0 + _D3_16 * k16_0),
@@ -431,15 +383,6 @@ def _make_step(rhs):
             h * (_D3_1 * k1_2 + _D3_6 * k6_2 + _D3_7 * k7_2 + _D3_8 * k8_2 + _D3_9 * k9_2
                  + _D3_10 * k10_2 + _D3_11 * k11_2 + _D3_12 * k12_2 + _D3_13 * k13_2
                  + _D3_14 * k14_2 + _D3_15 * k15_2 + _D3_16 * k16_2),
-            h * (_D3_1 * k1_3 + _D3_6 * k6_3 + _D3_7 * k7_3 + _D3_8 * k8_3 + _D3_9 * k9_3
-                 + _D3_10 * k10_3 + _D3_11 * k11_3 + _D3_12 * k12_3 + _D3_13 * k13_3
-                 + _D3_14 * k14_3 + _D3_15 * k15_3 + _D3_16 * k16_3),
-            h * (_D3_1 * k1_4 + _D3_6 * k6_4 + _D3_7 * k7_4 + _D3_8 * k8_4 + _D3_9 * k9_4
-                 + _D3_10 * k10_4 + _D3_11 * k11_4 + _D3_12 * k12_4 + _D3_13 * k13_4
-                 + _D3_14 * k14_4 + _D3_15 * k15_4 + _D3_16 * k16_4),
-            h * (_D3_1 * k1_5 + _D3_6 * k6_5 + _D3_7 * k7_5 + _D3_8 * k8_5 + _D3_9 * k9_5
-                 + _D3_10 * k10_5 + _D3_11 * k11_5 + _D3_12 * k12_5 + _D3_13 * k13_5
-                 + _D3_14 * k14_5 + _D3_15 * k15_5 + _D3_16 * k16_5),
             h * (_D4_1 * k1_0 + _D4_6 * k6_0 + _D4_7 * k7_0 + _D4_8 * k8_0 + _D4_9 * k9_0
                  + _D4_10 * k10_0 + _D4_11 * k11_0 + _D4_12 * k12_0 + _D4_13 * k13_0
                  + _D4_14 * k14_0 + _D4_15 * k15_0 + _D4_16 * k16_0),
@@ -449,15 +392,6 @@ def _make_step(rhs):
             h * (_D4_1 * k1_2 + _D4_6 * k6_2 + _D4_7 * k7_2 + _D4_8 * k8_2 + _D4_9 * k9_2
                  + _D4_10 * k10_2 + _D4_11 * k11_2 + _D4_12 * k12_2 + _D4_13 * k13_2
                  + _D4_14 * k14_2 + _D4_15 * k15_2 + _D4_16 * k16_2),
-            h * (_D4_1 * k1_3 + _D4_6 * k6_3 + _D4_7 * k7_3 + _D4_8 * k8_3 + _D4_9 * k9_3
-                 + _D4_10 * k10_3 + _D4_11 * k11_3 + _D4_12 * k12_3 + _D4_13 * k13_3
-                 + _D4_14 * k14_3 + _D4_15 * k15_3 + _D4_16 * k16_3),
-            h * (_D4_1 * k1_4 + _D4_6 * k6_4 + _D4_7 * k7_4 + _D4_8 * k8_4 + _D4_9 * k9_4
-                 + _D4_10 * k10_4 + _D4_11 * k11_4 + _D4_12 * k12_4 + _D4_13 * k13_4
-                 + _D4_14 * k14_4 + _D4_15 * k15_4 + _D4_16 * k16_4),
-            h * (_D4_1 * k1_5 + _D4_6 * k6_5 + _D4_7 * k7_5 + _D4_8 * k8_5 + _D4_9 * k9_5
-                 + _D4_10 * k10_5 + _D4_11 * k11_5 + _D4_12 * k12_5 + _D4_13 * k13_5
-                 + _D4_14 * k14_5 + _D4_15 * k15_5 + _D4_16 * k16_5),
             h * (_D5_1 * k1_0 + _D5_6 * k6_0 + _D5_7 * k7_0 + _D5_8 * k8_0 + _D5_9 * k9_0
                  + _D5_10 * k10_0 + _D5_11 * k11_0 + _D5_12 * k12_0 + _D5_13 * k13_0
                  + _D5_14 * k14_0 + _D5_15 * k15_0 + _D5_16 * k16_0),
@@ -467,15 +401,6 @@ def _make_step(rhs):
             h * (_D5_1 * k1_2 + _D5_6 * k6_2 + _D5_7 * k7_2 + _D5_8 * k8_2 + _D5_9 * k9_2
                  + _D5_10 * k10_2 + _D5_11 * k11_2 + _D5_12 * k12_2 + _D5_13 * k13_2
                  + _D5_14 * k14_2 + _D5_15 * k15_2 + _D5_16 * k16_2),
-            h * (_D5_1 * k1_3 + _D5_6 * k6_3 + _D5_7 * k7_3 + _D5_8 * k8_3 + _D5_9 * k9_3
-                 + _D5_10 * k10_3 + _D5_11 * k11_3 + _D5_12 * k12_3 + _D5_13 * k13_3
-                 + _D5_14 * k14_3 + _D5_15 * k15_3 + _D5_16 * k16_3),
-            h * (_D5_1 * k1_4 + _D5_6 * k6_4 + _D5_7 * k7_4 + _D5_8 * k8_4 + _D5_9 * k9_4
-                 + _D5_10 * k10_4 + _D5_11 * k11_4 + _D5_12 * k12_4 + _D5_13 * k13_4
-                 + _D5_14 * k14_4 + _D5_15 * k15_4 + _D5_16 * k16_4),
-            h * (_D5_1 * k1_5 + _D5_6 * k6_5 + _D5_7 * k7_5 + _D5_8 * k8_5 + _D5_9 * k9_5
-                 + _D5_10 * k10_5 + _D5_11 * k11_5 + _D5_12 * k12_5 + _D5_13 * k13_5
-                 + _D5_14 * k14_5 + _D5_15 * k15_5 + _D5_16 * k16_5),
             h * (_D6_1 * k1_0 + _D6_6 * k6_0 + _D6_7 * k7_0 + _D6_8 * k8_0 + _D6_9 * k9_0
                  + _D6_10 * k10_0 + _D6_11 * k11_0 + _D6_12 * k12_0 + _D6_13 * k13_0
                  + _D6_14 * k14_0 + _D6_15 * k15_0 + _D6_16 * k16_0),
@@ -485,15 +410,6 @@ def _make_step(rhs):
             h * (_D6_1 * k1_2 + _D6_6 * k6_2 + _D6_7 * k7_2 + _D6_8 * k8_2 + _D6_9 * k9_2
                  + _D6_10 * k10_2 + _D6_11 * k11_2 + _D6_12 * k12_2 + _D6_13 * k13_2
                  + _D6_14 * k14_2 + _D6_15 * k15_2 + _D6_16 * k16_2),
-            h * (_D6_1 * k1_3 + _D6_6 * k6_3 + _D6_7 * k7_3 + _D6_8 * k8_3 + _D6_9 * k9_3
-                 + _D6_10 * k10_3 + _D6_11 * k11_3 + _D6_12 * k12_3 + _D6_13 * k13_3
-                 + _D6_14 * k14_3 + _D6_15 * k15_3 + _D6_16 * k16_3),
-            h * (_D6_1 * k1_4 + _D6_6 * k6_4 + _D6_7 * k7_4 + _D6_8 * k8_4 + _D6_9 * k9_4
-                 + _D6_10 * k10_4 + _D6_11 * k11_4 + _D6_12 * k12_4 + _D6_13 * k13_4
-                 + _D6_14 * k14_4 + _D6_15 * k15_4 + _D6_16 * k16_4),
-            h * (_D6_1 * k1_5 + _D6_6 * k6_5 + _D6_7 * k7_5 + _D6_8 * k8_5 + _D6_9 * k9_5
-                 + _D6_10 * k10_5 + _D6_11 * k11_5 + _D6_12 * k12_5 + _D6_13 * k13_5
-                 + _D6_14 * k14_5 + _D6_15 * k15_5 + _D6_16 * k16_5),
         ]
 
     return step

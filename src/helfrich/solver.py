@@ -12,7 +12,8 @@ estimates) and a proportional-integral step controller supply a
 7th-order continuous extension on every accepted step; events (maximum
 of w, zero of w, chart switch, equator, positive blow-up) are located on
 the dense output by bisection.  No chart-A step is longer than its start
-radius, the distance to the axis singularity at r = 0.
+radius, the distance to the axis singularity at r = 0, and a chart-B step
+near the equator keeps its stages away from the equator's removable pole.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ _BETA = 0.04
 _ALPHA = 1.0 / 8.0 - 0.2 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+# where a chart-B step that crosses the equator has it: midway between the
+# stage abscissae 1/3 and 0.6, the widest gap of the 16 DOP853 stages
+_EQUATOR_THETA = 0.5 * (1.0 / 3.0 + 0.6)
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,11 @@ def series_coefficient(params: HelfrichParams, w0p: float) -> float:
 
 
 def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
-    """Truncated axis series (w, wp, z, area, vol, energy) at r.
+    """Truncated axis series at r: the chart-A state (w, wp, z), then the
+    area, volume and energy quadratures of ``analysis.surface_totals``
+    over [0, r].
 
-    ``r`` may be a scalar or an ndarray; the six values have its type.
+    ``r`` may be a scalar or an ndarray; the values have its type.
     """
     return (
         w0p * r + a3 * r ** 3,
@@ -128,7 +134,7 @@ def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
 
 def series_start(params: HelfrichParams, w0p: float, eps: float) -> np.ndarray:
     """Truncated-series chart-A state at r = eps, clearing the axis
-    singularity; the six components are laid out as in ``kernels``."""
+    singularity; its NSTATE components are laid out as in ``kernels``."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
@@ -138,17 +144,17 @@ def series_start(params: HelfrichParams, w0p: float, eps: float) -> np.ndarray:
     a3 = series_coefficient(params, w0p)
     if abs(a3) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    return np.array(axis_series(params, w0p, a3, eps))
+    return np.array(axis_series(params, w0p, a3, eps)[:kernels.NSTATE])
 
 
 def chart_switch(r: float, y) -> np.ndarray:
-    """Chart-B state [r, 1/w, -w'/w^3, area, vol, energy] at the point
+    """Chart-B state [r, 1/w, -w'/w^3] at the point
     where the chart-A state at radius ``r`` is ``y``; its height y[2]
     becomes chart B's independent variable."""
     w = y[0]
     if w >= 0.0:
         raise BadSwitch(f"chart switch requires w < 0, got w={w!r}")
-    return np.array([r, 1.0 / w, -y[1] / w ** 3, y[3], y[4], y[5]])
+    return np.array([r, 1.0 / w, -y[1] / w ** 3])
 
 
 class DenseSegment:
@@ -160,7 +166,7 @@ class DenseSegment:
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
-    (n, k), and the default ``slice(None)`` all six, (n, 6).  Each value
+    (n, k), and the default ``slice(None)`` all NSTATE, (n, NSTATE).  Each value
     is the one the full evaluation gives, bit for bit, at a fraction of
     the cost.
     """
@@ -172,7 +178,7 @@ class DenseSegment:
         # trajectory may terminate mid-step at an event
         self.x_end = float(x_end)
         self._key = self.xs if self.ascending else -self.xs
-        # (NROWS, 6, steps) view: a query takes the steps of the components it
+        # (NROWS, NSTATE, steps) view: a query takes the steps of the components it
         # reads, so each row it computes on is contiguous along the queries
         self._rows = self.conts.transpose(1, 2, 0)
 
@@ -253,10 +259,11 @@ class Trajectory:
         return next((ev for ev in self.events if ev.kind == kind), None)
 
     def series_eval(self, r) -> np.ndarray:
-        """Series state on [0, chart_a.x_start), same layout as chart-A states."""
+        """Series state on [0, chart_a.x_start), shape (n, NSTATE), laid
+        out as chart-A states."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         a3 = series_coefficient(self.params, self.w0p)
-        return np.stack(axis_series(self.params, self.w0p, a3, r), axis=1)
+        return np.stack(axis_series(self.params, self.w0p, a3, r)[:kernels.NSTATE], axis=1)
 
 
 def _rms(v, sc) -> float:
@@ -265,12 +272,12 @@ def _rms(v, sc) -> float:
     total = 0.0
     for a, b in zip(v, sc):
         total += (a / b) * (a / b)
-    return math.sqrt(total / 6)
+    return math.sqrt(total / len(v))
 
 
 def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     """First step size for an 8th-order pair from the start state ``y`` and
-    its derivative ``f``, sequences of six floats, at most ``h_cap`` > 0; a
+    its derivative ``f``, sequences of NSTATE floats, at most ``h_cap`` > 0; a
     norm that is not finite is InvalidParams."""
     sc = [atol + rtol * abs(v) for v in y]
     d0 = _rms(y, sc)
@@ -368,8 +375,17 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         h_use = remaining if remaining < h else h
-        if axis_cap and h_use > x:
-            h_use = x
+        if axis_cap:
+            if h_use > x:
+                h_use = x
+        elif y[1] * y[2] > 0.0 and 2.0 * h_use * abs(y[2]) > abs(y[1]):
+            # chart B nears the equator, the removable 1/s pole of rhs_b,
+            # which s' = q puts d = |s/q| ahead.  Stages next to the pole
+            # spoil the step and its dense output, so a step either stays
+            # within d/2 of its start or crosses with the pole at theta =
+            # _EQUATOR_THETA
+            d = abs(y[1] / y[2])
+            h_use = d / _EQUATOR_THETA if h_use * _EQUATOR_THETA >= d else 0.5 * d
 
         try:
             y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
@@ -393,13 +409,13 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         x_new = x + hd
         xs.append(x_new)
 
-        # event scan on this step; component i of the step is cont[i::6]
+        # event scan on this step; component i of the step is cont[i::NSTATE]
         hits = None
         for kind, i, target, downward, terminal in event_table:
             g0 = y[i] - target
             g1 = y1[i] - target
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
-                th = _bisect_step(cont[i::6], target, hd, x, cfg.event_tol)
+                th = _bisect_step(cont[i::kernels.NSTATE], target, hd, x, cfg.event_tol)
                 if hits is None:
                     hits = []
                 hits.append((th, kind, terminal))
@@ -407,7 +423,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
             for th, kind, terminal in hits:
                 x_ev = x + th * hd
-                y_ev = np.array([_interpolant(cont[i::6], th)
+                y_ev = np.array([_interpolant(cont[i::kernels.NSTATE], th)
                                  for i in range(kernels.NSTATE)])
                 events.append(Event(kind, chart, x_ev, y_ev))
                 if terminal:

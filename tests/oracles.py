@@ -51,7 +51,7 @@ def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
 
 # The ndarray kernels the scalar ones replaced, kept as bit-for-bit
 # references: both right-hand sides write into ``out``, and the step does
-# its stage sums on 6-element arrays.
+# its stage sums on arrays of kernels.NSTATE elements.
 
 def rhs_chart_a_arr(r, y, c0, lam, p, out):
     """Chart-A derivatives with respect to r, written into ``out``."""
@@ -67,13 +67,9 @@ def rhs_chart_a_arr(r, y, c0, lam, p, out):
         + 0.5 * (c0 * c0 + lam) * w * P * P
         - 0.25 * p * r * P * P * sq
     )
-    twoH = (wp + (w / r) * P) / (P * sq)
     out[0] = wp
     out[1] = wpp
     out[2] = w
-    out[3] = r * sq
-    out[4] = r * r * w
-    out[5] = ((twoH + c0) ** 2 + lam) * r * sq
     return out
 
 
@@ -91,14 +87,28 @@ def rhs_chart_b_arr(z, y, c0, lam, p, out):
         - 0.5 * (c0 * c0 + lam) * P * P
         - 0.25 * p * u * P * P * sq
     )
-    twoH = (q - P / u) / (P * sq)
     out[0] = s
     out[1] = q
     out[2] = N / s - q * s / u
-    out[3] = -u * sq
-    out[4] = u * u
-    out[5] = -((twoH + c0) ** 2 + lam) * u * sq
     return out
+
+
+def surface_densities(chart, x, y, c0, lam):
+    """Area, volume and energy densities of the upper half per unit of the
+    chart's variable, from the chart states ``y`` of shape (3, n): the
+    right-hand-side rows of the in-step quadratures the step kernels
+    once carried, with their own 2H formula."""
+    if chart == "A":
+        r, w, wp = x, y[0], y[1]
+        P = 1.0 + w * w
+        sq = np.sqrt(P)
+        twoH = (wp + (w / r) * P) / (P * sq)
+        return r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq
+    u, s, q = y
+    P = s * s + 1.0
+    sq = np.sqrt(P)
+    twoH = (q - P / u) / (P * sq)
+    return -u * sq, u * u, -((twoH + c0) ** 2 + lam) * u * sq
 
 
 def _tableau_sum(row, K, stages):
@@ -178,7 +188,7 @@ def initial_step_arr(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
 
 def critical_points_full_scan(traj, r0: float) -> int:
     """Sign changes of w' on (eps, r0) at 10,001 points, read from the
-    evaluation of all six dense-output components."""
+    evaluation of all the dense-output components."""
     rs = np.linspace(traj.chart_a.x_start, r0, 10_001)
     wp = traj.chart_a.eval_many(rs)[:, 1]
     sgn = np.sign(wp)
@@ -376,7 +386,7 @@ def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
 
 
 def eta_at(chart: str, x, y, params: HelfrichParams):
-    """Eta at chart states ``y``, shape (6,) or (n, 6); ``x`` is r on
+    """Eta at chart states ``y``, shape (3,) or (n, 3); ``x`` is r on
     chart A and z on chart B.
 
     On chart B every term of eta diverges like 1/|u'|; grouping in
@@ -487,9 +497,8 @@ def eta_boundedness(traj) -> EtaReport:
 def requadrature_totals(traj) -> SurfaceTotals:
     """Independent trapezoid re-quadrature of the dense output.
 
-    Cross-checks the in-step accumulators of ``surface_totals``; the
-    integrands are the accumulator rows of ``rhs_chart_a_arr`` and
-    ``rhs_chart_b_arr``, broadcast over (6, N) state arrays, on 400,001
+    Cross-checks the Gauss-Legendre quadrature of ``surface_totals``
+    with the trapezoid rule on the ``surface_densities`` of 400,001
     chart-A and 100,001 chart-B nodes.
     """
     if traj.first_event(EQUATOR) is None:
@@ -498,14 +507,12 @@ def requadrature_totals(traj) -> SurfaceTotals:
     # series piece [0, eps], then one trapezoid pass per chart
     a3 = series_coefficient(traj.params, traj.w0p)
     area, vol, energy = axis_series(traj.params, traj.w0p, a3, traj.chart_a.x_start)[3:]
-    for seg, n, rhs in ((traj.chart_a, 400_001, rhs_chart_a_arr),
-                        (traj.chart_b, 100_001, rhs_chart_b_arr)):
+    for chart, seg, n in (("A", traj.chart_a, 400_001), ("B", traj.chart_b, 100_001)):
         xs = np.linspace(seg.x_start, seg.x_end, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = rhs(xs, seg.eval_many(xs, slice(0, 3)).T, c0, lam, p, np.empty((6, n)))
-        area += float(np.trapezoid(F[3], xs))
-        vol += float(np.trapezoid(F[4], xs))
-        energy += float(np.trapezoid(F[5], xs))
+        F = surface_densities(chart, xs, seg.eval_many(xs).T, c0, lam)
+        area += float(np.trapezoid(F[0], xs))
+        vol += float(np.trapezoid(F[1], xs))
+        energy += float(np.trapezoid(F[2], xs))
 
     volume = -2.0 * math.pi * vol
     return SurfaceTotals(4.0 * math.pi * area, volume,

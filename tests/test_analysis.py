@@ -21,9 +21,18 @@ from helfrich import (
     profile_points,
     surface_totals,
 )
-from helfrich.analysis import BICONCAVE, MULTIMODAL, NON_NEGATIVE_DISPLACEMENT, INDETERMINATE
+from helfrich import kernels
+from helfrich.analysis import (
+    _GL_W,
+    _GL_X,
+    BICONCAVE,
+    INDETERMINATE,
+    MULTIMODAL,
+    NON_NEGATIVE_DISPLACEMENT,
+)
 from helfrich.errors import MissingEvent, NotBiconcave
 from helfrich.export import profile_rows
+from helfrich.solver import DenseSegment, Trajectory, axis_series, series_coefficient
 from oracles import eta_boundedness, geometry_at, requadrature_totals
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
@@ -74,8 +83,8 @@ def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
 def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     """w' starts positive and its sign changes alternate, so n maxima on
     (eps, r0) bring 2n - 1 sign changes when w'(r0) < 0 and 2n otherwise."""
-    events = [Event(MAX_OF_W, "A", x, np.zeros(6)) for x in max_xs]
-    events.append(Event(ZERO_OF_W, "A", 2.0, np.array([0.0, wp_r0, 0, 0, 0, 0])))
+    events = [Event(MAX_OF_W, "A", x, np.zeros(3)) for x in max_xs]
+    events.append(Event(ZERO_OF_W, "A", 2.0, np.array([0.0, wp_r0, 0.0])))
     events.sort(key=lambda ev: ev.x)
     lm = extract_landmarks(replace(ref_traj, events=events))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
@@ -203,6 +212,23 @@ def test_eta_sup_stable_under_tolerance():
     assert abs(sups[0] - sups[1]) <= 0.1 * abs(sups[1])
 
 
+@pytest.mark.parametrize("c0, lam, p, w0p", [
+    (1.0, 0.25, 1.0, 0.05), (1.0, 0.25, 1.0, 0.2), (-1.5, 0.5, 3.0, 0.01),
+    (2.5, 1.5, 0.2, 1e-3)])
+def test_eta_sup_converges_with_tolerance(c0, lam, p, w0p):
+    """eta = B/s near the equator divides the dense output's defect in B
+    by s, about 1e-7 at the last sample.  With chart-B stages kept clear of
+    the equator's 1/s pole the defect follows the tolerance: sup |eta| at
+    rel_tol 1e-8 to 1e-10 is within 3% of its value at 1e-12 (steps that
+    put a stage next to the pole read up to 40 times that value)."""
+    params = HelfrichParams(c0, lam, p)
+    ref = eta_boundedness(integrate(params, w0p, SolverConfig(rel_tol=1e-12,
+                                                              abs_tol=1e-14))).sup_eta
+    for rt in (1e-8, 1e-9, 1e-10):
+        traj = integrate(params, w0p, SolverConfig(rel_tol=rt, abs_tol=1e-13))
+        assert eta_boundedness(traj).sup_eta == pytest.approx(ref, rel=0.03), rt
+
+
 def test_blowdown_growth_ratio_finite(ref_traj):
     """w'^2 / (|w| (1+w^2)^(5/2)) approaches u''(z_inf)^2 at the equator."""
     ev = ref_traj.first_event(EQUATOR)
@@ -228,6 +254,56 @@ def test_requadrature_oracle(ref_traj):
     assert abs(tot.volume - req.volume) / tot.volume <= 1e-8
     assert abs(tot.helfrich_energy - req.helfrich_energy) / abs(
         tot.helfrich_energy) <= 1e-7
+
+
+@pytest.mark.parametrize("c0, lam, p, w0p", [
+    (1.0, 0.25, 1.0, 0.2), (-1.5, 0.5, 3.0, 0.01), (2.5, 1.5, 0.2, 1e-3)])
+def test_surface_totals_match_requadrature(c0, lam, p, w0p):
+    """The Gauss-Legendre totals agree with the trapezoid re-quadrature of
+    the dense output away from the reference point as well."""
+    traj = integrate(HelfrichParams(c0, lam, p), w0p)
+    tot = surface_totals(traj)
+    req = requadrature_totals(traj)
+    for got, want in zip(vars(tot).values(), vars(req).values()):
+        assert got == pytest.approx(want, rel=1e-7, abs=0.0)
+
+
+def _linear_segment(xs, x_end, lead, slope, rest):
+    """A dense segment whose component 0 is ``lead + slope (x - xs[0])``
+    and whose other two are the constants ``rest``, written as the
+    interpolant rows y and F0 of each step."""
+    xs = np.asarray(xs, dtype=float)
+    conts = np.zeros((len(xs) - 1, kernels.NROWS, kernels.NSTATE))
+    conts[:, 0, 0] = lead + slope * (xs[:-1] - xs[0])
+    conts[:, 0, 1:] = rest
+    conts[:, 1, 0] = slope * np.diff(xs)
+    return DenseSegment(xs, conts, x_end)
+
+
+def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
+    """On polynomial interpolants the volume densities r^2 w (w = a r on
+    chart A) and u^2 (u linear in z on chart B) have degree 3 and 2, which
+    the 5-point rule integrates exactly; the last step of each chart counts
+    only up to x_end, so a step integrated past its cut fails the test."""
+    params, w0p, eps, a = HelfrichParams(1.0, 0.25, 1.0), 0.05, 1e-3, 0.4
+    seg_a = _linear_segment([eps, 0.5, 1.2, 2.0], 1.7, a * eps, a, [a, 0.0])
+    u0, b = 2.0, -0.5
+    seg_b = _linear_segment([-0.5, -0.8, -1.2], -1.0, u0, b, [b, 0.0])
+    events = [Event(EQUATOR, "B", -1.0, np.array([u0 + b * (-0.5), b, 0.0]))]
+    traj = Trajectory(params, w0p, SolverConfig(), seg_a, seg_b, events)
+
+    a3 = series_coefficient(params, w0p)
+    vol_series = axis_series(params, w0p, a3, eps)[4]
+    vol_a = a * (1.7 ** 4 - eps ** 4) / 4.0
+    vol_b = ((u0 + b * (-1.0 + 0.5)) ** 3 - u0 ** 3) / (3.0 * b)
+    want = -2.0 * math.pi * (vol_series + vol_a + vol_b)
+    assert surface_totals(traj).volume == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_gauss_legendre_literals_equal_numpy_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(_GL_X.view(np.uint64), nodes.view(np.uint64))
+    assert np.array_equal(_GL_W.view(np.uint64), weights.view(np.uint64))
 
 
 def _scalar_curvatures(r, w, wp):

@@ -25,26 +25,26 @@ GOLDEN = {
     "sweep": (
         ["sweep", "--c0-range=-1:2:3", "--lambda-range=-0.5:1:2",
          "--p-range", "0.5:4:2", "--w0p-range", "0.001:0.5:3"],
-        {"phase.csv": "040b145df5ae58c83aefc2008fd24633a699a4cfef6d1c257ab7ec8114388f19"},
+        {"phase.csv": "854ef011df84a2f045aeae4873d4f7b45177f8a42a8b819e62f8d3b8c1c134b9"},
     ),
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "d0d35932cbb83870b337e208bd32282fb0729e716db1c8fe2a5977e5c69e5e1e"},
+            "8465aa97e0e5fee790bc64d11b5a84c69520b1e7b8d21ae3e5677766c2e4a8af"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "3ffd60b29e67fde1aad1bbc401e3f0ed71e9a95c4707697b3bd647b14bd69f76",
-            "report.json": "ae16f9a9ca2eae875e1674e8d8001ecbe04273043a51e453e722190be4d43104",
+            "profile.csv": "6b1aa0e355bb643e46fe83282761d78fc6d75594d088c3b9b24f89094aea0b7e",
+            "report.json": "cb1e4ea7a463bcdc56d409a8946aab019b5b109b5a14bef73ee9a9146a30eb4e",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "6c05a161d00aeb9d75c36c1071adecf36cc7a51bc2f870b6a963bc4a3c05ed00",
+            "mesh.obj": "afe79e83a2db3646144414a2b5a74073483d30838ee831104629c033b6068a60",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "156f14f93c6c0d69149658e1bed60d57eb60bd8f0a4707dc9382e0f69eaef50f"},
+        {"mesh.obj": "d6b71737daca551fe88d050ddac6dcb9161942dc6b053b0b283935a12204acfc"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
@@ -83,8 +83,8 @@ def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
 # accepted steps and events per chart
 STEP_COUNTS = {
-    "calls": {"A": 105, "B": 17},
-    "accepted": {"A": 87, "B": 9},
+    "calls": {"A": 112, "B": 16},
+    "accepted": {"A": 93, "B": 14},
     "events": {"MaxOfW": 1, "ZeroOfW": 1, "ChartSwitch": 1, "Equator": 1},
 }
 

@@ -22,6 +22,7 @@ from helfrich.solver import (
     EQUATOR,
     MAX_OF_W,
     ZERO_OF_W,
+    _EQUATOR_THETA,
     DenseSegment,
     _initial_step,
     _run_chart,
@@ -99,19 +100,18 @@ def test_rhs_matches_high_precision_reference():
 
 
 def test_chart_switch_definition():
-    a = np.array([-10.0, -3.0, -0.3, 1.5, -0.7, 2.5])  # state at r = 2
+    a = np.array([-10.0, -3.0, -0.3])  # state at r = 2
     b = chart_switch(2.0, a)
-    assert b.shape == (6,)
+    assert b.shape == (kernels.NSTATE,)
     assert b[0] == 2.0 and b[1] == -0.1
     assert math.isclose(b[2], -(-3.0) / (-10.0) ** 3, rel_tol=1e-15)
-    assert tuple(b[3:]) == (1.5, -0.7, 2.5)
     # round trip
     assert math.isclose(1.0 / b[1], a[0], rel_tol=1e-15)
 
 
 def test_chart_switch_rejects_nonnegative_w():
     with pytest.raises(BadSwitch):
-        chart_switch(1.0, np.array([0.5, -1.0, 0.0, 0.0, 0.0, 0.0]))
+        chart_switch(1.0, np.array([0.5, -1.0, 0.0]))
 
 
 def test_integrate_reference_is_equator(ref_traj, ref_landmarks):
@@ -247,12 +247,25 @@ def test_equator_state_is_regular(ref_traj):
     assert np.all(np.isfinite(ev.state))
 
 
+def test_chart_b_steps_keep_clear_of_the_equator(ref_traj):
+    """Every chart-B step but the last stays within half the linear
+    estimate d = |s/q| of its distance to the equator; the last crosses it
+    with the equator at theta = _EQUATOR_THETA, between stage abscissae."""
+    seg = ref_traj.chart_b
+    h = np.abs(np.diff(seg.xs))
+    _, s, q = seg.conts[:, 0, :].T
+    d = np.abs(s / q)
+    assert np.all(h[:-1] <= 0.5 * d[:-1] + 1e-15)  # x + h rounds at |x| ~ 1
+    theta = (seg.xs[-2] - seg.x_end) / h[-1]
+    assert theta == pytest.approx(_EQUATOR_THETA, rel=1e-2)
+
+
 def test_float_overflow_in_a_step_rejects_it():
     """A trial step far too long overflows the float stages, which raise
     where the ndarray stages give inf; the chart loop rejects the step and
     retries at a tenth of its size, and the run goes on to its limit."""
     c0, lam, p = PAPER.c0, PAPER.lam, PAPER.p
-    x, y = 1.0, [0.5, 0.1, 0.0, 0.0, 0.0, 0.0]
+    x, y = 1.0, [0.5, 0.1, 0.0]
     f0 = kernels.rhs_a(x, y, c0, lam, p)
     # stage 2 holds w = 0.5 + 1e120 A21 f0[0], whose cube is beyond 1.8e308
     with pytest.raises(OverflowError):
@@ -276,30 +289,29 @@ def test_float_overflow_in_a_step_rejects_it():
 
 
 def test_step_whose_new_state_overflows_has_non_finite_err():
-    """area_acc = 1.7e308 with a positive area derivative overflows the new
-    state's area to inf, which the error-norm scale max(|y_i|, |yn_i|) = inf
-    hides: the ndarray step's err stays finite.  The float step's err is not
-    finite, and the chart loop, which tests only err, rejects the step."""
-    # w = w' = 0 and c0 = lam = p = 0: only the area integrand r is nonzero,
-    # so the step adds about h^2 / 2 to area_acc and nothing elsewhere
-    x, y, h = 1.0, [0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0], 1e154
+    """z = 1.79e308 with a positive slope w overflows the new state's height
+    to inf, which the error-norm scale max(|y_i|, |yn_i|) = inf hides: the
+    ndarray step's err stays finite.  The float step's err is not finite,
+    and the chart loop, which tests only err, rejects the step."""
+    # c0 = lam = p = 0 and w' = 0 at r = 1e300: w'' underflows to 0, so w
+    # stays 1e6 and the step adds about h w = 1e306 to z and nothing elsewhere
+    x, y, h = 1e300, [1e6, 0.0, 1.79e308], 1e300
     f0 = kernels.rhs_a(x, y, 0.0, 0.0, 0.0)
-    assert f0[3] > 0.0
+    assert f0 == (0.0, 0.0, 1e6)
     y_new, _, err, _ = kernels.dopri5_step_a(x, y, h, f0, 0.0, 0.0, 0.0, 1e-10, 1e-12)
-    assert y_new[3] == math.inf
-    assert all(math.isfinite(v) for v in y_new[:3] + y_new[4:])
+    assert y_new == [1e6, 0.0, math.inf]
     assert not math.isfinite(err)
     with np.errstate(all="ignore"):
         old = make_step_arr(rhs_chart_a_arr)(x, np.array(y), h, np.array(f0), 0.0, 0.0,
                                              0.0, 1e-10, 1e-12)
-    assert old[0][3] == math.inf and math.isfinite(old[2])
+    assert old[0][2] == math.inf and math.isfinite(old[2])
 
     # every trial step is that step, whatever h the loop asks for
     def step(x, y, _h, *rest):
         return kernels.dopri5_step_a(x, y, h, *rest)
 
     seg, events, steps = _run_chart(
-        step, kernels.rhs_a, "A", x, y, 1.0, 2.0, HelfrichParams(0.0, 0.0, 0.0),
+        step, kernels.rhs_a, "A", x, y, 1.0, 3e300, HelfrichParams(0.0, 0.0, 0.0),
         SolverConfig(), [], 1)
     assert steps == 1
     assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
@@ -332,7 +344,8 @@ def _bits(a):
 @settings(max_examples=60, deadline=None)
 @given(w0p=st.sampled_from(FIGURE_W0P), chart=st.sampled_from("AB"),
        t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       k=st.integers(0, 5), ab=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+       k=st.integers(0, kernels.NSTATE - 1),
+       ab=st.tuples(st.integers(0, kernels.NSTATE), st.integers(0, kernels.NSTATE)))
 def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
     """Evaluating, or differentiating, some components gives the full
     evaluation's columns bit for bit, on both charts of the figure
@@ -343,7 +356,7 @@ def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
     a, b = sorted(ab)
     for many in (seg.eval_many, seg.deriv_many):
         full = many(x)
-        assert full.shape == (len(x), 6)
+        assert full.shape == (len(x), kernels.NSTATE)
         got_k = many(x, k)
         got_ab = many(x, slice(a, b))
         assert got_k.shape == full[:, k].shape
@@ -354,7 +367,7 @@ def test_eval_many_columns_bit_exact(figure_runs, w0p, chart, t, k, ab):
 
 def test_critical_point_count_matches_full_scan(figure_runs, sweep_runs):
     """The landmark count, read from the MaxOfW events, equals the scan of
-    the full six-component evaluation.  The last run has nine MaxOfW
+    the full evaluation of every component.  The last run has nine MaxOfW
     events beyond r0, which the count must leave out."""
     runs = [(traj, lm) for traj, lm, _ in figure_runs.values()]
     runs += [(traj, lm) for _, traj, lm, _ in sweep_runs]
@@ -420,7 +433,7 @@ def _start_case(draw):
     else:
         r = draw(st.floats(1e-2, 5.0, **_finite))
         ya = [draw(st.floats(-1e4, -1.01, **_finite))]
-        ya += draw(st.lists(st.floats(-4.0, 4.0, **_finite), min_size=5, max_size=5))
+        ya += draw(st.lists(st.floats(-4.0, 4.0, **_finite), min_size=2, max_size=2))
         y = chart_switch(r, ya)
         x, rhs, direction = ya[2], kernels.rhs_b, -1
     tols = draw(st.sampled_from(((1e-10, 1e-12), (1e-6, 1e-8), (1e-12, 1e-14))))
@@ -472,5 +485,5 @@ def test_overflowing_chart_start_is_invalid_params():
     # w ** 3 raises OverflowError in the right-hand side itself
     with pytest.raises(InvalidParams, match="start of chart A"):
         _run_chart(kernels.dopri5_step_a, kernels.rhs_a, "A", 1e-5,
-                   [1e110, 0.0, 0.0, 0.0, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(),
+                   [1e110, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(),
                    [], 10)
