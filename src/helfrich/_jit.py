@@ -18,7 +18,9 @@ if JIT_ENABLED:
 if JIT_ENABLED:
 
     def njit(func):
-        return _numba_njit(cache=True)(func)
+        # numba caches only a function it can read the source file of;
+        # the DOP853 step is compiled from generated text and has none
+        return _numba_njit(cache=os.path.isfile(func.__code__.co_filename))(func)
 
 else:
 

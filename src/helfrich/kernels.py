@@ -24,16 +24,17 @@ the tableau of scipy's ``dop853_coefficients``.  The right-hand sides
 ``rhs_a`` and ``rhs_b`` and the step work on Python floats, because
 numpy arithmetic on 3-element arrays and ``np.float64`` scalars costs
 several times the arithmetic itself; the tests hold an ndarray twin of
-each right-hand side and of the step.  The step is written out one
-local scalar per component, because list comprehensions over ``zip``
-cost more than the sums they build.
-For the same reason it calls no builtin it can do without: the
-per-component max of the error scale is a conditional expression, and
-the dense output comes back as one flat list of NROWS * NSTATE = 24
-floats (eight rows of three) that the solver appends to its storage as
-it is.  Python floats raise ``ZeroDivisionError`` and ``OverflowError``
-where ndarrays give inf or nan; the caller treats either as a failed
-step.
+each right-hand side and of the step.  The tableau is kept once, as its
+nonzero rows, and the step's source is emitted from them at import: one
+local scalar per component and the coefficients as float literals,
+because loops over the rows or list comprehensions over ``zip`` cost
+several times the sums they build.  For the same reason the step calls
+no builtin it can do without: the per-component max of the error scale
+is a conditional expression, and the dense output comes back as one
+flat list of NROWS * NSTATE = 24 floats (eight rows of three) that the
+solver appends to its storage as it is.  Python floats raise
+``ZeroDivisionError`` and ``OverflowError`` where ndarrays give inf or
+nan; the caller treats either as a failed step.
 
 The step and the right-hand sides keep to the subset numba
 compiles (scalars, tuples, list literals, ``math.sqrt``) and are
@@ -49,74 +50,80 @@ from ._jit import njit
 NSTATE = 3
 NROWS = 8  # dense-output rows per accepted step: y and the interpolant's F0..F6
 
-# DOP853 tableau with 1-based stage indices, only its nonzero entries:
-# stages 1-12 make the step, stage 13 is f(x + h, y_new), the next step's
-# first stage, and stages 14-16 serve only the dense output.  B holds the
-# 8th-order weights, E5 and E3 the error estimates of 5th and 3rd order,
-# and D3-D6 the weights of the interpolant's rows F3-F6.
-_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = (
-    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-    0.8571428571428571)
-_C14, _C15, _C16 = 0.1, 0.2, 0.7777777777777778
-_A2_1 = 0.05260015195876773
-_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
-_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
-_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
-_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
-_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
-_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
-    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
-    -0.015319437748624402, 0.008273789163814023)
-_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
-    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-    20.154067550477894, -43.48988418106996)
-_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
-    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
-    15.279233632882423, -33.28821096898486, -0.020331201708508627)
-_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
-    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)
-_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
-    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-    0.6433927460157636)
-_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
-    0.056167502283047954, 0.25350021021662483, -0.2462390374708025,
-    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
-    0.007567897660545699, -0.008298)
-_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
-    0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
-    -0.05492374857139099, -0.00010834732869724932, 0.0003825710908356584,
-    -0.00034046500868740456, 0.1413124436746325)
-_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
-    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
-    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)
-_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
-    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
-    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
-_E5_1, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _E5_12 = (
-    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
-    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
-_E3_1, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _E3_12 = (
-    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
-    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
-_D3_1, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15, _D3_16 = (
-    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
-    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894)
-_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
-    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
-    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
-    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408)
-_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
-    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
-    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279)
-_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
-    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
-    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
-    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564)
+# DOP853 tableau, only its nonzero entries, with 1-based stage indices:
+# _A[s] = (c_s, ((j, a_sj), ...)).  Stages 1-12 make the step (stage 1 is
+# f0, at c = 0), stage 13 is f(x + h, y_new), the next step's first stage
+# (its row in scipy's A equals _B, with c = 1), and stages 14-16 serve only
+# the dense output.  _B holds the 8th-order weights, _E5 and _E3 the error
+# estimates of 5th and 3rd order, and _D the weights of the interpolant's
+# rows F3-F6.
+_A = {
+    2: (0.05260015195876773, ((1, 0.05260015195876773),)),
+    3: (0.0789002279381516, ((1, 0.0197250569845379), (2, 0.0591751709536137))),
+    4: (0.1183503419072274, ((1, 0.02958758547680685), (3, 0.08876275643042054))),
+    5: (0.2816496580927726, ((1, 0.2413651341592667), (3, -0.8845494793282861),
+                             (4, 0.924834003261792))),
+    6: (0.3333333333333333, ((1, 0.037037037037037035), (4, 0.17082860872947386),
+                             (5, 0.12546768756682242))),
+    7: (0.25, ((1, 0.037109375), (4, 0.17025221101954405), (5, 0.06021653898045596),
+               (6, -0.017578125))),
+    8: (0.3076923076923077, ((1, 0.03709200011850479), (4, 0.17038392571223998),
+                             (5, 0.10726203044637328), (6, -0.015319437748624402),
+                             (7, 0.008273789163814023))),
+    9: (0.6512820512820513, ((1, 0.6241109587160757), (4, -3.3608926294469414),
+                             (5, -0.868219346841726), (6, 27.59209969944671),
+                             (7, 20.154067550477894), (8, -43.48988418106996))),
+    10: (0.6, ((1, 0.47766253643826434), (4, -2.4881146199716677), (5, -0.590290826836843),
+               (6, 21.230051448181193), (7, 15.279233632882423), (8, -33.28821096898486),
+               (9, -0.020331201708508627))),
+    11: (0.8571428571428571, ((1, -0.9371424300859873), (4, 5.186372428844064),
+                              (5, 1.0914373489967295), (6, -8.149787010746927),
+                              (7, -18.52006565999696), (8, 22.739487099350505),
+                              (9, 2.4936055526796523), (10, -3.0467644718982196))),
+    12: (1.0, ((1, 2.273310147516538), (4, -10.53449546673725), (5, -2.0008720582248625),
+               (6, -17.9589318631188), (7, 27.94888452941996), (8, -2.8589982771350235),
+               (9, -8.87285693353063), (10, 12.360567175794303),
+               (11, 0.6433927460157636))),
+    14: (0.1, ((1, 0.056167502283047954), (7, 0.25350021021662483),
+               (8, -0.2462390374708025), (9, -0.12419142326381637),
+               (10, 0.15329179827876568), (11, 0.00820105229563469),
+               (12, 0.007567897660545699), (13, -0.008298))),
+    15: (0.2, ((1, 0.03183464816350214), (6, 0.028300909672366776),
+               (7, 0.053541988307438566), (8, -0.05492374857139099),
+               (11, -0.00010834732869724932), (12, 0.0003825710908356584),
+               (13, -0.00034046500868740456), (14, 0.1413124436746325))),
+    16: (0.7777777777777778, ((1, -0.42889630158379194), (6, -4.697621415361164),
+                              (7, 7.683421196062599), (8, 4.06898981839711),
+                              (9, 0.3567271874552811), (13, -0.0013990241651590145),
+                              (14, 2.9475147891527724), (15, -9.15095847217987))),
+}
+_B = ((1, 0.054293734116568765), (6, 4.450312892752409), (7, 1.8915178993145003),
+      (8, -5.801203960010585), (9, 0.3111643669578199), (10, -0.1521609496625161),
+      (11, 0.20136540080403034), (12, 0.04471061572777259))
+_E5 = ((1, 0.01312004499419488), (6, -1.2251564463762044), (7, -0.4957589496572502),
+       (8, 1.6643771824549864), (9, -0.35032884874997366), (10, 0.3341791187130175),
+       (11, 0.08192320648511571), (12, -0.022355307863886294))
+_E3 = ((1, -0.18980075407240762), (6, 4.450312892752409), (7, 1.8915178993145003),
+       (8, -5.801203960010585), (9, -0.4226823213237919), (10, -0.1521609496625161),
+       (11, 0.20136540080403034), (12, 0.02265179219836082))
+_D = (
+    ((1, -8.428938276109013), (6, 0.5667149535193777), (7, -3.0689499459498917),
+     (8, 2.38466765651207), (9, 2.117034582445028), (10, -0.871391583777973),
+     (11, 2.2404374302607883), (12, 0.6315787787694688), (13, -0.08899033645133331),
+     (14, 18.148505520854727), (15, -9.194632392478356), (16, -4.436036387594894)),
+    ((1, 10.427508642579134), (6, 242.28349177525817), (7, 165.20045171727028),
+     (8, -374.5467547226902), (9, -22.113666853125306), (10, 7.733432668472264),
+     (11, -30.674084731089398), (12, -9.332130526430229), (13, 15.697238121770845),
+     (14, -31.139403219565178), (15, -9.35292435884448), (16, 35.81684148639408)),
+    ((1, 19.985053242002433), (6, -387.0373087493518), (7, -189.17813819516758),
+     (8, 527.8081592054236), (9, -11.57390253995963), (10, 6.8812326946963),
+     (11, -1.0006050966910838), (12, 0.7777137798053443), (13, -2.778205752353508),
+     (14, -60.19669523126412), (15, 84.32040550667716), (16, 11.99229113618279)),
+    ((1, -25.69393346270375), (6, -154.18974869023643), (7, -231.5293791760455),
+     (8, 357.6391179106141), (9, 93.40532418362432), (10, -37.45832313645163),
+     (11, 104.0996495089623), (12, 29.8402934266605), (13, -43.53345659001114),
+     (14, 96.32455395918828), (15, -39.17726167561544), (16, -149.72683625798564)),
+)
 
 
 @njit
@@ -158,6 +165,65 @@ def rhs_b(z, y, c0, lam, p):
     return (s, q, N / s - q * s / u)
 
 
+# where a chart-B step that crosses the equator has it: the midpoint of the
+# widest gap between the 16 stage abscissae (1/3 and 0.6)
+_ABSCISSAE = sorted({0.0, 1.0, *(c for c, _ in _A.values())})
+_GAP = max(zip(_ABSCISSAE, _ABSCISSAE[1:]), key=lambda g: g[1] - g[0])
+EQUATOR_THETA = 0.5 * (_GAP[0] + _GAP[1])
+
+
+def _step_source():
+    """Source text of ``step`` over a global ``rhs``; see ``_make_step``.
+
+    Component i of stage s is the local ``ks_i`` (stage 1 is ``f0``), of
+    the state ``yi`` and of the new state ``yni``.  Each sum runs over a
+    row's nonzero weights in tableau order, and the error norm adds its
+    squares in component order, with the scale max(|y_i|, |yn_i|) written
+    ``b if b > a else a`` (a = |y_i|, b = |yn_i|): exactly the value
+    ``max(a, b)`` returns, NaN included.
+    """
+    comps = range(NSTATE)
+
+    def names(s):
+        return "".join(f"k{s}_{i}, " for i in comps)
+
+    def tsum(row, i):
+        return " + ".join(f"{a!r} * k{j}_{i}" for j, a in row)
+
+    def stage(s):
+        c, row = _A[s]
+        ys = "".join(f"y{i} + h * ({tsum(row, i)}), " for i in comps)
+        return f"{names(s)}= rhs(x + {c!r} * h, ({ys}), c0, lam, p)"
+
+    body = ["".join(f"y{i}, " for i in comps) + "= y", f"{names(1)}= f0"]
+    body += [stage(s) for s in range(2, 13)]
+    body += [f"yn{i} = y{i} + h * ({tsum(_B, i)})" for i in comps]
+    body += [f"y_new = [{', '.join(f'yn{i}' for i in comps)}]", "s5 = 0.0", "s3 = 0.0"]
+    for i in comps:
+        body += [f"a = abs(y{i})", f"b = abs(yn{i})",
+                 "sc = atol + rtol * (b if b > a else a)",
+                 f"e = ({tsum(_E5, i)}) / sc", "s5 += e * e",
+                 f"e = ({tsum(_E3, i)}) / sc", "s3 += e * e"]
+    # d is 0 only when both estimates vanish: err is then 0.  Plus 0 * yn_i:
+    # +-0 for a finite yn_i, so err keeps its bits, and NaN for an inf or
+    # NaN one, which the scale hides
+    fold = " + ".join(f"0.0 * yn{i}" for i in comps)
+    body += ["d = s5 + 0.01 * s3",
+             f"err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * {NSTATE})) + ({fold})",
+             "if not err <= 1.0:", "    return y_new, None, err, None",
+             "k13 = rhs(x + h, y_new, c0, lam, p)", f"{names(13)}= k13"]
+    body += [stage(s) for s in (14, 15, 16)]
+    body += [f"f0_{i} = yn{i} - y{i}" for i in comps]
+    # the dense rows y, F0..F6, each a template in the component index i
+    rows = ["y{i}", "f0_{i}", "h * k1_{i} - f0_{i}", "2.0 * f0_{i} - h * (k13_{i} + k1_{i})"]
+    rows += [f"h * ({tsum(d, '{i}')})" for d in _D]
+    body.append(f"return y_new, k13, err, [{', '.join(r.format(i=i) for r in rows for i in comps)}]")
+    return "def step(x, y, h, f0, c0, lam, p, rtol, atol):\n    " + "\n    ".join(body) + "\n"
+
+
+_STEP_CODE = compile(_step_source(), "<dop853 step>", "exec")
+
+
 def _make_step(rhs):
     """One embedded DOP853 step over the right-hand side ``rhs``.
 
@@ -176,243 +242,13 @@ def _make_step(rhs):
     call and reads component i as ``cont[i::NSTATE]``.  A rejected step
     gives None for both and spends no right-hand side call on them.
 
-    The arithmetic is written out one local scalar per component:
-    ``y0..y2`` is the state, ``kS_i`` component i of stage S (stage 1 is
-    ``f0``), so each tableau coefficient's index names its stage, and
-    ``yn0..yn2`` is the new state.  Each sum keeps the order of its
-    tableau row, and the error norm adds its squares in component order.
-    Its scale max(|y_i|, |yn_i|) is written ``b if b > a else a`` with
-    a = |y_i| and b = |yn_i|: exactly the value ``max(a, b)`` returns, NaN
-    included, without a builtin call.  Under numba, ``rhs`` is a jitted
-    function that the closure captures as a compile-time constant.
+    The step's code is compiled once from ``_step_source`` at import and
+    run here with ``rhs`` bound in its globals.  Under numba, ``rhs`` is a
+    jitted function that the step reads as a compile-time constant.
     """
-
-    @njit
-    def step(x, y, h, f0, c0, lam, p, rtol, atol):
-        y0, y1, y2 = y
-        k1_0, k1_1, k1_2 = f0
-        k2_0, k2_1, k2_2 = rhs(
-            x + _C2 * h,
-            (y0 + h * (_A2_1 * k1_0),
-             y1 + h * (_A2_1 * k1_1),
-             y2 + h * (_A2_1 * k1_2)),
-            c0, lam, p)
-        k3_0, k3_1, k3_2 = rhs(
-            x + _C3 * h,
-            (y0 + h * (_A3_1 * k1_0 + _A3_2 * k2_0),
-             y1 + h * (_A3_1 * k1_1 + _A3_2 * k2_1),
-             y2 + h * (_A3_1 * k1_2 + _A3_2 * k2_2)),
-            c0, lam, p)
-        k4_0, k4_1, k4_2 = rhs(
-            x + _C4 * h,
-            (y0 + h * (_A4_1 * k1_0 + _A4_3 * k3_0),
-             y1 + h * (_A4_1 * k1_1 + _A4_3 * k3_1),
-             y2 + h * (_A4_1 * k1_2 + _A4_3 * k3_2)),
-            c0, lam, p)
-        k5_0, k5_1, k5_2 = rhs(
-            x + _C5 * h,
-            (y0 + h * (_A5_1 * k1_0 + _A5_3 * k3_0 + _A5_4 * k4_0),
-             y1 + h * (_A5_1 * k1_1 + _A5_3 * k3_1 + _A5_4 * k4_1),
-             y2 + h * (_A5_1 * k1_2 + _A5_3 * k3_2 + _A5_4 * k4_2)),
-            c0, lam, p)
-        k6_0, k6_1, k6_2 = rhs(
-            x + _C6 * h,
-            (y0 + h * (_A6_1 * k1_0 + _A6_4 * k4_0 + _A6_5 * k5_0),
-             y1 + h * (_A6_1 * k1_1 + _A6_4 * k4_1 + _A6_5 * k5_1),
-             y2 + h * (_A6_1 * k1_2 + _A6_4 * k4_2 + _A6_5 * k5_2)),
-            c0, lam, p)
-        k7_0, k7_1, k7_2 = rhs(
-            x + _C7 * h,
-            (y0 + h * (_A7_1 * k1_0 + _A7_4 * k4_0 + _A7_5 * k5_0 + _A7_6 * k6_0),
-             y1 + h * (_A7_1 * k1_1 + _A7_4 * k4_1 + _A7_5 * k5_1 + _A7_6 * k6_1),
-             y2 + h * (_A7_1 * k1_2 + _A7_4 * k4_2 + _A7_5 * k5_2 + _A7_6 * k6_2)),
-            c0, lam, p)
-        k8_0, k8_1, k8_2 = rhs(
-            x + _C8 * h,
-            (y0 + h * (_A8_1 * k1_0 + _A8_4 * k4_0 + _A8_5 * k5_0 + _A8_6 * k6_0
-                       + _A8_7 * k7_0),
-             y1 + h * (_A8_1 * k1_1 + _A8_4 * k4_1 + _A8_5 * k5_1 + _A8_6 * k6_1
-                       + _A8_7 * k7_1),
-             y2 + h * (_A8_1 * k1_2 + _A8_4 * k4_2 + _A8_5 * k5_2 + _A8_6 * k6_2
-                       + _A8_7 * k7_2)),
-            c0, lam, p)
-        k9_0, k9_1, k9_2 = rhs(
-            x + _C9 * h,
-            (y0 + h * (_A9_1 * k1_0 + _A9_4 * k4_0 + _A9_5 * k5_0 + _A9_6 * k6_0
-                       + _A9_7 * k7_0 + _A9_8 * k8_0),
-             y1 + h * (_A9_1 * k1_1 + _A9_4 * k4_1 + _A9_5 * k5_1 + _A9_6 * k6_1
-                       + _A9_7 * k7_1 + _A9_8 * k8_1),
-             y2 + h * (_A9_1 * k1_2 + _A9_4 * k4_2 + _A9_5 * k5_2 + _A9_6 * k6_2
-                       + _A9_7 * k7_2 + _A9_8 * k8_2)),
-            c0, lam, p)
-        k10_0, k10_1, k10_2 = rhs(
-            x + _C10 * h,
-            (y0 + h * (_A10_1 * k1_0 + _A10_4 * k4_0 + _A10_5 * k5_0 + _A10_6 * k6_0
-                       + _A10_7 * k7_0 + _A10_8 * k8_0 + _A10_9 * k9_0),
-             y1 + h * (_A10_1 * k1_1 + _A10_4 * k4_1 + _A10_5 * k5_1 + _A10_6 * k6_1
-                       + _A10_7 * k7_1 + _A10_8 * k8_1 + _A10_9 * k9_1),
-             y2 + h * (_A10_1 * k1_2 + _A10_4 * k4_2 + _A10_5 * k5_2 + _A10_6 * k6_2
-                       + _A10_7 * k7_2 + _A10_8 * k8_2 + _A10_9 * k9_2)),
-            c0, lam, p)
-        k11_0, k11_1, k11_2 = rhs(
-            x + _C11 * h,
-            (y0 + h * (_A11_1 * k1_0 + _A11_4 * k4_0 + _A11_5 * k5_0 + _A11_6 * k6_0
-                       + _A11_7 * k7_0 + _A11_8 * k8_0 + _A11_9 * k9_0 + _A11_10 * k10_0),
-             y1 + h * (_A11_1 * k1_1 + _A11_4 * k4_1 + _A11_5 * k5_1 + _A11_6 * k6_1
-                       + _A11_7 * k7_1 + _A11_8 * k8_1 + _A11_9 * k9_1 + _A11_10 * k10_1),
-             y2 + h * (_A11_1 * k1_2 + _A11_4 * k4_2 + _A11_5 * k5_2 + _A11_6 * k6_2
-                       + _A11_7 * k7_2 + _A11_8 * k8_2 + _A11_9 * k9_2 + _A11_10 * k10_2)),
-            c0, lam, p)
-        k12_0, k12_1, k12_2 = rhs(
-            x + h,
-            (y0 + h * (_A12_1 * k1_0 + _A12_4 * k4_0 + _A12_5 * k5_0 + _A12_6 * k6_0
-                       + _A12_7 * k7_0 + _A12_8 * k8_0 + _A12_9 * k9_0 + _A12_10 * k10_0
-                       + _A12_11 * k11_0),
-             y1 + h * (_A12_1 * k1_1 + _A12_4 * k4_1 + _A12_5 * k5_1 + _A12_6 * k6_1
-                       + _A12_7 * k7_1 + _A12_8 * k8_1 + _A12_9 * k9_1 + _A12_10 * k10_1
-                       + _A12_11 * k11_1),
-             y2 + h * (_A12_1 * k1_2 + _A12_4 * k4_2 + _A12_5 * k5_2 + _A12_6 * k6_2
-                       + _A12_7 * k7_2 + _A12_8 * k8_2 + _A12_9 * k9_2 + _A12_10 * k10_2
-                       + _A12_11 * k11_2)),
-            c0, lam, p)
-        yn0 = y0 + h * (_B1 * k1_0 + _B6 * k6_0 + _B7 * k7_0 + _B8 * k8_0 + _B9 * k9_0
-                        + _B10 * k10_0 + _B11 * k11_0 + _B12 * k12_0)
-        yn1 = y1 + h * (_B1 * k1_1 + _B6 * k6_1 + _B7 * k7_1 + _B8 * k8_1 + _B9 * k9_1
-                        + _B10 * k10_1 + _B11 * k11_1 + _B12 * k12_1)
-        yn2 = y2 + h * (_B1 * k1_2 + _B6 * k6_2 + _B7 * k7_2 + _B8 * k8_2 + _B9 * k9_2
-                        + _B10 * k10_2 + _B11 * k11_2 + _B12 * k12_2)
-        y_new = [yn0, yn1, yn2]
-
-        # error norm from the 5th- and 3rd-order estimates, each scaled
-        # per component by max(|y_i|, |yn_i|)
-        s5 = 0.0
-        s3 = 0.0
-        a = abs(y0)
-        b = abs(yn0)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_0 + _E5_6 * k6_0 + _E5_7 * k7_0 + _E5_8 * k8_0 + _E5_9 * k9_0
-             + _E5_10 * k10_0 + _E5_11 * k11_0 + _E5_12 * k12_0) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_0 + _E3_6 * k6_0 + _E3_7 * k7_0 + _E3_8 * k8_0 + _E3_9 * k9_0
-             + _E3_10 * k10_0 + _E3_11 * k11_0 + _E3_12 * k12_0) / sc
-        s3 += e * e
-        a = abs(y1)
-        b = abs(yn1)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_1 + _E5_6 * k6_1 + _E5_7 * k7_1 + _E5_8 * k8_1 + _E5_9 * k9_1
-             + _E5_10 * k10_1 + _E5_11 * k11_1 + _E5_12 * k12_1) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_1 + _E3_6 * k6_1 + _E3_7 * k7_1 + _E3_8 * k8_1 + _E3_9 * k9_1
-             + _E3_10 * k10_1 + _E3_11 * k11_1 + _E3_12 * k12_1) / sc
-        s3 += e * e
-        a = abs(y2)
-        b = abs(yn2)
-        sc = atol + rtol * (b if b > a else a)
-        e = (_E5_1 * k1_2 + _E5_6 * k6_2 + _E5_7 * k7_2 + _E5_8 * k8_2 + _E5_9 * k9_2
-             + _E5_10 * k10_2 + _E5_11 * k11_2 + _E5_12 * k12_2) / sc
-        s5 += e * e
-        e = (_E3_1 * k1_2 + _E3_6 * k6_2 + _E3_7 * k7_2 + _E3_8 * k8_2 + _E3_9 * k9_2
-             + _E3_10 * k10_2 + _E3_11 * k11_2 + _E3_12 * k12_2) / sc
-        s3 += e * e
-        d = s5 + 0.01 * s3  # 0 only when both estimates vanish: err is then 0
-        # plus 0 * yn_i: +-0 for a finite yn_i, so err keeps its bits, and
-        # NaN for an inf or NaN one, which the scale above would hide
-        err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * NSTATE)) + (
-            0.0 * yn0 + 0.0 * yn1 + 0.0 * yn2)
-        if not err <= 1.0:
-            return y_new, None, err, None
-
-        k13 = rhs(x + h, y_new, c0, lam, p)
-        k13_0, k13_1, k13_2 = k13
-        k14_0, k14_1, k14_2 = rhs(
-            x + _C14 * h,
-            (y0 + h * (_A14_1 * k1_0 + _A14_7 * k7_0 + _A14_8 * k8_0 + _A14_9 * k9_0
-                       + _A14_10 * k10_0 + _A14_11 * k11_0 + _A14_12 * k12_0
-                       + _A14_13 * k13_0),
-             y1 + h * (_A14_1 * k1_1 + _A14_7 * k7_1 + _A14_8 * k8_1 + _A14_9 * k9_1
-                       + _A14_10 * k10_1 + _A14_11 * k11_1 + _A14_12 * k12_1
-                       + _A14_13 * k13_1),
-             y2 + h * (_A14_1 * k1_2 + _A14_7 * k7_2 + _A14_8 * k8_2 + _A14_9 * k9_2
-                       + _A14_10 * k10_2 + _A14_11 * k11_2 + _A14_12 * k12_2
-                       + _A14_13 * k13_2)),
-            c0, lam, p)
-        k15_0, k15_1, k15_2 = rhs(
-            x + _C15 * h,
-            (y0 + h * (_A15_1 * k1_0 + _A15_6 * k6_0 + _A15_7 * k7_0 + _A15_8 * k8_0
-                       + _A15_11 * k11_0 + _A15_12 * k12_0 + _A15_13 * k13_0
-                       + _A15_14 * k14_0),
-             y1 + h * (_A15_1 * k1_1 + _A15_6 * k6_1 + _A15_7 * k7_1 + _A15_8 * k8_1
-                       + _A15_11 * k11_1 + _A15_12 * k12_1 + _A15_13 * k13_1
-                       + _A15_14 * k14_1),
-             y2 + h * (_A15_1 * k1_2 + _A15_6 * k6_2 + _A15_7 * k7_2 + _A15_8 * k8_2
-                       + _A15_11 * k11_2 + _A15_12 * k12_2 + _A15_13 * k13_2
-                       + _A15_14 * k14_2)),
-            c0, lam, p)
-        k16_0, k16_1, k16_2 = rhs(
-            x + _C16 * h,
-            (y0 + h * (_A16_1 * k1_0 + _A16_6 * k6_0 + _A16_7 * k7_0 + _A16_8 * k8_0
-                       + _A16_9 * k9_0 + _A16_13 * k13_0 + _A16_14 * k14_0
-                       + _A16_15 * k15_0),
-             y1 + h * (_A16_1 * k1_1 + _A16_6 * k6_1 + _A16_7 * k7_1 + _A16_8 * k8_1
-                       + _A16_9 * k9_1 + _A16_13 * k13_1 + _A16_14 * k14_1
-                       + _A16_15 * k15_1),
-             y2 + h * (_A16_1 * k1_2 + _A16_6 * k6_2 + _A16_7 * k7_2 + _A16_8 * k8_2
-                       + _A16_9 * k9_2 + _A16_13 * k13_2 + _A16_14 * k14_2
-                       + _A16_15 * k15_2)),
-            c0, lam, p)
-
-        # dense output, rows y, F0..F6 of NSTATE in storage order
-        f0_0 = yn0 - y0
-        f0_1 = yn1 - y1
-        f0_2 = yn2 - y2
-        return y_new, k13, err, [
-            y0, y1, y2,
-            f0_0, f0_1, f0_2,
-            h * k1_0 - f0_0,
-            h * k1_1 - f0_1,
-            h * k1_2 - f0_2,
-            2.0 * f0_0 - h * (k13_0 + k1_0),
-            2.0 * f0_1 - h * (k13_1 + k1_1),
-            2.0 * f0_2 - h * (k13_2 + k1_2),
-            h * (_D3_1 * k1_0 + _D3_6 * k6_0 + _D3_7 * k7_0 + _D3_8 * k8_0 + _D3_9 * k9_0
-                 + _D3_10 * k10_0 + _D3_11 * k11_0 + _D3_12 * k12_0 + _D3_13 * k13_0
-                 + _D3_14 * k14_0 + _D3_15 * k15_0 + _D3_16 * k16_0),
-            h * (_D3_1 * k1_1 + _D3_6 * k6_1 + _D3_7 * k7_1 + _D3_8 * k8_1 + _D3_9 * k9_1
-                 + _D3_10 * k10_1 + _D3_11 * k11_1 + _D3_12 * k12_1 + _D3_13 * k13_1
-                 + _D3_14 * k14_1 + _D3_15 * k15_1 + _D3_16 * k16_1),
-            h * (_D3_1 * k1_2 + _D3_6 * k6_2 + _D3_7 * k7_2 + _D3_8 * k8_2 + _D3_9 * k9_2
-                 + _D3_10 * k10_2 + _D3_11 * k11_2 + _D3_12 * k12_2 + _D3_13 * k13_2
-                 + _D3_14 * k14_2 + _D3_15 * k15_2 + _D3_16 * k16_2),
-            h * (_D4_1 * k1_0 + _D4_6 * k6_0 + _D4_7 * k7_0 + _D4_8 * k8_0 + _D4_9 * k9_0
-                 + _D4_10 * k10_0 + _D4_11 * k11_0 + _D4_12 * k12_0 + _D4_13 * k13_0
-                 + _D4_14 * k14_0 + _D4_15 * k15_0 + _D4_16 * k16_0),
-            h * (_D4_1 * k1_1 + _D4_6 * k6_1 + _D4_7 * k7_1 + _D4_8 * k8_1 + _D4_9 * k9_1
-                 + _D4_10 * k10_1 + _D4_11 * k11_1 + _D4_12 * k12_1 + _D4_13 * k13_1
-                 + _D4_14 * k14_1 + _D4_15 * k15_1 + _D4_16 * k16_1),
-            h * (_D4_1 * k1_2 + _D4_6 * k6_2 + _D4_7 * k7_2 + _D4_8 * k8_2 + _D4_9 * k9_2
-                 + _D4_10 * k10_2 + _D4_11 * k11_2 + _D4_12 * k12_2 + _D4_13 * k13_2
-                 + _D4_14 * k14_2 + _D4_15 * k15_2 + _D4_16 * k16_2),
-            h * (_D5_1 * k1_0 + _D5_6 * k6_0 + _D5_7 * k7_0 + _D5_8 * k8_0 + _D5_9 * k9_0
-                 + _D5_10 * k10_0 + _D5_11 * k11_0 + _D5_12 * k12_0 + _D5_13 * k13_0
-                 + _D5_14 * k14_0 + _D5_15 * k15_0 + _D5_16 * k16_0),
-            h * (_D5_1 * k1_1 + _D5_6 * k6_1 + _D5_7 * k7_1 + _D5_8 * k8_1 + _D5_9 * k9_1
-                 + _D5_10 * k10_1 + _D5_11 * k11_1 + _D5_12 * k12_1 + _D5_13 * k13_1
-                 + _D5_14 * k14_1 + _D5_15 * k15_1 + _D5_16 * k16_1),
-            h * (_D5_1 * k1_2 + _D5_6 * k6_2 + _D5_7 * k7_2 + _D5_8 * k8_2 + _D5_9 * k9_2
-                 + _D5_10 * k10_2 + _D5_11 * k11_2 + _D5_12 * k12_2 + _D5_13 * k13_2
-                 + _D5_14 * k14_2 + _D5_15 * k15_2 + _D5_16 * k16_2),
-            h * (_D6_1 * k1_0 + _D6_6 * k6_0 + _D6_7 * k7_0 + _D6_8 * k8_0 + _D6_9 * k9_0
-                 + _D6_10 * k10_0 + _D6_11 * k11_0 + _D6_12 * k12_0 + _D6_13 * k13_0
-                 + _D6_14 * k14_0 + _D6_15 * k15_0 + _D6_16 * k16_0),
-            h * (_D6_1 * k1_1 + _D6_6 * k6_1 + _D6_7 * k7_1 + _D6_8 * k8_1 + _D6_9 * k9_1
-                 + _D6_10 * k10_1 + _D6_11 * k11_1 + _D6_12 * k12_1 + _D6_13 * k13_1
-                 + _D6_14 * k14_1 + _D6_15 * k15_1 + _D6_16 * k16_1),
-            h * (_D6_1 * k1_2 + _D6_6 * k6_2 + _D6_7 * k7_2 + _D6_8 * k8_2 + _D6_9 * k9_2
-                 + _D6_10 * k10_2 + _D6_11 * k11_2 + _D6_12 * k12_2 + _D6_13 * k13_2
-                 + _D6_14 * k14_2 + _D6_15 * k15_2 + _D6_16 * k16_2),
-        ]
-
-    return step
+    namespace = {"rhs": rhs, "math": math}
+    exec(_STEP_CODE, namespace)
+    return njit(namespace["step"])
 
 
 # module attributes read at call time by ``solver.integrate``; the DOPRI5

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import EQUATOR_THETA
 from .cubic import HelfrichParams, eval_q
 from .errors import (
     BadSwitch,
@@ -66,9 +67,6 @@ _BETA = 0.04
 _ALPHA = 1.0 / 8.0 - 0.2 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-# where a chart-B step that crosses the equator has it: midway between the
-# stage abscissae 1/3 and 0.6, the widest gap of the 16 DOP853 stages
-_EQUATOR_THETA = 0.5 * (1.0 / 3.0 + 0.6)
 
 
 @dataclass(frozen=True)
@@ -383,9 +381,9 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             # which s' = q puts d = |s/q| ahead.  Stages next to the pole
             # spoil the step and its dense output, so a step either stays
             # within d/2 of its start or crosses with the pole at theta =
-            # _EQUATOR_THETA
+            # EQUATOR_THETA
             d = abs(y[1] / y[2])
-            h_use = d / _EQUATOR_THETA if h_use * _EQUATOR_THETA >= d else 0.5 * d
+            h_use = d / EQUATOR_THETA if h_use * EQUATOR_THETA >= d else 0.5 * d
 
         try:
             y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,

@@ -113,8 +113,8 @@ def surface_densities(chart, x, y, c0, lam):
 
 def _tableau_sum(row, K, stages):
     """Sum of row[j] * K[j] over the first ``stages`` stages, in tableau
-    order and over the nonzero weights only, as the written-out step adds
-    its terms."""
+    order and over the nonzero weights only, as the step that ``kernels``
+    emits from its tableau rows adds its terms."""
     total = None
     for j in range(stages):
         if row[j] != 0.0:

@@ -330,8 +330,9 @@ def test_step_returns_python_floats(chart):
     ("A", 0.5, [0.0, 0.05, -0.0], -0.05, (1.0, 0.25, 1.0)),
 ])
 def test_error_norm_ties_and_signed_zeros(chart, x, y, h, params):
-    """The written-out max(|y_i|, |yn_i|) of the error scale gives the
-    ndarray oracle's err and dense output bit for bit on ties and zeros."""
+    """The emitted max(|y_i|, |yn_i|) of the error scale, a conditional
+    expression, gives the ndarray oracle's err and dense output bit for
+    bit on ties and zeros."""
     rhs, step_name, rhs_arr, step_arr = _ORACLES[chart]
     c0, lam, p = params
     f0 = rhs(x, y, c0, lam, p)
@@ -345,3 +346,68 @@ def test_error_norm_ties_and_signed_zeros(chart, x, y, h, params):
     assert err <= 1.0 and err.hex() == float(want[2]).hex()
     assert np.array_equal(np.reshape(cont, (kernels.NROWS, kernels.NSTATE)).view(np.uint64),
                           want[3].view(np.uint64))
+
+
+def test_tableau_rows_equal_scipy_dop853():
+    """The package's nonzero tableau rows hold every nonzero entry of
+    scipy's DOP853 arrays, exactly, and no entry that scipy has as zero.
+    Stage 13's row in A is B at c = 1, which is why the step evaluates it
+    at (x + h, y_new) and keeps no row of its own."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    n = ref.N_STAGES_EXTENDED
+
+    def dense(pairs, width):
+        row = [0.0] * width
+        for j, a in pairs:
+            assert a != 0.0 and row[j - 1] == 0.0
+            row[j - 1] = a
+        return row
+
+    assert sorted(kernels._A) == [s for s in range(2, n + 1) if s != 13]
+    for s, (c, pairs) in kernels._A.items():
+        assert c == ref.C[s - 1]
+        assert dense(pairs, n) == ref.A[s - 1].tolist()
+    assert ref.C[0] == 0.0 and not ref.A[0].any()
+    assert ref.C[12] == 1.0 and ref.A[12, :12].tolist() == ref.B.tolist()
+    assert not ref.A[12, 12:].any()
+    assert dense(kernels._B, ref.N_STAGES) == ref.B.tolist()
+    assert dense(kernels._E5, ref.N_STAGES + 1) == ref.E5.tolist()
+    assert dense(kernels._E3, ref.N_STAGES + 1) == ref.E3.tolist()
+    assert [dense(row, n) for row in kernels._D] == ref.D.tolist()
+
+
+@pytest.mark.parametrize("step_name, rhs", [("dopri5_step_a", kernels.rhs_a),
+                                            ("dopri5_step_b", kernels.rhs_b)])
+def test_step_coefficients_are_literals(step_name, rhs):
+    """The step looks up no global but its right-hand side, ``abs`` and
+    ``math.sqrt``: the tableau's weights and NSTATE are constants of its
+    code, not hundreds of module lookups per call."""
+    step = _unjitted(getattr(kernels, step_name))
+    assert set(step.__code__.co_names) == {"rhs", "abs", "math", "sqrt"}
+    assert step.__globals__["rhs"] is rhs
+
+
+def test_rejected_step_calls_no_stage_after_twelve():
+    """An accepted step calls the right-hand side for stages 2-16 (stage 1
+    is its argument), a rejected one for stages 2-12 only."""
+    calls = []
+
+    def rhs(x, y, c0, lam, p):
+        calls.append(x)
+        return kernels.rhs_a(x, y, c0, lam, p)
+
+    step = kernels._make_step(rhs)
+    x, y = 0.5, [0.02, 0.04, 0.001]
+    f0 = kernels.rhs_a(x, y, 1.0, 0.25, 1.0)
+    for h, accepted, n_calls in ((0.05, True, 15), (5.0, False, 11)):
+        calls.clear()
+        _, f_new, err, _ = step(x, y, h, f0, 1.0, 0.25, 1.0, 1e-10, 1e-12)
+        assert (err <= 1.0) is accepted and (f_new is not None) is accepted
+        assert len(calls) == n_calls
+
+
+def test_equator_theta_is_the_widest_abscissa_gap_midpoint():
+    """Derived from the tableau rows, the chart-B equator position is the
+    midpoint of the stage abscissae 1/3 and 0.6, bit for bit."""
+    assert kernels.EQUATOR_THETA.hex() == (0.5 * (1.0 / 3.0 + 0.6)).hex()

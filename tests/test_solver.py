@@ -22,7 +22,6 @@ from helfrich.solver import (
     EQUATOR,
     MAX_OF_W,
     ZERO_OF_W,
-    _EQUATOR_THETA,
     DenseSegment,
     _initial_step,
     _run_chart,
@@ -250,14 +249,14 @@ def test_equator_state_is_regular(ref_traj):
 def test_chart_b_steps_keep_clear_of_the_equator(ref_traj):
     """Every chart-B step but the last stays within half the linear
     estimate d = |s/q| of its distance to the equator; the last crosses it
-    with the equator at theta = _EQUATOR_THETA, between stage abscissae."""
+    with the equator at theta = kernels.EQUATOR_THETA, between stage abscissae."""
     seg = ref_traj.chart_b
     h = np.abs(np.diff(seg.xs))
     _, s, q = seg.conts[:, 0, :].T
     d = np.abs(s / q)
     assert np.all(h[:-1] <= 0.5 * d[:-1] + 1e-15)  # x + h rounds at |x| ~ 1
     theta = (seg.xs[-2] - seg.x_end) / h[-1]
-    assert theta == pytest.approx(_EQUATOR_THETA, rel=1e-2)
+    assert theta == pytest.approx(kernels.EQUATOR_THETA, rel=1e-2)
 
 
 def test_float_overflow_in_a_step_rejects_it():
