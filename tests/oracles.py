@@ -27,7 +27,7 @@ from helfrich import kernels
 from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometry
 from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
-from helfrich.export import PROFILE_COLUMNS, fmt17, profile_rows
+from helfrich.export import PROFILE_COLUMNS, _angle_table, fmt17, profile_rows
 from helfrich.solver import EQUATOR, _bisect_step, axis_series, series_coefficient
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
@@ -258,14 +258,14 @@ def svg_path_loops(points: np.ndarray) -> str:
 
 
 def build_mesh_loops(traj, n_theta: int, n_profile: int):
-    """Revolved mesh built ring by ring and face by face."""
+    """Revolved mesh built ring by ring and face by face, on the package's
+    exactly symmetric angle table."""
     r_u, z_u = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
     # full profile pole..equator..pole: 2 n_profile + 1 points
     r_full = np.concatenate([r_u, r_u[-2::-1]])
     z_full = np.concatenate([z_u, -z_u[-2::-1]])
 
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = _angle_table(n_theta)
 
     verts = [np.array([0.0, 0.0, z_full[0]])]
     for j in range(1, len(r_full) - 1):

@@ -1,6 +1,7 @@
 import json
 import shutil
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ def test_plot_from_csv(tmp_path):
                     "--out", str(tmp_path / "svg")])
     assert code == 0
     assert (tmp_path / "svg" / "profile.svg").exists()
+
+
+def test_plot_escapes_file_name_annotation(tmp_path):
+    """A file name with XML markup characters gives a well-formed SVG whose
+    caption is the name itself."""
+    run_cli(["solve", *SOLVE_FLAGS, "--out", str(tmp_path)])
+    src = tmp_path / "x<&y.csv"
+    shutil.copy(tmp_path / "profile.csv", src)
+    assert run_cli(["plot", "--in", str(src), "--out", str(tmp_path / "svg")]) == 0
+    root = ET.parse(tmp_path / "svg" / "profile.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-1] == "x<&y.csv"
 
 
 def test_plot_rejects_blowup(tmp_path):

@@ -1,8 +1,10 @@
 """The array emitters write the same bytes as element-by-element loops."""
 
 import io
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +14,7 @@ from helfrich import HelfrichParams, integrate
 from helfrich.export import (
     _FACE_ROWS,
     PROFILE_COLUMNS,
+    _angle_table,
     _write_faces,
     build_mesh,
     profile_rows,
@@ -45,6 +48,49 @@ def test_mesh_obj_bytes_match_loops(ref_traj, n_theta, n_profile, tmp_path):
     write_obj(tmp_path / "new.obj", mesh)
     write_obj_loops(tmp_path / "ref.obj", ref_verts, ref_faces)
     assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def test_angle_table_within_3_ulp_of_mpmath():
+    """Every entry is within 3 ulp of the 40-digit value, and exactly 0 or
+    +-1 where that is the true value (the axis angles, 4k a multiple of n)."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in [*range(3, 200), 256, 1000]:
+            cos, sin = _angle_table(n)
+            for k in range(n):
+                theta = 2 * mpmath.pi * k / n
+                for got, true in ((cos[k], mpmath.cos(theta)), (sin[k], mpmath.sin(theta))):
+                    if 4 * k % n == 0:
+                        assert got == int(mpmath.nint(true)), (n, k)
+                    else:
+                        worst = max(worst, float(abs(got - true)) / math.ulp(float(true)))
+    assert worst <= 3.0, worst
+
+
+def test_angle_table_symmetries_bit_exact():
+    """c[n-k] = c[k], s[n-k] = -s[k], s is c a quarter turn on when 4 | n,
+    cos = sin at 45 degrees when 8 | n, and no entry is -0."""
+    for n in [*range(3, 200), 256, 1000]:
+        cos, sin = _angle_table(n)
+        k = np.arange(1, n)
+        assert cos[n - k].tobytes() == cos[k].tobytes(), n
+        assert sin[n - k].tobytes() == (0.0 - sin[k]).tobytes(), n  # 0.0 - 0.0 is +0
+        if n % 4 == 0:
+            assert sin.tobytes() == np.roll(cos, n // 4).tobytes(), n
+        if n % 8 == 0:
+            assert cos[n // 8] == sin[n // 8], n
+        both = np.concatenate([cos, sin])
+        assert not np.signbit(both[both == 0]).any(), n
+
+
+def test_default_mesh_obj_has_33_magnitudes_and_no_negative_zero(ref_traj, tmp_path):
+    cos, sin = _angle_table(128)
+    assert len(np.unique(np.abs(np.concatenate([cos, sin])))) == 33
+    write_obj(tmp_path / "mesh.obj", build_mesh(ref_traj))
+    with open(tmp_path / "mesh.obj") as fh:
+        fields = [tok for line in fh if line.startswith("v ") for tok in line.split()[1:]]
+    assert len(fields) == 3 * (128 * 511 + 2)
+    assert "-0" not in fields and "0" in fields
 
 
 @settings(max_examples=30, deadline=None,

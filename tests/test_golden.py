@@ -38,13 +38,13 @@ GOLDEN = {
             "profile.csv": "6b1aa0e355bb643e46fe83282761d78fc6d75594d088c3b9b24f89094aea0b7e",
             "report.json": "cb1e4ea7a463bcdc56d409a8946aab019b5b109b5a14bef73ee9a9146a30eb4e",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "afe79e83a2db3646144414a2b5a74073483d30838ee831104629c033b6068a60",
+            "mesh.obj": "f5151abf42e84721add044c27965a870db36b86ddd54124b5b93cf46cb004043",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "d6b71737daca551fe88d050ddac6dcb9161942dc6b053b0b283935a12204acfc"},
+        {"mesh.obj": "75098b60b8e59ce253ef828099db65b1923de49291616c9f89cd97271f365177"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
