@@ -19,7 +19,7 @@ if JIT_ENABLED:
 
     def njit(func):
         # numba caches only a function it can read the source file of;
-        # the DOP853 step is compiled from generated text and has none
+        # the kernels are compiled from generated text and have none
         return _numba_njit(cache=os.path.isfile(func.__code__.co_filename))(func)
 
 else:

@@ -7,6 +7,7 @@ are fixed, and nothing carries timestamps.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -39,11 +40,19 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@functools.cache
+def _field_names(cls):
+    """The field names of ``cls`` when it is a dataclass, else None: read
+    once per type rather than once per object walked."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _jsonable(obj):
     """JSON-ready copy of ``obj``: a dataclass instance becomes a dict of
     its fields, walked in place rather than deep-copied first."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: _jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -21,22 +21,28 @@ smooth continuation of the blow-down branch.
 The step is Hairer's DOP853: an 8th-order Runge-Kutta pair with 5th- and
 3rd-order error estimates and a 7th-order continuous extension, with
 the tableau of scipy's ``dop853_coefficients``.  The right-hand sides
-``rhs_a`` and ``rhs_b`` and the step work on Python floats, because
+``rhs_a`` and ``rhs_b`` and the steps work on Python floats, because
 numpy arithmetic on 3-element arrays and ``np.float64`` scalars costs
 several times the arithmetic itself; the tests hold an ndarray twin of
-each right-hand side and of the step.  The tableau is kept once, as its
-nonzero rows, and the step's source is emitted from them at import: one
-local scalar per component and the coefficients as float literals,
-because loops over the rows or list comprehensions over ``zip`` cost
-several times the sums they build.  For the same reason the step calls
-no builtin it can do without: the per-component max of the error scale
-is a conditional expression, and the dense output comes back as one
-flat list of NROWS * NSTATE = 24 floats (eight rows of three) that the
-solver appends to its storage as it is.  Python floats raise
+each right-hand side and of the step.  All four are emitted as source
+text at import.  The tableau is kept once, as its nonzero rows, and
+each chart's right-hand side once, as statement text over named inputs
+(``_RHS``).  That text becomes the standalone ``rhs_a``/``rhs_b`` and is
+pasted into every stage of the chart's step, which therefore calls no
+right-hand side: a stage computes its derivatives straight into its
+stage locals and forms only the inputs the text reads, so chart A's step
+builds no z stage input.  The step holds one local scalar per component
+and the coefficients as float literals, because loops over the rows or
+list comprehensions over ``zip`` cost several times the sums they
+build.  For the same reason the step calls no builtin it can do without:
+the per-component max of the error scale is a conditional expression,
+and the dense output comes back as one flat list of NROWS * NSTATE = 24
+floats (eight rows of three) that the solver appends to its storage as
+it is.  Python floats raise
 ``ZeroDivisionError`` and ``OverflowError`` where ndarrays give inf or
 nan; the caller treats either as a failed step.
 
-The step and the right-hand sides keep to the subset numba
+The steps and the right-hand sides keep to the subset numba
 compiles (scalars, tuples, list literals, ``math.sqrt``) and are
 compiled when numba is importable and HELFRICH_JIT is not 0 (see
 ``_jit``).  That the compiled path builds and matches is unverified: the
@@ -44,6 +50,7 @@ suite has only run without numba.
 """
 
 import math
+import re
 
 from ._jit import njit
 
@@ -126,43 +133,87 @@ _D = (
 )
 
 
-@njit
-def rhs_a(r, y, c0, lam, p):
-    """Chart-A derivatives (w', w'', z') with respect to r."""
-    w = y[0]
-    wp = y[1]
-    P = 1.0 + w * w
-    sq = math.sqrt(P)
-    # w'' solved from the shape equation; the 1/r^2 group is rearranged to
-    # w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r
-    wpp = (
-        2.5 * w * wp * wp / P
-        - (wp - w / r) / r
-        + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
-        + c0 * w * w * P * sq / r
-        + 0.5 * (c0 * c0 + lam) * w * P * P
-        - 0.25 * p * r * P * P * sq
-    )
-    return (wp, wpp, w)
+# Each chart's right-hand side, written once as text: the name of its
+# variable, the names of its NSTATE state components, statements over those
+# names, c0 and the constants of _CONSTANTS, and the NSTATE derivatives as
+# expressions.  ``_rhs_source`` makes the standalone function of it and
+# ``_step_source`` pastes it into every stage of the chart's step.
+#
+# Chart A: w'' solved from the shape equation; the 1/r^2 group is rearranged
+# to w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r.
+# Chart B: N is the coefficient of the removable 1/s pole; it vanishes at
+# the equator.
+_RHS = {
+    "A": ("r", ("w", "wp", "z"), """\
+P = 1.0 + w * w
+sq = math.sqrt(P)
+wpp = (
+    2.5 * w * wp * wp / P
+    - (wp - w / r) / r
+    + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
+    + c0 * w * w * P * sq / r
+    + cl * w * P * P
+    - pq * r * P * P * sq
+)""", ("wp", "wpp", "w")),
+    "B": ("z", ("u", "s", "q"), """\
+P = s * s + 1.0
+sq = math.sqrt(P)
+N = (
+    q * q * (6.0 * s * s + 1.0) / (2.0 * P)
+    - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
+    + c0 * P * sq / u
+    - cl * P * P
+    - pq * u * P * P * sq
+)""", ("s", "q", "N / s - q * s / u")),
+}
+# 0.5 (c0^2 + lam) and p / 4 lead products that Python multiplies left to
+# right, so a step forms them once for all its stages and keeps every bit
+_CONSTANTS = ["cl = 0.5 * (c0 * c0 + lam)", "pq = 0.25 * p"]
+
+_IDENT = re.compile(r"\b[A-Za-z_]\w*")
 
 
-@njit
-def rhs_b(z, y, c0, lam, p):
-    """Chart-B derivatives (u', u'', u''') with respect to z."""
-    u = y[0]
-    s = y[1]
-    q = y[2]
-    P = s * s + 1.0
-    sq = math.sqrt(P)
-    # coefficient of the removable 1/s pole; vanishes at the equator
-    N = (
-        q * q * (6.0 * s * s + 1.0) / (2.0 * P)
-        - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
-        + c0 * P * sq / u
-        - 0.5 * (c0 * c0 + lam) * P * P
-        - 0.25 * p * u * P * P * sq
-    )
-    return (s, q, N / s - q * s / u)
+def _rhs_template(chart):
+    """The chart's right-hand side from ``_RHS`` as statement text with
+    the format fields ``{x}`` and ``{y0}``, ``{y1}``, ... for its inputs
+    and ``{k}`` for the prefix of the locals ``{k}_0``, ``{k}_1``, ... it
+    sets to the NSTATE derivatives.  A derivative that is a state
+    component or a local of the text is computed straight into its local,
+    and only the inputs the text reads have a field: chart A's z and
+    chart B's variable have none."""
+    x, states, body, derivs = _RHS[chart]
+    used = set(_IDENT.findall(body + " " + " ".join(derivs)))
+    out = {d: f"{{k}}_{i}" for i, d in enumerate(derivs) if d.isidentifier()}
+
+    def rename(text):
+        return _IDENT.sub(lambda m: out.get(m[0], m[0]), text)
+
+    lines = [f"{x} = {{x}}"] if x in used else []
+    lines += [f"{out.get(v, v)} = {{y{i}}}" for i, v in enumerate(states) if v in used]
+    lines += rename(body).splitlines()
+    lines += [f"{{k}}_{i} = {rename(d)}" for i, d in enumerate(derivs) if d not in out]
+    return "\n".join(lines)
+
+
+_TEMPLATES = {chart: _rhs_template(chart) for chart in _RHS}
+
+
+def _rhs_lines(chart, k, x_expr, y_exprs):
+    """Statements that set the locals ``k_0``, ``k_1``, ... to the chart's
+    right-hand side at (``x_expr``, ``y_exprs``), over the ``_CONSTANTS``
+    formed before."""
+    ys = {f"y{i}": e for i, e in enumerate(y_exprs)}
+    return _TEMPLATES[chart].format(k=k, x=x_expr, **ys).splitlines()
+
+
+def _rhs_source(chart):
+    """Source text of ``rhs_a`` or ``rhs_b``, the chart's right-hand side
+    (x, y, c0, lam, p) -> tuple of NSTATE derivatives."""
+    x, states = _RHS[chart][:2]
+    lines = [f'"""Chart-{chart} derivatives of ({", ".join(states)}) with respect to {x} = x."""',
+             *_CONSTANTS, *_rhs_lines(chart, "f", "x", [f"y[{i}]" for i in range(NSTATE)]),
+             f"return ({', '.join(f'f_{i}' for i in range(NSTATE))})"]
+    return f"def rhs_{chart.lower()}(x, y, c0, lam, p):\n    " + "\n    ".join(lines) + "\n"
 
 
 # where a chart-B step that crosses the equator has it: the midpoint of the
@@ -172,15 +223,35 @@ _GAP = max(zip(_ABSCISSAE, _ABSCISSAE[1:]), key=lambda g: g[1] - g[0])
 EQUATOR_THETA = 0.5 * (_GAP[0] + _GAP[1])
 
 
-def _step_source():
-    """Source text of ``step`` over a global ``rhs``; see ``_make_step``.
+def _step_source(chart):
+    """Source text of ``dopri5_step_a`` or ``_b``, one embedded DOP853 step
+    on the chart with its right-hand side pasted into every stage.
+
+    The step(x, y, h, f0, c0, lam, p, rtol, atol) takes the state ``y``
+    and its derivative ``f0`` as sequences of NSTATE floats and gives
+    (y_new, f_new, err, cont).  ``y_new`` is the new state as a list and
+    ``err`` the scalar weighted error norm: scipy's DOP853 norm
+    |h| s5 / sqrt(NSTATE (s5 + 0.01 s3)), where s5 and s3 sum the squares
+    of the E5 and E3 estimates over the components, each divided by
+    atol + rtol max(|y_i|, |yn_i|).  It is NaN when the new state holds
+    an inf or NaN, so that one finiteness test on it rejects such a step.
+    Only an accepted step (err <= 1) goes on: ``f_new`` is its FSAL stage,
+    the tuple the chart's ``rhs_a``/``rhs_b`` gives at the new state, and
+    ``cont`` its dense output as one flat list of NROWS * NSTATE floats,
+    the rows y, F0..F6 of NSTATE each in storage order, so that the caller
+    appends it in one call and reads component i as ``cont[i::NSTATE]``.
+    A rejected step gives None for both and evaluates no stage after the
+    twelfth.
 
     Component i of stage s is the local ``ks_i`` (stage 1 is ``f0``), of
-    the state ``yi`` and of the new state ``yni``.  Each sum runs over a
-    row's nonzero weights in tableau order, and the error norm adds its
-    squares in component order, with the scale max(|y_i|, |yn_i|) written
-    ``b if b > a else a`` (a = |y_i|, b = |yn_i|): exactly the value
-    ``max(a, b)`` returns, NaN included.
+    the state ``yi`` and of the new state ``yni``.  Each stage is the
+    chart's right-hand side from ``_rhs_lines``, after ``_CONSTANTS``
+    once per step, so that the step calls no function but ``abs`` and
+    ``math.sqrt``: that spares 15 calls and their tuples per step.  Each
+    sum runs over a row's nonzero weights in tableau order, and the error
+    norm adds its squares in component order, with the scale
+    max(|y_i|, |yn_i|) written ``b if b > a else a`` (a = |y_i|,
+    b = |yn_i|): exactly the value ``max(a, b)`` returns, NaN included.
     """
     comps = range(NSTATE)
 
@@ -192,11 +263,12 @@ def _step_source():
 
     def stage(s):
         c, row = _A[s]
-        ys = "".join(f"y{i} + h * ({tsum(row, i)}), " for i in comps)
-        return f"{names(s)}= rhs(x + {c!r} * h, ({ys}), c0, lam, p)"
+        return _rhs_lines(chart, f"k{s}", f"x + {c!r} * h",
+                          [f"y{i} + h * ({tsum(row, i)})" for i in comps])
 
-    body = ["".join(f"y{i}, " for i in comps) + "= y", f"{names(1)}= f0"]
-    body += [stage(s) for s in range(2, 13)]
+    body = ["".join(f"y{i}, " for i in comps) + "= y", f"{names(1)}= f0", *_CONSTANTS]
+    for s in range(2, 13):
+        body += stage(s)
     body += [f"yn{i} = y{i} + h * ({tsum(_B, i)})" for i in comps]
     body += [f"y_new = [{', '.join(f'yn{i}' for i in comps)}]", "s5 = 0.0", "s3 = 0.0"]
     for i in comps:
@@ -210,52 +282,35 @@ def _step_source():
     fold = " + ".join(f"0.0 * yn{i}" for i in comps)
     body += ["d = s5 + 0.01 * s3",
              f"err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * {NSTATE})) + ({fold})",
-             "if not err <= 1.0:", "    return y_new, None, err, None",
-             "k13 = rhs(x + h, y_new, c0, lam, p)", f"{names(13)}= k13"]
-    body += [stage(s) for s in (14, 15, 16)]
+             "if not err <= 1.0:", "    return y_new, None, err, None"]
+    body += _rhs_lines(chart, "k13", "x + h", [f"yn{i}" for i in comps])
+    for s in (14, 15, 16):
+        body += stage(s)
     body += [f"f0_{i} = yn{i} - y{i}" for i in comps]
     # the dense rows y, F0..F6, each a template in the component index i
     rows = ["y{i}", "f0_{i}", "h * k1_{i} - f0_{i}", "2.0 * f0_{i} - h * (k13_{i} + k1_{i})"]
     rows += [f"h * ({tsum(d, '{i}')})" for d in _D]
-    body.append(f"return y_new, k13, err, [{', '.join(r.format(i=i) for r in rows for i in comps)}]")
-    return "def step(x, y, h, f0, c0, lam, p, rtol, atol):\n    " + "\n    ".join(body) + "\n"
+    body.append(f"return y_new, ({names(13)}), err, "
+                f"[{', '.join(r.format(i=i) for r in rows for i in comps)}]")
+    return (f"def dopri5_step_{chart.lower()}(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
+            + "\n    ".join(body) + "\n")
 
 
-_STEP_CODE = compile(_step_source(), "<dop853 step>", "exec")
-
-
-def _make_step(rhs):
-    """One embedded DOP853 step over the right-hand side ``rhs``.
-
-    The returned step(x, y, h, f0, c0, lam, p, rtol, atol) takes the
-    state ``y`` and its derivative ``f0`` as sequences of NSTATE floats
-    and gives (y_new, f_new, err, cont).  ``y_new`` is the new state as a
-    list and ``err`` the scalar weighted error norm: scipy's DOP853 norm
-    |h| s5 / sqrt(NSTATE (s5 + 0.01 s3)), where s5 and s3 sum the squares
-    of the E5 and E3 estimates over the components, each divided by
-    atol + rtol max(|y_i|, |yn_i|).  It is NaN when the new state holds
-    an inf or NaN, so that one finiteness test on it rejects such a step.
-    Only an accepted step (err <= 1) goes on: ``f_new`` is its FSAL stage
-    (the tuple ``rhs`` returned at the new state) and ``cont`` its dense
-    output as one flat list of NROWS * NSTATE floats, the rows y, F0..F6
-    of NSTATE each in storage order, so that the caller appends it in one
-    call and reads component i as ``cont[i::NSTATE]``.  A rejected step
-    gives None for both and spends no right-hand side call on them.
-
-    The step's code is compiled once from ``_step_source`` at import and
-    run here with ``rhs`` bound in its globals.  Under numba, ``rhs`` is a
-    jitted function that the step reads as a compile-time constant.
-    """
-    namespace = {"rhs": rhs, "math": math}
-    exec(_STEP_CODE, namespace)
-    return njit(namespace["step"])
+def _compile(source, name):
+    """The function ``name`` defined by the generated ``source``, compiled
+    once at import and jitted when numba is in use (see ``_jit``)."""
+    namespace = {"math": math}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return njit(namespace[name])
 
 
 # module attributes read at call time by ``solver.integrate``; the DOPRI5
 # names outlive that pair because the benchmark's trace wraps the step
 # kernels by these names
-dopri5_step_a = _make_step(rhs_a)
-dopri5_step_b = _make_step(rhs_b)
+rhs_a = _compile(_rhs_source("A"), "rhs_a")
+rhs_b = _compile(_rhs_source("B"), "rhs_b")
+dopri5_step_a = _compile(_step_source("A"), "dopri5_step_a")
+dopri5_step_b = _compile(_step_source("B"), "dopri5_step_b")
 
 
 def kernel_backend() -> str:

@@ -6,7 +6,8 @@ import pytest
 from helfrich import HelfrichParams, SolverConfig, eval_q, integrate
 from helfrich import kernels
 from helfrich._jit import JIT_ENABLED
-from hypothesis import given, settings, strategies as st
+from conftest import PAPER
+from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     fixed_step_chart_a,
     kappa_derivs,
@@ -380,31 +381,92 @@ def test_tableau_rows_equal_scipy_dop853():
 @pytest.mark.parametrize("step_name, rhs", [("dopri5_step_a", kernels.rhs_a),
                                             ("dopri5_step_b", kernels.rhs_b)])
 def test_step_coefficients_are_literals(step_name, rhs):
-    """The step looks up no global but its right-hand side, ``abs`` and
-    ``math.sqrt``: the tableau's weights and NSTATE are constants of its
-    code, not hundreds of module lookups per call."""
+    """The step looks up no global but ``abs`` and ``math.sqrt``: the
+    tableau's weights and NSTATE are constants of its code, not hundreds of
+    module lookups per call, and its chart's right-hand side is pasted into
+    its stages rather than called."""
     step = _unjitted(getattr(kernels, step_name))
-    assert set(step.__code__.co_names) == {"rhs", "abs", "math", "sqrt"}
-    assert step.__globals__["rhs"] is rhs
+    assert set(step.__code__.co_names) == {"abs", "math", "sqrt"}
+    assert "rhs" not in step.__globals__
+    assert _unjitted(rhs).__name__ not in step.__globals__
+
+
+class _CountingMath:
+    """Stands in for ``math`` in a step's globals and counts ``sqrt`` calls:
+    one per stage, in either chart's right-hand side, and one for the error
+    norm."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sqrt(self, v):
+        self.calls += 1
+        return math.sqrt(v)
 
 
 def test_rejected_step_calls_no_stage_after_twelve():
-    """An accepted step calls the right-hand side for stages 2-16 (stage 1
-    is its argument), a rejected one for stages 2-12 only."""
+    """An accepted step evaluates stages 2-16 (stage 1 is its argument), a
+    rejected one stages 2-12 only: 16 and 12 square roots with the error
+    norm's."""
+    cases = {"A": (0.5, [0.02, 0.04, 0.001], 0.05, 5.0),
+             "B": (-0.3, [2.0, -0.1, -1.2], -0.01, -0.5)}
+    for chart, (x, y, h_ok, h_bad) in cases.items():
+        name = f"dopri5_step_{chart.lower()}"
+        counter = _CountingMath()
+        namespace = {"math": counter}
+        exec(compile(kernels._step_source(chart), "<step>", "exec"), namespace)
+        rhs = _ORACLES[chart][0]
+        f0 = rhs(x, y, 1.0, 0.25, 1.0)
+        for h, accepted, n_sqrt in ((h_ok, True, 16), (h_bad, False, 12)):
+            counter.calls = 0
+            _, f_new, err, _ = namespace[name](x, y, h, f0, 1.0, 0.25, 1.0, 1e-10, 1e-12)
+            assert (err <= 1.0) is accepted and (f_new is not None) is accepted, chart
+            assert counter.calls == n_sqrt, chart
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_step_case())
+def test_fsal_stage_is_the_rhs_at_the_new_state(case):
+    """An accepted step's ``f_new``, its stage 13 pasted from the chart's
+    right-hand side text, is bit for bit the standalone ``rhs_a``/``rhs_b``
+    at (x + h, y_new)."""
+    chart, x, y, h, c0, lam, p = case
+    rhs, step_name = _ORACLES[chart][:2]
+    f0 = rhs(x, y, c0, lam, p)
+    try:
+        y_new, f_new, _, _ = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p, 1e-3, 1e3)
+    except (OverflowError, ZeroDivisionError):
+        y_new, f_new = None, None
+    assume(f_new is not None)
+    assert _bits(f_new) == _bits(rhs(x + h, y_new, c0, lam, p))
+
+
+def test_reference_solve_steps_match_ndarray_oracle(monkeypatch):
+    """Every step call of the reference solve, on both charts and at the
+    default tolerances, matches the ndarray oracle bit for bit (see
+    ``_match_oracle``), and each call's ``f0`` is the right-hand side at
+    its (x, y): the FSAL stage handed on by the step before."""
     calls = []
+    for chart in "AB":
+        step_name = _ORACLES[chart][1]
 
-    def rhs(x, y, c0, lam, p):
-        calls.append(x)
-        return kernels.rhs_a(x, y, c0, lam, p)
+        def record(*args, _chart=chart, _step=getattr(kernels, step_name)):
+            calls.append((_chart, args))
+            return _step(*args)
 
-    step = kernels._make_step(rhs)
-    x, y = 0.5, [0.02, 0.04, 0.001]
-    f0 = kernels.rhs_a(x, y, 1.0, 0.25, 1.0)
-    for h, accepted, n_calls in ((0.05, True, 15), (5.0, False, 11)):
-        calls.clear()
-        _, f_new, err, _ = step(x, y, h, f0, 1.0, 0.25, 1.0, 1e-10, 1e-12)
-        assert (err <= 1.0) is accepted and (f_new is not None) is accepted
-        assert len(calls) == n_calls
+        monkeypatch.setattr(kernels, step_name, record)
+    integrate(PAPER, 0.05)
+    monkeypatch.undo()
+    accepted = {"A": 0, "B": 0}
+    for chart, (x, y, h, f0, c0, lam, p, rtol, atol) in calls:
+        assert _bits(f0) == _bits(_ORACLES[chart][0](x, y, c0, lam, p))
+        accepted[chart] += _match_oracle(chart, x, y, h, c0, lam, p, rtol, atol)
+    print(f"reference solve: {len(calls)} step calls, accepted {accepted}")
+    assert accepted["A"] > 0 and accepted["B"] > 0
 
 
 def test_equator_theta_is_the_widest_abscissa_gap_midpoint():
