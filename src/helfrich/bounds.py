@@ -18,8 +18,7 @@ import numpy as np
 
 from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
                        extract_landmarks)
-from .cubic import (HelfrichParams, analyze_cubic, delta_minus,
-                    derived_constants, eval_r)
+from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
 from .errors import HelfrichError, MissingEvent
 from .solver import EQUATOR, SolverConfig, Trajectory, integrate
 
@@ -446,13 +445,12 @@ def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
     params = HelfrichParams(c0, lam, p)
     try:
         ca = analyze_cubic(params)
-        roots_positive = delta_minus(params) > 0.0
     except ArithmeticError as exc:
         return PhaseCell(c0, lam, p, w0p, _error_verdict(exc), False, False)
     _, lm, verdict = solve_and_classify(params, w0p, cfg)
-    expected = roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
+    expected = ca.all_roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
     return PhaseCell(
-        c0, lam, p, w0p, verdict, roots_positive,
+        c0, lam, p, w0p, verdict, ca.all_roots_positive,
         bool(expected and verdict != BICONCAVE),
         lm.r_m, lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf,
     )
@@ -461,12 +459,13 @@ def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
 def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
     """Classify every (c0, lambda, p, w0p) cell of a finite grid.
 
-    Cells with all-positive roots (``delta_minus`` > 0, the test
-    ``check_single`` applies) and 0 < w0p at most a tenth of the smallest
-    root are expected biconcave; such a cell that fails to
-    classify Biconcave is flagged as an anomaly.  A cell whose cubic
-    analysis overflows gets the verdict ``Error:<Name>``, as a failing
-    solve does, with ``roots_all_positive`` false, and is no anomaly.
+    Cells where every real root of Q is positive (``delta_minus`` > 0, the
+    hypothesis ``check_single`` applies) and 0 < w0p is at most a tenth
+    of the smallest root, both read off one ``analyze_cubic`` call, are
+    expected biconcave; such a cell that fails to classify Biconcave is
+    flagged as an anomaly.  A cell whose cubic analysis overflows gets the
+    verdict ``Error:<Name>``, as a failing solve does, with
+    ``roots_all_positive`` false, and is no anomaly.
     The cells are solved side by side on every CPU (see ``_map_points``).
     """
     return _map_points(lambda cell: _phase_cell(cell, cfg), grid)

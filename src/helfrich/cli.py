@@ -124,15 +124,21 @@ def _load_config(parser, path, opts):
 
 def _resolve(parser, args, opts, config):
     """Flag beats config key beats default; a config value passes the
-    flag's converter, and a null one counts as unset."""
+    flag's converter, and a null one counts as unset.  A config value has
+    its flag's type: a number option takes no JSON boolean, and an int
+    option only a JSON integer."""
     vals = {}
     for o in opts:
         v, key = getattr(args, o.dest), _key(o)
         if v is None and config.get(key) is not None:
+            raw = config[key]
             try:
-                v = o.conv(config[key])
+                if (o.conv is not str and isinstance(raw, bool)
+                        or o.conv is int and not isinstance(raw, int)):
+                    raise TypeError
+                v = o.conv(raw)
             except (TypeError, ValueError):
-                parser.error(f"config key {key!r} has invalid value {config[key]!r}")
+                parser.error(f"config key {key!r} has invalid value {raw!r}")
         vals[o.dest] = o.default if v is None else v
     return vals
 
@@ -393,7 +399,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one subcommand.  Usage errors exit 64 in a fixed order (config
     file, required parameters, command checks, solver config) before the
-    output directory is created."""
+    output directory is created; a solver, arithmetic or file-system error
+    after that prints one line and exits 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -402,7 +409,7 @@ def main(argv=None) -> int:
     vals = _resolve(parser, args, opts, _load_config(parser, args.config, opts))
     try:
         return handler(parser, vals)
-    except (HelfrichError, ArithmeticError) as exc:
+    except (HelfrichError, ArithmeticError, OSError) as exc:
         print(f"helfrich: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_ERROR
 

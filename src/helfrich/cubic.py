@@ -3,7 +3,7 @@
 Q(t) = t^3 + 2 c0 t^2 + (c0^2 + lambda) t - p/2 collects the physical
 parameters of the bending functional; the sign structure of its real
 roots decides which initial slopes produce a biconcave profile.  This
-module evaluates Q and R, isolates the real roots, and computes the
+module evaluates Q and R, finds the smallest real root, and computes the
 extremal quantities (mu, delta_plus, delta_minus, xi, delta) that feed
 every quantitative check in the bounds harness.
 
@@ -27,10 +27,6 @@ __all__ = [
     "delta_minus",
     "derived_constants",
 ]
-
-# residual target for polished roots, relative to the coefficient scale
-_ROOT_RTOL = 1e-13
-
 
 @dataclass(frozen=True)
 class HelfrichParams:
@@ -88,26 +84,22 @@ def _q_critical_points(params: HelfrichParams) -> list[float]:
 
 @dataclass(frozen=True)
 class CubicAnalysis:
-    """Real-root structure of Q.
+    """The two facts about the real roots of Q that the sweep rule reads.
 
-    ``real_roots`` holds (value, multiplicity) pairs sorted by value;
-    ``all_roots_positive`` is True iff every real root is strictly
-    positive (a root at exactly 0 counts as not positive).
+    ``smallest_root`` is the smallest real root of Q; ``all_roots_positive``
+    is True iff every real root is strictly positive (a root at exactly 0
+    counts as not positive), decided as ``delta_minus > 0``.
     """
 
-    real_roots: tuple[tuple[float, int], ...]
+    smallest_root: float
     all_roots_positive: bool
-
-    @property
-    def smallest_root(self) -> float:
-        return self.real_roots[0][0]
 
 
 def _coeff_scale(params: HelfrichParams) -> float:
     return max(1.0, abs(2.0 * params.c0), abs(params.c0 ** 2 + params.lam), abs(0.5 * params.p))
 
 
-def _bisect_newton(f, df, lo, hi, flo, fhi):
+def _bisect_newton(f, df, lo, hi, fhi):
     """Root of f on a bracket [lo, hi] with f(lo)*f(hi) <= 0.
 
     Bisection with Newton polishing; safeguarded so every iterate stays
@@ -121,7 +113,7 @@ def _bisect_newton(f, df, lo, hi, flo, fhi):
         if (fx > 0.0) == (fhi > 0.0):
             hi, fhi = x, fx
         else:
-            lo, flo = x, fx
+            lo = x
         d = df(x)
         if d != 0.0:
             xn = x - fx / d
@@ -138,76 +130,29 @@ def _bisect_newton(f, df, lo, hi, flo, fhi):
 
 
 def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
-    """Isolate the real roots of Q on its monotone intervals.
+    """Smallest real root of Q, and whether every real root is positive.
 
-    Critical points come from the closed-form quadratic; each monotone
-    interval with a sign change is bisected (with Newton polishing).
-    Double roots, which produce no sign change, are detected at critical
-    points where |Q| is at rounding level.
+    The nodes -(1 + scale), the critical points of Q inside that Cauchy
+    bound, and +(1 + scale) split Q into monotone pieces, and Q is negative
+    at the first node.  The smallest root is the first node where Q is
+    exactly 0, or else the bisection (with Newton polishing) of the first
+    piece on which Q turns positive.  Positivity is the sign of
+    ``delta_minus``, the test ``check_single``'s hypotheses read.
     """
-    c0, lam, p = params.c0, params.lam, params.p
-    scale = _coeff_scale(params)
+    c0, lam = params.c0, params.lam
+    bound = 1.0 + _coeff_scale(params)  # Cauchy bound for a monic cubic
 
     f = lambda t: eval_q(t, params)
 
     def df(t):
         return (3.0 * t + 4.0 * c0) * t + (c0 * c0 + lam)
 
-    crit = _q_critical_points(params)
-
-    # p == 0 makes t = 0 an exact root; deflate to the quadratic factor.
-    if p == 0.0:
-        roots: list[tuple[float, int]] = []
-        disc = 4.0 * c0 * c0 - 4.0 * (c0 * c0 + lam)  # = -4 lam
-        if disc > 0.0:
-            sq = math.sqrt(disc)
-            r1, r2 = (-2.0 * c0 - sq) / 2.0, (-2.0 * c0 + sq) / 2.0
-            roots = [(r1, 1), (r2, 1), (0.0, 1)]
-        elif disc == 0.0:
-            roots = [(-c0, 2), (0.0, 1)]
-        else:
-            roots = [(0.0, 1)]
-        merged: dict[float, int] = {}
-        for v, m in roots:
-            merged[v] = merged.get(v, 0) + m
-        out = tuple(sorted(merged.items()))
-        return CubicAnalysis(out, False)
-
-    bound = 1.0 + scale  # Cauchy bound for a monic cubic
-    xs = [-bound] + [t for t in crit if -bound < t < bound] + [bound]
+    xs = [-bound] + [t for t in _q_critical_points(params) if -bound < t < bound] + [bound]
     vals = [f(x) for x in xs]
-
-    simple: list[float] = []
-    for i in range(len(xs) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0.0:
-            simple.append(_bisect_newton(f, df, xs[i], xs[i + 1], fa, fb))
-
-    root_tol = _ROOT_RTOL * scale
-    roots_m: list[tuple[float, int]] = [(t, 1) for t in sorted(set(simple))]
-
-    # multiple roots: Q touches zero at a critical point.  A tangency with
-    # a nearby sign change is the triple-root case; a bare tangency is a
-    # double root.
-    for tc in crit:
-        if abs(f(tc)) <= 10.0 * root_tol * max(1.0, abs(tc) ** 3):
-            near = [i for i, (v, _) in enumerate(roots_m)
-                    if abs(v - tc) <= 1e-5 * (1.0 + abs(tc))]
-            if near:
-                roots_m[near[0]] = (roots_m[near[0]][0], 3)
-            else:
-                roots_m.append((tc, 2))
-    roots_m.sort()
-
-    # total multiplicity of a real cubic is odd (1 or 3)
-    total = sum(m for _, m in roots_m)
-    if total == 2 and len(roots_m) == 1:
-        roots_m = [(roots_m[0][0], 3)]
-    elif total > 3:
-        roots_m = [(v, m) for v, m in roots_m if m == 1][:3] or [(crit[0], 3)]
-
-    all_pos = all(v > 0.0 for v, _ in roots_m)
-    return CubicAnalysis(tuple(roots_m), all_pos)
+    for i in range(1, len(xs)):
+        if vals[i] >= 0.0:
+            root = xs[i] if vals[i] == 0.0 else _bisect_newton(f, df, xs[i - 1], xs[i], vals[i])
+            return CubicAnalysis(root, delta_minus(params) > 0.0)
 
 
 @dataclass(frozen=True)

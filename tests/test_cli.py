@@ -56,11 +56,15 @@ def test_solve_blowup_exit_code(tmp_path):
 @pytest.mark.parametrize("extra, name", [
     (["--w0p", "0.05", "--eps-start", "1"], "EpsTooLarge"),
     (["--w0p", "1e200"], "OverflowError"),
+    (["--w0p", "0.05", "--out", "{dir}/taken"], "FileExistsError"),
 ])
 def test_solver_error_exits_1_with_one_line(extra, name, tmp_path, capsys):
-    """A solver error, or a float overflow, ends the command with exit 1
-    and one message line instead of a traceback."""
-    code = run_cli(["solve", *PAPER_FLAGS, *extra, "--out", str(tmp_path)])
+    """A solver error, a float overflow, or an --out that names an existing
+    file ends the command with exit 1 and one message line instead of a
+    traceback."""
+    (tmp_path / "taken").write_text("")
+    code = run_cli(["solve", *PAPER_FLAGS, "--out", str(tmp_path),
+                    *(a.format(dir=tmp_path) for a in extra)])
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"helfrich: {name}: ")
@@ -142,7 +146,8 @@ def test_sweep_writes_error_rows_without_anomaly(flags, error_row, tmp_path):
 def test_sweep_roots_column_reads_delta_minus(c0, lam, p, w0p, roots_all_positive,
                                               tmp_path):
     """phase.csv and the anomaly rule read the sign of delta_minus, the
-    test check_single applies, not the rounding band of the root isolation."""
+    test check_single applies, also where Q is at rounding level at a
+    critical point."""
     code = run_cli(["sweep", f"--c0-range={c0}:{c0}:1", f"--lambda-range={lam}:{lam}:1",
                     f"--p-range={p}:{p}:1", f"--w0p-range={w0p}:{w0p}:1",
                     "--out", str(tmp_path)])
@@ -280,6 +285,25 @@ def test_config_file_and_unknown_key(tmp_path):
     with pytest.raises(SystemExit) as ei:
         run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)])
     assert ei.value.code == 64
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max-steps", 1.9), ("max-steps", 1000.0), ("max-steps", True), ("max-steps", "5"),
+    ("rel-tol", True), ("c0", False),
+])
+def test_config_values_typed_like_flags(key, value, tmp_path, capsys):
+    """A config value takes its flag's type: an int option only a JSON
+    integer, a number option no boolean.  {"max-steps": 1.9} once became
+    a budget of 1 step and the solve exited 2, where --max-steps 1.9
+    exits 64."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c0": 1, "lambda": 0.25, "p": 1, "w0p": 0.05, key: value}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["solve", "--config", str(cfg), "--out", str(out)])
+    assert ei.value.code == 64
+    assert f"config key {key!r} has invalid value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,23 +50,18 @@ def test_q_minus_r_is_cube_bulk():
 
 def test_analyze_cubic_simple_cases():
     ca = analyze_cubic(HelfrichParams(0.0, 0.0, 2.0))
-    assert len(ca.real_roots) == 1
-    root, mult = ca.real_roots[0]
-    assert math.isclose(root, 1.0, rel_tol=1e-13) and mult == 1
+    assert math.isclose(ca.smallest_root, 1.0, rel_tol=1e-13)
     assert ca.all_roots_positive
 
     # (t+1)(t^2 - t - 1): expansion gives c0 = 0, lam = -2, p = 2
     ca = analyze_cubic(HelfrichParams(0.0, -2.0, 2.0))
-    roots = [r for r, _ in ca.real_roots]
-    expected = sorted([-1.0, (1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2])
-    assert np.allclose(roots, expected, rtol=1e-12)
+    assert math.isclose(ca.smallest_root, -1.0, rel_tol=1e-12)
     assert not ca.all_roots_positive
 
 
 def test_analyze_cubic_single_root_bisection_oracle():
     params = HelfrichParams(1.0, 0.25, 1.0)
     ca = analyze_cubic(params)
-    assert len(ca.real_roots) == 1
     # independent bisection on [0.25, 0.30] where Q changes sign
     lo, hi = 0.25, 0.30
     assert eval_q(lo, params) < 0 < eval_q(hi, params)
@@ -75,43 +71,39 @@ def test_analyze_cubic_single_root_bisection_oracle():
             lo = mid
         else:
             hi = mid
-    assert math.isclose(ca.real_roots[0][0], 0.5 * (lo + hi), abs_tol=1e-12)
-    assert abs(ca.real_roots[0][0] - 0.2689) < 1e-4
+    assert math.isclose(ca.smallest_root, 0.5 * (lo + hi), abs_tol=1e-12)
+    assert abs(ca.smallest_root - 0.2689) < 1e-4
     assert ca.all_roots_positive
 
 
 def test_analyze_cubic_multiplicities():
+    """A multiple root sits at a critical point of Q, where Q is exactly 0
+    for these integer coefficients: no sign change needed."""
     # (t-1)^2 (t-2) = t^3 - 4 t^2 + 5 t - 2
     ca = analyze_cubic(HelfrichParams(-2.0, 1.0, 4.0))
-    assert [(round(r, 9), m) for r, m in ca.real_roots] == [(1.0, 2), (2.0, 1)]
+    assert ca.smallest_root == 1.0
     assert ca.all_roots_positive
 
     # (t-1)^3 = t^3 - 3 t^2 + 3 t - 1
     ca = analyze_cubic(HelfrichParams(-1.5, 0.75, 2.0))
-    assert len(ca.real_roots) == 1
-    root, mult = ca.real_roots[0]
-    assert math.isclose(root, 1.0, abs_tol=1e-7) and mult == 3
+    assert ca.smallest_root == 1.0
+    assert ca.all_roots_positive
 
 
 def test_zero_root_not_positive():
-    # p = 0 puts a root exactly at t = 0
+    # p = 0 puts a root exactly at t = 0, the only real one here
     ca = analyze_cubic(HelfrichParams(1.0, 0.5, 0.0))
-    assert any(r == 0.0 for r, _ in ca.real_roots)
+    assert ca.smallest_root == 0.0
     assert not ca.all_roots_positive
 
 
 @settings(max_examples=120, deadline=None)
 @given(params_st)
 def test_analyze_cubic_root_residuals(params):
-    ca = analyze_cubic(params)
-    assert 1 <= sum(m for _, m in ca.real_roots) <= 3
+    root = analyze_cubic(params).smallest_root
     scale = max(1.0, abs(2 * params.c0), abs(params.c0 ** 2 + params.lam),
                 abs(params.p / 2))
-    for root, mult in ca.real_roots:
-        tol = 1e-12 * scale * (1.0 + abs(root)) ** 3
-        if mult > 1:  # residual of a multiple root scales like delta^mult
-            tol = 1e-6 * scale * (1.0 + abs(root)) ** 3
-        assert abs(eval_q(root, params)) <= tol
+    assert abs(eval_q(root, params)) <= 1e-12 * scale * (1.0 + abs(root)) ** 3
 
 
 def test_derived_constants_reference_values():
@@ -173,21 +165,47 @@ def _double_root_params(a: int, b: int) -> HelfrichParams:
     return HelfrichParams(c0, a * a + 2 * a * b - c0 * c0, 2 * a * a * b)
 
 
-@settings(max_examples=300, deadline=None)
+def _mp_smallest_root(params):
+    """Smallest real root of Q from ``mpmath.polyroots`` at 50 digits, or
+    None inside the rounding band: where Q at 0 or at a critical point is
+    within 1e-8 of the size of its terms (a near-multiple root, or the sign
+    of Q(0) at rounding level), or where the root is within 1e-30 of 0, so
+    that 50 digits cannot tell its sign."""
+    with mpmath.workdps(50):
+        c0 = mpmath.mpf(params.c0)
+        B, C, D = 2 * c0, c0 * c0 + params.lam, -mpmath.mpf(params.p) / 2
+        nodes = [mpmath.mpf(0)]
+        if B * B >= 3 * C:  # Q' = 3 t^2 + 2 B t + C has real roots
+            nodes += [(-B + sign * mpmath.sqrt(B * B - 3 * C)) / 3 for sign in (-1, 1)]
+        for t in nodes:
+            if abs(((t + B) * t + C) * t + D) <= 1e-8 * (abs(t) ** 3 + abs(B) * t * t
+                                                      + abs(C * t) + abs(D)):
+                return None
+        roots = mpmath.polyroots([1, B, C, D], maxsteps=400, extraprec=60, cleanup=False)
+        root = min(mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-30)
+        return root if abs(root) > 1e-30 else None
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    # the fuzz ranges of the ROADMAP baseline, and p <= 0; |p| >= 1e-4 keeps
-    # clear of analyze_cubic's rounding band (see the test below)
+    params_st,
+    # the fuzz ranges of the ROADMAP baseline, and p <= 0
     st.builds(HelfrichParams, st.floats(-5, 5), st.floats(-3, 3),
               st.one_of(st.floats(-4, 2).map(lambda e: 10.0 ** e),
                         st.floats(-4, -1e-4), st.just(0.0))),
-    st.builds(_double_root_params, st.integers(-4, 4), st.integers(-4, 4)),
 ))
-def test_roots_positive_iff_delta_minus_positive(params):
-    """Q -> -inf as t -> -inf, so every real root is positive iff Q < 0 on
-    (-inf, 0], that is iff delta_minus > 0: the estimate hypotheses need
-    no root isolation."""
-    dm = derived_constants(params, 0.1).delta_minus
-    assert analyze_cubic(params).all_roots_positive == (dm > 0.0)
+def test_roots_match_mpmath_polyroots(params):
+    """Outside the rounding band, the positivity flag (the sign of
+    delta_minus) and the smallest root agree with an independent 50-digit
+    root finder."""
+    root = _mp_smallest_root(params)
+    if root is None:
+        return
+    ca = analyze_cubic(params)
+    assert ca.all_roots_positive == (root > 0)
+    scale = max(1.0, abs(2 * params.c0), abs(params.c0 ** 2 + params.lam),
+                abs(params.p / 2))
+    assert abs(ca.smallest_root - float(root)) <= 1e-12 * scale
 
 
 def test_double_roots_leave_delta_minus_at_zero():
@@ -198,22 +216,25 @@ def test_double_roots_leave_delta_minus_at_zero():
         assert derived_constants(params, 0.1).delta_minus == 0.0
 
 
-def test_root_isolation_rounding_band_differs_from_delta_minus():
-    """analyze_cubic decides within its rounding tolerance, where
-    delta_minus reads the sign of Q exactly; there check_single's
-    hypotheses, read off delta_minus, differ from the root isolation.
+def test_rounding_band_inputs_decided_by_delta_minus():
+    """Inputs where Q is at rounding level at a critical point: the exact
+    sign of delta_minus decides positivity, and the smallest root skips a
+    node where Q is merely small.
 
     * Q = t (t + 1)^2 - p/2 with p = 1e-14 has one real root, near p/2 > 0,
-      and Q(-1) = -p/2 < 0; analyze_cubic takes |Q(-1)| for a double root.
-    * With p = -8e-298 < 0, Q(0) > 0 puts a root below 0; the bisection
-      stops at about 1e-16 from 0 and reports a positive root.
+      and Q(-1) = -p/2 < 0 is no root.
+    * With p = -8e-298 < 0, Q(0) > 0 puts a root below 0; Q > 0 at the
+      critical point -1e-10 brackets the smallest root left of it.
     """
     params = HelfrichParams(1.0, 0.0, 1e-14)
     assert eval_q(-1.0, params) == -0.5e-14
-    assert (-1.0, 2) in analyze_cubic(params).real_roots
-    assert not analyze_cubic(params).all_roots_positive
+    ca = analyze_cubic(params)
+    assert ca.all_roots_positive
+    assert math.isclose(ca.smallest_root, 0.5e-14, rel_tol=1e-12)
     assert derived_constants(params, 0.1).delta_minus == 0.5e-14
 
     params = HelfrichParams(1e-10, 0.0, -8e-298)
-    assert analyze_cubic(params).all_roots_positive
+    ca = analyze_cubic(params)
+    assert not ca.all_roots_positive
+    assert ca.smallest_root < 0.0
     assert derived_constants(params, 0.1).delta_minus == -4e-298

@@ -336,6 +336,20 @@ def test_w_switch_above_1e4_is_rejected():
             SolverConfig(w_switch=bad)
 
 
+@pytest.mark.xfail(strict=True, raises=StepUnderflow,
+                   reason="ROADMAP open item 2: the chart-B equator guard has no step floor")
+@pytest.mark.parametrize("c0, lam, p, w0p", [
+    (0.0686, -1.473, 2.476e-4, 1.045),
+    (-0.784, -2.847, 1.018e-3, 0.176),
+])
+def test_chart_b_far_out_ends_without_underflow(c0, lam, p, w0p):
+    """On these wide-region cells s -> 0- far out on chart B (|z| ~ 4e3 and
+    1e4); the equator guard's d/2 branch shrinks the step below the
+    relative floor 1e-14 |z| and the run raises StepUnderflow.  Once the
+    guard has a floor of its own the run must end at an event."""
+    assert integrate(HelfrichParams(c0, lam, p), w0p).status in (EQUATOR, ABORTED)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
