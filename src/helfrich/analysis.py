@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cubic import eval_q
 from .errors import MissingEvent, NotBiconcave
@@ -28,6 +27,9 @@ from .solver import (
     axis_series,
     series_coefficient,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Landmarks",
@@ -142,12 +144,8 @@ def classify(traj: Trajectory, landmarks: Landmarks) -> Classification:
     return Classification(BICONCAVE, c1, c2, c3, "C1, C2, C3 all hold")
 
 
-# element-wise libm pow: numpy's vectorized power can differ from it in
-# the last bit, and array and scalar evaluations must agree exactly
-_pow = np.frompyfunc(pow, 2, 1)
-
-
 def _graph_curvatures(r, w, wp):
+    import numpy as np
     P = 1.0 + w * w
     sq = np.sqrt(P)
     return w / (r * sq), wp / (P * sq)
@@ -155,7 +153,8 @@ def _graph_curvatures(r, w, wp):
 
 def curvature_geometry(chart: str, x, y) -> tuple:
     """(kappa_m, kappa_l, H, K) at chart states ``y``, shape (NSTATE,) or
-    (n, NSTATE).
+    (n, NSTATE): an ndarray, or a sequence of floats such as an event's
+    state.
 
     Only the leading components are read, two on chart A and three on
     chart B, so ``y`` may hold just those.
@@ -164,15 +163,19 @@ def curvature_geometry(chart: str, x, y) -> tuple:
     depend on it.  For |s| <= 1e-6 the chart-B curvatures use the
     inverse-chart form.
     """
+    import numpy as np
+    y = np.asarray(y, dtype=float)
     if chart == "A":
         km, kl = _graph_curvatures(x, y[..., 0], y[..., 1])
     else:
         u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
         P = s * s + 1.0
         sq = np.sqrt(P)
+        # element-wise libm pow: numpy's vectorized power can differ from
+        # it in the last bit, and array and scalar evaluations must agree
+        s3 = np.asarray(np.frompyfunc(pow, 2, 1)(s, 3), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            km, kl = _graph_curvatures(
-                u, 1.0 / s, -q / np.asarray(_pow(s, 3), dtype=float))
+            km, kl = _graph_curvatures(u, 1.0 / s, -q / s3)
         steep = np.abs(s) > 1e-6
         km = np.where(steep, km, -1.0 / (u * sq))
         kl = np.where(steep, kl, q / (P * sq))
@@ -186,6 +189,7 @@ def el_residual(traj: Trajectory) -> float:
     derivative; each sample's integrand is normalized by the largest
     individual term so the result is a relative defect.
     """
+    import numpy as np
     seg = traj.chart_a
     rs = np.linspace(seg.x_start, seg.x_end, 2000)
     Y = seg.eval_many(rs, slice(0, 2))
@@ -224,10 +228,10 @@ def equator_identity_residual(traj: Trajectory) -> float:
 
 # 5-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(5)
 # written out: importing numpy.polynomial costs start-up time and memory
-_GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                  0.5384693101056831, 0.906179845938664])
-_GL_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
-                  0.4786286704993663, 0.23692688505618928])
+_GL_X = (-0.906179845938664, -0.5384693101056831, 0.0,
+         0.5384693101056831, 0.906179845938664)
+_GL_W = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+         0.4786286704993663, 0.23692688505618928)
 
 
 def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
@@ -240,9 +244,10 @@ def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
     -u sqrt(1+s^2), u^2 and [(2H+c0)^2 + lambda] (-u sqrt(1+s^2)) per dz
     on chart B.
     """
+    import numpy as np
     lo = seg.xs[:-1]
     span = np.append(seg.xs[1:-1], seg.x_end) - lo
-    x = (lo[:, None] + span[:, None] * (0.5 + 0.5 * _GL_X)).ravel()
+    x = (lo[:, None] + span[:, None] * (0.5 + 0.5 * np.array(_GL_X))).ravel()
     y = seg.eval_many(x)
     H = curvature_geometry(chart, x, y)[2]
     if chart == "A":
@@ -254,7 +259,7 @@ def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
         area = -u * np.sqrt(s * s + 1.0)
         vol = u * u
     energy = ((2.0 * H + params.c0) ** 2 + params.lam) * area
-    return (np.stack([area, vol, energy]).reshape(3, -1, 5) @ (0.5 * _GL_W)) @ span
+    return (np.stack([area, vol, energy]).reshape(3, -1, 5) @ (0.5 * np.array(_GL_W))) @ span
 
 
 def surface_totals(traj: Trajectory) -> SurfaceTotals:
@@ -266,6 +271,7 @@ def surface_totals(traj: Trajectory) -> SurfaceTotals:
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
+    import numpy as np
     params = traj.params
     a3 = series_coefficient(params, traj.w0p)
     area_acc, vol_acc, energy_acc = (
@@ -294,6 +300,7 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Returns a (4 len(r) - 3, 2) array tracing the curve through (0, Z(0)),
     (r_inf, 0), (0, -Z(0)), (-r_inf, 0) and back to (0, Z(0)).
     """
+    import numpy as np
     ur = np.stack([r, Z], axis=1)
     lr = np.stack([r[::-1], -Z[::-1]], axis=1)
     ll = np.stack([-r, -Z], axis=1)
@@ -303,6 +310,7 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     """(r, z - z_inf) samples from the axis to the equator, m + 1 points."""
+    import numpy as np
     seg_a, seg_b = traj.chart_a, traj.chart_b
     m_b = max(8, m // 4)
     m_a = m - m_b

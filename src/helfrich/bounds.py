@@ -14,8 +14,6 @@ import pickle
 import signal
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
                        extract_landmarks)
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
@@ -90,6 +88,7 @@ def _r_max_on_interval(params: HelfrichParams, w0p: float) -> float:
 def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     """Evaluate every single-run estimate on an equator-reaching trajectory,
     with the constants of -Q at the run's own parameters and slope."""
+    import numpy as np
     ev = traj.first_event(EQUATOR)
     if ev is None:
         raise MissingEvent("check_single requires an Equator trajectory")

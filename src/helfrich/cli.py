@@ -19,8 +19,6 @@ import os
 import sys
 from collections import namedtuple
 
-import numpy as np
-
 from .analysis import (
     BICONCAVE,
     el_residual,
@@ -234,6 +232,7 @@ def _cmd_verify(parser, v):
     if not (0.0 < v["sweep_min"] <= v["sweep_max"]):
         parser.error("--sweep-min/--sweep-max must satisfy 0 < min <= max")
     cfg, out = _open_out(parser, v)
+    import numpy as np
     grid = [float(w) for w in np.geomspace(v["sweep_max"], v["sweep_min"],
                                            v["sweep_points"])]
     points = _map_points(lambda w0p: verify_point(params, w0p, cfg), grid)
@@ -268,6 +267,13 @@ def _cmd_verify(parser, v):
 
 
 def _parse_range(parser, spec, flag):
+    """The grid of a ``start:stop:count`` option as a list of floats.
+
+    A count above 1 gives the values ``numpy.linspace(start, stop, count)``
+    gives, bit for bit, from its formula in Python floats: start + i * step
+    with step = (stop - start) / (count - 1), or start + (i / (count - 1))
+    * (stop - start) where the step rounds to 0, and stop as the last value.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         parser.error(f"{flag} must be start:stop:count, got {spec!r}")
@@ -282,7 +288,14 @@ def _parse_range(parser, spec, flag):
         parser.error(f"{flag}: count must be >= 1")
     if count == 1:
         return [start]
-    return list(np.linspace(start, stop, count))
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # numpy's branch for a subnormal step
+        values = [i / div * delta + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    return values + [stop]
 
 
 def _cmd_sweep(parser, v):

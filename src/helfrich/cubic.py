@@ -103,7 +103,9 @@ def _bisect_newton(f, df, lo, hi, fhi):
     """Root of f on a bracket [lo, hi] with f(lo)*f(hi) <= 0.
 
     Bisection with Newton polishing; safeguarded so every iterate stays
-    inside the current bracket.
+    inside the current bracket.  It stops when an iterate repeats, or when
+    a step is below 1e-16 (1 + |x|) at |x| >= 1e-8; below that the
+    absolute test would leave a root near 0 with no correct digit.
     """
     x = 0.5 * (lo + hi)
     for _ in range(200):
@@ -123,7 +125,8 @@ def _bisect_newton(f, df, lo, hi, fhi):
                 x_new = 0.5 * (lo + hi)
         else:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * (1.0 + abs(x_new)):
+        if x_new == x or (abs(x_new) >= 1e-8
+                          and abs(x_new - x) <= 1e-16 * (1.0 + abs(x_new))):
             return x_new
         x = x_new
     return x

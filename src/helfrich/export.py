@@ -12,12 +12,13 @@ import io
 import json
 import math
 from dataclasses import fields, is_dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import _quarter_profile, curvature_geometry, mirror_quarter
 from .solver import Trajectory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "fmt17",
@@ -50,6 +51,7 @@ def _field_names(cls):
 def _jsonable(obj):
     """JSON-ready copy of ``obj``: a dataclass instance becomes a dict of
     its fields, walked in place rather than deep-copied first."""
+    import numpy as np
     names = _field_names(type(obj))
     if names is not None:
         return {name: _jsonable(getattr(obj, name)) for name in names}
@@ -79,6 +81,7 @@ def profile_rows(traj: Trajectory):
     512 there.  Chart-B rows are emitted r-indexed; the final row sits at the
     equator, where w is -inf and the curvatures take their limit values.
     """
+    import numpy as np
     w0p = traj.w0p
     rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
     seg = traj.chart_a
@@ -110,6 +113,7 @@ def write_profile_csv(path, traj: Trajectory) -> None:
 def read_profile_csv(path) -> dict[str, np.ndarray]:
     """Columns of a profile CSV by header name; a file without data rows
     gives one empty column per name."""
+    import numpy as np
     with open(path, "r", newline="\n") as fh:
         header = fh.readline().strip().split(",")
         body = fh.read()
@@ -132,6 +136,7 @@ def _nice_tick(span: float) -> float:
 def render_svg(points: np.ndarray, annotation: str) -> str:
     """Deterministic 720-px-wide SVG of a closed curve with equal-aspect axes
     and ticks, captioned with ``annotation`` (XML-escaped)."""
+    import numpy as np
     width = 720
     pts = np.asarray(points, dtype=float)
     xmin, ymin = pts.min(axis=0)
@@ -227,6 +232,7 @@ class Mesh(NamedTuple):
 def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Mesh:
     """Watertight triangle mesh of the revolved, reflected profile:
     n_theta * (2 n_profile - 1) + 2 vertices."""
+    import numpy as np
     r, Z = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
     # pole..equator..pole: the first 2 n_profile + 1 points of the closed curve
     z = mirror_quarter(r, Z)[: 2 * len(r) - 1, 1]
@@ -247,6 +253,7 @@ def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Me
 def _write_rows(fh, fmt: str, rows) -> None:
     """Write ``fmt`` %-formatted with each row of a 2-D array, one ``write``
     per ``_CHUNK_ROWS`` rows."""
+    import numpy as np
     rows = np.asarray(rows)
     for i in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[i:i + _CHUNK_ROWS]
@@ -270,6 +277,7 @@ def _write_faces(fh, faces, n_verts: int) -> None:
     NUL bytes to one width, and each line is assembled from three table
     rows by ``take``; dropping the NULs leaves the text.  One ``write`` per
     ``_FACE_ROWS`` lines."""
+    import numpy as np
     width = len(str(n_verts))
     idx = np.arange(n_verts + 1, dtype=np.min_scalar_type(n_verts))
     table = np.empty((n_verts + 1, width), np.uint8)
@@ -299,6 +307,7 @@ def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     reflected back.  So c[n-k] = c[k], s[n-k] = -s[k], s is c rolled by a
     quarter turn when 4 divides n, cos = sin at 45 degrees, the axis
     entries are exactly 0 and +-1, and no entry is -0."""
+    import numpy as np
     q, t = np.divmod(4 * np.arange(n, dtype=np.int64), n)
     flip = 2 * t > n
     u = np.where(flip, n - t, t)  # 0 <= u <= n/2: the first octant
@@ -318,6 +327,7 @@ def _write_vertices(fh, mesh: Mesh) -> None:
     with a ``-`` for each negative table entry (r * -m is -(r * m) exactly),
     and ``z`` (in no ``%.17g`` text) as the z field.  Each ring fills in its
     z; the ring texts are freed before the faces."""
+    import numpy as np
     xy = np.stack(_angle_table(mesh.n_theta), axis=1).ravel()
     mag, idx = np.unique(np.abs(xy), return_inverse=True)
     sign = np.where(xy < 0, "-", "").tolist()

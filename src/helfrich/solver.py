@@ -14,6 +14,11 @@ of w, zero of w, chart switch, equator, positive blow-up) are located on
 the dense output by bisection.  No chart-A step is longer than its start
 radius, the distance to the axis singularity at r = 0, and a chart-B step
 near the equator keeps its stages away from the equator's removable pole.
+
+The chart loop runs on Python floats and stores its steps in ``array('d')``:
+events and chart starts are tuples of floats, and a ``DenseSegment`` makes
+its ndarrays, and imports numpy, only when a caller first reads them.  A
+run that is only classified never imports numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .kernels import EQUATOR_THETA
@@ -35,6 +40,9 @@ from .errors import (
     OutOfRange,
     StepUnderflow,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolverConfig",
@@ -130,9 +138,9 @@ def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
     )
 
 
-def series_start(params: HelfrichParams, w0p: float, eps: float) -> np.ndarray:
+def series_start(params: HelfrichParams, w0p: float, eps: float) -> tuple[float, ...]:
     """Truncated-series chart-A state at r = eps, clearing the axis
-    singularity; its NSTATE components are laid out as in ``kernels``."""
+    singularity: a tuple of NSTATE floats laid out as in ``kernels``."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
@@ -142,25 +150,31 @@ def series_start(params: HelfrichParams, w0p: float, eps: float) -> np.ndarray:
     a3 = series_coefficient(params, w0p)
     if abs(a3) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    return np.array(axis_series(params, w0p, a3, eps)[:kernels.NSTATE])
+    return axis_series(params, w0p, a3, eps)[:kernels.NSTATE]
 
 
-def chart_switch(r: float, y) -> np.ndarray:
-    """Chart-B state [r, 1/w, -w'/w^3] at the point
+def chart_switch(r: float, y) -> tuple[float, float, float]:
+    """Chart-B state (r, 1/w, -w'/w^3), a tuple of floats, at the point
     where the chart-A state at radius ``r`` is ``y``; its height y[2]
     becomes chart B's independent variable."""
     w = y[0]
     if w >= 0.0:
         raise BadSwitch(f"chart switch requires w < 0, got w={w!r}")
-    return np.array([r, 1.0 / w, -y[1] / w ** 3])
+    return (r, 1.0 / w, -y[1] / w ** 3)
 
 
 class DenseSegment:
     """7th-order continuous extension over the accepted steps of one chart.
 
-    ``xs`` holds the step nodes (ascending for chart A, descending for
-    chart B); ``conts[i]`` the ``kernels.NROWS`` dense-output rows of step
-    i: its start state and the interpolant's rows F0..F6.
+    It is built from the step nodes ``xs`` (ascending for chart A,
+    descending for chart B) and the dense-output rows ``conts`` as the
+    chart loop stores them, a list and a flat ``array('d')``, or as
+    array-likes.  The ndarrays ``xs``, shape (steps + 1,), and ``conts``,
+    shape (steps, NROWS, NSTATE), with ``conts[i]`` the ``kernels.NROWS``
+    rows of step i (its start state and the interpolant's rows F0..F6),
+    are made, and numpy imported, when a caller first reads them or
+    evaluates the segment; ``x_start``, ``x_end`` and ``ascending`` need
+    no numpy.
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
@@ -169,22 +183,36 @@ class DenseSegment:
     the cost.
     """
 
-    def __init__(self, xs: np.ndarray, conts: np.ndarray, x_end: float):
-        self.xs = np.asarray(xs, dtype=float)
-        self.conts = np.asarray(conts, dtype=float)
-        self.ascending = bool(self.xs[-1] >= self.xs[0])
+    def __init__(self, xs, conts, x_end: float):
+        self._raw_xs, self._raw_conts = xs, conts
+        self.x_start = float(xs[0])
+        self.ascending = bool(xs[-1] >= xs[0])
         # trajectory may terminate mid-step at an event
         self.x_end = float(x_end)
-        self._key = self.xs if self.ascending else -self.xs
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        import numpy as np
+        return np.asarray(self._raw_xs, dtype=float)
+
+    @cached_property
+    def conts(self) -> np.ndarray:
+        import numpy as np
+        return np.asarray(self._raw_conts, dtype=float).reshape(
+            -1, kernels.NROWS, kernels.NSTATE)
+
+    @cached_property
+    def _key(self) -> np.ndarray:
+        return self.xs if self.ascending else -self.xs
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
         # (NROWS, NSTATE, steps) view: a query takes the steps of the components it
         # reads, so each row it computes on is contiguous along the queries
-        self._rows = self.conts.transpose(1, 2, 0)
-
-    @property
-    def x_start(self) -> float:
-        return float(self.xs[0])
+        return self.conts.transpose(1, 2, 0)
 
     def _locate(self, x: np.ndarray):
+        import numpy as np
         self._check_range(x)
         key = x if self.ascending else -x
         idx = np.searchsorted(self._key, key, side="right") - 1
@@ -195,6 +223,7 @@ class DenseSegment:
         return idx, theta
 
     def _check_range(self, x: np.ndarray):
+        import numpy as np
         lo = min(self.x_start, self.x_end)
         hi = max(self.x_start, self.x_end)
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
@@ -202,12 +231,14 @@ class DenseSegment:
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
 
     def eval_many(self, x, cols=slice(None)) -> np.ndarray:
+        import numpy as np
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         return _interpolant(self._rows[:, cols].take(idx, axis=-1), th).T
 
     def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
         """Derivative of the components ``cols`` selects with respect to
         the independent variable; shapes as for ``eval_many``."""
+        import numpy as np
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         h = self.xs[idx + 1] - self.xs[idx]
         _, r2, r3, r4, r5, r6, r7, r8 = self._rows[:, cols].take(idx, axis=-1)
@@ -229,12 +260,13 @@ class DenseSegment:
 
 @dataclass(frozen=True)
 class Event:
-    """Located event: ``x`` is r on chart A and z on chart B."""
+    """Located event: ``x`` is r on chart A and z on chart B, and ``state``
+    the chart's NSTATE state components there, a tuple of floats."""
 
     kind: str
     chart: str
     x: float
-    state: np.ndarray
+    state: tuple[float, ...]
 
 
 @dataclass
@@ -259,6 +291,7 @@ class Trajectory:
     def series_eval(self, r) -> np.ndarray:
         """Series state on [0, chart_a.x_start), shape (n, NSTATE), laid
         out as chart-A states."""
+        import numpy as np
         r = np.atleast_1d(np.asarray(r, dtype=float))
         a3 = series_coefficient(self.params, self.w0p)
         return np.stack(axis_series(self.params, self.w0p, a3, r)[:kernels.NSTATE], axis=1)
@@ -368,7 +401,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         remaining = (x_limit - x) * direction
         # the budget is tested before the step size, x_limit after it
         if steps >= steps_budget or remaining <= h_min <= h:
-            events.append(Event(ABORTED, chart, x, np.array(y)))
+            events.append(Event(ABORTED, chart, x, tuple(y)))
             return _make_segment(xs, conts, x, y), events, steps
         if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
@@ -421,8 +454,8 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
             for th, kind, terminal in hits:
                 x_ev = x + th * hd
-                y_ev = np.array([_interpolant(cont[i::kernels.NSTATE], th)
-                                 for i in range(kernels.NSTATE)])
+                y_ev = tuple([_interpolant(cont[i::kernels.NSTATE], th)
+                              for i in range(kernels.NSTATE)])
                 events.append(Event(kind, chart, x_ev, y_ev))
                 if terminal:
                     return _make_segment(xs, conts, x_ev, y), events, steps
@@ -444,8 +477,7 @@ def _make_segment(xs, conts, x_end, y) -> DenseSegment:
         # a chart that took no step: one zero-length step holding its state y
         xs = [xs[0], xs[0]]
         conts = array("d", list(y) + [0.0] * ((kernels.NROWS - 1) * kernels.NSTATE))
-    return DenseSegment(
-        np.array(xs), np.frombuffer(conts).reshape(-1, kernels.NROWS, kernels.NSTATE), x_end)
+    return DenseSegment(xs, conts, x_end)
 
 
 def integrate(params: HelfrichParams, w0p: float,

@@ -83,8 +83,8 @@ def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
 def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     """w' starts positive and its sign changes alternate, so n maxima on
     (eps, r0) bring 2n - 1 sign changes when w'(r0) < 0 and 2n otherwise."""
-    events = [Event(MAX_OF_W, "A", x, np.zeros(3)) for x in max_xs]
-    events.append(Event(ZERO_OF_W, "A", 2.0, np.array([0.0, wp_r0, 0.0])))
+    events = [Event(MAX_OF_W, "A", x, (0.0, 0.0, 0.0)) for x in max_xs]
+    events.append(Event(ZERO_OF_W, "A", 2.0, (0.0, wp_r0, 0.0)))
     events.sort(key=lambda ev: ev.x)
     lm = extract_landmarks(replace(ref_traj, events=events))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
@@ -289,7 +289,7 @@ def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
     seg_a = _linear_segment([eps, 0.5, 1.2, 2.0], 1.7, a * eps, a, [a, 0.0])
     u0, b = 2.0, -0.5
     seg_b = _linear_segment([-0.5, -0.8, -1.2], -1.0, u0, b, [b, 0.0])
-    events = [Event(EQUATOR, "B", -1.0, np.array([u0 + b * (-0.5), b, 0.0]))]
+    events = [Event(EQUATOR, "B", -1.0, (u0 + b * (-0.5), b, 0.0))]
     traj = Trajectory(params, w0p, SolverConfig(), seg_a, seg_b, events)
 
     a3 = series_coefficient(params, w0p)
@@ -302,8 +302,8 @@ def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
 
 def test_gauss_legendre_literals_equal_numpy_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(5)
-    assert np.array_equal(_GL_X.view(np.uint64), nodes.view(np.uint64))
-    assert np.array_equal(_GL_W.view(np.uint64), weights.view(np.uint64))
+    assert [v.hex() for v in _GL_X] == [v.hex() for v in nodes.tolist()]
+    assert [v.hex() for v in _GL_W] == [v.hex() for v in weights.tolist()]
 
 
 def _scalar_curvatures(r, w, wp):

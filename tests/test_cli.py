@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helfrich import cli
@@ -179,6 +179,32 @@ def test_sweep_bad_range(capsys):
     with pytest.raises(SystemExit) as ei:
         run_cli(["sweep", "--c0-range", "1:2"])
     assert ei.value.code == 64
+
+
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 60))
+@example(a=1.0, b=2.0, n=2)
+@example(a=0.25, b=0.25, n=5)  # a == b
+@example(a=3.0, b=-2.0, n=7)  # descending
+@example(a=-0.0, b=0.0, n=3)
+@example(a=0.0, b=-0.0, n=3)
+@example(a=-0.0, b=-0.0, n=2)
+@example(a=-0.0, b=1.0, n=4)
+@example(a=0.0, b=_TINY, n=3)  # the step rounds to 0: numpy's subnormal branch
+@example(a=-_TINY, b=2.2250738585072014e-308, n=11)
+@example(a=-_HUGE, b=_HUGE, n=3)  # stop - start overflows
+@example(a=_HUGE, b=_HUGE / 3, n=9)
+def test_parse_range_equals_numpy_linspace_bit_for_bit(a, b, n):
+    """A sweep axis holds the values numpy.linspace gives, in Python floats."""
+    got = cli._parse_range(None, f"{a!r}:{b!r}:{n}", "--c0-range")
+    assert all(type(v) is float for v in got)
+    with np.errstate(all="ignore"):
+        want = np.linspace(a, b, n)
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
 def test_plot_solve_and_determinism(tmp_path):

@@ -166,11 +166,19 @@ def _double_root_params(a: int, b: int) -> HelfrichParams:
 
 
 def _mp_smallest_root(params):
-    """Smallest real root of Q from ``mpmath.polyroots`` at 50 digits, or
-    None inside the rounding band: where Q at 0 or at a critical point is
-    within 1e-8 of the size of its terms (a near-multiple root, or the sign
-    of Q(0) at rounding level), or where the root is within 1e-30 of 0, so
-    that 50 digits cannot tell its sign."""
+    """Smallest real root of Q from ``mpmath.polyroots`` to 50 significant
+    digits, or None inside the rounding band: where Q at 0 or at a critical
+    point is within 1e-8 of the size of its terms (a near-multiple root, or
+    the sign of Q(0) at rounding level) or below the smallest subnormal
+    (p = 5e-324, whose half rounds to 0).
+
+    polyroots converges to an absolute accuracy, and from starts of size 1.
+    So it solves Q(s x) / s^3, with s Fujiwara's bound 2 max(|B|, |C|^(1/2),
+    |D/2|^(1/3)) on the roots: every root has |x| <= 1, the coefficients
+    are at most 1/2, 1/4 and 1/4, and so a root has |x| >= |d| / 2 for the
+    scaled constant term d = D / s^3.  The precision grows by the digits
+    below that.  A root is real when its imaginary part is below 1e-30 of
+    its size."""
     with mpmath.workdps(50):
         c0 = mpmath.mpf(params.c0)
         B, C, D = 2 * c0, c0 * c0 + params.lam, -mpmath.mpf(params.p) / 2
@@ -179,11 +187,14 @@ def _mp_smallest_root(params):
             nodes += [(-B + sign * mpmath.sqrt(B * B - 3 * C)) / 3 for sign in (-1, 1)]
         for t in nodes:
             if abs(((t + B) * t + C) * t + D) <= 1e-8 * (abs(t) ** 3 + abs(B) * t * t
-                                                      + abs(C * t) + abs(D)):
+                                                      + abs(C * t) + abs(D)) + 2.0 ** -1074:
                 return None
-        roots = mpmath.polyroots([1, B, C, D], maxsteps=400, extraprec=60, cleanup=False)
-        root = min(mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-30)
-        return root if abs(root) > 1e-30 else None
+        s = 2 * max(abs(B), mpmath.sqrt(abs(C)), mpmath.cbrt(abs(D) / 2))
+        extra = max(0, int(-mpmath.log10(abs(D) / s ** 3 / 2)) + 1)
+    with mpmath.workdps(50 + extra):
+        roots = mpmath.polyroots([1, B / s, C / s ** 2, D / s ** 3], maxsteps=400,
+                                 extraprec=60, cleanup=False)
+        return s * min(mpmath.re(x) for x in roots if abs(mpmath.im(x)) <= 1e-30 * abs(x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,3 +249,16 @@ def test_rounding_band_inputs_decided_by_delta_minus():
     assert not ca.all_roots_positive
     assert ca.smallest_root < 0.0
     assert derived_constants(params, 0.1).delta_minus == -4e-298
+
+
+def test_root_far_below_one_keeps_its_relative_accuracy():
+    """A positive root near 2e-105 comes back to 1e-12 relative, not as
+    the 0.0 that a bisection stopped on an absolute step size leaves, which
+    would put it below every w0p of the sweep rule.  The 50-digit root
+    agrees with the leading term p / (2 (c0^2 + lambda)) of the root near 0."""
+    params = HelfrichParams(4.98183045526196, 0.81038875893063, 1.0053717247457603e-103)
+    ca = analyze_cubic(params)
+    root = float(_mp_smallest_root(params))
+    assert math.isclose(root, params.p / (2 * (params.c0 ** 2 + params.lam)), rel_tol=1e-12)
+    assert ca.all_roots_positive
+    assert math.isclose(ca.smallest_root, root, rel_tol=1e-12)
