@@ -48,28 +48,28 @@ def _field_names(cls):
     return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-def _jsonable(obj):
-    """JSON-ready copy of ``obj``: a dataclass instance becomes a dict of
-    its fields, walked in place rather than deep-copied first."""
-    import numpy as np
-    names = _field_names(type(obj))
-    if names is not None:
-        return {name: _jsonable(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
 def write_json(path, payload) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    import numpy as np
+
+    def jsonable(obj):
+        """JSON-ready copy of ``obj``: a dataclass instance becomes a dict
+        of its fields, walked in place rather than deep-copied first."""
+        names = _field_names(type(obj))
+        if names is not None:
+            return {name: jsonable(getattr(obj, name)) for name in names}
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(v) for v in obj]
+        if isinstance(obj, np.ndarray):
+            return [jsonable(v) for v in obj.tolist()]
+        if isinstance(obj, np.generic):
+            return obj.item()
+        if isinstance(obj, float) and math.isnan(obj):
+            return None
+        return obj
+
+    text = json.dumps(jsonable(payload), sort_keys=True, indent=2)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 

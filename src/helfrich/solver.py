@@ -18,7 +18,8 @@ near the equator keeps its stages away from the equator's removable pole.
 The chart loop runs on Python floats and stores its steps in ``array('d')``:
 events and chart starts are tuples of floats, and a ``DenseSegment`` makes
 its ndarrays, and imports numpy, only when a caller first reads them.  A
-run that is only classified never imports numpy.
+run that is only classified imports no numpy here; with the numba backend,
+numba's own import has loaded it already.
 """
 
 from __future__ import annotations

@@ -137,6 +137,16 @@ def test_sweep_writes_error_rows_without_anomaly(flags, error_row, tmp_path):
     assert sum(",Biconcave," in row for row in rows) == 1
 
 
+@pytest.mark.parametrize("w0p_range", ["1e103:1e103:1", "1e100:1e103:2"])
+def test_sweep_overflowing_slope_has_one_verdict_on_any_axis(w0p_range, tmp_path):
+    """w0p ** 3 overflows above about 5.6e102: the cell reads
+    Error:OverflowError whether its axis holds one value or several, as
+    ``solve`` at that slope exits with OverflowError."""
+    assert run_cli(["sweep", f"--w0p-range={w0p_range}", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "phase.csv").read_text().splitlines()[1:]
+    assert rows[-1].split(",")[3:5] == ["1e+103", "Error:OverflowError"]
+
+
 @pytest.mark.parametrize("c0, lam, p, w0p, roots_all_positive", [
     # Q(0) = -p/2 > 0 forces a negative root (delta_minus = -4e-298)
     ("1e-10", "0", "-8e-298", "1e-320", "false"),

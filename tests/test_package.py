@@ -22,13 +22,13 @@ def test_star_import(module):
     exec(f"from {module} import *", {})
 
 
-def _run_python(code: str) -> str:
-    """stdout of ``python -c code`` with this package on the path and the
-    python kernel backend (numba, where installed, imports numpy itself)."""
+def _run_python(code: str, timeout: float = 60, **env: str) -> str:
+    """stdout of ``python -c code`` with this package on the path and
+    ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(helfrich.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "HELFRICH_JIT": "0"}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+                          text=True, check=True, timeout=timeout).stdout
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
@@ -44,7 +44,9 @@ def test_cli_import_loads_neither_scipy_nor_numpy_polynomial():
 def test_import_and_sweep_leave_numpy_unloaded(tmp_path):
     """``import helfrich`` and a whole ``sweep`` run, whose cells reach the
     equator, blow up and fail, never import numpy: the solve path runs on
-    Python floats and numpy loads at the first array operation."""
+    Python floats and numpy loads at the first array operation.  This
+    holds for the pure-Python kernels: numba, where installed, imports
+    numpy itself."""
     code = ("import sys, helfrich\n"
             "print('numpy' in sys.modules)\n"
             "from helfrich import bounds, cli\n"
@@ -55,7 +57,7 @@ def test_import_and_sweep_leave_numpy_unloaded(tmp_path):
             "rc2 = cli.main(['sweep', '--w0p-range=0:0.05:2', '--max-steps=50',\n"
             f"                '--out={tmp_path / 'b'}'])\n"
             "print(rc, rc2, 'numpy' in sys.modules)\n")
-    lines = _run_python(code).splitlines()
+    lines = _run_python(code, timeout=120, HELFRICH_JIT="0").splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 0 False")
     verdicts = [row.split(",")[4] for row in
                 (tmp_path / "phase.csv").read_text().splitlines()[1:]]
