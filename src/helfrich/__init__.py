@@ -27,6 +27,7 @@ from .solver import (
     Event,
     SolverConfig,
     Trajectory,
+    axis_coefficients,
     chart_switch,
     integrate,
     series_coefficient,

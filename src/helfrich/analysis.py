@@ -24,8 +24,6 @@ from .solver import (
     MAX_OF_W,
     ZERO_OF_W,
     Trajectory,
-    axis_series,
-    series_coefficient,
 )
 
 if TYPE_CHECKING:
@@ -96,11 +94,11 @@ def extract_landmarks(traj: Trajectory) -> Landmarks:
 
     Each ``MaxOfW`` event is a downward sign change of w', found when w'
     changes sign between the ends of an accepted step.  w' starts
-    positive (the series start keeps it within 3% of w0p), and sign
-    changes alternate, so the n ``MaxOfW`` events on (eps, r0) bring
-    2n - 1 sign changes when w'(r0) < 0 and 2n otherwise.  Two sign
-    changes inside one accepted step go unseen, as do tangencies of w'
-    without a sign change.
+    positive (``series_start`` keeps |a3| eps^2 <= 0.01 w0p, so w' is near
+    w0p there), and sign changes alternate, so the n ``MaxOfW`` events on
+    (eps, r0) bring 2n - 1 sign changes when w'(r0) < 0 and 2n otherwise.
+    Two sign changes inside one accepted step go unseen, as do tangencies
+    of w' without a sign change.
     """
     ev_max = traj.first_event(MAX_OF_W)
     ev_zero = traj.first_event(ZERO_OF_W)
@@ -185,15 +183,15 @@ def curvature_geometry(chart: str, x, y) -> tuple:
 def el_residual(traj: Trajectory) -> float:
     """Max normalized residual of the variational integrand on chart A.
 
-    At 2000 samples, w and w' come from the dense output, w'' from its
-    derivative; each sample's integrand is normalized by the largest
+    At 2000 samples on (0, r_switch], w and w' come from the axis series
+    below the chart's start and from the dense output beyond it, w'' from
+    their derivative; each sample's integrand is normalized by the largest
     individual term so the result is a relative defect.
     """
     import numpy as np
-    seg = traj.chart_a
-    rs = np.linspace(seg.x_start, seg.x_end, 2000)
-    Y = seg.eval_many(rs, slice(0, 2))
-    wpp = seg.deriv_many(rs, 1)
+    rs = np.linspace(0.0, traj.chart_a.x_end, 2001)[1:]
+    Y = traj.eval_a(rs, slice(0, 2))
+    wpp = traj.eval_a(rs, 1, deriv=True)
     w, wp = Y[:, 0], Y[:, 1]
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     P = 1.0 + w * w
@@ -234,21 +232,19 @@ _GL_W = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
          0.4786286704993663, 0.23692688505618928)
 
 
-def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
-    """Integrals of the area, volume and energy densities over one chart.
+def _quadratures(chart: str, lo, span, evaluate, params) -> np.ndarray:
+    """Integrals of the area, volume and energy densities over the steps
+    [lo, lo + span] of one chart, with the chart states from ``evaluate``.
 
-    Each accepted step, the last one cut at ``x_end``, gets the 5-point
-    Gauss-Legendre rule on its degree-7 interpolant.  The densities are
+    Each step gets the 5-point Gauss-Legendre rule.  The densities are
     those of the upper half in the chart's variable: r sqrt(1+w^2),
     r^2 w and [(2H+c0)^2 + lambda] r sqrt(1+w^2) per dr on chart A, and
     -u sqrt(1+s^2), u^2 and [(2H+c0)^2 + lambda] (-u sqrt(1+s^2)) per dz
     on chart B.
     """
     import numpy as np
-    lo = seg.xs[:-1]
-    span = np.append(seg.xs[1:-1], seg.x_end) - lo
     x = (lo[:, None] + span[:, None] * (0.5 + 0.5 * np.array(_GL_X))).ravel()
-    y = seg.eval_many(x)
+    y = evaluate(x)
     H = curvature_geometry(chart, x, y)[2]
     if chart == "A":
         w = y[:, 0]
@@ -262,20 +258,30 @@ def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
     return (np.stack([area, vol, energy]).reshape(3, -1, 5) @ (0.5 * np.array(_GL_W))) @ span
 
 
+def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
+    """``_quadratures`` over the accepted steps of one chart, the last one
+    cut at ``x_end``, on their degree-7 interpolants."""
+    import numpy as np
+    lo = seg.xs[:-1]
+    span = np.append(seg.xs[1:-1], seg.x_end) - lo
+    return _quadratures(chart, lo, span, seg.eval_many, params)
+
+
 def surface_totals(traj: Trajectory) -> SurfaceTotals:
     """Closed-surface area, enclosed volume, and bending energy.
 
-    The series piece on [0, eps] and the quadrature of the dense output
-    over both charts cover the upper half; the reflection doubles them.
-    Volume uses the sign convention that makes a convex body positive.
+    The axis series on [0, eps], one Gauss-Legendre step, and the
+    quadrature of the dense output over both charts cover the upper half;
+    the reflection doubles them.  Volume uses the sign convention that
+    makes a convex body positive.
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     import numpy as np
     params = traj.params
-    a3 = series_coefficient(params, traj.w0p)
     area_acc, vol_acc, energy_acc = (
-        np.array(axis_series(params, traj.w0p, a3, traj.chart_a.x_start)[3:])
+        _quadratures("A", np.zeros(1), np.array([traj.chart_a.x_start]),
+                     traj.series_eval, params)
         + _chart_quadratures("A", traj.chart_a, params)
         + _chart_quadratures("B", traj.chart_b, params))
     area = 4.0 * math.pi * float(area_acc)
@@ -315,11 +321,7 @@ def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     m_b = max(8, m // 4)
     m_a = m - m_b
     rs = np.linspace(0.0, seg_a.x_end, m_a + 1)
-    inside = rs < seg_a.x_start
-    za = np.empty_like(rs)
-    za[inside] = traj.series_eval(rs[inside])[:, 2]
-    za[~inside] = seg_a.eval_many(rs[~inside], 2)
-    a_part = np.stack([rs, za], axis=1)
+    a_part = np.stack([rs, traj.eval_a(rs, 2)], axis=1)
     zs = np.linspace(seg_b.x_start, seg_b.x_end, m_b + 1)[1:]
     us = seg_b.eval_many(zs, 0)
     b_part = np.stack([us, zs], axis=1)

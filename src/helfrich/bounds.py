@@ -125,9 +125,9 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs,
                          _scale_tol(z_r0, rhs or 0.0), info))
 
-    # pointwise re-assertions on (0, r0)
-    rs = np.linspace(traj.chart_a.x_start, r0, 4001)
-    Y = traj.chart_a.eval_many(rs, slice(0, 2))
+    # pointwise re-assertions on (0, r0], the axis series below chart A's start
+    rs = np.linspace(0.0, r0, 4001)[1:]
+    Y = traj.eval_a(rs, slice(0, 2))
     w, wp = Y[:, 0], Y[:, 1]
     kap = curvature_geometry("A", rs, Y)[0]
     P = 1.0 + w * w

@@ -13,6 +13,7 @@ All operations are pure; values are immutable after construction.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .errors import InvalidSlope
@@ -99,6 +100,25 @@ def _coeff_scale(params: HelfrichParams) -> float:
     return max(1.0, abs(2.0 * params.c0), abs(params.c0 ** 2 + params.lam), abs(0.5 * params.p))
 
 
+def _order_key(x: float) -> int:
+    """The rank of a double among the doubles: an integer that orders as
+    the doubles do, with -0.0 and 0.0 both 0."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _order_mid(lo: float, hi: float) -> float:
+    """The double halfway between lo and hi by rank: a bisection step that
+    halves the number of doubles in the bracket, whatever their scale."""
+    k = (_order_key(lo) + _order_key(hi)) // 2
+    m = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return m if k >= 0 else -m
+
+
+# consecutive slow Newton steps after which the bracket is bisected by rank
+_SLOW_STEPS = 10
+
+
 def _bisect_newton(f, df, lo, hi, fhi):
     """Root of f on a bracket [lo, hi] with f(lo)*f(hi) <= 0.
 
@@ -106,8 +126,17 @@ def _bisect_newton(f, df, lo, hi, fhi):
     inside the current bracket.  It stops when an iterate repeats, or when
     a step is below 1e-16 (1 + |x|) at |x| >= 1e-8; below that the
     absolute test would leave a root near 0 with no correct digit.
+
+    A Newton step that moves x by more than a quarter of its new value
+    and by more than half the step before is slow: toward a root far
+    below the iterate's scale, as for Q = t^3 - p/2 with a tiny p, each
+    step shrinks x by only a third.  After ``_SLOW_STEPS`` of them in a
+    row the next iterate is the bracket's midpoint by rank
+    (``_order_mid``), which reaches any double in at most 64 halvings.
     """
     x = 0.5 * (lo + hi)
+    step = math.inf
+    slow = 0
     for _ in range(200):
         fx = f(x)
         if fx == 0.0:
@@ -117,17 +146,20 @@ def _bisect_newton(f, df, lo, hi, fhi):
         else:
             lo = x
         d = df(x)
-        if d != 0.0:
-            xn = x - fx / d
-            if lo < xn < hi:
-                x_new = xn
+        xn = x - fx / d if d != 0.0 else math.nan
+        if lo < xn < hi:
+            dx = abs(xn - x)
+            slow = slow + 1 if dx > 0.5 * step and dx > 0.25 * abs(xn) else 0
+            if slow >= _SLOW_STEPS:
+                x_new, slow = _order_mid(lo, hi), 0
             else:
-                x_new = 0.5 * (lo + hi)
+                x_new = xn
         else:
             x_new = 0.5 * (lo + hi)
         if x_new == x or (abs(x_new) >= 1e-8
                           and abs(x_new - x) <= 1e-16 * (1.0 + abs(x_new))):
             return x_new
+        step = abs(x_new - x)
         x = x_new
     return x
 

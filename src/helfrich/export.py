@@ -78,15 +78,16 @@ def profile_rows(traj: Trajectory):
     """Profile samples as an (n, 7) array of (r, z, w, kappa_m, kappa_l, H, K).
 
     One row on the axis, 1024 on chart A and, if the run reached chart B,
-    512 there.  Chart-B rows are emitted r-indexed; the final row sits at the
-    equator, where w is -inf and the curvatures take their limit values.
+    512 there.  The chart-A rows are spaced evenly on (0, r_switch], and
+    those below the chart's start come from the axis series.  Chart-B rows
+    are emitted r-indexed; the final row sits at the equator, where w is
+    -inf and the curvatures take their limit values.
     """
     import numpy as np
     w0p = traj.w0p
     rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
-    seg = traj.chart_a
-    rs = np.linspace(seg.x_start, seg.x_end, 1024)
-    Y = seg.eval_many(rs, slice(0, 3))
+    rs = np.linspace(0.0, traj.chart_a.x_end, 1025)[1:]
+    Y = traj.eval_a(rs, slice(0, 3))
     geom = curvature_geometry("A", rs, Y)
     rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
     if traj.chart_b is not None:

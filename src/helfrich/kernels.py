@@ -39,8 +39,9 @@ the per-component max of the error scale is a conditional expression,
 and the dense output comes back as one flat list of NROWS * NSTATE = 24
 floats (eight rows of three) that the solver appends to its storage as
 it is.  Python floats raise
-``ZeroDivisionError`` and ``OverflowError`` where ndarrays give inf or
-nan; the caller treats either as a failed step.
+``ZeroDivisionError`` where ndarrays give inf or nan, and their products
+overflow to inf as ndarrays do; the caller treats a raise, or an err
+that is not finite, as a failed step.
 
 The steps and the right-hand sides keep to the subset numba
 compiles (scalars, tuples, list literals, ``math.sqrt``) and are
@@ -140,20 +141,25 @@ _D = (
 # ``_step_source`` pastes it into every stage of the chart's step.
 #
 # Chart A: w'' solved from the shape equation; the 1/r^2 group is rearranged
-# to w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r.
+# to w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r.  w^2,
+# P^2 and 1/r are formed once, and w^3 as products: a product cannot raise
+# where ``**`` does, so an overflowing stage gives inf or nan.
 # Chart B: N is the coefficient of the removable 1/s pole; it vanishes at
 # the equator.
 _RHS = {
     "A": ("r", ("w", "wp", "z"), """\
-P = 1.0 + w * w
+ww = w * w
+P = 1.0 + ww
 sq = math.sqrt(P)
+PP = P * P
+ri = 1.0 / r
 wpp = (
     2.5 * w * wp * wp / P
-    - (wp - w / r) / r
-    + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
-    + c0 * w * w * P * sq / r
-    + cl * w * P * P
-    - pq * r * P * P * sq
+    - (wp - w * ri) * ri
+    + w * ww * (3.0 + ww) * ri * ri * 0.5
+    + c0 * ww * P * sq * ri
+    + cl * w * PP
+    - pq * r * PP * sq
 )""", ("wp", "wpp", "w")),
     "B": ("z", ("u", "s", "q"), """\
 P = s * s + 1.0

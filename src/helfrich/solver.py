@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import kernels
 from .kernels import EQUATOR_THETA
-from .cubic import HelfrichParams, eval_q
+from .cubic import HelfrichParams
 from .errors import (
     BadSwitch,
     EpsTooLarge,
@@ -50,6 +50,7 @@ __all__ = [
     "Event",
     "Trajectory",
     "DenseSegment",
+    "axis_coefficients",
     "series_coefficient",
     "axis_series",
     "series_start",
@@ -82,8 +83,14 @@ _FAC_MAX = 10.0
 class SolverConfig:
     """Integrator tolerances and chart-handling thresholds.
 
-    ``eps_start=None`` selects min(1e-5, 1e-3 sqrt(32 w0p / (3p)));
-    ``r_max=None`` selects 1e3 sqrt(w0p/p + 1).
+    ``eps_start`` is the radius where chart A starts from the axis series
+    (see ``axis_coefficients``).  ``None`` selects the largest radius at
+    which each of the series' last two terms, a9 r^9 and a11 r^11, is at
+    most rel_tol/10 of w0p r, capped at 0.99 of both limits that
+    ``series_start`` checks (0.1 sqrt(w0p/p + 1), and |a3| r^2 <= 0.01 w0p,
+    which keeps w' near w0p up to the start) and never below
+    min(1e-5, 1e-3 sqrt(32 w0p / (3p))).  ``r_max=None`` selects
+    1e3 sqrt(w0p/p + 1).
     """
 
     rel_tol: float = 1e-10
@@ -113,45 +120,140 @@ class SolverConfig:
             raise InvalidParams(f"event_tol must be finite and > 0, got {self.event_tol!r}")
 
 
-def series_coefficient(params: HelfrichParams, w0p: float) -> float:
-    """Cubic coefficient a3 of the axis expansion w = w0p r + a3 r^3 + ...
+# highest power of r in the axis series: its odd coefficients a1 ... a11
+SERIES_ORDER = 11
 
-    Obtained by matching the O(r^2) terms of the shape equation; the
-    residual-order test in the suite validates the exponent.
+
+def _cauchy(a, b, k, j0=0):
+    """Coefficient k of the product of the power series a and b, from term
+    j0 of a on, summed in index order."""
+    total = 0.0
+    for j in range(j0, k + 1):
+        total += a[j] * b[k - j]
+    return total
+
+
+def _miller(P, A, alpha, k):
+    """Coefficient k >= 1 of A = P^alpha from its lower ones, for P_0 = 1:
+    J. C. P. Miller's recurrence k A_k = sum_j ((alpha + 1) j - k) P_j A_(k-j)."""
+    total = 0.0
+    for j in range(1, k + 1):
+        total += ((alpha + 1.0) * j - k) * P[j] * A[k - j]
+    return total / k
+
+
+def axis_coefficients(params: HelfrichParams, w0p: float) -> tuple[float, ...]:
+    """Odd coefficients (a1, a3, ..., a11) of the axis series
+    w = sum a_n r^n, with a1 = w0p, in the arithmetic of w0p and the
+    parameters: Python floats in ``integrate``.
+
+    With the 1/r and 1/r^2 terms cleared, the shape equation reads
+    (n^2 - 1) a_n = [r^n] (2.5 r^2 w w'^2 / P + w^3 (3 + w^2) / 2
+    + c0 r w^2 P^(3/2) + cl r^2 w P^2 - pq r^3 P^(5/2)), with P = 1 + w^2,
+    cl = (c0^2 + lambda)/2 and pq = p/4.  In t = r^2, w = r v(t) with
+    v = sum b_m t^m, b_m = a_(2m+1); then w' = g = sum (2m+1) b_m t^m,
+    P = 1 + t v^2, w^3 (3 + w^2) / 2 = r^3 v^3 (2 + P) / 2, and
+    4 m (m+1) b_m is coefficient m - 1 of
+    G = 2.5 v g^2 / P + v^3 (2 + P) / 2 + c0 v^2 P^(3/2) + cl v P^2 - pq P^(5/2),
+    which only b_0 ... b_(m-1) reach.  The products are Cauchy products,
+    1/P a series division and P^(3/2), P^(5/2) Miller's recurrence, the
+    truncated-power-series arithmetic of Knuth, TAOCP vol. 2, 4.7.
+
+    A non-finite a3 raises OverflowError.  A higher coefficient that is
+    not finite ends the series below it, and ``integrate`` then starts at
+    its smallest default radius.
     """
-    return (eval_q(w0p, params) + 7.0 * w0p ** 3) / 16.0
+    c0 = params.c0
+    cl = 0.5 * (c0 * c0 + params.lam)
+    pq = 0.25 * params.p
+    # coefficient lists in t, grown by one index per pass
+    b, g = [w0p], [w0p]
+    P, P32, P52 = [1.0], [1.0], [1.0]
+    v2, v3, gg, vgg, q, P2 = [], [], [], [], [], []
+    for m in range(1, (SERIES_ORDER + 1) // 2):
+        k = m - 1
+        if k:
+            P.append(v2[k - 1])
+            P32.append(_miller(P, P32, 1.5, k))
+            P52.append(_miller(P, P52, 2.5, k))
+        v2.append(_cauchy(b, b, k))
+        v3.append(_cauchy(b, v2, k))
+        gg.append(_cauchy(g, g, k))
+        vgg.append(_cauchy(b, gg, k))
+        q.append(vgg[k] - _cauchy(P, q, k, 1))  # v g^2 / P, as P_0 = 1
+        P2.append(_cauchy(P, P, k))
+        G = (2.5 * q[k] + v3[k] + 0.5 * _cauchy(v3, P, k) + c0 * _cauchy(v2, P32, k)
+             + cl * _cauchy(b, P2, k) - pq * P52[k])
+        bm = G / (4 * m * (m + 1))
+        if not math.isfinite(bm):
+            if m == 1:
+                raise OverflowError(f"axis series coefficient a3 not finite at w0p={w0p!r}")
+            break
+        b.append(bm)
+        g.append((2 * m + 1) * bm)
+    return tuple(b)
 
 
-def axis_series(params: HelfrichParams, w0p: float, a3: float, r):
-    """Truncated axis series at r: the chart-A state (w, wp, z), then the
-    area, volume and energy quadratures of ``analysis.surface_totals``
-    over [0, r].
+def series_coefficient(params: HelfrichParams, w0p: float) -> float:
+    """Cubic coefficient a3 of the axis series, (Q(w0p) + 7 w0p^3) / 16:
+    entry a3 of ``axis_coefficients``."""
+    return axis_coefficients(params, w0p)[1]
+
+
+def _horner(cs, t):
+    """sum cs[k] t^k."""
+    total = cs[-1]
+    for c in cs[-2::-1]:
+        total = total * t + c
+    return total
+
+
+def axis_series(a, r, deriv: bool = False):
+    """The axis series with odd coefficients ``a`` = (a1, a3, ...) at r:
+    the chart-A state (w, wp, z), with z = 0 on the axis, or with
+    ``deriv`` its r-derivative (wp, wpp, w).
 
     ``r`` may be a scalar or an ndarray; the values have its type.
     """
-    return (
-        w0p * r + a3 * r ** 3,
-        w0p + 3.0 * a3 * r ** 2,
-        0.5 * w0p * r ** 2 + 0.25 * a3 * r ** 4,
-        0.5 * r ** 2 + 0.125 * w0p ** 2 * r ** 4,
-        0.25 * w0p * r ** 4 + a3 * r ** 6 / 6.0,
-        0.5 * ((2.0 * w0p + params.c0) ** 2 + params.lam) * r ** 2,
-    )
+    t = r * r
+    w = r * _horner(a, t)
+    wp = _horner([(2 * m + 1) * am for m, am in enumerate(a)], t)
+    if deriv:
+        wpp = r * _horner([(2 * m + 1) * 2 * m * am for m, am in enumerate(a)][1:], t)
+        return wp, wpp, w
+    return w, wp, t * _horner([am / (2 * m + 2) for m, am in enumerate(a)], t)
 
 
-def series_start(params: HelfrichParams, w0p: float, eps: float) -> tuple[float, ...]:
-    """Truncated-series chart-A state at r = eps, clearing the axis
-    singularity: a tuple of NSTATE floats laid out as in ``kernels``."""
+def _default_eps(params: HelfrichParams, w0p: float, a, rtol: float) -> float:
+    """The start radius ``SolverConfig(eps_start=None)`` selects."""
+    eps = min(1e-5, 1e-3 * math.sqrt(32.0 * w0p / (3.0 * params.p)))
+    if len(a) < (SERIES_ORDER + 1) // 2:
+        return eps
+    cap = 0.99 * 0.1 * math.sqrt(w0p / params.p + 1.0)
+    if a[1] != 0.0:
+        cap = min(cap, 0.99 * math.sqrt(0.01 * w0p / abs(a[1])))
+    for n in (SERIES_ORDER - 2, SERIES_ORDER):
+        an = a[n // 2]
+        if an != 0.0:
+            cap = min(cap, (0.1 * rtol * w0p / abs(an)) ** (1.0 / (n - 1)))
+    return max(eps, cap)
+
+
+def series_start(params: HelfrichParams, w0p: float, eps: float,
+                 a: tuple[float, ...] | None = None) -> tuple[float, ...]:
+    """Axis-series chart-A state at r = eps, clearing the axis singularity:
+    a tuple of NSTATE floats laid out as in ``kernels``.  ``a`` is the
+    series of ``axis_coefficients``, computed when not given."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
         raise EpsTooLarge(f"eps must be > 0, got {eps!r}")
     if params.p > 0.0 and eps >= 0.1 * math.sqrt(w0p / params.p + 1.0):
         raise EpsTooLarge(f"eps={eps!r} outside the series region")
-    a3 = series_coefficient(params, w0p)
-    if abs(a3) * eps ** 3 > 0.01 * w0p * eps:
+    a = a or axis_coefficients(params, w0p)
+    if abs(a[1]) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    return axis_series(params, w0p, a3, eps)[:kernels.NSTATE]
+    return axis_series(a, eps)
 
 
 def chart_switch(r: float, y) -> tuple[float, float, float]:
@@ -272,7 +374,11 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Dense, event-annotated solution spanning both charts."""
+    """Dense, event-annotated solution spanning both charts.
+
+    ``axis_coeffs`` is the axis series chart A starts from (see
+    ``axis_coefficients``), computed when not given.
+    """
 
     params: HelfrichParams
     w0p: float
@@ -280,6 +386,11 @@ class Trajectory:
     chart_a: DenseSegment
     chart_b: DenseSegment | None
     events: list[Event]
+    axis_coeffs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not self.axis_coeffs:
+            self.axis_coeffs = axis_coefficients(self.params, self.w0p)
 
     @property
     def status(self) -> str:
@@ -289,13 +400,27 @@ class Trajectory:
     def first_event(self, kind: str) -> Event | None:
         return next((ev for ev in self.events if ev.kind == kind), None)
 
-    def series_eval(self, r) -> np.ndarray:
-        """Series state on [0, chart_a.x_start), shape (n, NSTATE), laid
-        out as chart-A states."""
+    def series_eval(self, r, deriv: bool = False) -> np.ndarray:
+        """Axis-series state on [0, chart_a.x_start), or with ``deriv`` its
+        r-derivative, shape (n, NSTATE), laid out as chart-A states."""
         import numpy as np
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        a3 = series_coefficient(self.params, self.w0p)
-        return np.stack(axis_series(self.params, self.w0p, a3, r)[:kernels.NSTATE], axis=1)
+        return np.stack(axis_series(self.axis_coeffs, r, deriv), axis=1)
+
+    def eval_a(self, r, cols=slice(None), deriv: bool = False) -> np.ndarray:
+        """Chart-A state at radii r in [0, chart_a.x_end], or with ``deriv``
+        its r-derivative: the axis series below chart_a.x_start and the
+        dense output from there on; ``cols`` and the shapes as for
+        ``DenseSegment.eval_many``."""
+        import numpy as np
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        seg = self.chart_a
+        inside = r < seg.x_start
+        dense = (seg.deriv_many if deriv else seg.eval_many)(r[~inside], cols)
+        out = np.empty((len(r),) + dense.shape[1:])
+        out[inside] = self.series_eval(r[inside], deriv)[:, cols]
+        out[~inside] = dense
+        return out
 
 
 def _rms(v, sc) -> float:
@@ -372,8 +497,11 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     y = [float(v) for v in y0]
     try:
         f = rhs_fn(x, y, c0, lam, p)
+        finite = all(map(math.isfinite, f))
     except (OverflowError, ZeroDivisionError):
-        raise InvalidParams(f"right-hand side not finite at start of chart {chart}") from None
+        finite = False
+    if not finite:
+        raise InvalidParams(f"right-hand side not finite at start of chart {chart}")
     h_cap = abs(x_limit - x)
     # a chart that starts on its limit takes no step and ends Aborted below
     h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p,
@@ -485,6 +613,10 @@ def integrate(params: HelfrichParams, w0p: float,
               cfg: SolverConfig | None = None) -> Trajectory:
     """Integrate the shape equation from the axis until a terminal event.
 
+    Chart A starts at r = eps from the axis series of ``axis_coefficients``,
+    computed once here and kept on the trajectory, at the radius
+    ``SolverConfig.eps_start`` gives or selects.
+
     Terminal outcomes: ``Equator`` (equator reached regularly in chart B),
     ``BlowUpPositive`` (w reached +w_switch), or ``Aborted`` (radius or
     step budget exhausted).
@@ -495,7 +627,8 @@ def integrate(params: HelfrichParams, w0p: float,
         raise InvalidParams(f"p must be > 0 for the blow-down analysis, got {params.p!r}")
     cfg = cfg or SolverConfig()
 
-    eps = cfg.eps_start or min(1e-5, 1e-3 * math.sqrt(32.0 * w0p / (3.0 * params.p)))
+    a = axis_coefficients(params, float(w0p))
+    eps = cfg.eps_start or _default_eps(params, w0p, a, cfg.rel_tol)
     r_max = cfg.r_max or 1e3 * math.sqrt(w0p / params.p + 1.0)
 
     # (kind, component, target, downward, terminal)
@@ -507,12 +640,12 @@ def integrate(params: HelfrichParams, w0p: float,
     ]
     seg_a, events, used = _run_chart(
         kernels.dopri5_step_a, kernels.rhs_a, "A",
-        eps, series_start(params, w0p, eps), +1, r_max, params, cfg, table_a,
+        eps, series_start(params, w0p, eps, a), +1, r_max, params, cfg, table_a,
         cfg.max_steps,
     )
     term = events[-1]
     if term.kind != CHART_SWITCH:
-        return Trajectory(params, w0p, cfg, seg_a, None, events)
+        return Trajectory(params, w0p, cfg, seg_a, None, events, a)
 
     # chart switch: w < 0 guaranteed by the event definition
     z_sw = term.state[2]
@@ -523,5 +656,5 @@ def integrate(params: HelfrichParams, w0p: float,
         [(EQUATOR, 1, 0.0, False, True)], cfg.max_steps - used,
     )
     events.extend(events_b)
-    return Trajectory(params, w0p, cfg, seg_a, seg_b, events)
+    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, a)
 

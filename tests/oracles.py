@@ -20,6 +20,7 @@ crossing search ``find_crossing`` on a dense segment, eta on both charts
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometr
 from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, _angle_table, fmt17, profile_rows
-from helfrich.solver import EQUATOR, _bisect_step, axis_series, series_coefficient
+from helfrich.solver import EQUATOR, SERIES_ORDER, _bisect_step, axis_coefficients
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 
@@ -57,15 +58,18 @@ def rhs_chart_a_arr(r, y, c0, lam, p, out):
     """Chart-A derivatives with respect to r, written into ``out``."""
     w = y[0]
     wp = y[1]
-    P = 1.0 + w * w
+    ww = w * w
+    P = 1.0 + ww
     sq = np.sqrt(P)
+    PP = P * P
+    ri = 1.0 / r
     wpp = (
         2.5 * w * wp * wp / P
-        - (wp - w / r) / r
-        + w ** 3 * (3.0 + w * w) / (2.0 * r * r)
-        + c0 * w * w * P * sq / r
-        + 0.5 * (c0 * c0 + lam) * w * P * P
-        - 0.25 * p * r * P * P * sq
+        - (wp - w * ri) * ri
+        + w * ww * (3.0 + ww) * ri * ri * 0.5
+        + c0 * ww * P * sq * ri
+        + 0.5 * (c0 * c0 + lam) * w * PP
+        - 0.25 * p * r * PP * sq
     )
     out[0] = wp
     out[1] = wpp
@@ -303,27 +307,31 @@ def write_obj_loops(path, verts: np.ndarray, faces: np.ndarray) -> None:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
-def series_residual(params, w0p, eps, with_a3=True):
-    """Defect of the truncated series against the solved-for w''.
+def series_residual(params, w0p, eps, with_a3=True, order=SERIES_ORDER):
+    """Defect of the axis series truncated after r^order (after r^1
+    without a3) against the w'' the shape equation solves for.
 
-    Evaluated in 50-digit arithmetic: the true defect at eps = 1e-5 is
-    ~1e-17, far below double-precision cancellation noise.
+    The coefficients come from ``axis_coefficients`` run in 80-digit
+    arithmetic, so that the defect shows the truncation, O(eps^order),
+    and not the rounding of double coefficients; the true defect of the
+    full series at eps = 1e-5 is ~1e-61.
     """
     import mpmath as mp
-    with mp.workdps(50):
+    with mp.workdps(80):
         c0, lam, p = mp.mpf(params.c0), mp.mpf(params.lam), mp.mpf(params.p)
-        a, r = mp.mpf(w0p), mp.mpf(eps)
-        q = ((a + 2 * c0) * a + (c0 ** 2 + lam)) * a - p / 2
-        b = (q + 7 * a ** 3) / 16 if with_a3 else mp.mpf(0)
-        w = a * r + b * r ** 3
-        wp = a + 3 * b * r ** 2
+        r = mp.mpf(eps)
+        a = axis_coefficients(SimpleNamespace(c0=c0, lam=lam, p=p), mp.mpf(w0p))
+        a = a[:(order + 1) // 2 if with_a3 else 1]
+        w = sum(an * r ** (2 * m + 1) for m, an in enumerate(a))
+        wp = sum((2 * m + 1) * an * r ** (2 * m) for m, an in enumerate(a))
+        wpp = sum((2 * m + 1) * 2 * m * an * r ** (2 * m - 1) for m, an in enumerate(a))
         P = 1 + w * w
         wpp_ode = (mp.mpf(5) / 2 * w * wp * wp / P - (wp - w / r) / r
                    + w ** 3 * (3 + w * w) / (2 * r * r)
                    + c0 * w * w * P ** mp.mpf(1.5) / r
                    + (c0 ** 2 + lam) * w * P ** 2 / 2
                    - p * r * P ** mp.mpf(2.5) / 4)
-        return float(abs(6 * b * r - wpp_ode))
+        return float(abs(wpp - wpp_ode))
 
 
 def kappa_derivs(r, w, wp, wpp):
@@ -504,9 +512,12 @@ def requadrature_totals(traj) -> SurfaceTotals:
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
-    # series piece [0, eps], then one trapezoid pass per chart
-    a3 = series_coefficient(traj.params, traj.w0p)
-    area, vol, energy = axis_series(traj.params, traj.w0p, a3, traj.chart_a.x_start)[3:]
+    # the axis series on [0, eps], where every density is 0 at r = 0, then
+    # one trapezoid pass per chart
+    xs = np.linspace(0.0, traj.chart_a.x_start, 40_001)
+    F = surface_densities("A", xs[1:], traj.series_eval(xs[1:]).T, c0, lam)
+    F = np.concatenate([np.zeros((3, 1)), np.array(F)], axis=1)
+    area, vol, energy = (float(np.trapezoid(f, xs)) for f in F)
     for chart, seg, n in (("A", traj.chart_a, 400_001), ("B", traj.chart_b, 100_001)):
         xs = np.linspace(seg.x_start, seg.x_end, n)
         F = surface_densities(chart, xs, seg.eval_many(xs).T, c0, lam)

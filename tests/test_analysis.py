@@ -32,7 +32,7 @@ from helfrich.analysis import (
 )
 from helfrich.errors import MissingEvent, NotBiconcave
 from helfrich.export import profile_rows
-from helfrich.solver import DenseSegment, Trajectory, axis_series, series_coefficient
+from helfrich.solver import DenseSegment, Trajectory
 from oracles import eta_boundedness, geometry_at, requadrature_totals
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
@@ -91,7 +91,9 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
 
 
 def test_geometry_near_axis(ref_traj):
-    g = geometry_at(ref_traj, r=ref_traj.chart_a.x_start / 2)
+    r = 5e-6  # inside the axis series, which chart A starts from
+    assert r < ref_traj.chart_a.x_start
+    g = geometry_at(ref_traj, r=r)
     assert math.isclose(g.kappa_m, 0.05, rel_tol=1e-6)
     assert math.isclose(g.kappa_l, 0.05, rel_tol=1e-6)
     g0 = geometry_at(ref_traj, r=0.0)
@@ -292,8 +294,9 @@ def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
     events = [Event(EQUATOR, "B", -1.0, (u0 + b * (-0.5), b, 0.0))]
     traj = Trajectory(params, w0p, SolverConfig(), seg_a, seg_b, events)
 
-    a3 = series_coefficient(params, w0p)
-    vol_series = axis_series(params, w0p, a3, eps)[4]
+    # the axis series' volume integral of r^2 w = sum a_n r^(n+2) on [0, eps]
+    vol_series = sum(a_n * eps ** (n + 3) / (n + 3)
+                     for n, a_n in zip(range(1, 12, 2), traj.axis_coeffs))
     vol_a = a * (1.7 ** 4 - eps ** 4) / 4.0
     vol_b = ((u0 + b * (-1.0 + 0.5)) ** 3 - u0 ** 3) / (3.0 * b)
     want = -2.0 * math.pi * (vol_series + vol_a + vol_b)
@@ -320,7 +323,7 @@ def test_profile_rows_equal_scalar_formulas(figure_runs):
     n_a = 1024
     for i, (r, z, w, km, kl, H, K) in enumerate(rows[1:]):
         if i < n_a:
-            y = traj.chart_a.eval_many(r)[0].tolist()
+            y = traj.eval_a(r)[0].tolist()
             want = _scalar_curvatures(r, y[0], y[1])
             assert (z, w) == (y[2], y[0])
         else:

@@ -6,6 +6,7 @@ import pytest
 
 from helfrich import (
     HelfrichParams,
+    SolverConfig,
     analyze_cubic,
     asymptotic_sweep,
     check_single,
@@ -124,13 +125,14 @@ def test_check_single_needs_no_root_isolation(ref_traj, ref_landmarks, ref_repor
 
 
 def test_kappa_prime_bound_holds_at_small_slope_next_to_the_axis():
-    """At w0p = 1e-4 the series start lies at r = 1e-5.  A first chart-A
+    """At w0p = 1e-4, with chart A started at r = 1e-5, a first chart-A
     step from there to about 1e-4, ten times the start radius, left the
     interpolant off near the axis, and KappaPrimeBound failed with
     lhs 5.7e-8 against tol 1e-8.  No chart-A step is longer than the radius
     it starts from, and the check passes with its usual margin."""
     traj = integrate(HelfrichParams(-1.924297712971017, -0.9211122702013553,
-                                    1.8286734499794792), 1e-4)
+                                    1.8286734499794792), 1e-4,
+                     SolverConfig(eps_start=1e-5))
     xs = traj.chart_a.xs
     assert xs[0] == 1e-5
     assert all(xs[1:] - xs[:-1] <= xs[:-1])

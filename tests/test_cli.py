@@ -423,14 +423,16 @@ def test_parser_shared_across_commands_gives_fresh_parser_results(tmp_path, caps
 
 def test_solve_without_a_step_exits_2_without_warning(tmp_path, capsys):
     """An r_max below eps_start, or equal to it, leaves chart A without a
-    step; its zero-length dense segment evaluates to the start state,
-    silently.  (At r_max = eps_start the first step size once divided by
-    its zero cap and the command ended in ZeroDivisionError.)"""
+    step; its zero-length dense segment evaluates to the start state, and
+    the axis series covers the profile below it, silently.  (At r_max =
+    eps_start the first step size once divided by its zero cap and the
+    command ended in ZeroDivisionError.)"""
     for r_max in ("1e-6", "1e-5"):
         out = tmp_path / r_max
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli(["solve", *SOLVE_FLAGS, "--r-max", r_max, "--out", str(out)])
+            code = run_cli(["solve", *SOLVE_FLAGS, "--eps-start", "1e-5",
+                            "--r-max", r_max, "--out", str(out)])
         assert code == 2, r_max
         err = capsys.readouterr().err
         assert "Warning" not in err and "Error" not in err, r_max
@@ -438,7 +440,8 @@ def test_solve_without_a_step_exits_2_without_warning(tmp_path, capsys):
         assert json.loads((out / "report.json").read_text())["status"] == "Aborted"
         rows = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(rows))
-        assert np.all(rows[1:, 0] == 1e-5) and np.all(rows[1:, 2] > 0.0)
+        assert np.all((rows[1:, 0] > 0.0) & (rows[1:, 0] <= 1e-5)) and rows[-1, 0] == 1e-5
+        assert np.all(rows[1:, 2] > 0.0)
 
 
 def _opt_values(opt, i):

@@ -262,3 +262,16 @@ def test_root_far_below_one_keeps_its_relative_accuracy():
     assert math.isclose(root, params.p / (2 * (params.c0 ** 2 + params.lam)), rel_tol=1e-12)
     assert ca.all_roots_positive
     assert math.isclose(ca.smallest_root, root, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mantissa", [1.0, 1.5273595210586674, 3.3, 7.9])
+def test_tiny_cube_root_keeps_its_relative_accuracy(mantissa):
+    """For c0 = lambda = 0, Q = t^3 - p/2 has the one real root (p/2)^(1/3).
+    Newton from the bracket's scale shrinks x by a third per step toward a
+    tiny root, which once ran into the iteration cap: p = 1.527e-209 and
+    1e-150 both gave 6.05e-36.  Over p in 10^[-300, -60] the root comes
+    back to 1e-12 relative."""
+    for e in range(60, 301):
+        p = mantissa * 10.0 ** -e
+        root = analyze_cubic(HelfrichParams(0.0, 0.0, p)).smallest_root
+        assert math.isclose(root, (p / 2) ** (1 / 3), rel_tol=1e-12), p

@@ -25,26 +25,26 @@ GOLDEN = {
     "sweep": (
         ["sweep", "--c0-range=-1:2:3", "--lambda-range=-0.5:1:2",
          "--p-range", "0.5:4:2", "--w0p-range", "0.001:0.5:3"],
-        {"phase.csv": "854ef011df84a2f045aeae4873d4f7b45177f8a42a8b819e62f8d3b8c1c134b9"},
+        {"phase.csv": "2cdc9c79dadd73a266c1c629143e66b7adef337b59a031c301e32c3533e89d0e"},
     ),
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "8465aa97e0e5fee790bc64d11b5a84c69520b1e7b8d21ae3e5677766c2e4a8af"},
+            "b7c2b5eda9df3b511c3ce4ced6379ea59ca29385e11642aa9c43b7187c7579ff"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "6b1aa0e355bb643e46fe83282761d78fc6d75594d088c3b9b24f89094aea0b7e",
-            "report.json": "cb1e4ea7a463bcdc56d409a8946aab019b5b109b5a14bef73ee9a9146a30eb4e",
+            "profile.csv": "dcae23b33affa7e8723ea91ae2e6a4742a41d039a7df8b81a964fd0c4dacd080",
+            "report.json": "5d5d8b740f52ede1d0cb6b684e82162643a5e4d8be097e3bbc12931af46e635b",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "f5151abf42e84721add044c27965a870db36b86ddd54124b5b93cf46cb004043",
+            "mesh.obj": "b3fa99ad9d9743535de7f8bbe0ddbb808e9c5c13080b86fadd92a6f2fbd7775d",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "75098b60b8e59ce253ef828099db65b1923de49291616c9f89cd97271f365177"},
+        {"mesh.obj": "5fdaf94656cd127bc6df5efb331ec932fe3551b93621a952a53010aab375810b"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
@@ -83,8 +83,8 @@ def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
 # accepted steps and events per chart
 STEP_COUNTS = {
-    "calls": {"A": 112, "B": 16},
-    "accepted": {"A": 93, "B": 14},
+    "calls": {"A": 86, "B": 16},
+    "accepted": {"A": 68, "B": 14},
     "events": {"MaxOfW": 1, "ZeroOfW": 1, "ChartSwitch": 1, "Equator": 1},
 }
 

@@ -15,16 +15,20 @@ from helfrich import (
     series_coefficient,
     series_start,
 )
+from helfrich.analysis import BICONCAVE, classify
 from helfrich.solver import (
     ABORTED,
     BLOWUP_POSITIVE,
     CHART_SWITCH,
     EQUATOR,
     MAX_OF_W,
+    SERIES_ORDER,
     ZERO_OF_W,
     DenseSegment,
     _initial_step,
     _run_chart,
+    axis_coefficients,
+    axis_series,
 )
 from helfrich import kernels
 from helfrich.errors import (
@@ -69,14 +73,67 @@ def test_series_rejections():
 
 
 def test_series_residual_order():
-    """With the cubic term the start defect is O(eps^3); without it O(eps)."""
+    """The axis series truncated after r^n leaves a w'' defect O(eps^n),
+    for every odd n up to SERIES_ORDER: each coefficient is the one the
+    shape equation asks for.  Without a3 the defect is O(eps)."""
+    eps = np.array([0.1, 0.03, 0.01])
+    for order in range(1, SERIES_ORDER + 1, 2):
+        res = [series_residual(PAPER, 0.1, e, True, order) for e in eps]
+        slope = np.polyfit(np.log10(eps), np.log10(res), 1)[0]
+        assert abs(slope - order) <= 0.1, (order, slope)
     eps = np.array([1e-3, 1e-4, 1e-5])
-    res3 = np.array([series_residual(PAPER, 0.1, e, True) for e in eps])
     res1 = np.array([series_residual(PAPER, 0.1, e, False) for e in eps])
-    slope3 = np.polyfit(np.log10(eps), np.log10(res3), 1)[0]
-    slope1 = np.polyfit(np.log10(eps), np.log10(res1), 1)[0]
-    assert slope3 >= 2.5
-    assert slope1 <= 1.5
+    assert np.polyfit(np.log10(eps), np.log10(res1), 1)[0] <= 1.5
+
+
+def test_axis_coefficients_match_sympy_derivation():
+    """a3, a5 and a7 solved order by order from sympy's expansion of the
+    shape equation in its Euler-Lagrange form (the integrand of
+    ``el_residual``, not the cleared form the recursion works on), at the
+    reference point and two other points."""
+    import sympy as sp
+    r = sp.symbols("r", positive=True)
+    c0, lam, p, a1 = sp.symbols("c0 lam p a1")
+    A = sp.symbols("A3 A5 A7")
+    w = a1 * r + A[0] * r ** 3 + A[1] * r ** 5 + A[2] * r ** 7
+    wp, wpp = sp.diff(w, r), sp.diff(w, r, 2)
+    P = 1 + w ** 2
+    sq = sp.sqrt(P)
+    el = (-2 * r * wpp / (P ** 2 * sq) + 5 * r * w * wp ** 2 / (P ** 3 * sq)
+          - 2 * wp / (P ** 2 * sq) + (2 * w + w ** 3) / (r * P * sq)
+          + 2 * c0 * w ** 2 / P + (c0 ** 2 + lam) * r * w / sq - p * r ** 2 / 2)
+    ser = sp.expand(sp.series(el, r, 0, 7).removeO())
+    sol = {}
+    for k, Ak in zip((2, 4, 6), A):
+        sol[Ak] = sp.solve(ser.coeff(r, k).subs(sol), Ak)[0]
+    assert sp.expand(sol[A[0]] - (a1 ** 3 / 2 + c0 * a1 ** 2 / 8 + (c0 ** 2 + lam) * a1 / 16
+                                  - p / 32)) == 0
+    for point in [(1.0, 0.25, 1.0, 0.05),
+                  (-0.5972721301018806, -0.7202908339494016, 6.629877790948085,
+                   0.0016797039970500467),
+                  (2.5, -1.0, 0.3, 0.7)]:
+        values = dict(zip((c0, lam, p, a1), map(sp.Rational, point)))
+        got = axis_coefficients(HelfrichParams(*point[:3]), point[3])
+        for Ak, an in zip(A, got[1:4]):
+            want = float(sol[Ak].subs(values))
+            assert math.isclose(an, want, rel_tol=1e-13), (point, Ak, an, want)
+
+
+def test_default_start_keeps_the_slope_near_w0p():
+    """The default start radius is capped at 0.99 of |a3| eps^2 <= 0.01 w0p,
+    which keeps w' within about 3% of w0p up to the start: ``classify``
+    counts the maxima of w on chart A only.  On this seed-7 sweep cell the
+    series alone would allow a start at r = 0.037, where w' is about half
+    of w0p; with the cap the start is at r = 0.0089, the run is Biconcave
+    and chart A finds its one maximum of w."""
+    params, w0p = HelfrichParams(-0.5972721301018806, -0.7202908339494016,
+                                 6.629877790948085), 0.0016797039970500467
+    traj = integrate(params, w0p)
+    x_start = traj.chart_a.x_start
+    lm = extract_landmarks(traj)
+    assert classify(traj, lm).verdict == BICONCAVE
+    assert [ev.x > x_start for ev in traj.events if ev.kind == MAX_OF_W] == [True]
+    assert axis_series(traj.axis_coeffs, x_start)[1] >= 0.97 * w0p
 
 
 def test_rhs_matches_high_precision_reference():
@@ -261,15 +318,18 @@ def test_chart_b_steps_keep_clear_of_the_equator(ref_traj):
 
 
 def test_float_overflow_in_a_step_rejects_it():
-    """A trial step far too long overflows the float stages, which raise
-    where the ndarray stages give inf; the chart loop rejects the step and
-    retries at a tenth of its size, and the run goes on to its limit."""
+    """A trial step far too long overflows the float stages to inf and nan,
+    as it does the ndarray stages, and its err is not finite; the chart
+    loop rejects the step and retries at a tenth of its size, and the run
+    goes on to its limit."""
     c0, lam, p = PAPER.c0, PAPER.lam, PAPER.p
     x, y = 1.0, [0.5, 0.1, 0.0]
     f0 = kernels.rhs_a(x, y, c0, lam, p)
     # stage 2 holds w = 0.5 + 1e120 A21 f0[0], whose cube is beyond 1.8e308
-    with pytest.raises(OverflowError):
-        kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p, 1e-10, 1e-12)
+    y_new, f_new, err, cont = kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p,
+                                                    1e-10, 1e-12)
+    assert not math.isfinite(err) and not all(map(math.isfinite, y_new))
+    assert f_new is None and cont is None
     with np.errstate(all="ignore"):
         y_arr = make_step_arr(rhs_chart_a_arr)(x, np.array(y), 1e120, np.array(f0), c0, lam,
                                                p, 1e-10, 1e-12)[0]
@@ -496,7 +556,7 @@ def test_overflowing_chart_start_is_invalid_params():
     # f is finite, but its scaled norm (f / sc)^2 overflows
     with pytest.raises(InvalidParams, match="not finite"):
         integrate(HelfrichParams(1.0, 0.25, 1e300), 0.05)
-    # w ** 3 raises OverflowError in the right-hand side itself
+    # w^3 overflows in the right-hand side itself, which gives nan
     with pytest.raises(InvalidParams, match="start of chart A"):
         _run_chart(kernels.dopri5_step_a, kernels.rhs_a, "A", 1e-5,
                    [1e110, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(),
