@@ -188,8 +188,9 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     else:
         records.append(_make("NegAreaLower", False, None, None, _PTWISE_TOL))
 
-    # blow-down growth ratio w'^2 / (|w| (1+w^2)^(5/2)) on chart B
-    nodes = traj.chart_b.conts[:, 0, :]
+    # blow-down growth ratio w'^2 / (|w| (1+w^2)^(5/2)) on chart B, at the
+    # start states of its steps, which need no dense output
+    nodes = traj.chart_b.nodes
     sb, qb = nodes[:, 1], nodes[:, 2]
     Pb = sb * sb + 1.0
     ratio = qb * qb / (Pb ** 2 * np.sqrt(Pb))

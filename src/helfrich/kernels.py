@@ -1,5 +1,6 @@
-"""Hot numerical kernels: shape-equation right-hand sides and the
-embedded DOP853 step, built once per coordinate chart.
+"""Hot numerical kernels: shape-equation right-hand sides, the
+embedded DOP853 step and its dense-output completion, built once per
+coordinate chart.
 
 State layout, chart A (independent variable r):
     y = [w, wp, z]
@@ -20,30 +21,42 @@ smooth continuation of the blow-down branch.
 
 The step is Hairer's DOP853: an 8th-order Runge-Kutta pair with 5th- and
 3rd-order error estimates and a 7th-order continuous extension, with
-the tableau of scipy's ``dop853_coefficients``.  The right-hand sides
-``rhs_a`` and ``rhs_b`` and the steps work on Python floats, because
-numpy arithmetic on 3-element arrays and ``np.float64`` scalars costs
-several times the arithmetic itself; the tests hold an ndarray twin of
-each right-hand side and of the step.  All four are emitted as source
-text at import.  The tableau is kept once, as its nonzero rows, and
-each chart's right-hand side once, as statement text over named inputs
-(``_RHS``).  That text becomes the standalone ``rhs_a``/``rhs_b`` and is
-pasted into every stage of the chart's step, which therefore calls no
-right-hand side: a stage computes its derivatives straight into its
-stage locals and forms only the inputs the text reads, so chart A's step
-builds no z stage input.  The step holds one local scalar per component
-and the coefficients as float literals, because loops over the rows or
-list comprehensions over ``zip`` cost several times the sums they
-build.  For the same reason the step calls no builtin it can do without:
-the per-component max of the error scale is a conditional expression,
-and the dense output comes back as one flat list of NROWS * NSTATE = 24
-floats (eight rows of three) that the solver appends to its storage as
-it is.  Python floats raise
-``ZeroDivisionError`` where ndarrays give inf or nan, and their products
-overflow to inf as ndarrays do; the caller treats a raise, or an err
-that is not finite, as a failed step.
+the tableau of scipy's ``dop853_coefficients``.  The continuous
+extension needs three more stages (14-16) and four more weighted sums,
+about half the cost of a step, and most steps are never evaluated
+between their ends: a sweep reads only the located events.  So, as
+Hairer's ``dop853.f`` computes them only when dense output is asked
+for, an accepted step ends at its FSAL stage 13 and returns its record,
+NREC = 34 floats (h, y, y_new and the stages 1 and 6-13), and the
+chart's completion ``dense_a``/``dense_b`` turns the record of a step
+that the solver reads into that step's dense output, NROWS * NSTATE = 24
+floats (eight rows of three), bit for bit the rows the step would have
+built itself.
 
-The steps and the right-hand sides keep to the subset numba
+The right-hand sides ``rhs_a`` and ``rhs_b``, the steps and the
+completions work on Python floats, because numpy arithmetic on
+3-element arrays and ``np.float64`` scalars costs several times the
+arithmetic itself; the tests hold an ndarray twin of each right-hand
+side and of the whole step, dense output included.  All six are emitted
+as source text at import.  The tableau is kept once, as its nonzero
+rows, and each chart's right-hand side once, as statement text over
+named inputs (``_RHS``).  That text becomes the standalone
+``rhs_a``/``rhs_b`` and is pasted into every stage of the chart's step
+and completion, which therefore call no right-hand side: a stage
+computes its derivatives straight into its stage locals and forms only
+the inputs the text reads, so chart A's stages build no z input.  They
+hold one local scalar per component and the coefficients as float
+literals, because loops over the rows or list comprehensions over
+``zip`` cost several times the sums they build.  For the same reason
+they call no builtin they can do without: the per-component max of the
+error scale is a conditional expression, and the record and the dense
+output come back as flat lists that the solver appends to its storage
+or slices as they are.  Python floats raise ``ZeroDivisionError`` where
+ndarrays give inf or nan, and their products overflow to inf as ndarrays
+do; the caller treats a raise in a step, or an err that is not finite,
+as a failed step, and a raise in a completion as NaN rows.
+
+The kernels keep to the subset numba
 compiles (scalars, tuples, list literals, ``math.sqrt``) and are
 compiled when numba is importable and HELFRICH_JIT is not 0 (see
 ``_jit``).  That the compiled path builds and matches is unverified: the
@@ -62,9 +75,9 @@ NROWS = 8  # dense-output rows per accepted step: y and the interpolant's F0..F6
 # _A[s] = (c_s, ((j, a_sj), ...)).  Stages 1-12 make the step (stage 1 is
 # f0, at c = 0), stage 13 is f(x + h, y_new), the next step's first stage
 # (its row in scipy's A equals _B, with c = 1), and stages 14-16 serve only
-# the dense output.  _B holds the 8th-order weights, _E5 and _E3 the error
-# estimates of 5th and 3rd order, and _D the weights of the interpolant's
-# rows F3-F6.
+# the dense output, which the completion alone computes.  _B holds the
+# 8th-order weights, _E5 and _E3 the error estimates of 5th and 3rd order,
+# and _D the weights of the interpolant's rows F3-F6.
 _A = {
     2: (0.05260015195876773, ((1, 0.05260015195876773),)),
     3: (0.0789002279381516, ((1, 0.0197250569845379), (2, 0.0591751709536137))),
@@ -229,59 +242,76 @@ _GAP = max(zip(_ABSCISSAE, _ABSCISSAE[1:]), key=lambda g: g[1] - g[0])
 EQUATOR_THETA = 0.5 * (_GAP[0] + _GAP[1])
 
 
+def _stage_sum(row, i):
+    """The weighted sum of component i over the stages of a tableau row,
+    in its order: the text ``a * kj_i + ...``."""
+    return " + ".join(f"{a!r} * k{j}_{i}" for j, a in row)
+
+
+def _stage(chart, s):
+    """Statements of stage s: the chart's right-hand side at its abscissa
+    and its row's state, into the locals ``ks_0``, ``ks_1``, ..."""
+    c, row = _A[s]
+    return _rhs_lines(chart, f"k{s}", f"x + {c!r} * h",
+                      [f"y{i} + h * ({_stage_sum(row, i)})" for i in range(NSTATE)])
+
+
+def _names(prefix):
+    """``prefix0, prefix1, ...``: the NSTATE locals of one state or stage,
+    as a tuple display or unpacking target with a trailing comma."""
+    return "".join(f"{prefix}{i}, " for i in range(NSTATE))
+
+
+# the stages 1-13 that the dense-output stages 14-16 and the rows F3-F6
+# read, and an accepted step's record: h, y, y_new and those stages, the
+# NREC floats from which ``dense_a``/``dense_b`` complete its dense output
+_REC_STAGES = sorted(({j for s in (14, 15, 16) for j, _ in _A[s][1]}
+                      | {j for row in _D for j, _ in row}) - {14, 15, 16})
+_RECORD = "h, " + _names("y") + _names("yn") + "".join(_names(f"k{j}_") for j in _REC_STAGES)
+NREC = 1 + (2 + len(_REC_STAGES)) * NSTATE
+
+
 def _step_source(chart):
     """Source text of ``dopri5_step_a`` or ``_b``, one embedded DOP853 step
     on the chart with its right-hand side pasted into every stage.
 
     The step(x, y, h, f0, c0, lam, p, rtol, atol) takes the state ``y``
     and its derivative ``f0`` as sequences of NSTATE floats and gives
-    (y_new, f_new, err, cont).  ``y_new`` is the new state as a list and
+    (y_new, f_new, err, rec).  ``y_new`` is the new state as a list and
     ``err`` the scalar weighted error norm: scipy's DOP853 norm
     |h| s5 / sqrt(NSTATE (s5 + 0.01 s3)), where s5 and s3 sum the squares
     of the E5 and E3 estimates over the components, each divided by
     atol + rtol max(|y_i|, |yn_i|).  It is NaN when the new state holds
     an inf or NaN, so that one finiteness test on it rejects such a step.
-    Only an accepted step (err <= 1) goes on: ``f_new`` is its FSAL stage,
-    the tuple the chart's ``rhs_a``/``rhs_b`` gives at the new state, and
-    ``cont`` its dense output as one flat list of NROWS * NSTATE floats,
-    the rows y, F0..F6 of NSTATE each in storage order, so that the caller
-    appends it in one call and reads component i as ``cont[i::NSTATE]``.
-    A rejected step gives None for both and evaluates no stage after the
-    twelfth.
+    Only an accepted step (err <= 1) goes on to stage 13 and ends there:
+    ``f_new`` is that FSAL stage, the tuple the chart's ``rhs_a``/``rhs_b``
+    gives at the new state, and ``rec`` the step's record, one flat list
+    of NREC floats (h, y, y_new and the stages 1, 6-13) that the caller
+    appends to its storage in one call and hands to ``dense_a``/``dense_b``
+    for the dense output of a step it reads.  A rejected step gives None
+    for both and evaluates no stage after the twelfth.
 
     Component i of stage s is the local ``ks_i`` (stage 1 is ``f0``), of
     the state ``yi`` and of the new state ``yni``.  Each stage is the
     chart's right-hand side from ``_rhs_lines``, after ``_CONSTANTS``
     once per step, so that the step calls no function but ``abs`` and
-    ``math.sqrt``: that spares 15 calls and their tuples per step.  Each
+    ``math.sqrt``: that spares 12 calls and their tuples per step.  Each
     sum runs over a row's nonzero weights in tableau order, and the error
     norm adds its squares in component order, with the scale
     max(|y_i|, |yn_i|) written ``b if b > a else a`` (a = |y_i|,
     b = |yn_i|): exactly the value ``max(a, b)`` returns, NaN included.
     """
     comps = range(NSTATE)
-
-    def names(s):
-        return "".join(f"k{s}_{i}, " for i in comps)
-
-    def tsum(row, i):
-        return " + ".join(f"{a!r} * k{j}_{i}" for j, a in row)
-
-    def stage(s):
-        c, row = _A[s]
-        return _rhs_lines(chart, f"k{s}", f"x + {c!r} * h",
-                          [f"y{i} + h * ({tsum(row, i)})" for i in comps])
-
-    body = ["".join(f"y{i}, " for i in comps) + "= y", f"{names(1)}= f0", *_CONSTANTS]
+    body = [_names("y") + "= y", _names("k1_") + "= f0", *_CONSTANTS]
     for s in range(2, 13):
-        body += stage(s)
-    body += [f"yn{i} = y{i} + h * ({tsum(_B, i)})" for i in comps]
-    body += [f"y_new = [{', '.join(f'yn{i}' for i in comps)}]", "s5 = 0.0", "s3 = 0.0"]
+        body += _stage(chart, s)
+    body += [f"yn{i} = y{i} + h * ({_stage_sum(_B, i)})" for i in comps]
+    body += [f"y_new = [{_names('yn')}]", "s5 = 0.0", "s3 = 0.0"]
     for i in comps:
         body += [f"a = abs(y{i})", f"b = abs(yn{i})",
                  "sc = atol + rtol * (b if b > a else a)",
-                 f"e = ({tsum(_E5, i)}) / sc", "s5 += e * e",
-                 f"e = ({tsum(_E3, i)}) / sc", "s3 += e * e"]
+                 f"e = ({_stage_sum(_E5, i)}) / sc", "s5 += e * e",
+                 f"e = ({_stage_sum(_E3, i)}) / sc", "s3 += e * e"]
     # d is 0 only when both estimates vanish: err is then 0.  Plus 0 * yn_i:
     # +-0 for a finite yn_i, so err keeps its bits, and NaN for an inf or
     # NaN one, which the scale hides
@@ -290,15 +320,36 @@ def _step_source(chart):
              f"err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * {NSTATE})) + ({fold})",
              "if not err <= 1.0:", "    return y_new, None, err, None"]
     body += _rhs_lines(chart, "k13", "x + h", [f"yn{i}" for i in comps])
+    body.append(f"return y_new, ({_names('k13_')}), err, [{_RECORD}]")
+    return (f"def dopri5_step_{chart.lower()}(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
+            + "\n    ".join(body) + "\n")
+
+
+def _dense_source(chart):
+    """Source text of ``dense_a`` or ``dense_b``, the dense output of one
+    accepted step of the chart from its record.
+
+    dense(x, rec, c0, lam, p) takes the step's start ``x`` and the record
+    ``rec`` its step gave (see ``_step_source``), evaluates the stages
+    14-16, the chart's right-hand side pasted as in the step, and gives
+    the NROWS * NSTATE floats of the step's dense output as one flat
+    list: the rows y, F0..F6 of NSTATE each in storage order, so that
+    component i is ``cont[i::NSTATE]``.  These are the only stages of the
+    step that serve the dense output alone; its arithmetic is the step's,
+    so the rows are those of the eager DOP853 step bit for bit.  A stage
+    that divides by zero raises ``ZeroDivisionError`` as the step's
+    stages do; ``solver`` turns that into NaN rows.
+    """
+    comps = range(NSTATE)
+    body = [f"{_RECORD}= rec", *_CONSTANTS]
     for s in (14, 15, 16):
-        body += stage(s)
+        body += _stage(chart, s)
     body += [f"f0_{i} = yn{i} - y{i}" for i in comps]
     # the dense rows y, F0..F6, each a template in the component index i
     rows = ["y{i}", "f0_{i}", "h * k1_{i} - f0_{i}", "2.0 * f0_{i} - h * (k13_{i} + k1_{i})"]
-    rows += [f"h * ({tsum(d, '{i}')})" for d in _D]
-    body.append(f"return y_new, ({names(13)}), err, "
-                f"[{', '.join(r.format(i=i) for r in rows for i in comps)}]")
-    return (f"def dopri5_step_{chart.lower()}(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
+    rows += [f"h * ({_stage_sum(d, '{i}')})" for d in _D]
+    body.append(f"return [{', '.join(r.format(i=i) for r in rows for i in comps)}]")
+    return (f"def dense_{chart.lower()}(x, rec, c0, lam, p):\n    "
             + "\n    ".join(body) + "\n")
 
 
@@ -317,6 +368,8 @@ rhs_a = _compile(_rhs_source("A"), "rhs_a")
 rhs_b = _compile(_rhs_source("B"), "rhs_b")
 dopri5_step_a = _compile(_step_source("A"), "dopri5_step_a")
 dopri5_step_b = _compile(_step_source("B"), "dopri5_step_b")
+dense_a = _compile(_dense_source("A"), "dense_a")
+dense_b = _compile(_dense_source("B"), "dense_b")
 
 
 def kernel_backend() -> str:

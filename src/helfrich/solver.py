@@ -8,12 +8,17 @@ The profile is integrated in two coordinate charts:
   tangent down to the equator, where u'(z) = 0 is a regular point.
 
 The embedded DOP853 pair (8th order, with 5th- and 3rd-order error
-estimates) and a proportional-integral step controller supply a
-7th-order continuous extension on every accepted step; events (maximum
-of w, zero of w, chart switch, equator, positive blow-up) are located on
-the dense output by bisection.  No chart-A step is longer than its start
-radius, the distance to the axis singularity at r = 0, and a chart-B step
-near the equator keeps its stages away from the equator's removable pole.
+estimates) and a proportional-integral step controller take the steps;
+events (maximum of w, zero of w, chart switch, equator, positive
+blow-up) are located by bisection on the 7th-order continuous extension
+of the step they fall in.  That dense output is built only where it is
+read: the chart loop keeps each accepted step's record (see
+``kernels._step_source``) and completes the dense output of a step in
+which an event row changes sign, and a ``DenseSegment`` completes a step
+the first time a query touches it.  No chart-A step is longer than its
+start radius, the distance to the axis singularity at r = 0, and a
+chart-B step near the equator keeps its stages away from the equator's
+removable pole.
 
 The chart loop runs on Python floats and stores its steps in ``array('d')``:
 events and chart starts are tuples of floats, and a ``DenseSegment`` makes
@@ -270,14 +275,22 @@ class DenseSegment:
     """7th-order continuous extension over the accepted steps of one chart.
 
     It is built from the step nodes ``xs`` (ascending for chart A,
-    descending for chart B) and the dense-output rows ``conts`` as the
-    chart loop stores them, a list and a flat ``array('d')``, or as
-    array-likes.  The ndarrays ``xs``, shape (steps + 1,), and ``conts``,
-    shape (steps, NROWS, NSTATE), with ``conts[i]`` the ``kernels.NROWS``
-    rows of step i (its start state and the interpolant's rows F0..F6),
-    are made, and numpy imported, when a caller first reads them or
-    evaluates the segment; ``x_start``, ``x_end`` and ``ascending`` need
-    no numpy.
+    descending for chart B) and the steps' records ``records``, the
+    ``kernels.NREC`` floats per step that the step kernel gives (h, the
+    start state y, the new state and the stages its dense output reads),
+    flat, as the chart loop stores them in a list and an ``array('d')``;
+    with ``dense``, the chart's ``kernels.dense_a`` or ``dense_b``, and
+    ``params``, the (c0, lam, p) it takes.  A step's dense output, its
+    ``kernels.NROWS`` rows (y and the interpolant's F0..F6), is completed
+    from its record the first time a query touches the step, so a caller
+    that evaluates only part of a chart pays only for that part.  A
+    completion that raises gives NaN rows (see ``_dense_rows``).
+
+    The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
+    NSTATE), the start state of each step, need no completion; ``conts``,
+    shape (steps, NROWS, NSTATE), completes every step.  They are made,
+    and numpy imported, when a caller first reads them or evaluates the
+    segment; ``x_start``, ``x_end`` and ``ascending`` need no numpy.
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
@@ -286,8 +299,9 @@ class DenseSegment:
     the cost.
     """
 
-    def __init__(self, xs, conts, x_end: float):
-        self._raw_xs, self._raw_conts = xs, conts
+    def __init__(self, xs, records, x_end: float, dense, params):
+        self._raw_xs, self._records = xs, records
+        self._dense, self._params = dense, params
         self.x_start = float(xs[0])
         self.ascending = bool(xs[-1] >= xs[0])
         # trajectory may terminate mid-step at an event
@@ -299,20 +313,47 @@ class DenseSegment:
         return np.asarray(self._raw_xs, dtype=float)
 
     @cached_property
+    def nodes(self) -> np.ndarray:
+        import numpy as np
+        n = kernels.NSTATE
+        return np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)[:, 1:1 + n]
+
+    @property
     def conts(self) -> np.ndarray:
         import numpy as np
-        return np.asarray(self._raw_conts, dtype=float).reshape(
-            -1, kernels.NROWS, kernels.NSTATE)
+        return self._fill(np.arange(len(self._raw_xs) - 1))
+
+    @cached_property
+    def _table(self):
+        # every step's rows, and which of them are completed
+        import numpy as np
+        n = len(self._raw_xs) - 1
+        return np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
 
     @cached_property
     def _key(self) -> np.ndarray:
         return self.xs if self.ascending else -self.xs
 
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        # (NROWS, NSTATE, steps) view: a query takes the steps of the components it
+    def _fill(self, idx: np.ndarray) -> np.ndarray:
+        """The (steps, NROWS, NSTATE) table, with the steps ``idx`` completed."""
+        import numpy as np
+        conts, done = self._table
+        # a mask, not np.unique, which imports numpy.ma on its first call
+        todo = np.zeros_like(done)
+        todo[idx] = True
+        todo = np.flatnonzero(todo & ~done).tolist()
+        if todo:
+            xs, recs, m = self._raw_xs, self._records, kernels.NREC
+            rows = [_dense_rows(self._dense, xs[i], recs[m * i:m * i + m], *self._params)
+                    for i in todo]
+            conts[todo] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
+            done[todo] = True
+        return conts
+
+    def _rows(self, idx: np.ndarray, cols) -> np.ndarray:
+        # (NROWS, components, n): a query takes the steps of the components it
         # reads, so each row it computes on is contiguous along the queries
-        return self.conts.transpose(1, 2, 0)
+        return self._fill(idx).transpose(1, 2, 0)[:, cols].take(idx, axis=-1)
 
     def _locate(self, x: np.ndarray):
         import numpy as np
@@ -336,7 +377,7 @@ class DenseSegment:
     def eval_many(self, x, cols=slice(None)) -> np.ndarray:
         import numpy as np
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
-        return _interpolant(self._rows[:, cols].take(idx, axis=-1), th).T
+        return _interpolant(self._rows(idx, cols), th).T
 
     def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
         """Derivative of the components ``cols`` selects with respect to
@@ -344,7 +385,7 @@ class DenseSegment:
         import numpy as np
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         h = self.xs[idx + 1] - self.xs[idx]
-        _, r2, r3, r4, r5, r6, r7, r8 = self._rows[:, cols].take(idx, axis=-1)
+        _, r2, r3, r4, r5, r6, r7, r8 = self._rows(idx, cols)
         # the nested form of ``_interpolant`` differentiated from the
         # inside out: a level v = r + t w, where t is theta or 1 - theta and
         # w the level inside it, has the derivative dv = +-w + t dw
@@ -460,6 +501,19 @@ def _interpolant(cont, th):
     return r1 + th * (r2 + u * (r3 + th * (r4 + u * (r5 + th * (r6 + u * (r7 + th * r8))))))
 
 
+def _dense_rows(dense, x, rec, c0, lam, p):
+    """The NROWS * NSTATE dense rows of the accepted step that starts at x
+    and has the record ``rec``, from the chart's ``kernels.dense_a`` or
+    ``dense_b``; all NaN where a stage there divides by zero.  Only chart
+    B's can, by its 1/s or 1/u at exactly 0 (chart A's divides by r > 0
+    and by P >= 1): where the eager step rejected such a step, the step is
+    kept and its interpolant is NaN."""
+    try:
+        return dense(x, rec, c0, lam, p)
+    except ZeroDivisionError:
+        return [math.nan] * (kernels.NROWS * kernels.NSTATE)
+
+
 def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     """Theta in [lo, hi] where one component's step polynomial, with the
     NROWS coefficients ``c``, crosses ``target``; bisects until |h| times
@@ -479,13 +533,15 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     return 0.5 * (lo + hi)
 
 
-def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
+def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
                event_table, steps_budget):
     """Adaptive loop on one chart.
 
     ``event_table`` holds one (kind, component, target, downward,
     terminal) row per event; hits inside one step are recorded by theta,
-    and in table order where theta ties.  Returns (segment, events,
+    and in table order where theta ties.  The loop keeps each accepted
+    step's record and completes its dense output with ``dense_fn`` only
+    on a step where an event row changes sign, to bisect it.  Returns (segment, events,
     steps_used); the last event ends the chart: a terminal row's, or
     ``Aborted`` when the step budget or x_limit did.
     """
@@ -516,7 +572,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
     floor_abs = 0.0 if axis_cap else 1.0
 
     xs = [x]
-    conts = array("d")  # NROWS dense-output rows per accepted step, flat
+    records = array("d")  # kernels.NREC floats per accepted step, flat
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -531,7 +587,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         # the budget is tested before the step size, x_limit after it
         if steps >= steps_budget or remaining <= h_min <= h:
             events.append(Event(ABORTED, chart, x, tuple(y)))
-            return _make_segment(xs, conts, x, y), events, steps
+            return _make_segment(xs, records, x, y, dense_fn, params), events, steps
         if h < h_min:
             raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
         h_use = remaining if remaining < h else h
@@ -548,7 +604,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             h_use = d / EQUATOR_THETA if h_use * EQUATOR_THETA >= d else 0.5 * d
 
         try:
-            y1, f1, err, cont = step_fn(x, y, direction * h_use, f, c0, lam, p,
+            y1, f1, err, rec = step_fn(x, y, direction * h_use, f, c0, lam, p,
                                         rtol, atol)
         except (OverflowError, ZeroDivisionError):
             # a stage left the float range (ndarrays would give inf or nan)
@@ -565,16 +621,19 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
             continue
 
         hd = direction * h_use
-        conts.fromlist(cont)
+        records.fromlist(rec)
         x_new = x + hd
         xs.append(x_new)
 
-        # event scan on this step; component i of the step is cont[i::NSTATE]
-        hits = None
+        # event scan on this step; component i of its dense output is
+        # cont[i::NSTATE]
+        hits = cont = None
         for kind, i, target, downward, terminal in event_table:
             g0 = y[i] - target
             g1 = y1[i] - target
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
+                if cont is None:
+                    cont = _dense_rows(dense_fn, x, rec, c0, lam, p)
                 th = _bisect_step(cont[i::kernels.NSTATE], target, hd, x, cfg.event_tol)
                 if hits is None:
                     hits = []
@@ -587,7 +646,7 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, chart, x_ev, y_ev))
                 if terminal:
-                    return _make_segment(xs, conts, x_ev, y), events, steps
+                    return _make_segment(xs, records, x_ev, y, dense_fn, params), events, steps
 
         x, y, f = x_new, y1, f1
 
@@ -601,12 +660,13 @@ def _run_chart(step_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
         err_prev = 1e-4 if 1e-4 > err else err
 
 
-def _make_segment(xs, conts, x_end, y) -> DenseSegment:
-    if not conts:
-        # a chart that took no step: one zero-length step holding its state y
+def _make_segment(xs, records, x_end, y, dense, params) -> DenseSegment:
+    if not records:
+        # a chart that took no step: one zero-length step from y to y, with
+        # zero stages, whose interpolant is y
         xs = [xs[0], xs[0]]
-        conts = array("d", list(y) + [0.0] * ((kernels.NROWS - 1) * kernels.NSTATE))
-    return DenseSegment(xs, conts, x_end)
+        records = array("d", [0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
+    return DenseSegment(xs, records, x_end, dense, (params.c0, params.lam, params.p))
 
 
 def integrate(params: HelfrichParams, w0p: float,
@@ -639,7 +699,7 @@ def integrate(params: HelfrichParams, w0p: float,
         (BLOWUP_POSITIVE, 0, +cfg.w_switch, False, True),
     ]
     seg_a, events, used = _run_chart(
-        kernels.dopri5_step_a, kernels.rhs_a, "A",
+        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, "A",
         eps, series_start(params, w0p, eps, a), +1, r_max, params, cfg, table_a,
         cfg.max_steps,
     )
@@ -651,7 +711,7 @@ def integrate(params: HelfrichParams, w0p: float,
     z_sw = term.state[2]
     z_limit = z_sw - cfg.w_switch * r_max  # finiteness cap for the descent
     seg_b, events_b, _ = _run_chart(
-        kernels.dopri5_step_b, kernels.rhs_b, "B",
+        kernels.dopri5_step_b, kernels.dense_b, kernels.rhs_b, "B",
         z_sw, chart_switch(term.x, term.state), -1, z_limit, params, cfg,
         [(EQUATOR, 1, 0.0, False, True)], cfg.max_steps - used,
     )

@@ -272,14 +272,22 @@ def test_surface_totals_match_requadrature(c0, lam, p, w0p):
 
 def _linear_segment(xs, x_end, lead, slope, rest):
     """A dense segment whose component 0 is ``lead + slope (x - xs[0])``
-    and whose other two are the constants ``rest``, written as the
-    interpolant rows y and F0 of each step."""
+    and whose other two are the constants ``rest``: each step's record
+    holds its h and start state, from which a stand-in completion writes
+    the interpolant rows y and F0."""
     xs = np.asarray(xs, dtype=float)
-    conts = np.zeros((len(xs) - 1, kernels.NROWS, kernels.NSTATE))
-    conts[:, 0, 0] = lead + slope * (xs[:-1] - xs[0])
-    conts[:, 0, 1:] = rest
-    conts[:, 1, 0] = slope * np.diff(xs)
-    return DenseSegment(xs, conts, x_end)
+    records = np.zeros((len(xs) - 1, kernels.NREC))
+    records[:, 0] = np.diff(xs)
+    records[:, 1] = lead + slope * (xs[:-1] - xs[0])
+    records[:, 2:1 + kernels.NSTATE] = rest
+
+    def dense(x, rec, c0, lam, p):
+        rows = [0.0] * (kernels.NROWS * kernels.NSTATE)
+        rows[:kernels.NSTATE] = rec[1:1 + kernels.NSTATE]
+        rows[kernels.NSTATE] = slope * rec[0]
+        return rows
+
+    return DenseSegment(xs, records.ravel(), x_end, dense, (0.0, 0.0, 0.0))
 
 
 def test_surface_totals_gauss_legendre_exact_with_cut_last_step():

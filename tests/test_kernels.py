@@ -155,10 +155,10 @@ def test_dense_output_consistency_and_order(paper_params):
         f0 = kernels.rhs_a(r0, y0.tolist(), c0, lam, p)
         # tolerances loose enough that the step is accepted and has a
         # dense output at either size
-        y1, f1, err, cont = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
-                                                  p, 1e-6, 1e-6)
+        y1, f1, err, rec = kernels.dopri5_step_a(r0, y0.tolist(), h, f0, c0, lam,
+                                                 p, 1e-6, 1e-6)
         assert err <= 1.0
-        y1, cont = np.asarray(y1), np.reshape(cont, (kernels.NROWS, kernels.NSTATE))
+        y1, cont = np.asarray(y1), _dense_rows("A", r0, rec, c0, lam, p)
         th, u = 0.5, 0.5
         mid = cont[0] + th * (cont[1] + u * (cont[2] + th * (cont[3] + u * (
             cont[4] + th * (cont[5] + u * (cont[6] + th * cont[7]))))))
@@ -217,15 +217,18 @@ def test_jit_and_python_paths_agree(paper_params):
     path = "numba against python" if JIT_ENABLED else "python only, identity checked"
     print(f"kernel paths compared: {path}")
     for chart, rhs, step, x, y, h in cases:
+        dense = _dense(chart)
         f0 = rhs(x, y, c0, lam, p)
         got = step(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+        got += (dense(x, got[3], c0, lam, p),)
         assert all(np.all(np.isfinite(v)) for v in got), chart
         if not JIT_ENABLED:
-            assert _unjitted(rhs) is rhs and _unjitted(step) is step, chart
+            assert all(_unjitted(f) is f for f in (rhs, step, dense)), chart
             continue
         f0_py = _unjitted(rhs)(x, y, c0, lam, p)
         assert np.array_equal(f0, f0_py), chart
         want = _unjitted(step)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+        want += (_unjitted(dense)(x, want[3], c0, lam, p),)
         for a, b in zip(got, want):
             assert np.allclose(a, b, rtol=1e-15, atol=1e-18), chart
 
@@ -235,6 +238,18 @@ _ORACLES = {
     "B": (kernels.rhs_b, "dopri5_step_b", rhs_chart_b_arr, make_step_arr(rhs_chart_b_arr)),
 }
 _finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _dense(chart):
+    """The chart's completion, ``kernels.dense_a`` or ``dense_b``."""
+    return getattr(kernels, f"dense_{chart.lower()}")
+
+
+def _dense_rows(chart, x, rec, c0, lam, p):
+    """The dense output the chart's completion gives from an accepted
+    step's record, as an (NROWS, NSTATE) ndarray."""
+    cont = _dense(chart)(x, rec, c0, lam, p)
+    return np.reshape(cont, (kernels.NROWS, kernels.NSTATE))
 
 
 @st.composite
@@ -263,10 +278,12 @@ def _match_oracle(chart, x, y, h, c0, lam, p, rtol, atol):
     """Run the float step and its ndarray twin on one case and assert that
     they agree: y_new bit for bit; err too, except that err is not finite
     wherever y_new is not (the ndarray err can be finite there); and, on
-    a step both accept, f_new and the dense rows bit for bit.  Where a
-    float stage leaves the double range and raises, the ndarray step gave
-    a value that is not finite, which the solver rejects alike.  Returns
-    whether the step was accepted."""
+    a step both accept, f_new and the dense rows, which the completion
+    makes from the step's record, bit for bit.  Where a float stage of
+    the step leaves the double range and raises, the ndarray step gave a
+    value that is not finite, which the solver rejects alike; where a
+    stage of the completion raises, the ndarray step's dense rows are not
+    all finite.  Returns whether the step was accepted."""
     rhs, step_name, rhs_arr, step_arr = _ORACLES[chart]
     f0 = rhs(x, y, c0, lam, p)
     with np.errstate(all="ignore"):
@@ -278,18 +295,22 @@ def _match_oracle(chart, x, y, h, c0, lam, p, rtol, atol):
     except (OverflowError, ZeroDivisionError):
         assert not all(np.all(np.isfinite(v)) for v in want if v is not None)
         return False
-    y_new, f_new, err, cont = got
+    y_new, f_new, err, rec = got
     assert np.array_equal(y_new, want[0], equal_nan=True)
     if not np.all(np.isfinite(want[0])):
-        assert not math.isfinite(err) and f_new is None and cont is None
+        assert not math.isfinite(err) and f_new is None and rec is None
         return False
     assert err == want[2] or (math.isnan(err) and math.isnan(want[2]))
     if want[3] is None:
-        assert f_new is None and cont is None
+        assert f_new is None and rec is None
         return False
     assert np.array_equal(f_new, want[1], equal_nan=True)
-    assert np.array_equal(np.reshape(cont, (kernels.NROWS, kernels.NSTATE)), want[3],
-                          equal_nan=True)
+    try:
+        cont = _dense_rows(chart, x, rec, c0, lam, p)
+    except ZeroDivisionError:
+        assert not np.all(np.isfinite(want[3]))
+        return True
+    assert np.array_equal(cont, want[3], equal_nan=True)
     return True
 
 
@@ -307,16 +328,19 @@ def test_float_kernels_match_ndarray_oracle_bit_for_bit(case):
 
 @pytest.mark.parametrize("chart", "AB")
 def test_step_returns_python_floats(chart):
-    """Every value the step gives back is a Python float: an np.float64
-    (from np.sqrt or an ndarray element) would triple the cost of a step."""
+    """Every value the step and its completion give back is a Python
+    float: an np.float64 (from np.sqrt or an ndarray element) would triple
+    the cost of a step."""
     rhs, step_name = _ORACLES[chart][:2]
     x, y, h = ((0.5, [0.02, 0.04, 0.001], 0.05) if chart == "A"
                else (-0.3, [2.0, -0.1, -1.2], -0.01))
     f0 = rhs(x, y, 1.0, 0.25, 1.0)
-    y_new, f_new, err, cont = getattr(kernels, step_name)(x, y, h, f0, 1.0, 0.25,
-                                                          1.0, 1e-10, 1e-12)
-    values = [*f0, *y_new, *f_new, err, *cont]
-    assert len(values) == 3 * kernels.NSTATE + 1 + kernels.NROWS * kernels.NSTATE == 34
+    y_new, f_new, err, rec = getattr(kernels, step_name)(x, y, h, f0, 1.0, 0.25,
+                                                         1.0, 1e-10, 1e-12)
+    cont = _dense(chart)(x, rec, 1.0, 0.25, 1.0)
+    values = [*f0, *y_new, *f_new, err, *rec, *cont]
+    assert len(values) == (3 * kernels.NSTATE + 1 + kernels.NREC
+                           + kernels.NROWS * kernels.NSTATE) == 68
     assert all(type(v) is float for v in values), {type(v) for v in values}
 
 
@@ -340,12 +364,12 @@ def test_error_norm_ties_and_signed_zeros(chart, x, y, h, params):
     want = step_arr(x, np.array(y), h,
                     rhs_arr(x, np.array(y), c0, lam, p, np.empty(kernels.NSTATE)),
                     c0, lam, p, 1e-10, 1e-12)
-    y_new, _, err, cont = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p,
-                                                      1e-10, 1e-12)
+    y_new, _, err, rec = getattr(kernels, step_name)(x, y, h, f0, c0, lam, p,
+                                                     1e-10, 1e-12)
     if params == (0.0, 0.0, 0.0):
         assert all(abs(a) == abs(b) for a, b in zip(y_new, y))
     assert err <= 1.0 and err.hex() == float(want[2]).hex()
-    assert np.array_equal(np.reshape(cont, (kernels.NROWS, kernels.NSTATE)).view(np.uint64),
+    assert np.array_equal(_dense_rows(chart, x, rec, c0, lam, p).view(np.uint64),
                           want[3].view(np.uint64))
 
 
@@ -378,17 +402,21 @@ def test_tableau_rows_equal_scipy_dop853():
     assert [dense(row, n) for row in kernels._D] == ref.D.tolist()
 
 
-@pytest.mark.parametrize("step_name, rhs", [("dopri5_step_a", kernels.rhs_a),
-                                            ("dopri5_step_b", kernels.rhs_b)])
-def test_step_coefficients_are_literals(step_name, rhs):
-    """The step looks up no global but ``abs`` and ``math.sqrt``: the
-    tableau's weights and NSTATE are constants of its code, not hundreds of
-    module lookups per call, and its chart's right-hand side is pasted into
-    its stages rather than called."""
-    step = _unjitted(getattr(kernels, step_name))
-    assert set(step.__code__.co_names) == {"abs", "math", "sqrt"}
-    assert "rhs" not in step.__globals__
-    assert _unjitted(rhs).__name__ not in step.__globals__
+@pytest.mark.parametrize("name, rhs", [("dopri5_step_a", kernels.rhs_a),
+                                       ("dopri5_step_b", kernels.rhs_b),
+                                       ("dense_a", kernels.rhs_a),
+                                       ("dense_b", kernels.rhs_b)])
+def test_step_coefficients_are_literals(name, rhs):
+    """The step looks up no global but ``abs`` and ``math.sqrt``, and its
+    completion none but ``math.sqrt``, which keeps both in the subset numba
+    compiles: the tableau's weights and NSTATE are constants of their code,
+    not hundreds of module lookups per call, and the chart's right-hand
+    side is pasted into their stages rather than called."""
+    kernel = _unjitted(getattr(kernels, name))
+    names = {"math", "sqrt"} if name.startswith("dense") else {"abs", "math", "sqrt"}
+    assert set(kernel.__code__.co_names) == names
+    assert "rhs" not in kernel.__globals__
+    assert _unjitted(rhs).__name__ not in kernel.__globals__
 
 
 class _CountingMath:
@@ -405,23 +433,30 @@ class _CountingMath:
 
 
 def test_rejected_step_calls_no_stage_after_twelve():
-    """An accepted step evaluates stages 2-16 (stage 1 is its argument), a
-    rejected one stages 2-12 only: 16 and 12 square roots with the error
-    norm's."""
+    """An accepted step evaluates stages 2-13 (stage 1 is its argument), a
+    rejected one stages 2-12 only: 13 and 12 square roots with the error
+    norm's.  The completion evaluates stages 14-16 only: 3 square roots."""
     cases = {"A": (0.5, [0.02, 0.04, 0.001], 0.05, 5.0),
              "B": (-0.3, [2.0, -0.1, -1.2], -0.01, -0.5)}
     for chart, (x, y, h_ok, h_bad) in cases.items():
-        name = f"dopri5_step_{chart.lower()}"
+        step_name, dense_name = f"dopri5_step_{chart.lower()}", f"dense_{chart.lower()}"
         counter = _CountingMath()
         namespace = {"math": counter}
         exec(compile(kernels._step_source(chart), "<step>", "exec"), namespace)
+        exec(compile(kernels._dense_source(chart), "<dense>", "exec"), namespace)
         rhs = _ORACLES[chart][0]
         f0 = rhs(x, y, 1.0, 0.25, 1.0)
-        for h, accepted, n_sqrt in ((h_ok, True, 16), (h_bad, False, 12)):
+        records = []
+        for h, accepted, n_sqrt in ((h_ok, True, 13), (h_bad, False, 12)):
             counter.calls = 0
-            _, f_new, err, _ = namespace[name](x, y, h, f0, 1.0, 0.25, 1.0, 1e-10, 1e-12)
+            _, f_new, err, rec = namespace[step_name](x, y, h, f0, 1.0, 0.25, 1.0,
+                                                      1e-10, 1e-12)
             assert (err <= 1.0) is accepted and (f_new is not None) is accepted, chart
             assert counter.calls == n_sqrt, chart
+            records.append(rec)
+        counter.calls = 0
+        namespace[dense_name](x, records[0], 1.0, 0.25, 1.0)
+        assert counter.calls == 3, chart
 
 
 def _bits(values):

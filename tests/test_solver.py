@@ -326,10 +326,10 @@ def test_float_overflow_in_a_step_rejects_it():
     x, y = 1.0, [0.5, 0.1, 0.0]
     f0 = kernels.rhs_a(x, y, c0, lam, p)
     # stage 2 holds w = 0.5 + 1e120 A21 f0[0], whose cube is beyond 1.8e308
-    y_new, f_new, err, cont = kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p,
-                                                    1e-10, 1e-12)
+    y_new, f_new, err, rec = kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p,
+                                                   1e-10, 1e-12)
     assert not math.isfinite(err) and not all(map(math.isfinite, y_new))
-    assert f_new is None and cont is None
+    assert f_new is None and rec is None
     with np.errstate(all="ignore"):
         y_arr = make_step_arr(rhs_chart_a_arr)(x, np.array(y), 1e120, np.array(f0), c0, lam,
                                                p, 1e-10, 1e-12)[0]
@@ -341,8 +341,8 @@ def test_float_overflow_in_a_step_rejects_it():
         asked.append(h)
         return kernels.dopri5_step_a(x, y, 1e120 if len(asked) == 1 else h, *rest)
 
-    seg, events, steps = _run_chart(step, kernels.rhs_a, "A", x, y, +1, 2.0, PAPER,
-                                    SolverConfig(), [], 1000)
+    seg, events, steps = _run_chart(step, kernels.dense_a, kernels.rhs_a, "A", x, y, +1,
+                                    2.0, PAPER, SolverConfig(), [], 1000)
     assert asked[1] == 0.1 * asked[0]
     assert steps >= len(seg.xs)  # more tries than accepted steps
     assert [ev.kind for ev in events] == [ABORTED] and seg.x_end == 2.0
@@ -371,7 +371,7 @@ def test_step_whose_new_state_overflows_has_non_finite_err():
         return kernels.dopri5_step_a(x, y, h, *rest)
 
     seg, events, steps = _run_chart(
-        step, kernels.rhs_a, "A", x, y, 1.0, 3e300, HelfrichParams(0.0, 0.0, 0.0),
+        step, kernels.dense_a, kernels.rhs_a, "A", x, y, 1.0, 3e300, HelfrichParams(0.0, 0.0, 0.0),
         SolverConfig(), [], 1)
     assert steps == 1
     assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
@@ -463,6 +463,77 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
     assert extract_landmarks(ref_traj) == ref_landmarks
 
 
+def _record_completions(monkeypatch):
+    """Wrap ``kernels.dense_a``/``_b``, which ``integrate`` hands to the
+    chart loop and the segments it makes, so that each call records the
+    start x of the step it completes, per chart."""
+    calls = {"A": [], "B": []}
+    for chart in calls:
+        name = f"dense_{chart.lower()}"
+
+        def counted(x, rec, c0, lam, p, _calls=calls[chart], _dense=getattr(kernels, name)):
+            _calls.append(x)
+            return _dense(x, rec, c0, lam, p)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def _event_steps(traj, chart):
+    """Start x of each step of the chart that holds an event."""
+    seg = traj.chart_a if chart == "A" else traj.chart_b
+    sign = 1.0 if seg.ascending else -1.0
+    evx = np.array([ev.x for ev in traj.events if ev.chart == chart])
+    idx = np.searchsorted(sign * seg.xs, sign * evx, side="right") - 1
+    return sorted(set(seg.xs[idx].tolist()))
+
+
+def test_dense_output_is_completed_only_where_read(monkeypatch):
+    """A sweep cell completes the dense output of the steps that hold an
+    event, to bisect them, and of no other step.  ``check_single`` then
+    completes no chart-B step, as it reads chart B's ``nodes``, the start
+    states the step records keep, and no chart-A step that starts at or
+    beyond r0, as it evaluates chart A on (0, r0] only."""
+    calls = _record_completions(monkeypatch)
+    traj = integrate(PAPER, 0.05)
+    want = {chart: _event_steps(traj, chart) for chart in "AB"}
+    assert [len(want[chart]) for chart in "AB"] == [3, 1]
+    assert {chart: sorted(calls[chart]) for chart in "AB"} == want
+
+    for c in calls.values():
+        c.clear()
+    from helfrich.bounds import _phase_cell, check_single, solve
+    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 0.05), None)
+    assert cell.classification == BICONCAVE
+    assert {chart: sorted(calls[chart]) for chart in "AB"} == want
+
+    traj, lm, _ = solve(PAPER, 0.05)
+    for c in calls.values():
+        c.clear()
+    assert check_single(traj, lm).passed
+    assert calls["B"] == []
+    starts = traj.chart_a.xs[:-1].tolist()
+    assert sorted(calls["A"]) == [x for x in starts if x < lm.r0] != starts
+    # the nodes are the completed rows y, bit for bit
+    for seg in (traj.chart_a, traj.chart_b):
+        assert np.array_equal(seg.nodes.view(np.uint64), seg.conts[:, 0, :].view(np.uint64))
+
+
+def test_raising_completion_gives_nan_rows():
+    """A stage of chart B's completion divides by s and by u.  Where it
+    meets s = 0 exactly it raises, as a stage of the step does; the step
+    is accepted by then, so its dense output is NaN rows, not an
+    exception.  Here y = (1, 0, 0) and every stage is 0, so stage 14 is at
+    s = 0."""
+    rec = [-0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0] + [0.0] * (kernels.NREC - 7)
+    with pytest.raises(ZeroDivisionError):
+        kernels.dense_b(-1.0, rec, PAPER.c0, PAPER.lam, PAPER.p)
+    seg = DenseSegment([-1.0, -1.1], rec, -1.1, kernels.dense_b,
+                       (PAPER.c0, PAPER.lam, PAPER.p))
+    assert np.isnan(seg.eval_many([-1.0, -1.05])).all()
+    assert np.isnan(seg.conts).all() and seg.nodes.tolist() == [[1.0, 0.0, 0.0]]
+
+
 def test_run_chart_records_tied_events_in_table_order(ref_traj):
     """Rows that cross at the same theta are recorded in table order up to
     the first terminal one, which ends the chart as its last event."""
@@ -471,7 +542,8 @@ def test_run_chart_records_tied_events_in_table_order(ref_traj):
     table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
              ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
     seg, events, _ = _run_chart(
-        kernels.dopri5_step_a, kernels.rhs_a, "A", eps, series_start(params, w0p, eps),
+        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, "A", eps,
+        series_start(params, w0p, eps),
         +1, 1e3 * math.sqrt(w0p / params.p + 1.0), params, SolverConfig(), table,
         1_000_000)
     assert [ev.kind for ev in events] == ["second", "first", "end"]
@@ -558,6 +630,5 @@ def test_overflowing_chart_start_is_invalid_params():
         integrate(HelfrichParams(1.0, 0.25, 1e300), 0.05)
     # w^3 overflows in the right-hand side itself, which gives nan
     with pytest.raises(InvalidParams, match="start of chart A"):
-        _run_chart(kernels.dopri5_step_a, kernels.rhs_a, "A", 1e-5,
-                   [1e110, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(),
-                   [], 10)
+        _run_chart(kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, "A", 1e-5,
+                   [1e110, 0.0, 0.0], +1, 1.0, PAPER, SolverConfig(), [], 10)
