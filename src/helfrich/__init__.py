@@ -1,10 +1,10 @@
 """Axisymmetric vesicle shape-equation solver and verification harness.
 
-The package integrates the second-order profile equation for w = z'(r)
-from a series start at the rotation axis, switches to inverse-graph
-coordinates through the vertical tangent, detects the equator as a
-regular event, classifies solutions as biconcave (or otherwise), and
-checks every quantitative estimate the analysis provides.
+The package integrates the shape equation in arc length from a series
+start at the rotation axis, through the vertical tangent, to the equator,
+which it detects as a regular event; it classifies solutions as
+biconcave (or otherwise), and checks every quantitative estimate the
+analysis provides.
 """
 
 from .cubic import (
@@ -20,15 +20,14 @@ from .kernels import kernel_backend
 from .solver import (
     ABORTED,
     BLOWUP_POSITIVE,
-    CHART_SWITCH,
     EQUATOR,
     MAX_OF_W,
+    STEEP,
     ZERO_OF_W,
     Event,
     SolverConfig,
     Trajectory,
     axis_coefficients,
-    chart_switch,
     integrate,
     series_coefficient,
     series_start,

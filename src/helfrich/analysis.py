@@ -92,7 +92,9 @@ def extract_landmarks(traj: Trajectory) -> Landmarks:
     """Read landmarks and the count of critical points of w off the event
     list; no dense output is evaluated.
 
-    Each ``MaxOfW`` event is a downward sign change of w', found when w'
+    Radii and heights are the event states' r and z, the slopes
+    w = tan psi and w' = psi' / cos^3 psi of their angle psi and psi'.
+    Each ``MaxOfW`` event is a downward sign change of w', found when psi'
     changes sign between the ends of an accepted step.  w' starts
     positive (``series_start`` keeps |a3| eps^2 <= 0.01 w0p, so w' is near
     w0p there), and sign changes alternate, so the n ``MaxOfW`` events on
@@ -106,16 +108,14 @@ def extract_landmarks(traj: Trajectory) -> Landmarks:
 
     r_m = w_max = r0 = wp_r0 = z_r0 = r_inf = z_inf = n_crit = None
     if ev_max is not None:
-        r_m, w_max = ev_max.x, float(ev_max.state[0])
+        r_m, w_max = ev_max.state[0], math.tan(ev_max.state[2])
     if ev_zero is not None:
-        r0 = ev_zero.x
-        wp_r0 = float(ev_zero.state[1])
-        z_r0 = float(ev_zero.state[2])
-        n_max = sum(ev.kind == MAX_OF_W and ev.x < r0 for ev in traj.events)
+        r0, z_r0, psi, dpsi = ev_zero.state[:4]
+        wp_r0 = dpsi / math.cos(psi) ** 3
+        n_max = sum(ev.kind == MAX_OF_W and ev.x < ev_zero.x for ev in traj.events)
         n_crit = 2 * n_max - (wp_r0 < 0.0)
     if ev_eq is not None:
-        r_inf = float(ev_eq.state[0])
-        z_inf = ev_eq.x
+        r_inf, z_inf = ev_eq.state[:2]
     return Landmarks(r_m, w_max, r0, wp_r0, z_r0, r_inf, z_inf, n_crit)
 
 
@@ -142,57 +142,30 @@ def classify(traj: Trajectory, landmarks: Landmarks) -> Classification:
     return Classification(BICONCAVE, c1, c2, c3, "C1, C2, C3 all hold")
 
 
-def _graph_curvatures(r, w, wp):
-    import numpy as np
-    P = 1.0 + w * w
-    sq = np.sqrt(P)
-    return w / (r * sq), wp / (P * sq)
-
-
-def curvature_geometry(chart: str, x, y) -> tuple:
-    """(kappa_m, kappa_l, H, K) at chart states ``y``, shape (NSTATE,) or
-    (n, NSTATE): an ndarray, or a sequence of floats such as an event's
-    state.
-
-    Only the leading components are read, two on chart A and three on
-    chart B, so ``y`` may hold just those.
-
-    ``x`` is r on chart A and z on chart B, where the geometry does not
-    depend on it.  For |s| <= 1e-6 the chart-B curvatures use the
-    inverse-chart form.
+def curvature_geometry(y) -> tuple:
+    """(kappa_m, kappa_l, H, K) at states ``y`` (r, z, psi, psi', ...),
+    shape (NSTATE,) or (n, NSTATE): an ndarray, or a sequence of floats
+    such as an event's state.  kappa_m = sin psi / r and kappa_l = psi'.
     """
     import numpy as np
     y = np.asarray(y, dtype=float)
-    if chart == "A":
-        km, kl = _graph_curvatures(x, y[..., 0], y[..., 1])
-    else:
-        u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
-        P = s * s + 1.0
-        sq = np.sqrt(P)
-        # element-wise libm pow: numpy's vectorized power can differ from
-        # it in the last bit, and array and scalar evaluations must agree
-        s3 = np.asarray(np.frompyfunc(pow, 2, 1)(s, 3), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            km, kl = _graph_curvatures(u, 1.0 / s, -q / s3)
-        steep = np.abs(s) > 1e-6
-        km = np.where(steep, km, -1.0 / (u * sq))
-        kl = np.where(steep, kl, q / (P * sq))
+    km = np.sin(y[..., 2]) / y[..., 0]
+    kl = y[..., 3]
     return km, kl, 0.5 * (km + kl), km * kl
 
 
 def el_residual(traj: Trajectory) -> float:
-    """Max normalized residual of the variational integrand on chart A.
+    """Max normalized residual of the variational integrand in the graph
+    form w(r).
 
-    At 2000 samples on (0, r_switch], w and w' come from the axis series
-    below the chart's start and from the dense output beyond it, w'' from
-    their derivative; each sample's integrand is normalized by the largest
-    individual term so the result is a relative defect.
+    At 2000 samples on (0, r_switch], w, w' and w'' come from the axis
+    series below the start and from the dense output beyond it (see
+    ``Trajectory.eval_a``); each sample's integrand is normalized by the
+    largest individual term so the result is a relative defect.
     """
     import numpy as np
-    rs = np.linspace(0.0, traj.chart_a.x_end, 2001)[1:]
-    Y = traj.eval_a(rs, slice(0, 2))
-    wpp = traj.eval_a(rs, 1, deriv=True)
-    w, wp = Y[:, 0], Y[:, 1]
+    rs = np.linspace(0.0, traj.switch.state[0], 2001)[1:]
+    wp, wpp, w = traj.eval_a(rs, deriv=True).T
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     P = 1.0 + w * w
     sq = np.sqrt(P)
@@ -213,14 +186,14 @@ def equator_identity_residual(traj: Trajectory) -> float:
     """Relative defect of K(r_inf)^2 = (-1/r_inf) Q(-1/r_inf).
 
     K at the equator is the product of the meridional curvature -1/r_inf
-    and the longitudinal curvature u''(z_inf).
+    and the longitudinal curvature psi'(s_inf).
     """
     ev = traj.first_event(EQUATOR)
     if ev is None:
         raise MissingEvent("no Equator event in trajectory")
-    u = float(ev.state[0])
-    K2 = float(curvature_geometry("B", ev.x, ev.state)[3]) ** 2
-    target = (-1.0 / u) * eval_q(-1.0 / u, traj.params)
+    r = float(ev.state[0])
+    K2 = float(curvature_geometry(ev.state)[3]) ** 2
+    target = (-1.0 / r) * eval_q(-1.0 / r, traj.params)
     return abs(K2 - target) / max(K2, 1e-30)
 
 
@@ -232,58 +205,47 @@ _GL_W = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
          0.4786286704993663, 0.23692688505618928)
 
 
-def _quadratures(chart: str, lo, span, evaluate, params) -> np.ndarray:
+def _quadratures(lo, span, evaluate, params) -> np.ndarray:
     """Integrals of the area, volume and energy densities over the steps
-    [lo, lo + span] of one chart, with the chart states from ``evaluate``.
+    [lo, lo + span] of a variable x, with the states and ds/dx at x from
+    ``evaluate``.
 
     Each step gets the 5-point Gauss-Legendre rule.  The densities are
-    those of the upper half in the chart's variable: r sqrt(1+w^2),
-    r^2 w and [(2H+c0)^2 + lambda] r sqrt(1+w^2) per dr on chart A, and
-    -u sqrt(1+s^2), u^2 and [(2H+c0)^2 + lambda] (-u sqrt(1+s^2)) per dz
-    on chart B.
+    those of the upper half per unit arc length, r, r^2 sin psi and
+    [(2H+c0)^2 + lambda] r, times ds/dx.
     """
     import numpy as np
     x = (lo[:, None] + span[:, None] * (0.5 + 0.5 * np.array(_GL_X))).ravel()
-    y = evaluate(x)
-    H = curvature_geometry(chart, x, y)[2]
-    if chart == "A":
-        w = y[:, 0]
-        area = x * np.sqrt(1.0 + w * w)
-        vol = x * x * w
-    else:
-        u, s = y[:, 0], y[:, 1]
-        area = -u * np.sqrt(s * s + 1.0)
-        vol = u * u
-    energy = ((2.0 * H + params.c0) ** 2 + params.lam) * area
+    y, ds = evaluate(x)
+    area = y[:, 0] * ds
+    vol = y[:, 0] * y[:, 0] * np.sin(y[:, 2]) * ds
+    energy = ((2.0 * curvature_geometry(y)[2] + params.c0) ** 2 + params.lam) * area
     return (np.stack([area, vol, energy]).reshape(3, -1, 5) @ (0.5 * np.array(_GL_W))) @ span
-
-
-def _chart_quadratures(chart: str, seg, params) -> np.ndarray:
-    """``_quadratures`` over the accepted steps of one chart, the last one
-    cut at ``x_end``, on their degree-7 interpolants."""
-    import numpy as np
-    lo = seg.xs[:-1]
-    span = np.append(seg.xs[1:-1], seg.x_end) - lo
-    return _quadratures(chart, lo, span, seg.eval_many, params)
 
 
 def surface_totals(traj: Trajectory) -> SurfaceTotals:
     """Closed-surface area, enclosed volume, and bending energy.
 
-    The axis series on [0, eps], one Gauss-Legendre step, and the
-    quadrature of the dense output over both charts cover the upper half;
-    the reflection doubles them.  Volume uses the sign convention that
-    makes a convex body positive.
+    The axis series on [0, eps], one Gauss-Legendre step in r, and the
+    quadrature of every accepted step's interpolant in s, the last one
+    cut at the equator, cover the upper half; the reflection doubles
+    them.  Volume uses the sign convention that makes a convex body
+    positive.
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     import numpy as np
-    params = traj.params
+    params, seg = traj.params, traj.chart_a
+
+    def series(r):
+        y = traj.arc_eval(r)
+        return y, 1.0 / np.cos(y[:, 2])
+
+    lo = seg.xs[:-1]
     area_acc, vol_acc, energy_acc = (
-        _quadratures("A", np.zeros(1), np.array([traj.chart_a.x_start]),
-                     traj.series_eval, params)
-        + _chart_quadratures("A", traj.chart_a, params)
-        + _chart_quadratures("B", traj.chart_b, params))
+        _quadratures(np.zeros(1), np.array([seg.x_start]), series, params)
+        + _quadratures(lo, np.append(seg.xs[1:-1], seg.x_end) - lo,
+                       lambda s: (seg.eval_many(s), 1.0), params))
     area = 4.0 * math.pi * float(area_acc)
     volume = -2.0 * math.pi * float(vol_acc)
     energy = 4.0 * math.pi * float(energy_acc) + params.p * volume
@@ -315,17 +277,17 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
-    """(r, z - z_inf) samples from the axis to the equator, m + 1 points."""
+    """(r, z - z_inf) samples from the axis to the equator, m + 1 points:
+    evenly in r up to the ``Steep`` event, then evenly in z."""
     import numpy as np
-    seg_a, seg_b = traj.chart_a, traj.chart_b
-    m_b = max(8, m // 4)
-    m_a = m - m_b
-    rs = np.linspace(0.0, seg_a.x_end, m_a + 1)
-    a_part = np.stack([rs, traj.eval_a(rs, 2)], axis=1)
-    zs = np.linspace(seg_b.x_start, seg_b.x_end, m_b + 1)[1:]
-    us = seg_b.eval_many(zs, 0)
-    b_part = np.stack([us, zs], axis=1)
-    quarter = np.concatenate([a_part, b_part], axis=0)
-    quarter[:, 1] -= traj.first_event(EQUATOR).x
+    m_z = max(8, m // 4)
+    m_r = m - m_z
+    rs = np.linspace(0.0, traj.switch.state[0], m_r + 1)
+    r_part = np.stack([rs, traj.eval_a(rs, 2)], axis=1)
+    z_inf = traj.first_event(EQUATOR).state[1]
+    zs = np.linspace(traj.switch.state[1], z_inf, m_z + 1)[1:]
+    z_part = np.stack([traj.chart_a.eval_many(traj.s_at_z(zs), 0), zs], axis=1)
+    quarter = np.concatenate([r_part, z_part], axis=0)
+    quarter[:, 1] -= z_inf
     quarter[-1, 1] = 0.0  # exact by the shift definition
     return quarter

@@ -14,8 +14,7 @@ import pickle
 import signal
 from dataclasses import dataclass, field
 
-from .analysis import (BICONCAVE, Landmarks, classify, curvature_geometry,
-                       extract_landmarks)
+from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
 from .errors import HelfrichError, MissingEvent
 from .solver import EQUATOR, SolverConfig, Trajectory, integrate
@@ -125,13 +124,13 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs,
                          _scale_tol(z_r0, rhs or 0.0), info))
 
-    # pointwise re-assertions on (0, r0], the axis series below chart A's start
+    # pointwise re-assertions on (0, r0], the axis series below the start
     rs = np.linspace(0.0, r0, 4001)[1:]
     Y = traj.eval_a(rs, slice(0, 2))
     w, wp = Y[:, 0], Y[:, 1]
-    kap = curvature_geometry("A", rs, Y)[0]
     P = 1.0 + w * w
     sq = np.sqrt(P)
+    kap = w / (rs * sq)
     kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
     one_minus = 1.0 - rs * rs * kap * kap
 
@@ -188,15 +187,14 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     else:
         records.append(_make("NegAreaLower", False, None, None, _PTWISE_TOL))
 
-    # blow-down growth ratio w'^2 / (|w| (1+w^2)^(5/2)) on chart B, at the
-    # start states of its steps, which need no dense output
-    nodes = traj.chart_b.nodes
-    sb, qb = nodes[:, 1], nodes[:, 2]
-    Pb = sb * sb + 1.0
-    ratio = qb * qb / (Pb ** 2 * np.sqrt(Pb))
-    s_eq, q_eq = float(ev.state[1]), float(ev.state[2])
-    Peq = s_eq * s_eq + 1.0
-    limit_est = q_eq * q_eq / (Peq ** 2 * math.sqrt(Peq))
+    # blow-down growth ratio w'^2 / (|w| (1+w^2)^(5/2)) = psi'^2 / |sin psi|
+    # past the Steep event: there and at the start states of the later
+    # steps, which need no dense output
+    steep = traj.switch
+    seg = traj.chart_a
+    states = np.vstack([steep.state, seg.nodes[seg.xs[:-1] > steep.x]])
+    ratio = states[:, 3] ** 2 / np.abs(np.sin(states[:, 2]))
+    limit_est = ev.state[3] ** 2
     lhs = float(ratio.max())
     finite = bool(np.all(np.isfinite(ratio)))
     wa = Y[:, 0]

@@ -61,7 +61,8 @@ SOLVER_OPTS = [
     Opt("--rel-tol", "rel_tol", float, None, "relative tolerance"),
     Opt("--abs-tol", "abs_tol", float, None, "absolute tolerance"),
     Opt("--eps-start", "eps_start", float, None, "series start radius"),
-    Opt("--w-switch", "w_switch", float, None, "|w| threshold for the chart switch"),
+    Opt("--w-switch", "w_switch", float, None,
+        "slope w that ends a run as BlowUpPositive; -w_switch ends the profile's r-rows"),
     Opt("--r-max", "r_max", float, None, "abort radius"),
     Opt("--max-steps", "max_steps", int, None, "step budget"),
     Opt("--event-tol", "event_tol", float, None, "event location tolerance"),

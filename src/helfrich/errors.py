@@ -17,10 +17,6 @@ class EpsTooLarge(HelfrichError, ValueError):
     """Series start radius too large for the truncated expansion."""
 
 
-class BadSwitch(HelfrichError, ValueError):
-    """Chart switch requested at a state with w >= 0."""
-
-
 class StepUnderflow(HelfrichError, RuntimeError):
     """Adaptive step size collapsed below the resolvable scale."""
 

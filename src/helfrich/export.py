@@ -15,7 +15,7 @@ from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import _quarter_profile, curvature_geometry, mirror_quarter
-from .solver import Trajectory
+from .solver import EQUATOR, STEEP, Trajectory
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,31 +77,30 @@ def write_json(path, payload) -> None:
 def profile_rows(traj: Trajectory):
     """Profile samples as an (n, 7) array of (r, z, w, kappa_m, kappa_l, H, K).
 
-    One row on the axis, 1024 on chart A and, if the run reached chart B,
-    512 there.  The chart-A rows are spaced evenly on (0, r_switch], and
-    those below the chart's start come from the axis series.  Chart-B rows
-    are emitted r-indexed; the final row sits at the equator, where w is
-    -inf and the curvatures take their limit values.
+    One row on the axis, 1024 rows spaced evenly in r on (0, r_switch],
+    where the ``Steep`` event or the end of a run without one is, and, if
+    the run passed that event, 512 spaced evenly in z from there to its
+    end.  Rows below the start come from the axis series; w = tan psi, and
+    on the final row of an equator run, where psi = -pi/2, w is -inf.
     """
     import numpy as np
+    rs = np.linspace(0.0, traj.switch.state[0], 1025)[1:]
+    Y = traj.arc_eval(rs)
+    Y[:, 0] = rs  # the queried radii, which r(s(r)) gives to rounding
+    parts = [Y]
+    steep = traj.first_event(STEEP)
+    if steep is not None:
+        zs = np.linspace(steep.state[1], traj.events[-1].state[1], 513)[1:]
+        Y = traj.chart_a.eval_many(traj.s_at_z(zs))
+        Y[:, 1] = zs
+        parts.append(Y)
+    Y = np.concatenate(parts)
+    w = np.sin(Y[:, 2]) / np.cos(Y[:, 2])
+    if traj.status == EQUATOR:
+        w[-1] = -np.inf
     w0p = traj.w0p
-    rows = [np.array([[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]])]
-    rs = np.linspace(0.0, traj.chart_a.x_end, 1025)[1:]
-    Y = traj.eval_a(rs, slice(0, 3))
-    geom = curvature_geometry("A", rs, Y)
-    rows.append(np.stack([rs, Y[:, 2], Y[:, 0], *geom], axis=1))
-    if traj.chart_b is not None:
-        segb = traj.chart_b
-        zs = np.linspace(segb.x_start, segb.x_end, 513)[1:]
-        Y = segb.eval_many(zs, slice(0, 3))
-        u, s = Y[:, 0], Y[:, 1]
-        # w = 1/s < 0 on the descent; at the equator the interpolated s
-        # rounds to either side of 0, and w is -inf there or far below 0
-        with np.errstate(divide="ignore"):
-            w = -1.0 / np.abs(s)
-        geom = curvature_geometry("B", zs, Y)
-        rows.append(np.stack([u, zs, w, *geom], axis=1))
-    return np.concatenate(rows)
+    return np.concatenate([[[0.0, 0.0, 0.0, w0p, w0p, w0p, w0p * w0p]],
+                           np.stack([Y[:, 0], Y[:, 1], w, *curvature_geometry(Y)], axis=1)])
 
 
 def write_profile_csv(path, traj: Trajectory) -> None:

@@ -1,23 +1,23 @@
-"""Hot numerical kernels: shape-equation right-hand sides, the
-embedded DOP853 step and its dense-output completion, built once per
-coordinate chart.
+"""Hot numerical kernels: the shape equation's right-hand side in arc
+length, the embedded DOP853 step and its dense-output completion.
 
-State layout, chart A (independent variable r):
-    y = [w, wp, z]
-with w = z'(r) and wp = w'(r).
+State layout (independent variable s, the arc length of the meridian):
+    y = [r, z, psi, dpsi, gam]
+with r' = cos psi, z' = sin psi, so that the graph slope is w = z'(r) =
+tan psi, dpsi = psi' and gam the conjugate of r in the Hamiltonian form
+of the shape equation (Seifert, Berndl & Lipowsky, Phys. Rev. A 44,
+1182, 1991; Juelicher & Seifert, Phys. Rev. E 49, 4728, 1994, with
+kappa = 2, C0 = -c0, Sigma = lambda and P = -p):
+    psi'' = cos psi (sin psi / r - psi') / r - (p/4) r cos psi
+            + gam sin psi / (2 r)
+    gam'  = (psi' + c0)^2 - sin^2 psi / r^2 + lambda - p r sin psi.
+The form is regular from the axis series through the vertical tangent to
+the equator psi = -pi/2, so one chart covers the whole meridian.  Its
+first integral H = r [psi'^2 - (sin psi / r + c0)^2] - lambda r
++ (p/2) r^2 sin psi + gam cos psi is 0 on the shape equation's solutions.
 
-State layout, chart B (independent variable z, decreasing):
-    y = [u, s, q]
-with u = r(z), s = u'(z) = 1/w, q = u''(z) = -w'/w^3.
-
-The surface area, volume and energy are quadratures that no right-hand
-side reads: ``analysis.surface_totals`` computes them on demand from the
-dense output, so the steps carry these NSTATE = 3 components only.
-
-The chart-B equation is third order in u; its right-hand side has a
-1/s factor that is removable along solutions (the coefficient vanishes
-exactly at the equator), so stages evaluated across s = 0 stay on the
-smooth continuation of the blow-down branch.
+The surface area, volume and energy are computed on demand from the
+dense output (``analysis.surface_totals``), not carried by the steps.
 
 The step is Hairer's DOP853: an 8th-order Runge-Kutta pair with 5th- and
 3rd-order error estimates and a 7th-order continuous extension, with
@@ -27,40 +27,35 @@ about half the cost of a step, and most steps are never evaluated
 between their ends: a sweep reads only the located events.  So, as
 Hairer's ``dop853.f`` computes them only when dense output is asked
 for, an accepted step ends at its FSAL stage 13 and returns its record,
-NREC = 34 floats (h, y, y_new and the stages 1 and 6-13), and the
-chart's completion ``dense_a``/``dense_b`` turns the record of a step
-that the solver reads into that step's dense output, NROWS * NSTATE = 24
-floats (eight rows of three), bit for bit the rows the step would have
-built itself.
+NREC = 56 floats (h, y, y_new and the stages 1 and 6-13), and the
+completion ``dense_a`` turns the record of a step that the solver reads
+into that step's dense output, NROWS * NSTATE = 40 floats (eight rows of
+five), bit for bit the rows the step would have built itself.
 
-The right-hand sides ``rhs_a`` and ``rhs_b``, the steps and the
-completions work on Python floats, because numpy arithmetic on
-3-element arrays and ``np.float64`` scalars costs several times the
-arithmetic itself; the tests hold an ndarray twin of each right-hand
-side and of the whole step, dense output included.  All six are emitted
-as source text at import.  The tableau is kept once, as its nonzero
-rows, and each chart's right-hand side once, as statement text over
-named inputs (``_RHS``).  That text becomes the standalone
-``rhs_a``/``rhs_b`` and is pasted into every stage of the chart's step
-and completion, which therefore call no right-hand side: a stage
-computes its derivatives straight into its stage locals and forms only
-the inputs the text reads, so chart A's stages build no z input.  They
-hold one local scalar per component and the coefficients as float
-literals, because loops over the rows or list comprehensions over
-``zip`` cost several times the sums they build.  For the same reason
-they call no builtin they can do without: the per-component max of the
+The right-hand side ``rhs_a``, the step and the completion work on
+Python floats, because numpy arithmetic on 5-element arrays costs
+several times the arithmetic itself; the tests hold an ndarray twin of
+the right-hand side and of the whole step, dense output included.  All
+three are emitted as source text at import, from the tableau, kept once
+as its nonzero rows, and the right-hand side, kept once as statement
+text over named inputs (``_RHS``), which is pasted into every stage: a
+stage computes its derivatives straight into its stage locals and forms
+only the inputs the text reads (no z).  The texts hold one local scalar
+per component and the coefficients as float literals, because loops or
+comprehensions over the rows cost several times the sums they build,
+and call no builtin they can do without: the per-component max of the
 error scale is a conditional expression, and the record and the dense
-output come back as flat lists that the solver appends to its storage
-or slices as they are.  Python floats raise ``ZeroDivisionError`` where
-ndarrays give inf or nan, and their products overflow to inf as ndarrays
-do; the caller treats a raise in a step, or an err that is not finite,
-as a failed step, and a raise in a completion as NaN rows.
+output are flat lists that the solver stores or slices as they are.  Python floats raise ``ZeroDivisionError`` where ndarrays give
+inf or nan, ``math.cos`` and ``math.sin`` raise ``ValueError`` at an
+infinite angle where numpy gives nan, and products overflow to inf as
+ndarrays do; the caller treats a raise in a step, or an err that is not
+finite, as a failed step, and a raise in a completion as NaN rows.
 
-The kernels keep to the subset numba
-compiles (scalars, tuples, list literals, ``math.sqrt``) and are
-compiled when numba is importable and HELFRICH_JIT is not 0 (see
-``_jit``).  That the compiled path builds and matches is unverified: the
-suite has only run without numba.
+The kernels keep to the subset numba compiles (scalars, tuples, list
+literals, ``math.sqrt``, ``math.cos`` and ``math.sin``) and are compiled
+when numba is importable and HELFRICH_JIT is not 0 (see ``_jit``).  That
+the compiled path builds and matches is unverified: the suite has only
+run without numba.
 """
 
 import math
@@ -68,7 +63,7 @@ import re
 
 from ._jit import njit
 
-NSTATE = 3
+NSTATE = 5
 NROWS = 8  # dense-output rows per accepted step: y and the interpolant's F0..F6
 
 # DOP853 tableau, only its nonzero entries, with 1-based stage indices:
@@ -147,99 +142,56 @@ _D = (
 )
 
 
-# Each chart's right-hand side, written once as text: the name of its
-# variable, the names of its NSTATE state components, statements over those
-# names, c0 and the constants of _CONSTANTS, and the NSTATE derivatives as
-# expressions.  ``_rhs_source`` makes the standalone function of it and
-# ``_step_source`` pastes it into every stage of the chart's step.
-#
-# Chart A: w'' solved from the shape equation; the 1/r^2 group is rearranged
-# to w^3 (3 + w^2) / (2 r^2), which avoids cancellation against -wp/r.  w^2,
-# P^2 and 1/r are formed once, and w^3 as products: a product cannot raise
-# where ``**`` does, so an overflowing stage gives inf or nan.
-# Chart B: N is the coefficient of the removable 1/s pole; it vanishes at
-# the equator.
-_RHS = {
-    "A": ("r", ("w", "wp", "z"), """\
-ww = w * w
-P = 1.0 + ww
-sq = math.sqrt(P)
-PP = P * P
+# The right-hand side, written once as text: the names of its NSTATE state
+# components, statements over those names, c0, lam, p and the constant of
+# _CONSTANTS, and the names that hold the NSTATE derivatives.  The equation
+# is autonomous: the text reads no s, and z only as a state it does not
+# use.  ``_rhs_source`` makes the standalone function of it and
+# ``_step_source`` pastes it into every stage of the step.
+_RHS = (("r", "z", "psi", "dpsi", "gam"), """\
+cp = math.cos(psi)
+sp = math.sin(psi)
 ri = 1.0 / r
-wpp = (
-    2.5 * w * wp * wp / P
-    - (wp - w * ri) * ri
-    + w * ww * (3.0 + ww) * ri * ri * 0.5
-    + c0 * ww * P * sq * ri
-    + cl * w * PP
-    - pq * r * PP * sq
-)""", ("wp", "wpp", "w")),
-    "B": ("z", ("u", "s", "q"), """\
-P = s * s + 1.0
-sq = math.sqrt(P)
-N = (
-    q * q * (6.0 * s * s + 1.0) / (2.0 * P)
-    - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
-    + c0 * P * sq / u
-    - cl * P * P
-    - pq * u * P * P * sq
-)""", ("s", "q", "N / s - q * s / u")),
-}
-# 0.5 (c0^2 + lam) and p / 4 lead products that Python multiplies left to
-# right, so a step forms them once for all its stages and keeps every bit
-_CONSTANTS = ["cl = 0.5 * (c0 * c0 + lam)", "pq = 0.25 * p"]
+spr = sp * ri
+ddpsi = (cp * (spr - dpsi) + 0.5 * gam * sp) * ri - pq * r * cp
+dgam = (dpsi + c0) * (dpsi + c0) - spr * spr + lam - p * r * sp""",
+        ("cp", "sp", "dpsi", "ddpsi", "dgam"))
+# p / 4 leads a product that Python multiplies left to right, so a step
+# forms it once for all its stages and keeps every bit
+_CONSTANTS = ["pq = 0.25 * p"]
 
 _IDENT = re.compile(r"\b[A-Za-z_]\w*")
 
 
-def _rhs_template(chart):
-    """The chart's right-hand side from ``_RHS`` as statement text with
-    the format fields ``{x}`` and ``{y0}``, ``{y1}``, ... for its inputs
-    and ``{k}`` for the prefix of the locals ``{k}_0``, ``{k}_1``, ... it
-    sets to the NSTATE derivatives.  A derivative that is a state
-    component or a local of the text is computed straight into its local,
-    and only the inputs the text reads have a field: chart A's z and
-    chart B's variable have none."""
-    x, states, body, derivs = _RHS[chart]
-    used = set(_IDENT.findall(body + " " + " ".join(derivs)))
-    out = {d: f"{{k}}_{i}" for i, d in enumerate(derivs) if d.isidentifier()}
-
-    def rename(text):
-        return _IDENT.sub(lambda m: out.get(m[0], m[0]), text)
-
-    lines = [f"{x} = {{x}}"] if x in used else []
-    lines += [f"{out.get(v, v)} = {{y{i}}}" for i, v in enumerate(states) if v in used]
-    lines += rename(body).splitlines()
-    lines += [f"{{k}}_{i} = {rename(d)}" for i, d in enumerate(derivs) if d not in out]
-    return "\n".join(lines)
+def _rhs_template():
+    """The right-hand side from ``_RHS`` as statement text with the format
+    fields ``{y0}``, ``{y1}``, ... for the state components it reads and
+    ``{k}`` for the prefix of the locals ``{k}_0``, ``{k}_1``, ... that it
+    computes the NSTATE derivatives straight into."""
+    states, body, derivs = _RHS
+    out = {d: f"{{k}}_{i}" for i, d in enumerate(derivs)}
+    used = set(_IDENT.findall(body))
+    lines = [f"{out.get(v, v)} = {{y{i}}}" for i, v in enumerate(states) if v in used]
+    return "\n".join(lines + _IDENT.sub(lambda m: out.get(m[0], m[0]), body).splitlines())
 
 
-_TEMPLATES = {chart: _rhs_template(chart) for chart in _RHS}
+_TEMPLATE = _rhs_template()
 
 
-def _rhs_lines(chart, k, x_expr, y_exprs):
-    """Statements that set the locals ``k_0``, ``k_1``, ... to the chart's
-    right-hand side at (``x_expr``, ``y_exprs``), over the ``_CONSTANTS``
+def _rhs_lines(k, y_exprs):
+    """Statements that set the locals ``k_0``, ``k_1``, ... to the
+    right-hand side at the state ``y_exprs``, over the ``_CONSTANTS``
     formed before."""
-    ys = {f"y{i}": e for i, e in enumerate(y_exprs)}
-    return _TEMPLATES[chart].format(k=k, x=x_expr, **ys).splitlines()
+    return _TEMPLATE.format(k=k, **{f"y{i}": e for i, e in enumerate(y_exprs)}).splitlines()
 
 
-def _rhs_source(chart):
-    """Source text of ``rhs_a`` or ``rhs_b``, the chart's right-hand side
-    (x, y, c0, lam, p) -> tuple of NSTATE derivatives."""
-    x, states = _RHS[chart][:2]
-    lines = [f'"""Chart-{chart} derivatives of ({", ".join(states)}) with respect to {x} = x."""',
-             *_CONSTANTS, *_rhs_lines(chart, "f", "x", [f"y[{i}]" for i in range(NSTATE)]),
+def _rhs_source():
+    """Source text of ``rhs_a``, the right-hand side (x, y, c0, lam, p)
+    -> tuple of NSTATE derivatives."""
+    lines = [f'"""Derivatives of ({", ".join(_RHS[0])}) with respect to the arc length x."""',
+             *_CONSTANTS, *_rhs_lines("f", [f"y[{i}]" for i in range(NSTATE)]),
              f"return ({', '.join(f'f_{i}' for i in range(NSTATE))})"]
-    return f"def rhs_{chart.lower()}(x, y, c0, lam, p):\n    " + "\n    ".join(lines) + "\n"
-
-
-# where a chart-B step that crosses the equator has it: the midpoint of the
-# widest gap between the 16 stage abscissae (1/3 and 0.6)
-_ABSCISSAE = sorted({0.0, 1.0, *(c for c, _ in _A.values())})
-_GAP = max(zip(_ABSCISSAE, _ABSCISSAE[1:]), key=lambda g: g[1] - g[0])
-EQUATOR_THETA = 0.5 * (_GAP[0] + _GAP[1])
+    return "def rhs_a(x, y, c0, lam, p):\n    " + "\n    ".join(lines) + "\n"
 
 
 def _stage_sum(row, i):
@@ -248,12 +200,11 @@ def _stage_sum(row, i):
     return " + ".join(f"{a!r} * k{j}_{i}" for j, a in row)
 
 
-def _stage(chart, s):
-    """Statements of stage s: the chart's right-hand side at its abscissa
-    and its row's state, into the locals ``ks_0``, ``ks_1``, ..."""
-    c, row = _A[s]
-    return _rhs_lines(chart, f"k{s}", f"x + {c!r} * h",
-                      [f"y{i} + h * ({_stage_sum(row, i)})" for i in range(NSTATE)])
+def _stage(s):
+    """Statements of stage s: the right-hand side at its row's state, into
+    the locals ``ks_0``, ``ks_1``, ..."""
+    row = _A[s][1]
+    return _rhs_lines(f"k{s}", [f"y{i} + h * ({_stage_sum(row, i)})" for i in range(NSTATE)])
 
 
 def _names(prefix):
@@ -264,16 +215,16 @@ def _names(prefix):
 
 # the stages 1-13 that the dense-output stages 14-16 and the rows F3-F6
 # read, and an accepted step's record: h, y, y_new and those stages, the
-# NREC floats from which ``dense_a``/``dense_b`` complete its dense output
+# NREC floats from which ``dense_a`` completes its dense output
 _REC_STAGES = sorted(({j for s in (14, 15, 16) for j, _ in _A[s][1]}
                       | {j for row in _D for j, _ in row}) - {14, 15, 16})
 _RECORD = "h, " + _names("y") + _names("yn") + "".join(_names(f"k{j}_") for j in _REC_STAGES)
 NREC = 1 + (2 + len(_REC_STAGES)) * NSTATE
 
 
-def _step_source(chart):
-    """Source text of ``dopri5_step_a`` or ``_b``, one embedded DOP853 step
-    on the chart with its right-hand side pasted into every stage.
+def _step_source():
+    """Source text of ``dopri5_step_a``, one embedded DOP853 step with the
+    right-hand side pasted into every stage.
 
     The step(x, y, h, f0, c0, lam, p, rtol, atol) takes the state ``y``
     and its derivative ``f0`` as sequences of NSTATE floats and gives
@@ -284,27 +235,27 @@ def _step_source(chart):
     atol + rtol max(|y_i|, |yn_i|).  It is NaN when the new state holds
     an inf or NaN, so that one finiteness test on it rejects such a step.
     Only an accepted step (err <= 1) goes on to stage 13 and ends there:
-    ``f_new`` is that FSAL stage, the tuple the chart's ``rhs_a``/``rhs_b``
-    gives at the new state, and ``rec`` the step's record, one flat list
-    of NREC floats (h, y, y_new and the stages 1, 6-13) that the caller
-    appends to its storage in one call and hands to ``dense_a``/``dense_b``
-    for the dense output of a step it reads.  A rejected step gives None
-    for both and evaluates no stage after the twelfth.
+    ``f_new`` is that FSAL stage, the tuple ``rhs_a`` gives at the new
+    state, and ``rec`` the step's record, one flat list of NREC floats
+    (h, y, y_new and the stages 1, 6-13) that the caller appends to its
+    storage in one call and hands to ``dense_a`` for the dense output of
+    a step it reads.  A rejected step gives None for both and evaluates
+    no stage after the twelfth.
 
     Component i of stage s is the local ``ks_i`` (stage 1 is ``f0``), of
     the state ``yi`` and of the new state ``yni``.  Each stage is the
-    chart's right-hand side from ``_rhs_lines``, after ``_CONSTANTS``
-    once per step, so that the step calls no function but ``abs`` and
-    ``math.sqrt``: that spares 12 calls and their tuples per step.  Each
-    sum runs over a row's nonzero weights in tableau order, and the error
-    norm adds its squares in component order, with the scale
-    max(|y_i|, |yn_i|) written ``b if b > a else a`` (a = |y_i|,
+    right-hand side from ``_rhs_lines``, after ``_CONSTANTS`` once per
+    step, so that the step calls no function but ``abs``, ``math.cos``,
+    ``math.sin`` and ``math.sqrt``: that spares 12 calls and their tuples
+    per step.  Each sum runs over a row's nonzero weights in tableau
+    order, and the error norm adds its squares in component order, with
+    the scale max(|y_i|, |yn_i|) written ``b if b > a else a`` (a = |y_i|,
     b = |yn_i|): exactly the value ``max(a, b)`` returns, NaN included.
     """
     comps = range(NSTATE)
     body = [_names("y") + "= y", _names("k1_") + "= f0", *_CONSTANTS]
     for s in range(2, 13):
-        body += _stage(chart, s)
+        body += _stage(s)
     body += [f"yn{i} = y{i} + h * ({_stage_sum(_B, i)})" for i in comps]
     body += [f"y_new = [{_names('yn')}]", "s5 = 0.0", "s3 = 0.0"]
     for i in comps:
@@ -319,38 +270,37 @@ def _step_source(chart):
     body += ["d = s5 + 0.01 * s3",
              f"err = (0.0 if d == 0.0 else abs(h) * s5 / math.sqrt(d * {NSTATE})) + ({fold})",
              "if not err <= 1.0:", "    return y_new, None, err, None"]
-    body += _rhs_lines(chart, "k13", "x + h", [f"yn{i}" for i in comps])
+    body += _rhs_lines("k13", [f"yn{i}" for i in comps])
     body.append(f"return y_new, ({_names('k13_')}), err, [{_RECORD}]")
-    return (f"def dopri5_step_{chart.lower()}(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
+    return ("def dopri5_step_a(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
             + "\n    ".join(body) + "\n")
 
 
-def _dense_source(chart):
-    """Source text of ``dense_a`` or ``dense_b``, the dense output of one
-    accepted step of the chart from its record.
+def _dense_source():
+    """Source text of ``dense_a``, the dense output of one accepted step
+    from its record.
 
-    dense(x, rec, c0, lam, p) takes the step's start ``x`` and the record
-    ``rec`` its step gave (see ``_step_source``), evaluates the stages
-    14-16, the chart's right-hand side pasted as in the step, and gives
+    dense_a(x, rec, c0, lam, p) takes the step's start ``x`` and the
+    record ``rec`` its step gave (see ``_step_source``), evaluates the
+    stages 14-16, the right-hand side pasted as in the step, and gives
     the NROWS * NSTATE floats of the step's dense output as one flat
     list: the rows y, F0..F6 of NSTATE each in storage order, so that
     component i is ``cont[i::NSTATE]``.  These are the only stages of the
     step that serve the dense output alone; its arithmetic is the step's,
     so the rows are those of the eager DOP853 step bit for bit.  A stage
-    that divides by zero raises ``ZeroDivisionError`` as the step's
-    stages do; ``solver`` turns that into NaN rows.
+    that divides by zero or takes the cosine of an infinite angle raises
+    as the step's stages do; ``solver`` turns that into NaN rows.
     """
     comps = range(NSTATE)
     body = [f"{_RECORD}= rec", *_CONSTANTS]
     for s in (14, 15, 16):
-        body += _stage(chart, s)
+        body += _stage(s)
     body += [f"f0_{i} = yn{i} - y{i}" for i in comps]
     # the dense rows y, F0..F6, each a template in the component index i
     rows = ["y{i}", "f0_{i}", "h * k1_{i} - f0_{i}", "2.0 * f0_{i} - h * (k13_{i} + k1_{i})"]
     rows += [f"h * ({_stage_sum(d, '{i}')})" for d in _D]
     body.append(f"return [{', '.join(r.format(i=i) for r in rows for i in comps)}]")
-    return (f"def dense_{chart.lower()}(x, rec, c0, lam, p):\n    "
-            + "\n    ".join(body) + "\n")
+    return "def dense_a(x, rec, c0, lam, p):\n    " + "\n    ".join(body) + "\n"
 
 
 def _compile(source, name):
@@ -361,15 +311,12 @@ def _compile(source, name):
     return njit(namespace[name])
 
 
-# module attributes read at call time by ``solver.integrate``; the DOPRI5
-# names outlive that pair because the benchmark's trace wraps the step
-# kernels by these names
-rhs_a = _compile(_rhs_source("A"), "rhs_a")
-rhs_b = _compile(_rhs_source("B"), "rhs_b")
-dopri5_step_a = _compile(_step_source("A"), "dopri5_step_a")
-dopri5_step_b = _compile(_step_source("B"), "dopri5_step_b")
-dense_a = _compile(_dense_source("A"), "dense_a")
-dense_b = _compile(_dense_source("B"), "dense_b")
+# module attributes read at call time by ``solver.integrate``.  The names
+# outlive the charts and the DOPRI5 pair they were first made for, because
+# the benchmark's trace wraps the step kernel by its name
+rhs_a = _compile(_rhs_source(), "rhs_a")
+dopri5_step_a = _compile(_step_source(), "dopri5_step_a")
+dense_a = _compile(_dense_source(), "dense_a")
 
 
 def kernel_backend() -> str:

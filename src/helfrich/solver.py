@@ -1,27 +1,24 @@
 """Initial-value solver for the axisymmetric shape equation.
 
-The profile is integrated in two coordinate charts:
-
-* chart A: graph coordinates, w(r) = z'(r), from a series start at the
-  singular axis r = 0 out to the vertical-tangent region;
-* chart B: inverse-graph coordinates u(z) = r(z), through the vertical
-  tangent down to the equator, where u'(z) = 0 is a regular point.
+The meridian is integrated in arc length s, the state (r, z, psi, psi',
+gamma) of ``kernels``, from a series start next to the singular axis
+r = 0 to a terminal event: the equator psi = -pi/2, a positive blow-up
+of the slope w = tan psi, or the abort radius.  The form is regular
+along the whole meridian, so one chart covers it.
 
 The embedded DOP853 pair (8th order, with 5th- and 3rd-order error
 estimates) and a proportional-integral step controller take the steps;
-events (maximum of w, zero of w, chart switch, equator, positive
-blow-up) are located by bisection on the 7th-order continuous extension
-of the step they fall in.  That dense output is built only where it is
-read: the chart loop keeps each accepted step's record (see
+events are located by bisection on the 7th-order continuous extension of
+the step they fall in.  That dense output is built only where it is
+read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
 which an event row changes sign, and a ``DenseSegment`` completes a step
-the first time a query touches it.  No chart-A step is longer than its
-start radius, the distance to the axis singularity at r = 0, and a
-chart-B step near the equator keeps its stages away from the equator's
-removable pole.
+the first time a query touches it.  No step is longer than its start
+radius, the distance to the axis singularity.  Radii and heights index
+the run by inverting the monotone r(s) and z(s) (``solve_many``).
 
-The chart loop runs on Python floats and stores its steps in ``array('d')``:
-events and chart starts are tuples of floats, and a ``DenseSegment`` makes
+The loop runs on Python floats and stores its steps in ``array('d')``:
+events and the start are tuples of floats, and a ``DenseSegment`` makes
 its ndarrays, and imports numpy, only when a caller first reads them.  A
 run that is only classified imports no numpy here; with the numba backend,
 numba's own import has loaded it already.
@@ -36,10 +33,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .kernels import EQUATOR_THETA
 from .cubic import HelfrichParams
 from .errors import (
-    BadSwitch,
     EpsTooLarge,
     InvalidParams,
     InvalidSlope,
@@ -59,11 +54,10 @@ __all__ = [
     "series_coefficient",
     "axis_series",
     "series_start",
-    "chart_switch",
     "integrate",
     "MAX_OF_W",
     "ZERO_OF_W",
-    "CHART_SWITCH",
+    "STEEP",
     "EQUATOR",
     "BLOWUP_POSITIVE",
     "ABORTED",
@@ -71,7 +65,8 @@ __all__ = [
 
 MAX_OF_W = "MaxOfW"
 ZERO_OF_W = "ZeroOfW"
-CHART_SWITCH = "ChartSwitch"
+# w falls through -w_switch: where the r-indexed view of a run ends
+STEEP = "Steep"
 EQUATOR = "Equator"
 BLOWUP_POSITIVE = "BlowUpPositive"
 ABORTED = "Aborted"
@@ -86,9 +81,12 @@ _FAC_MAX = 10.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integrator tolerances and chart-handling thresholds.
+    """Integrator tolerances and event thresholds.
 
-    ``eps_start`` is the radius where chart A starts from the axis series
+    A run ends ``BlowUpPositive`` at w = +w_switch, and its r-indexed
+    view ends at w = -w_switch (the ``Steep`` event).
+
+    ``eps_start`` is the radius where the run starts from the axis series
     (see ``axis_coefficients``).  ``None`` selects the largest radius at
     which each of the series' last two terms, a9 r^9 and a11 r^11, is at
     most rel_tol/10 of w0p r, capped at 0.99 of both limits that
@@ -98,8 +96,8 @@ class SolverConfig:
     1e3 sqrt(w0p/p + 1).
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 5e-12
+    abs_tol: float = 5e-14
     eps_start: float | None = None
     w_switch: float = 10.0
     r_max: float | None = None
@@ -113,8 +111,8 @@ class SolverConfig:
             raise InvalidParams(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if self.eps_start is not None and not (0.0 < self.eps_start < math.inf):
             raise InvalidParams(f"eps_start must be finite and > 0, got {self.eps_start!r}")
-        # at 1e6 the chart-A steps toward w = -w_switch underflow on the
-        # paper's point (1e5 still solves); 1e4 keeps a margin
+        # the r-indexed view inverts r(s), whose slope cos psi is at least
+        # 1/sqrt(1 + w_switch^2) there: 1e4 keeps that above 1e-4
         if not (1.0 < self.w_switch <= 1e4):
             raise InvalidParams(f"w_switch must be in (1, 1e4], got {self.w_switch!r}")
         if self.r_max is not None and not (0.0 < self.r_max < math.inf):
@@ -215,7 +213,7 @@ def _horner(cs, t):
 
 def axis_series(a, r, deriv: bool = False):
     """The axis series with odd coefficients ``a`` = (a1, a3, ...) at r:
-    the chart-A state (w, wp, z), with z = 0 on the axis, or with
+    the graph state (w, wp, z), with z = 0 on the axis, or with
     ``deriv`` its r-derivative (wp, wpp, w).
 
     ``r`` may be a scalar or an ndarray; the values have its type.
@@ -244,11 +242,30 @@ def _default_eps(params: HelfrichParams, w0p: float, a, rtol: float) -> float:
     return max(eps, cap)
 
 
+def _arc_state(params: HelfrichParams, r, w, wp, z):
+    """The state (r, z, psi, psi', gamma) at radius r, slope w, w' and
+    height z: psi = atan w, psi' = w' cos^3 psi and gamma from H = 0,
+    gamma cos psi = r [(sin psi / r + c0)^2 - psi'^2 + lambda - (p/2) r sin psi];
+    floats through ``math``, ndarrays through numpy."""
+    if isinstance(r, float):
+        m = math
+    else:
+        import numpy as m
+    c0 = params.c0
+    psi = m.atan(w)
+    cp, sp = m.cos(psi), m.sin(psi)
+    dpsi = wp * cp * cp * cp
+    spr = sp / r
+    gam = r * ((spr + c0) * (spr + c0) - dpsi * dpsi + params.lam
+               - 0.5 * params.p * r * sp) / cp
+    return r, z, psi, dpsi, gam
+
+
 def series_start(params: HelfrichParams, w0p: float, eps: float,
                  a: tuple[float, ...] | None = None) -> tuple[float, ...]:
-    """Axis-series chart-A state at r = eps, clearing the axis singularity:
-    a tuple of NSTATE floats laid out as in ``kernels``.  ``a`` is the
-    series of ``axis_coefficients``, computed when not given."""
+    """Axis-series state at r = eps, clearing the axis singularity: a
+    tuple of NSTATE floats laid out as in ``kernels`` (see ``_arc_state``).
+    ``a`` is the series of ``axis_coefficients``, computed when not given."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
@@ -258,39 +275,35 @@ def series_start(params: HelfrichParams, w0p: float, eps: float,
     a = a or axis_coefficients(params, w0p)
     if abs(a[1]) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
-    return axis_series(a, eps)
+    w, wp, z = axis_series(a, float(eps))
+    return _arc_state(params, float(eps), w, wp, z)
 
 
-def chart_switch(r: float, y) -> tuple[float, float, float]:
-    """Chart-B state (r, 1/w, -w'/w^3), a tuple of floats, at the point
-    where the chart-A state at radius ``r`` is ``y``; its height y[2]
-    becomes chart B's independent variable."""
-    w = y[0]
-    if w >= 0.0:
-        raise BadSwitch(f"chart switch requires w < 0, got w={w!r}")
-    return (r, 1.0 / w, -y[1] / w ** 3)
+# ``DenseSegment.solve_many``: at most 20 passes, and a value is done after
+# a Newton step in theta of 1e-8, which leaves an error of order 1e-16
+_NEWTON_MAX = 20
+_NEWTON_DONE = 1e-8
 
 
 class DenseSegment:
-    """7th-order continuous extension over the accepted steps of one chart.
+    """7th-order continuous extension over the accepted steps of a run.
 
-    It is built from the step nodes ``xs`` (ascending for chart A,
-    descending for chart B) and the steps' records ``records``, the
-    ``kernels.NREC`` floats per step that the step kernel gives (h, the
-    start state y, the new state and the stages its dense output reads),
-    flat, as the chart loop stores them in a list and an ``array('d')``;
-    with ``dense``, the chart's ``kernels.dense_a`` or ``dense_b``, and
+    It is built from the ascending step nodes ``xs`` and the steps'
+    records ``records``, the ``kernels.NREC`` floats per step that the
+    step kernel gives (h, the start state y, the new state and the stages
+    its dense output reads), flat, as the loop stores them in a list and
+    an ``array('d')``; with ``dense``, ``kernels.dense_a``, and
     ``params``, the (c0, lam, p) it takes.  A step's dense output, its
     ``kernels.NROWS`` rows (y and the interpolant's F0..F6), is completed
     from its record the first time a query touches the step, so a caller
-    that evaluates only part of a chart pays only for that part.  A
+    that evaluates only part of a run pays only for that part.  A
     completion that raises gives NaN rows (see ``_dense_rows``).
 
     The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
     NSTATE), the start state of each step, need no completion; ``conts``,
     shape (steps, NROWS, NSTATE), completes every step.  They are made,
     and numpy imported, when a caller first reads them or evaluates the
-    segment; ``x_start``, ``x_end`` and ``ascending`` need no numpy.
+    segment; ``x_start`` and ``x_end`` need no numpy.
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
@@ -303,8 +316,7 @@ class DenseSegment:
         self._raw_xs, self._records = xs, records
         self._dense, self._params = dense, params
         self.x_start = float(xs[0])
-        self.ascending = bool(xs[-1] >= xs[0])
-        # trajectory may terminate mid-step at an event
+        # a run may terminate mid-step at an event
         self.x_end = float(x_end)
 
     @cached_property
@@ -313,10 +325,13 @@ class DenseSegment:
         return np.asarray(self._raw_xs, dtype=float)
 
     @cached_property
-    def nodes(self) -> np.ndarray:
+    def _recs(self) -> np.ndarray:
         import numpy as np
-        n = kernels.NSTATE
-        return np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)[:, 1:1 + n]
+        return np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._recs[:, 1:1 + kernels.NSTATE]
 
     @property
     def conts(self) -> np.ndarray:
@@ -329,10 +344,6 @@ class DenseSegment:
         import numpy as np
         n = len(self._raw_xs) - 1
         return np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
-
-    @cached_property
-    def _key(self) -> np.ndarray:
-        return self.xs if self.ascending else -self.xs
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """The (steps, NROWS, NSTATE) table, with the steps ``idx`` completed."""
@@ -358,18 +369,16 @@ class DenseSegment:
     def _locate(self, x: np.ndarray):
         import numpy as np
         self._check_range(x)
-        key = x if self.ascending else -x
-        idx = np.searchsorted(self._key, key, side="right") - 1
+        idx = np.searchsorted(self.xs, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.xs) - 2)
         h = self.xs[idx + 1] - self.xs[idx]
-        # theta = 0 on the zero-length step of a chart that took no step
+        # theta = 0 on the zero-length step of a run that took no step
         theta = np.divide(x - self.xs[idx], h, out=np.zeros_like(h), where=h != 0.0)
         return idx, theta
 
     def _check_range(self, x: np.ndarray):
         import numpy as np
-        lo = min(self.x_start, self.x_end)
-        hi = max(self.x_start, self.x_end)
+        lo, hi = self.x_start, self.x_end
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
         if np.any(x < lo - pad) or np.any(x > hi + pad):
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
@@ -385,49 +394,87 @@ class DenseSegment:
         import numpy as np
         idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         h = self.xs[idx + 1] - self.xs[idx]
-        _, r2, r3, r4, r5, r6, r7, r8 = self._rows(idx, cols)
-        # the nested form of ``_interpolant`` differentiated from the
-        # inside out: a level v = r + t w, where t is theta or 1 - theta and
-        # w the level inside it, has the derivative dv = +-w + t dw
-        u = 1.0 - th
-        v = r7 + th * r8
-        dv = r8
-        v, dv = r6 + u * v, u * dv - v
-        v, dv = r5 + th * v, v + th * dv
-        v, dv = r4 + u * v, u * dv - v
-        v, dv = r3 + th * v, v + th * dv
-        v, dv = r2 + u * v, u * dv - v
-        dth = v + th * dv
+        dth = _interpolant_dtheta(self._rows(idx, cols), th)[1]
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
+
+    def solve_many(self, i: int, values, x_lo: float, x_hi: float) -> np.ndarray:
+        """The x in [x_lo, x_hi] at which component i, strictly monotone
+        there, takes each of ``values``, which lie between its values at
+        x_lo and x_hi; shape (n,).
+
+        The step nodes, whose states the records hold, bracket each value
+        in a step, which [x_lo, x_hi] may cut.  Newton's method on its
+        polynomial, from the chord between the nodes' values, finds theta;
+        a Newton step that would leave the bracket, which shrinks on every
+        pass, stops at its end.
+        Each value is solved on its own, so that it gets the same x in any
+        batch, and only the steps that hold a value are completed.
+        """
+        import numpy as np
+        t = np.atleast_1d(np.asarray(values, dtype=float))
+        if not len(t):
+            return t
+        (lo, hi), (th_lo, th_hi) = self._locate(np.array([x_lo, x_hi], dtype=float))
+        # component i at the nodes xs: the start of the first step, then
+        # the end state of every step
+        v = np.concatenate([self._recs[:1, 1 + i], self._recs[:, 1 + kernels.NSTATE + i]])
+        sign = 1.0 if v[hi + 1] >= v[lo] else -1.0
+        idx = lo + np.searchsorted(sign * v[lo + 1:hi + 1], sign * t, side="right")
+        # the step polynomials and values times sign, so that they rise
+        # through each other over the bracket [a, b] of theta
+        rows, t = sign * self._rows(idx, i), sign * t
+        a = np.where(idx == lo, th_lo, 0.0)
+        b = np.where(idx == hi, th_hi, 1.0)
+        v0, dv = sign * v[idx], sign * (v[idx + 1] - v[idx])
+        th = np.clip(np.divide(t - v0, dv, out=np.full_like(t, 0.5), where=dv != 0.0), a, b)
+        done = np.zeros(len(t), dtype=bool)
+        for _ in range(_NEWTON_MAX):
+            g, d = _interpolant_dtheta(rows, th)
+            g -= t
+            below = g < 0.0
+            a, b = np.where(below, th, a), np.where(below, b, th)
+            new = np.clip(th - np.divide(g, d, out=np.full_like(t, np.inf), where=d != 0.0),
+                          a, b)
+            step = new - th
+            th = np.where(done, th, new)
+            done |= np.abs(step) <= _NEWTON_DONE
+            if done.all():
+                break
+        return self.xs[idx] + th * (self.xs[idx + 1] - self.xs[idx])
 
 
 @dataclass(frozen=True)
 class Event:
-    """Located event: ``x`` is r on chart A and z on chart B, and ``state``
-    the chart's NSTATE state components there, a tuple of floats."""
+    """Located event: ``x`` is the arc length s, and ``state`` the NSTATE
+    state components there, a tuple of floats."""
 
     kind: str
-    chart: str
     x: float
     state: tuple[float, ...]
 
 
 @dataclass
 class Trajectory:
-    """Dense, event-annotated solution spanning both charts.
+    """Dense, event-annotated solution from the axis to its terminal event.
 
-    ``axis_coeffs`` is the axis series chart A starts from (see
-    ``axis_coefficients``), computed when not given.
+    ``chart_a`` is the run's dense segment in the arc length s, which
+    starts at s = eps, the start radius.  ``axis_coeffs`` is the axis
+    series the run starts from (see ``axis_coefficients``), computed when
+    not given.
     """
 
     params: HelfrichParams
     w0p: float
     cfg: SolverConfig
     chart_a: DenseSegment
-    chart_b: DenseSegment | None
     events: list[Event]
     axis_coeffs: tuple[float, ...] = ()
+
+    # One segment now covers the meridian.  It keeps the name of the first
+    # of the two charts the solver once used, and the second one reads None,
+    # because the benchmark's trace reads both names.
+    chart_b = None
 
     def __post_init__(self):
         if not self.axis_coeffs:
@@ -441,23 +488,63 @@ class Trajectory:
     def first_event(self, kind: str) -> Event | None:
         return next((ev for ev in self.events if ev.kind == kind), None)
 
+    @property
+    def switch(self) -> Event:
+        """Where the r-indexed view ends: the first ``Steep`` event, or the
+        last event of a run that has none."""
+        return self.first_event(STEEP) or self.events[-1]
+
+    def s_at_r(self, r) -> np.ndarray:
+        """Arc length at radii r in [eps, r_switch], where r' = cos psi."""
+        return self.chart_a.solve_many(0, r, self.chart_a.x_start, self.switch.x)
+
+    def s_at_z(self, z) -> np.ndarray:
+        """Arc length at heights z from the ``Steep`` event on, where z falls."""
+        return self.chart_a.solve_many(1, z, self.switch.x, self.chart_a.x_end)
+
     def series_eval(self, r, deriv: bool = False) -> np.ndarray:
-        """Axis-series state on [0, chart_a.x_start), or with ``deriv`` its
-        r-derivative, shape (n, NSTATE), laid out as chart-A states."""
+        """Axis-series graph state (w, w', z) on [0, eps), or with ``deriv``
+        its r-derivative (w', w'', w), shape (n, 3)."""
         import numpy as np
         r = np.atleast_1d(np.asarray(r, dtype=float))
         return np.stack(axis_series(self.axis_coeffs, r, deriv), axis=1)
 
+    def arc_eval(self, r) -> np.ndarray:
+        """The state (r, z, psi, psi', gamma) at radii r in [0, r_switch],
+        shape (n, NSTATE): from the axis series below eps (see
+        ``_arc_state``) and from the dense output at s(r) from there on."""
+        import numpy as np
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        inside = r < self.chart_a.x_start
+        out = np.empty((len(r), kernels.NSTATE))
+        w, wp, z = self.series_eval(r[inside]).T
+        out[inside] = np.stack(_arc_state(self.params, r[inside], w, wp, z), axis=1)
+        out[~inside] = self.chart_a.eval_many(self.s_at_r(r[~inside]))
+        return out
+
     def eval_a(self, r, cols=slice(None), deriv: bool = False) -> np.ndarray:
-        """Chart-A state at radii r in [0, chart_a.x_end], or with ``deriv``
-        its r-derivative: the axis series below chart_a.x_start and the
-        dense output from there on; ``cols`` and the shapes as for
-        ``DenseSegment.eval_many``."""
+        """The graph state (w, w', z) at radii r in [0, r_switch], or with
+        ``deriv`` its r-derivative (w', w'', w): the axis series below eps
+        and, from there on, w = tan psi, w' = psi' / cos^3 psi and
+        w'' = (psi'' + 3 psi'^2 tan psi) / cos^4 psi at s(r), with psi''
+        the derivative of the dense output.  ``cols`` selects components
+        as in ``DenseSegment.eval_many``."""
         import numpy as np
         r = np.atleast_1d(np.asarray(r, dtype=float))
         seg = self.chart_a
         inside = r < seg.x_start
-        dense = (seg.deriv_many if deriv else seg.eval_many)(r[~inside], cols)
+        s = self.s_at_r(r[~inside])
+        z, psi, dpsi = seg.eval_many(s, slice(1, 4)).T
+        cp = np.cos(psi)
+        w = np.sin(psi) / cp
+        c3 = cp * cp * cp
+        wp = dpsi / c3
+        if deriv:
+            wpp = (seg.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
+            graph = (wp, wpp, w)
+        else:
+            graph = (w, wp, z)
+        dense = np.stack(graph, axis=1)[:, cols]
         out = np.empty((len(r),) + dense.shape[1:])
         out[inside] = self.series_eval(r[inside], deriv)[:, cols]
         out[~inside] = dense
@@ -473,7 +560,7 @@ def _rms(v, sc) -> float:
     return math.sqrt(total / len(v))
 
 
-def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
+def _initial_step(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
     """First step size for an 8th-order pair from the start state ``y`` and
     its derivative ``f``, sequences of NSTATE floats, at most ``h_cap`` > 0; a
     norm that is not finite is InvalidParams."""
@@ -484,8 +571,7 @@ def _initial_step(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
         raise InvalidParams(f"scaled start state or right-hand side not finite at x={x!r}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
-    hd = h0 * direction
-    f1 = rhs(x + hd, [v + hd * fv for v, fv in zip(y, f)], c0, lam, p)
+    f1 = rhs(x + h0, [v + h0 * fv for v, fv in zip(y, f)], c0, lam, p)
     d2 = _rms([a - b for a, b in zip(f1, f)], sc) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.125
@@ -501,24 +587,42 @@ def _interpolant(cont, th):
     return r1 + th * (r2 + u * (r3 + th * (r4 + u * (r5 + th * (r6 + u * (r7 + th * r8))))))
 
 
+def _interpolant_dtheta(cont, th):
+    """``_interpolant`` and its theta-derivative, bit for bit its value: its
+    nested form differentiated from the inside out.  A level v = r + t w,
+    where t is theta or 1 - theta and w the level inside it, has the
+    derivative dv = +-w + t dw."""
+    r1, r2, r3, r4, r5, r6, r7, r8 = cont
+    u = 1.0 - th
+    v = r7 + th * r8
+    dv = r8
+    v, dv = r6 + u * v, u * dv - v
+    v, dv = r5 + th * v, v + th * dv
+    v, dv = r4 + u * v, u * dv - v
+    v, dv = r3 + th * v, v + th * dv
+    v, dv = r2 + u * v, u * dv - v
+    return r1 + th * v, v + th * dv
+
+
 def _dense_rows(dense, x, rec, c0, lam, p):
     """The NROWS * NSTATE dense rows of the accepted step that starts at x
-    and has the record ``rec``, from the chart's ``kernels.dense_a`` or
-    ``dense_b``; all NaN where a stage there divides by zero.  Only chart
-    B's can, by its 1/s or 1/u at exactly 0 (chart A's divides by r > 0
-    and by P >= 1): where the eager step rejected such a step, the step is
-    kept and its interpolant is NaN."""
+    and has the record ``rec``, from ``kernels.dense_a``; all NaN where a
+    stage there divides by r = 0 or meets an infinite angle, where the
+    eager step would have rejected the step: the step is kept and its
+    interpolant is NaN."""
     try:
         return dense(x, rec, c0, lam, p)
-    except ZeroDivisionError:
+    except (ArithmeticError, ValueError):
         return [math.nan] * (kernels.NROWS * kernels.NSTATE)
 
 
 def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     """Theta in [lo, hi] where one component's step polynomial, with the
     NROWS coefficients ``c``, crosses ``target``; bisects until |h| times
-    the bracket <= tol (1 + |x0|)."""
+    the bracket <= tol (1 + |x0|), then takes the chord across the last
+    bracket, which places a simple crossing to second order in its width."""
     glo = _interpolant(c, lo) - target
+    ghi = _interpolant(c, hi) - target
     h_abs = abs(h)
     bound = tol * (1.0 + abs(x0))
     for _ in range(200):
@@ -529,47 +633,41 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
         if (gm > 0.0) == (glo > 0.0):
             lo, glo = mid, gm
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, ghi = mid, gm
+    return lo + (hi - lo) * (glo / (glo - ghi)) if glo != ghi else 0.5 * (lo + hi)
 
 
-def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, params, cfg,
-               event_table, steps_budget):
-    """Adaptive loop on one chart.
+def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, steps_budget):
+    """Adaptive loop from the state ``y0`` at x0, with x rising.
 
     ``event_table`` holds one (kind, component, target, downward,
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
     step's record and completes its dense output with ``dense_fn`` only
-    on a step where an event row changes sign, to bisect it.  Returns (segment, events,
-    steps_used); the last event ends the chart: a terminal row's, or
-    ``Aborted`` when the step budget or x_limit did.
+    on a step where an event row changes sign, to bisect it.  Returns
+    (segment, events, steps_used); the last event ends the run: a
+    terminal row's, or ``Aborted`` when the step budget did.
     """
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
     # the loop runs on Python floats, which raise where ndarrays give inf
-    x, x_limit = float(x0), float(x_limit)
+    x = float(x0)
     y = [float(v) for v in y0]
     try:
         f = rhs_fn(x, y, c0, lam, p)
         finite = all(map(math.isfinite, f))
-    except (OverflowError, ZeroDivisionError):
+    except (ArithmeticError, ValueError):
         finite = False
     if not finite:
-        raise InvalidParams(f"right-hand side not finite at start of chart {chart}")
-    h_cap = abs(x_limit - x)
-    # a chart that starts on its limit takes no step and ends Aborted below
-    h = _initial_step(rhs_fn, x, y, f, direction, rtol, atol, c0, lam, p,
-                      h_cap) if h_cap > 0.0 else 0.0
+        raise InvalidParams(f"right-hand side not finite at the start x={x!r}")
+    # No step is longer than the radius it starts from, its distance to the
+    # axis singularity at r = 0, because a longer one leaves the
+    # interpolant off near the axis; and the step-size floor is relative to
+    # x alone, so that a start closer to the axis than an absolute floor of
+    # 1e-14 can still step out
+    h = _initial_step(rhs_fn, x, y, f, rtol, atol, c0, lam, p, y[0])
     h = max(h, 1e-13 * (1.0 + abs(x)))
-    # chart A's x is the radius, its distance to the axis singularity at
-    # r = 0.  No step there is longer than x, because a longer one leaves
-    # the interpolant off near the axis; and its step-size floor is
-    # relative to x alone, so that a start closer to the axis than the
-    # absolute floor 1e-14 can still step out
-    axis_cap = chart == "A"
-    floor_abs = 0.0 if axis_cap else 1.0
 
     xs = [x]
     records = array("d")  # kernels.NREC floats per accepted step, flat
@@ -582,31 +680,16 @@ def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, par
     # the builtins' values: ``b if b < a else a`` is min(a, b) and
     # ``b if b > a else a`` is max(a, b)
     while True:
-        h_min = 1e-14 * (floor_abs + abs(x))
-        remaining = (x_limit - x) * direction
-        # the budget is tested before the step size, x_limit after it
-        if steps >= steps_budget or remaining <= h_min <= h:
-            events.append(Event(ABORTED, chart, x, tuple(y)))
+        if steps >= steps_budget:
+            events.append(Event(ABORTED, x, tuple(y)))
             return _make_segment(xs, records, x, y, dense_fn, params), events, steps
-        if h < h_min:
-            raise StepUnderflow(f"step size {h!r} underflow at x={x!r} (chart {chart})")
-        h_use = remaining if remaining < h else h
-        if axis_cap:
-            if h_use > x:
-                h_use = x
-        elif y[1] * y[2] > 0.0 and 2.0 * h_use * abs(y[2]) > abs(y[1]):
-            # chart B nears the equator, the removable 1/s pole of rhs_b,
-            # which s' = q puts d = |s/q| ahead.  Stages next to the pole
-            # spoil the step and its dense output, so a step either stays
-            # within d/2 of its start or crosses with the pole at theta =
-            # EQUATOR_THETA
-            d = abs(y[1] / y[2])
-            h_use = d / EQUATOR_THETA if h_use * EQUATOR_THETA >= d else 0.5 * d
+        if h < 1e-14 * abs(x):
+            raise StepUnderflow(f"step size {h!r} underflow at s={x!r}")
+        h_use = y[0] if h > y[0] else h
 
         try:
-            y1, f1, err, rec = step_fn(x, y, direction * h_use, f, c0, lam, p,
-                                        rtol, atol)
-        except (OverflowError, ZeroDivisionError):
+            y1, f1, err, rec = step_fn(x, y, h_use, f, c0, lam, p, rtol, atol)
+        except (ArithmeticError, ValueError):
             # a stage left the float range (ndarrays would give inf or nan)
             err = math.inf
         steps += 1
@@ -620,9 +703,8 @@ def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, par
             h = h_use * (fac if fac < 0.9 else 0.9)
             continue
 
-        hd = direction * h_use
         records.fromlist(rec)
-        x_new = x + hd
+        x_new = x + h_use
         xs.append(x_new)
 
         # event scan on this step; component i of its dense output is
@@ -634,17 +716,17 @@ def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, par
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
                 if cont is None:
                     cont = _dense_rows(dense_fn, x, rec, c0, lam, p)
-                th = _bisect_step(cont[i::kernels.NSTATE], target, hd, x, cfg.event_tol)
+                th = _bisect_step(cont[i::kernels.NSTATE], target, h_use, x, cfg.event_tol)
                 if hits is None:
                     hits = []
                 hits.append((th, kind, terminal))
         if hits is not None:
             hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
             for th, kind, terminal in hits:
-                x_ev = x + th * hd
+                x_ev = x + th * h_use
                 y_ev = tuple([_interpolant(cont[i::kernels.NSTATE], th)
                               for i in range(kernels.NSTATE)])
-                events.append(Event(kind, chart, x_ev, y_ev))
+                events.append(Event(kind, x_ev, y_ev))
                 if terminal:
                     return _make_segment(xs, records, x_ev, y, dense_fn, params), events, steps
 
@@ -662,7 +744,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, chart, x0, y0, direction, x_limit, par
 
 def _make_segment(xs, records, x_end, y, dense, params) -> DenseSegment:
     if not records:
-        # a chart that took no step: one zero-length step from y to y, with
+        # a run that took no step: one zero-length step from y to y, with
         # zero stages, whose interpolant is y
         xs = [xs[0], xs[0]]
         records = array("d", [0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
@@ -673,13 +755,16 @@ def integrate(params: HelfrichParams, w0p: float,
               cfg: SolverConfig | None = None) -> Trajectory:
     """Integrate the shape equation from the axis until a terminal event.
 
-    Chart A starts at r = eps from the axis series of ``axis_coefficients``,
-    computed once here and kept on the trajectory, at the radius
-    ``SolverConfig.eps_start`` gives or selects.
+    The run starts at s = r = eps from the axis series of
+    ``axis_coefficients``, computed once here and kept on the trajectory,
+    at the radius ``SolverConfig.eps_start`` gives or selects.
 
-    Terminal outcomes: ``Equator`` (equator reached regularly in chart B),
-    ``BlowUpPositive`` (w reached +w_switch), or ``Aborted`` (radius or
-    step budget exhausted).
+    Events, by the state components: ``MaxOfW`` where psi' falls through
+    0 (w' = psi' / cos^3 psi does), ``ZeroOfW`` where psi falls through 0,
+    ``Steep`` where psi falls through -atan(w_switch), and the terminal
+    ``Equator`` (psi falls through -pi/2), ``BlowUpPositive`` (psi rises
+    through atan(w_switch)) and ``Aborted`` (r rises through r_max, or
+    the step budget is spent).
     """
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
@@ -690,31 +775,21 @@ def integrate(params: HelfrichParams, w0p: float,
     a = axis_coefficients(params, float(w0p))
     eps = cfg.eps_start or _default_eps(params, w0p, a, cfg.rel_tol)
     r_max = cfg.r_max or 1e3 * math.sqrt(w0p / params.p + 1.0)
+    psi_switch = math.atan(cfg.w_switch)
 
     # (kind, component, target, downward, terminal)
-    table_a = [
-        (MAX_OF_W, 1, 0.0, True, False),
-        (ZERO_OF_W, 0, 0.0, True, False),
-        (CHART_SWITCH, 0, -cfg.w_switch, True, True),
-        (BLOWUP_POSITIVE, 0, +cfg.w_switch, False, True),
+    table = [
+        (MAX_OF_W, 3, 0.0, True, False),
+        (ZERO_OF_W, 2, 0.0, True, False),
+        (STEEP, 2, -psi_switch, True, False),
+        (EQUATOR, 2, -0.5 * math.pi, True, True),
+        (BLOWUP_POSITIVE, 2, psi_switch, False, True),
+        (ABORTED, 0, r_max, False, True),
     ]
-    seg_a, events, used = _run_chart(
-        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, "A",
-        eps, series_start(params, w0p, eps, a), +1, r_max, params, cfg, table_a,
-        cfg.max_steps,
+    # a start at or past the abort radius takes no step
+    seg, events, _ = _run_chart(
+        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a,
+        eps, series_start(params, w0p, eps, a), params, cfg, table,
+        cfg.max_steps if eps < r_max else 0,
     )
-    term = events[-1]
-    if term.kind != CHART_SWITCH:
-        return Trajectory(params, w0p, cfg, seg_a, None, events, a)
-
-    # chart switch: w < 0 guaranteed by the event definition
-    z_sw = term.state[2]
-    z_limit = z_sw - cfg.w_switch * r_max  # finiteness cap for the descent
-    seg_b, events_b, _ = _run_chart(
-        kernels.dopri5_step_b, kernels.dense_b, kernels.rhs_b, "B",
-        z_sw, chart_switch(term.x, term.state), -1, z_limit, params, cfg,
-        [(EQUATOR, 1, 0.0, False, True)], cfg.max_steps - used,
-    )
-    events.extend(events_b)
-    return Trajectory(params, w0p, cfg, seg_a, seg_b, events, a)
-
+    return Trajectory(params, w0p, cfg, seg, events, a)

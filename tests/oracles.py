@@ -8,14 +8,19 @@ area and volume, the critical-point scan on the full dense-output
 evaluation, and the element-by-element emitters (profile CSV, SVG path,
 OBJ) that the array emitters must match byte for byte.
 
+Two other formulations of the shape equation judge the solver: the
+graph form w(r), ``rhs_chart_a_arr``, which the package no longer
+integrates, and ``arc_oracle``, scipy's DOP853 at tight tolerances on the
+arc-length form, with its own event functions.
+
 The integrity references of the paper's checks live here too, because no
 command computes them: the 50-digit series-start defect, the curvature
 derivatives and the curvature-form right-hand side ``rhs_kappa``, the
-crossing search ``find_crossing`` on a dense segment, eta on both charts
-``eta_at``, the point geometry ``geometry_at``, the eta sampling
-``eta_boundedness`` toward the equator, the trapezoid
-``requadrature_totals`` of the dense output and the chord quadrature
-``profile_quadrature_totals`` of a polyline.
+crossing search ``find_crossing`` on a dense segment, eta ``eta_at``, the
+point geometry ``geometry_at``, the eta sampling ``eta_boundedness``
+toward the equator, the trapezoid ``requadrature_totals`` of the dense
+output and the chord quadrature ``profile_quadrature_totals`` of a
+polyline.
 """
 
 import math
@@ -24,38 +29,64 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from helfrich import kernels
 from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometry
 from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, _angle_table, fmt17, profile_rows
-from helfrich.solver import EQUATOR, SERIES_ORDER, _bisect_step, axis_coefficients
+from helfrich.solver import (ABORTED, BLOWUP_POSITIVE, EQUATOR, MAX_OF_W, SERIES_ORDER, STEEP,
+                             ZERO_OF_W, _bisect_step, axis_coefficients, axis_series)
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 
-def fixed_step_chart_a(params: HelfrichParams, r0: float, y0: np.ndarray,
-                       r1: float, n_steps: int) -> np.ndarray:
-    """Fixed-step propagation of chart A (order studies and restarts)."""
+def fixed_step(step, rhs, params: HelfrichParams, x0: float, y0, x1: float,
+               n_steps: int) -> np.ndarray:
+    """Fixed-step propagation (order studies and restarts) with a step of
+    the package's signature over ``rhs(x, y, c0, lam, p)``: the package's
+    float kernels, or an ndarray twin below."""
     c0, lam, p = params.c0, params.lam, params.p
-    h = (r1 - r0) / n_steps
-    y = np.asarray(y0, dtype=float).tolist()
-    f = kernels.rhs_a(r0, y, c0, lam, p)
-    x = r0
+    h = (x1 - x0) / n_steps
+    y = np.asarray(y0, dtype=float)
+    x = x0
     for _ in range(n_steps):
         # the step hands back f_new only when it accepts, so f is computed
         # here, from the same arguments the step's FSAL stage would use
-        y = kernels.dopri5_step_a(x, y, h, f, c0, lam, p, 1e-6, 1e-6)[0]
+        f = np.asarray(rhs(x, y, c0, lam, p))
+        y = np.asarray(step(x, y, h, f, c0, lam, p, 1e-6, 1e-6)[0])
         x += h
-        f = kernels.rhs_a(x, y, c0, lam, p)
-    return np.asarray(y)
+    return y
 
 
-# The ndarray kernels the scalar ones replaced, kept as bit-for-bit
-# references: both right-hand sides write into ``out``, and the step does
+# ndarray right-hand sides: the arc-length form, whose arithmetic the
+# float kernels repeat bit for bit, and the graph form w(r), which the
+# package once integrated (in its "chart A") and the tests keep as an
+# independent formulation.  Both write into ``out``, and the step twin does
 # its stage sums on arrays of kernels.NSTATE elements.
 
-def rhs_chart_a_arr(r, y, c0, lam, p, out):
-    """Chart-A derivatives with respect to r, written into ``out``."""
+def rhs_arc_arr(s, y, c0, lam, p, out=None):
+    """Derivatives of (r, z, psi, psi', gamma) with respect to the arc
+    length s, written into ``out``:
+    psi'' = cos psi (sin psi / r - psi') / r - (p/4) r cos psi + gamma sin psi / (2r),
+    gamma' = (psi' + c0)^2 - sin^2 psi / r^2 + lambda - p r sin psi.
+    numpy's sin and cos give libm's values (``test_numpy_sin_cos_are_libm``),
+    as the float kernels' ``math.sin`` and ``math.cos`` do."""
+    out = np.empty(5) if out is None else out
+    r, psi, dpsi, gam = y[0], y[2], y[3], y[4]
+    cp = np.cos(psi)
+    sp = np.sin(psi)
+    ri = 1.0 / r
+    spr = sp * ri
+    out[0] = cp
+    out[1] = sp
+    out[2] = dpsi
+    out[3] = (cp * (spr - dpsi) + 0.5 * gam * sp) * ri - 0.25 * p * r * cp
+    out[4] = (dpsi + c0) * (dpsi + c0) - spr * spr + lam - p * r * sp
+    return out
+
+
+def rhs_chart_a_arr(r, y, c0, lam, p, out=None):
+    """Derivatives of the graph state (w, w', z) with respect to r, written
+    into ``out``: w'' solved from the shape equation."""
+    out = np.empty(3) if out is None else out
     w = y[0]
     wp = y[1]
     ww = w * w
@@ -77,42 +108,22 @@ def rhs_chart_a_arr(r, y, c0, lam, p, out):
     return out
 
 
-def rhs_chart_b_arr(z, y, c0, lam, p, out):
-    """Chart-B derivatives with respect to z, written into ``out``."""
-    u = y[0]
-    s = y[1]
-    q = y[2]
-    P = s * s + 1.0
+def surface_densities(r, w, wp, c0, lam):
+    """Area, volume and energy densities of the upper half per unit of r,
+    from the graph state (w, w') at r, with their own 2H formula."""
+    P = 1.0 + w * w
     sq = np.sqrt(P)
-    N = (
-        q * q * (6.0 * s * s + 1.0) / (2.0 * P)
-        - (2.0 * s * s + 1.0) * P / (2.0 * u * u)
-        + c0 * P * sq / u
-        - 0.5 * (c0 * c0 + lam) * P * P
-        - 0.25 * p * u * P * P * sq
-    )
-    out[0] = s
-    out[1] = q
-    out[2] = N / s - q * s / u
-    return out
+    twoH = (wp + (w / r) * P) / (P * sq)
+    return r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq
 
 
-def surface_densities(chart, x, y, c0, lam):
-    """Area, volume and energy densities of the upper half per unit of the
-    chart's variable, from the chart states ``y`` of shape (3, n): the
-    right-hand-side rows of the in-step quadratures the step kernels
-    once carried, with their own 2H formula."""
-    if chart == "A":
-        r, w, wp = x, y[0], y[1]
-        P = 1.0 + w * w
-        sq = np.sqrt(P)
-        twoH = (wp + (w / r) * P) / (P * sq)
-        return r * sq, r * r * w, ((twoH + c0) ** 2 + lam) * r * sq
-    u, s, q = y
-    P = s * s + 1.0
-    sq = np.sqrt(P)
-    twoH = (q - P / u) / (P * sq)
-    return -u * sq, u * u, -((twoH + c0) ** 2 + lam) * u * sq
+def arc_surface_densities(y, c0, lam):
+    """Area, volume and energy densities of the upper half per unit arc
+    length, from the states ``y`` of shape (NSTATE, n): r, r^2 sin psi and
+    [(2H + c0)^2 + lambda] r with 2H = sin psi / r + psi'."""
+    r, _, psi, dpsi = y[:4]
+    twoH = np.sin(psi) / r + dpsi
+    return r, r * r * np.sin(psi), ((twoH + c0) ** 2 + lam) * r
 
 
 def _tableau_sum(row, K, stages):
@@ -173,7 +184,7 @@ def make_step_arr(rhs):
     return step
 
 
-def initial_step_arr(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
+def initial_step_arr(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
     """The solver's first step size computed on ndarrays ``y`` and ``f``,
     with numpy's mean of squares for each scaled norm: the reference for
     the float ``solver._initial_step``."""
@@ -182,20 +193,19 @@ def initial_step_arr(rhs, x, y, f, direction, rtol, atol, c0, lam, p, h_cap):
     d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
-    y1 = y + h0 * direction * f
-    f1 = np.array(rhs(x + h0 * direction, y1, c0, lam, p))
+    y1 = y + h0 * f
+    f1 = np.array(rhs(x + h0, y1, c0, lam, p))
     d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** (1.0 / 8.0)
     return min(100.0 * h0, h1, h_cap)
 
 
-def critical_points_full_scan(traj, r0: float) -> int:
-    """Sign changes of w' on (eps, r0) at 10,001 points, read from the
-    evaluation of all the dense-output components."""
-    rs = np.linspace(traj.chart_a.x_start, r0, 10_001)
-    wp = traj.chart_a.eval_many(rs)[:, 1]
-    sgn = np.sign(wp)
+def critical_points_full_scan(traj) -> int:
+    """Sign changes of w' on (eps, r0) at 10,001 points, read from psi' in
+    the evaluation of all the dense-output components."""
+    ss = np.linspace(traj.chart_a.x_start, traj.first_event(ZERO_OF_W).x, 10_001)
+    sgn = np.sign(traj.chart_a.eval_many(ss)[:, 3])
     sgn = sgn[sgn != 0.0]
     return int(np.count_nonzero(sgn[1:] * sgn[:-1] < 0.0))
 
@@ -376,8 +386,7 @@ def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
     """
     lo = seg.x_start if x_lo is None else x_lo
     hi = seg.x_end if x_hi is None else x_hi
-    sgn = 1.0 if seg.ascending else -1.0
-    inner = seg.xs[(seg._key > sgn * lo) & (seg._key < sgn * hi)]
+    inner = seg.xs[(seg.xs > lo) & (seg.xs < hi)]
     xk = np.concatenate([[lo], inner, [hi]])
     g = seg.eval_many(xk, component) - target
     if g[0] == 0.0:
@@ -393,28 +402,26 @@ def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
     return seg.xs[i] + th * h
 
 
-def eta_at(chart: str, x, y, params: HelfrichParams):
-    """Eta at chart states ``y``, shape (3,) or (n, 3); ``x`` is r on
-    chart A and z on chart B.
+def eta_at(y, params: HelfrichParams):
+    """Eta at states ``y`` (r, z, psi, psi', ...), shape (NSTATE,) or
+    (n, NSTATE).
 
-    On chart B every term of eta diverges like 1/|u'|; grouping in
-    (u, s, q) exposes the cancellation, leaving B(u, s, q)/s with B -> 0
-    at the equator (NaN where s = 0).
+    In the graph form eta = r w'^2 / P^(5/2) - w^2 / (r sqrt P) - 2 c0 w
+    - (c0^2 + lambda) r sqrt P + p r^2 w / 2 with P = 1 + w^2; in psi every
+    term diverges like 1/cos psi toward the equator, and the grouping
+    B / cos psi, B = r psi'^2 - sin^2 psi / r - 2 c0 sin psi
+    - (c0^2 + lambda) r + p r^2 sin psi / 2, exposes the cancellation:
+    B -> 0 at the equator (NaN where cos psi = 0).  Along a solution
+    B = H - gamma cos psi, so eta = -gamma where H = 0.
     """
     c0, lam, p = params.c0, params.lam, params.p
-    if chart == "A":
-        r, w, wp = x, y[..., 0], y[..., 1]
-        P = 1.0 + w * w
-        sq = np.sqrt(P)
-        return (r * wp * wp / (P * P * sq) - w * w / (r * sq) - 2.0 * c0 * w
-                - (c0 ** 2 + lam) * r * sq + 0.5 * p * r * r * w)
-    u, s, q = (np.asarray(y[..., k], dtype=float) for k in range(3))
-    P = s * s + 1.0
-    sq = np.sqrt(P)
-    B = (-u * q * q / (P * P * sq) + 1.0 / (u * sq) - 2.0 * c0
-         + (c0 ** 2 + lam) * u * sq + 0.5 * p * u * u)
+    y = np.asarray(y, dtype=float)
+    r, psi, dpsi = y[..., 0], y[..., 2], y[..., 3]
+    sp, cp = np.sin(psi), np.cos(psi)
+    B = (r * dpsi * dpsi - sp * sp / r - 2.0 * c0 * sp - (c0 ** 2 + lam) * r
+         + 0.5 * p * r * r * sp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s == 0.0, np.nan, B / s)
+        return np.where(cp == 0.0, np.nan, B / cp)
 
 
 @dataclass(frozen=True)
@@ -431,8 +438,8 @@ class GeometrySample:
 def geometry_at(traj, r: float | None = None, z: float | None = None) -> GeometrySample:
     """Curvatures, H, K, and eta at a point of the trajectory.
 
-    Query chart A by radius ``r`` (the series region below eps_start is
-    covered) or chart B by height ``z``.
+    Query by radius ``r`` up to r_switch (the series region below the
+    start is covered) or by height ``z`` past the ``Steep`` event.
     """
     params = traj.params
     if (r is None) == (z is None):
@@ -444,16 +451,13 @@ def geometry_at(traj, r: float | None = None, z: float | None = None) -> Geometr
             w0p = traj.w0p
             return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
                                   -2.0 * params.c0)
-        seg = traj.chart_a
-        y = traj.series_eval(r)[0] if r < seg.x_start else seg.eval_many(r)[0]
-        geom = (*curvature_geometry("A", r, y), eta_at("A", r, y, params))
-        return GeometrySample(float(r), float(y[2]), *map(float, geom))
-
-    if traj.chart_b is None:
-        raise OutOfRange("trajectory has no chart-B portion")
-    y = traj.chart_b.eval_many(z)[0]
-    geom = (*curvature_geometry("B", z, y), eta_at("B", z, y, params))
-    return GeometrySample(float(y[0]), float(z), *map(float, geom))
+        y = traj.arc_eval(r)[0]
+    else:
+        if traj.first_event(STEEP) is None:
+            raise OutOfRange("trajectory has no steep portion")
+        y = traj.chart_a.eval_many(traj.s_at_z(z))[0]
+    geom = (*curvature_geometry(y), eta_at(y, params))
+    return GeometrySample(float(y[0]), float(y[1]), *map(float, geom))
 
 
 @dataclass(frozen=True)
@@ -466,26 +470,26 @@ class EtaReport:
 
 
 def eta_boundedness(traj) -> EtaReport:
-    """Sample eta on chart B, 4 per decade of z - z_inf over 6 decades.
+    """Sample eta past the ``Steep`` event, 4 per decade of z - z_inf over
+    6 decades.
 
     Reports the running sup, a linear extrapolation of eta to the
-    equator, the extrapolated limit of eta * |u'| (which must vanish),
-    and a divergence flag if |eta| grows monotonically by more than 10x
-    over the last two sampled decades of (z - z_inf).
+    equator, the extrapolated limit of eta * |u'|, u' = dr/dz =
+    cos psi / sin psi (which must vanish), and a divergence flag if |eta|
+    grows monotonically by more than 10x over the last two sampled
+    decades of (z - z_inf).
     """
     ev = traj.first_event(EQUATOR)
-    if ev is None or traj.chart_b is None:
+    if ev is None:
         raise MissingEvent("no Equator event in trajectory")
     n_per_decade, decades = 4, 6.0
-    z_inf = ev.x
-    z_sw = traj.chart_b.x_start
-    tau_sw = z_sw - z_inf
+    z_inf = ev.state[1]
+    tau_sw = traj.switch.state[1] - z_inf
     k = np.arange(0, int(decades * n_per_decade) + 1)
     tau = tau_sw * 10.0 ** (-k / n_per_decade)
-    zs = z_inf + tau
-    Y = traj.chart_b.eval_many(zs, slice(0, 3))
-    eta = eta_at("B", zs, Y, traj.params)
-    eta_up = -eta * Y[:, 1]  # eta |u'|, as u' < 0 on the descent
+    Y = traj.chart_a.eval_many(traj.s_at_z(z_inf + tau))
+    eta = eta_at(Y, traj.params)
+    eta_up = eta * np.abs(np.cos(Y[:, 2]) / np.sin(Y[:, 2]))
     eta_abs = np.abs(eta)
 
     sup_eta = float(eta_abs.max())
@@ -506,28 +510,72 @@ def requadrature_totals(traj) -> SurfaceTotals:
     """Independent trapezoid re-quadrature of the dense output.
 
     Cross-checks the Gauss-Legendre quadrature of ``surface_totals``
-    with the trapezoid rule on the ``surface_densities`` of 400,001
-    chart-A and 100,001 chart-B nodes.
+    with the trapezoid rule on the axis series in r (40,001 nodes, the
+    graph densities of ``surface_densities``) and on 500,001 nodes of the
+    dense output in s (``arc_surface_densities``).
     """
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
-    # the axis series on [0, eps], where every density is 0 at r = 0, then
-    # one trapezoid pass per chart
-    xs = np.linspace(0.0, traj.chart_a.x_start, 40_001)
-    F = surface_densities("A", xs[1:], traj.series_eval(xs[1:]).T, c0, lam)
-    F = np.concatenate([np.zeros((3, 1)), np.array(F)], axis=1)
+    # the axis series on [0, eps], where every density is 0 at r = 0
+    seg = traj.chart_a
+    xs = np.linspace(0.0, seg.x_start, 40_001)
+    w, wp, _ = traj.series_eval(xs[1:]).T
+    F = np.concatenate([np.zeros((3, 1)), np.array(surface_densities(xs[1:], w, wp, c0, lam))],
+                       axis=1)
     area, vol, energy = (float(np.trapezoid(f, xs)) for f in F)
-    for chart, seg, n in (("A", traj.chart_a, 400_001), ("B", traj.chart_b, 100_001)):
-        xs = np.linspace(seg.x_start, seg.x_end, n)
-        F = surface_densities(chart, xs, seg.eval_many(xs).T, c0, lam)
-        area += float(np.trapezoid(F[0], xs))
-        vol += float(np.trapezoid(F[1], xs))
-        energy += float(np.trapezoid(F[2], xs))
+    xs = np.linspace(seg.x_start, seg.x_end, 500_001)
+    F = arc_surface_densities(seg.eval_many(xs).T, c0, lam)
+    area += float(np.trapezoid(F[0], xs))
+    vol += float(np.trapezoid(F[1], xs))
+    energy += float(np.trapezoid(F[2], xs))
 
     volume = -2.0 * math.pi * vol
     return SurfaceTotals(4.0 * math.pi * area, volume,
                          4.0 * math.pi * energy + p * volume)
+
+
+def arc_oracle(params: HelfrichParams, w0p: float, eps: float, w_switch: float = 10.0,
+               r_max: float | None = None):
+    """The run from the axis series at r = eps to its terminal event by
+    scipy's ``solve_ivp`` DOP853 at rtol 1e-13, atol 1e-15 on
+    ``rhs_arc_arr``, with its own start and event functions.
+
+    The start takes w, w' and z from the package's axis series (checked
+    against sympy and 50-digit arithmetic on their own), psi = atan w,
+    psi' = w' cos^3 psi and gamma from H = 0.  The events are the
+    package's: psi' falling through 0 (``MaxOfW``), psi falling through 0
+    (``ZeroOfW``), -atan(w_switch) (``Steep``) and -pi/2 (``Equator``,
+    terminal), psi rising through atan(w_switch) (``BlowUpPositive``,
+    terminal) and r rising through r_max (``Aborted``, terminal); there is
+    no arc-length limit.  Returns (status, {kind: [state, ...]}) with the
+    states at each kind's events in order.
+    """
+    from scipy.integrate import solve_ivp
+    c0, lam, p = params.c0, params.lam, params.p
+    r_max = r_max or 1e3 * math.sqrt(w0p / p + 1.0)
+    w, wp, z = axis_series(axis_coefficients(params, w0p), eps)
+    psi = math.atan(w)
+    dpsi = wp * math.cos(psi) ** 3
+    gam = (eps * ((math.sin(psi) / eps + c0) ** 2 - dpsi ** 2 + lam)
+           - 0.5 * p * eps ** 2 * math.sin(psi)) / math.cos(psi)
+    psi_sw = math.atan(w_switch)
+    rows = [(MAX_OF_W, 3, 0.0, -1, False), (ZERO_OF_W, 2, 0.0, -1, False),
+            (STEEP, 2, -psi_sw, -1, False), (EQUATOR, 2, -0.5 * math.pi, -1, True),
+            (BLOWUP_POSITIVE, 2, psi_sw, 1, True), (ABORTED, 0, r_max, 1, True)]
+    events = []
+    for _, i, target, direction, terminal in rows:
+        def event(s, y, i=i, target=target):
+            return y[i] - target
+        event.direction, event.terminal = direction, terminal
+        events.append(event)
+    sol = solve_ivp(lambda s, y: rhs_arc_arr(s, y, c0, lam, p), (eps, math.inf),
+                    [eps, z, psi, dpsi, gam], method="DOP853", rtol=1e-13, atol=1e-15,
+                    events=events)
+    assert sol.status == 1, sol.message
+    found = {kind: [tuple(y) for y in ys] for (kind, *_), ys in zip(rows, sol.y_events)}
+    status = next(kind for kind, *_, terminal in rows if terminal and found[kind])
+    return status, {kind: ys for kind, ys in found.items() if ys}
 
 
 def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:

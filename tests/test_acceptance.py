@@ -19,21 +19,23 @@ from helfrich import (
     eval_q,
     extract_landmarks,
     integrate,
-    kernels,
     profile_points,
     surface_totals,
 )
 from helfrich import cli
 from helfrich.analysis import BICONCAVE
+from helfrich.solver import axis_coefficients, axis_series
 from conftest import FIGURE_W0P, PAPER
 from oracles import (
     find_crossing,
     kappa_derivs,
     profile_quadrature_totals,
     requadrature_totals,
+    rhs_chart_a_arr,
     sample_extrema_oracle,
     series_residual,
 )
+from scipy.integrate import solve_ivp
 
 
 def _report(num, desc, ok):
@@ -142,16 +144,32 @@ def test_criterion_07_equator_identity(figure_runs):
     _report(7, "equator curvature identity (" + ", ".join(details) + ")", ok)
 
 
+def _graph_form_at(params, w0p, eps, w, w_end):
+    """(r, z) where w first falls through ``w``, by scipy's DOP853 on the
+    graph form w(r) from the axis series at r = eps, to w = -w_end."""
+    def at_w(r, y):
+        return y[0] - w
+
+    def end(r, y):
+        return y[0] + w_end
+
+    at_w.direction = end.direction = -1.0
+    end.terminal = True
+    sol = solve_ivp(lambda r, y: rhs_chart_a_arr(r, y, params.c0, params.lam, params.p),
+                    (eps, 1e3), axis_series(axis_coefficients(params, w0p), eps),
+                    method="DOP853", rtol=1e-13, atol=1e-15, events=(at_w, end))
+    assert sol.status == 1, sol.message
+    return sol.t_events[0][0], sol.y_events[0][0][2]
+
+
 def test_criterion_08_numerical_integrity(figure_runs, paper_params):
     ok = True
-    # chart overlap at w = -15 between a deep chart-A run and chart B
-    deep = integrate(paper_params, 0.05, SolverConfig(w_switch=20.0))
+    # overlap of two formulations at w = -15: the point of the arc-length
+    # run where psi = -atan 15, and scipy's DOP853 on the graph form w(r)
     full = integrate(paper_params, 0.05)
-    r_at = find_crossing(deep.chart_a, 0, -15.0)
-    z_at = deep.chart_a.eval_many(r_at)[0][2]
-    zb = find_crossing(full.chart_b, 1, -1.0 / 15.0)
-    overlap = max(abs(full.chart_b.eval_many(zb)[0][0] - r_at) / r_at,
-                  abs(zb - z_at) / max(1e-3, abs(z_at)))
+    y15 = full.chart_a.eval_many(find_crossing(full.chart_a, 2, -math.atan(15.0)))[0]
+    r_at, z_at = _graph_form_at(paper_params, 0.05, full.chart_a.x_start, -15.0, 20.0)
+    overlap = max(abs(y15[0] - r_at) / r_at, abs(y15[1] - z_at) / max(1e-3, abs(z_at)))
     ok &= overlap <= 1e-8
 
     residuals = [el_residual(traj) for traj, _, _ in figure_runs.values()]
@@ -168,8 +186,8 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
         r = rng.uniform(0.05, 3.0)
         w = rng.uniform(-4.0, 4.0)
         wp = rng.uniform(-4.0, 4.0)
-        wpp = kernels.rhs_a(r, (w, wp, 0.0), paper_params.c0, paper_params.lam,
-                            paper_params.p)[1]
+        wpp = rhs_chart_a_arr(r, (w, wp, 0.0), paper_params.c0, paper_params.lam,
+                              paper_params.p)[1]
         k, kp, kpp = kappa_derivs(r, w, wp, wpp)
         denom = 1.0 - r * r * k * k
         terms = np.array([-r * k * (r * kp + k) ** 2 / (2 * denom), -3.0 * kp,

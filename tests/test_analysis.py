@@ -46,14 +46,6 @@ def test_landmarks_reference(ref_traj, ref_landmarks):
     assert math.isfinite(lm.z_inf)
 
 
-def test_landmarks_z_continuity_across_charts(ref_traj):
-    from helfrich import CHART_SWITCH
-    ev = ref_traj.first_event(CHART_SWITCH)
-    assert ev is not None
-    # z at the switch equals the chart-B start height
-    assert ev.state[2] == ref_traj.chart_b.x_start
-
-
 def test_blowup_has_no_zero_landmarks(blowup_traj):
     lm = extract_landmarks(blowup_traj)
     assert lm.r0 is None and lm.r_inf is None and lm.n_critical_points is None
@@ -83,8 +75,8 @@ def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
 def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     """w' starts positive and its sign changes alternate, so n maxima on
     (eps, r0) bring 2n - 1 sign changes when w'(r0) < 0 and 2n otherwise."""
-    events = [Event(MAX_OF_W, "A", x, (0.0, 0.0, 0.0)) for x in max_xs]
-    events.append(Event(ZERO_OF_W, "A", 2.0, (0.0, wp_r0, 0.0)))
+    events = [Event(MAX_OF_W, x, (x, 0.0, 0.0, 0.0, 0.0)) for x in max_xs]
+    events.append(Event(ZERO_OF_W, 2.0, (2.0, 0.0, 0.0, wp_r0, 0.0)))
     events.sort(key=lambda ev: ev.x)
     lm = extract_landmarks(replace(ref_traj, events=events))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
@@ -111,17 +103,18 @@ def test_geometry_at_zero_of_w(ref_traj, ref_landmarks):
 
 def test_geometry_at_equator(ref_traj, ref_landmarks):
     g = geometry_at(ref_traj, z=ref_landmarks.z_inf)
+    assert math.isclose(g.r, ref_landmarks.r_inf, rel_tol=1e-12)
     assert math.isclose(g.kappa_m, -1.0 / ref_landmarks.r_inf, rel_tol=1e-9)
     assert g.K > 0.0  # convex at the reflection plane
 
 
 def test_geometry_H_appendix_form_consistency(ref_traj):
-    seg = ref_traj.chart_a
-    rs = np.linspace(seg.x_start, seg.x_end, 500)
+    """H from the arc-length state, (sin psi / r + psi') / 2, is the graph
+    form's (w' + (w / r) (1 + w^2)) / (2 (1 + w^2)^(3/2))."""
+    rs = np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.state[0], 500)
     for r in rs[::25]:
         g = geometry_at(ref_traj, r=float(r))
-        y = seg.eval_many(float(r))[0]
-        w, wp = y[0], y[1]
+        w, wp, _ = ref_traj.eval_a(float(r))[0]
         P = 1.0 + w * w
         H_graph = (wp + (w / r) * P) / (2.0 * P ** 1.5)
         assert math.isclose(g.H, H_graph, rel_tol=1e-12)
@@ -130,7 +123,7 @@ def test_geometry_H_appendix_form_consistency(ref_traj):
 
 def test_gauss_curvature_sign_tracks_slope_gradient(ref_traj, ref_landmarks):
     rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0 * 0.999, 2001)
-    Y = ref_traj.chart_a.eval_many(rs)
+    Y = ref_traj.eval_a(rs)
     w, wp = Y[:, 0], Y[:, 1]
     P = 1.0 + w * w
     K = (w / (rs * np.sqrt(P))) * (wp / P ** 1.5)
@@ -153,10 +146,9 @@ def test_el_residual_decreases_with_tolerance():
 
 def test_el_residual_linear_sensitivity(ref_traj, paper_params):
     """Perturbing w'' shifts the integrand linearly."""
-    seg = ref_traj.chart_a
-    r = float(0.5 * (seg.x_start + seg.x_end))
-    y = seg.eval_many(r)[0]
-    d = seg.deriv_many(r)[0]
+    r = float(0.5 * (ref_traj.chart_a.x_start + ref_traj.switch.state[0]))
+    y = ref_traj.eval_a(r)[0]
+    d = ref_traj.eval_a(r, deriv=True)[0]
     w, wp, wpp = y[0], y[1], d[1]
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     P = 1.0 + w * w
@@ -218,30 +210,30 @@ def test_eta_sup_stable_under_tolerance():
     (1.0, 0.25, 1.0, 0.05), (1.0, 0.25, 1.0, 0.2), (-1.5, 0.5, 3.0, 0.01),
     (2.5, 1.5, 0.2, 1e-3)])
 def test_eta_sup_converges_with_tolerance(c0, lam, p, w0p):
-    """eta = B/s near the equator divides the dense output's defect in B
-    by s, about 1e-7 at the last sample.  With chart-B stages kept clear of
-    the equator's 1/s pole the defect follows the tolerance: sup |eta| at
-    rel_tol 1e-8 to 1e-10 is within 3% of its value at 1e-12 (steps that
-    put a stage next to the pole read up to 40 times that value)."""
+    """eta = B / cos psi near the equator, B = H - gamma cos psi, divides
+    the dense output's drift in the first integral H by cos psi, which
+    falls like z - z_inf, so by about 1e6 at the last sample.  The error
+    follows the tolerance: sup |eta| at rel_tol 1e-9 and 1e-10 is within
+    3% of its value at 1e-12, and closer at 1e-10 than at 1e-9."""
     params = HelfrichParams(c0, lam, p)
     ref = eta_boundedness(integrate(params, w0p, SolverConfig(rel_tol=1e-12,
                                                               abs_tol=1e-14))).sup_eta
-    for rt in (1e-8, 1e-9, 1e-10):
+    errs = []
+    for rt in (1e-9, 1e-10):
         traj = integrate(params, w0p, SolverConfig(rel_tol=rt, abs_tol=1e-13))
-        assert eta_boundedness(traj).sup_eta == pytest.approx(ref, rel=0.03), rt
+        errs.append(abs(eta_boundedness(traj).sup_eta / ref - 1.0))
+    assert errs[0] <= 0.03 and errs[1] <= errs[0], errs
 
 
 def test_blowdown_growth_ratio_finite(ref_traj):
-    """w'^2 / (|w| (1+w^2)^(5/2)) approaches u''(z_inf)^2 at the equator."""
+    """w'^2 / (|w| (1+w^2)^(5/2)) = psi'^2 / |sin psi| approaches psi'^2,
+    the squared longitudinal curvature, at the equator."""
     ev = ref_traj.first_event(EQUATOR)
-    q_eq = ev.state[2]
-    zs = np.linspace(ref_traj.chart_b.x_start, ref_traj.chart_b.x_end, 2001)
-    Y = ref_traj.chart_b.eval_many(zs)
-    s, q = Y[:, 1], Y[:, 2]
-    P = s * s + 1.0
-    ratio = q * q / P ** 2.5
+    seg = ref_traj.chart_a
+    Y = seg.eval_many(np.linspace(ref_traj.switch.x, seg.x_end, 2001))
+    ratio = Y[:, 3] ** 2 / np.abs(np.sin(Y[:, 2]))
     assert np.all(np.isfinite(ratio))
-    assert math.isclose(ratio[-1], q_eq ** 2, rel_tol=1e-6)
+    assert math.isclose(ratio[-1], ev.state[3] ** 2, rel_tol=1e-6)
 
 
 def test_surface_totals_positive(ref_traj):
@@ -270,44 +262,42 @@ def test_surface_totals_match_requadrature(c0, lam, p, w0p):
         assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
 
-def _linear_segment(xs, x_end, lead, slope, rest):
-    """A dense segment whose component 0 is ``lead + slope (x - xs[0])``
-    and whose other two are the constants ``rest``: each step's record
-    holds its h and start state, from which a stand-in completion writes
-    the interpolant rows y and F0."""
+def _linear_segment(xs, x_end, y0, slope):
+    """A dense segment whose state is ``y0 + slope (x - xs[0])``: each
+    step's record holds its h and start state, from which a stand-in
+    completion writes the interpolant rows y and F0."""
     xs = np.asarray(xs, dtype=float)
     records = np.zeros((len(xs) - 1, kernels.NREC))
     records[:, 0] = np.diff(xs)
-    records[:, 1] = lead + slope * (xs[:-1] - xs[0])
-    records[:, 2:1 + kernels.NSTATE] = rest
+    records[:, 1:1 + kernels.NSTATE] = np.outer(xs[:-1] - xs[0], slope) + y0
 
     def dense(x, rec, c0, lam, p):
         rows = [0.0] * (kernels.NROWS * kernels.NSTATE)
         rows[:kernels.NSTATE] = rec[1:1 + kernels.NSTATE]
-        rows[kernels.NSTATE] = slope * rec[0]
+        rows[kernels.NSTATE:2 * kernels.NSTATE] = (rec[0] * np.asarray(slope)).tolist()
         return rows
 
     return DenseSegment(xs, records.ravel(), x_end, dense, (0.0, 0.0, 0.0))
 
 
 def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
-    """On polynomial interpolants the volume densities r^2 w (w = a r on
-    chart A) and u^2 (u linear in z on chart B) have degree 3 and 2, which
-    the 5-point rule integrates exactly; the last step of each chart counts
-    only up to x_end, so a step integrated past its cut fails the test."""
-    params, w0p, eps, a = HelfrichParams(1.0, 0.25, 1.0), 0.05, 1e-3, 0.4
-    seg_a = _linear_segment([eps, 0.5, 1.2, 2.0], 1.7, a * eps, a, [a, 0.0])
-    u0, b = 2.0, -0.5
-    seg_b = _linear_segment([-0.5, -0.8, -1.2], -1.0, u0, b, [b, 0.0])
-    events = [Event(EQUATOR, "B", -1.0, (u0 + b * (-0.5), b, 0.0))]
-    traj = Trajectory(params, w0p, SolverConfig(), seg_a, seg_b, events)
+    """On polynomial interpolants the volume density r^2 sin psi, r linear
+    in s at a fixed angle psi, has degree 2, which the 5-point rule
+    integrates exactly; the last step counts only up to x_end, so a step
+    integrated past its cut fails the test."""
+    params, w0p, eps = HelfrichParams(1.0, 0.25, 1.0), 0.05, 1e-3
+    psi = -0.3
+    slope = [math.cos(psi), math.sin(psi), 0.0, 0.0, 0.0]
+    seg = _linear_segment([eps, 0.5, 1.2, 2.0], 1.7, [eps, 0.0, psi, 0.0, 0.0], slope)
+    events = [Event(EQUATOR, 1.7, (eps + (1.7 - eps) * slope[0], 0.0, psi, 0.0, 0.0))]
+    traj = Trajectory(params, w0p, SolverConfig(), seg, events)
 
     # the axis series' volume integral of r^2 w = sum a_n r^(n+2) on [0, eps]
     vol_series = sum(a_n * eps ** (n + 3) / (n + 3)
                      for n, a_n in zip(range(1, 12, 2), traj.axis_coeffs))
-    vol_a = a * (1.7 ** 4 - eps ** 4) / 4.0
-    vol_b = ((u0 + b * (-1.0 + 0.5)) ** 3 - u0 ** 3) / (3.0 * b)
-    want = -2.0 * math.pi * (vol_series + vol_a + vol_b)
+    r_end = eps + (1.7 - eps) * slope[0]
+    vol_arc = math.sin(psi) * (r_end ** 3 - eps ** 3) / (3.0 * slope[0])
+    want = -2.0 * math.pi * (vol_series + vol_arc)
     assert surface_totals(traj).volume == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -317,31 +307,23 @@ def test_gauss_legendre_literals_equal_numpy_leggauss():
     assert [v.hex() for v in _GL_W] == [v.hex() for v in weights.tolist()]
 
 
-def _scalar_curvatures(r, w, wp):
-    P = 1.0 + w * w
-    sq = math.sqrt(P)
-    return w / (r * sq), wp / (P * sq)
-
-
 def test_profile_rows_equal_scalar_formulas(figure_runs):
     """Array profile rows equal a row-by-row evaluation in Python floats,
-    bit for bit, so profile.csv does not depend on numpy's vector math."""
-    traj = figure_runs[0.2][0]  # a run where numpy's power differs from libm
+    bit for bit, so profile.csv does not depend on numpy's vector math:
+    kappa_m = sin psi / r, kappa_l = psi' and w = sin psi / cos psi at the
+    state the r- and z-indexed views give for the row."""
+    traj = figure_runs[0.2][0]
     rows = profile_rows(traj).tolist()
-    n_a = 1024
+    assert len(rows) == 1 + 1024 + 512
     for i, (r, z, w, km, kl, H, K) in enumerate(rows[1:]):
-        if i < n_a:
-            y = traj.eval_a(r)[0].tolist()
-            want = _scalar_curvatures(r, y[0], y[1])
-            assert (z, w) == (y[2], y[0])
+        if i < 1024:
+            y = traj.arc_eval(r)[0].tolist()
+            assert z == y[1]
         else:
-            u, s, q = traj.chart_b.eval_many(z)[0].tolist()[:3]
-            if abs(s) > 1e-6:
-                want = _scalar_curvatures(u, 1.0 / s, -q / s ** 3)
-            else:
-                P = s * s + 1.0
-                want = (-1.0 / (u * math.sqrt(P)), q / (P * math.sqrt(P)))
-            assert r == u
+            y = traj.chart_a.eval_many(traj.s_at_z(z))[0].tolist()
+            assert r == y[0]
+        want = (math.sin(y[2]) / r, y[3])
+        assert w == (math.sin(y[2]) / math.cos(y[2]) if i < 1535 else -math.inf)
         assert (km, kl, H, K) == (*want, 0.5 * (want[0] + want[1]), want[0] * want[1])
 
 

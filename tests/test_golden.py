@@ -25,26 +25,26 @@ GOLDEN = {
     "sweep": (
         ["sweep", "--c0-range=-1:2:3", "--lambda-range=-0.5:1:2",
          "--p-range", "0.5:4:2", "--w0p-range", "0.001:0.5:3"],
-        {"phase.csv": "2cdc9c79dadd73a266c1c629143e66b7adef337b59a031c301e32c3533e89d0e"},
+        {"phase.csv": "fa033899cf635f2c4dabaad17a84d0aaac54871c5e56bace7029a41c3336ee58"},
     ),
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "b7c2b5eda9df3b511c3ce4ced6379ea59ca29385e11642aa9c43b7187c7579ff"},
+            "ce7438ae6e70f913fcfdb77a00023d2cf028773a632997a76c1b3bfcfdb90bb7"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "dcae23b33affa7e8723ea91ae2e6a4742a41d039a7df8b81a964fd0c4dacd080",
-            "report.json": "5d5d8b740f52ede1d0cb6b684e82162643a5e4d8be097e3bbc12931af46e635b",
+            "profile.csv": "181f7ae32143a093b4cda641806219147e7dfee163f1509047122c04ba469e53",
+            "report.json": "728e60af0273ad87bda4b25c20fcaad6f9bd238a312afc011eee25fafe484d10",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "b3fa99ad9d9743535de7f8bbe0ddbb808e9c5c13080b86fadd92a6f2fbd7775d",
+            "mesh.obj": "8881c5305dbe5ed22ce9fb999af5903ce327b9baa665028a92bbbf155da7bd9e",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "5fdaf94656cd127bc6df5efb331ec932fe3551b93621a952a53010aab375810b"},
+        {"mesh.obj": "0518fbdd6155119156f1e29a2ddf1b446cb3d4113c67b914c5d7672eee28ad00"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
@@ -81,11 +81,11 @@ def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
 
 
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
-# accepted steps and events per chart
+# accepted steps and events
 STEP_COUNTS = {
-    "calls": {"A": 86, "B": 16},
-    "accepted": {"A": 68, "B": 14},
-    "events": {"MaxOfW": 1, "ZeroOfW": 1, "ChartSwitch": 1, "Equator": 1},
+    "calls": 33,
+    "accepted": 33,
+    "events": {"MaxOfW": 1, "ZeroOfW": 1, "Steep": 1, "Equator": 1},
 }
 
 
@@ -94,19 +94,16 @@ STEP_COUNTS = {
 def test_reference_solve_step_counts(monkeypatch):
     calls = Counter()
 
-    def counted(chart, step):
-        def wrapper(*args):
-            calls[chart] += 1
-            return step(*args)
-        return wrapper
+    def counted(*args, _step=kernels.dopri5_step_a):
+        calls["step"] += 1
+        return _step(*args)
 
-    monkeypatch.setattr(kernels, "dopri5_step_a", counted("A", kernels.dopri5_step_a))
-    monkeypatch.setattr(kernels, "dopri5_step_b", counted("B", kernels.dopri5_step_b))
+    monkeypatch.setattr(kernels, "dopri5_step_a", counted)
     traj = integrate(HelfrichParams(1.0, 0.25, 1.0), 0.05)
     got = {
-        "calls": dict(calls),
+        "calls": calls["step"],
         # the step nodes, as reading conts would complete every step
-        "accepted": {"A": len(traj.chart_a.xs) - 1, "B": len(traj.chart_b.xs) - 1},
+        "accepted": len(traj.chart_a.xs) - 1,
         "events": dict(Counter(ev.kind for ev in traj.events)),
     }
     assert got == STEP_COUNTS

@@ -1,19 +1,24 @@
-"""The solver's landmarks against an independent integrator.
+"""The solver against independent integrators.
 
 scipy's ``solve_ivp`` with its own DOP853, step-size control and event
-location, at tolerances far tighter than the package's, integrates the
-same chart-A right-hand side from the same series start.  Where the
-profile first crosses w = 0, r0 and w'(r0) must agree to 1e-9 relative.
+location, at tolerances far tighter than the package's, integrates two
+other texts of the shape equation from the same series start: the
+arc-length form the package integrates (``oracles.arc_oracle``, written
+apart from ``kernels``), and the graph form w(r), a formulation the
+package no longer uses (``oracles.rhs_chart_a_arr``).  The landmarks must
+agree to 1e-8 relative, and the events by kind must be the same.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helfrich import HelfrichParams, SolverConfig, extract_landmarks, integrate, kernels
-from helfrich.solver import series_start
+from helfrich import HelfrichParams, SolverConfig, extract_landmarks, integrate
+from helfrich.solver import axis_coefficients, axis_series
+from oracles import arc_oracle, rhs_chart_a_arr
 
 # (c0, lambda, p, w0p): the reference point, an oscillating cell with ten
 # maxima of w, two cells of the fuzz set, a large-p cell and a small-slope
@@ -29,19 +34,20 @@ CELLS = [
 
 
 def _scipy_r0(params, w0p, eps, r_max, w_switch):
-    """r0 and w'(r0) at the first downward zero of w, by scipy's DOP853."""
+    """r0 and w'(r0) at the first downward zero of w, by scipy's DOP853 on
+    the graph form w(r)."""
     def zero_of_w(r, y):
         return y[0]
 
-    def chart_switch(r, y):
+    def steep(r, y):
         return y[0] + w_switch
 
     zero_of_w.direction = -1.0
-    chart_switch.direction = -1.0
-    chart_switch.terminal = True
-    sol = solve_ivp(lambda r, y: kernels.rhs_a(r, y, params.c0, params.lam, params.p),
-                    (eps, r_max), series_start(params, w0p, eps), method="DOP853",
-                    rtol=1e-13, atol=1e-15, events=(zero_of_w, chart_switch))
+    steep.direction = -1.0
+    steep.terminal = True
+    sol = solve_ivp(lambda r, y: rhs_chart_a_arr(r, y, params.c0, params.lam, params.p),
+                    (eps, r_max), axis_series(axis_coefficients(params, w0p), eps),
+                    method="DOP853", rtol=1e-13, atol=1e-15, events=(zero_of_w, steep))
     assert sol.status in (0, 1), sol.message
     return sol.t_events[0][0], sol.y_events[0][0][1]
 
@@ -57,3 +63,20 @@ def test_r0_and_slope_match_scipy_dop853(c0, lam, p, w0p):
     assert np.isfinite(r0) and np.isfinite(wp_r0)
     assert lm.r0 == pytest.approx(r0, rel=1e-9, abs=0.0)
     assert lm.wp_r0 == pytest.approx(wp_r0, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("c0, lam, p, w0p", CELLS)
+def test_landmarks_and_events_match_the_arc_length_oracle(c0, lam, p, w0p):
+    """r0, w'(r0), r_inf and z_inf agree with scipy's run to 1e-8 relative,
+    and the runs end alike with the same events by kind."""
+    params = HelfrichParams(c0, lam, p)
+    traj = integrate(params, w0p)
+    lm = extract_landmarks(traj)
+    status, events = arc_oracle(params, w0p, traj.chart_a.x_start)
+    assert traj.status == status
+    assert Counter(ev.kind for ev in traj.events) == {k: len(v) for k, v in events.items()}
+    r0, _, psi, dpsi, _ = events["ZeroOfW"][0]
+    r_inf, z_inf = events["Equator"][0][:2]
+    want = (r0, dpsi / math.cos(psi) ** 3, r_inf, z_inf)
+    got = (lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)

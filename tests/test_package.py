@@ -54,7 +54,7 @@ def test_import_and_sweep_leave_numpy_unloaded(tmp_path):
             "rc = cli.main(['sweep', '--c0-range=1:1:1', '--lambda-range=0.25:0.25:1',\n"
             "               '--p-range=1:1:1', '--w0p-range=0.05:2:4',\n"
             f"               '--out={tmp_path}'])\n"
-            "rc2 = cli.main(['sweep', '--w0p-range=0:0.05:2', '--max-steps=50',\n"
+            "rc2 = cli.main(['sweep', '--w0p-range=0:0.05:2', '--max-steps=10',\n"
             f"                '--out={tmp_path / 'b'}'])\n"
             "print(rc, rc2, 'numpy' in sys.modules)\n")
     lines = _run_python(code, timeout=120, HELFRICH_JIT="0").splitlines()
