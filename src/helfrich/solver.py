@@ -9,7 +9,8 @@ along the whole meridian, so one chart covers it.
 The embedded DOP853 pair (8th order, with 5th- and 3rd-order error
 estimates) and a proportional-integral step controller take the steps;
 events are located by bisection on the 7th-order continuous extension of
-the step they fall in.  That dense output is built only where it is
+the step they fall in, and the run ends on its terminal event with a
+step of its own.  That dense output is built only where it is
 read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
 which an event row changes sign, and a ``DenseSegment`` completes a step
@@ -368,20 +369,16 @@ class DenseSegment:
 
     def _locate(self, x: np.ndarray):
         import numpy as np
-        self._check_range(x)
+        lo, hi = self.x_start, self.x_end
+        pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+        if np.any(x < lo - pad) or np.any(x > hi + pad):
+            raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
         idx = np.searchsorted(self.xs, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.xs) - 2)
         h = self.xs[idx + 1] - self.xs[idx]
         # theta = 0 on the zero-length step of a run that took no step
         theta = np.divide(x - self.xs[idx], h, out=np.zeros_like(h), where=h != 0.0)
         return idx, theta
-
-    def _check_range(self, x: np.ndarray):
-        import numpy as np
-        lo, hi = self.x_start, self.x_end
-        pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-        if np.any(x < lo - pad) or np.any(x > hi + pad):
-            raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
 
     def eval_many(self, x, cols=slice(None)) -> np.ndarray:
         import numpy as np
@@ -398,10 +395,10 @@ class DenseSegment:
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
 
-    def solve_many(self, i: int, values, x_lo: float, x_hi: float) -> np.ndarray:
+    def solve_many(self, i: int, values, x_lo: float, x_hi: float, ends) -> np.ndarray:
         """The x in [x_lo, x_hi] at which component i, strictly monotone
-        there, takes each of ``values``, which lie between its values at
-        x_lo and x_hi; shape (n,).
+        there, takes each of ``values``, which lie between ``ends``, its
+        values at x_lo and x_hi (OutOfRange otherwise); shape (n,).
 
         The step nodes, whose states the records hold, bracket each value
         in a step, which [x_lo, x_hi] may cut.  Newton's method on its
@@ -415,6 +412,10 @@ class DenseSegment:
         t = np.atleast_1d(np.asarray(values, dtype=float))
         if not len(t):
             return t
+        v_min, v_max = min(ends), max(ends)
+        pad = 1e-12 * (1.0 + max(abs(v_min), abs(v_max)))
+        if np.any(t < v_min - pad) or np.any(t > v_max + pad):
+            raise OutOfRange(f"value outside [{v_min}, {v_max}], component {i}'s range")
         (lo, hi), (th_lo, th_hi) = self._locate(np.array([x_lo, x_hi], dtype=float))
         # component i at the nodes xs: the start of the first step, then
         # the end state of every step
@@ -495,12 +496,14 @@ class Trajectory:
         return self.first_event(STEEP) or self.events[-1]
 
     def s_at_r(self, r) -> np.ndarray:
-        """Arc length at radii r in [eps, r_switch], where r' = cos psi."""
-        return self.chart_a.solve_many(0, r, self.chart_a.x_start, self.switch.x)
+        """Arc length at radii r in [eps, r_switch] (s = r = eps at the start)."""
+        eps, sw = self.chart_a.x_start, self.switch
+        return self.chart_a.solve_many(0, r, eps, sw.x, (eps, sw.state[0]))
 
     def s_at_z(self, z) -> np.ndarray:
         """Arc length at heights z from the ``Steep`` event on, where z falls."""
-        return self.chart_a.solve_many(1, z, self.switch.x, self.chart_a.x_end)
+        sw, end = self.switch, self.events[-1]
+        return self.chart_a.solve_many(1, z, sw.x, end.x, (sw.state[1], end.state[1]))
 
     def series_eval(self, r, deriv: bool = False) -> np.ndarray:
         """Axis-series graph state (w, w', z) on [0, eps), or with ``deriv``
@@ -509,18 +512,26 @@ class Trajectory:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         return np.stack(axis_series(self.axis_coeffs, r, deriv), axis=1)
 
+    def _by_radius(self, r, series, dense) -> np.ndarray:
+        """``series`` of the radii r below eps and ``dense`` of the arc
+        lengths s(r) of the others, in the order of r in [0, r_switch]."""
+        import numpy as np
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        inside = r < self.chart_a.x_start
+        above = dense(self.s_at_r(r[~inside]))
+        out = np.empty((len(r),) + above.shape[1:])
+        out[inside] = series(r[inside])
+        out[~inside] = above
+        return out
+
     def arc_eval(self, r) -> np.ndarray:
         """The state (r, z, psi, psi', gamma) at radii r in [0, r_switch],
         shape (n, NSTATE): from the axis series below eps (see
         ``_arc_state``) and from the dense output at s(r) from there on."""
         import numpy as np
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        inside = r < self.chart_a.x_start
-        out = np.empty((len(r), kernels.NSTATE))
-        w, wp, z = self.series_eval(r[inside]).T
-        out[inside] = np.stack(_arc_state(self.params, r[inside], w, wp, z), axis=1)
-        out[~inside] = self.chart_a.eval_many(self.s_at_r(r[~inside]))
-        return out
+        return self._by_radius(
+            r, lambda rs: np.stack(_arc_state(self.params, rs, *self.series_eval(rs).T), axis=1),
+            self.chart_a.eval_many)
 
     def eval_a(self, r, cols=slice(None), deriv: bool = False) -> np.ndarray:
         """The graph state (w, w', z) at radii r in [0, r_switch], or with
@@ -530,25 +541,18 @@ class Trajectory:
         the derivative of the dense output.  ``cols`` selects components
         as in ``DenseSegment.eval_many``."""
         import numpy as np
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        seg = self.chart_a
-        inside = r < seg.x_start
-        s = self.s_at_r(r[~inside])
-        z, psi, dpsi = seg.eval_many(s, slice(1, 4)).T
-        cp = np.cos(psi)
-        w = np.sin(psi) / cp
-        c3 = cp * cp * cp
-        wp = dpsi / c3
-        if deriv:
-            wpp = (seg.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
-            graph = (wp, wpp, w)
-        else:
-            graph = (w, wp, z)
-        dense = np.stack(graph, axis=1)[:, cols]
-        out = np.empty((len(r),) + dense.shape[1:])
-        out[inside] = self.series_eval(r[inside], deriv)[:, cols]
-        out[~inside] = dense
-        return out
+
+        def graph(s):
+            z, psi, dpsi = self.chart_a.eval_many(s, slice(1, 4)).T
+            cp = np.cos(psi)
+            w = np.sin(psi) / cp
+            c3 = cp * cp * cp
+            wp = dpsi / c3
+            if deriv:
+                wpp = (self.chart_a.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
+            return np.stack((wp, wpp, w) if deriv else (w, wp, z), axis=1)[:, cols]
+
+        return self._by_radius(r, lambda rs: self.series_eval(rs, deriv)[:, cols], graph)
 
 
 def _rms(v, sc) -> float:
@@ -619,10 +623,8 @@ def _dense_rows(dense, x, rec, c0, lam, p):
 def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     """Theta in [lo, hi] where one component's step polynomial, with the
     NROWS coefficients ``c``, crosses ``target``; bisects until |h| times
-    the bracket <= tol (1 + |x0|), then takes the chord across the last
-    bracket, which places a simple crossing to second order in its width."""
+    the bracket <= tol (1 + |x0|)."""
     glo = _interpolant(c, lo) - target
-    ghi = _interpolant(c, hi) - target
     h_abs = abs(h)
     bound = tol * (1.0 + abs(x0))
     for _ in range(200):
@@ -633,8 +635,8 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
         if (gm > 0.0) == (glo > 0.0):
             lo, glo = mid, gm
         else:
-            hi, ghi = mid, gm
-    return lo + (hi - lo) * (glo / (glo - ghi)) if glo != ghi else 0.5 * (lo + hi)
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, steps_budget):
@@ -644,8 +646,10 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
     step's record and completes its dense output with ``dense_fn`` only
-    on a step where an event row changes sign, to bisect it.  Returns
-    (segment, events, steps_used); the last event ends the run: a
+    on a step where an event row changes sign, to bisect it.  A terminal
+    row's hit ends the run: the step across it is taken again up to the
+    hit, when that shorter step is accepted, and then it is the last step.
+    Returns (segment, events, steps_used); the last event ends the run: a
     terminal row's, or ``Aborted`` when the step budget did.
     """
     c0, lam, p = params.c0, params.lam, params.p
@@ -722,8 +726,25 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
                 hits.append((th, kind, terminal))
         if hits is not None:
             hits.sort(key=lambda hit: hit[0])  # stable: ties keep table order
+            h_end = next((th * h_use for th, _, terminal in hits if terminal), 0.0)
+            h_ev = h_use
+            if h_end > 0.0:
+                # the run ends on its terminal event with a step of its own,
+                # whose interpolant is closer than the one of the step across
+                # it, and the events of this step take their states from it
+                try:
+                    err, rec = step_fn(x, y, h_end, f, c0, lam, p, rtol, atol)[2:]
+                except (ArithmeticError, ValueError):
+                    err = math.inf
+                steps += 1
+                if err <= 1.0:
+                    records[-kernels.NREC:] = array("d", rec)
+                    xs[-1] = x + h_end
+                    cont, h_ev = _dense_rows(dense_fn, x, rec, c0, lam, p), h_end
             for th, kind, terminal in hits:
                 x_ev = x + th * h_use
+                if h_ev != h_use:
+                    th = th * h_use / h_ev
                 y_ev = tuple([_interpolant(cont[i::kernels.NSTATE], th)
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, x_ev, y_ev))

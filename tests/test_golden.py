@@ -25,26 +25,26 @@ GOLDEN = {
     "sweep": (
         ["sweep", "--c0-range=-1:2:3", "--lambda-range=-0.5:1:2",
          "--p-range", "0.5:4:2", "--w0p-range", "0.001:0.5:3"],
-        {"phase.csv": "fa033899cf635f2c4dabaad17a84d0aaac54871c5e56bace7029a41c3336ee58"},
+        {"phase.csv": "d56da149e489632400fd9e867b421244a7428bb38350596bce5033b0de6c64db"},
     ),
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "ce7438ae6e70f913fcfdb77a00023d2cf028773a632997a76c1b3bfcfdb90bb7"},
+            "136f3e194357739ace62f7a18f2a7fa93e8ddea2d152fde906d331f32094fa19"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "181f7ae32143a093b4cda641806219147e7dfee163f1509047122c04ba469e53",
-            "report.json": "728e60af0273ad87bda4b25c20fcaad6f9bd238a312afc011eee25fafe484d10",
+            "profile.csv": "7a1705143eec2660d65445aa9b03734da47acce2b295cab9fb4b0e52edc7ba7a",
+            "report.json": "d7e8ce8187e4042003e2932b2870a240bb69931e50f39705a4a151d1a586b484",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "8881c5305dbe5ed22ce9fb999af5903ce327b9baa665028a92bbbf155da7bd9e",
+            "mesh.obj": "39164e149bcd42f01e5be94d020084d2c730c0fd34685ae81e87d6feb60d4d45",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "0518fbdd6155119156f1e29a2ddf1b446cb3d4113c67b914c5d7672eee28ad00"},
+        {"mesh.obj": "93c893789e233c35af3814d7a4bf2cbfe527af507690a1497c8b7f82ba74a547"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
@@ -83,7 +83,7 @@ def test_batch_outputs_match_golden_at_forced_worker_count(command, workers,
 # the reference solve (c0=1, lambda=0.25, p=1, w0p=0.05): step calls,
 # accepted steps and events
 STEP_COUNTS = {
-    "calls": 33,
+    "calls": 34,
     "accepted": 33,
     "events": {"MaxOfW": 1, "ZeroOfW": 1, "Steep": 1, "Equator": 1},
 }

@@ -290,6 +290,24 @@ def test_dense_segment_range_checks(ref_traj):
         ref_traj.chart_a.eval_many(-1.0)
 
 
+def test_radius_and_height_views_range_checks(ref_traj):
+    """The r-indexed view ends at the Steep event and the z-indexed one at
+    the equator: a radius or height past them is OutOfRange, not the state
+    at the range end."""
+    steep, equator = ref_traj.switch, ref_traj.first_event(EQUATOR)
+    r_switch, z_inf = steep.state[0], equator.state[1]
+    for query in (lambda: ref_traj.eval_a(r_switch * 1.5),
+                  lambda: ref_traj.eval_a([0.5 * r_switch, r_switch * 1.5], deriv=True),
+                  lambda: ref_traj.arc_eval(r_switch * 1.5),
+                  lambda: ref_traj.s_at_z(z_inf - 1.0),
+                  lambda: ref_traj.s_at_z(steep.state[1] + 1.0)):
+        with pytest.raises(OutOfRange):
+            query()
+    # the range ends themselves are inside
+    assert ref_traj.s_at_r(r_switch)[0] == pytest.approx(steep.x, abs=1e-12)
+    assert ref_traj.s_at_z(z_inf)[0] == pytest.approx(equator.x, abs=1e-12)
+
+
 def test_equator_state_is_regular(ref_traj):
     ev = ref_traj.first_event(EQUATOR)
     r, _, psi, dpsi, _ = ev.state
@@ -476,23 +494,26 @@ def _record_completions(monkeypatch):
 
 
 def _event_steps(traj):
-    """Start x of each step that holds an event."""
+    """Start x of each step that holds an event; the terminal event ends
+    the last step."""
     seg = traj.chart_a
     evx = np.array([ev.x for ev in traj.events])
-    idx = np.searchsorted(seg.xs, evx, side="right") - 1
+    idx = np.minimum(np.searchsorted(seg.xs, evx, side="right") - 1, len(seg.xs) - 2)
     return sorted(set(seg.xs[idx].tolist()))
 
 
 def test_dense_output_is_completed_only_where_read(monkeypatch):
     """A sweep cell completes the dense output of the steps that hold an
-    event, to bisect them, and of no other step.  ``check_single`` then
+    event, to bisect them, and of no other step; the last one twice, as it
+    is taken again to end on the terminal event.  ``check_single`` then
     completes no step that starts at or beyond r0: it evaluates (0, r0]
     only, and reads the steps past the Steep event at their start states,
     which the step records keep."""
     calls = _record_completions(monkeypatch)
     traj = integrate(PAPER, 0.05)
     want = _event_steps(traj)
-    assert len(want) == 3
+    want.append(want[-1])
+    assert len(want) == 4
     assert sorted(calls) == want
 
     calls.clear()
