@@ -278,7 +278,18 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     """(r, z - z_inf) samples from the axis to the equator, m + 1 points:
-    evenly in r up to the ``Steep`` event, then evenly in z."""
+    evenly in r up to the ``Steep`` event, then evenly in z.  Computed once
+    per trajectory and m and kept, read-only, in ``traj.memo``, so that
+    the SVG and the mesh of one ``solve`` share it."""
+    key = ("quarter_profile", m)
+    if key not in traj.memo:
+        quarter = _quarter_samples(traj, m)
+        quarter.flags.writeable = False
+        traj.memo[key] = quarter
+    return traj.memo[key]
+
+
+def _quarter_samples(traj: Trajectory, m: int) -> np.ndarray:
     import numpy as np
     m_z = max(8, m // 4)
     m_r = m - m_z

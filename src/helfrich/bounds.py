@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
 from .errors import HelfrichError, MissingEvent
-from .solver import EQUATOR, SolverConfig, Trajectory, integrate
+from .solver import EQUATOR, ZERO_OF_W, SolverConfig, Trajectory, _arc_state, integrate
 
 __all__ = [
     "CheckRecord",
@@ -86,7 +86,13 @@ def _r_max_on_interval(params: HelfrichParams, w0p: float) -> float:
 
 def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     """Evaluate every single-run estimate on an equator-reaching trajectory,
-    with the constants of -Q at the run's own parameters and slope."""
+    with the constants of -Q at the run's own parameters and slope.
+
+    The pointwise checks on (0, r0] sample arc length: 4000 values of s
+    evenly spaced on (0, s(r0)], s(r0) the ``ZeroOfW`` event's.  They read
+    r, psi and psi' off the run and invert no r(s); the r-indexed views
+    ``Trajectory.eval_a`` and ``s_at_r`` still serve ``el_residual`` and
+    the profile."""
     import numpy as np
     ev = traj.first_event(EQUATOR)
     if ev is None:
@@ -124,15 +130,20 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs,
                          _scale_tol(z_r0, rhs or 0.0), info))
 
-    # pointwise re-assertions on (0, r0], the axis series below the start
-    rs = np.linspace(0.0, r0, 4001)[1:]
-    Y = traj.eval_a(rs, slice(0, 2))
-    w, wp = Y[:, 0], Y[:, 1]
-    P = 1.0 + w * w
-    sq = np.sqrt(P)
-    kap = w / (rs * sq)
-    kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
-    one_minus = 1.0 - rs * rs * kap * kap
+    # pointwise re-assertions on (0, r0], at 4000 arc lengths evenly spaced
+    # on (0, s(r0)]: below the start, at s = r = eps, the axis series at
+    # r = s, and from there on the dense output's (r, psi, psi').  kappa =
+    # sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
+    # 1 - r^2 kappa^2 = cos^2 psi are read off the angle
+    s = np.linspace(0.0, traj.first_event(ZERO_OF_W).x, 4001)[1:]
+    n_in = int(np.searchsorted(s, traj.chart_a.x_start))
+    _, _, psi_in, dpsi_in, _ = _arc_state(params, s[:n_in], *traj.series_eval(s[:n_in]).T)
+    rs, psi, dpsi = np.concatenate([np.stack([s[:n_in], psi_in, dpsi_in], axis=1),
+                                    traj.chart_a.eval_many(s[n_in:], [0, 2, 3])]).T
+    sp = np.sin(psi)
+    kap = sp / rs
+    kap_p = dpsi / rs - sp / (rs * rs)
+    one_minus = 1.0 - sp * sp
 
     hyp_mono = bool(_r_max_on_interval(params, w0p) < 0.0)
     lhs = float(np.max(np.diff(kap)))
@@ -197,9 +208,9 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     limit_est = ev.state[3] ** 2
     lhs = float(ratio.max())
     finite = bool(np.all(np.isfinite(ratio)))
-    wa = Y[:, 0]
-    mask = np.abs(wa) > 1e-3
-    chart_a_sup = float(np.max(Y[mask, 1] ** 2 / (np.abs(wa[mask]) * (1 + wa[mask] ** 2) ** 2.5))) if mask.any() else None
+    # the same ratio on (0, r0], where |w| > 1e-3
+    mask = np.abs(np.tan(psi)) > 1e-3
+    chart_a_sup = float(np.max(dpsi[mask] ** 2 / np.abs(sp[mask]))) if mask.any() else None
     records.append(_make("WprimeOrdBounded", finite, lhs, 2.0 * limit_est,
                          _scale_tol(lhs, 2.0 * limit_est),
                          {"equator_limit": limit_est,

@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import _quarter_profile, curvature_geometry, mirror_quarter
@@ -42,36 +43,113 @@ def fmt17(x: float) -> str:
 
 
 @functools.cache
-def _field_names(cls):
-    """The field names of ``cls`` when it is a dataclass, else None: read
-    once per type rather than once per object walked."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+def _sorted_fields(cls):
+    """The field names of ``cls``, sorted, when it is a dataclass, else
+    None: read once per type rather than once per object walked."""
+    return tuple(sorted(f.name for f in fields(cls))) if is_dataclass(cls) else None
 
 
 def write_json(path, payload) -> None:
-    import numpy as np
-
-    def jsonable(obj):
-        """JSON-ready copy of ``obj``: a dataclass instance becomes a dict
-        of its fields, walked in place rather than deep-copied first."""
-        names = _field_names(type(obj))
-        if names is not None:
-            return {name: jsonable(getattr(obj, name)) for name in names}
-        if isinstance(obj, dict):
-            return {k: jsonable(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [jsonable(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [jsonable(v) for v in obj.tolist()]
-        if isinstance(obj, np.generic):
-            return obj.item()
-        if isinstance(obj, float) and math.isnan(obj):
-            return None
-        return obj
-
-    text = json.dumps(jsonable(payload), sort_keys=True, indent=2)
+    """``payload`` as JSON: the text ``json.dumps(x, sort_keys=True,
+    indent=2)`` gives for its JSON-ready copy x, and a newline.  In x a
+    dataclass instance is the object of its fields, an ndarray the list
+    ``tolist`` gives, a numpy scalar its ``item()``, whose NaN reads
+    ``NaN``, and any other float NaN is ``null``; the text is built in one
+    walk (``_json_text``), with no copy made."""
+    out: list[str] = []
+    _json_text(payload, out, "\n")
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out) + "\n")
+
+
+def _json_float(x: float) -> str:
+    """``json``'s text of a float: its repr, ``NaN``, ``Infinity`` or
+    ``-Infinity``."""
+    if x != x:
+        return "NaN"
+    if x == math.inf or x == -math.inf:
+        return "Infinity" if x > 0.0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj, out: list, nl: str) -> None:
+    """Append the JSON text of ``obj`` (see ``write_json``) to ``out``;
+    ``nl`` is the newline and indentation of obj's depth."""
+    t = type(obj)
+    if t is float:
+        out.append("null" if obj != obj else _json_float(obj))
+    elif t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif (names := _sorted_fields(t)) is not None:
+        _json_members([(name, getattr(obj, name)) for name in names], out, nl)
+    elif isinstance(obj, dict):
+        _json_members(sorted(obj.items()), out, nl)
+    elif isinstance(obj, (list, tuple)):
+        _json_elements(obj, out, nl)
+    else:
+        import numpy as np
+        if isinstance(obj, np.ndarray):
+            _json_elements(list(obj.tolist()), out, nl)
+        elif isinstance(obj, np.generic):
+            value = obj.item()
+            if isinstance(value, float):
+                out.append(_json_float(value))
+            else:
+                _json_text(value, out, nl)
+        elif isinstance(obj, float):
+            out.append("null" if obj != obj else _json_float(obj))
+        elif isinstance(obj, str):
+            out.append(encode_basestring_ascii(obj))
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _json_elements(seq, out: list, nl: str) -> None:
+    if not seq:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    out.append("[" + inner)
+    for i, value in enumerate(seq):
+        if i:
+            out.append(sep)
+        _json_text(value, out, inner)
+    out.append(nl + "]")
+
+
+def _json_members(items, out: list, nl: str) -> None:
+    if not items:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    out.append("{" + inner)
+    for i, (key, value) in enumerate(items):
+        if i:
+            out.append(sep)
+        if isinstance(key, str):
+            text = key
+        elif isinstance(key, float):
+            text = _json_float(key)
+        elif key is None or isinstance(key, int):
+            text = json.dumps(key)
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        out.append(encode_basestring_ascii(text) + ": ")
+        _json_text(value, out, inner)
+    out.append(nl + "}")
 
 
 def profile_rows(traj: Trajectory):

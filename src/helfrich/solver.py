@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -297,8 +297,10 @@ class DenseSegment:
     ``params``, the (c0, lam, p) it takes.  A step's dense output, its
     ``kernels.NROWS`` rows (y and the interpolant's F0..F6), is completed
     from its record the first time a query touches the step, so a caller
-    that evaluates only part of a run pays only for that part.  A
-    completion that raises gives NaN rows (see ``_dense_rows``).
+    that evaluates only part of a run pays only for that part; ``given``
+    holds (step index, rows) pairs of steps already completed, the loop's
+    event steps, which are not completed again.  A completion that raises
+    gives NaN rows (see ``_dense_rows``).
 
     The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
     NSTATE), the start state of each step, need no completion; ``conts``,
@@ -308,13 +310,14 @@ class DenseSegment:
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
-    (n, k), and the default ``slice(None)`` all NSTATE, (n, NSTATE).  Each value
+    or a list of k ints (n, k), and the default ``slice(None)`` all NSTATE,
+    (n, NSTATE).  Each value
     is the one the full evaluation gives, bit for bit, at a fraction of
     the cost.
     """
 
-    def __init__(self, xs, records, x_end: float, dense, params):
-        self._raw_xs, self._records = xs, records
+    def __init__(self, xs, records, x_end: float, dense, params, given=()):
+        self._raw_xs, self._records, self._given = xs, records, given
         self._dense, self._params = dense, params
         self.x_start = float(xs[0])
         # a run may terminate mid-step at an event
@@ -341,10 +344,14 @@ class DenseSegment:
 
     @cached_property
     def _table(self):
-        # every step's rows, and which of them are completed
+        # every step's rows, and which of them are completed: the given ones
         import numpy as np
         n = len(self._raw_xs) - 1
-        return np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
+        conts, done = np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
+        for i, rows in self._given:
+            conts[i] = np.reshape(rows, (kernels.NROWS, kernels.NSTATE))
+            done[i] = True
+        return conts, done
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """The (steps, NROWS, NSTATE) table, with the steps ``idx`` completed."""
@@ -462,7 +469,8 @@ class Trajectory:
     ``chart_a`` is the run's dense segment in the arc length s, which
     starts at s = eps, the start radius.  ``axis_coeffs`` is the axis
     series the run starts from (see ``axis_coefficients``), computed when
-    not given.
+    not given.  ``memo`` keeps results that analyses derive from the run
+    for the later callers of one command (see ``analysis._quarter_profile``).
     """
 
     params: HelfrichParams
@@ -471,6 +479,7 @@ class Trajectory:
     chart_a: DenseSegment
     events: list[Event]
     axis_coeffs: tuple[float, ...] = ()
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # One segment now covers the meridian.  It keeps the name of the first
     # of the two charts the solver once used, and the second one reads None,
@@ -646,7 +655,8 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
     step's record and completes its dense output with ``dense_fn`` only
-    on a step where an event row changes sign, to bisect it.  A terminal
+    on a step where an event row changes sign, to bisect it, and hands
+    those rows to the segment.  A terminal
     row's hit ends the run: the step across it is taken again up to the
     hit, when that shorter step is accepted, and then it is the last step.
     Returns (segment, events, steps_used); the last event ends the run: a
@@ -675,6 +685,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
 
     xs = [x]
     records = array("d")  # kernels.NREC floats per accepted step, flat
+    given = []  # (step index, dense rows) of the event steps
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -686,7 +697,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     while True:
         if steps >= steps_budget:
             events.append(Event(ABORTED, x, tuple(y)))
-            return _make_segment(xs, records, x, y, dense_fn, params), events, steps
+            return _make_segment(xs, records, x, y, dense_fn, params, given), events, steps
         if h < 1e-14 * abs(x):
             raise StepUnderflow(f"step size {h!r} underflow at s={x!r}")
         h_use = y[0] if h > y[0] else h
@@ -741,6 +752,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
                     records[-kernels.NREC:] = array("d", rec)
                     xs[-1] = x + h_end
                     cont, h_ev = _dense_rows(dense_fn, x, rec, c0, lam, p), h_end
+            given.append((len(xs) - 2, cont))
             for th, kind, terminal in hits:
                 x_ev = x + th * h_use
                 if h_ev != h_use:
@@ -749,7 +761,8 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, x_ev, y_ev))
                 if terminal:
-                    return _make_segment(xs, records, x_ev, y, dense_fn, params), events, steps
+                    return (_make_segment(xs, records, x_ev, y, dense_fn, params, given),
+                            events, steps)
 
         x, y, f = x_new, y1, f1
 
@@ -763,13 +776,13 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
         err_prev = 1e-4 if 1e-4 > err else err
 
 
-def _make_segment(xs, records, x_end, y, dense, params) -> DenseSegment:
+def _make_segment(xs, records, x_end, y, dense, params, given) -> DenseSegment:
     if not records:
         # a run that took no step: one zero-length step from y to y, with
         # zero stages, whose interpolant is y
         xs = [xs[0], xs[0]]
         records = array("d", [0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
-    return DenseSegment(xs, records, x_end, dense, (params.c0, params.lam, params.p))
+    return DenseSegment(xs, records, x_end, dense, (params.c0, params.lam, params.p), given)
 
 
 def integrate(params: HelfrichParams, w0p: float,

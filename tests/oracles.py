@@ -21,15 +21,24 @@ point geometry ``geometry_at``, the eta sampling ``eta_boundedness``
 toward the equator, the trapezoid ``requadrature_totals`` of the dense
 output and the chord quadrature ``profile_quadrature_totals`` of a
 polyline.
+
+Two former code paths judge their replacements: the r-grid evaluation of
+the pointwise estimates ``pointwise_r_grid``, which inverts r(s) at 4000
+radii where ``check_single`` now samples arc length, and ``json_via_copy``,
+the JSON-ready copy dumped by ``json.dumps``, which ``write_json``'s
+one-walk text must equal byte for byte.
 """
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from helfrich.analysis import SurfaceTotals, _quarter_profile, curvature_geometry
+from helfrich.bounds import _PTWISE_TOL, _make, _r_max_on_interval
+from helfrich.cubic import derived_constants
 from helfrich.cubic import HelfrichParams, eval_q
 from helfrich.errors import MissingEvent, OutOfRange
 from helfrich.export import PROFILE_COLUMNS, _angle_table, fmt17, profile_rows
@@ -594,3 +603,66 @@ def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, floa
     area = 4.0 * math.pi * float(np.sum(rbar * dl))
     volume = -2.0 * math.pi * float(np.sum(rbar * rbar * dz))
     return area, volume
+
+
+def pointwise_r_grid(traj, landmarks) -> dict:
+    """The pointwise records of ``check_single`` (KappaMonotone,
+    KappaPrimeBound, KappaBound, XiFloor) by check id, and the
+    WprimeOrdBounded ``chart_a_sup_w_above_1e-3`` info under its key, as
+    the r-grid evaluation gave them: the graph state (w, w') at 4000 radii
+    evenly spaced on (0, r0], through the inversion of r(s)."""
+    params, w0p = traj.params, traj.w0p
+    consts = derived_constants(params, w0p)
+    dp, xi = consts.delta_plus, consts.xi
+    hyp = bool(consts.delta > 0.0)
+    hyp_xi = bool(hyp and xi > 0.0)
+    rs = np.linspace(0.0, landmarks.r0, 4001)[1:]
+    w, wp = traj.eval_a(rs, slice(0, 2)).T
+    P = 1.0 + w * w
+    sq = np.sqrt(P)
+    kap = w / (rs * sq)
+    kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
+    one_minus = 1.0 - rs * rs * kap * kap
+    out = {"KappaMonotone": _make("KappaMonotone", bool(_r_max_on_interval(params, w0p) < 0.0),
+                                  float(np.max(np.diff(kap))), 0.0, _PTWISE_TOL)}
+    if dp > 0:
+        tol_state = traj.cfg.abs_tol + traj.cfg.rel_tol * (w0p + abs(landmarks.wp_r0))
+        noise = (30.0 * tol_state / rs
+                 + 50.0 * np.finfo(float).eps * (w0p + rs) / (rs * rs))
+        lhs = float(np.max(kap_p + dp * rs / 8.0 - noise))
+        info = {"variant_r2_bound_max": float(np.max(kap_p + dp * rs * rs / 8.0))}
+    else:
+        lhs, info = None, {}
+    out["KappaPrimeBound"] = _make("KappaPrimeBound", hyp, lhs, 0.0, _PTWISE_TOL, info)
+    lhs = float(np.max(kap - (w0p - dp * rs * rs / 16.0))) if dp > 0 else None
+    out["KappaBound"] = _make("KappaBound", hyp, lhs, 0.0, _PTWISE_TOL)
+    lhs = float(np.max(xi - one_minus)) if hyp_xi else None
+    out["XiFloor"] = _make("XiFloor", hyp_xi, lhs, 0.0, _PTWISE_TOL)
+    mask = np.abs(w) > 1e-3
+    out["chart_a_sup_w_above_1e-3"] = (
+        float(np.max(wp[mask] ** 2 / (np.abs(w[mask]) * (1 + w[mask] ** 2) ** 2.5)))
+        if mask.any() else None)
+    return out
+
+
+def json_via_copy(payload) -> str:
+    """``payload``'s JSON text as ``json.dumps(x, sort_keys=True,
+    indent=2)`` of its JSON-ready copy x: dataclasses as dicts of their
+    fields, ndarrays through ``tolist``, numpy scalars through ``item()``,
+    and float NaN as None."""
+    def jsonable(obj):
+        if is_dataclass(obj) and not isinstance(obj, type):
+            return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(v) for v in obj]
+        if isinstance(obj, np.ndarray):
+            return [jsonable(v) for v in obj.tolist()]
+        if isinstance(obj, np.generic):
+            return obj.item()
+        if isinstance(obj, float) and math.isnan(obj):
+            return None
+        return obj
+
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2)

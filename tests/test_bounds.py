@@ -18,6 +18,8 @@ from helfrich import (
 from helfrich import bounds
 from helfrich.analysis import BICONCAVE
 from helfrich.errors import MissingEvent
+from helfrich.solver import DenseSegment
+from oracles import pointwise_r_grid
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 CHECK_IDS = [
@@ -139,6 +141,48 @@ def test_kappa_prime_bound_holds_at_small_slope_next_to_the_axis():
     rec = _record(check_single(traj, extract_landmarks(traj)), "KappaPrimeBound")
     assert rec.hypothesis_satisfied and rec.status == "Pass", rec
     assert rec.lhs < 0.0
+
+
+def test_check_single_inverts_no_radius(ref_traj, ref_landmarks, ref_report, monkeypatch):
+    """The pointwise checks sample arc length: no r(s) is inverted."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("DenseSegment.solve_many called")
+
+    monkeypatch.setattr(DenseSegment, "solve_many", refuse)
+    assert check_single(ref_traj, ref_landmarks) == ref_report
+    traj = integrate(PAPER, 1e-3)
+    assert check_single(traj, extract_landmarks(traj)).passed
+
+
+# (c0, lambda, p), w0p, eps_start: the reference point and the top of its sweep,
+# the small-slope cell next to the axis above, two other parameter sets,
+# and one whose hypotheses fail, so that three of the four are Skipped
+_ORACLE_CELLS = [
+    ((1.0, 0.25, 1.0), 0.05, None),
+    ((1.0, 0.25, 1.0), 0.1, None),
+    ((-1.924297712971017, -0.9211122702013553, 1.8286734499794792), 1e-4, 1e-5),
+    ((2.0, 1.0, 0.5), 0.01, None),
+    ((0.5, 0.5, 3.0), 1e-3, None),
+    ((0.0, -2.0, 2.0), 0.05, None),
+]
+
+
+@pytest.mark.parametrize("params, w0p, eps", _ORACLE_CELLS)
+def test_pointwise_checks_agree_with_the_r_grid(params, w0p, eps):
+    """The arc-length samples give every pointwise record the status of
+    the former r-grid evaluation, which inverted r(s) at 4000 radii, and
+    an lhs within the checks' slack of it."""
+    traj = integrate(HelfrichParams(*params), w0p, SolverConfig(eps_start=eps))
+    lm = extract_landmarks(traj)
+    got = {rec.check_id: rec for rec in check_single(traj, lm).records}
+    want = pointwise_r_grid(traj, lm)
+    want.pop("chart_a_sup_w_above_1e-3")
+    for check_id, rec in want.items():
+        new = got[check_id]
+        assert (new.hypothesis_satisfied, new.status) == (rec.hypothesis_satisfied, rec.status)
+        assert (new.lhs is None) == (rec.lhs is None)
+        if rec.lhs is not None:
+            assert abs(new.lhs - rec.lhs) <= bounds._PTWISE_TOL, (check_id, new.lhs, rec.lhs)
 
 
 def test_overflowing_point_is_an_error_verdict():

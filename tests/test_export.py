@@ -1,4 +1,6 @@
-"""The array emitters write the same bytes as element-by-element loops."""
+"""The array emitters write the same bytes as element-by-element loops,
+and the one-walk JSON writer the text of a JSON-ready copy dumped by
+``json.dumps``."""
 
 import io
 import math
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helfrich import HelfrichParams, integrate
+from helfrich import HelfrichParams, analysis, cli, integrate
+from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _FACE_ROWS,
     PROFILE_COLUMNS,
@@ -20,15 +23,18 @@ from helfrich.export import (
     profile_rows,
     read_profile_csv,
     render_svg,
+    write_json,
     write_obj,
     write_profile_csv,
 )
 from oracles import (
     build_mesh_loops,
+    json_via_copy,
     svg_path_loops,
     write_obj_loops,
     write_profile_csv_loops,
 )
+from test_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +182,71 @@ def test_svg_path_matches_per_point_loop(points):
     path = next(line for line in svg.splitlines() if line.startswith("<path "))
     assert path.startswith(f'<path d="{svg_path_loops(points)}" ')
 
+
+
+def _json_bytes(tmp_path, payload) -> bytes:
+    write_json(tmp_path / "out.json", payload)
+    return (tmp_path / "out.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_json_of_golden_payloads_matches_json_dumps(command, monkeypatch, tmp_path):
+    """The payloads of the golden ``verify`` and ``solve`` commands."""
+    payloads = []
+
+    def capture(path, payload, _write=write_json):
+        payloads.append(payload)
+        _write(path, payload)
+
+    monkeypatch.setattr(cli, "write_json", capture)
+    assert cli.main([*GOLDEN[command][0], "--out", str(tmp_path)]) == 0
+    assert len(payloads) == 1
+    assert _json_bytes(tmp_path, payloads[0]) == (json_via_copy(payloads[0]) + "\n").encode()
+
+
+@pytest.mark.parametrize("payload", [
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1],
+    {"nan": math.nan, "inf": {"pos": math.inf, "neg": -math.inf}, "zero": -0.0},
+    [{}, [], (), {"a": {}, "b": [], "c": ()}],
+    {},
+    [],
+    (),
+    np.arange(6.0).reshape(2, 3) / 7.0,
+    {"m": np.array([[1.0, np.nan], [-np.inf, -0.0]]), "e": np.empty((0, 2))},
+    [np.float64(0.1), np.float64(np.nan), np.float64(-np.inf), np.int64(-7),
+     np.bool_(True), np.bool_(False), np.float32(0.1)],
+    {"np_nan": np.float64(np.nan), "py_nan": math.nan},
+    [True, False, 1, 0, -1, None, 2 ** 70],
+    {"t": True, "one": 1, "f": False, "zero": 0},
+    ['quote " here', "back\\slash", "tab\tnew\nline", "\u00e9t\u00e9 \u03ba\u2032 \U0001d70b", ""],
+    {'k"ey': 1, "\u00fc": 2, "b\\": 3, "A": 4, "a": 5},
+    CheckRecord("X", True, 1.0, math.nan, -math.inf, 1e-8, "Pass", {"z": 1, "a": [np.int64(2)]}),
+    {"records": (CheckRecord("Y", False, None, None, None, 0.0, "Skipped"),)},
+], ids=lambda p: type(p).__name__)
+def test_json_matches_json_dumps_of_a_jsonable_copy(payload, tmp_path):
+    """NaN (null from a float, NaN from a numpy scalar), +-inf and -0.0;
+    empty containers; 2-D ndarrays; numpy scalars; bools against ints; and
+    strings with quotes, backslashes and non-ASCII characters, as values
+    and as keys."""
+    assert _json_bytes(tmp_path, payload) == (json_via_copy(payload) + "\n").encode()
+
+
+def test_json_refuses_what_json_dumps_refuses(tmp_path):
+    for payload in ([object()], {"a": 1j}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json_via_copy(payload)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "out.json", payload)
+
+
+def test_solve_with_svg_and_obj_computes_one_quarter_profile(monkeypatch, tmp_path):
+    """``profile_points`` and ``build_mesh`` share the quarter profile."""
+    calls = []
+
+    def counted(traj, m, _samples=analysis._quarter_samples):
+        calls.append(m)
+        return _samples(traj, m)
+
+    monkeypatch.setattr(analysis, "_quarter_samples", counted)
+    assert cli.main([*GOLDEN["solve"][0], "--out", str(tmp_path)]) == 0
+    assert calls == [256]

@@ -30,13 +30,13 @@ GOLDEN = {
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "136f3e194357739ace62f7a18f2a7fa93e8ddea2d152fde906d331f32094fa19"},
+            "5da35c62edd3f4c7a89fe13fbf4a129324b4c127989244934e7f7e97de845c98"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
             "profile.csv": "7a1705143eec2660d65445aa9b03734da47acce2b295cab9fb4b0e52edc7ba7a",
-            "report.json": "d7e8ce8187e4042003e2932b2870a240bb69931e50f39705a4a151d1a586b484",
+            "report.json": "b7239d6de3de1ed2b588527895d9e36afd5de134e96b3f7f81ef662f4efe07f6",
             "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
             "mesh.obj": "39164e149bcd42f01e5be94d020084d2c730c0fd34685ae81e87d6feb60d4d45",
         },

@@ -505,10 +505,11 @@ def _event_steps(traj):
 def test_dense_output_is_completed_only_where_read(monkeypatch):
     """A sweep cell completes the dense output of the steps that hold an
     event, to bisect them, and of no other step; the last one twice, as it
-    is taken again to end on the terminal event.  ``check_single`` then
-    completes no step that starts at or beyond r0: it evaluates (0, r0]
-    only, and reads the steps past the Steep event at their start states,
-    which the step records keep."""
+    is taken again to end on the terminal event.  The segment keeps those
+    rows.  ``check_single`` then completes the other steps that start
+    before s(r0), and none that starts at or beyond it: it evaluates
+    (0, s(r0)] only, and reads the steps past the Steep event at their
+    start states, which the step records keep."""
     calls = _record_completions(monkeypatch)
     traj = integrate(PAPER, 0.05)
     want = _event_steps(traj)
@@ -527,10 +528,25 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     assert check_single(traj, lm).passed
     s0 = traj.first_event(ZERO_OF_W).x
     starts = traj.chart_a.xs[:-1].tolist()
-    assert sorted(calls) == [x for x in starts if x < s0] != starts
+    assert sorted(calls) == [x for x in starts if x < s0 and x not in want] != starts
     # the nodes are the completed rows y, bit for bit
     seg = traj.chart_a
     assert np.array_equal(seg.nodes.view(np.uint64), seg.conts[:, 0, :].view(np.uint64))
+
+
+def test_event_step_rows_from_the_loop_equal_a_fresh_completion(monkeypatch):
+    """The segment keeps the rows the loop completed for its event steps,
+    bit for bit those a segment with no given rows completes itself, so a
+    query completes each event step no second time."""
+    calls = _record_completions(monkeypatch)
+    traj = integrate(PAPER, 0.05)
+    seg = traj.chart_a
+    fresh = DenseSegment(seg._raw_xs, seg._records, seg.x_end, kernels.dense_a,
+                         (PAPER.c0, PAPER.lam, PAPER.p))
+    calls.clear()
+    conts = seg.conts
+    assert len(calls) == len(seg.xs) - 1 - len(_event_steps(traj))
+    assert np.array_equal(conts.view(np.uint64), fresh.conts.view(np.uint64))
 
 
 def test_raising_completion_gives_nan_rows():
