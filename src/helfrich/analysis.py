@@ -12,8 +12,7 @@ biconcave surface after reflection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cubic import eval_q
 from .errors import MissingEvent, NotBiconcave
@@ -53,8 +52,7 @@ NON_NEGATIVE_DISPLACEMENT = "NonNegativeDisplacement"
 INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class Landmarks:
+class Landmarks(NamedTuple):
     """Key positions of one trajectory; absent events leave fields None.
 
     ``n_critical_points`` counts the sign changes of w' on (eps, r0), read
@@ -72,8 +70,7 @@ class Landmarks:
     n_critical_points: int | None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str
     c1: bool | None
     c2: bool | None
@@ -81,8 +78,7 @@ class Classification:
     evidence: str
 
 
-@dataclass(frozen=True)
-class SurfaceTotals:
+class SurfaceTotals(NamedTuple):
     area: float
     volume: float
     helfrich_energy: float

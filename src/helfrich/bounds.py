@@ -12,7 +12,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
@@ -37,8 +37,7 @@ _BAND = 0.1  # relative band of the small-slope limit ratios
 _BAND_W0P_MAX = 1e-2  # the band applies where w0p <= this
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One inequality: pass iff margin = rhs - lhs >= -tol."""
 
     check_id: str
@@ -48,11 +47,10 @@ class CheckRecord:
     margin: float | None
     tol: float
     status: str  # Pass | Fail | Skipped
-    info: dict = field(default_factory=dict)
+    info: dict
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     w0p: float
     records: tuple[CheckRecord, ...]
 
@@ -226,8 +224,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     return BoundsReport(w0p, tuple(records))
 
 
-@dataclass(frozen=True)
-class AsymptoticRecord:
+class AsymptoticRecord(NamedTuple):
     w0p: float
     classification: str
     rm2_over_w0p: float | None = None
@@ -237,8 +234,7 @@ class AsymptoticRecord:
     neg_area_ratio: float | None = None
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Small-slope trend of the landmark ratios against the limit bands."""
 
     records: tuple[AsymptoticRecord, ...]
@@ -433,8 +429,7 @@ def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
                             limits, neg_inf)
 
 
-@dataclass(frozen=True)
-class PhaseCell:
+class PhaseCell(NamedTuple):
     c0: float
     lam: float
     p: float

@@ -7,14 +7,14 @@ module evaluates Q and R, finds the smallest real root, and computes the
 extremal quantities (mu, delta_plus, delta_minus, xi, delta) that feed
 every quantitative check in the bounds harness.
 
-All operations are pure; values are immutable after construction.
+All operations are pure; values are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidSlope
 
@@ -29,26 +29,34 @@ __all__ = [
     "derived_constants",
 ]
 
-@dataclass(frozen=True)
-class HelfrichParams:
-    """Physical triple: spontaneous curvature c0, tensile stress lambda
-    (field ``lam``), osmotic pressure difference p.
-
-    Lengths are in one arbitrary unit; the solver is unit-agnostic.
-    Construction only requires finite values; entry points that rely on
-    the blow-down analysis additionally require p > 0.
-    """
-
+class _Params(NamedTuple):
     c0: float
     lam: float
     p: float
 
-    def __post_init__(self):
-        for name in ("c0", "lam", "p"):
-            v = getattr(self, name)
+
+class HelfrichParams(_Params):
+    """Physical triple: spontaneous curvature c0, tensile stress lambda
+    (field ``lam``), osmotic pressure difference p.
+
+    Lengths are in one arbitrary unit; the solver is unit-agnostic.
+    Construction only requires finite values, which it stores as floats;
+    entry points that rely on the blow-down analysis additionally require
+    p > 0.  The check runs on every path to a new record: construction,
+    ``_make``, ``_replace`` and unpickling (pickle protocol 2 and up).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, c0, lam, p):
+        for name, v in (("c0", c0), ("lam", lam), ("p", p)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        return super().__new__(cls, float(c0), float(lam), float(p))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def eval_q(t, params: HelfrichParams):
@@ -83,8 +91,7 @@ def _q_critical_points(params: HelfrichParams) -> list[float]:
     return [lo, hi]
 
 
-@dataclass(frozen=True)
-class CubicAnalysis:
+class CubicAnalysis(NamedTuple):
     """The two facts about the real roots of Q that the sweep rule reads.
 
     ``smallest_root`` is the smallest real root of Q; ``all_roots_positive``
@@ -190,8 +197,7 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
             return CubicAnalysis(root, delta_minus(params) > 0.0)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Extremal quantities of -Q controlling the quantitative bounds.
 
     mu, delta_plus are the max/min of -Q over [0, w0p]; delta_minus the

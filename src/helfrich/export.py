@@ -11,7 +11,6 @@ import functools
 import io
 import json
 import math
-from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,18 +43,24 @@ def fmt17(x: float) -> str:
 
 @functools.cache
 def _sorted_fields(cls):
-    """The field names of ``cls``, sorted, when it is a dataclass, else
-    None: read once per type rather than once per object walked."""
-    return tuple(sorted(f.name for f in fields(cls))) if is_dataclass(cls) else None
+    """The field names of ``cls``, sorted, when it is a record type, a
+    tuple subclass with ``_fields`` as ``NamedTuple`` makes, else None:
+    read once per type rather than once per object walked."""
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return tuple(sorted(cls._fields))
+    return None
 
 
 def write_json(path, payload) -> None:
     """``payload`` as JSON: the text ``json.dumps(x, sort_keys=True,
-    indent=2)`` gives for its JSON-ready copy x, and a newline.  In x a
-    dataclass instance is the object of its fields, an ndarray the list
-    ``tolist`` gives, a numpy scalar its ``item()``, whose NaN reads
-    ``NaN``, and any other float NaN is ``null``; the text is built in one
-    walk (``_json_text``), with no copy made."""
+    indent=2)`` gives for its JSON-ready copy x, and a newline.  In x
+    every named tuple (a ``NamedTuple`` record or a
+    ``collections.namedtuple``) is the object of its fields, not the list
+    of its values, an ndarray the list ``tolist`` gives, a numpy scalar
+    its ``item()``, whose NaN reads ``NaN``, and any other float NaN is
+    ``null``; any other object, a dataclass instance too, raises
+    ``TypeError`` as ``json.dumps`` does.  The text is built in one walk
+    (``_json_text``), with no copy made."""
     out: list[str] = []
     _json_text(payload, out, "\n")
     with open(path, "w", newline="\n") as fh:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .cubic import HelfrichParams
@@ -80,8 +79,17 @@ _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class _Config(NamedTuple):
+    rel_tol: float = 5e-12
+    abs_tol: float = 5e-14
+    eps_start: float | None = None
+    w_switch: float = 10.0
+    r_max: float | None = None
+    max_steps: int = 1_000_000
+    event_tol: float = 1e-12
+
+
+class SolverConfig(_Config):
     """Integrator tolerances and event thresholds.
 
     A run ends ``BlowUpPositive`` at w = +w_switch, and its r-indexed
@@ -95,17 +103,15 @@ class SolverConfig:
     which keeps w' near w0p up to the start) and never below
     min(1e-5, 1e-3 sqrt(32 w0p / (3p))).  ``r_max=None`` selects
     1e3 sqrt(w0p/p + 1).
+
+    The checks run on every path to a new record: construction, ``_make``,
+    ``_replace`` and unpickling (pickle protocol 2 and up).
     """
 
-    rel_tol: float = 5e-12
-    abs_tol: float = 5e-14
-    eps_start: float | None = None
-    w_switch: float = 10.0
-    r_max: float | None = None
-    max_steps: int = 1_000_000
-    event_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.rel_tol < 1.0):
             raise InvalidParams(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
         if not (0.0 < self.abs_tol < math.inf):
@@ -122,6 +128,11 @@ class SolverConfig:
             raise InvalidParams(f"max_steps must be >= 1, got {self.max_steps!r}")
         if not (0.0 < self.event_tol < math.inf):
             raise InvalidParams(f"event_tol must be finite and > 0, got {self.event_tol!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 # highest power of r in the axis series: its odd coefficients a1 ... a11
@@ -452,8 +463,7 @@ class DenseSegment:
         return self.xs[idx] + th * (self.xs[idx + 1] - self.xs[idx])
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Located event: ``x`` is the arc length s, and ``state`` the NSTATE
     state components there, a tuple of floats."""
 
@@ -462,7 +472,6 @@ class Event:
     state: tuple[float, ...]
 
 
-@dataclass
 class Trajectory:
     """Dense, event-annotated solution from the axis to its terminal event.
 
@@ -473,22 +482,17 @@ class Trajectory:
     for the later callers of one command (see ``analysis._quarter_profile``).
     """
 
-    params: HelfrichParams
-    w0p: float
-    cfg: SolverConfig
-    chart_a: DenseSegment
-    events: list[Event]
-    axis_coeffs: tuple[float, ...] = ()
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     # One segment now covers the meridian.  It keeps the name of the first
     # of the two charts the solver once used, and the second one reads None,
     # because the benchmark's trace reads both names.
     chart_b = None
 
-    def __post_init__(self):
-        if not self.axis_coeffs:
-            self.axis_coeffs = axis_coefficients(self.params, self.w0p)
+    def __init__(self, params: HelfrichParams, w0p: float, cfg: SolverConfig,
+                 chart_a: DenseSegment, events: list[Event], axis_coeffs: tuple[float, ...] = ()):
+        self.params, self.w0p, self.cfg = params, w0p, cfg
+        self.chart_a, self.events = chart_a, events
+        self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
+        self.memo: dict = {}
 
     @property
     def status(self) -> str:

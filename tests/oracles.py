@@ -31,7 +31,7 @@ one-walk text must equal byte for byte.
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -647,12 +647,12 @@ def pointwise_r_grid(traj, landmarks) -> dict:
 
 def json_via_copy(payload) -> str:
     """``payload``'s JSON text as ``json.dumps(x, sort_keys=True,
-    indent=2)`` of its JSON-ready copy x: dataclasses as dicts of their
-    fields, ndarrays through ``tolist``, numpy scalars through ``item()``,
-    and float NaN as None."""
+    indent=2)`` of its JSON-ready copy x: records (``NamedTuple``
+    instances) as dicts of their fields, ndarrays through ``tolist``,
+    numpy scalars through ``item()``, and float NaN as None."""
     def jsonable(obj):
-        if is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+            return {k: jsonable(v) for k, v in obj._asdict().items()}
         if isinstance(obj, dict):
             return {k: jsonable(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):

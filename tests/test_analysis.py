@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,9 +57,9 @@ def test_blowup_has_no_zero_landmarks(blowup_traj):
 def test_classification_cases(ref_traj, ref_landmarks, blowup_traj):
     assert classify(ref_traj, ref_landmarks).verdict == BICONCAVE
     assert classify(blowup_traj, extract_landmarks(blowup_traj)).verdict == BLOWUP_POSITIVE
-    fake_multi = replace(ref_landmarks, n_critical_points=3)
+    fake_multi = ref_landmarks._replace(n_critical_points=3)
     assert classify(ref_traj, fake_multi).verdict == MULTIMODAL
-    fake_up = replace(ref_landmarks, z_inf=0.1)
+    fake_up = ref_landmarks._replace(z_inf=0.1)
     assert classify(ref_traj, fake_up).verdict == NON_NEGATIVE_DISPLACEMENT
     aborted = integrate(PAPER, 0.05, SolverConfig(r_max=1.0))
     assert classify(aborted, extract_landmarks(aborted)).verdict == INDETERMINATE
@@ -78,7 +77,8 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     events = [Event(MAX_OF_W, x, (x, 0.0, 0.0, 0.0, 0.0)) for x in max_xs]
     events.append(Event(ZERO_OF_W, 2.0, (2.0, 0.0, 0.0, wp_r0, 0.0)))
     events.sort(key=lambda ev: ev.x)
-    lm = extract_landmarks(replace(ref_traj, events=events))
+    lm = extract_landmarks(Trajectory(ref_traj.params, ref_traj.w0p, ref_traj.cfg,
+                                       ref_traj.chart_a, events, ref_traj.axis_coeffs))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
 
 
@@ -256,7 +256,7 @@ def test_surface_totals_match_requadrature(c0, lam, p, w0p):
     traj = integrate(HelfrichParams(c0, lam, p), w0p)
     tot = surface_totals(traj)
     req = requadrature_totals(traj)
-    for got, want in zip(vars(tot).values(), vars(req).values()):
+    for got, want in zip(tot._asdict().values(), req._asdict().values()):
         assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
 

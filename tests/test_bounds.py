@@ -188,7 +188,7 @@ def test_pointwise_checks_agree_with_the_r_grid(params, w0p, eps):
 def test_overflowing_point_is_an_error_verdict():
     traj, lm, verdict = bounds.solve_and_classify(PAPER, 1e200)
     assert (traj, verdict) == (None, "Error:OverflowError")
-    assert all(v is None for v in vars(lm).values())
+    assert all(v is None for v in lm._asdict().values())
 
 
 def test_reports_are_reproducible(ref_traj, ref_landmarks):

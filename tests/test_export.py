@@ -2,7 +2,9 @@
 and the one-walk JSON writer the text of a JSON-ready copy dumped by
 ``json.dumps``."""
 
+import dataclasses
 import io
+import json
 import math
 import tracemalloc
 
@@ -17,6 +19,7 @@ from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _FACE_ROWS,
     PROFILE_COLUMNS,
+    Mesh,
     _angle_table,
     _write_faces,
     build_mesh,
@@ -221,7 +224,7 @@ def test_json_of_golden_payloads_matches_json_dumps(command, monkeypatch, tmp_pa
     ['quote " here', "back\\slash", "tab\tnew\nline", "\u00e9t\u00e9 \u03ba\u2032 \U0001d70b", ""],
     {'k"ey': 1, "\u00fc": 2, "b\\": 3, "A": 4, "a": 5},
     CheckRecord("X", True, 1.0, math.nan, -math.inf, 1e-8, "Pass", {"z": 1, "a": [np.int64(2)]}),
-    {"records": (CheckRecord("Y", False, None, None, None, 0.0, "Skipped"),)},
+    {"records": (CheckRecord("Y", False, None, None, None, 0.0, "Skipped", {}),)},
 ], ids=lambda p: type(p).__name__)
 def test_json_matches_json_dumps_of_a_jsonable_copy(payload, tmp_path):
     """NaN (null from a float, NaN from a numpy scalar), +-inf and -0.0;
@@ -229,6 +232,22 @@ def test_json_matches_json_dumps_of_a_jsonable_copy(payload, tmp_path):
     strings with quotes, backslashes and non-ASCII characters, as values
     and as keys."""
     assert _json_bytes(tmp_path, payload) == (json_via_copy(payload) + "\n").encode()
+
+
+def test_json_writes_any_named_tuple_as_an_object_and_refuses_a_dataclass(tmp_path):
+    """A named tuple that is not one of the package's records, here
+    ``export.Mesh``, is written as the object of its fields, like a record;
+    a dataclass instance is refused, as ``json.dumps`` refuses it."""
+    mesh = Mesh(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), 4, np.array([[0, 1, 2]]))
+    assert json.loads(_json_bytes(tmp_path, {"mesh": mesh})) == {"mesh": {
+        "faces": [[0, 1, 2]], "n_theta": 4, "r": [0.0, 1.0], "z": [-0.5, 0.5]}}
+
+    @dataclasses.dataclass(frozen=True)
+    class Point:
+        x: float
+
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.json", Point(1.0))
 
 
 def test_json_refuses_what_json_dumps_refuses(tmp_path):

@@ -67,6 +67,24 @@ def test_import_and_sweep_leave_numpy_unloaded(tmp_path):
     assert verdicts == ["Error:InvalidSlope", "Indeterminate"]
 
 
+def test_import_and_sweep_leave_dataclasses_and_inspect_unloaded(tmp_path):
+    """The value records are ``NamedTuple`` types, so ``import helfrich.cli``
+    and a whole ``sweep``, whose workers pickle their cells back through
+    pipes, load neither ``dataclasses`` nor the ``inspect`` it imports:
+    together about 7 ms of every command's start.  This holds for the
+    pure-Python kernels: numba, where installed, imports both itself."""
+    code = ("import sys, helfrich.cli\n"
+            "mods = ('dataclasses', 'inspect')\n"
+            "print([m for m in mods if m in sys.modules])\n"
+            "rc = helfrich.cli.main(['sweep', '--c0-range=1:1:1', '--lambda-range=0.25:0.25:1',\n"
+            "                        '--p-range=1:1:1', '--w0p-range=0.05:2:4',\n"
+            f"                        '--out={tmp_path}'])\n"
+            "print(rc, [m for m in mods if m in sys.modules])\n")
+    lines = _run_python(code, timeout=120, HELFRICH_JIT="0").splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+    assert len((tmp_path / "phase.csv").read_text().splitlines()) == 5
+
+
 def _eager_numpy_imports(path) -> list[int]:
     """Lines of the imports of numpy in a module that run when it is
     imported: those outside function bodies and ``if TYPE_CHECKING:``."""
