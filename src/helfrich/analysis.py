@@ -154,14 +154,29 @@ def el_residual(traj: Trajectory) -> float:
     """Max normalized residual of the variational integrand in the graph
     form w(r).
 
-    At 2000 samples on (0, r_switch], w, w' and w'' come from the axis
-    series below the start and from the dense output beyond it (see
-    ``Trajectory.eval_a``); each sample's integrand is normalized by the
-    largest individual term so the result is a relative defect.
+    At 2000 arc lengths evenly spaced on (0, s_switch], up to the
+    ``Steep`` event (``Trajectory.switch``), r, w, w' and w'' come from
+    the axis series at r = s below the start and from the dense output
+    beyond it: w = tan psi, w' = psi' / cos^3 psi and
+    w'' = (psi'' + 3 psi'^2 tan psi) / cos^4 psi, with psi'' the
+    derivative of the dense output.  Each sample's integrand is
+    normalized by the largest individual term so the result is a
+    relative defect.
     """
     import numpy as np
-    rs = np.linspace(0.0, traj.switch.state[0], 2001)[1:]
-    wp, wpp, w = traj.eval_a(rs, deriv=True).T
+    seg = traj.chart_a
+
+    def graph(s):
+        r, psi, dpsi = seg.eval_many(s, [0, 2, 3]).T
+        cp = np.cos(psi)
+        w = np.sin(psi) / cp
+        c3 = cp * cp * cp
+        wpp = (seg.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
+        return np.stack((r, dpsi / c3, wpp, w), axis=1)
+
+    rs, wp, wpp, w = traj.by_arc_length(
+        np.linspace(0.0, traj.switch.x, 2001)[1:],
+        lambda r: np.column_stack((r, traj.series_eval(r, deriv=True))), graph).T
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     P = 1.0 + w * w
     sq = np.sqrt(P)
@@ -234,7 +249,7 @@ def surface_totals(traj: Trajectory) -> SurfaceTotals:
     params, seg = traj.params, traj.chart_a
 
     def series(r):
-        y = traj.arc_eval(r)
+        y = traj.state_at(r)
         return y, 1.0 / np.cos(y[:, 2])
 
     lo = seg.xs[:-1]
@@ -273,8 +288,8 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
-    """(r, z - z_inf) samples from the axis to the equator, m + 1 points:
-    evenly in r up to the ``Steep`` event, then evenly in z.  Computed once
+    """(r, z - z_inf) samples from the axis to the equator, m + 1 points
+    evenly spaced in arc length (``Trajectory.state_at``).  Computed once
     per trajectory and m and kept, read-only, in ``traj.memo``, so that
     the SVG and the mesh of one ``solve`` share it."""
     key = ("quarter_profile", m)
@@ -287,14 +302,8 @@ def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
 
 def _quarter_samples(traj: Trajectory, m: int) -> np.ndarray:
     import numpy as np
-    m_z = max(8, m // 4)
-    m_r = m - m_z
-    rs = np.linspace(0.0, traj.switch.state[0], m_r + 1)
-    r_part = np.stack([rs, traj.eval_a(rs, 2)], axis=1)
-    z_inf = traj.first_event(EQUATOR).state[1]
-    zs = np.linspace(traj.switch.state[1], z_inf, m_z + 1)[1:]
-    z_part = np.stack([traj.chart_a.eval_many(traj.s_at_z(zs), 0), zs], axis=1)
-    quarter = np.concatenate([r_part, z_part], axis=0)
-    quarter[:, 1] -= z_inf
+    ev = traj.first_event(EQUATOR)
+    quarter = traj.state_at(np.linspace(0.0, ev.x, m + 1), slice(0, 2))
+    quarter[:, 1] -= ev.state[1]
     quarter[-1, 1] = 0.0  # exact by the shift definition
     return quarter

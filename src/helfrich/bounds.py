@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
 from .errors import HelfrichError, MissingEvent
-from .solver import EQUATOR, ZERO_OF_W, SolverConfig, Trajectory, _arc_state, integrate
+from .solver import EQUATOR, ZERO_OF_W, SolverConfig, Trajectory, integrate
 
 __all__ = [
     "CheckRecord",
@@ -88,9 +88,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
 
     The pointwise checks on (0, r0] sample arc length: 4000 values of s
     evenly spaced on (0, s(r0)], s(r0) the ``ZeroOfW`` event's.  They read
-    r, psi and psi' off the run and invert no r(s); the r-indexed views
-    ``Trajectory.eval_a`` and ``s_at_r`` still serve ``el_residual`` and
-    the profile."""
+    r, psi and psi' off the run (``Trajectory.state_at``)."""
     import numpy as np
     ev = traj.first_event(EQUATOR)
     if ev is None:
@@ -134,10 +132,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     # sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
     # 1 - r^2 kappa^2 = cos^2 psi are read off the angle
     s = np.linspace(0.0, traj.first_event(ZERO_OF_W).x, 4001)[1:]
-    n_in = int(np.searchsorted(s, traj.chart_a.x_start))
-    _, _, psi_in, dpsi_in, _ = _arc_state(params, s[:n_in], *traj.series_eval(s[:n_in]).T)
-    rs, psi, dpsi = np.concatenate([np.stack([s[:n_in], psi_in, dpsi_in], axis=1),
-                                    traj.chart_a.eval_many(s[n_in:], [0, 2, 3])]).T
+    rs, psi, dpsi = traj.state_at(s, [0, 2, 3]).T
     sp = np.sin(psi)
     kap = sp / rs
     kap_p = dpsi / rs - sp / (rs * rs)

@@ -62,7 +62,7 @@ SOLVER_OPTS = [
     Opt("--abs-tol", "abs_tol", float, None, "absolute tolerance"),
     Opt("--eps-start", "eps_start", float, None, "series start radius"),
     Opt("--w-switch", "w_switch", float, None,
-        "slope w that ends a run as BlowUpPositive; -w_switch ends the profile's r-rows"),
+        "slope w that ends a run as BlowUpPositive; -w_switch ends el_residual's samples"),
     Opt("--r-max", "r_max", float, None, "abort radius"),
     Opt("--max-steps", "max_steps", int, None, "step budget"),
     Opt("--event-tol", "event_tol", float, None, "event location tolerance"),
@@ -365,7 +365,8 @@ def _cmd_plot(parser, v):
 
 def _cmd_mesh(parser, v):
     params = _params(parser, v)
-    # 3 angles close a ring; 8 profile segments keep the axis point
+    # 3 angles close a ring; 8 profile segments is the stated floor, though
+    # the arc-length samples of the profile would work from 1
     for o, least in zip(MESH_OPTS, (3, 8)):
         if v[o.dest] is not None and v[o.dest] < least:
             parser.error(f"{o.flag} must be >= {least}")

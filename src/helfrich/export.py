@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import _quarter_profile, curvature_geometry, mirror_quarter
-from .solver import EQUATOR, STEEP, Trajectory
+from .solver import EQUATOR, Trajectory
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,24 +160,14 @@ def _json_members(items, out: list, nl: str) -> None:
 def profile_rows(traj: Trajectory):
     """Profile samples as an (n, 7) array of (r, z, w, kappa_m, kappa_l, H, K).
 
-    One row on the axis, 1024 rows spaced evenly in r on (0, r_switch],
-    where the ``Steep`` event or the end of a run without one is, and, if
-    the run passed that event, 512 spaced evenly in z from there to its
-    end.  Rows below the start come from the axis series; w = tan psi, and
-    on the final row of an equator run, where psi = -pi/2, w is -inf.
+    One row on the axis and 1536 rows spaced evenly in arc length on
+    (0, s_end], s_end the run's terminal event, whatever its status
+    (``Trajectory.state_at``: the axis series at r = s below the start).
+    w = tan psi, and on the final row of an equator run, where
+    psi = -pi/2, w is -inf.
     """
     import numpy as np
-    rs = np.linspace(0.0, traj.switch.state[0], 1025)[1:]
-    Y = traj.arc_eval(rs)
-    Y[:, 0] = rs  # the queried radii, which r(s(r)) gives to rounding
-    parts = [Y]
-    steep = traj.first_event(STEEP)
-    if steep is not None:
-        zs = np.linspace(steep.state[1], traj.events[-1].state[1], 513)[1:]
-        Y = traj.chart_a.eval_many(traj.s_at_z(zs))
-        Y[:, 1] = zs
-        parts.append(Y)
-    Y = np.concatenate(parts)
+    Y = traj.state_at(np.linspace(0.0, traj.events[-1].x, 1537)[1:])
     w = np.sin(Y[:, 2]) / np.cos(Y[:, 2])
     if traj.status == EQUATOR:
         w[-1] = -np.inf

@@ -15,8 +15,9 @@ read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
 which an event row changes sign, and a ``DenseSegment`` completes a step
 the first time a query touches it.  No step is longer than its start
-radius, the distance to the axis singularity.  Radii and heights index
-the run by inverting the monotone r(s) and z(s) (``solve_many``).
+radius, the distance to the axis singularity.  Every view of a run is
+indexed by s, with the axis series at r = s below the start
+(``Trajectory.by_arc_length``); events are the only crossings located.
 
 The loop runs on Python floats and stores its steps in ``array('d')``:
 events and the start are tuples of floats, and a ``DenseSegment`` makes
@@ -65,7 +66,7 @@ __all__ = [
 
 MAX_OF_W = "MaxOfW"
 ZERO_OF_W = "ZeroOfW"
-# w falls through -w_switch: where the r-indexed view of a run ends
+# w falls through -w_switch: where the graph-form residual of a run ends
 STEEP = "Steep"
 EQUATOR = "Equator"
 BLOWUP_POSITIVE = "BlowUpPositive"
@@ -92,8 +93,9 @@ class _Config(NamedTuple):
 class SolverConfig(_Config):
     """Integrator tolerances and event thresholds.
 
-    A run ends ``BlowUpPositive`` at w = +w_switch, and its r-indexed
-    view ends at w = -w_switch (the ``Steep`` event).
+    A run ends ``BlowUpPositive`` at w = +w_switch, and its graph-form
+    residual (``analysis.el_residual``) ends at w = -w_switch (the
+    ``Steep`` event).
 
     ``eps_start`` is the radius where the run starts from the axis series
     (see ``axis_coefficients``).  ``None`` selects the largest radius at
@@ -118,8 +120,9 @@ class SolverConfig(_Config):
             raise InvalidParams(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if self.eps_start is not None and not (0.0 < self.eps_start < math.inf):
             raise InvalidParams(f"eps_start must be finite and > 0, got {self.eps_start!r}")
-        # the r-indexed view inverts r(s), whose slope cos psi is at least
-        # 1/sqrt(1 + w_switch^2) there: 1e4 keeps that above 1e-4
+        # the graph-form residual reads w(r) up to the Steep event, where
+        # cos psi = 1/sqrt(1 + w_switch^2): 1e4 keeps that above 1e-4, away
+        # from the vertical tangent where the graph form is singular
         if not (1.0 < self.w_switch <= 1e4):
             raise InvalidParams(f"w_switch must be in (1, 1e4], got {self.w_switch!r}")
         if self.r_max is not None and not (0.0 < self.r_max < math.inf):
@@ -258,7 +261,8 @@ def _arc_state(params: HelfrichParams, r, w, wp, z):
     """The state (r, z, psi, psi', gamma) at radius r, slope w, w' and
     height z: psi = atan w, psi' = w' cos^3 psi and gamma from H = 0,
     gamma cos psi = r [(sin psi / r + c0)^2 - psi'^2 + lambda - (p/2) r sin psi];
-    floats through ``math``, ndarrays through numpy."""
+    floats through ``math``, ndarrays through numpy, where r = 0 gives the
+    axis limit sin psi / r = w'."""
     if isinstance(r, float):
         m = math
     else:
@@ -267,7 +271,7 @@ def _arc_state(params: HelfrichParams, r, w, wp, z):
     psi = m.atan(w)
     cp, sp = m.cos(psi), m.sin(psi)
     dpsi = wp * cp * cp * cp
-    spr = sp / r
+    spr = sp / r if m is math else m.divide(sp, r, out=m.array(wp, dtype=float), where=r != 0.0)
     gam = r * ((spr + c0) * (spr + c0) - dpsi * dpsi + params.lam
                - 0.5 * params.p * r * sp) / cp
     return r, z, psi, dpsi, gam
@@ -289,12 +293,6 @@ def series_start(params: HelfrichParams, w0p: float, eps: float,
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
     w, wp, z = axis_series(a, float(eps))
     return _arc_state(params, float(eps), w, wp, z)
-
-
-# ``DenseSegment.solve_many``: at most 20 passes, and a value is done after
-# a Newton step in theta of 1e-8, which leaves an error of order 1e-16
-_NEWTON_MAX = 20
-_NEWTON_DONE = 1e-8
 
 
 class DenseSegment:
@@ -413,55 +411,6 @@ class DenseSegment:
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
 
-    def solve_many(self, i: int, values, x_lo: float, x_hi: float, ends) -> np.ndarray:
-        """The x in [x_lo, x_hi] at which component i, strictly monotone
-        there, takes each of ``values``, which lie between ``ends``, its
-        values at x_lo and x_hi (OutOfRange otherwise); shape (n,).
-
-        The step nodes, whose states the records hold, bracket each value
-        in a step, which [x_lo, x_hi] may cut.  Newton's method on its
-        polynomial, from the chord between the nodes' values, finds theta;
-        a Newton step that would leave the bracket, which shrinks on every
-        pass, stops at its end.
-        Each value is solved on its own, so that it gets the same x in any
-        batch, and only the steps that hold a value are completed.
-        """
-        import numpy as np
-        t = np.atleast_1d(np.asarray(values, dtype=float))
-        if not len(t):
-            return t
-        v_min, v_max = min(ends), max(ends)
-        pad = 1e-12 * (1.0 + max(abs(v_min), abs(v_max)))
-        if np.any(t < v_min - pad) or np.any(t > v_max + pad):
-            raise OutOfRange(f"value outside [{v_min}, {v_max}], component {i}'s range")
-        (lo, hi), (th_lo, th_hi) = self._locate(np.array([x_lo, x_hi], dtype=float))
-        # component i at the nodes xs: the start of the first step, then
-        # the end state of every step
-        v = np.concatenate([self._recs[:1, 1 + i], self._recs[:, 1 + kernels.NSTATE + i]])
-        sign = 1.0 if v[hi + 1] >= v[lo] else -1.0
-        idx = lo + np.searchsorted(sign * v[lo + 1:hi + 1], sign * t, side="right")
-        # the step polynomials and values times sign, so that they rise
-        # through each other over the bracket [a, b] of theta
-        rows, t = sign * self._rows(idx, i), sign * t
-        a = np.where(idx == lo, th_lo, 0.0)
-        b = np.where(idx == hi, th_hi, 1.0)
-        v0, dv = sign * v[idx], sign * (v[idx + 1] - v[idx])
-        th = np.clip(np.divide(t - v0, dv, out=np.full_like(t, 0.5), where=dv != 0.0), a, b)
-        done = np.zeros(len(t), dtype=bool)
-        for _ in range(_NEWTON_MAX):
-            g, d = _interpolant_dtheta(rows, th)
-            g -= t
-            below = g < 0.0
-            a, b = np.where(below, th, a), np.where(below, b, th)
-            new = np.clip(th - np.divide(g, d, out=np.full_like(t, np.inf), where=d != 0.0),
-                          a, b)
-            step = new - th
-            th = np.where(done, th, new)
-            done |= np.abs(step) <= _NEWTON_DONE
-            if done.all():
-                break
-        return self.xs[idx] + th * (self.xs[idx + 1] - self.xs[idx])
-
 
 class Event(NamedTuple):
     """Located event: ``x`` is the arc length s, and ``state`` the NSTATE
@@ -504,19 +453,9 @@ class Trajectory:
 
     @property
     def switch(self) -> Event:
-        """Where the r-indexed view ends: the first ``Steep`` event, or the
-        last event of a run that has none."""
+        """The end of the graph-form residual's samples: the first ``Steep``
+        event, or the last event of a run that has none."""
         return self.first_event(STEEP) or self.events[-1]
-
-    def s_at_r(self, r) -> np.ndarray:
-        """Arc length at radii r in [eps, r_switch] (s = r = eps at the start)."""
-        eps, sw = self.chart_a.x_start, self.switch
-        return self.chart_a.solve_many(0, r, eps, sw.x, (eps, sw.state[0]))
-
-    def s_at_z(self, z) -> np.ndarray:
-        """Arc length at heights z from the ``Steep`` event on, where z falls."""
-        sw, end = self.switch, self.events[-1]
-        return self.chart_a.solve_many(1, z, sw.x, end.x, (sw.state[1], end.state[1]))
 
     def series_eval(self, r, deriv: bool = False) -> np.ndarray:
         """Axis-series graph state (w, w', z) on [0, eps), or with ``deriv``
@@ -525,47 +464,32 @@ class Trajectory:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         return np.stack(axis_series(self.axis_coeffs, r, deriv), axis=1)
 
-    def _by_radius(self, r, series, dense) -> np.ndarray:
-        """``series`` of the radii r below eps and ``dense`` of the arc
-        lengths s(r) of the others, in the order of r in [0, r_switch]."""
+    def by_arc_length(self, s, series, dense) -> np.ndarray:
+        """``series`` of the arc lengths s below eps, taken as the radii
+        r = s of the axis series, and ``dense`` of the others, in the order
+        of s in [0, s_end]: OutOfRange below 0, and past s_end where
+        ``dense`` reads the dense output."""
         import numpy as np
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        inside = r < self.chart_a.x_start
-        above = dense(self.s_at_r(r[~inside]))
-        out = np.empty((len(r),) + above.shape[1:])
-        out[inside] = series(r[inside])
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if np.any(s < 0.0):
+            raise OutOfRange("arc length below 0")
+        inside = s < self.chart_a.x_start
+        above = dense(s[~inside])
+        out = np.empty((len(s),) + above.shape[1:])
+        out[inside] = series(s[inside])
         out[~inside] = above
         return out
 
-    def arc_eval(self, r) -> np.ndarray:
-        """The state (r, z, psi, psi', gamma) at radii r in [0, r_switch],
-        shape (n, NSTATE): from the axis series below eps (see
-        ``_arc_state``) and from the dense output at s(r) from there on."""
-        import numpy as np
-        return self._by_radius(
-            r, lambda rs: np.stack(_arc_state(self.params, rs, *self.series_eval(rs).T), axis=1),
-            self.chart_a.eval_many)
-
-    def eval_a(self, r, cols=slice(None), deriv: bool = False) -> np.ndarray:
-        """The graph state (w, w', z) at radii r in [0, r_switch], or with
-        ``deriv`` its r-derivative (w', w'', w): the axis series below eps
-        and, from there on, w = tan psi, w' = psi' / cos^3 psi and
-        w'' = (psi'' + 3 psi'^2 tan psi) / cos^4 psi at s(r), with psi''
-        the derivative of the dense output.  ``cols`` selects components
+    def state_at(self, s, cols=slice(None)) -> np.ndarray:
+        """The state (r, z, psi, psi', gamma) at arc lengths s in [0, s_end]:
+        from the axis series at r = s below eps (see ``_arc_state``) and
+        from the dense output from there on.  ``cols`` selects components
         as in ``DenseSegment.eval_many``."""
         import numpy as np
-
-        def graph(s):
-            z, psi, dpsi = self.chart_a.eval_many(s, slice(1, 4)).T
-            cp = np.cos(psi)
-            w = np.sin(psi) / cp
-            c3 = cp * cp * cp
-            wp = dpsi / c3
-            if deriv:
-                wpp = (self.chart_a.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
-            return np.stack((wp, wpp, w) if deriv else (w, wp, z), axis=1)[:, cols]
-
-        return self._by_radius(r, lambda rs: self.series_eval(rs, deriv)[:, cols], graph)
+        return self.by_arc_length(
+            s, lambda r: np.stack(_arc_state(self.params, r, *self.series_eval(r).T),
+                                  axis=1)[:, cols],
+            lambda x: self.chart_a.eval_many(x, cols))
 
 
 def _rms(v, sc) -> float:

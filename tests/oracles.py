@@ -17,16 +17,17 @@ The integrity references of the paper's checks live here too, because no
 command computes them: the 50-digit series-start defect, the curvature
 derivatives and the curvature-form right-hand side ``rhs_kappa``, the
 crossing search ``find_crossing`` on a dense segment, eta ``eta_at``, the
-point geometry ``geometry_at``, the eta sampling ``eta_boundedness``
-toward the equator, the trapezoid ``requadrature_totals`` of the dense
-output and the chord quadrature ``profile_quadrature_totals`` of a
-polyline.
+point geometry ``geometry_at`` and the graph slopes ``graph_at`` at an arc
+length, the eta sampling ``eta_boundedness`` toward the equator, the
+trapezoid ``requadrature_totals`` of the dense output and the chord
+quadrature ``profile_quadrature_totals`` of a polyline.
 
 Two former code paths judge their replacements: the r-grid evaluation of
-the pointwise estimates ``pointwise_r_grid``, which inverts r(s) at 4000
-radii where ``check_single`` now samples arc length, and ``json_via_copy``,
-the JSON-ready copy dumped by ``json.dumps``, which ``write_json``'s
-one-walk text must equal byte for byte.
+the pointwise estimates ``pointwise_r_grid``, which finds s(r) at 4000
+radii by bisection of r(s) (``s_at_r``) where ``check_single`` samples
+arc length, and ``json_via_copy``, the JSON-ready copy dumped by
+``json.dumps``, which ``write_json``'s one-walk text must equal byte for
+byte.
 """
 
 import json
@@ -444,29 +445,32 @@ class GeometrySample:
     eta: float
 
 
-def geometry_at(traj, r: float | None = None, z: float | None = None) -> GeometrySample:
-    """Curvatures, H, K, and eta at a point of the trajectory.
-
-    Query by radius ``r`` up to r_switch (the series region below the
-    start is covered) or by height ``z`` past the ``Steep`` event.
+def geometry_at(traj, s: float) -> GeometrySample:
+    """Curvatures, H, K, and eta at arc length s of the trajectory, from
+    its state there (``Trajectory.state_at``: the axis series at r = s
+    below the start); s = 0 is the axis, where kappa_m = kappa_l = w0p.
     """
     params = traj.params
-    if (r is None) == (z is None):
-        raise ValueError("pass exactly one of r or z")
-    if r is not None:
-        if r < 0.0:
-            raise OutOfRange(f"r must be >= 0, got {r!r}")
-        if r == 0.0:
-            w0p = traj.w0p
-            return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p,
-                                  -2.0 * params.c0)
-        y = traj.arc_eval(r)[0]
-    else:
-        if traj.first_event(STEEP) is None:
-            raise OutOfRange("trajectory has no steep portion")
-        y = traj.chart_a.eval_many(traj.s_at_z(z))[0]
+    if s == 0.0:
+        w0p = traj.w0p
+        return GeometrySample(0.0, 0.0, w0p, w0p, w0p, w0p * w0p, -2.0 * params.c0)
+    y = traj.state_at(s)[0]
     geom = (*curvature_geometry(y), eta_at(y, params))
     return GeometrySample(float(y[0]), float(y[1]), *map(float, geom))
+
+
+def graph_at(traj, s, deriv: bool = False):
+    """The radius and graph slopes (r, w, w') at arc lengths s, read off
+    the state's r, psi and psi': w = tan psi and w' = psi' / cos^3 psi;
+    with ``deriv`` also w'' = (psi'' + 3 psi'^2 tan psi) / cos^4 psi, psi''
+    the derivative of the dense output, which covers s >= eps."""
+    r, psi, dpsi = traj.state_at(s, [0, 2, 3]).T
+    cp = np.cos(psi)
+    w = np.sin(psi) / cp
+    c3 = cp * cp * cp
+    if not deriv:
+        return r, w, dpsi / c3
+    return r, w, dpsi / c3, (traj.chart_a.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
 
 
 @dataclass(frozen=True)
@@ -479,24 +483,23 @@ class EtaReport:
 
 
 def eta_boundedness(traj) -> EtaReport:
-    """Sample eta past the ``Steep`` event, 4 per decade of z - z_inf over
+    """Sample eta past the ``Steep`` event, 4 per decade of s_inf - s over
     6 decades.
 
     Reports the running sup, a linear extrapolation of eta to the
     equator, the extrapolated limit of eta * |u'|, u' = dr/dz =
     cos psi / sin psi (which must vanish), and a divergence flag if |eta|
     grows monotonically by more than 10x over the last two sampled
-    decades of (z - z_inf).
+    decades of (s_inf - s).
     """
     ev = traj.first_event(EQUATOR)
     if ev is None:
         raise MissingEvent("no Equator event in trajectory")
     n_per_decade, decades = 4, 6.0
-    z_inf = ev.state[1]
-    tau_sw = traj.switch.state[1] - z_inf
+    tau_sw = ev.x - traj.switch.x
     k = np.arange(0, int(decades * n_per_decade) + 1)
     tau = tau_sw * 10.0 ** (-k / n_per_decade)
-    Y = traj.chart_a.eval_many(traj.s_at_z(z_inf + tau))
+    Y = traj.state_at(ev.x - tau)
     eta = eta_at(Y, traj.params)
     eta_up = eta * np.abs(np.cos(Y[:, 2]) / np.sin(Y[:, 2]))
     eta_abs = np.abs(eta)
@@ -605,19 +608,34 @@ def profile_quadrature_totals(r: np.ndarray, z: np.ndarray) -> tuple[float, floa
     return area, volume
 
 
+def s_at_r(traj, r, s_hi: float, passes: int = 64) -> np.ndarray:
+    """Arc lengths at which the run reaches the radii r in [0, r(s_hi)]:
+    s = r below the start, as in ``Trajectory.state_at``, and from there
+    on a bisection of the dense output's rising r(s) on [eps, s_hi],
+    ``passes`` halvings of the bracket."""
+    seg = traj.chart_a
+    r = np.asarray(r, dtype=float)
+    lo, hi = np.full_like(r, seg.x_start), np.full_like(r, s_hi)
+    for _ in range(passes):
+        mid = 0.5 * (lo + hi)
+        below = seg.eval_many(mid, 0) < r
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(r < seg.x_start, r, 0.5 * (lo + hi))
+
+
 def pointwise_r_grid(traj, landmarks) -> dict:
     """The pointwise records of ``check_single`` (KappaMonotone,
     KappaPrimeBound, KappaBound, XiFloor) by check id, and the
     WprimeOrdBounded ``chart_a_sup_w_above_1e-3`` info under its key, as
     the r-grid evaluation gave them: the graph state (w, w') at 4000 radii
-    evenly spaced on (0, r0], through the inversion of r(s)."""
+    evenly spaced on (0, r0], at the arc lengths ``s_at_r`` finds."""
     params, w0p = traj.params, traj.w0p
     consts = derived_constants(params, w0p)
     dp, xi = consts.delta_plus, consts.xi
     hyp = bool(consts.delta > 0.0)
     hyp_xi = bool(hyp and xi > 0.0)
     rs = np.linspace(0.0, landmarks.r0, 4001)[1:]
-    w, wp = traj.eval_a(rs, slice(0, 2)).T
+    _, w, wp = graph_at(traj, s_at_r(traj, rs, traj.first_event(ZERO_OF_W).x))
     P = 1.0 + w * w
     sq = np.sqrt(P)
     kap = w / (rs * sq)

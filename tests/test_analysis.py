@@ -32,7 +32,7 @@ from helfrich.analysis import (
 from helfrich.errors import MissingEvent, NotBiconcave
 from helfrich.export import profile_rows
 from helfrich.solver import DenseSegment, Trajectory
-from oracles import eta_boundedness, geometry_at, requadrature_totals
+from oracles import eta_boundedness, geometry_at, graph_at, requadrature_totals
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
@@ -83,26 +83,30 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
 
 
 def test_geometry_near_axis(ref_traj):
-    r = 5e-6  # inside the axis series, which chart A starts from
-    assert r < ref_traj.chart_a.x_start
-    g = geometry_at(ref_traj, r=r)
+    s = 5e-6  # inside the axis series, which the run starts from, at r = s
+    assert s < ref_traj.chart_a.x_start
+    g = geometry_at(ref_traj, s)
+    assert g.r == s
     assert math.isclose(g.kappa_m, 0.05, rel_tol=1e-6)
     assert math.isclose(g.kappa_l, 0.05, rel_tol=1e-6)
-    g0 = geometry_at(ref_traj, r=0.0)
+    g0 = geometry_at(ref_traj, 0.0)
     assert g0.kappa_m == g0.kappa_l == 0.05
 
 
 def test_geometry_at_zero_of_w(ref_traj, ref_landmarks):
-    g = geometry_at(ref_traj, r=ref_landmarks.r0)
+    s0 = ref_traj.first_event(ZERO_OF_W).x
+    g = geometry_at(ref_traj, s0)
+    assert math.isclose(g.r, ref_landmarks.r0, rel_tol=1e-12)
     assert abs(g.kappa_m) <= 1e-9
     assert g.K <= 1e-12  # zero within the event tolerance
     # negative Gaussian curvature on approach, where w > 0 but w' < 0
-    g_before = geometry_at(ref_traj, r=ref_landmarks.r0 * 0.99)
+    g_before = geometry_at(ref_traj, s0 * 0.99)
     assert g_before.K < 0.0
 
 
 def test_geometry_at_equator(ref_traj, ref_landmarks):
-    g = geometry_at(ref_traj, z=ref_landmarks.z_inf)
+    g = geometry_at(ref_traj, ref_traj.first_event(EQUATOR).x)
+    assert math.isclose(g.z, ref_landmarks.z_inf, rel_tol=1e-12)
     assert math.isclose(g.r, ref_landmarks.r_inf, rel_tol=1e-12)
     assert math.isclose(g.kappa_m, -1.0 / ref_landmarks.r_inf, rel_tol=1e-9)
     assert g.K > 0.0  # convex at the reflection plane
@@ -111,20 +115,19 @@ def test_geometry_at_equator(ref_traj, ref_landmarks):
 def test_geometry_H_appendix_form_consistency(ref_traj):
     """H from the arc-length state, (sin psi / r + psi') / 2, is the graph
     form's (w' + (w / r) (1 + w^2)) / (2 (1 + w^2)^(3/2))."""
-    rs = np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.state[0], 500)
-    for r in rs[::25]:
-        g = geometry_at(ref_traj, r=float(r))
-        w, wp, _ = ref_traj.eval_a(float(r))[0]
+    ss = np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.x, 500)
+    for s in ss[::25]:
+        g = geometry_at(ref_traj, float(s))
+        (r,), (w,), (wp,) = graph_at(ref_traj, float(s))
         P = 1.0 + w * w
         H_graph = (wp + (w / r) * P) / (2.0 * P ** 1.5)
         assert math.isclose(g.H, H_graph, rel_tol=1e-12)
         assert g.K == g.kappa_m * g.kappa_l
 
 
-def test_gauss_curvature_sign_tracks_slope_gradient(ref_traj, ref_landmarks):
-    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0 * 0.999, 2001)
-    Y = ref_traj.eval_a(rs)
-    w, wp = Y[:, 0], Y[:, 1]
+def test_gauss_curvature_sign_tracks_slope_gradient(ref_traj):
+    s0 = ref_traj.first_event(ZERO_OF_W).x
+    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0 * 0.999, 2001))
     P = 1.0 + w * w
     K = (w / (rs * np.sqrt(P))) * (wp / P ** 1.5)
     mask = np.abs(wp) > 1e-10
@@ -146,10 +149,8 @@ def test_el_residual_decreases_with_tolerance():
 
 def test_el_residual_linear_sensitivity(ref_traj, paper_params):
     """Perturbing w'' shifts the integrand linearly."""
-    r = float(0.5 * (ref_traj.chart_a.x_start + ref_traj.switch.state[0]))
-    y = ref_traj.eval_a(r)[0]
-    d = ref_traj.eval_a(r, deriv=True)[0]
-    w, wp, wpp = y[0], y[1], d[1]
+    s = 0.5 * (ref_traj.chart_a.x_start + ref_traj.switch.x)
+    (r,), (w,), (wp,), (wpp,) = graph_at(ref_traj, s, deriv=True)
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     P = 1.0 + w * w
 
@@ -309,17 +310,14 @@ def test_profile_rows_equal_scalar_formulas(figure_runs):
     """Array profile rows equal a row-by-row evaluation in Python floats,
     bit for bit, so profile.csv does not depend on numpy's vector math:
     kappa_m = sin psi / r, kappa_l = psi' and w = sin psi / cos psi at the
-    state the r- and z-indexed views give for the row."""
+    state the arc-length view gives for the row's s."""
     traj = figure_runs[0.2][0]
     rows = profile_rows(traj).tolist()
-    assert len(rows) == 1 + 1024 + 512
-    for i, (r, z, w, km, kl, H, K) in enumerate(rows[1:]):
-        if i < 1024:
-            y = traj.arc_eval(r)[0].tolist()
-            assert z == y[1]
-        else:
-            y = traj.chart_a.eval_many(traj.s_at_z(z))[0].tolist()
-            assert r == y[0]
+    assert len(rows) == 1 + 1536
+    for i, (s, (r, z, w, km, kl, H, K)) in enumerate(
+            zip(np.linspace(0.0, traj.events[-1].x, 1537)[1:].tolist(), rows[1:])):
+        y = traj.state_at(s)[0].tolist()
+        assert (r, z) == (y[0], y[1])
         want = (math.sin(y[2]) / r, y[3])
         assert w == (math.sin(y[2]) / math.cos(y[2]) if i < 1535 else -math.inf)
         assert (km, kl, H, K) == (*want, 0.5 * (want[0] + want[1]), want[0] * want[1])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helfrich import HelfrichParams, analysis, cli, integrate
+from helfrich import HelfrichParams, SolverConfig, analysis, cli, integrate
 from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _FACE_ROWS,
@@ -42,10 +42,25 @@ from test_golden import GOLDEN
 
 @pytest.fixture(scope="module")
 def blowup_traj():
-    # chart A only: the run blows up before the chart switch
+    # a run that blows up to +w_switch; chart_b is always None
     traj = integrate(HelfrichParams(5.0, 0.0, 0.1), 1.0)
     assert traj.chart_b is None
     return traj
+
+
+@pytest.mark.parametrize("status", ["BlowUpPositive", "Aborted"])
+def test_profile_rows_of_a_run_without_equator(status, blowup_traj):
+    """A run that ends without an equator gets the layout of every run:
+    the axis row and 1536 rows evenly in arc length up to its terminal
+    event, r rising along them, and the last row at that event's r and z."""
+    traj = (blowup_traj if status == "BlowUpPositive"
+            else integrate(HelfrichParams(1.0, 0.25, 1.0), 0.05, SolverConfig(max_steps=10)))
+    assert traj.status == status
+    rows = profile_rows(traj)
+    assert rows.shape == (1 + 1536, len(PROFILE_COLUMNS))
+    assert np.all(np.diff(rows[:, 0]) > 0.0)
+    assert rows[-1, :2] == pytest.approx(traj.events[-1].state[:2], rel=1e-14, abs=0.0)
+    assert np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("n_theta, n_profile", [(3, 8), (7, 9), (128, 256)])

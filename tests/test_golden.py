@@ -35,20 +35,20 @@ GOLDEN = {
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
-            "profile.csv": "7a1705143eec2660d65445aa9b03734da47acce2b295cab9fb4b0e52edc7ba7a",
-            "report.json": "b7239d6de3de1ed2b588527895d9e36afd5de134e96b3f7f81ef662f4efe07f6",
-            "profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0",
-            "mesh.obj": "39164e149bcd42f01e5be94d020084d2c730c0fd34685ae81e87d6feb60d4d45",
+            "profile.csv": "774dc9b5f5a6ab3c28777da7bb161bc6a83b0102e3bd4bbac8841dc8a07b0688",
+            "report.json": "3937572378c14dd2c6f4a8edecb97180ecb6e59f3c013f1ad661afeb27b3e41c",
+            "profile.svg": "80b3cea18737162f8036bc08c519a908d564ebe620741526d2e9714f2c4872a3",
+            "mesh.obj": "c6b1b6cac52d6e1eaf83dbf057244d6a8011f8876e5d9417c452f9e50c3f6704",
         },
     ),
     "mesh": (
         ["mesh", *PAPER_FLAGS, "--w0p", "0.05",
          "--segments-theta", "7", "--segments-profile", "9"],
-        {"mesh.obj": "93c893789e233c35af3814d7a4bf2cbfe527af507690a1497c8b7f82ba74a547"},
+        {"mesh.obj": "fe2b036add730cbcc6a80091d09bfd6b59d7eb62a949254f1fd2bd8409d6acd3"},
     ),
     "plot": (
         ["plot", *PAPER_FLAGS, "--w0p", "0.05"],
-        {"profile.svg": "2264d83ea3144ce0bf5ec0c57f196ae25681ded6d80f2ae5d4a831ad5c316da0"},
+        {"profile.svg": "80b3cea18737162f8036bc08c519a908d564ebe620741526d2e9714f2c4872a3"},
     ),
 }
 

@@ -10,6 +10,7 @@ from conftest import PAPER
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     fixed_step,
+    graph_at,
     kappa_derivs,
     make_step_arr,
     rhs_arc_arr,
@@ -126,9 +127,7 @@ def test_rhs_kappa_matches_restarted_integration():
 def test_grouping_identity_along_trajectory(ref_traj):
     """The two conservative groupings differ by an exact derivative:
     d/dr[(w^2+2)/sqrt(1+w^2)] = w^3 w' / (1+w^2)^(3/2)."""
-    rs = np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.state[0], 2000)
-    Y = ref_traj.eval_a(rs)
-    w, wp = Y[:, 0], Y[:, 1]
+    _, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.x, 2000))
     P = 1.0 + w * w
     # chain-rule expansion of the bracket difference vs the closed form,
     # normalized by the size of the expanded terms
@@ -143,10 +142,8 @@ def test_grouping_identity_along_trajectory(ref_traj):
 def test_conservative_forms_hold_on_trajectory(ref_traj, paper_params):
     """Both first-integral groupings of the equation hold along solutions."""
     from helfrich import eval_q, eval_r
-    rs = np.linspace(ref_traj.chart_a.x_start * 2, ref_traj.switch.state[0], 1500)
-    Y = ref_traj.eval_a(rs)
-    D = ref_traj.eval_a(rs, deriv=True)
-    w, wp, wpp = Y[:, 0], Y[:, 1], D[:, 1]
+    rs, w, wp, wpp = graph_at(
+        ref_traj, np.linspace(ref_traj.chart_a.x_start * 2, ref_traj.switch.x, 1500), deriv=True)
     P = 1.0 + w * w
     kap = w / (rs * np.sqrt(P))
     lhs = (2.0 * rs * wp * wp / P ** 2.5 + 2.0 * rs * rs * wp * wpp / P ** 2.5

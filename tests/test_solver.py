@@ -41,6 +41,7 @@ from conftest import FIGURE_W0P
 from oracles import (
     critical_points_full_scan,
     find_crossing,
+    graph_at,
     initial_step_arr,
     make_step_arr,
     rhs_arc_arr,
@@ -203,41 +204,40 @@ def test_events_in_arclength_order(ref_traj):
         assert ref_traj.first_event(STEEP) is not None
 
 
-def test_z_is_quadrature_of_w(ref_traj, ref_landmarks):
+def test_z_is_quadrature_of_w(ref_traj):
     """z of the arc-length run is the quadrature of its slope w = tan psi
-    over r, through the r-indexed view."""
-    x_start = ref_traj.chart_a.x_start
+    over r, both read off the state on an arc-length grid."""
+    x_start, s0 = ref_traj.chart_a.x_start, ref_traj.first_event(ZERO_OF_W).x
     # smooth stretch up to r0: trapezoid resolves the quadrature sharply
-    rs = np.linspace(x_start, ref_landmarks.r0, 20001)
-    Y = ref_traj.eval_a(rs)
-    w, z_dense = Y[:, 0], Y[:, 2]
+    ss = np.linspace(x_start, s0, 20001)
+    rs, w, _ = graph_at(ref_traj, ss)
+    z_dense = ref_traj.state_at(ss, 1)
     z0 = ref_traj.series_eval(np.array([x_start]))[0][2]
     z_quad = z0 + np.concatenate(
         [[0.0], np.cumsum((w[1:] + w[:-1]) / 2 * np.diff(rs))])
     assert np.max(np.abs(z_quad - z_dense)) <= 1e-8
     # steep tail to the Steep event at coarser tolerance
-    rs = np.linspace(ref_landmarks.r0, ref_traj.switch.state[0], 200001)
-    Y = ref_traj.eval_a(rs)
-    w, z_dense = Y[:, 0], Y[:, 2]
+    ss = np.linspace(s0, ref_traj.switch.x, 200001)
+    rs, w, _ = graph_at(ref_traj, ss)
+    z_dense = ref_traj.state_at(ss, 1)
     z_quad = z_dense[0] + np.concatenate(
         [[0.0], np.cumsum((w[1:] + w[:-1]) / 2 * np.diff(rs))])
     assert np.max(np.abs(z_quad - z_dense)) <= 1e-6
 
 
-def test_kappa_decreases_when_r_negative(ref_traj, ref_landmarks):
+def test_kappa_decreases_when_r_negative(ref_traj):
     """Monotone drop of the meridional curvature under the sign hypothesis."""
     assert eval_r(0.05, PAPER) < 0  # hypothesis R < 0 on [0, w0p]
-    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0, 4001)
-    Y = ref_traj.eval_a(rs)
-    kap = Y[:, 0] / (rs * np.sqrt(1.0 + Y[:, 0] ** 2))
+    s0 = ref_traj.first_event(ZERO_OF_W).x
+    rs, w, _ = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0, 4001))
+    kap = w / (rs * np.sqrt(1.0 + w ** 2))
     assert np.max(np.diff(kap)) < 1e-9
 
 
-def test_pointwise_bounds_on_positive_arc(ref_traj, ref_landmarks):
+def test_pointwise_bounds_on_positive_arc(ref_traj):
     dc = derived_constants(PAPER, 0.05)
-    rs = np.linspace(ref_traj.chart_a.x_start, ref_landmarks.r0, 4001)
-    Y = ref_traj.eval_a(rs)
-    w, wp = Y[:, 0], Y[:, 1]
+    s0 = ref_traj.first_event(ZERO_OF_W).x
+    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0, 4001))
     P = 1.0 + w * w
     kap = w / (rs * np.sqrt(P))
     kap_p = wp / (rs * P ** 1.5) - w / (rs * rs * np.sqrt(P))
@@ -290,22 +290,26 @@ def test_dense_segment_range_checks(ref_traj):
         ref_traj.chart_a.eval_many(-1.0)
 
 
-def test_radius_and_height_views_range_checks(ref_traj):
-    """The r-indexed view ends at the Steep event and the z-indexed one at
-    the equator: a radius or height past them is OutOfRange, not the state
-    at the range end."""
-    steep, equator = ref_traj.switch, ref_traj.first_event(EQUATOR)
-    r_switch, z_inf = steep.state[0], equator.state[1]
-    for query in (lambda: ref_traj.eval_a(r_switch * 1.5),
-                  lambda: ref_traj.eval_a([0.5 * r_switch, r_switch * 1.5], deriv=True),
-                  lambda: ref_traj.arc_eval(r_switch * 1.5),
-                  lambda: ref_traj.s_at_z(z_inf - 1.0),
-                  lambda: ref_traj.s_at_z(steep.state[1] + 1.0)):
+def test_arc_length_view_range_checks(ref_traj):
+    """The arc-length view covers [0, s_end]: an s below 0 or past the
+    terminal event is OutOfRange, not the state at the range end.  Both
+    ends are inside: the axis, whose state is the series' limit, and the
+    terminal event.  The series at r = s below the start meets the dense
+    output, whose first state is the series start, at s = eps."""
+    end = ref_traj.events[-1]
+    for query in (lambda: ref_traj.state_at(-1e-9),
+                  lambda: ref_traj.state_at([0.5 * end.x, 1.5 * end.x]),
+                  lambda: ref_traj.state_at(1.5 * end.x, 0),
+                  lambda: ref_traj.by_arc_length([0.0, -1.0], np.atleast_1d, np.atleast_1d)):
         with pytest.raises(OutOfRange):
             query()
-    # the range ends themselves are inside
-    assert ref_traj.s_at_r(r_switch)[0] == pytest.approx(steep.x, abs=1e-12)
-    assert ref_traj.s_at_z(z_inf)[0] == pytest.approx(equator.x, abs=1e-12)
+    assert ref_traj.state_at(0.0)[0].tolist() == [0.0, 0.0, 0.0, ref_traj.w0p, 0.0]
+    assert ref_traj.state_at(end.x)[0] == pytest.approx(end.state, rel=1e-12, abs=1e-12)
+    eps = ref_traj.chart_a.x_start
+    y = ref_traj.state_at([math.nextafter(eps, 0.0), eps])
+    assert y[1].tolist() == list(series_start(PAPER, 0.05, eps))
+    assert y[0, 0] == math.nextafter(eps, 0.0)
+    assert y[0] == pytest.approx(y[1], rel=1e-9, abs=1e-15)
 
 
 def test_equator_state_is_regular(ref_traj):
@@ -403,9 +407,9 @@ def test_start_closer_to_the_axis_than_1e_14_solves(eps, ref_landmarks):
 
 
 def test_w_switch_above_1e4_is_rejected():
-    """The r-indexed view inverts r(s) up to w = -w_switch, where r' =
-    cos psi = 1/sqrt(1 + w_switch^2): the configuration keeps that slope
-    above 1e-4 and refuses a larger w_switch up front."""
+    """The graph-form residual reads w(r) up to w = -w_switch, where
+    cos psi = 1/sqrt(1 + w_switch^2): the configuration keeps that above
+    1e-4, off the vertical tangent, and refuses a larger w_switch up front."""
     assert SolverConfig(w_switch=1e4).w_switch == 1e4
     for bad in (math.nextafter(1e4, math.inf), 1e6, 1e300):
         with pytest.raises(InvalidParams, match="w_switch"):
@@ -561,25 +565,6 @@ def test_raising_completion_gives_nan_rows():
                        (PAPER.c0, PAPER.lam, PAPER.p))
     assert np.isnan(seg.eval_many([1.0, 1.05])).all()
     assert np.isnan(seg.conts).all() and seg.nodes.tolist() == [[0.0] * kernels.NSTATE]
-
-
-def test_solve_many_inverts_monotone_components(ref_traj):
-    """The r-indexed and z-indexed views invert r(s) and z(s): at the
-    returned s the dense output takes the queried value to rounding, the
-    range ends map to the Steep event and the equator, and a query gives
-    the same s alone as in a batch."""
-    seg, steep = ref_traj.chart_a, ref_traj.switch
-    rs = np.linspace(seg.x_start, steep.state[0], 1001)
-    s = ref_traj.s_at_r(rs)
-    assert np.all(np.diff(s) > 0.0) and s[0] == seg.x_start
-    assert s[-1] == pytest.approx(steep.x, abs=1e-12)
-    assert np.max(np.abs(seg.eval_many(s, 0) - rs) / rs) <= 4e-16
-    ev = ref_traj.first_event(EQUATOR)
-    zs = np.linspace(steep.state[1], ev.state[1], 513)
-    s = ref_traj.s_at_z(zs)
-    assert np.all(np.diff(s) > 0.0) and s[-1] == pytest.approx(ev.x, abs=1e-9)
-    assert np.max(np.abs(seg.eval_many(s, 1) - zs)) <= 1e-15
-    assert [ref_traj.s_at_z(z)[0] for z in zs[::64]] == s[::64].tolist()
 
 
 def test_run_chart_records_tied_events_in_table_order(ref_traj):
