@@ -29,7 +29,6 @@ from .solver import (
     Trajectory,
     axis_coefficients,
     integrate,
-    series_coefficient,
     series_start,
 )
 from .analysis import (

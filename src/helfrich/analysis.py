@@ -23,6 +23,7 @@ from .solver import (
     MAX_OF_W,
     ZERO_OF_W,
     Trajectory,
+    axis_series,
 )
 
 if TYPE_CHECKING:
@@ -176,7 +177,8 @@ def el_residual(traj: Trajectory) -> float:
 
     rs, wp, wpp, w = traj.by_arc_length(
         np.linspace(0.0, traj.switch.x, 2001)[1:],
-        lambda r: np.column_stack((r, traj.series_eval(r, deriv=True))), graph).T
+        lambda r: np.column_stack((r, *axis_series(traj.axis_coeffs, r, deriv=True))),
+        graph).T
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     P = 1.0 + w * w
     sq = np.sqrt(P)
@@ -289,18 +291,7 @@ def mirror_quarter(r: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _quarter_profile(traj: Trajectory, m: int) -> np.ndarray:
     """(r, z - z_inf) samples from the axis to the equator, m + 1 points
-    evenly spaced in arc length (``Trajectory.state_at``).  Computed once
-    per trajectory and m and kept, read-only, in ``traj.memo``, so that
-    the SVG and the mesh of one ``solve`` share it."""
-    key = ("quarter_profile", m)
-    if key not in traj.memo:
-        quarter = _quarter_samples(traj, m)
-        quarter.flags.writeable = False
-        traj.memo[key] = quarter
-    return traj.memo[key]
-
-
-def _quarter_samples(traj: Trajectory, m: int) -> np.ndarray:
+    evenly spaced in arc length (``Trajectory.state_at``)."""
     import numpy as np
     ev = traj.first_event(EQUATOR)
     quarter = traj.state_at(np.linspace(0.0, ev.x, m + 1), slice(0, 2))

@@ -201,13 +201,8 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     limit_est = ev.state[3] ** 2
     lhs = float(ratio.max())
     finite = bool(np.all(np.isfinite(ratio)))
-    # the same ratio on (0, r0], where |w| > 1e-3
-    mask = np.abs(np.tan(psi)) > 1e-3
-    chart_a_sup = float(np.max(dpsi[mask] ** 2 / np.abs(sp[mask]))) if mask.any() else None
     records.append(_make("WprimeOrdBounded", finite, lhs, 2.0 * limit_est,
-                         _scale_tol(lhs, 2.0 * limit_est),
-                         {"equator_limit": limit_est,
-                          "chart_a_sup_w_above_1e-3": chart_a_sup}))
+                         _scale_tol(lhs, 2.0 * limit_est), {"equator_limit": limit_est}))
 
     records.append(_make("ZInfNegative", True, z_inf, 0.0,
                          _PTWISE_TOL * max(1.0, abs(z_inf))))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -53,13 +52,13 @@ def _sorted_fields(cls):
 
 def write_json(path, payload) -> None:
     """``payload`` as JSON: the text ``json.dumps(x, sort_keys=True,
-    indent=2)`` gives for its JSON-ready copy x, and a newline.  In x
-    every named tuple (a ``NamedTuple`` record or a
-    ``collections.namedtuple``) is the object of its fields, not the list
-    of its values, an ndarray the list ``tolist`` gives, a numpy scalar
-    its ``item()``, whose NaN reads ``NaN``, and any other float NaN is
-    ``null``; any other object, a dataclass instance too, raises
-    ``TypeError`` as ``json.dumps`` does.  The text is built in one walk
+    indent=2)`` gives for its JSON-ready copy x, and a newline.  The
+    payload holds str-keyed dicts, lists, tuples, named tuples (a
+    ``NamedTuple`` record or a ``collections.namedtuple``), floats, ints,
+    bools, str and None.  In x every named tuple is the object of its
+    fields, not the list of its values, and a float NaN is ``null``; any
+    other value or key, an ndarray, a numpy scalar or a dataclass
+    instance too, raises ``TypeError``.  The text is built in one walk
     (``_json_text``), with no copy made."""
     out: list[str] = []
     _json_text(payload, out, "\n")
@@ -68,10 +67,8 @@ def write_json(path, payload) -> None:
 
 
 def _json_float(x: float) -> str:
-    """``json``'s text of a float: its repr, ``NaN``, ``Infinity`` or
-    ``-Infinity``."""
-    if x != x:
-        return "NaN"
+    """``json``'s text of a float that is not NaN: its repr, ``Infinity``
+    or ``-Infinity``."""
     if x == math.inf or x == -math.inf:
         return "Infinity" if x > 0.0 else "-Infinity"
     return float.__repr__(x)
@@ -100,23 +97,7 @@ def _json_text(obj, out: list, nl: str) -> None:
     elif isinstance(obj, (list, tuple)):
         _json_elements(obj, out, nl)
     else:
-        import numpy as np
-        if isinstance(obj, np.ndarray):
-            _json_elements(list(obj.tolist()), out, nl)
-        elif isinstance(obj, np.generic):
-            value = obj.item()
-            if isinstance(value, float):
-                out.append(_json_float(value))
-            else:
-                _json_text(value, out, nl)
-        elif isinstance(obj, float):
-            out.append("null" if obj != obj else _json_float(obj))
-        elif isinstance(obj, str):
-            out.append(encode_basestring_ascii(obj))
-        elif isinstance(obj, int):
-            out.append(int.__repr__(obj))
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _json_elements(seq, out: list, nl: str) -> None:
@@ -143,16 +124,9 @@ def _json_members(items, out: list, nl: str) -> None:
     for i, (key, value) in enumerate(items):
         if i:
             out.append(sep)
-        if isinstance(key, str):
-            text = key
-        elif isinstance(key, float):
-            text = _json_float(key)
-        elif key is None or isinstance(key, int):
-            text = json.dumps(key)
-        else:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        out.append(encode_basestring_ascii(text) + ": ")
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        out.append(encode_basestring_ascii(key) + ": ")
         _json_text(value, out, inner)
     out.append(nl + "}")
 

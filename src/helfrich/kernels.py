@@ -45,11 +45,12 @@ per component and the coefficients as float literals, because loops or
 comprehensions over the rows cost several times the sums they build,
 and call no builtin they can do without: the per-component max of the
 error scale is a conditional expression, and the record and the dense
-output are flat lists that the solver stores or slices as they are.  Python floats raise ``ZeroDivisionError`` where ndarrays give
-inf or nan, ``math.cos`` and ``math.sin`` raise ``ValueError`` at an
-infinite angle where numpy gives nan, and products overflow to inf as
-ndarrays do; the caller treats a raise in a step, or an err that is not
-finite, as a failed step, and a raise in a completion as NaN rows.
+output are flat lists that the solver stores or slices as they are.
+Python floats raise ``ZeroDivisionError`` where ndarrays give inf or
+nan, ``math.cos`` and ``math.sin`` raise ``ValueError`` at an infinite
+angle where numpy gives nan, and products overflow to inf as ndarrays
+do; the caller treats a raise in a step, or an err that is not finite,
+as a failed step, and a raise in a completion as NaN rows.
 
 The kernels keep to the subset numba compiles (scalars, tuples, list
 literals, ``math.sqrt``, ``math.cos`` and ``math.sin``) and are compiled
@@ -311,9 +312,9 @@ def _compile(source, name):
     return njit(namespace[name])
 
 
-# module attributes read at call time by ``solver.integrate``.  The names
-# outlive the charts and the DOPRI5 pair they were first made for, because
-# the benchmark's trace wraps the step kernel by its name
+# module attributes read at call time by the solver's loop and segments.
+# The names outlive the charts and the DOPRI5 pair they were first made
+# for, because the benchmark's trace wraps the step kernel by its name
 rhs_a = _compile(_rhs_source(), "rhs_a")
 dopri5_step_a = _compile(_step_source(), "dopri5_step_a")
 dense_a = _compile(_dense_source(), "dense_a")

@@ -52,7 +52,6 @@ __all__ = [
     "Trajectory",
     "DenseSegment",
     "axis_coefficients",
-    "series_coefficient",
     "axis_series",
     "series_start",
     "integrate",
@@ -212,12 +211,6 @@ def axis_coefficients(params: HelfrichParams, w0p: float) -> tuple[float, ...]:
     return tuple(b)
 
 
-def series_coefficient(params: HelfrichParams, w0p: float) -> float:
-    """Cubic coefficient a3 of the axis series, (Q(w0p) + 7 w0p^3) / 16:
-    entry a3 of ``axis_coefficients``."""
-    return axis_coefficients(params, w0p)[1]
-
-
 def _horner(cs, t):
     """sum cs[k] t^k."""
     total = cs[-1]
@@ -302,14 +295,12 @@ class DenseSegment:
     records ``records``, the ``kernels.NREC`` floats per step that the
     step kernel gives (h, the start state y, the new state and the stages
     its dense output reads), flat, as the loop stores them in a list and
-    an ``array('d')``; with ``dense``, ``kernels.dense_a``, and
-    ``params``, the (c0, lam, p) it takes.  A step's dense output, its
-    ``kernels.NROWS`` rows (y and the interpolant's F0..F6), is completed
-    from its record the first time a query touches the step, so a caller
-    that evaluates only part of a run pays only for that part; ``given``
-    holds (step index, rows) pairs of steps already completed, the loop's
-    event steps, which are not completed again.  A completion that raises
-    gives NaN rows (see ``_dense_rows``).
+    an ``array('d')``; with ``params``, the (c0, lam, p) of the run.  A
+    step's dense output, its ``kernels.NROWS`` rows (y and the
+    interpolant's F0..F6), is completed from its record by
+    ``kernels.dense_a`` the first time a query touches the step, so a
+    caller that evaluates only part of a run pays only for that part.  A
+    completion that raises gives NaN rows (see ``_dense_rows``).
 
     The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
     NSTATE), the start state of each step, need no completion; ``conts``,
@@ -325,9 +316,8 @@ class DenseSegment:
     the cost.
     """
 
-    def __init__(self, xs, records, x_end: float, dense, params, given=()):
-        self._raw_xs, self._records, self._given = xs, records, given
-        self._dense, self._params = dense, params
+    def __init__(self, xs, records, x_end: float, params):
+        self._raw_xs, self._records, self._params = xs, records, params
         self.x_start = float(xs[0])
         # a run may terminate mid-step at an event
         self.x_end = float(x_end)
@@ -353,14 +343,10 @@ class DenseSegment:
 
     @cached_property
     def _table(self):
-        # every step's rows, and which of them are completed: the given ones
+        # every step's rows, and which of them are completed
         import numpy as np
         n = len(self._raw_xs) - 1
-        conts, done = np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
-        for i, rows in self._given:
-            conts[i] = np.reshape(rows, (kernels.NROWS, kernels.NSTATE))
-            done[i] = True
-        return conts, done
+        return np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
 
     def _fill(self, idx: np.ndarray) -> np.ndarray:
         """The (steps, NROWS, NSTATE) table, with the steps ``idx`` completed."""
@@ -372,8 +358,7 @@ class DenseSegment:
         todo = np.flatnonzero(todo & ~done).tolist()
         if todo:
             xs, recs, m = self._raw_xs, self._records, kernels.NREC
-            rows = [_dense_rows(self._dense, xs[i], recs[m * i:m * i + m], *self._params)
-                    for i in todo]
+            rows = [_dense_rows(xs[i], recs[m * i:m * i + m], *self._params) for i in todo]
             conts[todo] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
             done[todo] = True
         return conts
@@ -427,8 +412,7 @@ class Trajectory:
     ``chart_a`` is the run's dense segment in the arc length s, which
     starts at s = eps, the start radius.  ``axis_coeffs`` is the axis
     series the run starts from (see ``axis_coefficients``), computed when
-    not given.  ``memo`` keeps results that analyses derive from the run
-    for the later callers of one command (see ``analysis._quarter_profile``).
+    not given.
     """
 
     # One segment now covers the meridian.  It keeps the name of the first
@@ -441,7 +425,6 @@ class Trajectory:
         self.params, self.w0p, self.cfg = params, w0p, cfg
         self.chart_a, self.events = chart_a, events
         self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
-        self.memo: dict = {}
 
     @property
     def status(self) -> str:
@@ -456,13 +439,6 @@ class Trajectory:
         """The end of the graph-form residual's samples: the first ``Steep``
         event, or the last event of a run that has none."""
         return self.first_event(STEEP) or self.events[-1]
-
-    def series_eval(self, r, deriv: bool = False) -> np.ndarray:
-        """Axis-series graph state (w, w', z) on [0, eps), or with ``deriv``
-        its r-derivative (w', w'', w), shape (n, 3)."""
-        import numpy as np
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.stack(axis_series(self.axis_coeffs, r, deriv), axis=1)
 
     def by_arc_length(self, s, series, dense) -> np.ndarray:
         """``series`` of the arc lengths s below eps, taken as the radii
@@ -487,7 +463,7 @@ class Trajectory:
         as in ``DenseSegment.eval_many``."""
         import numpy as np
         return self.by_arc_length(
-            s, lambda r: np.stack(_arc_state(self.params, r, *self.series_eval(r).T),
+            s, lambda r: np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)),
                                   axis=1)[:, cols],
             lambda x: self.chart_a.eval_many(x, cols))
 
@@ -501,10 +477,11 @@ def _rms(v, sc) -> float:
     return math.sqrt(total / len(v))
 
 
-def _initial_step(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
+def _initial_step(x, y, f, rtol, atol, c0, lam, p, h_cap):
     """First step size for an 8th-order pair from the start state ``y`` and
-    its derivative ``f``, sequences of NSTATE floats, at most ``h_cap`` > 0; a
-    norm that is not finite is InvalidParams."""
+    its derivative ``f``, sequences of NSTATE floats, at most ``h_cap`` > 0,
+    with one trial of ``kernels.rhs_a``; a norm that is not finite is
+    InvalidParams."""
     sc = [atol + rtol * abs(v) for v in y]
     d0 = _rms(y, sc)
     d1 = _rms(f, sc)
@@ -512,7 +489,7 @@ def _initial_step(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
         raise InvalidParams(f"scaled start state or right-hand side not finite at x={x!r}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
-    f1 = rhs(x + h0, [v + h0 * fv for v, fv in zip(y, f)], c0, lam, p)
+    f1 = kernels.rhs_a(x + h0, [v + h0 * fv for v, fv in zip(y, f)], c0, lam, p)
     d2 = _rms([a - b for a, b in zip(f1, f)], sc) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.125
@@ -545,14 +522,14 @@ def _interpolant_dtheta(cont, th):
     return r1 + th * v, v + th * dv
 
 
-def _dense_rows(dense, x, rec, c0, lam, p):
+def _dense_rows(x, rec, c0, lam, p):
     """The NROWS * NSTATE dense rows of the accepted step that starts at x
     and has the record ``rec``, from ``kernels.dense_a``; all NaN where a
     stage there divides by r = 0 or meets an infinite angle, where the
     eager step would have rejected the step: the step is kept and its
     interpolant is NaN."""
     try:
-        return dense(x, rec, c0, lam, p)
+        return kernels.dense_a(x, rec, c0, lam, p)
     except (ArithmeticError, ValueError):
         return [math.nan] * (kernels.NROWS * kernels.NSTATE)
 
@@ -576,20 +553,23 @@ def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     return 0.5 * (lo + hi)
 
 
-def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, steps_budget):
-    """Adaptive loop from the state ``y0`` at x0, with x rising.
+def _run(x0, y0, params, cfg, event_table, steps_budget):
+    """Adaptive loop from the state ``y0`` at x0, with x rising, on the
+    kernels ``kernels.dopri5_step_a``, ``dense_a`` and ``rhs_a``, read when
+    it is called.
 
     ``event_table`` holds one (kind, component, target, downward,
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
-    step's record and completes its dense output with ``dense_fn`` only
-    on a step where an event row changes sign, to bisect it, and hands
-    those rows to the segment.  A terminal
-    row's hit ends the run: the step across it is taken again up to the
-    hit, when that shorter step is accepted, and then it is the last step.
-    Returns (segment, events, steps_used); the last event ends the run: a
-    terminal row's, or ``Aborted`` when the step budget did.
+    step's record and completes its dense output only on a step where an
+    event row changes sign, to bisect it; the segment completes the steps
+    a query reads, those again.  A terminal row's hit ends the run: the
+    step across it is taken again up to the hit, when that shorter step is
+    accepted, and then it is the last step.  Returns (segment, events,
+    steps_used); the last event ends the run: a terminal row's, or
+    ``Aborted`` when the step budget did.
     """
+    step = kernels.dopri5_step_a
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
@@ -597,7 +577,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     x = float(x0)
     y = [float(v) for v in y0]
     try:
-        f = rhs_fn(x, y, c0, lam, p)
+        f = kernels.rhs_a(x, y, c0, lam, p)
         finite = all(map(math.isfinite, f))
     except (ArithmeticError, ValueError):
         finite = False
@@ -608,12 +588,11 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     # interpolant off near the axis; and the step-size floor is relative to
     # x alone, so that a start closer to the axis than an absolute floor of
     # 1e-14 can still step out
-    h = _initial_step(rhs_fn, x, y, f, rtol, atol, c0, lam, p, y[0])
+    h = _initial_step(x, y, f, rtol, atol, c0, lam, p, y[0])
     h = max(h, 1e-13 * (1.0 + abs(x)))
 
     xs = [x]
     records = array("d")  # kernels.NREC floats per accepted step, flat
-    given = []  # (step index, dense rows) of the event steps
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -625,13 +604,13 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
     while True:
         if steps >= steps_budget:
             events.append(Event(ABORTED, x, tuple(y)))
-            return _make_segment(xs, records, x, y, dense_fn, params, given), events, steps
+            return _make_segment(xs, records, x, y, params), events, steps
         if h < 1e-14 * abs(x):
             raise StepUnderflow(f"step size {h!r} underflow at s={x!r}")
         h_use = y[0] if h > y[0] else h
 
         try:
-            y1, f1, err, rec = step_fn(x, y, h_use, f, c0, lam, p, rtol, atol)
+            y1, f1, err, rec = step(x, y, h_use, f, c0, lam, p, rtol, atol)
         except (ArithmeticError, ValueError):
             # a stage left the float range (ndarrays would give inf or nan)
             err = math.inf
@@ -658,7 +637,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
             g1 = y1[i] - target
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
                 if cont is None:
-                    cont = _dense_rows(dense_fn, x, rec, c0, lam, p)
+                    cont = _dense_rows(x, rec, c0, lam, p)
                 th = _bisect_step(cont[i::kernels.NSTATE], target, h_use, x, cfg.event_tol)
                 if hits is None:
                     hits = []
@@ -672,15 +651,14 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
                 # whose interpolant is closer than the one of the step across
                 # it, and the events of this step take their states from it
                 try:
-                    err, rec = step_fn(x, y, h_end, f, c0, lam, p, rtol, atol)[2:]
+                    err, rec = step(x, y, h_end, f, c0, lam, p, rtol, atol)[2:]
                 except (ArithmeticError, ValueError):
                     err = math.inf
                 steps += 1
                 if err <= 1.0:
                     records[-kernels.NREC:] = array("d", rec)
                     xs[-1] = x + h_end
-                    cont, h_ev = _dense_rows(dense_fn, x, rec, c0, lam, p), h_end
-            given.append((len(xs) - 2, cont))
+                    cont, h_ev = _dense_rows(x, rec, c0, lam, p), h_end
             for th, kind, terminal in hits:
                 x_ev = x + th * h_use
                 if h_ev != h_use:
@@ -689,8 +667,7 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, x_ev, y_ev))
                 if terminal:
-                    return (_make_segment(xs, records, x_ev, y, dense_fn, params, given),
-                            events, steps)
+                    return _make_segment(xs, records, x_ev, y, params), events, steps
 
         x, y, f = x_new, y1, f1
 
@@ -704,13 +681,13 @@ def _run_chart(step_fn, dense_fn, rhs_fn, x0, y0, params, cfg, event_table, step
         err_prev = 1e-4 if 1e-4 > err else err
 
 
-def _make_segment(xs, records, x_end, y, dense, params, given) -> DenseSegment:
+def _make_segment(xs, records, x_end, y, params) -> DenseSegment:
     if not records:
         # a run that took no step: one zero-length step from y to y, with
         # zero stages, whose interpolant is y
         xs = [xs[0], xs[0]]
         records = array("d", [0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
-    return DenseSegment(xs, records, x_end, dense, (params.c0, params.lam, params.p), given)
+    return DenseSegment(xs, records, x_end, (params.c0, params.lam, params.p))
 
 
 def integrate(params: HelfrichParams, w0p: float,
@@ -749,9 +726,6 @@ def integrate(params: HelfrichParams, w0p: float,
         (ABORTED, 0, r_max, False, True),
     ]
     # a start at or past the abort radius takes no step
-    seg, events, _ = _run_chart(
-        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a,
-        eps, series_start(params, w0p, eps, a), params, cfg, table,
-        cfg.max_steps if eps < r_max else 0,
-    )
+    seg, events, _ = _run(eps, series_start(params, w0p, eps, a), params, cfg, table,
+                          cfg.max_steps if eps < r_max else 0)
     return Trajectory(params, w0p, cfg, seg, events, a)

@@ -532,7 +532,7 @@ def requadrature_totals(traj) -> SurfaceTotals:
     # the axis series on [0, eps], where every density is 0 at r = 0
     seg = traj.chart_a
     xs = np.linspace(0.0, seg.x_start, 40_001)
-    w, wp, _ = traj.series_eval(xs[1:]).T
+    w, wp, _ = axis_series(traj.axis_coeffs, xs[1:])
     F = np.concatenate([np.zeros((3, 1)), np.array(surface_densities(xs[1:], w, wp, c0, lam))],
                        axis=1)
     area, vol, energy = (float(np.trapezoid(f, xs)) for f in F)
@@ -625,10 +625,9 @@ def s_at_r(traj, r, s_hi: float, passes: int = 64) -> np.ndarray:
 
 def pointwise_r_grid(traj, landmarks) -> dict:
     """The pointwise records of ``check_single`` (KappaMonotone,
-    KappaPrimeBound, KappaBound, XiFloor) by check id, and the
-    WprimeOrdBounded ``chart_a_sup_w_above_1e-3`` info under its key, as
-    the r-grid evaluation gave them: the graph state (w, w') at 4000 radii
-    evenly spaced on (0, r0], at the arc lengths ``s_at_r`` finds."""
+    KappaPrimeBound, KappaBound, XiFloor) by check id, as the r-grid
+    evaluation gave them: the graph state (w, w') at 4000 radii evenly
+    spaced on (0, r0], at the arc lengths ``s_at_r`` finds."""
     params, w0p = traj.params, traj.w0p
     consts = derived_constants(params, w0p)
     dp, xi = consts.delta_plus, consts.xi
@@ -656,18 +655,13 @@ def pointwise_r_grid(traj, landmarks) -> dict:
     out["KappaBound"] = _make("KappaBound", hyp, lhs, 0.0, _PTWISE_TOL)
     lhs = float(np.max(xi - one_minus)) if hyp_xi else None
     out["XiFloor"] = _make("XiFloor", hyp_xi, lhs, 0.0, _PTWISE_TOL)
-    mask = np.abs(w) > 1e-3
-    out["chart_a_sup_w_above_1e-3"] = (
-        float(np.max(wp[mask] ** 2 / (np.abs(w[mask]) * (1 + w[mask] ** 2) ** 2.5)))
-        if mask.any() else None)
     return out
 
 
 def json_via_copy(payload) -> str:
     """``payload``'s JSON text as ``json.dumps(x, sort_keys=True,
     indent=2)`` of its JSON-ready copy x: records (``NamedTuple``
-    instances) as dicts of their fields, ndarrays through ``tolist``,
-    numpy scalars through ``item()``, and float NaN as None."""
+    instances) as dicts of their fields, and float NaN as None."""
     def jsonable(obj):
         if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
             return {k: jsonable(v) for k, v in obj._asdict().items()}
@@ -675,10 +669,6 @@ def json_via_copy(payload) -> str:
             return {k: jsonable(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [jsonable(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [jsonable(v) for v in obj.tolist()]
-        if isinstance(obj, np.generic):
-            return obj.item()
         if isinstance(obj, float) and math.isnan(obj):
             return None
         return obj

@@ -261,10 +261,10 @@ def test_surface_totals_match_requadrature(c0, lam, p, w0p):
         assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
 
-def _linear_segment(xs, x_end, y0, slope):
+def _linear_segment(monkeypatch, xs, x_end, y0, slope):
     """A dense segment whose state is ``y0 + slope (x - xs[0])``: each
     step's record holds its h and start state, from which a stand-in
-    completion writes the interpolant rows y and F0."""
+    ``kernels.dense_a`` writes the interpolant rows y and F0."""
     xs = np.asarray(xs, dtype=float)
     records = np.zeros((len(xs) - 1, kernels.NREC))
     records[:, 0] = np.diff(xs)
@@ -276,10 +276,11 @@ def _linear_segment(xs, x_end, y0, slope):
         rows[kernels.NSTATE:2 * kernels.NSTATE] = (rec[0] * np.asarray(slope)).tolist()
         return rows
 
-    return DenseSegment(xs, records.ravel(), x_end, dense, (0.0, 0.0, 0.0))
+    monkeypatch.setattr(kernels, "dense_a", dense)
+    return DenseSegment(xs, records.ravel(), x_end, (0.0, 0.0, 0.0))
 
 
-def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
+def test_surface_totals_gauss_legendre_exact_with_cut_last_step(monkeypatch):
     """On polynomial interpolants the volume density r^2 sin psi, r linear
     in s at a fixed angle psi, has degree 2, which the 5-point rule
     integrates exactly; the last step counts only up to x_end, so a step
@@ -287,7 +288,8 @@ def test_surface_totals_gauss_legendre_exact_with_cut_last_step():
     params, w0p, eps = HelfrichParams(1.0, 0.25, 1.0), 0.05, 1e-3
     psi = -0.3
     slope = [math.cos(psi), math.sin(psi), 0.0, 0.0, 0.0]
-    seg = _linear_segment([eps, 0.5, 1.2, 2.0], 1.7, [eps, 0.0, psi, 0.0, 0.0], slope)
+    seg = _linear_segment(monkeypatch, [eps, 0.5, 1.2, 2.0], 1.7, [eps, 0.0, psi, 0.0, 0.0],
+                          slope)
     events = [Event(EQUATOR, 1.7, (eps + (1.7 - eps) * slope[0], 0.0, psi, 0.0, 0.0))]
     traj = Trajectory(params, w0p, SolverConfig(), seg, events)
 

@@ -172,7 +172,6 @@ def test_pointwise_checks_agree_with_the_r_grid(params, w0p, eps):
     lm = extract_landmarks(traj)
     got = {rec.check_id: rec for rec in check_single(traj, lm).records}
     want = pointwise_r_grid(traj, lm)
-    want.pop("chart_a_sup_w_above_1e-3")
     for check_id, rec in want.items():
         new = got[check_id]
         assert (new.hypothesis_satisfied, new.status) == (rec.hypothesis_satisfied, rec.status)

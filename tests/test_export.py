@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+from collections import namedtuple
 
 import mpmath
 import numpy as np
@@ -14,12 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helfrich import HelfrichParams, SolverConfig, analysis, cli, integrate
+from helfrich import HelfrichParams, SolverConfig, cli, integrate
 from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _FACE_ROWS,
     PROFILE_COLUMNS,
-    Mesh,
     _angle_table,
     _write_faces,
     build_mesh,
@@ -229,32 +229,34 @@ def test_json_of_golden_payloads_matches_json_dumps(command, monkeypatch, tmp_pa
     {},
     [],
     (),
-    np.arange(6.0).reshape(2, 3) / 7.0,
-    {"m": np.array([[1.0, np.nan], [-np.inf, -0.0]]), "e": np.empty((0, 2))},
-    [np.float64(0.1), np.float64(np.nan), np.float64(-np.inf), np.int64(-7),
-     np.bool_(True), np.bool_(False), np.float32(0.1)],
-    {"np_nan": np.float64(np.nan), "py_nan": math.nan},
+    {"m": np.array([[1.0, np.nan], [-np.inf, -0.0]]).tolist(), "e": np.empty((0, 2)).tolist()},
+    [x.item() for x in (np.float64(0.1), np.float64(np.nan), np.float64(-np.inf),
+                        np.int64(-7), np.bool_(True), np.bool_(False), np.float32(0.1))],
+    {"np_nan": np.float64(np.nan).item(), "py_nan": math.nan},
     [True, False, 1, 0, -1, None, 2 ** 70],
     {"t": True, "one": 1, "f": False, "zero": 0},
     ['quote " here', "back\\slash", "tab\tnew\nline", "\u00e9t\u00e9 \u03ba\u2032 \U0001d70b", ""],
     {'k"ey': 1, "\u00fc": 2, "b\\": 3, "A": 4, "a": 5},
-    CheckRecord("X", True, 1.0, math.nan, -math.inf, 1e-8, "Pass", {"z": 1, "a": [np.int64(2)]}),
+    CheckRecord("X", True, 1.0, math.nan, -math.inf, 1e-8, "Pass", {"z": 1, "a": [2]}),
     {"records": (CheckRecord("Y", False, None, None, None, 0.0, "Skipped", {}),)},
-], ids=lambda p: type(p).__name__)
+], ids=["list0", "dict0", "list1", "dict1", "list2", "tuple", "dict2", "list3", "dict3",
+        "list4", "dict4", "list5", "dict5", "CheckRecord", "dict6"])
 def test_json_matches_json_dumps_of_a_jsonable_copy(payload, tmp_path):
-    """NaN (null from a float, NaN from a numpy scalar), +-inf and -0.0;
-    empty containers; 2-D ndarrays; numpy scalars; bools against ints; and
+    """NaN (null), +-inf and -0.0; empty containers; rows and scalars
+    converted from numpy with ``tolist``/``item``; bools against ints; and
     strings with quotes, backslashes and non-ASCII characters, as values
     and as keys."""
     assert _json_bytes(tmp_path, payload) == (json_via_copy(payload) + "\n").encode()
 
 
 def test_json_writes_any_named_tuple_as_an_object_and_refuses_a_dataclass(tmp_path):
-    """A named tuple that is not one of the package's records, here
-    ``export.Mesh``, is written as the object of its fields, like a record;
-    a dataclass instance is refused, as ``json.dumps`` refuses it."""
-    mesh = Mesh(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), 4, np.array([[0, 1, 2]]))
-    assert json.loads(_json_bytes(tmp_path, {"mesh": mesh})) == {"mesh": {
+    """A named tuple that is not one of the package's records, here a
+    ``collections.namedtuple``, is written as the object of its fields,
+    like a record; a dataclass instance is refused, as ``json.dumps``
+    refuses it."""
+    Ring = namedtuple("Ring", "r z n_theta faces")
+    ring = Ring([0.0, 1.0], (-0.5, 0.5), 4, [[0, 1, 2]])
+    assert json.loads(_json_bytes(tmp_path, {"ring": ring})) == {"ring": {
         "faces": [[0, 1, 2]], "n_theta": 4, "r": [0.0, 1.0], "z": [-0.5, 0.5]}}
 
     @dataclasses.dataclass(frozen=True)
@@ -273,14 +275,11 @@ def test_json_refuses_what_json_dumps_refuses(tmp_path):
             write_json(tmp_path / "out.json", payload)
 
 
-def test_solve_with_svg_and_obj_computes_one_quarter_profile(monkeypatch, tmp_path):
-    """``profile_points`` and ``build_mesh`` share the quarter profile."""
-    calls = []
-
-    def counted(traj, m, _samples=analysis._quarter_samples):
-        calls.append(m)
-        return _samples(traj, m)
-
-    monkeypatch.setattr(analysis, "_quarter_samples", counted)
-    assert cli.main([*GOLDEN["solve"][0], "--out", str(tmp_path)]) == 0
-    assert calls == [256]
+@pytest.mark.parametrize("payload", [
+    np.arange(3.0), {"x": np.float64(0.5)}, [np.int64(1)], {1: "one"}, {"a": {None: 0}},
+], ids=["ndarray", "float64", "int64", "int_key", "none_key"])
+def test_json_refuses_numpy_values_and_keys_that_are_not_str(payload, tmp_path):
+    """No command's payload holds an ndarray, a numpy scalar or a key
+    that is not a str, and the writer refuses each of them."""
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "out.json", payload)

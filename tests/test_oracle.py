@@ -6,7 +6,9 @@ other texts of the shape equation from the same series start: the
 arc-length form the package integrates (``oracles.arc_oracle``, written
 apart from ``kernels``), and the graph form w(r), a formulation the
 package no longer uses (``oracles.rhs_chart_a_arr``).  The landmarks must
-agree to 1e-8 relative, and the events by kind must be the same.
+agree to 1e-8 relative, and the events by kind must be the same; over a
+seeded draw of the sweep region the events by kind and the verdicts must
+be the same.
 """
 
 import math
@@ -16,8 +18,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helfrich import HelfrichParams, SolverConfig, extract_landmarks, integrate
-from helfrich.solver import axis_coefficients, axis_series
+from helfrich import HelfrichParams, SolverConfig, classify, extract_landmarks, integrate
+from helfrich.solver import BLOWUP_POSITIVE, Event, Trajectory, axis_coefficients, axis_series
 from oracles import arc_oracle, rhs_chart_a_arr
 
 # (c0, lambda, p, w0p): the reference point, an oscillating cell with ten
@@ -80,3 +82,35 @@ def test_landmarks_and_events_match_the_arc_length_oracle(c0, lam, p, w0p):
     want = (r0, dpsi / math.cos(psi) ** 3, r_inf, z_inf)
     got = (lm.r0, lm.wp_r0, lm.r_inf, lm.z_inf)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def _sweep_cells(n, seed):
+    """n cells (c0, lambda, p, w0p) drawn uniformly from the sweep region:
+    c0 in [-2, 3], lambda in [-1, 2], p in 10^[-1, 1], w0p in 10^[-4, 0]."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(-2.0, 3.0)), float(rng.uniform(-1.0, 2.0)),
+             float(10.0 ** rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-4.0, 0.0)))
+            for _ in range(n)]
+
+
+def test_verdicts_over_a_seeded_sweep_match_the_arc_length_oracle():
+    """On 48 cells of the sweep region, ``classify`` gives the package's run
+    and scipy's run the same verdict, and the runs have the same events by
+    kind.  r rises along a run up to its terminal event (r' = cos psi > 0),
+    so the oracle's event radii order its events as their arc lengths do."""
+    verdicts = []
+    for c0, lam, p, w0p in _sweep_cells(48, 2026):
+        params = HelfrichParams(c0, lam, p)
+        traj = integrate(params, w0p)
+        got = classify(traj, extract_landmarks(traj)).verdict
+        status, found = arc_oracle(params, w0p, traj.chart_a.x_start)
+        events = sorted((Event(kind, y[0], y) for kind, ys in found.items() for y in ys),
+                        key=lambda ev: ev.x)
+        oracle = Trajectory(params, w0p, SolverConfig(), None, events)
+        assert oracle.status == status
+        cell = (c0, lam, p, w0p)
+        assert got == classify(oracle, extract_landmarks(oracle)).verdict, cell
+        assert Counter(ev.kind for ev in traj.events) == {
+            kind: len(ys) for kind, ys in found.items()}, cell
+        verdicts.append(got)
+    assert BLOWUP_POSITIVE in verdicts

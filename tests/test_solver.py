@@ -11,7 +11,6 @@ from helfrich import (
     eval_r,
     extract_landmarks,
     integrate,
-    series_coefficient,
     series_start,
 )
 from helfrich.analysis import BICONCAVE, classify
@@ -25,7 +24,7 @@ from helfrich.solver import (
     ZERO_OF_W,
     DenseSegment,
     _initial_step,
-    _run_chart,
+    _run,
     axis_coefficients,
     axis_series,
 )
@@ -53,7 +52,7 @@ PAPER = HelfrichParams(1.0, 0.25, 1.0)
 
 def test_series_coefficient_reference_value():
     # (Q(0.1) + 7e-3) / 16 with Q(0.1) = -0.354
-    a3 = series_coefficient(PAPER, 0.1)
+    a3 = axis_coefficients(PAPER, 0.1)[1]
     assert math.isclose(a3, -0.0216875, rel_tol=1e-12)
 
 
@@ -212,7 +211,7 @@ def test_z_is_quadrature_of_w(ref_traj):
     ss = np.linspace(x_start, s0, 20001)
     rs, w, _ = graph_at(ref_traj, ss)
     z_dense = ref_traj.state_at(ss, 1)
-    z0 = ref_traj.series_eval(np.array([x_start]))[0][2]
+    z0 = axis_series(ref_traj.axis_coeffs, x_start)[2]
     z_quad = z0 + np.concatenate(
         [[0.0], np.cumsum((w[1:] + w[:-1]) / 2 * np.diff(rs))])
     assert np.max(np.abs(z_quad - z_dense)) <= 1e-8
@@ -339,7 +338,7 @@ def test_first_integral_stays_zero_along_the_solution():
         assert drift.max() <= 1e-8
 
 
-def test_float_overflow_in_a_step_rejects_it():
+def test_float_overflow_in_a_step_rejects_it(monkeypatch):
     """A trial step far too long overflows the float stages and meets an
     infinite angle, whose cosine raises; the ndarray stages give inf and
     nan.  The loop rejects the step and retries at a tenth of its size,
@@ -356,18 +355,18 @@ def test_float_overflow_in_a_step_rejects_it():
 
     asked = []
 
-    def step(x, y, h, *rest):
+    def step(x, y, h, *rest, _step=kernels.dopri5_step_a):
         asked.append(h)
-        return kernels.dopri5_step_a(x, y, 1e120 if len(asked) == 1 else h, *rest)
+        return _step(x, y, 1e120 if len(asked) == 1 else h, *rest)
 
-    seg, events, steps = _run_chart(step, kernels.dense_a, kernels.rhs_a, x, y,
-                                    PAPER, SolverConfig(), [], 20)
+    monkeypatch.setattr(kernels, "dopri5_step_a", step)
+    seg, events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
     assert asked[1] == 0.1 * asked[0]
     assert steps == 20 > len(seg.xs) - 1  # more tries than accepted steps
     assert [ev.kind for ev in events] == [ABORTED]
 
 
-def test_step_whose_new_state_overflows_has_non_finite_err():
+def test_step_whose_new_state_overflows_has_non_finite_err(monkeypatch):
     """z = 1.79e308 on a vertical tangent overflows the new state's height
     to inf, which the error-norm scale max(|y_i|, |yn_i|) = inf hides: the
     ndarray step's err stays finite.  The float step's err is not finite,
@@ -386,12 +385,11 @@ def test_step_whose_new_state_overflows_has_non_finite_err():
     assert old[0][1] == math.inf and math.isfinite(old[2])
 
     # every trial step is that step, whatever h the loop asks for
-    def step(x, y, _h, *rest):
-        return kernels.dopri5_step_a(x, y, h, *rest)
+    def step(x, y, _h, *rest, _step=kernels.dopri5_step_a):
+        return _step(x, y, h, *rest)
 
-    seg, events, steps = _run_chart(
-        step, kernels.dense_a, kernels.rhs_a, x, y, HelfrichParams(0.0, 0.0, 0.0),
-        SolverConfig(), [], 1)
+    monkeypatch.setattr(kernels, "dopri5_step_a", step)
+    seg, events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
     assert steps == 1
     assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
 
@@ -484,8 +482,8 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
 
 
 def _record_completions(monkeypatch):
-    """Wrap ``kernels.dense_a``, which ``integrate`` hands to the loop and
-    the segment it makes, so that each call records the start x of the
+    """Wrap ``kernels.dense_a``, which the loop and the segments read when
+    they complete a step, so that each call records the start x of the
     step it completes."""
     calls = []
 
@@ -509,11 +507,11 @@ def _event_steps(traj):
 def test_dense_output_is_completed_only_where_read(monkeypatch):
     """A sweep cell completes the dense output of the steps that hold an
     event, to bisect them, and of no other step; the last one twice, as it
-    is taken again to end on the terminal event.  The segment keeps those
-    rows.  ``check_single`` then completes the other steps that start
-    before s(r0), and none that starts at or beyond it: it evaluates
-    (0, s(r0)] only, and reads the steps past the Steep event at their
-    start states, which the step records keep."""
+    is taken again to end on the terminal event.  ``check_single`` then
+    completes every step that starts before s(r0), the event steps there
+    again, and none that starts at or beyond it: it evaluates (0, s(r0)]
+    only, and reads the steps past the Steep event at their start states,
+    which the step records keep."""
     calls = _record_completions(monkeypatch)
     traj = integrate(PAPER, 0.05)
     want = _event_steps(traj)
@@ -532,25 +530,10 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     assert check_single(traj, lm).passed
     s0 = traj.first_event(ZERO_OF_W).x
     starts = traj.chart_a.xs[:-1].tolist()
-    assert sorted(calls) == [x for x in starts if x < s0 and x not in want] != starts
+    assert sorted(calls) == [x for x in starts if x < s0] != starts
     # the nodes are the completed rows y, bit for bit
     seg = traj.chart_a
     assert np.array_equal(seg.nodes.view(np.uint64), seg.conts[:, 0, :].view(np.uint64))
-
-
-def test_event_step_rows_from_the_loop_equal_a_fresh_completion(monkeypatch):
-    """The segment keeps the rows the loop completed for its event steps,
-    bit for bit those a segment with no given rows completes itself, so a
-    query completes each event step no second time."""
-    calls = _record_completions(monkeypatch)
-    traj = integrate(PAPER, 0.05)
-    seg = traj.chart_a
-    fresh = DenseSegment(seg._raw_xs, seg._records, seg.x_end, kernels.dense_a,
-                         (PAPER.c0, PAPER.lam, PAPER.p))
-    calls.clear()
-    conts = seg.conts
-    assert len(calls) == len(seg.xs) - 1 - len(_event_steps(traj))
-    assert np.array_equal(conts.view(np.uint64), fresh.conts.view(np.uint64))
 
 
 def test_raising_completion_gives_nan_rows():
@@ -561,23 +544,21 @@ def test_raising_completion_gives_nan_rows():
     rec = [0.1] + [0.0] * (kernels.NREC - 1)
     with pytest.raises(ZeroDivisionError):
         kernels.dense_a(1.0, rec, PAPER.c0, PAPER.lam, PAPER.p)
-    seg = DenseSegment([1.0, 1.1], rec, 1.1, kernels.dense_a,
-                       (PAPER.c0, PAPER.lam, PAPER.p))
+    seg = DenseSegment([1.0, 1.1], rec, 1.1, (PAPER.c0, PAPER.lam, PAPER.p))
     assert np.isnan(seg.eval_many([1.0, 1.05])).all()
     assert np.isnan(seg.conts).all() and seg.nodes.tolist() == [[0.0] * kernels.NSTATE]
 
 
 def test_run_chart_records_tied_events_in_table_order(ref_traj):
     """Rows that cross at the same theta are recorded in table order up to
-    the first terminal one, which ends the chart as its last event."""
+    the first terminal one, which ends the run as its last event."""
     params, w0p = HelfrichParams(1.0, 0.25, 1.0), 0.05
     eps = ref_traj.chart_a.x_start
     table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
              ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
     table = [(kind, 2, 0.0, True, terminal) for kind, _, _, _, terminal in table]
-    seg, events, _ = _run_chart(
-        kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, eps,
-        series_start(params, w0p, eps), params, SolverConfig(), table, 1_000_000)
+    seg, events, _ = _run(eps, series_start(params, w0p, eps), params, SolverConfig(), table,
+                          1_000_000)
     assert [ev.kind for ev in events] == ["second", "first", "end"]
     s0 = ref_traj.first_event(ZERO_OF_W).x
     assert all(ev.x == s0 for ev in events) and seg.x_end == s0
@@ -613,7 +594,7 @@ def _first_steps(x, y, tols, params, h_cap):
     c0, lam, p = params.c0, params.lam, params.p
     rhs = kernels.rhs_a
     f = rhs(x, y, c0, lam, p)
-    got = _initial_step(rhs, x, y, f, *tols, c0, lam, p, h_cap)
+    got = _initial_step(x, y, f, *tols, c0, lam, p, h_cap)
     want = initial_step_arr(rhs, x, np.array(y), np.array(f), *tols, c0, lam, p, h_cap)
     return got, want
 
@@ -630,7 +611,7 @@ def test_initial_step_matches_ndarray_oracle_bit_for_bit(case):
 
 
 def test_run_chart_calls_rhs_on_python_floats(monkeypatch):
-    """The chart start and the first-step trial run on Python floats, as
+    """The run's start and the first-step trial run on Python floats, as
     the loop does: no ndarray or numpy scalar reaches the right-hand side."""
     seen = set()
 
@@ -651,5 +632,4 @@ def test_overflowing_chart_start_is_invalid_params():
         integrate(HelfrichParams(1.0, 0.25, 1e300), 0.05)
     # gamma sin psi / r overflows in the right-hand side itself
     with pytest.raises(InvalidParams, match="not finite at the start"):
-        _run_chart(kernels.dopri5_step_a, kernels.dense_a, kernels.rhs_a, 1e-5,
-                   [1e-5, 0.0, 1.0, 0.0, 1e305], PAPER, SolverConfig(), [], 10)
+        _run(1e-5, [1e-5, 0.0, 1.0, 0.0, 1e305], PAPER, SolverConfig(), [], 10)
