@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .analysis import BICONCAVE, Landmarks, classify, extract_landmarks
 from .cubic import HelfrichParams, analyze_cubic, derived_constants, eval_r
 from .errors import HelfrichError, MissingEvent
-from .solver import EQUATOR, ZERO_OF_W, SolverConfig, Trajectory, integrate
+from .solver import EQUATOR, MAX_OF_W, ZERO_OF_W, SolverConfig, Trajectory, integrate
 
 __all__ = [
     "CheckRecord",
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _PTWISE_TOL = 1e-8  # slack for the re-asserted pointwise inequalities
+# the pointwise checks' samples: this many per step of the run, and the
+# axis series at the radii j s(r0) / _AXIS_DIVISIONS below the start
+_STEP_NODES = 128
+_AXIS_DIVISIONS = 4000
 _BAND = 0.1  # relative band of the small-slope limit ratios
 _BAND_W0P_MAX = 1e-2  # the band applies where w0p <= this
 
@@ -86,9 +90,11 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     """Evaluate every single-run estimate on an equator-reaching trajectory,
     with the constants of -Q at the run's own parameters and slope.
 
-    The pointwise checks on (0, r0] sample arc length: 4000 values of s
-    evenly spaced on (0, s(r0)], s(r0) the ``ZeroOfW`` event's.  They read
-    r, psi and psi' off the run (``Trajectory.state_at``)."""
+    The pointwise checks on (0, r0] read r, psi and psi' off the run at
+    ``_STEP_NODES`` samples per step up to s(r0), the ``ZeroOfW`` event's
+    arc length, after the axis series at the radii j s(r0) /
+    ``_AXIS_DIVISIONS`` below the start (``Trajectory.sample_steps``);
+    XiFloor also reads psi at the ``MaxOfW`` events before s(r0)."""
     import numpy as np
     ev = traj.first_event(EQUATOR)
     if ev is None:
@@ -126,17 +132,14 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs,
                          _scale_tol(z_r0, rhs or 0.0), info))
 
-    # pointwise re-assertions on (0, r0], at 4000 arc lengths evenly spaced
-    # on (0, s(r0)]: below the start, at s = r = eps, the axis series at
-    # r = s, and from there on the dense output's (r, psi, psi').  kappa =
-    # sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
+    # pointwise re-assertions on (0, r0], sampled step by step up to s(r0).
+    # kappa = sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
     # 1 - r^2 kappa^2 = cos^2 psi are read off the angle
-    s = np.linspace(0.0, traj.first_event(ZERO_OF_W).x, 4001)[1:]
-    rs, psi, dpsi = traj.state_at(s, [0, 2, 3]).T
+    s0 = traj.first_event(ZERO_OF_W).x
+    rs, psi, dpsi = traj.sample_steps(s0, _STEP_NODES, s0 / _AXIS_DIVISIONS, [0, 2, 3]).T
     sp = np.sin(psi)
     kap = sp / rs
     kap_p = dpsi / rs - sp / (rs * rs)
-    one_minus = 1.0 - sp * sp
 
     hyp_mono = bool(_r_max_on_interval(params, w0p) < 0.0)
     lhs = float(np.max(np.diff(kap)))
@@ -161,7 +164,11 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     lhs = float(np.max(kap - (w0p - dp * rs * rs / 16.0))) if dp > 0 else None
     records.append(_make("KappaBound", hyp, lhs, 0.0, _PTWISE_TOL))
 
-    lhs = float(np.max(xi - one_minus)) if hyp_xi else None
+    # max(xi - (1 - sin^2 psi)), taken at the largest sin^2 psi: on the
+    # samples, or where w peaks on (0, r0], at the MaxOfW events there
+    peak = max([float(np.max(sp * sp))] + [math.sin(e.state[2]) ** 2 for e in traj.events
+                                           if e.kind == MAX_OF_W and e.x < s0])
+    lhs = xi - (1.0 - peak) if hyp_xi else None
     records.append(_make("XiFloor", hyp_xi, lhs, 0.0, _PTWISE_TOL))
 
     B2 = delta * r0 ** 2 * abs(wp_r0)

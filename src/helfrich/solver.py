@@ -17,7 +17,8 @@ which an event row changes sign, and a ``DenseSegment`` completes a step
 the first time a query touches it.  No step is longer than its start
 radius, the distance to the axis singularity.  Every view of a run is
 indexed by s, with the axis series at r = s below the start
-(``Trajectory.by_arc_length``); events are the only crossings located.
+(``Trajectory.by_arc_length``), or by step and theta
+(``Trajectory.sample_steps``); events are the only crossings located.
 
 The loop runs on Python floats and stores its steps in ``array('d')``:
 events and the start are tuples of floats, and a ``DenseSegment`` makes
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -466,6 +468,29 @@ class Trajectory:
             s, lambda r: np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)),
                                   axis=1)[:, cols],
             lambda x: self.chart_a.eval_many(x, cols))
+
+    def sample_steps(self, s_end: float, m: int, dr: float, cols=slice(None)) -> np.ndarray:
+        """The state on (0, s_end], s_end in [eps, s_end of the run], in the
+        order of s and with no search per sample: the axis series at the
+        radii j dr < eps, j = 1, 2, ...; each step that starts before s_end
+        at theta = j / m, j = 0..m-1; and the step that holds s_end at
+        m >= 2 thetas evenly spaced on [0, theta(s_end)], so s_end is the
+        last sample.  Only these steps are completed.  ``cols`` selects
+        components as in ``DenseSegment.eval_many``."""
+        import numpy as np
+        seg = self.chart_a
+        xs, x0 = seg._raw_xs, seg.x_start
+        k = max(bisect_left(xs, s_end) - 1, 0)  # x_k < s_end <= x_k+1
+        th = np.empty((k + 1, m))
+        th[:k] = np.arange(m) / m
+        th[k] = np.linspace(0.0, (s_end - xs[k]) / (xs[k + 1] - xs[k]), m)
+        rows = seg._fill(np.arange(k + 1))[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
+        dense = _interpolant(rows, th)
+        r = np.arange(1, math.ceil(x0 / dr) + 1) * dr
+        r = r[r < x0]
+        axis = np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)))[cols]
+        # component-major, so each component's samples are contiguous
+        return np.concatenate([axis, dense.reshape(dense.shape[:-2] + (-1,))], axis=-1).T
 
 
 def _rms(v, sc) -> float:

@@ -22,12 +22,13 @@ length, the eta sampling ``eta_boundedness`` toward the equator, the
 trapezoid ``requadrature_totals`` of the dense output and the chord
 quadrature ``profile_quadrature_totals`` of a polyline.
 
-Two former code paths judge their replacements: the r-grid evaluation of
-the pointwise estimates ``pointwise_r_grid``, which finds s(r) at 4000
-radii by bisection of r(s) (``s_at_r``) where ``check_single`` samples
-arc length, and ``json_via_copy``, the JSON-ready copy dumped by
-``json.dumps``, which ``write_json``'s one-walk text must equal byte for
-byte.
+Three former code paths judge their replacements: two evaluations of the
+pointwise estimates where ``check_single`` now samples each step of the
+run on its own theta grid, the r-grid ``pointwise_r_grid``, which finds
+s(r) at 4000 radii by bisection of r(s) (``s_at_r``), and the evenly
+spaced arc-length grid ``pointwise_s_grid``; and ``json_via_copy``, the
+JSON-ready copy dumped by ``json.dumps``, which ``write_json``'s one-walk
+text must equal byte for byte.
 """
 
 import json
@@ -623,23 +624,15 @@ def s_at_r(traj, r, s_hi: float, passes: int = 64) -> np.ndarray:
     return np.where(r < seg.x_start, r, 0.5 * (lo + hi))
 
 
-def pointwise_r_grid(traj, landmarks) -> dict:
-    """The pointwise records of ``check_single`` (KappaMonotone,
-    KappaPrimeBound, KappaBound, XiFloor) by check id, as the r-grid
-    evaluation gave them: the graph state (w, w') at 4000 radii evenly
-    spaced on (0, r0], at the arc lengths ``s_at_r`` finds."""
+def _pointwise_records(traj, landmarks, rs, kap, kap_p, one_minus) -> dict:
+    """The pointwise records of ``check_single`` by check id, as its former
+    evaluations built them from samples of r, kappa, dkappa/dr and
+    1 - r^2 kappa^2 in the order of r."""
     params, w0p = traj.params, traj.w0p
     consts = derived_constants(params, w0p)
     dp, xi = consts.delta_plus, consts.xi
     hyp = bool(consts.delta > 0.0)
     hyp_xi = bool(hyp and xi > 0.0)
-    rs = np.linspace(0.0, landmarks.r0, 4001)[1:]
-    _, w, wp = graph_at(traj, s_at_r(traj, rs, traj.first_event(ZERO_OF_W).x))
-    P = 1.0 + w * w
-    sq = np.sqrt(P)
-    kap = w / (rs * sq)
-    kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
-    one_minus = 1.0 - rs * rs * kap * kap
     out = {"KappaMonotone": _make("KappaMonotone", bool(_r_max_on_interval(params, w0p) < 0.0),
                                   float(np.max(np.diff(kap))), 0.0, _PTWISE_TOL)}
     if dp > 0:
@@ -656,6 +649,33 @@ def pointwise_r_grid(traj, landmarks) -> dict:
     lhs = float(np.max(xi - one_minus)) if hyp_xi else None
     out["XiFloor"] = _make("XiFloor", hyp_xi, lhs, 0.0, _PTWISE_TOL)
     return out
+
+
+def pointwise_r_grid(traj, landmarks) -> dict:
+    """The pointwise records of ``check_single`` (KappaMonotone,
+    KappaPrimeBound, KappaBound, XiFloor) by check id, as the r-grid
+    evaluation gave them: the graph state (w, w') at 4000 radii evenly
+    spaced on (0, r0], at the arc lengths ``s_at_r`` finds."""
+    rs = np.linspace(0.0, landmarks.r0, 4001)[1:]
+    _, w, wp = graph_at(traj, s_at_r(traj, rs, traj.first_event(ZERO_OF_W).x))
+    P = 1.0 + w * w
+    sq = np.sqrt(P)
+    kap = w / (rs * sq)
+    kap_p = wp / (rs * P * sq) - w / (rs * rs * sq)
+    return _pointwise_records(traj, landmarks, rs, kap, kap_p, 1.0 - rs * rs * kap * kap)
+
+
+def pointwise_s_grid(traj, landmarks, n: int) -> dict:
+    """The pointwise records of ``check_single`` by check id, as the
+    evenly spaced arc-length evaluation gave them: r, psi and psi' at n
+    values of s evenly spaced on (0, s(r0)] (``Trajectory.state_at``),
+    kappa = sin psi / r and its r-derivative psi'/r - sin psi / r^2 read
+    off the angle."""
+    s = np.linspace(0.0, traj.first_event(ZERO_OF_W).x, n + 1)[1:]
+    rs, psi, dpsi = traj.state_at(s, [0, 2, 3]).T
+    sp = np.sin(psi)
+    return _pointwise_records(traj, landmarks, rs, sp / rs, dpsi / rs - sp / (rs * rs),
+                              1.0 - sp * sp)
 
 
 def json_via_copy(payload) -> str:

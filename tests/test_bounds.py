@@ -18,7 +18,8 @@ from helfrich import (
 from helfrich import bounds
 from helfrich.analysis import BICONCAVE
 from helfrich.errors import MissingEvent
-from oracles import pointwise_r_grid
+from helfrich.solver import MAX_OF_W, ZERO_OF_W
+from oracles import pointwise_r_grid, pointwise_s_grid
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 CHECK_IDS = [
@@ -178,6 +179,38 @@ def test_pointwise_checks_agree_with_the_r_grid(params, w0p, eps):
         assert (new.lhs is None) == (rec.lhs is None)
         if rec.lhs is not None:
             assert abs(new.lhs - rec.lhs) <= bounds._PTWISE_TOL, (check_id, new.lhs, rec.lhs)
+
+
+@pytest.mark.parametrize("params, w0p, eps", _ORACLE_CELLS)
+def test_pointwise_checks_agree_with_the_even_s_grid(params, w0p, eps):
+    """The per-step samples give every pointwise record the status of the
+    former evaluation at 4000 evenly spaced arc lengths, and an lhs within
+    the checks' slack of it."""
+    traj = integrate(HelfrichParams(*params), w0p, SolverConfig(eps_start=eps))
+    lm = extract_landmarks(traj)
+    got = {rec.check_id: rec for rec in check_single(traj, lm).records}
+    want = pointwise_s_grid(traj, lm, 4000)
+    assert len(want) == 4
+    for check_id, rec in want.items():
+        new = got[check_id]
+        assert (new.hypothesis_satisfied, new.status) == (rec.hypothesis_satisfied, rec.status)
+        assert (new.lhs is None) == (rec.lhs is None)
+        if rec.lhs is not None:
+            assert abs(new.lhs - rec.lhs) <= bounds._PTWISE_TOL, (check_id, new.lhs, rec.lhs)
+
+
+def test_xi_floor_reads_the_peak_of_w(ref_traj, ref_landmarks):
+    """sin^2 psi peaks on (0, r0] where w does, at the MaxOfW event, so
+    XiFloor's lhs is xi - cos^2 psi there, above the value of the former
+    4000-point grid, whose samples fall beside the peak."""
+    ev = ref_traj.first_event(MAX_OF_W)
+    assert ev.x < ref_traj.first_event(ZERO_OF_W).x
+    xi = derived_constants(PAPER, 0.05).xi
+    got = {rec.check_id: rec for rec in check_single(ref_traj, ref_landmarks).records}
+    assert got["XiFloor"].lhs == pytest.approx(xi - (1.0 - math.sin(ev.state[2]) ** 2),
+                                               rel=0.0, abs=1e-15)
+    grid = pointwise_s_grid(ref_traj, ref_landmarks, 4000)["XiFloor"].lhs
+    assert got["XiFloor"].lhs - grid > 1e-12
 
 
 def test_overflowing_point_is_an_error_verdict():

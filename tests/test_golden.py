@@ -30,13 +30,13 @@ GOLDEN = {
     "verify": (
         ["verify", *PAPER_FLAGS, "--sweep-points", "16", "--sweep-min", "1e-4"],
         {"bounds_report.json":
-            "a2da1775511addc6d78308d5ac70abf383ad86085ca2594f075a4ef2ab36c889"},
+            "e2a02ad285671a3d35ed5ebf1b84203630e0462761d03b7f8cbccc7a63ed8ba6"},
     ),
     "solve": (
         ["solve", *PAPER_FLAGS, "--w0p", "0.05", "--format", "csv,json,svg,obj"],
         {
             "profile.csv": "774dc9b5f5a6ab3c28777da7bb161bc6a83b0102e3bd4bbac8841dc8a07b0688",
-            "report.json": "0696ff34b4a36092f27fb34f81fe13ae0edc239a8f78f80fdc207d42895d74d3",
+            "report.json": "fbc8788caec5686caa19228361d9145d78f3f934466bf528dee65758eedccce0",
             "profile.svg": "80b3cea18737162f8036bc08c519a908d564ebe620741526d2e9714f2c4872a3",
             "mesh.obj": "c6b1b6cac52d6e1eaf83dbf057244d6a8011f8876e5d9417c452f9e50c3f6704",
         },

@@ -311,6 +311,52 @@ def test_arc_length_view_range_checks(ref_traj):
     assert y[0] == pytest.approx(y[1], rel=1e-9, abs=1e-15)
 
 
+def _step_thetas(xs, s_end, m):
+    """Step index and theta of each sample ``Trajectory.sample_steps``
+    takes past the start: theta = j / m on the steps that start before
+    s_end, and m thetas evenly spaced up to s_end's on the step that holds
+    it."""
+    k = int(np.searchsorted(xs, s_end)) - 1
+    th = np.tile(np.arange(m) / m, (k + 1, 1))
+    th[k] = np.linspace(0.0, (s_end - xs[k]) / (xs[k + 1] - xs[k]), m)
+    return k, np.repeat(np.arange(k + 1), m), th.ravel()
+
+
+@pytest.mark.parametrize("where", ["ZeroOfW", "first step", "step boundary"])
+def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
+    """``sample_steps`` gives, in the order of s, the axis series at the
+    radii j dr below the start, then each step up to s_end at its own
+    thetas.  A step's theta = 0 sample is its node, bit for bit.  Every
+    other sample is the one ``eval_many`` gives at s = x_i + theta h_i, up
+    to the rounding of theta that ``eval_many`` re-derives from s: an ulp
+    or two of s times the state's slope, well inside 1e-13 (1 + |y|).
+    Only the steps that start before s_end are completed, and s_end is the
+    last sample."""
+    m = 16
+    traj = integrate(PAPER, 0.05)
+    seg = traj.chart_a
+    xs = seg.xs
+    s_end = {"ZeroOfW": traj.first_event(ZERO_OF_W).x,
+             "first step": 0.5 * (xs[0] + xs[1]),
+             "step boundary": xs[5]}[where]
+    k, step, th = _step_thetas(xs, s_end, m)
+    assert k == {"first step": 0, "step boundary": 4}.get(where, k)
+    dr = xs[0] / 6.5
+    y = traj.sample_steps(s_end, m, dr)
+    assert seg._table[1].sum() == k + 1 and seg._table[1][:k + 1].all()
+    assert y.shape == (6 + (k + 1) * m, kernels.NSTATE)
+
+    r = np.arange(1, 7) * dr
+    assert np.array_equal(y[:6], traj.state_at(r))
+    dense = y[6:]
+    assert np.array_equal(dense[::m], seg.nodes[:k + 1])
+    want = seg.eval_many(xs[step] + th * (xs[step + 1] - xs[step]))
+    assert np.all(np.abs(dense - want) <= 1e-13 * (1.0 + np.abs(want)))
+    assert dense[-1] == pytest.approx(seg.eval_many(s_end)[0], rel=1e-13, abs=1e-13)
+    s = np.concatenate([r, xs[step] + th * (xs[step + 1] - xs[step])])
+    assert np.all(np.diff(s) > 0.0)
+
+
 def test_equator_state_is_regular(ref_traj):
     ev = ref_traj.first_event(EQUATOR)
     r, _, psi, dpsi, _ = ev.state
