@@ -142,6 +142,8 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     kap_p = dpsi / rs - sp / (rs * rs)
 
     hyp_mono = bool(_r_max_on_interval(params, w0p) < 0.0)
+    # lhs, the largest rise of kappa between samples, is 3 c dr^2 near the axis
+    # (kappa ~ w0p + c r^2): there it measures the spacing dr, not the run
     lhs = float(np.max(np.diff(kap)))
     records.append(_make("KappaMonotone", hyp_mono, lhs, 0.0, _PTWISE_TOL))
 
@@ -149,7 +151,8 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     # kappa bound below and yields w'(r0) < -delta_plus r0^2 / 8 at r0.
     # Near the axis the margin shrinks like w0p^3 r while the evaluation
     # noise of kappa' grows like state-error / r^2, so the comparison
-    # carries an r-dependent noise allowance there.
+    # carries an r-dependent noise allowance there; its maximum there is the
+    # first radius's value, below a peak near the axis that no grid resolves.
     if dp > 0:
         # state error ~ tolerance enters kappa' as dw'/r; rounding as dw/r^2
         tol_state = traj.cfg.abs_tol + traj.cfg.rel_tol * (w0p + abs(wp_r0))

@@ -378,7 +378,7 @@ def _cmd_mesh(parser, v):
     mesh = build_mesh(traj, **_given(v, MESH_OPTS))
     path = os.path.join(out, "mesh.obj")
     write_obj(path, mesh)
-    print(f"mesh: wrote {path} ({mesh.n_verts} vertices, {len(mesh.faces)} faces)")
+    print(f"mesh: wrote {path} ({mesh.n_verts} vertices, {mesh.n_faces} faces)")
     return EX_OK
 
 

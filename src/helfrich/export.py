@@ -263,38 +263,28 @@ class Mesh(NamedTuple):
     r[min(i, len(z) - 1 - i)], the profile being mirrored at the equator.
     Points 0 and -1 are the poles, each other point is a ring of n_theta
     vertices, vertex k of a ring of radius r at (r cos_k, r sin_k) from
-    the exactly symmetric ``_angle_table(n_theta)``; ``faces`` holds
-    0-based indices into pole, rings, pole."""
+    the exactly symmetric ``_angle_table(n_theta)``; the faces follow from
+    n_theta and the ring count alone (``_write_faces``)."""
 
     r: np.ndarray
     z: np.ndarray
     n_theta: int
-    faces: np.ndarray
 
     @property
     def n_verts(self) -> int:
         return self.n_theta * (len(self.z) - 2) + 2
 
+    @property
+    def n_faces(self) -> int:
+        return 2 * self.n_theta * (len(self.z) - 2)
+
 
 def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Mesh:
     """Watertight triangle mesh of the revolved, reflected profile:
     n_theta * (2 n_profile - 1) + 2 vertices."""
-    import numpy as np
     r, Z = _quarter_profile(traj, n_profile).T  # n_profile + 1 points
     # pole..equator..pole: the first 2 n_profile + 1 points of the closed curve
-    z = mirror_quarter(r, Z)[: 2 * len(r) - 1, 1]
-
-    k = np.arange(n_theta, dtype=np.int64)
-    k1 = (k + 1) % n_theta
-    start = 1 + n_theta * np.arange(len(z) - 2, dtype=np.int64)[:, None]
-    a, b = start[:-1] + k, start[:-1] + k1  # quad corners on ring j
-    c, d = a + n_theta, b + n_theta  # and on ring j + 1
-    last = start[-1, 0] + n_theta  # the far pole follows the last ring
-    return Mesh(r, z, n_theta, np.concatenate([
-        np.stack([np.zeros_like(k), 1 + k, 1 + k1], axis=1),
-        np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3),
-        np.stack([np.full_like(k, last), start[-1] + k1, start[-1] + k], axis=1),
-    ]))
+    return Mesh(r, mirror_quarter(r, Z)[: 2 * len(r) - 1, 1], n_theta)
 
 
 def _write_rows(fh, fmt: str, rows) -> None:
@@ -308,41 +298,58 @@ def _write_rows(fh, fmt: str, rows) -> None:
 
 
 def write_obj(path, mesh: Mesh) -> None:
-    """OBJ text of ``mesh``: its vertices (floats in ``%.17g``) and its
-    faces as 1-based ``f a b c`` lines.  The vertex block formats, per
-    radius, only the products of r with the distinct magnitudes of the
-    angle table: 33 numbers at n_theta = 128, not 256."""
-    with open(path, "w", newline="\n") as fh:
+    """OBJ text of ``mesh``, written as bytes: its vertices (floats in
+    ``%.17g``) and its faces as 1-based ``f a b c`` lines.  The vertices
+    format, per radius, only the products of r with the distinct magnitudes
+    of the angle table (33 at n_theta = 128, not 256), the faces no index."""
+    with open(path, "wb") as fh:
         _write_vertices(fh, mesh)
-        _write_faces(fh, mesh.faces, mesh.n_verts)
+        _write_faces(fh, mesh.n_theta, len(mesh.z) - 2)
 
 
-def _write_faces(fh, faces, n_verts: int) -> None:
-    """Face lines ``f a b c`` of the 1-based indices ``faces + 1``, the text
-    ``"f %d %d %d\\n"`` gives, without formatting each index: row i of a
-    table holds the decimal text of i = 1..n_verts, padded on the left with
-    NUL bytes to one width, and each line is assembled from three table
-    rows by ``take``; dropping the NULs leaves the text.  One ``write`` per
-    ``_FACE_ROWS`` lines."""
+def _index_table(n_verts: int):
+    """The decimal text of i = 1..n_verts in row i, NUL-padded on the left
+    to one width (row 0 all NUL), one numpy void item per row: built with
+    one axis per digit, column col holding axis col's digits."""
     import numpy as np
     width = len(str(n_verts))
-    idx = np.arange(n_verts + 1, dtype=np.min_scalar_type(n_verts))
-    table = np.empty((n_verts + 1, width), np.uint8)
-    for col in range(width):  # one digit column at a time, most significant first
-        q = idx // 10 ** (width - 1 - col)
-        table[:, col] = q % 10 + ord("0")
-        table[q == 0, col] = 0  # a leading zero (row 0, never written, is all NUL)
-    table = table.view(f"V{width}").ravel()
-    line = np.dtype([("f", "S2"), ("a", table.dtype), ("s1", "S1"), ("b", table.dtype),
-                     ("s2", "S1"), ("c", table.dtype), ("nl", "S1")])
-    for i in range(0, len(faces), _FACE_ROWS):
-        chunk = faces[i:i + _FACE_ROWS] + 1
-        rec = np.empty(len(chunk), line)
-        rec["f"], rec["s1"], rec["s2"], rec["nl"] = b"f ", b" ", b" ", b"\n"
-        for name, col in zip("abc", chunk.T):
-            rec[name] = table.take(col)
-        text = rec.view(np.uint8)
-        fh.write(text[text != 0].tobytes().decode("ascii"))
+    t = np.empty((n_verts // 10 ** (width - 1) + 1,) + (10,) * (width - 1) + (width,), np.uint8)
+    for col in range(width):
+        t[..., col] = np.arange(48, 48 + t.shape[col]).reshape((-1,) + (1,) * (width - 1 - col))
+        t[(0,) * (col + 1)][..., col] = 0  # a leading zero
+    return t.reshape(-1, width)[:n_verts + 1].view(f"V{width}").ravel()
+
+
+def _write_faces(fh, n_theta: int, n_rings: int) -> None:
+    """Face lines of ``n_rings`` rings of ``n_theta`` vertices between two
+    poles, the bytes ``"f %d %d %d\\n"`` gives, with no index formatted:
+    with M the ring rows of ``_index_table`` as a (n_rings, n_theta) matrix
+    and R = M rolled by one vertex, band j's lines ``f a c d`` and ``f a d b``
+    (a, b = M[j], R[j]; c, d = M[j + 1], R[j + 1]) are records filled by
+    slices, one chunk of bands per write, with NULs to drop only in the pole
+    fans and in a chunk whose smallest index is narrower than the table."""
+    import numpy as np
+    table = _index_table(n_theta * n_rings + 2)
+    M = table[2:-1].reshape(n_rings, n_theta)
+    R = np.roll(M, -1, axis=1)
+    step = max(1, _FACE_ROWS // (2 * n_theta))  # bands per chunk
+    rec = np.empty((max(1, min(step, n_rings - 1)), n_theta, 2), [
+        ("f", "S2"), ("a", table.dtype), ("s1", "S1"), ("b", table.dtype), ("s2", "S1"),
+        ("c", table.dtype), ("nl", "S1")])
+    rec["f"], rec["s1"], rec["s2"], rec["nl"] = b"f ", b" ", b" ", b"\n"
+    fan = rec[0, :, 0]
+    fan["a"], fan["b"], fan["c"] = table[1], M[0], R[0]
+    fh.write(fan.tobytes().translate(None, b"\0"))
+    for j in range(0, n_rings - 1, step):
+        k = min(j + step, n_rings - 1)
+        rec["a"][:k - j] = M[j:k, :, None]
+        rec["b"][:k - j, :, 0] = M[j + 1:k + 1]
+        rec["c"][:k - j, :, 0] = rec["b"][:k - j, :, 1] = R[j + 1:k + 1]
+        rec["c"][:k - j, :, 1] = R[j:k]
+        narrow = 2 + n_theta * j < 10 ** (table.itemsize - 1)
+        fh.write(rec[:k - j].tobytes().translate(None, b"\0") if narrow else rec[:k - j])
+    fan["a"], fan["b"], fan["c"] = table[-1], R[-1], M[-1]
+    fh.write(fan.tobytes().translate(None, b"\0"))
 
 
 def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,8 +379,8 @@ def _write_vertices(fh, mesh: Mesh) -> None:
     n_theta = 128): per radius r, the products r * |m| are formatted in one
     ``%.17g`` call and placed by one ``str.format`` template of the mesh,
     with a ``-`` for each negative table entry (r * -m is -(r * m) exactly),
-    and ``z`` (in no ``%.17g`` text) as the z field.  Each ring fills in its
-    z; the ring texts are freed before the faces."""
+    and ``z`` (in no ``%.17g`` text) as the z field, and encoded once.
+    Each ring fills in its z; the ring texts are freed before the faces."""
     import numpy as np
     xy = np.stack(_angle_table(mesh.n_theta), axis=1).ravel()
     mag, idx = np.unique(np.abs(xy), return_inverse=True)
@@ -383,10 +390,10 @@ def _write_vertices(fh, mesh: Mesh) -> None:
         zip(sign[::2], idx[::2].tolist(), sign[1::2], idx[1::2].tolist()))
     fmt = "%.17g " * len(mag)
     r = mesh.r[1:, None]  # the axis radius 0 holds only the poles
-    rings = [template.format(*(fmt % tuple(row)).split()) for row in (r * mag).tolist()]
+    rings = [template.format(*(fmt % tuple(row)).split()).encode() for row in (r * mag).tolist()]
     z = mesh.z.tolist()
     last = len(z) - 1
-    fh.write("v 0 0 %.17g\n" % z[0])
+    fh.write(b"v 0 0 %.17g\n" % z[0])
     for i in range(1, last):
-        fh.write(rings[min(i, last - i) - 1].replace("z", "%.17g" % z[i]))
-    fh.write("v 0 0 %.17g\n" % z[last])
+        fh.write(rings[min(i, last - i) - 1].replace(b"z", b"%.17g" % z[i]))
+    fh.write(b"v 0 0 %.17g\n" % z[last])

@@ -298,13 +298,17 @@ def build_mesh_loops(traj, n_theta: int, n_profile: int):
                          np.full(n_theta, z_full[j])], axis=1)
         verts.extend(ring)
     verts.append(np.array([0.0, 0.0, z_full[-1]]))
-    verts = np.array(verts)
+    return np.array(verts), mesh_faces_loops(n_theta, len(r_full) - 2)
 
+
+def mesh_faces_loops(n_theta: int, n_rings: int) -> np.ndarray:
+    """0-based faces of the revolved mesh of ``n_rings`` rings of
+    ``n_theta`` vertices between two poles, built face by face: a fan at
+    each pole and two triangles per quad between neighbouring rings."""
     def ring_idx(j, k):
         return 1 + (j - 1) * n_theta + (k % n_theta)
 
     faces = []
-    n_rings = len(r_full) - 2
     for k in range(n_theta):
         faces.append((0, ring_idx(1, k), ring_idx(1, k + 1)))
     for j in range(1, n_rings):
@@ -313,10 +317,10 @@ def build_mesh_loops(traj, n_theta: int, n_profile: int):
             c, d = ring_idx(j + 1, k), ring_idx(j + 1, k + 1)
             faces.append((a, c, d))
             faces.append((a, d, b))
-    last = len(verts) - 1
+    last = n_theta * n_rings + 1
     for k in range(n_theta):
         faces.append((last, ring_idx(n_rings, k + 1), ring_idx(n_rings, k)))
-    return verts, np.array(faces, dtype=np.int64)
+    return np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
 def write_obj_loops(path, verts: np.ndarray, faces: np.ndarray) -> None:

@@ -254,12 +254,14 @@ def test_plot_rejects_blowup(tmp_path):
     assert code == 2
 
 
-def test_mesh_default_resolution(tmp_path):
+def test_mesh_default_resolution(tmp_path, capsys):
     code = run_cli(["mesh", *SOLVE_FLAGS, "--out", str(tmp_path)])
     assert code == 0
+    assert capsys.readouterr().out.endswith("(65410 vertices, 130816 faces)\n")
     verts, faces = _read_obj(tmp_path / "mesh.obj")
     n_theta, n_prof = 128, 256
-    assert len(verts) == n_theta * (2 * n_prof - 1) + 2
+    assert len(verts) == n_theta * (2 * n_prof - 1) + 2 == 65410
+    assert len(faces) == 2 * n_theta * (2 * n_prof - 1) == 130816
     # Euler characteristic via the edge set
     edges = set()
     for f in faces:

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helfrich import HelfrichParams, SolverConfig, cli, integrate
+from helfrich import HelfrichParams, SolverConfig, cli, export, integrate
 from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _FACE_ROWS,
     PROFILE_COLUMNS,
     _angle_table,
+    _index_table,
     _write_faces,
     build_mesh,
     profile_rows,
@@ -33,6 +34,7 @@ from helfrich.export import (
 from oracles import (
     build_mesh_loops,
     json_via_copy,
+    mesh_faces_loops,
     svg_path_loops,
     write_obj_loops,
     write_profile_csv_loops,
@@ -66,9 +68,7 @@ def test_profile_rows_of_a_run_without_equator(status, blowup_traj):
 @pytest.mark.parametrize("n_theta, n_profile", [(3, 8), (7, 9), (128, 256)])
 def test_mesh_obj_bytes_match_loops(ref_traj, n_theta, n_profile, tmp_path):
     mesh = build_mesh(ref_traj, n_theta, n_profile)
-    faces = mesh.faces
     ref_verts, ref_faces = build_mesh_loops(ref_traj, n_theta, n_profile)
-    assert faces.dtype == ref_faces.dtype == np.int64
     write_obj(tmp_path / "new.obj", mesh)
     write_obj_loops(tmp_path / "ref.obj", ref_verts, ref_faces)
     assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
@@ -151,20 +151,69 @@ def test_read_profile_csv_round_trip_bit_exact(ref_traj, tmp_path):
         assert cols[name].tobytes() == rows[:, i].tobytes()
 
 
+def _factor(m):
+    """(n_theta, n_bands) with n_theta * n_bands = m and n_theta its
+    smallest factor above 1: a ring of several vertices where m allows."""
+    n_theta = next(k for k in range(2, m + 1) if m % k == 0)
+    return n_theta, m // n_theta
+
+
+def _width_cases():
+    """(n_theta, n_rings, face_rows) at which the 1-based indices reach
+    each power of ten 10^e, e = 1..5, or stop just below it: n_verts is
+    10^e - 1 or 10^e at the default chunk size, or a chunk of bands
+    starts at index 10^e - 1 or 10^e of a mesh whose widest index has
+    e + 1 digits (its second chunk, with n_theta * bands = 10^e - 3 or
+    10^e - 2 per chunk).  And a mesh of one ring (no band), of one vertex
+    per ring, of exactly one chunk and of one chunk and one band."""
+    cases = []
+    for e in range(1, 6):
+        for t in (10 ** e - 1, 10 ** e):
+            n_theta, m = _factor(t - 2)
+            cases += [(n_theta, m, _FACE_ROWS), (n_theta, 2 * m + 1, 2 * n_theta * m)]
+    step = _FACE_ROWS // 256
+    return cases + [(128, 1, _FACE_ROWS), (1, 5, _FACE_ROWS), (128, step + 1, _FACE_ROWS),
+                    (128, step + 2, _FACE_ROWS)]
+
+
 @pytest.mark.parametrize("rows", [0, 1, _FACE_ROWS, _FACE_ROWS + 1])
 @pytest.mark.parametrize("n_verts", [1, 9, 10, 99, 100, 9999, 10000, 99999, 100000])
 def test_face_lines_match_percent_d(n_verts, rows):
-    """The digit-table face writer gives the text ``"f %d %d %d\\n"`` gives
-    at every digit-width boundary of the 1-based indices, for both extreme
-    indices, and for none, one, one chunk and one chunk plus one rows."""
+    """The index table holds the text of every index: face lines assembled
+    from three of its rows each by ``take``, NULs dropped, are the text
+    ``"f %d %d %d\\n"`` gives at every digit-width boundary of the 1-based
+    indices, for both extreme indices, and for 0, 1, ``_FACE_ROWS`` and
+    ``_FACE_ROWS + 1`` lines."""
     rng = np.random.default_rng(n_verts * 7 + rows)
-    faces = rng.integers(0, n_verts, size=(rows, 3), dtype=np.int64)
+    faces = rng.integers(1, n_verts + 1, size=(rows, 3), dtype=np.int64)
     if rows:
-        faces[0, 0], faces[-1, -1] = 0, n_verts - 1
-    fh = io.StringIO()
-    _write_faces(fh, faces, n_verts)
+        faces[0, 0], faces[-1, -1] = 1, n_verts
+    table = _index_table(n_verts)
+    assert table[0].tobytes() == bytes(table.itemsize)
+    rec = np.empty(rows, [("f", "S2"), ("a", table.dtype), ("s1", "S1"), ("b", table.dtype),
+                          ("s2", "S1"), ("c", table.dtype), ("nl", "S1")])
+    rec["f"], rec["s1"], rec["s2"], rec["nl"] = b"f ", b" ", b" ", b"\n"
+    for name, col in zip("abc", faces.T):
+        rec[name] = table.take(col)
+    want = "".join("f %d %d %d\n" % tuple(row) for row in faces.tolist())
+    assert rec.tobytes().replace(b"\0", b"") == want.encode()
+
+
+@pytest.mark.parametrize("n_theta, n_rings, face_rows", _width_cases())
+def test_face_block_matches_percent_d(n_theta, n_rings, face_rows, monkeypatch):
+    """The ring-structure face writer gives the bytes ``"f %d %d %d\\n"``
+    gives over the face-by-face oracle's faces, on each side of every
+    digit-width boundary of the 1-based indices, for the whole mesh and
+    for the first index of a chunk of bands, where the writer decides
+    whether the chunk holds NUL padding to drop."""
+    monkeypatch.setattr(export, "_FACE_ROWS", face_rows)
+    n_verts = n_theta * n_rings + 2
+    faces = mesh_faces_loops(n_theta, n_rings)
+    assert faces.min() == 0 and faces.max() == n_verts - 1
+    fh = io.BytesIO()
+    _write_faces(fh, n_theta, n_rings)
     want = "".join("f %d %d %d\n" % tuple(row) for row in (faces + 1).tolist())
-    assert fh.getvalue() == want
+    assert fh.getvalue() == want.encode()
 
 
 def test_write_obj_traced_peak_below_3_mb(ref_traj, tmp_path):
@@ -178,6 +227,22 @@ def test_write_obj_traced_peak_below_3_mb(ref_traj, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
+def test_build_mesh_and_write_obj_traced_peak_below_3_mb(ref_traj, tmp_path):
+    """Building the default 128 x 256 mesh and writing it peak below 3 MB
+    together: the mesh holds no face-index array (the 130,816 x 3 int64
+    faces and their gathers peaked at 8.4 MB), and the faces are written
+    from the ring structure one chunk of bands at a time."""
+    tracemalloc.start()
+    try:
+        mesh = build_mesh(ref_traj)
+        write_obj(tmp_path / "mesh.obj", mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_faces == 130_816
     assert peak < 3_000_000, peak
 
 

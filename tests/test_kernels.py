@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -405,6 +406,75 @@ def test_step_coefficients_are_literals(name, rhs):
     assert set(kernel.__code__.co_names) == names
     assert "rhs" not in kernel.__globals__
     assert _unjitted(rhs).__name__ not in kernel.__globals__
+
+
+# the syntax the generated kernel texts may use: the subset numba compiles
+# in nopython mode that the kernels need (see the ``kernels`` docstring)
+_SUBSET_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
+                 ast.AugAssign, ast.Return, ast.If, ast.Name, ast.Load, ast.Store,
+                 ast.Tuple, ast.List, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
+                 ast.UnaryOp, ast.USub, ast.Not, ast.Compare, ast.Eq, ast.NotEq, ast.Lt,
+                 ast.LtE, ast.Gt, ast.GtE, ast.IfExp)
+_SUBSET_CALLS = {"abs", "math.sqrt", "math.cos", "math.sin"}
+
+
+def _outside_subset(source):
+    """The constructs of the one function in ``source`` outside the
+    kernels' subset: float names (arguments and locals, no global read as
+    a value), tuples, list literals, arithmetic, comparisons, conditional
+    expressions and calls to ``abs``, ``math.sqrt``, ``math.cos`` and
+    ``math.sin``.  Besides its docstring, a constant is a float, an int
+    (an index or NSTATE) or None (a rejected step's missing stage), and a
+    subscript reads a sequence at a constant int."""
+    (fn,) = ast.parse(source).body
+    if ast.get_docstring(fn) is not None:
+        del fn.body[0]
+    bound = {a.arg for a in fn.args.args} | {
+        n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bad = []
+
+    def visit(node):
+        kids = ast.iter_child_nodes(node)
+        if isinstance(node, ast.Call):
+            ok = ast.unparse(node.func) in _SUBSET_CALLS and not node.keywords
+            kids = node.args
+        elif isinstance(node, ast.Subscript):
+            ok = isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
+            kids = [node.value]
+        elif isinstance(node, ast.Constant):
+            ok = node.value is None or type(node.value) in (float, int)
+        elif isinstance(node, ast.Name):
+            ok = node.id in bound
+        else:
+            ok = isinstance(node, _SUBSET_NODES)
+        if not ok:
+            bad.append(ast.unparse(node) if hasattr(node, "lineno") else type(node).__name__)
+        for kid in kids:
+            visit(kid)
+
+    visit(fn)
+    return bad
+
+
+@pytest.mark.parametrize("source", [kernels._rhs_source, kernels._step_source,
+                                    kernels._dense_source])
+def test_kernel_texts_keep_to_the_numba_subset(source):
+    """The three generated kernel texts use only float names, tuples, list
+    literals, arithmetic, comparisons and calls to ``abs``, ``math.sqrt``,
+    ``math.cos`` and ``math.sin``: the subset numba compiles.  Without
+    numba installed, this is the check that the kernels stay compilable."""
+    assert _outside_subset(source()) == []
+
+
+@pytest.mark.parametrize("text", [
+    "for v in y:\n        x = v", "x = [v * v for v in y]", "x = max(y[0], y[1])",
+    "x = np.cos(y[0])", "x = math.exp(y[0])", "x = y.count(0.0)", "x = y[1:]", "x = y[y[0]]",
+    "x = 'a'", "x = {}", "x = lambda v: v"])
+def test_numba_subset_walk_rejects_other_constructs(text):
+    """The walk above flags a loop, a comprehension, a call to any other
+    function or method, a global, a slice or computed index, a string, a
+    dict and a lambda."""
+    assert _outside_subset(f"def f(y):\n    {text}\n")
 
 
 class _CountingMath:
