@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import operator
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -298,10 +299,10 @@ def _write_rows(fh, fmt: str, rows) -> None:
 
 
 def write_obj(path, mesh: Mesh) -> None:
-    """OBJ text of ``mesh``, written as bytes: its vertices (floats in
-    ``%.17g``) and its faces as 1-based ``f a b c`` lines.  The vertices
-    format, per radius, only the products of r with the distinct magnitudes
-    of the angle table (33 at n_theta = 128, not 256), the faces no index."""
+    """OBJ text of ``mesh`` as bytes: vertices in ``%.17g`` (per radius, only
+    r times the distinct magnitudes of the angle table, 33 at n_theta = 128),
+    faces as 1-based ``f a b c`` lines with no index formatted.  It holds one
+    ring text per radius (1.4 MB at 128 x 256) and one write chunk at once."""
     with open(path, "wb") as fh:
         _write_vertices(fh, mesh)
         _write_faces(fh, mesh.n_theta, len(mesh.z) - 2)
@@ -375,25 +376,24 @@ def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_vertices(fh, mesh: Mesh) -> None:
-    """Vertex lines from the distinct magnitudes of the angle table (33 at
-    n_theta = 128): per radius r, the products r * |m| are formatted in one
-    ``%.17g`` call and placed by one ``str.format`` template of the mesh,
-    with a ``-`` for each negative table entry (r * -m is -(r * m) exactly),
-    and ``z`` (in no ``%.17g`` text) as the z field, and encoded once.
-    Each ring fills in its z; the ring texts are freed before the faces."""
+    """Vertex lines from the distinct magnitudes m of the angle table (33 at
+    n_theta = 128): per radius r, one bytes ``%.17g`` call formats r * m, one
+    itemgetter of the mesh picks each x/y field's text or its ``-`` twin
+    (r * -m is -(r * m) exactly) for one bytes ``%`` over ``v %s %s z`` lines,
+    ``z`` (in no ``%.17g`` text) standing for the ring's z.  The rings are
+    joined and written ``_CHUNK_ROWS`` lines or more at a time."""
     import numpy as np
     xy = np.stack(_angle_table(mesh.n_theta), axis=1).ravel()
     mag, idx = np.unique(np.abs(xy), return_inverse=True)
-    sign = np.where(xy < 0, "-", "").tolist()
-    template = "".join(
-        f"v {sx}{{{ix}}} {sy}{{{iy}}} z\n" for sx, ix, sy, iy in
-        zip(sign[::2], idx[::2].tolist(), sign[1::2], idx[1::2].tolist()))
-    fmt = "%.17g " * len(mag)
-    r = mesh.r[1:, None]  # the axis radius 0 holds only the poles
-    rings = [template.format(*(fmt % tuple(row)).split()).encode() for row in (r * mag).tolist()]
-    z = mesh.z.tolist()
-    last = len(z) - 1
-    fh.write(b"v 0 0 %.17g\n" % z[0])
-    for i in range(1, last):
-        fh.write(rings[min(i, last - i) - 1].replace(b"z", b"%.17g" % z[i]))
-    fh.write(b"v 0 0 %.17g\n" % z[last])
+    pick = operator.itemgetter(*(idx + len(mag) * (xy < 0)).tolist())  # 2 n_theta >= 2 keys: a tuple
+    fmt, line = b"%.17g " * len(mag), b"v %s %s z\n" * mesh.n_theta
+    texts = [b"v 0 0 z\n"]  # the poles', then one per ring radius (r[0] = 0 is the axis)
+    for row in (mesh.r[1:, None] * mag).tolist():
+        t = fmt % tuple(row)  # "a b " + "-" + "a -b -" splits into the texts, then their twins
+        texts.append(line % pick((t + b"-" + t.replace(b" ", b" -")).split()))
+    z, last = mesh.z.tolist(), len(mesh.z) - 1
+    step = -(-_CHUNK_ROWS // mesh.n_theta)  # rings per write
+    cuts = [0, *range(1 + step, last, step), len(z)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        fh.write(b"".join([texts[min(i, last - i)].replace(b"z", b"%.17g" % z[i])
+                           for i in range(lo, hi)]))

@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 from helfrich import HelfrichParams, SolverConfig, cli, export, integrate
 from helfrich.bounds import CheckRecord
 from helfrich.export import (
+    _CHUNK_ROWS,
     _FACE_ROWS,
     PROFILE_COLUMNS,
+    Mesh,
     _angle_table,
     _index_table,
     _write_faces,
+    _write_vertices,
     build_mesh,
     profile_rows,
     read_profile_csv,
@@ -65,7 +68,8 @@ def test_profile_rows_of_a_run_without_equator(status, blowup_traj):
     assert np.isfinite(rows).all()
 
 
-@pytest.mark.parametrize("n_theta, n_profile", [(3, 8), (7, 9), (128, 256)])
+@pytest.mark.parametrize("n_theta, n_profile", [
+    (3, 8), (7, 9), (128, 256), (1, 1), (2, 1), (5, 1), (1, 5), (100, 60), (40, 700)])
 def test_mesh_obj_bytes_match_loops(ref_traj, n_theta, n_profile, tmp_path):
     mesh = build_mesh(ref_traj, n_theta, n_profile)
     ref_verts, ref_faces = build_mesh_loops(ref_traj, n_theta, n_profile)
@@ -115,6 +119,57 @@ def test_default_mesh_obj_has_33_magnitudes_and_no_negative_zero(ref_traj, tmp_p
         fields = [tok for line in fh if line.startswith("v ") for tok in line.split()[1:]]
     assert len(fields) == 3 * (128 * 511 + 2)
     assert "-0" not in fields and "0" in fields
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 5, 8, 128])
+def test_vertex_block_matches_percent_g(n_theta):
+    """The vertex block is the text ``"v %.17g %.17g %.17g\\n"`` gives over
+    r[min(i, last - i)] * (cos, sin) and z[i], with the poles at (0, 0, z),
+    where the products take exponent form (1e-7, 3e-5, 2.5e20), integer
+    form (1.0, 3.0) and a sign, and the heights are negative or tiny."""
+    r = np.array([0.0, 1e-7, 3e-5, 1.0, 3.0, 0.7, 2.5e20])
+    z = np.array([1e-300, -0.25, 3e-5, -1e-300, 0.0, -7.5, 2.5e20,
+                  -1e-7, 1.0, 5e-324, -3.0, 0.125, -1e-300])
+    assert len(z) == 2 * len(r) - 1
+    cos, sin = _angle_table(n_theta)
+    last = len(z) - 1
+    want = ["v 0 0 %.17g\n" % z[0]]
+    for i in range(1, last):
+        ri = r[min(i, last - i)]
+        want += ["v %.17g %.17g %.17g\n" % (ri * c, ri * s, z[i]) for c, s in zip(cos, sin)]
+    want.append("v 0 0 %.17g\n" % z[last])
+    fh = io.BytesIO()
+    _write_vertices(fh, Mesh(r, z, n_theta))
+    assert fh.getvalue() == "".join(want).encode()
+    assert b"e-" in fh.getvalue() and b"e+" in fh.getvalue()
+
+
+class _WriteLog(io.BytesIO):
+    """A binary file that keeps the bytes of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, b):
+        self.writes.append(bytes(memoryview(b)))
+        return super().write(b)
+
+
+def test_write_obj_writes_the_vertex_block_in_chunks(ref_traj, monkeypatch):
+    """On the default mesh the vertex block takes at most
+    ceil(n_verts / _CHUNK_ROWS) + 2 writes, and each vertex write but the
+    last holds at least ``_CHUNK_ROWS`` lines: no write per ring."""
+    log = _WriteLog()
+    monkeypatch.setattr(export, "open", lambda path, mode: log, raising=False)
+    mesh = build_mesh(ref_traj)
+    write_obj("mesh.obj", mesh)
+    n = sum(w.startswith(b"v ") for w in log.writes)  # vertex writes, then face writes
+    assert all(w.startswith(b"v ") and b"\nf " not in w for w in log.writes[:n])
+    lines = [w.count(b"\n") for w in log.writes[:n]]
+    assert sum(lines) == mesh.n_verts == 65_410
+    assert len(lines) <= -(-mesh.n_verts // _CHUNK_ROWS) + 2
+    assert min(lines[:-1]) >= _CHUNK_ROWS
 
 
 @settings(max_examples=30, deadline=None,
@@ -217,9 +272,10 @@ def test_face_block_matches_percent_d(n_theta, n_rings, face_rows, monkeypatch):
 
 
 def test_write_obj_traced_peak_below_3_mb(ref_traj, tmp_path):
-    """The OBJ writer holds one chunk of text at a time: on the default
-    128 x 256 mesh its traced allocations peak below 3 MB (formatting the
-    whole face block with %d per row chunk peaked at 3.6 MB)."""
+    """The OBJ writer holds the ring text of every radius (1.4 MB on the
+    default 128 x 256 mesh) and one write chunk: its traced allocations
+    peak below 3 MB (formatting the whole face block with %d per row chunk
+    peaked at 3.6 MB)."""
     mesh = build_mesh(ref_traj)
     tracemalloc.start()
     try:
