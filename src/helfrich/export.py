@@ -1,8 +1,8 @@
 """File emitters: profile CSV, JSON reports, SVG cross-sections, OBJ meshes.
 
-All output is deterministic for fixed input: floats are printed with 17
-significant digits (shortest round-trip safe), separators and line ends
-are fixed, and nothing carries timestamps.
+All output is deterministic for fixed input: floats are printed with
+``%.17g`` (round-trip safe, not shortest: 0.1 is 0.10000000000000001),
+separators and line ends are fixed, and nothing carries timestamps.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def profile_rows(traj: Trajectory):
 
 
 def write_profile_csv(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(PROFILE_COLUMNS) + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(PROFILE_COLUMNS)) + "\n",
+    with open(path, "wb") as fh:
+        fh.write(",".join(PROFILE_COLUMNS).encode() + b"\n")
+        _write_rows(fh, b",".join([b"%.17g"] * len(PROFILE_COLUMNS)) + b"\n",
                     profile_rows(traj))
 
 
@@ -261,11 +261,11 @@ def render_svg(points: np.ndarray, annotation: str) -> str:
 
 class Mesh(NamedTuple):
     """Revolved surface: profile point i sits at height z[i] and radius
-    r[min(i, len(z) - 1 - i)], the profile being mirrored at the equator.
-    Points 0 and -1 are the poles, each other point is a ring of n_theta
-    vertices, vertex k of a ring of radius r at (r cos_k, r sin_k) from
-    the exactly symmetric ``_angle_table(n_theta)``; the faces follow from
-    n_theta and the ring count alone (``_write_faces``)."""
+    r[min(i, len(z) - 1 - i)] >= +0 (``_write_vertices``' signs need it),
+    the profile being mirrored at the equator.  Points 0 and -1 are the
+    poles, each other point a ring of n_theta vertices, vertex k of a ring
+    of radius r at (r cos_k, r sin_k) from ``_angle_table(n_theta)``; the
+    faces follow from n_theta and the ring count (``_write_faces``)."""
 
     r: np.ndarray
     z: np.ndarray
@@ -288,9 +288,9 @@ def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Me
     return Mesh(r, mirror_quarter(r, Z)[: 2 * len(r) - 1, 1], n_theta)
 
 
-def _write_rows(fh, fmt: str, rows) -> None:
-    """Write ``fmt`` %-formatted with each row of a 2-D array, one ``write``
-    per ``_CHUNK_ROWS`` rows."""
+def _write_rows(fh, fmt: bytes, rows) -> None:
+    """Write the bytes ``fmt`` %-formatted with each row of a 2-D array to
+    the binary file ``fh``, one ``write`` per ``_CHUNK_ROWS`` rows."""
     import numpy as np
     rows = np.asarray(rows)
     for i in range(0, len(rows), _CHUNK_ROWS):
@@ -299,10 +299,10 @@ def _write_rows(fh, fmt: str, rows) -> None:
 
 
 def write_obj(path, mesh: Mesh) -> None:
-    """OBJ text of ``mesh`` as bytes: vertices in ``%.17g`` (per radius, only
-    r times the distinct magnitudes of the angle table, 33 at n_theta = 128),
-    faces as 1-based ``f a b c`` lines with no index formatted.  It holds one
-    ring text per radius (1.4 MB at 128 x 256) and one write chunk at once."""
+    """OBJ text of ``mesh`` as bytes: vertices in ``%.17g`` (per radius, r
+    times the angle table's 33 magnitudes at n_theta = 128, in a signed ring
+    template), faces as 1-based ``f a b c`` lines with no index formatted.
+    It holds one ring text per radius (1.4 MB at 128 x 256) and one chunk."""
     with open(path, "wb") as fh:
         _write_vertices(fh, mesh)
         _write_faces(fh, mesh.n_theta, len(mesh.z) - 2)
@@ -377,20 +377,20 @@ def _angle_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _write_vertices(fh, mesh: Mesh) -> None:
     """Vertex lines from the distinct magnitudes m of the angle table (33 at
-    n_theta = 128): per radius r, one bytes ``%.17g`` call formats r * m, one
-    itemgetter of the mesh picks each x/y field's text or its ``-`` twin
-    (r * -m is -(r * m) exactly) for one bytes ``%`` over ``v %s %s z`` lines,
-    ``z`` (in no ``%.17g`` text) standing for the ring's z.  The rings are
-    joined and written ``_CHUNK_ROWS`` lines or more at a time."""
+    n_theta = 128): per radius r, one bytes ``%.17g`` call formats r * m and
+    one itemgetter picks each x/y field's text into a ring template whose
+    ``v %s %s z`` lines carry the table's signs as ``-`` bytes (r * -m is
+    -(r * m) exactly: no entry is -0, r >= +0), ``z`` standing for the ring's
+    z.  The rings are joined and written ``_CHUNK_ROWS`` lines or more at a time."""
     import numpy as np
-    xy = np.stack(_angle_table(mesh.n_theta), axis=1).ravel()
+    xy = np.stack(_angle_table(mesh.n_theta), axis=1)
     mag, idx = np.unique(np.abs(xy), return_inverse=True)
-    pick = operator.itemgetter(*(idx + len(mag) * (xy < 0)).tolist())  # 2 n_theta >= 2 keys: a tuple
+    pick = operator.itemgetter(*idx.ravel().tolist())  # 2 n_theta >= 2 keys: a tuple
     fmt, line = b"%.17g " * len(mag), b"v %s %s z\n" * mesh.n_theta
+    line %= tuple(np.where(xy < 0.0, b"-%s", b"%s").ravel().tolist())  # "-%s" where < 0
     texts = [b"v 0 0 z\n"]  # the poles', then one per ring radius (r[0] = 0 is the axis)
     for row in (mesh.r[1:, None] * mag).tolist():
-        t = fmt % tuple(row)  # "a b " + "-" + "a -b -" splits into the texts, then their twins
-        texts.append(line % pick((t + b"-" + t.replace(b" ", b" -")).split()))
+        texts.append(line % pick((fmt % tuple(row)).split()))
     z, last = mesh.z.tolist(), len(mesh.z) - 1
     step = -(-_CHUNK_ROWS // mesh.n_theta)  # rings per write
     cuts = [0, *range(1 + step, last, step), len(z)]

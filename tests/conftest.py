@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)
 def pytest_report_header(config):
     workers = bounds._worker_count(bounds._cpu_count())
     return (f"helfrich kernel backend: {kernel_backend()}; "
-            f"sweep/verify worker processes: {workers}")
+            f"sweep/verify worker processes: {workers}; "
+            f"sys.dont_write_bytecode: {sys.dont_write_bytecode}")
 
 
 @pytest.fixture(scope="session")

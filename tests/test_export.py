@@ -27,6 +27,7 @@ from helfrich.export import (
     _write_faces,
     _write_vertices,
     build_mesh,
+    fmt17,
     profile_rows,
     read_profile_csv,
     render_svg,
@@ -121,15 +122,17 @@ def test_default_mesh_obj_has_33_magnitudes_and_no_negative_zero(ref_traj, tmp_p
     assert "-0" not in fields and "0" in fields
 
 
-@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 5, 8, 128])
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 5, 6, 8, 12, 128])
 def test_vertex_block_matches_percent_g(n_theta):
     """The vertex block is the text ``"v %.17g %.17g %.17g\\n"`` gives over
     r[min(i, last - i)] * (cos, sin) and z[i], with the poles at (0, 0, z),
     where the products take exponent form (1e-7, 3e-5, 2.5e20), integer
-    form (1.0, 3.0) and a sign, and the heights are negative or tiny."""
-    r = np.array([0.0, 1e-7, 3e-5, 1.0, 3.0, 0.7, 2.5e20])
-    z = np.array([1e-300, -0.25, 3e-5, -1e-300, 0.0, -7.5, 2.5e20,
-                  -1e-7, 1.0, 5e-324, -3.0, 0.125, -1e-300])
+    form (1.0, 3.0) and a sign, and the heights are negative or tiny.  A
+    ring of radius 0.0 reads ``-0`` where the table entry is negative and
+    ``0`` where it is exactly 0, as ``%.17g`` of the products gives."""
+    r = np.array([0.0, 1e-7, 3e-5, 0.0, 1.0, 3.0, 0.7, 2.5e20])
+    z = np.array([1e-300, -0.25, 3e-5, 0.5, -1e-300, 0.0, -7.5, 2.5e20,
+                  -1e-7, 1.0, 5e-324, -3.0, 0.125, -2.0, -1e-300])
     assert len(z) == 2 * len(r) - 1
     cos, sin = _angle_table(n_theta)
     last = len(z) - 1
@@ -142,6 +145,10 @@ def test_vertex_block_matches_percent_g(n_theta):
     _write_vertices(fh, Mesh(r, z, n_theta))
     assert fh.getvalue() == "".join(want).encode()
     assert b"e-" in fh.getvalue() and b"e+" in fh.getvalue()
+    zero_ring = "".join("v %s %s 0.5\n" % ("-0" if c < 0.0 else "0", "-0" if s < 0.0 else "0")
+                        for c, s in zip(cos, sin))
+    assert zero_ring.encode() in fh.getvalue()
+    assert (b"v -0 " in fh.getvalue()) == (cos < 0.0).any()
 
 
 class _WriteLog(io.BytesIO):
@@ -197,8 +204,25 @@ def test_profile_csv_bytes_match_loops(which, ref_traj, blowup_traj, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_write_rows_bytes_match_fmt17_on_special_values():
+    """``_write_rows`` with the bytes profile template writes, for values no
+    run produces (+-inf, nan, +-0, the smallest subnormal, 1e300, 1/3,
+    -2.5e-7), the text the per-value ``fmt17`` loop writes, over more than
+    one chunk of rows."""
+    values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5e-7]
+    rows = np.resize(np.array(values), (_CHUNK_ROWS + 3, len(PROFILE_COLUMNS)))
+    fh = io.BytesIO()
+    export._write_rows(fh, b",".join([b"%.17g"] * len(PROFILE_COLUMNS)) + b"\n", rows)
+    want = "".join(",".join(fmt17(v) for v in row) + "\n" for row in rows)
+    assert fh.getvalue() == want.encode()
+    assert set(want[:-1].replace("\n", ",").split(",")) == {
+        "inf", "-inf", "nan", "0", "-0", "4.9406564584124654e-324", "1.0000000000000001e+300",
+        "0.33333333333333331", "-2.4999999999999999e-07"}
+
+
 def test_read_profile_csv_round_trip_bit_exact(ref_traj, tmp_path):
     write_profile_csv(tmp_path / "profile.csv", ref_traj)
+    assert (tmp_path / "profile.csv").read_bytes().startswith(b"r,z,w,kappa_m,kappa_l,H,K\n0,0,0,")
     cols = read_profile_csv(tmp_path / "profile.csv")
     rows = profile_rows(ref_traj)
     assert list(cols) == list(PROFILE_COLUMNS)
