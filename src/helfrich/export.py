@@ -387,7 +387,7 @@ def _write_vertices(fh, mesh: Mesh) -> None:
     mag, idx = np.unique(np.abs(xy), return_inverse=True)
     pick = operator.itemgetter(*idx.ravel().tolist())  # 2 n_theta >= 2 keys: a tuple
     fmt, line = b"%.17g " * len(mag), b"v %s %s z\n" * mesh.n_theta
-    line %= tuple(np.where(xy < 0.0, b"-%s", b"%s").ravel().tolist())  # "-%s" where < 0
+    line %= tuple(np.where(xy < 0.0, b"-%s", b"%s").ravel().tolist())
     texts = [b"v 0 0 z\n"]  # the poles', then one per ring radius (r[0] = 0 is the axis)
     for row in (mesh.r[1:, None] * mag).tolist():
         texts.append(line % pick((fmt % tuple(row)).split()))
