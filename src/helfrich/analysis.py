@@ -165,14 +165,13 @@ def el_residual(traj: Trajectory) -> float:
     relative defect.
     """
     import numpy as np
-    seg = traj.chart_a
 
     def graph(s):
-        r, psi, dpsi = seg.eval_many(s, [0, 2, 3]).T
+        r, psi, dpsi = traj.eval_many(s, [0, 2, 3]).T
         cp = np.cos(psi)
         w = np.sin(psi) / cp
         c3 = cp * cp * cp
-        wpp = (seg.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
+        wpp = (traj.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
         return np.stack((r, dpsi / c3, wpp, w), axis=1)
 
     rs, wp, wpp, w = traj.by_arc_length(
@@ -248,17 +247,17 @@ def surface_totals(traj: Trajectory) -> SurfaceTotals:
     if traj.first_event(EQUATOR) is None:
         raise MissingEvent("no Equator event in trajectory")
     import numpy as np
-    params, seg = traj.params, traj.chart_a
+    params = traj.params
 
     def series(r):
         y = traj.state_at(r)
         return y, 1.0 / np.cos(y[:, 2])
 
-    lo = seg.xs[:-1]
+    lo = traj.xs[:-1]
     area_acc, vol_acc, energy_acc = (
-        _quadratures(np.zeros(1), np.array([seg.x_start]), series, params)
-        + _quadratures(lo, np.append(seg.xs[1:-1], seg.x_end) - lo,
-                       lambda s: (seg.eval_many(s), 1.0), params))
+        _quadratures(np.zeros(1), np.array([traj.x_start]), series, params)
+        + _quadratures(lo, np.append(traj.xs[1:-1], traj.events[-1].x) - lo,
+                       lambda s: (traj.eval_many(s), 1.0), params))
     area = 4.0 * math.pi * float(area_acc)
     volume = -2.0 * math.pi * float(vol_acc)
     energy = 4.0 * math.pi * float(energy_acc) + params.p * volume

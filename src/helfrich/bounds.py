@@ -205,8 +205,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     # past the Steep event: there and at the start states of the later
     # steps, which need no dense output
     steep = traj.switch
-    seg = traj.chart_a
-    states = np.vstack([steep.state, seg.nodes[seg.xs[:-1] > steep.x]])
+    states = np.vstack([steep.state, traj.nodes[traj.xs[:-1] > steep.x]])
     ratio = states[:, 3] ** 2 / np.abs(np.sin(states[:, 2]))
     limit_est = ev.state[3] ** 2
     lhs = float(ratio.max())

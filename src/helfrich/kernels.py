@@ -312,7 +312,7 @@ def _compile(source, name):
     return njit(namespace[name])
 
 
-# module attributes read at call time by the solver's loop and segments.
+# module attributes read at call time by the solver's loop and trajectories.
 # The names outlive the charts and the DOPRI5 pair they were first made
 # for, because the benchmark's trace wraps the step kernel by its name
 rhs_a = _compile(_rhs_source(), "rhs_a")

@@ -13,15 +13,15 @@ the step they fall in, and the run ends on its terminal event with a
 step of its own.  That dense output is built only where it is
 read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
-which an event row changes sign, and a ``DenseSegment`` completes a step
-the first time a query touches it.  No step is longer than its start
-radius, the distance to the axis singularity.  Every view of a run is
-indexed by s, with the axis series at r = s below the start
-(``Trajectory.by_arc_length``), or by step and theta
+which an event row changes sign, and the ``Trajectory``, the one record
+of a run, completes a step the first time a query touches it.  No step
+is longer than its start radius, the distance to the axis singularity.
+Every view of a run is indexed by s, with the axis series at r = s below
+the start (``Trajectory.by_arc_length``), or by step and theta
 (``Trajectory.sample_steps``); events are the only crossings located.
 
 The loop runs on Python floats and stores its steps in ``array('d')``:
-events and the start are tuples of floats, and a ``DenseSegment`` makes
+events and the start are tuples of floats, and a ``Trajectory`` makes
 its ndarrays, and imports numpy, only when a caller first reads them.  A
 run that is only classified imports no numpy here; with the numba backend,
 numba's own import has loaded it already.
@@ -52,7 +52,6 @@ __all__ = [
     "SolverConfig",
     "Event",
     "Trajectory",
-    "DenseSegment",
     "axis_coefficients",
     "axis_series",
     "series_start",
@@ -276,7 +275,8 @@ def series_start(params: HelfrichParams, w0p: float, eps: float,
                  a: tuple[float, ...] | None = None) -> tuple[float, ...]:
     """Axis-series state at r = eps, clearing the axis singularity: a
     tuple of NSTATE floats laid out as in ``kernels`` (see ``_arc_state``).
-    ``a`` is the series of ``axis_coefficients``, computed when not given."""
+    ``a`` is the series of ``axis_coefficients``, computed when not given.
+    A start angle psi(eps) that is not > 0 is InvalidSlope."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     if not (eps > 0.0):
@@ -287,18 +287,39 @@ def series_start(params: HelfrichParams, w0p: float, eps: float,
     if abs(a[1]) * eps ** 3 > 0.01 * w0p * eps:
         raise EpsTooLarge(f"series correction too large at eps={eps!r}")
     w, wp, z = axis_series(a, float(eps))
-    return _arc_state(params, float(eps), w, wp, z)
+    state = _arc_state(params, float(eps), w, wp, z)
+    if not (state[2] > 0.0):
+        # w0p eps underflows: no run from here crosses psi = 0
+        raise InvalidSlope(f"start angle psi(eps={eps!r}) = {state[2]!r} is not > 0 "
+                           f"at w0p={w0p!r}")
+    return state
 
 
-class DenseSegment:
-    """7th-order continuous extension over the accepted steps of a run.
+class Event(NamedTuple):
+    """Located event: ``x`` is the arc length s, and ``state`` the NSTATE
+    state components there, a tuple of floats."""
 
-    It is built from the ascending step nodes ``xs`` and the steps'
-    records ``records``, the ``kernels.NREC`` floats per step that the
-    step kernel gives (h, the start state y, the new state and the stages
-    its dense output reads), flat, as the loop stores them in a list and
-    an ``array('d')``; with ``params``, the (c0, lam, p) of the run.  A
-    step's dense output, its ``kernels.NROWS`` rows (y and the
+    kind: str
+    x: float
+    state: tuple[float, ...]
+
+
+class Trajectory:
+    """Dense, event-annotated solution from the axis to its terminal event:
+    the one record of a run.
+
+    It holds the run's ``params``, ``w0p`` and ``cfg``; the ascending step
+    nodes ``xs`` in the arc length s, from the start radius
+    ``x_start`` = eps on; the steps' records ``records``, the
+    ``kernels.NREC`` floats per step that the step kernel gives (h, the
+    start state y, the new state and the stages its dense output reads),
+    flat, as the loop stores them in a list and an ``array('d')``; the
+    ``events``, the last of which ends the run and the range it covers,
+    [x_start, events[-1].x], as a run may terminate mid-step at an event;
+    and ``axis_coeffs``, the axis series the run starts from (see
+    ``axis_coefficients``), computed when not given.
+
+    A step's dense output, its ``kernels.NROWS`` rows (y and the
     interpolant's F0..F6), is completed from its record by
     ``kernels.dense_a`` the first time a query touches the step, so a
     caller that evaluates only part of a run pays only for that part.  A
@@ -308,7 +329,7 @@ class DenseSegment:
     NSTATE), the start state of each step, need no completion; ``conts``,
     shape (steps, NROWS, NSTATE), completes every step.  They are made,
     and numpy imported, when a caller first reads them or evaluates the
-    segment; ``x_start`` and ``x_end`` need no numpy.
+    run; ``x_start`` needs no numpy.
 
     ``eval_many(x, cols)`` and ``deriv_many(x, cols)`` evaluate only the
     state components ``cols`` selects: an int gives shape (n,), a slice
@@ -318,11 +339,34 @@ class DenseSegment:
     the cost.
     """
 
-    def __init__(self, xs, records, x_end: float, params):
-        self._raw_xs, self._records, self._params = xs, records, params
+    # ``chart_a``, the run itself, and ``chart_b``, None: the names
+    # ``perfbench/spans.py`` reads in ``_count_solve``
+    chart_b = None
+
+    @property
+    def chart_a(self) -> Trajectory:
+        return self
+
+    def __init__(self, params: HelfrichParams, w0p: float, cfg: SolverConfig,
+                 xs, records, events: list[Event], axis_coeffs: tuple[float, ...] = ()):
+        self.params, self.w0p, self.cfg = params, w0p, cfg
+        self._raw_xs, self._records, self.events = xs, records, events
         self.x_start = float(xs[0])
-        # a run may terminate mid-step at an event
-        self.x_end = float(x_end)
+        self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
+
+    @property
+    def status(self) -> str:
+        """Why the run stopped: the kind of its last event."""
+        return self.events[-1].kind
+
+    def first_event(self, kind: str) -> Event | None:
+        return next((ev for ev in self.events if ev.kind == kind), None)
+
+    @property
+    def switch(self) -> Event:
+        """The end of the graph-form residual's samples: the first ``Steep``
+        event, or the last event of a run that has none."""
+        return self.first_event(STEEP) or self.events[-1]
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -360,7 +404,7 @@ class DenseSegment:
         todo = np.flatnonzero(todo & ~done).tolist()
         if todo:
             xs, recs, m = self._raw_xs, self._records, kernels.NREC
-            rows = [_dense_rows(xs[i], recs[m * i:m * i + m], *self._params) for i in todo]
+            rows = [_dense_rows(xs[i], recs[m * i:m * i + m], *self.params) for i in todo]
             conts[todo] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
             done[todo] = True
         return conts
@@ -372,7 +416,7 @@ class DenseSegment:
 
     def _locate(self, x: np.ndarray):
         import numpy as np
-        lo, hi = self.x_start, self.x_end
+        lo, hi = self.x_start, self.events[-1].x
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
         if np.any(x < lo - pad) or np.any(x > hi + pad):
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
@@ -398,50 +442,6 @@ class DenseSegment:
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
 
-
-class Event(NamedTuple):
-    """Located event: ``x`` is the arc length s, and ``state`` the NSTATE
-    state components there, a tuple of floats."""
-
-    kind: str
-    x: float
-    state: tuple[float, ...]
-
-
-class Trajectory:
-    """Dense, event-annotated solution from the axis to its terminal event.
-
-    ``chart_a`` is the run's dense segment in the arc length s, which
-    starts at s = eps, the start radius.  ``axis_coeffs`` is the axis
-    series the run starts from (see ``axis_coefficients``), computed when
-    not given.
-    """
-
-    # One segment now covers the meridian.  It keeps the name of the first
-    # of the two charts the solver once used, and the second one reads None,
-    # because the benchmark's trace reads both names.
-    chart_b = None
-
-    def __init__(self, params: HelfrichParams, w0p: float, cfg: SolverConfig,
-                 chart_a: DenseSegment, events: list[Event], axis_coeffs: tuple[float, ...] = ()):
-        self.params, self.w0p, self.cfg = params, w0p, cfg
-        self.chart_a, self.events = chart_a, events
-        self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
-
-    @property
-    def status(self) -> str:
-        """Why the run stopped: the kind of its last event."""
-        return self.events[-1].kind
-
-    def first_event(self, kind: str) -> Event | None:
-        return next((ev for ev in self.events if ev.kind == kind), None)
-
-    @property
-    def switch(self) -> Event:
-        """The end of the graph-form residual's samples: the first ``Steep``
-        event, or the last event of a run that has none."""
-        return self.first_event(STEEP) or self.events[-1]
-
     def by_arc_length(self, s, series, dense) -> np.ndarray:
         """``series`` of the arc lengths s below eps, taken as the radii
         r = s of the axis series, and ``dense`` of the others, in the order
@@ -451,23 +451,26 @@ class Trajectory:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < 0.0):
             raise OutOfRange("arc length below 0")
-        inside = s < self.chart_a.x_start
+        inside = s < self.x_start
         above = dense(s[~inside])
         out = np.empty((len(s),) + above.shape[1:])
         out[inside] = series(s[inside])
         out[~inside] = above
         return out
 
+    def _axis_state(self, r: np.ndarray) -> np.ndarray:
+        """The state at the radii r of the axis series, component-major:
+        shape (NSTATE, len(r))."""
+        import numpy as np
+        return np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)))
+
     def state_at(self, s, cols=slice(None)) -> np.ndarray:
         """The state (r, z, psi, psi', gamma) at arc lengths s in [0, s_end]:
         from the axis series at r = s below eps (see ``_arc_state``) and
         from the dense output from there on.  ``cols`` selects components
-        as in ``DenseSegment.eval_many``."""
-        import numpy as np
-        return self.by_arc_length(
-            s, lambda r: np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)),
-                                  axis=1)[:, cols],
-            lambda x: self.chart_a.eval_many(x, cols))
+        as in ``eval_many``."""
+        return self.by_arc_length(s, lambda r: self._axis_state(r)[cols].T,
+                                  lambda x: self.eval_many(x, cols))
 
     def sample_steps(self, s_end: float, m: int, dr: float, cols=slice(None)) -> np.ndarray:
         """The state on (0, s_end], s_end in [eps, s_end of the run], in the
@@ -476,21 +479,20 @@ class Trajectory:
         at theta = j / m, j = 0..m-1; and the step that holds s_end at
         m >= 2 thetas evenly spaced on [0, theta(s_end)], so s_end is the
         last sample.  Only these steps are completed.  ``cols`` selects
-        components as in ``DenseSegment.eval_many``."""
+        components as in ``eval_many``."""
         import numpy as np
-        seg = self.chart_a
-        xs, x0 = seg._raw_xs, seg.x_start
+        xs, x0 = self._raw_xs, self.x_start
         k = max(bisect_left(xs, s_end) - 1, 0)  # x_k < s_end <= x_k+1
         th = np.empty((k + 1, m))
         th[:k] = np.arange(m) / m
         th[k] = np.linspace(0.0, (s_end - xs[k]) / (xs[k + 1] - xs[k]), m)
-        rows = seg._fill(np.arange(k + 1))[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
+        rows = self._fill(np.arange(k + 1))[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
         dense = _interpolant(rows, th)
         r = np.arange(1, math.ceil(x0 / dr) + 1) * dr
         r = r[r < x0]
-        axis = np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)))[cols]
         # component-major, so each component's samples are contiguous
-        return np.concatenate([axis, dense.reshape(dense.shape[:-2] + (-1,))], axis=-1).T
+        return np.concatenate([self._axis_state(r)[cols],
+                               dense.reshape(dense.shape[:-2] + (-1,))], axis=-1).T
 
 
 def _rms(v, sc) -> float:
@@ -587,11 +589,12 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
     step's record and completes its dense output only on a step where an
-    event row changes sign, to bisect it; the segment completes the steps
-    a query reads, those again.  A terminal row's hit ends the run: the
-    step across it is taken again up to the hit, when that shorter step is
-    accepted, and then it is the last step.  Returns (segment, events,
-    steps_used); the last event ends the run: a terminal row's, or
+    event row changes sign, to bisect it; the ``Trajectory`` completes the
+    steps a query reads, those again.  A terminal row's hit ends the run:
+    the step across it is taken again up to the hit, when that shorter step
+    is accepted, and then it is the last step.  Returns ((xs, records),
+    events, steps_used), the step nodes and flat records as ``Trajectory``
+    takes them; the last event ends the run: a terminal row's, or
     ``Aborted`` when the step budget did.
     """
     step = kernels.dopri5_step_a
@@ -629,7 +632,12 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
     while True:
         if steps >= steps_budget:
             events.append(Event(ABORTED, x, tuple(y)))
-            return _make_segment(xs, records, x, y, params), events, steps
+            if not records:
+                # a run that took no step: one zero-length step from y to y,
+                # with zero stages, whose interpolant is y
+                xs.append(x)
+                records.fromlist([0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
+            return (xs, records), events, steps
         if h < 1e-14 * abs(x):
             raise StepUnderflow(f"step size {h!r} underflow at s={x!r}")
         h_use = y[0] if h > y[0] else h
@@ -692,7 +700,7 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, x_ev, y_ev))
                 if terminal:
-                    return _make_segment(xs, records, x_ev, y, params), events, steps
+                    return (xs, records), events, steps
 
         x, y, f = x_new, y1, f1
 
@@ -704,15 +712,6 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
             rejected = False
         h = h_use * fac
         err_prev = 1e-4 if 1e-4 > err else err
-
-
-def _make_segment(xs, records, x_end, y, params) -> DenseSegment:
-    if not records:
-        # a run that took no step: one zero-length step from y to y, with
-        # zero stages, whose interpolant is y
-        xs = [xs[0], xs[0]]
-        records = array("d", [0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
-    return DenseSegment(xs, records, x_end, (params.c0, params.lam, params.p))
 
 
 def integrate(params: HelfrichParams, w0p: float,
@@ -751,6 +750,6 @@ def integrate(params: HelfrichParams, w0p: float,
         (ABORTED, 0, r_max, False, True),
     ]
     # a start at or past the abort radius takes no step
-    seg, events, _ = _run(eps, series_start(params, w0p, eps, a), params, cfg, table,
-                          cfg.max_steps if eps < r_max else 0)
-    return Trajectory(params, w0p, cfg, seg, events, a)
+    (xs, records), events, _ = _run(eps, series_start(params, w0p, eps, a), params, cfg,
+                                    table, cfg.max_steps if eps < r_max else 0)
+    return Trajectory(params, w0p, cfg, xs, records, events, a)

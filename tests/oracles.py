@@ -9,14 +9,14 @@ evaluation, and the element-by-element emitters (profile CSV, SVG path,
 OBJ) that the array emitters must match byte for byte.
 
 Two other formulations of the shape equation judge the solver: the
-graph form w(r), ``rhs_chart_a_arr``, which the package no longer
+graph form w(r), ``rhs_graph_arr``, which the package no longer
 integrates, and ``arc_oracle``, scipy's DOP853 at tight tolerances on the
 arc-length form, with its own event functions.
 
 The integrity references of the paper's checks live here too, because no
 command computes them: the 50-digit series-start defect, the curvature
 derivatives and the curvature-form right-hand side ``rhs_kappa``, the
-crossing search ``find_crossing`` on a dense segment, eta ``eta_at``, the
+crossing search ``find_crossing`` on a run's dense output, eta ``eta_at``, the
 point geometry ``geometry_at`` and the graph slopes ``graph_at`` at an arc
 length, the eta sampling ``eta_boundedness`` toward the equator, the
 trapezoid ``requadrature_totals`` of the dense output and the chord
@@ -94,7 +94,7 @@ def rhs_arc_arr(s, y, c0, lam, p, out=None):
     return out
 
 
-def rhs_chart_a_arr(r, y, c0, lam, p, out=None):
+def rhs_graph_arr(r, y, c0, lam, p, out=None):
     """Derivatives of the graph state (w, w', z) with respect to r, written
     into ``out``: w'' solved from the shape equation."""
     out = np.empty(3) if out is None else out
@@ -215,8 +215,8 @@ def initial_step_arr(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
 def critical_points_full_scan(traj) -> int:
     """Sign changes of w' on (eps, r0) at 10,001 points, read from psi' in
     the evaluation of all the dense-output components."""
-    ss = np.linspace(traj.chart_a.x_start, traj.first_event(ZERO_OF_W).x, 10_001)
-    sgn = np.sign(traj.chart_a.eval_many(ss)[:, 3])
+    ss = np.linspace(traj.x_start, traj.first_event(ZERO_OF_W).x, 10_001)
+    sgn = np.sign(traj.eval_many(ss)[:, 3])
     sgn = sgn[sgn != 0.0]
     return int(np.count_nonzero(sgn[1:] * sgn[:-1] < 0.0))
 
@@ -391,30 +391,31 @@ def rhs_kappa(r: float, kappa: float, kappap: float, params: HelfrichParams) -> 
     )
 
 
-def find_crossing(seg, component: int, target: float, x_lo=None, x_hi=None,
+def find_crossing(traj, component: int, target: float, x_lo=None, x_hi=None,
                   tol: float = 1e-12) -> float:
-    """First x where component ``component`` of the dense segment ``seg``
-    crosses ``target``.
+    """First x where component ``component`` of the dense output of the
+    run ``traj`` crosses ``target``.
 
     The step nodes inside [x_lo, x_hi] bracket the first sign change; that
     step's polynomial is then bisected with the solver's event bisection.
     """
-    lo = seg.x_start if x_lo is None else x_lo
-    hi = seg.x_end if x_hi is None else x_hi
-    inner = seg.xs[(seg.xs > lo) & (seg.xs < hi)]
+    lo = traj.x_start if x_lo is None else x_lo
+    hi = traj.events[-1].x if x_hi is None else x_hi
+    xs = traj.xs
+    inner = xs[(xs > lo) & (xs < hi)]
     xk = np.concatenate([[lo], inner, [hi]])
-    g = seg.eval_many(xk, component) - target
+    g = traj.eval_many(xk, component) - target
     if g[0] == 0.0:
         return lo
     change = np.nonzero(g[:-1] * g[1:] <= 0.0)[0]
     if len(change) == 0:
         raise OutOfRange("no crossing in the requested range")
     a, b = xk[change[0]], xk[change[0] + 1]
-    (i,), (th_a,) = seg._locate(np.array([a]))
-    h = seg.xs[i + 1] - seg.xs[i]
-    th = _bisect_step(seg.conts[i, :, component].tolist(), target, h,
-                      seg.xs[i], tol, th_a, (b - seg.xs[i]) / h)
-    return seg.xs[i] + th * h
+    (i,), (th_a,) = traj._locate(np.array([a]))
+    h = xs[i + 1] - xs[i]
+    th = _bisect_step(traj.conts[i, :, component].tolist(), target, h,
+                      xs[i], tol, th_a, (b - xs[i]) / h)
+    return xs[i] + th * h
 
 
 def eta_at(y, params: HelfrichParams):
@@ -475,7 +476,7 @@ def graph_at(traj, s, deriv: bool = False):
     c3 = cp * cp * cp
     if not deriv:
         return r, w, dpsi / c3
-    return r, w, dpsi / c3, (traj.chart_a.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
+    return r, w, dpsi / c3, (traj.deriv_many(s, 3) + 3.0 * dpsi * dpsi * w) / (c3 * cp)
 
 
 @dataclass(frozen=True)
@@ -535,14 +536,13 @@ def requadrature_totals(traj) -> SurfaceTotals:
         raise MissingEvent("no Equator event in trajectory")
     c0, lam, p = traj.params.c0, traj.params.lam, traj.params.p
     # the axis series on [0, eps], where every density is 0 at r = 0
-    seg = traj.chart_a
-    xs = np.linspace(0.0, seg.x_start, 40_001)
+    xs = np.linspace(0.0, traj.x_start, 40_001)
     w, wp, _ = axis_series(traj.axis_coeffs, xs[1:])
     F = np.concatenate([np.zeros((3, 1)), np.array(surface_densities(xs[1:], w, wp, c0, lam))],
                        axis=1)
     area, vol, energy = (float(np.trapezoid(f, xs)) for f in F)
-    xs = np.linspace(seg.x_start, seg.x_end, 500_001)
-    F = arc_surface_densities(seg.eval_many(xs).T, c0, lam)
+    xs = np.linspace(traj.x_start, traj.events[-1].x, 500_001)
+    F = arc_surface_densities(traj.eval_many(xs).T, c0, lam)
     area += float(np.trapezoid(F[0], xs))
     vol += float(np.trapezoid(F[1], xs))
     energy += float(np.trapezoid(F[2], xs))
@@ -618,14 +618,13 @@ def s_at_r(traj, r, s_hi: float, passes: int = 64) -> np.ndarray:
     s = r below the start, as in ``Trajectory.state_at``, and from there
     on a bisection of the dense output's rising r(s) on [eps, s_hi],
     ``passes`` halvings of the bracket."""
-    seg = traj.chart_a
     r = np.asarray(r, dtype=float)
-    lo, hi = np.full_like(r, seg.x_start), np.full_like(r, s_hi)
+    lo, hi = np.full_like(r, traj.x_start), np.full_like(r, s_hi)
     for _ in range(passes):
         mid = 0.5 * (lo + hi)
-        below = seg.eval_many(mid, 0) < r
+        below = traj.eval_many(mid, 0) < r
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.where(r < seg.x_start, r, 0.5 * (lo + hi))
+    return np.where(r < traj.x_start, r, 0.5 * (lo + hi))
 
 
 def _pointwise_records(traj, landmarks, rs, kap, kap_p, one_minus) -> dict:

@@ -31,7 +31,7 @@ from oracles import (
     kappa_derivs,
     profile_quadrature_totals,
     requadrature_totals,
-    rhs_chart_a_arr,
+    rhs_graph_arr,
     sample_extrema_oracle,
     series_residual,
 )
@@ -155,7 +155,7 @@ def _graph_form_at(params, w0p, eps, w, w_end):
 
     at_w.direction = end.direction = -1.0
     end.terminal = True
-    sol = solve_ivp(lambda r, y: rhs_chart_a_arr(r, y, params.c0, params.lam, params.p),
+    sol = solve_ivp(lambda r, y: rhs_graph_arr(r, y, params.c0, params.lam, params.p),
                     (eps, 1e3), axis_series(axis_coefficients(params, w0p), eps),
                     method="DOP853", rtol=1e-13, atol=1e-15, events=(at_w, end))
     assert sol.status == 1, sol.message
@@ -167,8 +167,8 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
     # overlap of two formulations at w = -15: the point of the arc-length
     # run where psi = -atan 15, and scipy's DOP853 on the graph form w(r)
     full = integrate(paper_params, 0.05)
-    y15 = full.chart_a.eval_many(find_crossing(full.chart_a, 2, -math.atan(15.0)))[0]
-    r_at, z_at = _graph_form_at(paper_params, 0.05, full.chart_a.x_start, -15.0, 20.0)
+    y15 = full.eval_many(find_crossing(full, 2, -math.atan(15.0)))[0]
+    r_at, z_at = _graph_form_at(paper_params, 0.05, full.x_start, -15.0, 20.0)
     overlap = max(abs(y15[0] - r_at) / r_at, abs(y15[1] - z_at) / max(1e-3, abs(z_at)))
     ok &= overlap <= 1e-8
 
@@ -186,7 +186,7 @@ def test_criterion_08_numerical_integrity(figure_runs, paper_params):
         r = rng.uniform(0.05, 3.0)
         w = rng.uniform(-4.0, 4.0)
         wp = rng.uniform(-4.0, 4.0)
-        wpp = rhs_chart_a_arr(r, (w, wp, 0.0), paper_params.c0, paper_params.lam,
+        wpp = rhs_graph_arr(r, (w, wp, 0.0), paper_params.c0, paper_params.lam,
                               paper_params.p)[1]
         k, kp, kpp = kappa_derivs(r, w, wp, wpp)
         denom = 1.0 - r * r * k * k

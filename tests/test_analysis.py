@@ -31,7 +31,7 @@ from helfrich.analysis import (
 )
 from helfrich.errors import MissingEvent, NotBiconcave
 from helfrich.export import profile_rows
-from helfrich.solver import DenseSegment, Trajectory
+from helfrich.solver import Trajectory
 from oracles import eta_boundedness, geometry_at, graph_at, requadrature_totals
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
@@ -77,14 +77,16 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     events = [Event(MAX_OF_W, x, (x, 0.0, 0.0, 0.0, 0.0)) for x in max_xs]
     events.append(Event(ZERO_OF_W, 2.0, (2.0, 0.0, 0.0, wp_r0, 0.0)))
     events.sort(key=lambda ev: ev.x)
+    # one zero-length step: the landmarks read the events alone
     lm = extract_landmarks(Trajectory(ref_traj.params, ref_traj.w0p, ref_traj.cfg,
-                                       ref_traj.chart_a, events, ref_traj.axis_coeffs))
+                                      [ref_traj.x_start] * 2, [0.0] * kernels.NREC, events,
+                                      ref_traj.axis_coeffs))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
 
 
 def test_geometry_near_axis(ref_traj):
     s = 5e-6  # inside the axis series, which the run starts from, at r = s
-    assert s < ref_traj.chart_a.x_start
+    assert s < ref_traj.x_start
     g = geometry_at(ref_traj, s)
     assert g.r == s
     assert math.isclose(g.kappa_m, 0.05, rel_tol=1e-6)
@@ -115,7 +117,7 @@ def test_geometry_at_equator(ref_traj, ref_landmarks):
 def test_geometry_H_appendix_form_consistency(ref_traj):
     """H from the arc-length state, (sin psi / r + psi') / 2, is the graph
     form's (w' + (w / r) (1 + w^2)) / (2 (1 + w^2)^(3/2))."""
-    ss = np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.x, 500)
+    ss = np.linspace(ref_traj.x_start, ref_traj.switch.x, 500)
     for s in ss[::25]:
         g = geometry_at(ref_traj, float(s))
         (r,), (w,), (wp,) = graph_at(ref_traj, float(s))
@@ -127,7 +129,7 @@ def test_geometry_H_appendix_form_consistency(ref_traj):
 
 def test_gauss_curvature_sign_tracks_slope_gradient(ref_traj):
     s0 = ref_traj.first_event(ZERO_OF_W).x
-    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0 * 0.999, 2001))
+    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.x_start, s0 * 0.999, 2001))
     P = 1.0 + w * w
     K = (w / (rs * np.sqrt(P))) * (wp / P ** 1.5)
     mask = np.abs(wp) > 1e-10
@@ -149,7 +151,7 @@ def test_el_residual_decreases_with_tolerance():
 
 def test_el_residual_linear_sensitivity(ref_traj, paper_params):
     """Perturbing w'' shifts the integrand linearly."""
-    s = 0.5 * (ref_traj.chart_a.x_start + ref_traj.switch.x)
+    s = 0.5 * (ref_traj.x_start + ref_traj.switch.x)
     (r,), (w,), (wp,), (wpp,) = graph_at(ref_traj, s, deriv=True)
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     P = 1.0 + w * w
@@ -228,8 +230,7 @@ def test_blowdown_growth_ratio_finite(ref_traj):
     """w'^2 / (|w| (1+w^2)^(5/2)) = psi'^2 / |sin psi| approaches psi'^2,
     the squared longitudinal curvature, at the equator."""
     ev = ref_traj.first_event(EQUATOR)
-    seg = ref_traj.chart_a
-    Y = seg.eval_many(np.linspace(ref_traj.switch.x, seg.x_end, 2001))
+    Y = ref_traj.eval_many(np.linspace(ref_traj.switch.x, ev.x, 2001))
     ratio = Y[:, 3] ** 2 / np.abs(np.sin(Y[:, 2]))
     assert np.all(np.isfinite(ratio))
     assert math.isclose(ratio[-1], ev.state[3] ** 2, rel_tol=1e-6)
@@ -261,10 +262,10 @@ def test_surface_totals_match_requadrature(c0, lam, p, w0p):
         assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
 
-def _linear_segment(monkeypatch, xs, x_end, y0, slope):
-    """A dense segment whose state is ``y0 + slope (x - xs[0])``: each
-    step's record holds its h and start state, from which a stand-in
-    ``kernels.dense_a`` writes the interpolant rows y and F0."""
+def _linear_run(monkeypatch, params, w0p, xs, events, y0, slope):
+    """A run whose state is ``y0 + slope (x - xs[0])`` up to its last
+    event: each step's record holds its h and start state, from which a
+    stand-in ``kernels.dense_a`` writes the interpolant rows y and F0."""
     xs = np.asarray(xs, dtype=float)
     records = np.zeros((len(xs) - 1, kernels.NREC))
     records[:, 0] = np.diff(xs)
@@ -277,21 +278,20 @@ def _linear_segment(monkeypatch, xs, x_end, y0, slope):
         return rows
 
     monkeypatch.setattr(kernels, "dense_a", dense)
-    return DenseSegment(xs, records.ravel(), x_end, (0.0, 0.0, 0.0))
+    return Trajectory(params, w0p, SolverConfig(), xs, records.ravel(), events)
 
 
 def test_surface_totals_gauss_legendre_exact_with_cut_last_step(monkeypatch):
     """On polynomial interpolants the volume density r^2 sin psi, r linear
     in s at a fixed angle psi, has degree 2, which the 5-point rule
-    integrates exactly; the last step counts only up to x_end, so a step
-    integrated past its cut fails the test."""
+    integrates exactly; the last step counts only up to the last event's
+    x, so a step integrated past its cut fails the test."""
     params, w0p, eps = HelfrichParams(1.0, 0.25, 1.0), 0.05, 1e-3
     psi = -0.3
     slope = [math.cos(psi), math.sin(psi), 0.0, 0.0, 0.0]
-    seg = _linear_segment(monkeypatch, [eps, 0.5, 1.2, 2.0], 1.7, [eps, 0.0, psi, 0.0, 0.0],
-                          slope)
     events = [Event(EQUATOR, 1.7, (eps + (1.7 - eps) * slope[0], 0.0, psi, 0.0, 0.0))]
-    traj = Trajectory(params, w0p, SolverConfig(), seg, events)
+    traj = _linear_run(monkeypatch, params, w0p, [eps, 0.5, 1.2, 2.0], events,
+                       [eps, 0.0, psi, 0.0, 0.0], slope)
 
     # the axis series' volume integral of r^2 w = sum a_n r^(n+2) on [0, eps]
     vol_series = sum(a_n * eps ** (n + 3) / (n + 3)

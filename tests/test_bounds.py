@@ -135,7 +135,7 @@ def test_kappa_prime_bound_holds_at_small_slope_next_to_the_axis():
     traj = integrate(HelfrichParams(-1.924297712971017, -0.9211122702013553,
                                     1.8286734499794792), 1e-4,
                      SolverConfig(eps_start=1e-5))
-    xs = traj.chart_a.xs
+    xs = traj.xs
     assert xs[0] == 1e-5
     assert all(xs[1:] - xs[:-1] <= xs[:-1])
     rec = _record(check_single(traj, extract_landmarks(traj)), "KappaPrimeBound")

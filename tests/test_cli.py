@@ -424,8 +424,8 @@ def test_parser_shared_across_commands_gives_fresh_parser_results(tmp_path, caps
 
 
 def test_solve_without_a_step_exits_2_without_warning(tmp_path, capsys):
-    """An r_max below eps_start, or equal to it, leaves chart A without a
-    step; its zero-length dense segment evaluates to the start state, and
+    """An r_max below eps_start, or equal to it, leaves the run without a
+    step; its one zero-length step evaluates to the start state, and
     the axis series covers the profile below it, silently.  (At r_max =
     eps_start the first step size once divided by its zero cap and the
     command ended in ZeroDivisionError.)"""

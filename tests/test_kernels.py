@@ -15,17 +15,17 @@ from oracles import (
     kappa_derivs,
     make_step_arr,
     rhs_arc_arr,
-    rhs_chart_a_arr,
+    rhs_graph_arr,
     rhs_kappa,
 )
 
 # the graph form's ndarray step, for the restarted integrations in r
-_STEP_CHART_A = make_step_arr(rhs_chart_a_arr)
+_STEP_GRAPH = make_step_arr(rhs_graph_arr)
 
 
 def _wpp(r, w, wp, params):
     """w'' from the graph form of the shape equation."""
-    return rhs_chart_a_arr(r, (w, wp, 0.0), params.c0, params.lam, params.p)[1]
+    return rhs_graph_arr(r, (w, wp, 0.0), params.c0, params.lam, params.p)[1]
 
 
 def _psipp(r, psi, dpsi, gam, params):
@@ -113,7 +113,7 @@ def test_rhs_kappa_matches_restarted_integration():
 
         def kappa_at(dr, n=40):
             y0 = np.array([w, wp, 0.0])
-            y = fixed_step(_STEP_CHART_A, rhs_chart_a_arr, params, r, y0, r + dr, n)
+            y = fixed_step(_STEP_GRAPH, rhs_graph_arr, params, r, y0, r + dr, n)
             return y[0] / ((r + dr) * math.sqrt(1.0 + y[0] ** 2))
 
         def fd(h):
@@ -128,7 +128,7 @@ def test_rhs_kappa_matches_restarted_integration():
 def test_grouping_identity_along_trajectory(ref_traj):
     """The two conservative groupings differ by an exact derivative:
     d/dr[(w^2+2)/sqrt(1+w^2)] = w^3 w' / (1+w^2)^(3/2)."""
-    _, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, ref_traj.switch.x, 2000))
+    _, w, wp = graph_at(ref_traj, np.linspace(ref_traj.x_start, ref_traj.switch.x, 2000))
     P = 1.0 + w * w
     # chain-rule expansion of the bracket difference vs the closed form,
     # normalized by the size of the expanded terms
@@ -144,7 +144,7 @@ def test_conservative_forms_hold_on_trajectory(ref_traj, paper_params):
     """Both first-integral groupings of the equation hold along solutions."""
     from helfrich import eval_q, eval_r
     rs, w, wp, wpp = graph_at(
-        ref_traj, np.linspace(ref_traj.chart_a.x_start * 2, ref_traj.switch.x, 1500), deriv=True)
+        ref_traj, np.linspace(ref_traj.x_start * 2, ref_traj.switch.x, 1500), deriv=True)
     P = 1.0 + w * w
     kap = w / (rs * np.sqrt(P))
     lhs = (2.0 * rs * wp * wp / P ** 2.5 + 2.0 * rs * rs * wp * wpp / P ** 2.5

@@ -5,7 +5,7 @@ location, at tolerances far tighter than the package's, integrates two
 other texts of the shape equation from the same series start: the
 arc-length form the package integrates (``oracles.arc_oracle``, written
 apart from ``kernels``), and the graph form w(r), a formulation the
-package no longer uses (``oracles.rhs_chart_a_arr``).  The landmarks must
+package no longer uses (``oracles.rhs_graph_arr``).  The landmarks must
 agree to 1e-8 relative, and the events by kind must be the same; over a
 seeded draw of the sweep region the events by kind and the verdicts must
 be the same.
@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helfrich import HelfrichParams, SolverConfig, classify, extract_landmarks, integrate
+from helfrich import HelfrichParams, SolverConfig, classify, extract_landmarks, integrate, kernels
 from helfrich.solver import BLOWUP_POSITIVE, Event, Trajectory, axis_coefficients, axis_series
-from oracles import arc_oracle, rhs_chart_a_arr
+from oracles import arc_oracle, rhs_graph_arr
 
 # (c0, lambda, p, w0p): the reference point, an oscillating cell with ten
 # maxima of w, two cells of the fuzz set, a large-p cell and a small-slope
@@ -47,7 +47,7 @@ def _scipy_r0(params, w0p, eps, r_max, w_switch):
     zero_of_w.direction = -1.0
     steep.direction = -1.0
     steep.terminal = True
-    sol = solve_ivp(lambda r, y: rhs_chart_a_arr(r, y, params.c0, params.lam, params.p),
+    sol = solve_ivp(lambda r, y: rhs_graph_arr(r, y, params.c0, params.lam, params.p),
                     (eps, r_max), axis_series(axis_coefficients(params, w0p), eps),
                     method="DOP853", rtol=1e-13, atol=1e-15, events=(zero_of_w, steep))
     assert sol.status in (0, 1), sol.message
@@ -60,7 +60,7 @@ def test_r0_and_slope_match_scipy_dop853(c0, lam, p, w0p):
     traj = integrate(params, w0p)
     lm = extract_landmarks(traj)
     cfg = SolverConfig()
-    r0, wp_r0 = _scipy_r0(params, w0p, traj.chart_a.x_start,
+    r0, wp_r0 = _scipy_r0(params, w0p, traj.x_start,
                           1e3 * math.sqrt(w0p / p + 1.0), cfg.w_switch)
     assert np.isfinite(r0) and np.isfinite(wp_r0)
     assert lm.r0 == pytest.approx(r0, rel=1e-9, abs=0.0)
@@ -74,7 +74,7 @@ def test_landmarks_and_events_match_the_arc_length_oracle(c0, lam, p, w0p):
     params = HelfrichParams(c0, lam, p)
     traj = integrate(params, w0p)
     lm = extract_landmarks(traj)
-    status, events = arc_oracle(params, w0p, traj.chart_a.x_start)
+    status, events = arc_oracle(params, w0p, traj.x_start)
     assert traj.status == status
     assert Counter(ev.kind for ev in traj.events) == {k: len(v) for k, v in events.items()}
     r0, _, psi, dpsi, _ = events["ZeroOfW"][0]
@@ -103,10 +103,12 @@ def test_verdicts_over_a_seeded_sweep_match_the_arc_length_oracle():
         params = HelfrichParams(c0, lam, p)
         traj = integrate(params, w0p)
         got = classify(traj, extract_landmarks(traj)).verdict
-        status, found = arc_oracle(params, w0p, traj.chart_a.x_start)
+        status, found = arc_oracle(params, w0p, traj.x_start)
         events = sorted((Event(kind, y[0], y) for kind, ys in found.items() for y in ys),
                         key=lambda ev: ev.x)
-        oracle = Trajectory(params, w0p, SolverConfig(), None, events)
+        # one zero-length step: the verdict reads the events alone
+        oracle = Trajectory(params, w0p, SolverConfig(), [traj.x_start] * 2,
+                            [0.0] * kernels.NREC, events)
         assert oracle.status == status
         cell = (c0, lam, p, w0p)
         assert got == classify(oracle, extract_landmarks(oracle)).verdict, cell

@@ -22,7 +22,8 @@ from helfrich.solver import (
     SERIES_ORDER,
     STEEP,
     ZERO_OF_W,
-    DenseSegment,
+    Event,
+    Trajectory,
     _initial_step,
     _run,
     axis_coefficients,
@@ -83,6 +84,21 @@ def test_series_rejections():
         series_start(PAPER, 0.1, 10.0)
 
 
+def test_start_angle_that_underflows_is_invalid_slope():
+    """At the paper point w0p eps underflows to psi(eps) = 0 for every w0p
+    up to about 1e-220, and a run from there crosses no psi = 0: the
+    start is InvalidSlope, and a sweep cell there reads so.  At 1e-215
+    psi(eps) is subnormal, 2e-323, and the run finds its one ZeroOfW."""
+    from helfrich.bounds import _phase_cell
+    with pytest.raises(InvalidSlope, match="start angle"):
+        integrate(PAPER, 1e-300)
+    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 1e-300), None)
+    assert cell.classification == "Error:InvalidSlope"
+    traj = integrate(PAPER, 1e-215)
+    assert 0.0 < traj.nodes[0, 2] < 1e-300
+    assert sum(ev.kind == ZERO_OF_W for ev in traj.events) == 1
+
+
 def test_series_residual_order():
     """The axis series truncated after r^n leaves a w'' defect O(eps^n),
     for every odd n up to SERIES_ORDER: each coefficient is the one the
@@ -140,7 +156,7 @@ def test_default_start_keeps_the_slope_near_w0p():
     params, w0p = HelfrichParams(-0.5972721301018806, -0.7202908339494016,
                                  6.629877790948085), 0.0016797039970500467
     traj = integrate(params, w0p)
-    x_start = traj.chart_a.x_start
+    x_start = traj.x_start
     lm = extract_landmarks(traj)
     assert classify(traj, lm).verdict == BICONCAVE
     assert [ev.x > x_start for ev in traj.events if ev.kind == MAX_OF_W] == [True]
@@ -206,7 +222,7 @@ def test_events_in_arclength_order(ref_traj):
 def test_z_is_quadrature_of_w(ref_traj):
     """z of the arc-length run is the quadrature of its slope w = tan psi
     over r, both read off the state on an arc-length grid."""
-    x_start, s0 = ref_traj.chart_a.x_start, ref_traj.first_event(ZERO_OF_W).x
+    x_start, s0 = ref_traj.x_start, ref_traj.first_event(ZERO_OF_W).x
     # smooth stretch up to r0: trapezoid resolves the quadrature sharply
     ss = np.linspace(x_start, s0, 20001)
     rs, w, _ = graph_at(ref_traj, ss)
@@ -228,7 +244,7 @@ def test_kappa_decreases_when_r_negative(ref_traj):
     """Monotone drop of the meridional curvature under the sign hypothesis."""
     assert eval_r(0.05, PAPER) < 0  # hypothesis R < 0 on [0, w0p]
     s0 = ref_traj.first_event(ZERO_OF_W).x
-    rs, w, _ = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0, 4001))
+    rs, w, _ = graph_at(ref_traj, np.linspace(ref_traj.x_start, s0, 4001))
     kap = w / (rs * np.sqrt(1.0 + w ** 2))
     assert np.max(np.diff(kap)) < 1e-9
 
@@ -236,7 +252,7 @@ def test_kappa_decreases_when_r_negative(ref_traj):
 def test_pointwise_bounds_on_positive_arc(ref_traj):
     dc = derived_constants(PAPER, 0.05)
     s0 = ref_traj.first_event(ZERO_OF_W).x
-    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.chart_a.x_start, s0, 4001))
+    rs, w, wp = graph_at(ref_traj, np.linspace(ref_traj.x_start, s0, 4001))
     P = 1.0 + w * w
     kap = w / (rs * np.sqrt(P))
     kap_p = wp / (rs * P ** 1.5) - w / (rs * rs * np.sqrt(P))
@@ -246,19 +262,18 @@ def test_pointwise_bounds_on_positive_arc(ref_traj):
 
 
 def test_find_crossing_matches_events_and_takes_first(ref_traj):
-    seg = ref_traj.chart_a
     s0 = ref_traj.first_event(ZERO_OF_W).x
-    assert abs(find_crossing(seg, 2, 0.0) - s0) <= 1e-11 * s0
+    assert abs(find_crossing(ref_traj, 2, 0.0) - s0) <= 1e-11 * s0
     # psi rises to its maximum at s_m, then falls: half of it is crossed twice
     ev_max = ref_traj.first_event(MAX_OF_W)
     half = 0.5 * ev_max.state[2]
-    s_up = find_crossing(seg, 2, half)
+    s_up = find_crossing(ref_traj, 2, half)
     assert s_up < ev_max.x
-    assert abs(seg.eval_many(s_up)[0][2] - half) <= 1e-12
-    s_down = find_crossing(seg, 2, half, x_lo=ev_max.x)
+    assert abs(ref_traj.eval_many(s_up)[0][2] - half) <= 1e-12
+    s_down = find_crossing(ref_traj, 2, half, x_lo=ev_max.x)
     assert ev_max.x < s_down < s0
     with pytest.raises(OutOfRange):
-        find_crossing(seg, 2, 2.0 * ev_max.state[2])
+        find_crossing(ref_traj, 2, 2.0 * ev_max.state[2])
 
 
 def test_event_idempotence(paper_params):
@@ -275,8 +290,8 @@ def test_event_idempotence(paper_params):
 def test_integration_is_deterministic(paper_params):
     t1 = integrate(paper_params, 0.05)
     t2 = integrate(paper_params, 0.05)
-    assert len(t1.chart_a.xs) == len(t2.chart_a.xs)
-    assert np.array_equal(t1.chart_a.xs, t2.chart_a.xs)
+    assert len(t1.xs) == len(t2.xs)
+    assert np.array_equal(t1.xs, t2.xs)
     for e1, e2 in zip(t1.events, t2.events):
         assert e1.kind == e2.kind and e1.x == e2.x
         assert e1.state == e2.state
@@ -284,9 +299,9 @@ def test_integration_is_deterministic(paper_params):
 
 def test_dense_segment_range_checks(ref_traj):
     with pytest.raises(OutOfRange):
-        ref_traj.chart_a.eval_many(ref_traj.chart_a.x_end * 2.0)
+        ref_traj.eval_many(ref_traj.events[-1].x * 2.0)
     with pytest.raises(OutOfRange):
-        ref_traj.chart_a.eval_many(-1.0)
+        ref_traj.eval_many(-1.0)
 
 
 def test_arc_length_view_range_checks(ref_traj):
@@ -304,7 +319,7 @@ def test_arc_length_view_range_checks(ref_traj):
             query()
     assert ref_traj.state_at(0.0)[0].tolist() == [0.0, 0.0, 0.0, ref_traj.w0p, 0.0]
     assert ref_traj.state_at(end.x)[0] == pytest.approx(end.state, rel=1e-12, abs=1e-12)
-    eps = ref_traj.chart_a.x_start
+    eps = ref_traj.x_start
     y = ref_traj.state_at([math.nextafter(eps, 0.0), eps])
     assert y[1].tolist() == list(series_start(PAPER, 0.05, eps))
     assert y[0, 0] == math.nextafter(eps, 0.0)
@@ -334,8 +349,7 @@ def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
     last sample."""
     m = 16
     traj = integrate(PAPER, 0.05)
-    seg = traj.chart_a
-    xs = seg.xs
+    xs = traj.xs
     s_end = {"ZeroOfW": traj.first_event(ZERO_OF_W).x,
              "first step": 0.5 * (xs[0] + xs[1]),
              "step boundary": xs[5]}[where]
@@ -343,16 +357,16 @@ def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
     assert k == {"first step": 0, "step boundary": 4}.get(where, k)
     dr = xs[0] / 6.5
     y = traj.sample_steps(s_end, m, dr)
-    assert seg._table[1].sum() == k + 1 and seg._table[1][:k + 1].all()
+    assert traj._table[1].sum() == k + 1 and traj._table[1][:k + 1].all()
     assert y.shape == (6 + (k + 1) * m, kernels.NSTATE)
 
     r = np.arange(1, 7) * dr
     assert np.array_equal(y[:6], traj.state_at(r))
     dense = y[6:]
-    assert np.array_equal(dense[::m], seg.nodes[:k + 1])
-    want = seg.eval_many(xs[step] + th * (xs[step + 1] - xs[step]))
+    assert np.array_equal(dense[::m], traj.nodes[:k + 1])
+    want = traj.eval_many(xs[step] + th * (xs[step + 1] - xs[step]))
     assert np.all(np.abs(dense - want) <= 1e-13 * (1.0 + np.abs(want)))
-    assert dense[-1] == pytest.approx(seg.eval_many(s_end)[0], rel=1e-13, abs=1e-13)
+    assert dense[-1] == pytest.approx(traj.eval_many(s_end)[0], rel=1e-13, abs=1e-13)
     s = np.concatenate([r, xs[step] + th * (xs[step + 1] - xs[step])])
     assert np.all(np.diff(s) > 0.0)
 
@@ -362,7 +376,7 @@ def test_equator_state_is_regular(ref_traj):
     r, _, psi, dpsi, _ = ev.state
     assert abs(psi + 0.5 * math.pi) <= 1e-9  # the tangent is vertical
     assert dpsi < 0.0              # longitudinal curvature is negative there
-    assert r == max(s[0] for s in [ev.state, *ref_traj.chart_a.nodes.tolist()])
+    assert r == max(s[0] for s in [ev.state, *ref_traj.nodes.tolist()])
     assert type(ev.state) is tuple and all(map(math.isfinite, ev.state))
 
 
@@ -374,8 +388,8 @@ def test_first_integral_stays_zero_along_the_solution():
     for params, w0p in ((PAPER, 0.05), (HelfrichParams(0.491, -0.92, 0.01997), 0.2722)):
         traj = integrate(params, w0p)
         assert traj.status == EQUATOR
-        seg = traj.chart_a
-        r, _, psi, dpsi, gam = seg.eval_many(np.linspace(seg.x_start, seg.x_end, 20001)).T
+        r, _, psi, dpsi, gam = traj.eval_many(
+            np.linspace(traj.x_start, traj.events[-1].x, 20001)).T
         sp = np.sin(psi)
         terms = np.stack([r * dpsi ** 2, -r * (sp / r + params.c0) ** 2, -params.lam * r,
                           0.5 * params.p * r * r * sp, gam * np.cos(psi)])
@@ -406,9 +420,9 @@ def test_float_overflow_in_a_step_rejects_it(monkeypatch):
         return _step(x, y, 1e120 if len(asked) == 1 else h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
-    seg, events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
+    (xs, _), events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
     assert asked[1] == 0.1 * asked[0]
-    assert steps == 20 > len(seg.xs) - 1  # more tries than accepted steps
+    assert steps == 20 > len(xs) - 1  # more tries than accepted steps
     assert [ev.kind for ev in events] == [ABORTED]
 
 
@@ -435,9 +449,9 @@ def test_step_whose_new_state_overflows_has_non_finite_err(monkeypatch):
         return _step(x, y, h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
-    seg, events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
+    (xs, _), events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
     assert steps == 1
-    assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == seg.x_end
+    assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == xs[-1]
 
 
 @pytest.mark.parametrize("eps", [1e-16, 1e-20])
@@ -446,7 +460,7 @@ def test_start_closer_to_the_axis_than_1e_14_solves(eps, ref_landmarks):
     they are shorter than an absolute floor of 1e-14 would allow; the
     floor there is relative to r, and the run reaches the equator."""
     traj = integrate(PAPER, 0.05, SolverConfig(eps_start=eps))
-    assert traj.status == EQUATOR and traj.chart_a.x_start == eps
+    assert traj.status == EQUATOR and traj.x_start == eps
     assert extract_landmarks(traj).r0 == pytest.approx(ref_landmarks.r0, rel=1e-9)
 
 
@@ -472,7 +486,7 @@ def test_far_out_cells_reach_the_equator(c0, lam, p, w0p):
     (StepUnderflow); the arc-length form has no pole, and both runs end
     at the equator."""
     traj = integrate(HelfrichParams(c0, lam, p), w0p)
-    print(f"{len(traj.chart_a.xs) - 1} accepted steps, "
+    print(f"{len(traj.xs) - 1} accepted steps, "
           f"{sum(ev.kind == MAX_OF_W for ev in traj.events)} MaxOfW")
     assert traj.status == EQUATOR
 
@@ -489,10 +503,10 @@ def _bits(a):
 def test_eval_many_columns_bit_exact(figure_runs, w0p, t, k, ab):
     """Evaluating, or differentiating, some components gives the full
     evaluation's columns bit for bit, on the figure trajectories."""
-    seg = figure_runs[w0p][0].chart_a
-    x = seg.x_start + np.asarray(t) * (seg.x_end - seg.x_start)
+    traj = figure_runs[w0p][0]
+    x = traj.x_start + np.asarray(t) * (traj.events[-1].x - traj.x_start)
     a, b = sorted(ab)
-    for many in (seg.eval_many, seg.deriv_many):
+    for many in (traj.eval_many, traj.deriv_many):
         full = many(x)
         assert full.shape == (len(x), kernels.NSTATE)
         got_k = many(x, k)
@@ -522,13 +536,13 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense output evaluated")
 
-    monkeypatch.setattr(DenseSegment, "eval_many", refuse)
-    monkeypatch.setattr(DenseSegment, "deriv_many", refuse)
+    monkeypatch.setattr(Trajectory, "eval_many", refuse)
+    monkeypatch.setattr(Trajectory, "deriv_many", refuse)
     assert extract_landmarks(ref_traj) == ref_landmarks
 
 
 def _record_completions(monkeypatch):
-    """Wrap ``kernels.dense_a``, which the loop and the segments read when
+    """Wrap ``kernels.dense_a``, which the loop and the trajectories read when
     they complete a step, so that each call records the start x of the
     step it completes."""
     calls = []
@@ -544,10 +558,9 @@ def _record_completions(monkeypatch):
 def _event_steps(traj):
     """Start x of each step that holds an event; the terminal event ends
     the last step."""
-    seg = traj.chart_a
     evx = np.array([ev.x for ev in traj.events])
-    idx = np.minimum(np.searchsorted(seg.xs, evx, side="right") - 1, len(seg.xs) - 2)
-    return sorted(set(seg.xs[idx].tolist()))
+    idx = np.minimum(np.searchsorted(traj.xs, evx, side="right") - 1, len(traj.xs) - 2)
+    return sorted(set(traj.xs[idx].tolist()))
 
 
 def test_dense_output_is_completed_only_where_read(monkeypatch):
@@ -575,11 +588,10 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     calls.clear()
     assert check_single(traj, lm).passed
     s0 = traj.first_event(ZERO_OF_W).x
-    starts = traj.chart_a.xs[:-1].tolist()
+    starts = traj.xs[:-1].tolist()
     assert sorted(calls) == [x for x in starts if x < s0] != starts
     # the nodes are the completed rows y, bit for bit
-    seg = traj.chart_a
-    assert np.array_equal(seg.nodes.view(np.uint64), seg.conts[:, 0, :].view(np.uint64))
+    assert np.array_equal(traj.nodes.view(np.uint64), traj.conts[:, 0, :].view(np.uint64))
 
 
 def test_raising_completion_gives_nan_rows():
@@ -590,24 +602,57 @@ def test_raising_completion_gives_nan_rows():
     rec = [0.1] + [0.0] * (kernels.NREC - 1)
     with pytest.raises(ZeroDivisionError):
         kernels.dense_a(1.0, rec, PAPER.c0, PAPER.lam, PAPER.p)
-    seg = DenseSegment([1.0, 1.1], rec, 1.1, (PAPER.c0, PAPER.lam, PAPER.p))
-    assert np.isnan(seg.eval_many([1.0, 1.05])).all()
-    assert np.isnan(seg.conts).all() and seg.nodes.tolist() == [[0.0] * kernels.NSTATE]
+    traj = Trajectory(PAPER, 0.05, SolverConfig(), [1.0, 1.1], rec,
+                      [Event(ABORTED, 1.1, (0.0,) * kernels.NSTATE)])
+    assert np.isnan(traj.eval_many([1.0, 1.05])).all()
+    assert np.isnan(traj.conts).all() and traj.nodes.tolist() == [[0.0] * kernels.NSTATE]
 
 
 def test_run_chart_records_tied_events_in_table_order(ref_traj):
     """Rows that cross at the same theta are recorded in table order up to
     the first terminal one, which ends the run as its last event."""
     params, w0p = HelfrichParams(1.0, 0.25, 1.0), 0.05
-    eps = ref_traj.chart_a.x_start
+    eps = ref_traj.x_start
     table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
              ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
     table = [(kind, 2, 0.0, True, terminal) for kind, _, _, _, terminal in table]
-    seg, events, _ = _run(eps, series_start(params, w0p, eps), params, SolverConfig(), table,
-                          1_000_000)
+    (xs, _), events, _ = _run(eps, series_start(params, w0p, eps), params, SolverConfig(),
+                              table, 1_000_000)
     assert [ev.kind for ev in events] == ["second", "first", "end"]
     s0 = ref_traj.first_event(ZERO_OF_W).x
-    assert all(ev.x == s0 for ev in events) and seg.x_end == s0
+    assert all(ev.x == s0 for ev in events) and xs[-1] == s0
+
+
+@pytest.mark.parametrize("how, cfg, status", [
+    ("Equator", None, EQUATOR),
+    ("BlowUpPositive", None, BLOWUP_POSITIVE),
+    ("r_max", SolverConfig(r_max=1.0), ABORTED),
+    ("max_steps", SolverConfig(max_steps=20), ABORTED),
+    # a start past the abort radius takes no step
+    ("no step", SolverConfig(r_max=1e-7), ABORTED),
+])
+def test_run_covers_up_to_its_last_event(how, cfg, status, ref_traj, blowup_traj):
+    """A run covers [x_start, s_end], s_end the x of its last event, for
+    each way a run can end: at a terminal row's event, at the abort radius
+    or on the step budget, the last of them with no accepted step, which
+    keeps one zero-length step.  The last event lies in the last step,
+    the dense output reads its state there, and a query past it is
+    OutOfRange."""
+    traj = {EQUATOR: ref_traj, BLOWUP_POSITIVE: blowup_traj}.get(how)
+    traj = traj or integrate(PAPER, 0.05, cfg)
+    assert traj.status == status
+    end, xs = traj.events[-1], traj.xs
+    if how == "no step":
+        assert traj.conts.shape == (1, kernels.NROWS, kernels.NSTATE)
+        assert xs.tolist() == [end.x, end.x] == [traj.x_start] * 2
+        assert traj.eval_many(end.x)[0].tolist() == list(end.state)
+    else:
+        assert xs[-2] < end.x <= xs[-1]
+        if how == "max_steps":
+            assert end.x == xs[-1]
+        assert traj.eval_many(end.x)[0] == pytest.approx(end.state, rel=1e-9, abs=1e-12)
+    with pytest.raises(OutOfRange):
+        traj.eval_many(end.x + 1e-9 * (1.0 + end.x))
 
 
 def test_status_is_the_last_event(ref_traj, blowup_traj):
