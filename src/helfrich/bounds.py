@@ -195,9 +195,8 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
                              _scale_tol(log_bound, int_neg), info))
     elif hyp:
         # B x < pi/2 is guaranteed on valid runs; a violation is a solver defect
-        records.append(CheckRecord("NegAreaLower", True, B * x, math.pi / 2.0,
-                                   math.pi / 2.0 - B * x, 0.0, "Fail",
-                                   {"reason": "B(r_inf - r0) >= pi/2"}))
+        records.append(_make("NegAreaLower", True, B * x, math.pi / 2.0, 0.0,
+                             {"reason": "B(r_inf - r0) >= pi/2"}))
     else:
         records.append(_make("NegAreaLower", False, None, None, _PTWISE_TOL))
 
@@ -386,6 +385,8 @@ def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
     """
     runs = sorted(runs, key=lambda t: -t[0])
     p = params.p
+    # the limit constants, None where p <= 0 (every solve there is InvalidParams)
+    rm2_lim, r02_lim, pos_lim = (32.0 / (3.0 * p), 32.0 / p, 8.0 / p) if p > 0.0 else (None,) * 3
     records = []
     excluded = []
     failures = []
@@ -404,9 +405,9 @@ def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
         )
         records.append(rec)
         if w0p <= _BAND_W0P_MAX:
-            if rec.rm2_over_w0p < (32.0 / (3.0 * p)) * (1.0 - _BAND):
+            if rec.rm2_over_w0p < rm2_lim * (1.0 - _BAND):
                 failures.append(f"rm2/w0p={rec.rm2_over_w0p:.4g} below band at w0p={w0p:g}")
-            if rec.r02_over_w0p > (32.0 / p) * (1.0 + _BAND):
+            if rec.r02_over_w0p > r02_lim * (1.0 + _BAND):
                 failures.append(f"r0^2/w0p={rec.r02_over_w0p:.4g} above band at w0p={w0p:g}")
             if not (-2.0 - 2.0 * _BAND <= rec.slope_ratio <= -2.0 / 3.0 + (2.0 / 3.0) * _BAND):
                 failures.append(f"wp(r0)/w0p={rec.slope_ratio:.4g} outside band at w0p={w0p:g}")
@@ -414,16 +415,17 @@ def asymptotic_sweep(params: HelfrichParams, runs) -> AsymptoticReport:
     good = [r for r in records if r.classification == BICONCAVE]
     small = [r for r in good if r.w0p <= _BAND_W0P_MAX]
     for r in small[-2:]:  # two smallest points inside the asymptotic regime
-        if r.pos_area_ratio > (8.0 / p) * 1.1:
-            failures.append(f"pos-area ratio {r.pos_area_ratio:.4g} above 8.8/p at w0p={r.w0p:g}")
+        if r.pos_area_ratio > pos_lim * (1.0 + _BAND):
+            failures.append(f"pos-area ratio {r.pos_area_ratio:.4g} above "
+                            f"{8.0 * (1.0 + _BAND):g}/p at w0p={r.w0p:g}")
 
     neg_inf = min((r.neg_area_ratio for r in good), default=None)
     limits = {name: {"value": getattr(good[-1], name) if good else None, key: value}
               for name, key, value in (
-                  ("rm2_over_w0p", "limit_constant", 32.0 / (3.0 * p)),
-                  ("r02_over_w0p", "limit_constant", 32.0 / p),
+                  ("rm2_over_w0p", "limit_constant", rm2_lim),
+                  ("r02_over_w0p", "limit_constant", r02_lim),
                   ("slope_ratio", "limit_band", [-2.0, -2.0 / 3.0]),
-                  ("pos_area_ratio", "limit_constant", 8.0 / p))}
+                  ("pos_area_ratio", "limit_constant", pos_lim))}
     return AsymptoticReport(tuple(records), tuple(excluded), tuple(failures),
                             limits, neg_inf)
 

@@ -92,44 +92,34 @@ def _json_text(obj, out: list, nl: str) -> None:
     elif t is int:
         out.append(int.__repr__(obj))
     elif (names := _sorted_fields(t)) is not None:
-        _json_members([(name, getattr(obj, name)) for name in names], out, nl)
+        _json_items([(name, getattr(obj, name)) for name in names], True, out, nl)
     elif isinstance(obj, dict):
-        _json_members(sorted(obj.items()), out, nl)
+        _json_items(sorted(obj.items()), True, out, nl)
     elif isinstance(obj, (list, tuple)):
-        _json_elements(obj, out, nl)
+        _json_items(obj, False, out, nl)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _json_elements(seq, out: list, nl: str) -> None:
-    if not seq:
-        out.append("[]")
-        return
-    inner = nl + "  "
-    sep = "," + inner
-    out.append("[" + inner)
-    for i, value in enumerate(seq):
-        if i:
-            out.append(sep)
-        _json_text(value, out, inner)
-    out.append(nl + "]")
-
-
-def _json_members(items, out: list, nl: str) -> None:
+def _json_items(items, keyed: bool, out: list, nl: str) -> None:
+    """Append a list's ``items``, or with ``keyed`` an object's (key,
+    value) items, between brackets, one to a line indented from ``nl``."""
+    opening, closing = "{}" if keyed else "[]"
     if not items:
-        out.append("{}")
+        out.append(opening + closing)
         return
     inner = nl + "  "
-    sep = "," + inner
-    out.append("{" + inner)
-    for i, (key, value) in enumerate(items):
-        if i:
-            out.append(sep)
-        if type(key) is not str:
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        out.append(encode_basestring_ascii(key) + ": ")
+    sep = opening + inner
+    for value in items:
+        out.append(sep)
+        sep = "," + inner
+        if keyed:
+            key, value = value
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(encode_basestring_ascii(key) + ": ")
         _json_text(value, out, inner)
-    out.append(nl + "}")
+    out.append(nl + closing)
 
 
 def profile_rows(traj: Trajectory):

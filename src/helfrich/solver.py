@@ -14,8 +14,9 @@ step of its own.  That dense output is built only where it is
 read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
 which an event row changes sign, and the ``Trajectory``, the one record
-of a run, completes a step the first time a query touches it.  No step
-is longer than its start radius, the distance to the axis singularity.
+of a run, completes its steps in the order a run is read, from the axis
+out, up to the last one a query reads.  No step is longer than its start
+radius, the distance to the axis singularity.
 Every view of a run is indexed by s, with the axis series at r = s below
 the start (``Trajectory.by_arc_length``), or by step and theta
 (``Trajectory.sample_steps``); events are the only crossings located.
@@ -321,8 +322,8 @@ class Trajectory:
 
     A step's dense output, its ``kernels.NROWS`` rows (y and the
     interpolant's F0..F6), is completed from its record by
-    ``kernels.dense_a`` the first time a query touches the step, so a
-    caller that evaluates only part of a run pays only for that part.  A
+    ``kernels.dense_a`` once, in the order a run is read, from the axis
+    out: a query completes each step up to the last one it touches.  A
     completion that raises gives NaN rows (see ``_dense_rows``).
 
     The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
@@ -353,6 +354,7 @@ class Trajectory:
         self._raw_xs, self._records, self.events = xs, records, events
         self.x_start = float(xs[0])
         self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
+        self._done = 0  # the steps 0.._done-1 are completed
 
     @property
     def status(self) -> str:
@@ -384,37 +386,31 @@ class Trajectory:
 
     @property
     def conts(self) -> np.ndarray:
-        import numpy as np
-        return self._fill(np.arange(len(self._raw_xs) - 1))
+        return self._fill(len(self._raw_xs) - 1)
 
     @cached_property
-    def _table(self):
-        # every step's rows, and which of them are completed
+    def _table(self) -> np.ndarray:
         import numpy as np
-        n = len(self._raw_xs) - 1
-        return np.empty((n, kernels.NROWS, kernels.NSTATE)), np.zeros(n, dtype=bool)
+        return np.empty((len(self._raw_xs) - 1, kernels.NROWS, kernels.NSTATE))
 
-    def _fill(self, idx: np.ndarray) -> np.ndarray:
-        """The (steps, NROWS, NSTATE) table, with the steps ``idx`` completed."""
+    def _fill(self, n: int) -> np.ndarray:
+        """The (steps, NROWS, NSTATE) table, with the steps 0..n-1 completed."""
         import numpy as np
-        conts, done = self._table
-        # a mask, not np.unique, which imports numpy.ma on its first call
-        todo = np.zeros_like(done)
-        todo[idx] = True
-        todo = np.flatnonzero(todo & ~done).tolist()
+        conts, todo = self._table, range(self._done, n)
         if todo:
             xs, recs, m = self._raw_xs, self._records, kernels.NREC
             rows = [_dense_rows(xs[i], recs[m * i:m * i + m], *self.params) for i in todo]
-            conts[todo] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
-            done[todo] = True
+            conts[todo.start:todo.stop] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
+            self._done = todo.stop
         return conts
 
     def _rows(self, idx: np.ndarray, cols) -> np.ndarray:
         # (NROWS, components, n): a query takes the steps of the components it
         # reads, so each row it computes on is contiguous along the queries
-        return self._fill(idx).transpose(1, 2, 0)[:, cols].take(idx, axis=-1)
+        return self._fill(idx.max(initial=-1) + 1).transpose(1, 2, 0)[:, cols].take(idx, axis=-1)
 
     def _locate(self, x: np.ndarray):
+        """The step index, theta and step length h of each query x."""
         import numpy as np
         lo, hi = self.x_start, self.events[-1].x
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
@@ -425,19 +421,18 @@ class Trajectory:
         h = self.xs[idx + 1] - self.xs[idx]
         # theta = 0 on the zero-length step of a run that took no step
         theta = np.divide(x - self.xs[idx], h, out=np.zeros_like(h), where=h != 0.0)
-        return idx, theta
+        return idx, theta, h
 
     def eval_many(self, x, cols=slice(None)) -> np.ndarray:
         import numpy as np
-        idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
+        idx, th, _ = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         return _interpolant(self._rows(idx, cols), th).T
 
     def deriv_many(self, x, cols=slice(None)) -> np.ndarray:
         """Derivative of the components ``cols`` selects with respect to
         the independent variable; shapes as for ``eval_many``."""
         import numpy as np
-        idx, th = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
-        h = self.xs[idx + 1] - self.xs[idx]
+        idx, th, h = self._locate(np.atleast_1d(np.asarray(x, dtype=float)))
         dth = _interpolant_dtheta(self._rows(idx, cols), th)[1]
         # a zero-length step has no derivative to give
         return np.divide(dth, h, out=np.full_like(dth, np.nan), where=h != 0.0).T
@@ -486,7 +481,7 @@ class Trajectory:
         th = np.empty((k + 1, m))
         th[:k] = np.arange(m) / m
         th[k] = np.linspace(0.0, (s_end - xs[k]) / (xs[k + 1] - xs[k]), m)
-        rows = self._fill(np.arange(k + 1))[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
+        rows = self._fill(k + 1)[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
         dense = _interpolant(rows, th)
         r = np.arange(1, math.ceil(x0 / dr) + 1) * dr
         r = r[r < x0]

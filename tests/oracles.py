@@ -411,8 +411,7 @@ def find_crossing(traj, component: int, target: float, x_lo=None, x_hi=None,
     if len(change) == 0:
         raise OutOfRange("no crossing in the requested range")
     a, b = xk[change[0]], xk[change[0] + 1]
-    (i,), (th_a,) = traj._locate(np.array([a]))
-    h = xs[i + 1] - xs[i]
+    (i,), (th_a,), (h,) = traj._locate(np.array([a]))
     th = _bisect_step(traj.conts[i, :, component].tolist(), target, h,
                       xs[i], tol, th_a, (b - xs[i]) / h)
     return xs[i] + th * h

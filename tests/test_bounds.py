@@ -83,6 +83,24 @@ def test_neg_area_precondition(ref_report):
     assert rec.lhs >= rec.info["quad_bound"] - 1e-12
 
 
+def test_neg_area_precondition_violation_is_a_failed_record(ref_traj, ref_landmarks):
+    """B (r_inf - r0) >= pi/2 cannot hold on a valid run; landmarks that
+    give it are a solver defect, reported as a failed NegAreaLower record
+    with lhs B x, rhs pi/2, no tolerance and the reason.  Here r_inf is
+    moved to r0 + 2 pi / B, so B x is 2 pi."""
+    lm = ref_landmarks
+    dc = derived_constants(PAPER, 0.05)
+    B = math.sqrt(dc.delta * lm.r0 ** 2 * abs(lm.wp_r0))
+    lm = lm._replace(r_inf=lm.r0 + 2.0 * math.pi / B)
+    rec = _record(check_single(ref_traj, lm), "NegAreaLower")
+    bx = B * (lm.r_inf - lm.r0)
+    assert bx == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert rec == bounds.CheckRecord(
+        "NegAreaLower", True, bx, math.pi / 2.0, math.pi / 2.0 - bx, 0.0, "Fail",
+        {"reason": "B(r_inf - r0) >= pi/2"})
+    assert type(rec.lhs) is type(rec.rhs) is type(rec.margin) is float
+
+
 def test_informational_variants_reported(ref_report):
     assert "variant_64_bound" in _record(ref_report, "R0Upper").info
     assert "variant_delta32_bound" in _record(ref_report, "AreaPosUpper").info

@@ -104,6 +104,21 @@ def test_verify_isolates_failing_points(tmp_path):
     assert code == 0  # the remaining points pass every check
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_verify_keeps_its_report_where_p_is_not_positive(p, tmp_path):
+    """Every solve at p <= 0 is InvalidParams; the report is still written,
+    with each point excluded and no limit constant."""
+    code = run_cli(["verify", "--c0", "1", "--lambda", "0.25", "--p", p,
+                    "--sweep-points", "3", "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "bounds_report.json").read_text())
+    assert report["per_point"] == []
+    assert [e["classification"] for e in report["excluded"]] == ["Error:InvalidParams"] * 3
+    limits = report["asymptotics"]["limits"]
+    assert [limits[name]["limit_constant"]
+            for name in ("rm2_over_w0p", "r02_over_w0p", "pos_area_ratio")] == [None] * 3
+
+
 def test_verify_rejects_zero_points(capsys):
     with pytest.raises(SystemExit) as ei:
         run_cli(["verify", *PAPER_FLAGS, "--sweep-points", "0"])

@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of each file that five reference commands
-write, and the step and event counts of the reference solve.
+write, the step and event counts of the reference solve, and the step
+completions of three of the commands.
 
 A change that keeps the arithmetic keeps these bytes, so a speed-up or a
 refactor that alters any output fails here.  The hashes pin this
@@ -8,7 +9,8 @@ formatting all reach the files) and the python kernel backend; a
 numba-compiled step may round differently and is not pinned.  A change
 that alters an output on purpose updates the hash here and states the
 old and the new value.  A change to the step sequence shows first in the
-counts, which say how the run differs where a hash only says that it does.
+counts, which say how the run differs where a hash only says that it does;
+a change to which steps a command completes shows in its completion count.
 """
 
 import hashlib
@@ -103,7 +105,29 @@ def test_reference_solve_step_counts(monkeypatch):
     got = {
         "calls": calls["step"],
         # the step nodes, as reading conts would complete every step
-        "accepted": len(traj.chart_a.xs) - 1,
+        "accepted": len(traj.xs) - 1,
         "events": dict(Counter(ev.kind for ev in traj.events)),
     }
     assert got == STEP_COUNTS
+
+
+# the step completions (``kernels.dense_a`` calls) of the golden solve,
+# verify and sweep commands in one process: the event steps each run
+# bisects, and the steps its readers complete
+COMPLETION_COUNTS = {"solve": 37, "verify": 361, "sweep": 136}
+
+
+@pytest.mark.skipif(kernel_backend() != "python",
+                    reason="the counts pin the python kernel backend")
+@pytest.mark.parametrize("command", COMPLETION_COUNTS)
+def test_golden_command_completion_counts(command, monkeypatch, tmp_path):
+    calls = Counter()
+
+    def counted(*args, _dense=kernels.dense_a):
+        calls["dense"] += 1
+        return _dense(*args)
+
+    monkeypatch.setattr(kernels, "dense_a", counted)
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 1)
+    assert cli.main([*GOLDEN[command][0], "--out", str(tmp_path)]) == 0
+    assert calls["dense"] == COMPLETION_COUNTS[command]

@@ -357,7 +357,7 @@ def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
     assert k == {"first step": 0, "step boundary": 4}.get(where, k)
     dr = xs[0] / 6.5
     y = traj.sample_steps(s_end, m, dr)
-    assert traj._table[1].sum() == k + 1 and traj._table[1][:k + 1].all()
+    assert traj._done == k + 1
     assert y.shape == (6 + (k + 1) * m, kernels.NSTATE)
 
     r = np.arange(1, 7) * dr
@@ -592,6 +592,21 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     assert sorted(calls) == [x for x in starts if x < s0] != starts
     # the nodes are the completed rows y, bit for bit
     assert np.array_equal(traj.nodes.view(np.uint64), traj.conts[:, 0, :].view(np.uint64))
+
+
+@pytest.mark.parametrize("j", [0, 7, -1])
+def test_a_query_completes_the_steps_up_to_the_one_it_reads(j, monkeypatch):
+    """A run is read outward from the axis: ``eval_many`` at one point of
+    step j completes steps 0..j, each once, and no later step, and a
+    query that reads an earlier step completes nothing."""
+    traj = integrate(PAPER, 0.05)
+    xs = traj.xs
+    j %= len(xs) - 1
+    calls = _record_completions(monkeypatch)
+    traj.eval_many(0.5 * (xs[j] + xs[j + 1]))
+    assert calls == xs[:j + 1].tolist() and traj._done == j + 1
+    traj.eval_many([xs[0], 0.5 * (xs[j] + xs[j + 1])])
+    assert len(calls) == j + 1
 
 
 def test_raising_completion_gives_nan_rows():
