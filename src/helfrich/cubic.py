@@ -3,9 +3,10 @@
 Q(t) = t^3 + 2 c0 t^2 + (c0^2 + lambda) t - p/2 collects the physical
 parameters of the bending functional; the sign structure of its real
 roots decides which initial slopes produce a biconcave profile.  This
-module evaluates Q and R, finds the smallest real root, and computes the
-extremal quantities (mu, delta_plus, delta_minus, xi, delta) that feed
-every quantitative check in the bounds harness.
+module evaluates Q and R, finds the smallest real root by halving a
+bracket down to adjacent doubles, and computes the extremal quantities
+(mu, delta_plus, delta_minus, xi, delta) that feed every quantitative
+check in the bounds harness.
 
 All operations are pure; values are immutable NamedTuples.
 """
@@ -13,7 +14,6 @@ All operations are pure; values are immutable NamedTuples.
 from __future__ import annotations
 
 import math
-import struct
 from typing import NamedTuple
 
 from .errors import InvalidSlope
@@ -103,72 +103,26 @@ class CubicAnalysis(NamedTuple):
     all_roots_positive: bool
 
 
-def _coeff_scale(params: HelfrichParams) -> float:
-    return max(1.0, abs(2.0 * params.c0), abs(params.c0 ** 2 + params.lam), abs(0.5 * params.p))
+def _bisect(f, lo, hi):
+    """Root of f on a bracket [lo, hi] with f(lo) < 0 < f(hi), by halving.
 
-
-def _order_key(x: float) -> int:
-    """The rank of a double among the doubles: an integer that orders as
-    the doubles do, with -0.0 and 0.0 both 0."""
-    i = struct.unpack("<q", struct.pack("<d", x))[0]
-    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _order_mid(lo: float, hi: float) -> float:
-    """The double halfway between lo and hi by rank: a bisection step that
-    halves the number of doubles in the bracket, whatever their scale."""
-    k = (_order_key(lo) + _order_key(hi)) // 2
-    m = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
-    return m if k >= 0 else -m
-
-
-# consecutive slow Newton steps after which the bracket is bisected by rank
-_SLOW_STEPS = 10
-
-
-def _bisect_newton(f, df, lo, hi, fhi):
-    """Root of f on a bracket [lo, hi] with f(lo)*f(hi) <= 0.
-
-    Bisection with Newton polishing; safeguarded so every iterate stays
-    inside the current bracket.  It stops when an iterate repeats, or when
-    a step is below 1e-16 (1 + |x|) at |x| >= 1e-8; below that the
-    absolute test would leave a root near 0 with no correct digit.
-
-    A Newton step that moves x by more than a quarter of its new value
-    and by more than half the step before is slow: toward a root far
-    below the iterate's scale, as for Q = t^3 - p/2 with a tiny p, each
-    step shrinks x by only a third.  After ``_SLOW_STEPS`` of them in a
-    row the next iterate is the bracket's midpoint by rank
-    (``_order_mid``), which reaches any double in at most 64 halvings.
+    Each step keeps the half of the bracket where f changes sign, until
+    the midpoint equals an end: then lo and hi are adjacent doubles and
+    hi is returned.  So either f(root) == 0, or f(root) > 0 and f is < 0
+    at the double below root.  A finite bracket shrinks to adjacent
+    doubles in at most about 2,100 halvings, at any scale.
     """
-    x = 0.5 * (lo + hi)
-    step = math.inf
-    slow = 0
-    for _ in range(200):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fhi > 0.0):
-            hi, fhi = x, fx
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fm > 0.0:
+            hi = mid
         else:
-            lo = x
-        d = df(x)
-        xn = x - fx / d if d != 0.0 else math.nan
-        if lo < xn < hi:
-            dx = abs(xn - x)
-            slow = slow + 1 if dx > 0.5 * step and dx > 0.25 * abs(xn) else 0
-            if slow >= _SLOW_STEPS:
-                x_new, slow = _order_mid(lo, hi), 0
-            else:
-                x_new = xn
-        else:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x or (abs(x_new) >= 1e-8
-                          and abs(x_new - x) <= 1e-16 * (1.0 + abs(x_new))):
-            return x_new
-        step = abs(x_new - x)
-        x = x_new
-    return x
+            lo = mid
 
 
 def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
@@ -177,23 +131,22 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
     The nodes -(1 + scale), the critical points of Q inside that Cauchy
     bound, and +(1 + scale) split Q into monotone pieces, and Q is negative
     at the first node.  The smallest root is the first node where Q is
-    exactly 0, or else the bisection (with Newton polishing) of the first
-    piece on which Q turns positive.  Positivity is the sign of
-    ``delta_minus``, the test ``check_single``'s hypotheses read.
+    exactly 0, or else the halving (``_bisect``) of the first piece on
+    which Q turns positive: either Q(root) == 0, or Q(root) > 0 and Q < 0
+    at the double below it.  Positivity is the sign of ``delta_minus``,
+    the test ``check_single``'s hypotheses read.  A coefficient that
+    leaves the float range, c0^2 or c0^2 + lambda, is an OverflowError.
     """
-    c0, lam = params.c0, params.lam
-    bound = 1.0 + _coeff_scale(params)  # Cauchy bound for a monic cubic
-
+    scale = max(1.0, abs(2.0 * params.c0), abs(params.c0 ** 2 + params.lam), abs(0.5 * params.p))
+    if math.isinf(scale):
+        raise OverflowError("c0^2 + lambda leaves the float range")
+    bound = 1.0 + scale  # Cauchy bound for a monic cubic
     f = lambda t: eval_q(t, params)
-
-    def df(t):
-        return (3.0 * t + 4.0 * c0) * t + (c0 * c0 + lam)
-
     xs = [-bound] + [t for t in _q_critical_points(params) if -bound < t < bound] + [bound]
     vals = [f(x) for x in xs]
     for i in range(1, len(xs)):
         if vals[i] >= 0.0:
-            root = xs[i] if vals[i] == 0.0 else _bisect_newton(f, df, xs[i - 1], xs[i], vals[i])
+            root = xs[i] if vals[i] == 0.0 else _bisect(f, xs[i - 1], xs[i])
             return CubicAnalysis(root, delta_minus(params) > 0.0)
 
 

@@ -414,7 +414,7 @@ class Trajectory:
         import numpy as np
         lo, hi = self.x_start, self.events[-1].x
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-        if np.any(x < lo - pad) or np.any(x > hi + pad):
+        if not np.all((x >= lo - pad) & (x <= hi + pad)):
             raise OutOfRange(f"query outside covered range [{lo}, {hi}]")
         idx = np.searchsorted(self.xs, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.xs) - 2)

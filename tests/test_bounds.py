@@ -285,6 +285,35 @@ def test_phase_sweep_above_root_never_anomaly():
     assert not cells[0].anomaly
 
 
+def _all_roots_positive_sets(rng, c0_range, lam_range, log10_p_range, n):
+    """n draws of (params, t1), t1 the smallest root of Q, redrawn until
+    every real root of Q is positive; p is log-uniform."""
+    sets = []
+    while len(sets) < n:
+        params = HelfrichParams(rng.uniform(*c0_range), rng.uniform(*lam_range),
+                                10.0 ** rng.uniform(*log10_p_range))
+        ca = analyze_cubic(params)
+        if ca.all_roots_positive:
+            sets.append((params, ca.smallest_root))
+    return sets
+
+
+def test_no_biconcave_just_above_the_smallest_root():
+    """Conjecture test, not a theorem: where every root of Q is positive,
+    no verdict is Biconcave at w0p = 1.01 t1 or 1.1 t1, t1 the smallest
+    root.  The sets are the first 25 seeded draws of the benchmark region
+    and of the fuzz ranges.  The sharp form, no Biconcave at w0p >= t1,
+    is false: on 50 + 50 such draws 3 and 28 sets are Biconcave at t1,
+    and 3 and 6 at t1 (1 + 1e-6), all with t1 < 0.03 (README)."""
+    import random
+    sets = (_all_roots_positive_sets(random.Random(0), (-2, 3), (-1, 2), (-1, 1), 25)
+            + _all_roots_positive_sets(random.Random(1), (-5, 5), (-3, 3), (-4, 2), 25))
+    for params, t1 in sets:
+        for factor in (1.01, 1.1):
+            verdict = bounds.solve_and_classify(params, factor * t1)[2]
+            assert verdict != BICONCAVE, (params, factor)
+
+
 # _map_points: the worker count is forced through bounds._cpu_count
 
 

@@ -181,6 +181,18 @@ def test_sweep_roots_column_reads_delta_minus(c0, lam, p, w0p, roots_all_positiv
     assert row.split(",")[-1] == roots_all_positive
 
 
+def test_sweep_rule_reads_the_root_at_a_huge_pressure(tmp_path):
+    """At p = 1e200 the smallest root of Q = t^3 - p/2 is 3.7e66, so no
+    w0p up to 1e100 is expected Biconcave: the Error:EpsTooLarge cell at
+    w0p = 1e100 is no anomaly."""
+    code = run_cli(["sweep", "--c0-range", "0:0:1", "--lambda-range", "0:0:1",
+                    "--p-range", "1e200:1e200:1", "--w0p-range", "1e60:1e100:2",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "phase.csv").read_text().splitlines()[1:]
+    assert rows[-1].split(",")[3:5] == ["1e+100", "Error:EpsTooLarge"]
+
+
 def test_sweep_overflowing_start_is_invalid_params(tmp_path, capsys):
     """A right-hand side whose scaled norm overflows at the chart start is
     InvalidParams, with no numpy warning (pytest turns one into an error).

@@ -275,3 +275,52 @@ def test_tiny_cube_root_keeps_its_relative_accuracy(mantissa):
         p = mantissa * 10.0 ** -e
         root = analyze_cubic(HelfrichParams(0.0, 0.0, p)).smallest_root
         assert math.isclose(root, (p / 2) ** (1 / 3), rel_tol=1e-12), p
+
+
+@pytest.mark.parametrize("mantissa", [1.0, 1.5273595210586674, 3.3, 7.9])
+def test_huge_cube_root_keeps_its_relative_accuracy(mantissa):
+    """Over p in 10^[100, 308], wherever p is finite, the one real root
+    (p/2)^(1/3) of Q = t^3 - p/2 comes back to 1e-12 relative, also where
+    Q overflows at the Cauchy bound; p = 1e200 once gave 1.56e139, not
+    3.68e66.  Where c0^2 = 1e200 dwarfs p = 1, the root near 0 is
+    p / (2 c0^2) = 5e-201 for either sign of c0."""
+    for e in range(100, 309):
+        p = mantissa * 10.0 ** e
+        if math.isinf(p):
+            continue
+        root = analyze_cubic(HelfrichParams(0.0, 0.0, p)).smallest_root
+        assert math.isclose(root, (p / 2) ** (1 / 3), rel_tol=1e-12), p
+    for c0 in (1e100, -1e100):
+        root = analyze_cubic(HelfrichParams(c0, 0.0, 1.0)).smallest_root
+        assert math.isclose(root, 5e-201, rel_tol=1e-12), c0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    params_st,
+    # the fuzz ranges of the ROADMAP baseline, and p <= 0
+    st.builds(HelfrichParams, st.floats(-5, 5), st.floats(-3, 3),
+              st.one_of(st.floats(-4, 2).map(lambda e: 10.0 ** e),
+                        st.floats(-4, -1e-4), st.just(0.0))),
+    # tiny cube roots
+    st.builds(HelfrichParams, st.just(0.0), st.just(0.0),
+              st.floats(-300, -60).map(lambda e: 10.0 ** e)),
+    # huge coefficient scales
+    st.builds(HelfrichParams, st.sampled_from([0.0, 1e100, -1e100]), st.just(0.0),
+              st.floats(0, 308).map(lambda e: 10.0 ** e)),
+))
+def test_smallest_root_is_where_q_changes_sign(params):
+    """The root is a double where Q is 0, or the first double where Q is
+    positive with Q negative at the double below it."""
+    root = analyze_cubic(params).smallest_root
+    q = eval_q(root, params)
+    assert q == 0.0 or q > 0.0 > eval_q(math.nextafter(root, -math.inf), params)
+
+
+def test_coefficient_out_of_float_range_is_overflow():
+    """c0^2 + lambda = 2e308 leaves the float range, and with it the
+    Cauchy bound that brackets the roots: OverflowError, as for a c0
+    whose square overflows, not a halving of an infinite bracket."""
+    for params in (HelfrichParams(1e154, 1e308, 1.0), HelfrichParams(1e160, 0.0, 1.0)):
+        with pytest.raises(OverflowError):
+            analyze_cubic(params)

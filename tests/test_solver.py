@@ -326,6 +326,16 @@ def test_arc_length_view_range_checks(ref_traj):
     assert y[0] == pytest.approx(y[1], rel=1e-9, abs=1e-15)
 
 
+def test_nan_query_is_out_of_range(ref_traj):
+    """A NaN arc length lies in no range, so it is OutOfRange as an s past
+    the terminal event is, not a row of NaN."""
+    for query in (lambda: ref_traj.state_at(math.nan),
+                  lambda: ref_traj.eval_many([0.5, math.nan]),
+                  lambda: ref_traj.deriv_many(math.nan)):
+        with pytest.raises(OutOfRange):
+            query()
+
+
 def _step_thetas(xs, s_end, m):
     """Step index and theta of each sample ``Trajectory.sample_steps``
     takes past the start: theta = j / m on the steps that start before
