@@ -315,10 +315,12 @@ def _map_points(fn, items) -> list:
     stdio buffers it inherited.  The results come back in input order.
     An exception raised in any share is raised here with its type and
     message.  Every child is reaped before this returns or raises, and is
-    killed first if this process itself raised.  ``fn`` must be free of
-    side effects the caller relies on, since a child's are lost.  A fork
-    copies only the calling thread: the package starts no threads, and a
-    caller with threads that hold locks ``fn`` needs would hang a child.
+    killed first if this process itself raised.  A child's in-memory
+    effects are lost, so ``fn`` must not leave state the caller relies
+    on, but the files a child writes are not: they stay, also where
+    another share raised.  A fork copies only the calling thread: the
+    package starts no threads, and a caller with threads that hold locks
+    ``fn`` needs would hang a child.
     """
     items = list(items)
     n = _worker_count(len(items))

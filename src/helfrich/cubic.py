@@ -75,14 +75,24 @@ def eval_r(t, params: HelfrichParams):
 
 
 def _q_critical_points(params: HelfrichParams) -> list[float]:
-    """Real roots of Q' = 3 t^2 + 4 c0 t + (c0^2 + lambda), ascending."""
-    a, b, c = 3.0, 4.0 * params.c0, params.c0 ** 2 + params.lam
-    disc = b * b - 4.0 * a * c
+    """Real roots of Q' = 3 t^2 + 4 c0 t + (c0^2 + lambda), ascending.
+
+    The discriminant b^2 - 4ac is 4 (c0^2 - 3 lambda).  Where its plain
+    form leaves the float range (|c0| above about 3e153, or |c0^2 +
+    lambda| above about 1e307), it is taken as (2 s)^2 ((c0/s)^2 - 3
+    (lambda/s)/s), with s the larger of |c0| and sqrt|lambda|.
+    """
+    c0, lam = params.c0, params.lam
+    a, b, c = 3.0, 4.0 * c0, c0 ** 2 + lam
+    disc, scale = b * b - 4.0 * a * c, 1.0
+    if not math.isfinite(disc):
+        s = max(abs(c0), math.sqrt(abs(lam)))
+        disc, scale = (c0 / s) ** 2 - 3.0 * (lam / s) / s, 2.0 * s
     if disc < 0.0:
         return []
     if disc == 0.0:
         return [-b / (2.0 * a)]
-    sq = math.sqrt(disc)
+    sq = scale * math.sqrt(disc)
     # Citardauq-stable pairing
     q = -0.5 * (b + math.copysign(sq, b))
     r1 = q / a

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ def pytest_report_header(config):
     workers = bounds._worker_count(bounds._cpu_count())
     return (f"helfrich kernel backend: {kernel_backend()}; "
             f"sweep/verify worker processes: {workers}; "
+            f"os.fork: {'present' if hasattr(os, 'fork') else 'missing, all serial'}; "
             f"sys.dont_write_bytecode: {sys.dont_write_bytecode}")
 
 

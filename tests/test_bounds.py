@@ -15,7 +15,7 @@ from helfrich import (
     integrate,
     phase_sweep,
 )
-from helfrich import bounds
+from helfrich import bounds, cli
 from helfrich.analysis import BICONCAVE
 from helfrich.errors import MissingEvent
 from helfrich.solver import MAX_OF_W, ZERO_OF_W
@@ -406,4 +406,55 @@ def test_map_points_child_without_results_is_an_error(monkeypatch):
 
     with pytest.raises(ChildProcessError, match="without sending its results"):
         bounds._map_points(fn, [0, 1])
+    _assert_no_child_left()
+
+
+# solve's emitters: mesh.obj in this process, the text files in one worker
+
+SOLVE_ALL = ["solve", "--format", "csv,json,svg,obj"]
+BICONCAVE_FLAGS = ["--c0", "1", "--lambda", "0.25", "--p", "1", "--w0p", "0.05"]
+BLOWUP_FLAGS = ["--c0", "5", "--lambda", "0", "--p", "0.1", "--w0p", "1"]
+
+
+@pytest.mark.parametrize("flags, code, forked", [
+    (BICONCAVE_FLAGS, 0, 1),
+    (BLOWUP_FLAGS, 2, 0),  # no mesh: one job, no fork
+])
+def test_solve_files_do_not_depend_on_the_worker_count(flags, code, forked, monkeypatch,
+                                                       forks, tmp_path):
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(bounds, "_cpu_count", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main([*SOLVE_ALL, *flags, "--out", str(out)]) == code
+        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert files[0] == files[1]
+    assert ("mesh.obj" in files[0]) == (code == 0)
+    assert forks[0] == forked
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("formats", ["csv,json", "obj"])
+def test_solve_with_one_job_does_not_fork(formats, monkeypatch, forks, tmp_path):
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 2)
+    assert cli.main(["solve", *BICONCAVE_FLAGS, "--format", formats,
+                     "--out", str(tmp_path)]) == 0
+    assert forks[0] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("taken", ["profile.csv", "mesh.obj"])
+def test_solve_emitter_error_exits_1_with_one_line(taken, cpus, monkeypatch, tmp_path,
+                                                   capsys):
+    """A directory in the way of the worker's profile.csv or of this
+    process's mesh.obj fails the command with exit 1 and one line.  The
+    mesh, job 0, is written before the worker's error is raised; a failed
+    mesh kills the worker."""
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: cpus)
+    (tmp_path / taken).mkdir()
+    assert cli.main([*SOLVE_ALL, *BICONCAVE_FLAGS, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("helfrich: IsADirectoryError: ")
+    assert err.endswith(f"{taken}'\n") and len(err.splitlines()) == 1
+    assert (tmp_path / "mesh.obj").is_file() == (taken == "profile.csv")
     _assert_no_child_left()

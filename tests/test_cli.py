@@ -167,6 +167,9 @@ def test_sweep_overflowing_slope_has_one_verdict_on_any_axis(w0p_range, tmp_path
     ("1e-10", "0", "-8e-298", "1e-320", "false"),
     # the only real root is p/2 > 0, next to a near-double root at -1
     ("1", "0", "1e-14", "0.05", "true"),
+    # b^2 - 4ac of Q' overflows; the roots near -2e154 and -1.3e154 are negative
+    ("1e154", "-1e308", "1", "0.05", "false"),
+    ("0", "-1.7e308", "1", "0.05", "false"),
 ])
 def test_sweep_roots_column_reads_delta_minus(c0, lam, p, w0p, roots_all_positive,
                                               tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helfrich import HelfrichParams, analyze_cubic, derived_constants, eval_q, eval_r
+from helfrich.cubic import _q_critical_points, delta_minus
 from helfrich.errors import InvalidSlope
 from oracles import sample_extrema_oracle
 
@@ -324,3 +325,44 @@ def test_coefficient_out_of_float_range_is_overflow():
     for params in (HelfrichParams(1e154, 1e308, 1.0), HelfrichParams(1e160, 0.0, 1.0)):
         with pytest.raises(OverflowError):
             analyze_cubic(params)
+
+
+@pytest.mark.parametrize("params, root", [
+    # Q = t^2 (t + 2e154) - 1/2 up to rounding: roots near -2e154 and +-5e-78
+    (HelfrichParams(1e154, -1e308, 1.0), -2e154),
+    # Q = t^3 - 1.7e308 t - 1/2: roots near -sqrt(1.7e308), 0 and sqrt(1.7e308)
+    (HelfrichParams(0.0, -1.7e308, 1.0), -math.sqrt(1.7e308)),
+])
+def test_critical_points_where_the_plain_discriminant_overflows(params, root):
+    """b^2 - 4ac of Q' overflows here.  Taken as is, it put a critical
+    point at -inf, so the smallest root came back positive (5e-78 and
+    +1.3e154) and every root was called positive."""
+    ca = analyze_cubic(params)
+    assert math.isclose(ca.smallest_root, root, rel_tol=1e-12)
+    assert not ca.all_roots_positive
+    assert delta_minus(params) < 0.0
+
+
+def _plain_critical_points(params):
+    """_q_critical_points with the plain discriminant b^2 - 4ac only."""
+    a, b, c = 3.0, 4.0 * params.c0, params.c0 ** 2 + params.lam
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-b / (2.0 * a)]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r1 = q / a
+    r2 = c / q if q != 0.0 else -b / (2.0 * a)
+    return [min(r1, r2), max(r1, r2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(params_st, st.builds(HelfrichParams, st.floats(-1e153, 1e153),
+                                      st.floats(-1e306, 1e306), st.just(1.0))))
+def test_critical_points_keep_the_plain_discriminant_where_finite(params):
+    """The scaled discriminant is taken only where b^2 - 4ac leaves the
+    float range: elsewhere the critical points are the plain formula's,
+    bit for bit."""
+    got = [t.hex() for t in _q_critical_points(params)]
+    assert got == [t.hex() for t in _plain_critical_points(params)]

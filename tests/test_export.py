@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helfrich import HelfrichParams, SolverConfig, cli, export, integrate
+from helfrich import HelfrichParams, SolverConfig, bounds, cli, export, integrate
 from helfrich.bounds import CheckRecord
 from helfrich.export import (
     _CHUNK_ROWS,
@@ -352,7 +352,9 @@ def _json_bytes(tmp_path, payload) -> bytes:
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_json_of_golden_payloads_matches_json_dumps(command, monkeypatch, tmp_path):
-    """The payloads of the golden ``verify`` and ``solve`` commands."""
+    """The payloads of the golden ``verify`` and ``solve`` commands, run
+    with one worker: a forked worker writes solve's report.json, and the
+    payload it captures would stay in that process."""
     payloads = []
 
     def capture(path, payload, _write=write_json):
@@ -360,6 +362,7 @@ def test_json_of_golden_payloads_matches_json_dumps(command, monkeypatch, tmp_pa
         _write(path, payload)
 
     monkeypatch.setattr(cli, "write_json", capture)
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 1)
     assert cli.main([*GOLDEN[command][0], "--out", str(tmp_path)]) == 0
     assert len(payloads) == 1
     assert _json_bytes(tmp_path, payloads[0]) == (json_via_copy(payloads[0]) + "\n").encode()
