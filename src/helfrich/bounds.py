@@ -63,17 +63,17 @@ class BoundsReport(NamedTuple):
         return all(rec.status != "Fail" for rec in self.records)
 
 
-def _make(check_id, hyp, lhs, rhs, tol, info=None):
+def _make(check_id, hyp, lhs, rhs, tol=None, info=None):
+    """The record of lhs <= rhs, by default with the tolerance _PTWISE_TOL
+    max(1, |lhs|, |rhs|), a missing rhs read as 0."""
+    if tol is None:
+        tol = _PTWISE_TOL * max(1.0, abs(lhs), abs(rhs or 0.0))
     if not hyp:
         return CheckRecord(check_id, False, lhs, rhs, None, tol, "Skipped", info or {})
     margin = rhs - lhs
     status = "Pass" if margin >= -tol else "Fail"
     return CheckRecord(check_id, True, float(lhs), float(rhs), float(margin),
                        tol, status, info or {})
-
-
-def _scale_tol(lhs, rhs) -> float:
-    return _PTWISE_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 def _r_max_on_interval(params: HelfrichParams, w0p: float) -> float:
@@ -117,20 +117,17 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
 
     rhs = 16.0 * w0p / dp if dp > 0.0 else None
     records.append(_make("R0Upper", hyp, r0 ** 2, rhs,
-                         _scale_tol(r0 ** 2, rhs or 0.0),
-                         {"variant_64_bound": (64.0 * w0p / dp) if dp > 0 else None}))
+                         info={"variant_64_bound": (64.0 * w0p / dp) if dp > 0 else None}))
 
     rhs = -dp * r0 ** 2 / 8.0 if dp > 0.0 else None
-    records.append(_make("WpR0Upper", hyp, wp_r0, rhs,
-                         _scale_tol(wp_r0, rhs or 0.0)))
+    records.append(_make("WpR0Upper", hyp, wp_r0, rhs))
 
     if hyp_xi:
         rhs = 4.0 * w0p ** 2 / (dp * math.sqrt(xi))
         info = {"variant_delta32_bound": 4.0 * w0p ** 2 / (dp ** 1.5 * math.sqrt(xi))}
     else:
         rhs, info = None, {}
-    records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs,
-                         _scale_tol(z_r0, rhs or 0.0), info))
+    records.append(_make("AreaPosUpper", hyp_xi, z_r0, rhs, info=info))
 
     # pointwise re-assertions on (0, r0], sampled step by step up to s(r0).
     # kappa = sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
@@ -183,7 +180,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
         info = {"variant_quarter_delta_bound": math.pi / (2.0 * math.sqrt(dproof * r0 ** 2 * abs(wp_r0)))}
     else:
         rhs, info = None, {}
-    records.append(_make("RInfUpper", hyp, x, rhs, _scale_tol(x, rhs or 0.0), info))
+    records.append(_make("RInfUpper", hyp, x, rhs, info=info))
 
     if hyp and B * x < math.pi / 2.0 * (1.0 + 1e-9):
         bx = min(B * x, math.pi / 2.0 * (1.0 - 1e-15))
@@ -191,8 +188,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
         quad_bound = 0.5 * B * x * x
         info = {"b_times_x": B * x, "quad_bound": quad_bound,
                 "b_lower_chain": math.sqrt(delta * dp / 8.0) * r0 ** 2}
-        records.append(_make("NegAreaLower", True, log_bound, int_neg,
-                             _scale_tol(log_bound, int_neg), info))
+        records.append(_make("NegAreaLower", True, log_bound, int_neg, info=info))
     elif hyp:
         # B x < pi/2 is guaranteed on valid runs; a violation is a solver defect
         records.append(_make("NegAreaLower", True, B * x, math.pi / 2.0, 0.0,
@@ -210,10 +206,9 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     lhs = float(ratio.max())
     finite = bool(np.all(np.isfinite(ratio)))
     records.append(_make("WprimeOrdBounded", finite, lhs, 2.0 * limit_est,
-                         _scale_tol(lhs, 2.0 * limit_est), {"equator_limit": limit_est}))
+                         info={"equator_limit": limit_est}))
 
-    records.append(_make("ZInfNegative", True, z_inf, 0.0,
-                         _PTWISE_TOL * max(1.0, abs(z_inf))))
+    records.append(_make("ZInfNegative", True, z_inf, 0.0))
 
     ratio_v = int_neg / w0p
     records.append(_make("IntVLowerRatio", True, 0.0, ratio_v, _PTWISE_TOL,

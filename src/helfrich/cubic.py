@@ -177,20 +177,22 @@ class DerivedConstants(NamedTuple):
 
 
 def delta_minus(params: HelfrichParams) -> float:
-    """Min of -Q over t <= 0, taken at 0 and the negative critical points;
-    every real root of Q is positive iff it is > 0."""
+    """Min of -Q over t <= 0, taken at 0, where Q is -p/2 (``eval_q``
+    forms inf * 0 there where c0^2 + lambda overflows), and the negative
+    critical points; every real root of Q is positive iff it is > 0."""
     crit = _q_critical_points(params)
-    return -max(eval_q(t, params) for t in [0.0] + [t for t in crit if t < 0.0])
+    return -max([-0.5 * params.p] + [eval_q(t, params) for t in crit if t < 0.0])
 
 
 def derived_constants(params: HelfrichParams, w0p: float) -> DerivedConstants:
-    """Extrema of Q taken at interval endpoints plus interior roots of Q'."""
+    """Extrema of Q taken at interval endpoints plus interior roots of Q',
+    with Q(0) = -p/2 as in ``delta_minus``."""
     if not (w0p > 0.0):
         raise InvalidSlope(f"w0p must be > 0, got {w0p!r}")
     crit = _q_critical_points(params)
 
-    cand = [0.0, w0p] + [t for t in crit if 0.0 < t < w0p]
-    qv = [eval_q(t, params) for t in cand]
+    cand = [w0p] + [t for t in crit if 0.0 < t < w0p]
+    qv = [-0.5 * params.p] + [eval_q(t, params) for t in cand]
     mu = -min(qv)
     delta_plus = -max(qv)
     d_minus = delta_minus(params)

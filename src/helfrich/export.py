@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 PROFILE_COLUMNS = ("r", "z", "w", "kappa_m", "kappa_l", "H", "K")
-_CHUNK_ROWS = 4096  # rows per write: bounds the text held at once
+_CHUNK_ROWS = 4096  # OBJ vertex lines per write: bounds the text held at once
 _FACE_ROWS = 4 * _CHUNK_ROWS  # OBJ face lines per write, each about 20 bytes
 
 
@@ -279,13 +279,10 @@ def build_mesh(traj: Trajectory, n_theta: int = 128, n_profile: int = 256) -> Me
 
 
 def _write_rows(fh, fmt: bytes, rows) -> None:
-    """Write the bytes ``fmt`` %-formatted with each row of a 2-D array to
-    the binary file ``fh``, one ``write`` per ``_CHUNK_ROWS`` rows."""
-    import numpy as np
-    rows = np.asarray(rows)
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[i:i + _CHUNK_ROWS]
-        fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+    """Write the bytes ``fmt`` %-formatted with each row of the 2-D array
+    ``rows`` to the binary file ``fh``, in one ``%`` and one ``write``: a
+    profile's 1,537 rows are about 0.22 MB of text."""
+    fh.write(fmt * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_obj(path, mesh: Mesh) -> None:

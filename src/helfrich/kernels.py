@@ -15,6 +15,7 @@ The form is regular from the axis series through the vertical tangent to
 the equator psi = -pi/2, so one chart covers the whole meridian.  Its
 first integral H = r [psi'^2 - (sin psi / r + c0)^2] - lambda r
 + (p/2) r^2 sin psi + gam cos psi is 0 on the shape equation's solutions.
+The form is autonomous, so no kernel takes the arc length.
 
 The surface area, volume and energy are computed on demand from the
 dense output (``analysis.surface_totals``), not carried by the steps.
@@ -69,7 +70,7 @@ NROWS = 8  # dense-output rows per accepted step: y and the interpolant's F0..F6
 
 # DOP853 tableau, only its nonzero entries, with 1-based stage indices:
 # _A[s] = (c_s, ((j, a_sj), ...)).  Stages 1-12 make the step (stage 1 is
-# f0, at c = 0), stage 13 is f(x + h, y_new), the next step's first stage
+# f0, at c = 0), stage 13 is f(y_new), the next step's first stage
 # (its row in scipy's A equals _B, with c = 1), and stages 14-16 serve only
 # the dense output, which the completion alone computes.  _B holds the
 # 8th-order weights, _E5 and _E3 the error estimates of 5th and 3rd order,
@@ -187,12 +188,12 @@ def _rhs_lines(k, y_exprs):
 
 
 def _rhs_source():
-    """Source text of ``rhs_a``, the right-hand side (x, y, c0, lam, p)
-    -> tuple of NSTATE derivatives."""
-    lines = [f'"""Derivatives of ({", ".join(_RHS[0])}) with respect to the arc length x."""',
+    """Source text of ``rhs_a``, the right-hand side (y, c0, lam, p)
+    -> tuple of NSTATE derivatives, which reads no arc length."""
+    lines = [f'"""Derivatives of ({", ".join(_RHS[0])}) with respect to the arc length."""',
              *_CONSTANTS, *_rhs_lines("f", [f"y[{i}]" for i in range(NSTATE)]),
              f"return ({', '.join(f'f_{i}' for i in range(NSTATE))})"]
-    return "def rhs_a(x, y, c0, lam, p):\n    " + "\n    ".join(lines) + "\n"
+    return "def rhs_a(y, c0, lam, p):\n    " + "\n    ".join(lines) + "\n"
 
 
 def _stage_sum(row, i):
@@ -227,7 +228,7 @@ def _step_source():
     """Source text of ``dopri5_step_a``, one embedded DOP853 step with the
     right-hand side pasted into every stage.
 
-    The step(x, y, h, f0, c0, lam, p, rtol, atol) takes the state ``y``
+    The step(y, h, f0, c0, lam, p, rtol, atol) takes the state ``y``
     and its derivative ``f0`` as sequences of NSTATE floats and gives
     (y_new, f_new, err, rec).  ``y_new`` is the new state as a list and
     ``err`` the scalar weighted error norm: scipy's DOP853 norm
@@ -273,7 +274,7 @@ def _step_source():
              "if not err <= 1.0:", "    return y_new, None, err, None"]
     body += _rhs_lines("k13", [f"yn{i}" for i in comps])
     body.append(f"return y_new, ({_names('k13_')}), err, [{_RECORD}]")
-    return ("def dopri5_step_a(x, y, h, f0, c0, lam, p, rtol, atol):\n    "
+    return ("def dopri5_step_a(y, h, f0, c0, lam, p, rtol, atol):\n    "
             + "\n    ".join(body) + "\n")
 
 
@@ -281,16 +282,16 @@ def _dense_source():
     """Source text of ``dense_a``, the dense output of one accepted step
     from its record.
 
-    dense_a(x, rec, c0, lam, p) takes the step's start ``x`` and the
-    record ``rec`` its step gave (see ``_step_source``), evaluates the
-    stages 14-16, the right-hand side pasted as in the step, and gives
-    the NROWS * NSTATE floats of the step's dense output as one flat
-    list: the rows y, F0..F6 of NSTATE each in storage order, so that
-    component i is ``cont[i::NSTATE]``.  These are the only stages of the
-    step that serve the dense output alone; its arithmetic is the step's,
-    so the rows are those of the eager DOP853 step bit for bit.  A stage
-    that divides by zero or takes the cosine of an infinite angle raises
-    as the step's stages do; ``solver`` turns that into NaN rows.
+    dense_a(rec, c0, lam, p) takes the record ``rec`` its step gave (see
+    ``_step_source``), evaluates the stages 14-16, the right-hand side
+    pasted as in the step, and gives the NROWS * NSTATE floats of the
+    step's dense output as one flat list: the rows y, F0..F6 of NSTATE
+    each in storage order, so that component i is ``cont[i::NSTATE]``.
+    These are the only stages of the step that serve the dense output
+    alone; its arithmetic is the step's, so the rows are those of the
+    eager DOP853 step bit for bit.  A stage that divides by zero or takes
+    the cosine of an infinite angle raises as the step's stages do;
+    ``solver`` turns that into NaN rows.
     """
     comps = range(NSTATE)
     body = [f"{_RECORD}= rec", *_CONSTANTS]
@@ -301,7 +302,7 @@ def _dense_source():
     rows = ["y{i}", "f0_{i}", "h * k1_{i} - f0_{i}", "2.0 * f0_{i} - h * (k13_{i} + k1_{i})"]
     rows += [f"h * ({_stage_sum(d, '{i}')})" for d in _D]
     body.append(f"return [{', '.join(r.format(i=i) for r in rows for i in comps)}]")
-    return "def dense_a(x, rec, c0, lam, p):\n    " + "\n    ".join(body) + "\n"
+    return "def dense_a(rec, c0, lam, p):\n    " + "\n    ".join(body) + "\n"
 
 
 def _compile(source, name):

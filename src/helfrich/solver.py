@@ -376,13 +376,10 @@ class Trajectory:
         return np.asarray(self._raw_xs, dtype=float)
 
     @cached_property
-    def _recs(self) -> np.ndarray:
-        import numpy as np
-        return np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)
-
-    @property
     def nodes(self) -> np.ndarray:
-        return self._recs[:, 1:1 + kernels.NSTATE]
+        import numpy as np
+        recs = np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)
+        return recs[:, 1:1 + kernels.NSTATE]
 
     @property
     def conts(self) -> np.ndarray:
@@ -398,8 +395,8 @@ class Trajectory:
         import numpy as np
         conts, todo = self._table, range(self._done, n)
         if todo:
-            xs, recs, m = self._raw_xs, self._records, kernels.NREC
-            rows = [_dense_rows(xs[i], recs[m * i:m * i + m], *self.params) for i in todo]
+            recs, m = self._records, kernels.NREC
+            rows = [_dense_rows(recs[m * i:m * i + m], *self.params) for i in todo]
             conts[todo.start:todo.stop] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
             self._done = todo.stop
         return conts
@@ -511,7 +508,7 @@ def _initial_step(x, y, f, rtol, atol, c0, lam, p, h_cap):
         raise InvalidParams(f"scaled start state or right-hand side not finite at x={x!r}")
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
-    f1 = kernels.rhs_a(x + h0, [v + h0 * fv for v, fv in zip(y, f)], c0, lam, p)
+    f1 = kernels.rhs_a([v + h0 * fv for v, fv in zip(y, f)], c0, lam, p)
     d2 = _rms([a - b for a, b in zip(f1, f)], sc) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.125
@@ -544,14 +541,13 @@ def _interpolant_dtheta(cont, th):
     return r1 + th * v, v + th * dv
 
 
-def _dense_rows(x, rec, c0, lam, p):
-    """The NROWS * NSTATE dense rows of the accepted step that starts at x
-    and has the record ``rec``, from ``kernels.dense_a``; all NaN where a
-    stage there divides by r = 0 or meets an infinite angle, where the
-    eager step would have rejected the step: the step is kept and its
-    interpolant is NaN."""
+def _dense_rows(rec, c0, lam, p):
+    """The NROWS * NSTATE dense rows of the accepted step with the record
+    ``rec``, from ``kernels.dense_a``; all NaN where a stage there divides
+    by r = 0 or meets an infinite angle, where the eager step would have
+    rejected the step: the step is kept and its interpolant is NaN."""
     try:
-        return kernels.dense_a(x, rec, c0, lam, p)
+        return kernels.dense_a(rec, c0, lam, p)
     except (ArithmeticError, ValueError):
         return [math.nan] * (kernels.NROWS * kernels.NSTATE)
 
@@ -600,7 +596,7 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
     x = float(x0)
     y = [float(v) for v in y0]
     try:
-        f = kernels.rhs_a(x, y, c0, lam, p)
+        f = kernels.rhs_a(y, c0, lam, p)
         finite = all(map(math.isfinite, f))
     except (ArithmeticError, ValueError):
         finite = False
@@ -638,7 +634,7 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
         h_use = y[0] if h > y[0] else h
 
         try:
-            y1, f1, err, rec = step(x, y, h_use, f, c0, lam, p, rtol, atol)
+            y1, f1, err, rec = step(y, h_use, f, c0, lam, p, rtol, atol)
         except (ArithmeticError, ValueError):
             # a stage left the float range (ndarrays would give inf or nan)
             err = math.inf
@@ -665,7 +661,7 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
             g1 = y1[i] - target
             if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
                 if cont is None:
-                    cont = _dense_rows(x, rec, c0, lam, p)
+                    cont = _dense_rows(rec, c0, lam, p)
                 th = _bisect_step(cont[i::kernels.NSTATE], target, h_use, x, cfg.event_tol)
                 if hits is None:
                     hits = []
@@ -679,14 +675,14 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
                 # whose interpolant is closer than the one of the step across
                 # it, and the events of this step take their states from it
                 try:
-                    err, rec = step(x, y, h_end, f, c0, lam, p, rtol, atol)[2:]
+                    err, rec = step(y, h_end, f, c0, lam, p, rtol, atol)[2:]
                 except (ArithmeticError, ValueError):
                     err = math.inf
                 steps += 1
                 if err <= 1.0:
                     records[-kernels.NREC:] = array("d", rec)
                     xs[-1] = x + h_end
-                    cont, h_ev = _dense_rows(x, rec, c0, lam, p), h_end
+                    cont, h_ev = _dense_rows(rec, c0, lam, p), h_end
             for th, kind, terminal in hits:
                 x_ev = x + th * h_use
                 if h_ev != h_use:

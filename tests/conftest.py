@@ -1,5 +1,6 @@
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)
 
 def pytest_report_header(config):
     workers = bounds._worker_count(bounds._cpu_count())
+    # the package's source lines, counted as ``wc -l src/helfrich/*.py`` does
+    lines = sum(f.read_bytes().count(b"\n") for f in Path(bounds.__file__).parent.glob("*.py"))
     return (f"helfrich kernel backend: {kernel_backend()}; "
             f"sweep/verify worker processes: {workers}; "
             f"os.fork: {'present' if hasattr(os, 'fork') else 'missing, all serial'}; "
-            f"sys.dont_write_bytecode: {sys.dont_write_bytecode}")
+            f"sys.dont_write_bytecode: {sys.dont_write_bytecode}; "
+            f"src/helfrich lines: {lines}")
 
 
 @pytest.fixture(scope="session")

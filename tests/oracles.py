@@ -51,9 +51,10 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 def fixed_step(step, rhs, params: HelfrichParams, x0: float, y0, x1: float,
                n_steps: int) -> np.ndarray:
-    """Fixed-step propagation (order studies and restarts) with a step of
-    the package's signature over ``rhs(x, y, c0, lam, p)``: the package's
-    float kernels, or an ndarray twin below."""
+    """Fixed-step propagation (order studies and restarts) with a step
+    (x, y, h, f0, c0, lam, p, rtol, atol) over ``rhs(x, y, c0, lam, p)``:
+    an ndarray twin below, or the package's float kernels behind wrappers
+    that drop the x they do not take."""
     c0, lam, p = params.c0, params.lam, params.p
     h = (x1 - x0) / n_steps
     y = np.asarray(y0, dtype=float)
@@ -195,7 +196,7 @@ def make_step_arr(rhs):
     return step
 
 
-def initial_step_arr(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
+def initial_step_arr(rhs, y, f, rtol, atol, c0, lam, p, h_cap):
     """The solver's first step size computed on ndarrays ``y`` and ``f``,
     with numpy's mean of squares for each scaled norm: the reference for
     the float ``solver._initial_step``."""
@@ -205,7 +206,7 @@ def initial_step_arr(rhs, x, y, f, rtol, atol, c0, lam, p, h_cap):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_cap)
     y1 = y + h0 * f
-    f1 = np.array(rhs(x + h0, y1, c0, lam, p))
+    f1 = np.array(rhs(y1, c0, lam, p))
     d2 = float(np.sqrt(np.mean(((f1 - f) / sc) ** 2))) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** (1.0 / 8.0)

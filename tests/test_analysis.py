@@ -271,7 +271,7 @@ def _linear_run(monkeypatch, params, w0p, xs, events, y0, slope):
     records[:, 0] = np.diff(xs)
     records[:, 1:1 + kernels.NSTATE] = np.outer(xs[:-1] - xs[0], slope) + y0
 
-    def dense(x, rec, c0, lam, p):
+    def dense(rec, c0, lam, p):
         rows = [0.0] * (kernels.NROWS * kernels.NSTATE)
         rows[:kernels.NSTATE] = rec[1:1 + kernels.NSTATE]
         rows[kernels.NSTATE:2 * kernels.NSTATE] = (rec[0] * np.asarray(slope)).tolist()

@@ -2,6 +2,7 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from helfrich import (
@@ -16,7 +17,8 @@ from helfrich import (
     phase_sweep,
 )
 from helfrich import bounds, cli
-from helfrich.analysis import BICONCAVE
+from helfrich.analysis import BICONCAVE, Landmarks
+from helfrich.cubic import eval_r
 from helfrich.errors import MissingEvent
 from helfrich.solver import MAX_OF_W, ZERO_OF_W
 from oracles import pointwise_r_grid, pointwise_s_grid
@@ -115,6 +117,22 @@ def test_informational_variants_reported(ref_report):
 def test_check_single_requires_equator(blowup_traj):
     with pytest.raises(MissingEvent):
         check_single(blowup_traj, extract_landmarks(blowup_traj))
+
+
+def test_check_single_requires_r0(ref_traj, ref_landmarks):
+    with pytest.raises(MissingEvent, match="ZeroOfW"):
+        check_single(ref_traj, ref_landmarks._replace(r0=None))
+
+
+def test_r_max_on_interval_takes_the_interior_vertex():
+    """R = -2 t^2 + t - 1/2 at c0 = -1, lambda = 0, p = 1 peaks at its
+    vertex -(c0^2 + lambda) / (4 c0) = 1/4, inside [0, w0p] = [0, 0.5],
+    above both ends; a dense scan of R finds the same maximum."""
+    params, w0p = HelfrichParams(-1.0, 0.0, 1.0), 0.5
+    scan = float(np.max(eval_r(np.linspace(0.0, w0p, 100_001), params)))
+    got = bounds._r_max_on_interval(params, w0p)
+    assert got == -0.375 and got == pytest.approx(scan, rel=0.0, abs=1e-15)
+    assert got > max(eval_r(0.0, params), eval_r(w0p, params))
 
 
 def test_checks_skip_when_roots_not_all_positive():
@@ -258,6 +276,35 @@ def test_asymptotic_sweep_reference(sweep_runs):
     assert math.isclose(smallest.r02_over_w0p, 32.0, rel_tol=2e-3)
     assert math.isclose(smallest.slope_ratio, -2.0, rel_tol=2e-3)
     assert smallest.pos_area_ratio <= 8.0 * 1.1
+
+
+def _ratio_landmarks(w0p, rm2, r02, slope, pos, neg=1.0):
+    """Landmarks whose ratios r_M^2/w0p, r0^2/w0p, w'(r0)/w0p,
+    z(r0)/w0p^2 and the negative area over w0p take the given values."""
+    z_r0 = pos * w0p ** 2
+    return Landmarks(math.sqrt(rm2 * w0p), None, math.sqrt(r02 * w0p), slope * w0p, z_r0,
+                     None, z_r0 - neg * w0p, 1)
+
+
+def test_asymptotic_sweep_reports_each_band_failure():
+    """At p = 1 the bands are rm2/w0p >= 0.9 * 32/3, r0^2/w0p <= 1.1 * 32,
+    w'(r0)/w0p in [-2.2, -0.6] and the positive-area ratio <= 8.8: a run
+    at w0p = 1e-2 outside all four reports each, and the sweep fails; runs
+    inside every band report nothing."""
+    bad = _ratio_landmarks(1e-2, rm2=5.0, r02=40.0, slope=-3.0, pos=10.0)
+    rep = asymptotic_sweep(PAPER, [(1e-2, BICONCAVE, bad)])
+    assert rep.band_failures == (
+        "rm2/w0p=5 below band at w0p=0.01",
+        "r0^2/w0p=40 above band at w0p=0.01",
+        "wp(r0)/w0p=-3 outside band at w0p=0.01",
+        "pos-area ratio 10 above 8.8/p at w0p=0.01",
+    )
+    assert not rep.passed
+
+    runs = [(w0p, BICONCAVE, _ratio_landmarks(w0p, 32.0 / 3.0, 32.0, -1.0, 8.0))
+            for w0p in (1e-2, 1e-3)]
+    rep = asymptotic_sweep(PAPER, runs)
+    assert rep.band_failures == () and rep.neg_area_ratio_inf > 0.0 and rep.passed
 
 
 def test_phase_sweep_grid_and_expectations():

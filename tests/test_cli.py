@@ -402,6 +402,12 @@ def test_config_values_typed_like_flags(key, value, tmp_path, capsys):
     (["solve", *SOLVE_FLAGS, "--max-steps", "0"], "max_steps"),
     (["solve", *SOLVE_FLAGS, "--eps-start", "inf"], "eps_start"),
     (["solve", *SOLVE_FLAGS, "--w-switch", "1e6"], "w_switch"),
+    (["solve", "--config", "{dir}/missing.json"], "cannot read config file"),
+    (["solve", "--config", "{dir}/list.json"], "must hold a JSON object"),
+    (["verify", *PAPER_FLAGS, "--sweep-min", "0.5", "--sweep-max", "0.1"],
+     "--sweep-min/--sweep-max must satisfy 0 < min <= max"),
+    (["sweep", "--c0-range", "a:1:2"], "--c0-range must be start:stop:count"),
+    (["sweep", "--w0p-range", "0.01:0.1:0"], "--w0p-range: count must be >= 1"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
     """Non-finite values, bad config values, bad grids, unreadable inputs
@@ -413,6 +419,7 @@ def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys)
     csv = tmp_path / "no_rzw.csv"
     csv.write_text("a,b\n1,2\n")
     (tmp_path / "header_only.csv").write_text("r,z,w\n")
+    (tmp_path / "list.json").write_text("[1, 2]")
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught, \
             pytest.raises(SystemExit) as ei:
@@ -424,6 +431,25 @@ def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys)
     assert message in err
     assert "Warning" not in err and not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+def test_no_subcommand_exits_64(capsys):
+    with pytest.raises(SystemExit) as ei:
+        run_cli([])
+    assert ei.value.code == 64
+    assert "a subcommand is required" in capsys.readouterr().err
+
+
+def test_plot_of_a_blowup_profile_is_not_biconcave(tmp_path, capsys):
+    """``plot --in`` on the profile.csv of a BlowUpPositive solve, which
+    does not descend to an equator, exits 2 and draws nothing."""
+    solved, out = tmp_path / "solved", tmp_path / "plot"
+    assert run_cli(["solve", "--c0", "5", "--lambda", "0", "--p", "0.1", "--w0p", "1",
+                    "--out", str(solved)]) == 2
+    capsys.readouterr()
+    assert run_cli(["plot", "--in", str(solved / "profile.csv"), "--out", str(out)]) == 2
+    assert "plot: input profile is not biconcave" in capsys.readouterr().err
+    assert not (out / "profile.svg").exists()
 
 
 def _run_recorded(argv, out, capsys):

@@ -327,6 +327,36 @@ def test_coefficient_out_of_float_range_is_overflow():
             analyze_cubic(params)
 
 
+def test_q_at_zero_where_c0_squared_plus_lambda_overflows():
+    """c0^2 + lambda = 2e308 overflows, and ``eval_q(0.0)`` forms inf * 0
+    = NaN; Q(0) is -p/2, so t = 0 gives -Q = 0.5 and the constants are
+    not NaN: Q(w0p) is +inf, so delta_plus is -inf."""
+    params = HelfrichParams(1e154, 1e308, 1.0)
+    assert math.isnan(eval_q(0.0, params))
+    assert delta_minus(params) == 0.5
+    dc = derived_constants(params, 0.1)
+    assert dc.mu == 0.5 and dc.delta_minus == 0.5 and dc.delta_plus == -math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(params_st, st.floats(1e-4, 2.0))
+def test_q_at_zero_keeps_the_bits_of_eval_q(params, w0p):
+    """Where c0^2 + lambda is finite, Q(0) = -p/2 gives ``delta_minus`` and
+    the constants of ``derived_constants`` that ``eval_q(0.0)`` gave, bit
+    for bit; at p = 0 exactly only the sign of a zero may differ, as
+    eval_q gives Q(0) the sign of (c0^2 + lambda) * 0."""
+    crit = _q_critical_points(params)
+    qv = [eval_q(t, params) for t in [0.0, w0p] + [t for t in crit if 0.0 < t < w0p]]
+    d_minus = -max(eval_q(t, params) for t in [0.0] + [t for t in crit if t < 0.0])
+    want = [-min(qv), -max(qv), d_minus, d_minus]
+    dc = derived_constants(params, w0p)
+    got = [dc.mu, dc.delta_plus, dc.delta_minus, delta_minus(params)]
+    if params.p == 0.0:
+        assert got == want
+    else:
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 @pytest.mark.parametrize("params, root", [
     # Q = t^2 (t + 2e154) - 1/2 up to rounding: roots near -2e154 and +-5e-78
     (HelfrichParams(1e154, -1e308, 1.0), -2e154),

@@ -205,8 +205,8 @@ def test_profile_csv_bytes_match_loops(which, ref_traj, blowup_traj, tmp_path):
 def test_write_rows_bytes_match_fmt17_on_special_values():
     """``_write_rows`` with the bytes profile template writes, for values no
     run produces (+-inf, nan, +-0, the smallest subnormal, 1e300, 1/3,
-    -2.5e-7), the text the per-value ``fmt17`` loop writes, over more than
-    one chunk of rows."""
+    -2.5e-7), the text the per-value ``fmt17`` loop writes, on more rows
+    than a profile holds."""
     values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e300, 1 / 3, -2.5e-7]
     rows = np.resize(np.array(values), (_CHUNK_ROWS + 3, len(PROFILE_COLUMNS)))
     fh = io.BytesIO()

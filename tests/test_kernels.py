@@ -30,7 +30,7 @@ def _wpp(r, w, wp, params):
 
 def _psipp(r, psi, dpsi, gam, params):
     """psi'' from the package's arc-length right-hand side."""
-    return kernels.rhs_a(0.0, (r, 0.0, psi, dpsi, gam), params.c0, params.lam, params.p)[3]
+    return kernels.rhs_a((r, 0.0, psi, dpsi, gam), params.c0, params.lam, params.p)[3]
 
 
 def _unjitted(f):
@@ -161,7 +161,8 @@ _Y0 = [0.6, 0.001, 0.03, 0.05, 0.4]  # (r, z, psi, psi', gamma) off the axis
 
 
 def _fixed_step_arc(params, s0, y0, s1, n):
-    return fixed_step(kernels.dopri5_step_a, kernels.rhs_a, params, s0, y0, s1, n)
+    return fixed_step(lambda s, *args: kernels.dopri5_step_a(*args),
+                      lambda s, *args: kernels.rhs_a(*args), params, s0, y0, s1, n)
 
 
 def test_dense_output_consistency_and_order(paper_params):
@@ -171,12 +172,12 @@ def test_dense_output_consistency_and_order(paper_params):
     s0 = 0.6
 
     def dense_midpoint_error(h):
-        f0 = kernels.rhs_a(s0, _Y0, c0, lam, p)
+        f0 = kernels.rhs_a(_Y0, c0, lam, p)
         # tolerances loose enough that the step is accepted and has a
         # dense output at either size
-        y1, f1, err, rec = kernels.dopri5_step_a(s0, _Y0, h, f0, c0, lam, p, 1e-6, 1e-6)
+        y1, f1, err, rec = kernels.dopri5_step_a(_Y0, h, f0, c0, lam, p, 1e-6, 1e-6)
         assert err <= 1.0
-        y1, cont = np.asarray(y1), _dense_rows(s0, rec, c0, lam, p)
+        y1, cont = np.asarray(y1), _dense_rows(rec, c0, lam, p)
         th, u = 0.5, 0.5
         mid = cont[0] + th * (cont[1] + u * (cont[2] + th * (cont[3] + u * (
             cont[4] + th * (cont[5] + u * (cont[6] + th * cont[7]))))))
@@ -228,20 +229,20 @@ def test_jit_and_python_paths_agree(paper_params):
     HELFRICH_JIT=0) the two are one object, which is asserted."""
     c0, lam, p = paper_params.c0, paper_params.lam, paper_params.p
     rhs, step, dense = kernels.rhs_a, kernels.dopri5_step_a, kernels.dense_a
-    x, y, h = 0.6, _Y0, 0.05
+    y, h = _Y0, 0.05
     path = "numba against python" if JIT_ENABLED else "python only, identity checked"
     print(f"kernel paths compared: {path}")
-    f0 = rhs(x, y, c0, lam, p)
-    got = step(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
-    got += (dense(x, got[3], c0, lam, p),)
+    f0 = rhs(y, c0, lam, p)
+    got = step(y, h, f0, c0, lam, p, 1e-10, 1e-12)
+    got += (dense(got[3], c0, lam, p),)
     assert all(np.all(np.isfinite(v)) for v in got)
     if not JIT_ENABLED:
         assert all(_unjitted(f) is f for f in (rhs, step, dense))
         return
-    f0_py = _unjitted(rhs)(x, y, c0, lam, p)
+    f0_py = _unjitted(rhs)(y, c0, lam, p)
     assert np.array_equal(f0, f0_py)
-    want = _unjitted(step)(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
-    want += (_unjitted(dense)(x, want[3], c0, lam, p),)
+    want = _unjitted(step)(y, h, f0, c0, lam, p, 1e-10, 1e-12)
+    want += (_unjitted(dense)(want[3], c0, lam, p),)
     for a, b in zip(got, want):
         assert np.allclose(a, b, rtol=1e-15, atol=1e-18)
 
@@ -250,17 +251,16 @@ _STEP_ARR = make_step_arr(rhs_arc_arr)
 _finite = dict(allow_nan=False, allow_infinity=False)
 
 
-def _dense_rows(x, rec, c0, lam, p):
+def _dense_rows(rec, c0, lam, p):
     """The dense output ``kernels.dense_a`` gives from an accepted step's
     record, as an (NROWS, NSTATE) ndarray."""
-    return np.reshape(kernels.dense_a(x, rec, c0, lam, p), (kernels.NROWS, kernels.NSTATE))
+    return np.reshape(kernels.dense_a(rec, c0, lam, p), (kernels.NROWS, kernels.NSTATE))
 
 
 @st.composite
 def _step_case(draw):
     """A state (r, z, psi, psi', gamma), parameters and a signed step size.
     The angles include the equator psi = -pi/2 and the far side of it."""
-    x = draw(st.floats(-5.0, 5.0, **_finite))
     y = [draw(st.floats(1e-3, 5.0, **_finite)), draw(st.floats(-5.0, 5.0, **_finite)),
          draw(st.one_of(st.floats(-4.0, 4.0, **_finite), st.just(-0.5 * math.pi))),
          draw(st.floats(-4.0, 4.0, **_finite)), draw(st.floats(-10.0, 10.0, **_finite))]
@@ -268,10 +268,10 @@ def _step_case(draw):
     lam = draw(st.floats(-3.0, 3.0, **_finite))
     p = draw(st.floats(1e-4, 1e2, **_finite))
     h = draw(st.floats(1e-6, 0.5, **_finite)) * draw(st.sampled_from((-1.0, 1.0)))
-    return x, y, h, c0, lam, p
+    return y, h, c0, lam, p
 
 
-def _match_oracle(x, y, h, c0, lam, p, rtol, atol):
+def _match_oracle(y, h, c0, lam, p, rtol, atol):
     """Run the float step and its ndarray twin on one case and assert that
     they agree: y_new bit for bit; err too, except that err is not finite
     wherever y_new is not (the ndarray err can be finite there); and, on
@@ -280,14 +280,15 @@ def _match_oracle(x, y, h, c0, lam, p, rtol, atol):
     the step leaves the double range and raises, the ndarray step gave a
     value that is not finite, which the solver rejects alike; where a
     stage of the completion raises, the ndarray step's dense rows are not
-    all finite.  Returns whether the step was accepted."""
-    f0 = kernels.rhs_a(x, y, c0, lam, p)
+    all finite.  The twin takes an arc length, which it does not read
+    either: it gets 0.  Returns whether the step was accepted."""
+    f0 = kernels.rhs_a(y, c0, lam, p)
     with np.errstate(all="ignore"):
-        f0_arr = rhs_arc_arr(x, np.array(y), c0, lam, p)
-        want = _STEP_ARR(x, np.array(y), h, f0_arr, c0, lam, p, rtol, atol)
+        f0_arr = rhs_arc_arr(0.0, np.array(y), c0, lam, p)
+        want = _STEP_ARR(0.0, np.array(y), h, f0_arr, c0, lam, p, rtol, atol)
     assert np.array_equal(f0, f0_arr, equal_nan=True)
     try:
-        got = kernels.dopri5_step_a(x, y, h, f0, c0, lam, p, rtol, atol)
+        got = kernels.dopri5_step_a(y, h, f0, c0, lam, p, rtol, atol)
     except (ArithmeticError, ValueError):
         assert not all(np.all(np.isfinite(v)) for v in want if v is not None)
         return False
@@ -302,7 +303,7 @@ def _match_oracle(x, y, h, c0, lam, p, rtol, atol):
         return False
     assert np.array_equal(f_new, want[1], equal_nan=True)
     try:
-        cont = _dense_rows(x, rec, c0, lam, p)
+        cont = _dense_rows(rec, c0, lam, p)
     except (ArithmeticError, ValueError):
         assert not np.all(np.isfinite(want[3]))
         return True
@@ -326,11 +327,10 @@ def test_step_returns_python_floats():
     """Every value the step and its completion give back is a Python
     float: an np.float64 (from np.sqrt or an ndarray element) would triple
     the cost of a step."""
-    x, y, h = 0.6, _Y0, 0.05
-    f0 = kernels.rhs_a(x, y, 1.0, 0.25, 1.0)
-    y_new, f_new, err, rec = kernels.dopri5_step_a(x, y, h, f0, 1.0, 0.25, 1.0,
-                                                   1e-10, 1e-12)
-    cont = kernels.dense_a(x, rec, 1.0, 0.25, 1.0)
+    y, h = _Y0, 0.05
+    f0 = kernels.rhs_a(y, 1.0, 0.25, 1.0)
+    y_new, f_new, err, rec = kernels.dopri5_step_a(y, h, f0, 1.0, 0.25, 1.0, 1e-10, 1e-12)
+    cont = kernels.dense_a(rec, 1.0, 0.25, 1.0)
     values = [*f0, *y_new, *f_new, err, *rec, *cont]
     assert len(values) == (3 * kernels.NSTATE + 1 + kernels.NREC
                            + kernels.NROWS * kernels.NSTATE) == 112
@@ -350,16 +350,17 @@ def test_step_returns_python_floats():
 def test_error_norm_ties_and_signed_zeros(x, y, h, params):
     """The emitted max(|y_i|, |yn_i|) of the error scale, a conditional
     expression, gives the ndarray oracle's err and dense output bit for
-    bit on ties and zeros."""
+    bit on ties and zeros.  x is the oracle's arc length, which neither
+    step reads."""
     c0, lam, p = params
-    f0 = kernels.rhs_a(x, y, c0, lam, p)
+    f0 = kernels.rhs_a(y, c0, lam, p)
     want = _STEP_ARR(x, np.array(y), h, rhs_arc_arr(x, np.array(y), c0, lam, p),
                      c0, lam, p, 1e-10, 1e-12)
-    y_new, _, err, rec = kernels.dopri5_step_a(x, y, h, f0, c0, lam, p, 1e-10, 1e-12)
+    y_new, _, err, rec = kernels.dopri5_step_a(y, h, f0, c0, lam, p, 1e-10, 1e-12)
     if params == (0.0, 0.0, 0.0):
         assert all(abs(a) == abs(b) for a, b in zip(y_new[2:], y[2:]))
     assert err <= 1.0 and err.hex() == float(want[2]).hex()
-    assert np.array_equal(_dense_rows(x, rec, c0, lam, p).view(np.uint64),
+    assert np.array_equal(_dense_rows(rec, c0, lam, p).view(np.uint64),
                           want[3].view(np.uint64))
 
 
@@ -367,7 +368,7 @@ def test_tableau_rows_equal_scipy_dop853():
     """The package's nonzero tableau rows hold every nonzero entry of
     scipy's DOP853 arrays, exactly, and no entry that scipy has as zero.
     Stage 13's row in A is B at c = 1, which is why the step evaluates it
-    at (x + h, y_new) and keeps no row of its own."""
+    at y_new and keeps no row of its own."""
     from scipy.integrate._ivp import dop853_coefficients as ref
 
     n = ref.N_STAGES_EXTENDED
@@ -497,22 +498,22 @@ def test_rejected_step_calls_no_stage_after_twelve():
     rejected one stages 2-12 only: 12 and 11 cosines and sines, with one
     square root for the error norm.  The completion evaluates stages 14-16
     only."""
-    x, y, h_ok, h_bad = 0.6, _Y0, 0.05, 5.0
+    y, h_ok, h_bad = _Y0, 0.05, 5.0
     counter = _CountingMath()
     namespace = {"math": counter}
     exec(compile(kernels._step_source(), "<step>", "exec"), namespace)
     exec(compile(kernels._dense_source(), "<dense>", "exec"), namespace)
-    f0 = kernels.rhs_a(x, y, 1.0, 0.25, 1.0)
+    f0 = kernels.rhs_a(y, 1.0, 0.25, 1.0)
     records = []
     for h, accepted, n_stages in ((h_ok, True, 12), (h_bad, False, 11)):
         counter.calls = dict.fromkeys(counter.calls, 0)
-        _, f_new, err, rec = namespace["dopri5_step_a"](x, y, h, f0, 1.0, 0.25, 1.0,
+        _, f_new, err, rec = namespace["dopri5_step_a"](y, h, f0, 1.0, 0.25, 1.0,
                                                         1e-10, 1e-12)
         assert (err <= 1.0) is accepted and (f_new is not None) is accepted
         assert counter.calls == {"cos": n_stages, "sin": n_stages, "sqrt": 1}
         records.append(rec)
     counter.calls = dict.fromkeys(counter.calls, 0)
-    namespace["dense_a"](x, records[0], 1.0, 0.25, 1.0)
+    namespace["dense_a"](records[0], 1.0, 0.25, 1.0)
     assert counter.calls == {"cos": 3, "sin": 3, "sqrt": 0}
 
 
@@ -525,21 +526,21 @@ def _bits(values):
 def test_fsal_stage_is_the_rhs_at_the_new_state(case):
     """An accepted step's ``f_new``, its stage 13 pasted from the
     right-hand side text, is bit for bit the standalone ``rhs_a`` at
-    (x + h, y_new)."""
-    x, y, h, c0, lam, p = case
-    f0 = kernels.rhs_a(x, y, c0, lam, p)
+    y_new."""
+    y, h, c0, lam, p = case
+    f0 = kernels.rhs_a(y, c0, lam, p)
     try:
-        y_new, f_new, _, _ = kernels.dopri5_step_a(x, y, h, f0, c0, lam, p, 1e-3, 1e3)
+        y_new, f_new, _, _ = kernels.dopri5_step_a(y, h, f0, c0, lam, p, 1e-3, 1e3)
     except (ArithmeticError, ValueError):
         y_new, f_new = None, None
     assume(f_new is not None)
-    assert _bits(f_new) == _bits(kernels.rhs_a(x + h, y_new, c0, lam, p))
+    assert _bits(f_new) == _bits(kernels.rhs_a(y_new, c0, lam, p))
 
 
 def test_reference_solve_steps_match_ndarray_oracle(monkeypatch):
     """Every step call of the reference solve, at the default tolerances,
     matches the ndarray oracle bit for bit (see ``_match_oracle``), and
-    each call's ``f0`` is the right-hand side at its (x, y): the FSAL stage
+    each call's ``f0`` is the right-hand side at its y: the FSAL stage
     handed on by the step before."""
     calls = []
 
@@ -551,8 +552,8 @@ def test_reference_solve_steps_match_ndarray_oracle(monkeypatch):
     integrate(PAPER, 0.05)
     monkeypatch.undo()
     accepted = 0
-    for x, y, h, f0, c0, lam, p, rtol, atol in calls:
-        assert _bits(f0) == _bits(kernels.rhs_a(x, y, c0, lam, p))
-        accepted += _match_oracle(x, y, h, c0, lam, p, rtol, atol)
+    for y, h, f0, c0, lam, p, rtol, atol in calls:
+        assert _bits(f0) == _bits(kernels.rhs_a(y, c0, lam, p))
+        accepted += _match_oracle(y, h, c0, lam, p, rtol, atol)
     print(f"reference solve: {len(calls)} step calls, {accepted} accepted")
     assert accepted > 0

@@ -176,7 +176,7 @@ def test_rhs_matches_high_precision_reference():
             sp, cp = mp.sin(psi), mp.cos(psi)
             ref = (cp * (sp / r - dpsi) / r - p / 4 * r * cp + gam * sp / (2 * r),
                    (dpsi + c0) ** 2 - sp ** 2 / r ** 2 + lam - p * r * sp)
-            got = kernels.rhs_a(0.0, y, PAPER.c0, PAPER.lam, PAPER.p)[3:]
+            got = kernels.rhs_a(y, PAPER.c0, PAPER.lam, PAPER.p)[3:]
             for g, want in zip(got, ref):
                 assert abs(g - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
@@ -415,9 +415,9 @@ def test_float_overflow_in_a_step_rejects_it(monkeypatch):
     and the run goes on to its budget."""
     c0, lam, p = PAPER.c0, PAPER.lam, PAPER.p
     x, y = 1.0, [1.0, 0.0, 0.1, 0.1, 0.5]
-    f0 = kernels.rhs_a(x, y, c0, lam, p)
+    f0 = kernels.rhs_a(y, c0, lam, p)
     with pytest.raises(ValueError):
-        kernels.dopri5_step_a(x, y, 1e120, f0, c0, lam, p, 1e-10, 1e-12)
+        kernels.dopri5_step_a(y, 1e120, f0, c0, lam, p, 1e-10, 1e-12)
     with np.errstate(all="ignore"):
         y_arr = make_step_arr(rhs_arc_arr)(x, np.array(y), 1e120, np.array(f0), c0, lam,
                                            p, 1e-10, 1e-12)[0]
@@ -425,9 +425,9 @@ def test_float_overflow_in_a_step_rejects_it(monkeypatch):
 
     asked = []
 
-    def step(x, y, h, *rest, _step=kernels.dopri5_step_a):
+    def step(y, h, *rest, _step=kernels.dopri5_step_a):
         asked.append(h)
-        return _step(x, y, 1e120 if len(asked) == 1 else h, *rest)
+        return _step(y, 1e120 if len(asked) == 1 else h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
     (xs, _), events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
@@ -444,9 +444,9 @@ def test_step_whose_new_state_overflows_has_non_finite_err(monkeypatch):
     # c0 = lam = p = 0, psi = pi/2, psi' = gamma = 0 at r = 1e300: psi''
     # and gamma' underflow to 0, and the step adds about h to z
     x, y, h = 1.0, [1e300, 1.79e308, 0.5 * math.pi, 0.0, 0.0], 1e307
-    f0 = kernels.rhs_a(x, y, 0.0, 0.0, 0.0)
+    f0 = kernels.rhs_a(y, 0.0, 0.0, 0.0)
     assert f0[1:] == (1.0, 0.0, 0.0, 0.0)
-    y_new, _, err, _ = kernels.dopri5_step_a(x, y, h, f0, 0.0, 0.0, 0.0, 1e-10, 1e-12)
+    y_new, _, err, _ = kernels.dopri5_step_a(y, h, f0, 0.0, 0.0, 0.0, 1e-10, 1e-12)
     assert y_new[1] == math.inf and all(map(math.isfinite, y_new[2:]))
     assert not math.isfinite(err)
     with np.errstate(all="ignore"):
@@ -455,8 +455,8 @@ def test_step_whose_new_state_overflows_has_non_finite_err(monkeypatch):
     assert old[0][1] == math.inf and math.isfinite(old[2])
 
     # every trial step is that step, whatever h the loop asks for
-    def step(x, y, _h, *rest, _step=kernels.dopri5_step_a):
-        return _step(x, y, h, *rest)
+    def step(y, _h, *rest, _step=kernels.dopri5_step_a):
+        return _step(y, h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
     (xs, _), events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
@@ -553,24 +553,25 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
 
 def _record_completions(monkeypatch):
     """Wrap ``kernels.dense_a``, which the loop and the trajectories read when
-    they complete a step, so that each call records the start x of the
-    step it completes."""
+    they complete a step, so that each call records the start radius of
+    the step it completes, read off its record: r rises along a run that
+    ends at the equator, so the radius names the step."""
     calls = []
 
-    def counted(x, rec, c0, lam, p, _dense=kernels.dense_a):
-        calls.append(x)
-        return _dense(x, rec, c0, lam, p)
+    def counted(rec, c0, lam, p, _dense=kernels.dense_a):
+        calls.append(rec[1])
+        return _dense(rec, c0, lam, p)
 
     monkeypatch.setattr(kernels, "dense_a", counted)
     return calls
 
 
 def _event_steps(traj):
-    """Start x of each step that holds an event; the terminal event ends
-    the last step."""
+    """Start radius of each step that holds an event; the terminal event
+    ends the last step."""
     evx = np.array([ev.x for ev in traj.events])
     idx = np.minimum(np.searchsorted(traj.xs, evx, side="right") - 1, len(traj.xs) - 2)
-    return sorted(set(traj.xs[idx].tolist()))
+    return sorted(set(traj.nodes[idx, 0].tolist()))
 
 
 def test_dense_output_is_completed_only_where_read(monkeypatch):
@@ -598,8 +599,8 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     calls.clear()
     assert check_single(traj, lm).passed
     s0 = traj.first_event(ZERO_OF_W).x
-    starts = traj.xs[:-1].tolist()
-    assert sorted(calls) == [x for x in starts if x < s0] != starts
+    starts = traj.nodes[:, 0].tolist()
+    assert sorted(calls) == [r for r, x in zip(starts, traj.xs[:-1]) if x < s0] != starts
     # the nodes are the completed rows y, bit for bit
     assert np.array_equal(traj.nodes.view(np.uint64), traj.conts[:, 0, :].view(np.uint64))
 
@@ -614,7 +615,7 @@ def test_a_query_completes_the_steps_up_to_the_one_it_reads(j, monkeypatch):
     j %= len(xs) - 1
     calls = _record_completions(monkeypatch)
     traj.eval_many(0.5 * (xs[j] + xs[j + 1]))
-    assert calls == xs[:j + 1].tolist() and traj._done == j + 1
+    assert calls == traj.nodes[:j + 1, 0].tolist() and traj._done == j + 1
     traj.eval_many([xs[0], 0.5 * (xs[j] + xs[j + 1])])
     assert len(calls) == j + 1
 
@@ -626,7 +627,7 @@ def test_raising_completion_gives_nan_rows():
     state and every stage are 0, so stage 14 is at r = 0."""
     rec = [0.1] + [0.0] * (kernels.NREC - 1)
     with pytest.raises(ZeroDivisionError):
-        kernels.dense_a(1.0, rec, PAPER.c0, PAPER.lam, PAPER.p)
+        kernels.dense_a(rec, PAPER.c0, PAPER.lam, PAPER.p)
     traj = Trajectory(PAPER, 0.05, SolverConfig(), [1.0, 1.1], rec,
                       [Event(ABORTED, 1.1, (0.0,) * kernels.NSTATE)])
     assert np.isnan(traj.eval_many([1.0, 1.05])).all()
@@ -709,9 +710,9 @@ def _start_case(draw):
 def _first_steps(x, y, tols, params, h_cap):
     c0, lam, p = params.c0, params.lam, params.p
     rhs = kernels.rhs_a
-    f = rhs(x, y, c0, lam, p)
+    f = rhs(y, c0, lam, p)
     got = _initial_step(x, y, f, *tols, c0, lam, p, h_cap)
-    want = initial_step_arr(rhs, x, np.array(y), np.array(f), *tols, c0, lam, p, h_cap)
+    want = initial_step_arr(rhs, np.array(y), np.array(f), *tols, c0, lam, p, h_cap)
     return got, want
 
 
@@ -732,9 +733,9 @@ def test_run_chart_calls_rhs_on_python_floats(monkeypatch):
     seen = set()
 
     def recording(rhs):
-        def wrapped(x, y, c0, lam, p):
-            seen.update(type(v) for v in (x, *y))
-            return rhs(x, y, c0, lam, p)
+        def wrapped(y, c0, lam, p):
+            seen.update(type(v) for v in y)
+            return rhs(y, c0, lam, p)
         return wrapped
 
     monkeypatch.setattr(kernels, "rhs_a", recording(kernels.rhs_a))
