@@ -133,7 +133,7 @@ def check_single(traj: Trajectory, landmarks: Landmarks) -> BoundsReport:
     # kappa = sin psi / r, its r-derivative psi'/r - sin psi / r^2 and
     # 1 - r^2 kappa^2 = cos^2 psi are read off the angle
     s0 = traj.first_event(ZERO_OF_W).x
-    rs, psi, dpsi = traj.sample_steps(s0, _STEP_NODES, s0 / _AXIS_DIVISIONS, [0, 2, 3]).T
+    rs, psi, dpsi = traj.sample_steps(s0, _STEP_NODES, s0 / _AXIS_DIVISIONS).T
     sp = np.sin(psi)
     kap = sp / rs
     kap_p = dpsi / rs - sp / (rs * rs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import operator
 from json.encoder import encode_basestring_ascii
@@ -42,13 +43,27 @@ def fmt17(x: float) -> str:
 
 
 @functools.cache
-def _sorted_fields(cls):
-    """The field names of ``cls``, sorted, when it is a record type, a
-    tuple subclass with ``_fields`` as ``NamedTuple`` makes, else None:
-    read once per type rather than once per object walked."""
-    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
-        return tuple(sorted(cls._fields))
-    return None
+def _record_layout(cls, nl: str):
+    """For a record type ``cls``, a tuple subclass with ``_fields`` as
+    ``NamedTuple`` makes, at the depth whose newline and indentation is
+    ``nl``: the text before each field's value (bracket or comma, newline
+    and indentation, and ``"name": ``) in sorted name order, and a
+    function giving a record's values in that order; else None.  Made once
+    per type and depth rather than once per object walked."""
+    if not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+        return None
+    order = sorted(range(len(cls._fields)), key=cls._fields.__getitem__)
+    keys = [encode_basestring_ascii(cls._fields[i]) + ": " for i in order]
+    # itemgetter of one index gives the value, not a 1-tuple
+    return _prefixes("{", nl, keys), (operator.itemgetter(*order) if len(order) > 1 else tuple)
+
+
+def _prefixes(opening: str, nl: str, keys) -> list[str]:
+    """The text before each item of a list, or with the key texts
+    ``keys`` of an object, indented from ``nl``: the opening bracket or a
+    comma, the newline and indentation, and the key text."""
+    inner = nl + "  "
+    return [("," if i else opening) + inner + key for i, key in enumerate(keys)]
 
 
 def write_json(path, payload) -> None:
@@ -68,58 +83,60 @@ def write_json(path, payload) -> None:
 
 
 def _json_float(x: float) -> str:
-    """``json``'s text of a float that is not NaN: its repr, ``Infinity``
-    or ``-Infinity``."""
-    if x == math.inf or x == -math.inf:
-        return "Infinity" if x > 0.0 else "-Infinity"
-    return float.__repr__(x)
+    """``json``'s text of a float: its repr, ``null`` for NaN,
+    ``Infinity`` or ``-Infinity``."""
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    if x != x:
+        return "null"
+    return "Infinity" if x > 0.0 else "-Infinity"
+
+
+# the text of a value of each JSON scalar type, by its exact type
+_SCALAR_TEXT = {float: _json_float, str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
 
 
 def _json_text(obj, out: list, nl: str) -> None:
     """Append the JSON text of ``obj`` (see ``write_json``) to ``out``;
     ``nl`` is the newline and indentation of obj's depth."""
     t = type(obj)
-    if t is float:
-        out.append("null" if obj != obj else _json_float(obj))
-    elif t is str:
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif t is int:
-        out.append(int.__repr__(obj))
-    elif (names := _sorted_fields(t)) is not None:
-        _json_items([(name, getattr(obj, name)) for name in names], True, out, nl)
+    scalar = _SCALAR_TEXT.get(t)
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif (layout := _record_layout(t, nl)) is not None:
+        _json_items("{}", layout[0], layout[1](obj), out, nl)
     elif isinstance(obj, dict):
-        _json_items(sorted(obj.items()), True, out, nl)
+        names = sorted(obj)
+        for name in names:
+            if type(name) is not str:
+                raise TypeError(f"keys must be str, not {type(name).__name__}")
+        _json_items("{}", _prefixes("{", nl, [encode_basestring_ascii(name) + ": "
+                                              for name in names]),
+                    [obj[name] for name in names], out, nl)
     elif isinstance(obj, (list, tuple)):
-        _json_items(obj, False, out, nl)
+        _json_items("[]", _prefixes("[", nl, itertools.repeat("", len(obj))), obj, out, nl)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _json_items(items, keyed: bool, out: list, nl: str) -> None:
-    """Append a list's ``items``, or with ``keyed`` an object's (key,
-    value) items, between brackets, one to a line indented from ``nl``."""
-    opening, closing = "{}" if keyed else "[]"
-    if not items:
-        out.append(opening + closing)
+def _json_items(brackets: str, prefixes, values, out: list, nl: str) -> None:
+    """Append each of ``values`` after its text of ``prefixes`` (see
+    ``_prefixes``), then ``nl`` and the closing one of ``brackets``; an
+    empty list or object is its two ``brackets``."""
+    if not values:
+        out.append(brackets)
         return
     inner = nl + "  "
-    sep = opening + inner
-    for value in items:
-        out.append(sep)
-        sep = "," + inner
-        if keyed:
-            key, value = value
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(encode_basestring_ascii(key) + ": ")
-        _json_text(value, out, inner)
-    out.append(nl + closing)
+    for prefix, value in zip(prefixes, values):
+        scalar = _SCALAR_TEXT.get(type(value))
+        if scalar is not None:
+            out.append(prefix + scalar(value))
+        else:
+            out.append(prefix)
+            _json_text(value, out, inner)
+    out.append(nl + brackets[1])
 
 
 def profile_rows(traj: Trajectory):

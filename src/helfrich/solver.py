@@ -14,26 +14,30 @@ step of its own.  That dense output is built only where it is
 read: the loop keeps each accepted step's record (see
 ``kernels._step_source``) and completes the dense output of a step in
 which an event row changes sign, and the ``Trajectory``, the one record
-of a run, completes its steps in the order a run is read, from the axis
-out, up to the last one a query reads.  No step is longer than its start
-radius, the distance to the axis singularity.
-Every view of a run is indexed by s, with the axis series at r = s below
-the start (``Trajectory.by_arc_length``), or by step and theta
-(``Trajectory.sample_steps``); events are the only crossings located.
+of a run, keeps those rows and completes the other steps in the order a
+run is read, from the axis out, up to the last one a query reads.  No
+step is longer than its start radius, the distance to the axis
+singularity.  Every view of a run is indexed by s, with the axis series
+at r = s below the start (``Trajectory.by_arc_length``), or by step and
+theta (``Trajectory.sample_steps``); events are the only crossings
+located.
 
-The loop runs on Python floats and stores its steps in ``array('d')``:
-events and the start are tuples of floats, and a ``Trajectory`` makes
-its ndarrays, and imports numpy, only when a caller first reads them.  A
-run that is only classified imports no numpy here; with the numba backend,
-numba's own import has loaded it already.
+The loop runs on Python floats and packs each step's record into one
+``bytearray``, 8 bytes a float: events and the start are tuples of
+floats, and a ``Trajectory`` makes its ndarrays, and imports numpy, only
+when a caller first reads them.  A run that is only classified imports
+no numpy here; with the numba backend, numba's own import has loaded it
+already.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from bisect import bisect_left
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
@@ -79,6 +83,8 @@ _BETA = 0.04
 _ALPHA = 1.0 / 8.0 - 0.2 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+# an accepted step's record, kernels.NREC float64 as the loop stores it
+_RECORD = struct.Struct(f"{kernels.NREC}d")
 
 
 class _Config(NamedTuple):
@@ -221,6 +227,13 @@ def _horner(cs, t):
     return total
 
 
+def _axis_slope(a, r):
+    """t = r^2 and the slope w and w' of the axis series with odd
+    coefficients ``a`` at r."""
+    t = r * r
+    return t, r * _horner(a, t), _horner([(2 * m + 1) * am for m, am in enumerate(a)], t)
+
+
 def axis_series(a, r, deriv: bool = False):
     """The axis series with odd coefficients ``a`` = (a1, a3, ...) at r:
     the graph state (w, wp, z), with z = 0 on the axis, or with
@@ -228,9 +241,7 @@ def axis_series(a, r, deriv: bool = False):
 
     ``r`` may be a scalar or an ndarray; the values have its type.
     """
-    t = r * r
-    w = r * _horner(a, t)
-    wp = _horner([(2 * m + 1) * am for m, am in enumerate(a)], t)
+    t, w, wp = _axis_slope(a, r)
     if deriv:
         wpp = r * _horner([(2 * m + 1) * 2 * m * am for m, am in enumerate(a)][1:], t)
         return wp, wpp, w
@@ -252,6 +263,14 @@ def _default_eps(params: HelfrichParams, w0p: float, a, rtol: float) -> float:
     return max(eps, cap)
 
 
+def _slope_angle(m, w, wp):
+    """psi = atan w, cos psi and psi' = w' cos^3 psi of the slope w and
+    w', through the module ``m``: ``math`` or numpy."""
+    psi = m.atan(w)
+    cp = m.cos(psi)
+    return psi, cp, wp * cp * cp * cp
+
+
 def _arc_state(params: HelfrichParams, r, w, wp, z):
     """The state (r, z, psi, psi', gamma) at radius r, slope w, w' and
     height z: psi = atan w, psi' = w' cos^3 psi and gamma from H = 0,
@@ -263,9 +282,8 @@ def _arc_state(params: HelfrichParams, r, w, wp, z):
     else:
         import numpy as m
     c0 = params.c0
-    psi = m.atan(w)
-    cp, sp = m.cos(psi), m.sin(psi)
-    dpsi = wp * cp * cp * cp
+    psi, cp, dpsi = _slope_angle(m, w, wp)
+    sp = m.sin(psi)
     spr = sp / r if m is math else m.divide(sp, r, out=m.array(wp, dtype=float), where=r != 0.0)
     gam = r * ((spr + c0) * (spr + c0) - dpsi * dpsi + params.lam
                - 0.5 * params.p * r * sp) / cp
@@ -314,17 +332,21 @@ class Trajectory:
     ``x_start`` = eps on; the steps' records ``records``, the
     ``kernels.NREC`` floats per step that the step kernel gives (h, the
     start state y, the new state and the stages its dense output reads),
-    flat, as the loop stores them in a list and an ``array('d')``; the
-    ``events``, the last of which ends the run and the range it covers,
-    [x_start, events[-1].x], as a run may terminate mid-step at an event;
-    and ``axis_coeffs``, the axis series the run starts from (see
-    ``axis_coefficients``), computed when not given.
+    flat, in any contiguous buffer of float64: the loop packs them into a
+    ``bytearray``, 8 bytes a float; the ``events``, the last of which ends
+    the run and the range it covers, [x_start, events[-1].x], as a run may
+    terminate mid-step at an event; ``axis_coeffs``, the axis series the
+    run starts from (see ``axis_coefficients``), computed when not given;
+    and ``rows``, the dense rows by step index that the loop completed
+    already, those of the steps that hold an event, each the NROWS *
+    NSTATE floats of ``kernels.dense_a`` in an ``array('d')``.
 
     A step's dense output, its ``kernels.NROWS`` rows (y and the
     interpolant's F0..F6), is completed from its record by
     ``kernels.dense_a`` once, in the order a run is read, from the axis
-    out: a query completes each step up to the last one it touches.  A
-    completion that raises gives NaN rows (see ``_dense_rows``).
+    out: a query completes each step up to the last one it touches, and
+    takes the rows the loop completed as they are.  A completion that
+    raises gives NaN rows (see ``_dense_rows``).
 
     The ndarrays ``xs``, shape (steps + 1,), and ``nodes``, shape (steps,
     NSTATE), the start state of each step, need no completion; ``conts``,
@@ -349,9 +371,11 @@ class Trajectory:
         return self
 
     def __init__(self, params: HelfrichParams, w0p: float, cfg: SolverConfig,
-                 xs, records, events: list[Event], axis_coeffs: tuple[float, ...] = ()):
+                 xs, records, events: list[Event], axis_coeffs: tuple[float, ...] = (),
+                 rows: dict[int, array] | None = None):
         self.params, self.w0p, self.cfg = params, w0p, cfg
         self._raw_xs, self._records, self.events = xs, records, events
+        self._event_rows = rows or {}  # step index -> its completed dense rows
         self.x_start = float(xs[0])
         self.axis_coeffs = axis_coeffs or axis_coefficients(params, w0p)
         self._done = 0  # the steps 0.._done-1 are completed
@@ -378,7 +402,7 @@ class Trajectory:
     @cached_property
     def nodes(self) -> np.ndarray:
         import numpy as np
-        recs = np.asarray(self._records, dtype=float).reshape(-1, kernels.NREC)
+        recs = np.frombuffer(self._records).reshape(-1, kernels.NREC)
         return recs[:, 1:1 + kernels.NSTATE]
 
     @property
@@ -395,9 +419,12 @@ class Trajectory:
         import numpy as np
         conts, todo = self._table, range(self._done, n)
         if todo:
-            recs, m = self._records, kernels.NREC
-            rows = [_dense_rows(recs[m * i:m * i + m], *self.params) for i in todo]
-            conts[todo.start:todo.stop] = np.reshape(rows, (-1, kernels.NROWS, kernels.NSTATE))
+            recs, size, done = self._records, _RECORD.size, self._event_rows
+            rows = (done.pop(i, None) or _dense_rows(_RECORD.unpack_from(recs, size * i),
+                                                     *self.params) for i in todo)
+            flat = np.fromiter(chain.from_iterable(rows), float, len(todo) * kernels.NROWS
+                               * kernels.NSTATE)
+            conts[todo.start:todo.stop] = flat.reshape(-1, kernels.NROWS, kernels.NSTATE)
             self._done = todo.stop
         return conts
 
@@ -438,12 +465,15 @@ class Trajectory:
         """``series`` of the arc lengths s below eps, taken as the radii
         r = s of the axis series, and ``dense`` of the others, in the order
         of s in [0, s_end]: OutOfRange below 0, and past s_end where
-        ``dense`` reads the dense output."""
+        ``dense`` reads the dense output.  ``dense`` is not called when no
+        s lies at or past eps."""
         import numpy as np
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < 0.0):
             raise OutOfRange("arc length below 0")
         inside = s < self.x_start
+        if inside.all():
+            return series(s)
         above = dense(s[~inside])
         out = np.empty((len(s),) + above.shape[1:])
         out[inside] = series(s[inside])
@@ -456,6 +486,14 @@ class Trajectory:
         import numpy as np
         return np.stack(_arc_state(self.params, r, *axis_series(self.axis_coeffs, r)))
 
+    def _axis_angles(self, r: np.ndarray) -> np.ndarray:
+        """r, psi and psi' at the radii r of the axis series, shape (3,
+        len(r)): rows 0, 2 and 3 of ``_axis_state(r)`` bit for bit, with no
+        z or gamma computed."""
+        import numpy as np
+        psi, _, dpsi = _slope_angle(np, *_axis_slope(self.axis_coeffs, r)[1:])
+        return np.stack((r, psi, dpsi))
+
     def state_at(self, s, cols=slice(None)) -> np.ndarray:
         """The state (r, z, psi, psi', gamma) at arc lengths s in [0, s_end]:
         from the axis series at r = s below eps (see ``_arc_state``) and
@@ -464,27 +502,26 @@ class Trajectory:
         return self.by_arc_length(s, lambda r: self._axis_state(r)[cols].T,
                                   lambda x: self.eval_many(x, cols))
 
-    def sample_steps(self, s_end: float, m: int, dr: float, cols=slice(None)) -> np.ndarray:
-        """The state on (0, s_end], s_end in [eps, s_end of the run], in the
-        order of s and with no search per sample: the axis series at the
-        radii j dr < eps, j = 1, 2, ...; each step that starts before s_end
-        at theta = j / m, j = 0..m-1; and the step that holds s_end at
-        m >= 2 thetas evenly spaced on [0, theta(s_end)], so s_end is the
-        last sample.  Only these steps are completed.  ``cols`` selects
-        components as in ``eval_many``."""
+    def sample_steps(self, s_end: float, m: int, dr: float) -> np.ndarray:
+        """r, psi and psi' on (0, s_end], s_end in [eps, s_end of the run],
+        shape (samples, 3), in the order of s and with no search per
+        sample: the axis series at the radii j dr < eps, j = 1, 2, ...;
+        each step that starts before s_end at theta = j / m, j = 0..m-1;
+        and the step that holds s_end at m >= 2 thetas evenly spaced on
+        [0, theta(s_end)], so s_end is the last sample.  Only these steps
+        are completed."""
         import numpy as np
         xs, x0 = self._raw_xs, self.x_start
         k = max(bisect_left(xs, s_end) - 1, 0)  # x_k < s_end <= x_k+1
         th = np.empty((k + 1, m))
         th[:k] = np.arange(m) / m
         th[k] = np.linspace(0.0, (s_end - xs[k]) / (xs[k + 1] - xs[k]), m)
-        rows = self._fill(k + 1)[:k + 1].transpose(1, 2, 0)[:, cols, :, None]
+        rows = self._fill(k + 1)[:k + 1].transpose(1, 2, 0)[:, [0, 2, 3], :, None]
         dense = _interpolant(rows, th)
         r = np.arange(1, math.ceil(x0 / dr) + 1) * dr
         r = r[r < x0]
         # component-major, so each component's samples are contiguous
-        return np.concatenate([self._axis_state(r)[cols],
-                               dense.reshape(dense.shape[:-2] + (-1,))], axis=-1).T
+        return np.concatenate([self._axis_angles(r), dense.reshape(3, -1)], axis=-1).T
 
 
 def _rms(v, sc) -> float:
@@ -555,17 +592,23 @@ def _dense_rows(rec, c0, lam, p):
 def _bisect_step(c, target, h, x0, tol, lo=0.0, hi=1.0):
     """Theta in [lo, hi] where one component's step polynomial, with the
     NROWS coefficients ``c``, crosses ``target``; bisects until |h| times
-    the bracket <= tol (1 + |x0|)."""
-    glo = _interpolant(c, lo) - target
+    the bracket <= tol (1 + |x0|).  The polynomial is ``_interpolant``'s,
+    written out on the rows' floats, bit for bit its value; g > target is
+    g - target > 0 for every pair of floats, and the side of lo keeps its
+    sign as lo moves."""
+    r1, r2, r3, r4, r5, r6, r7, r8 = c
+    u = 1.0 - lo
+    above = r1 + lo * (r2 + u * (r3 + lo * (r4 + u * (r5 + lo * (r6 + u * (r7 + lo * r8)))))) > target
     h_abs = abs(h)
     bound = tol * (1.0 + abs(x0))
     for _ in range(200):
         if abs(hi - lo) * h_abs <= bound:
             break
         mid = 0.5 * (lo + hi)
-        gm = _interpolant(c, mid) - target
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
+        u = 1.0 - mid
+        if (r1 + mid * (r2 + u * (r3 + mid * (r4 + u * (r5 + mid * (r6 + u * (r7 + mid * r8))))))
+                > target) == above:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -579,16 +622,18 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
     ``event_table`` holds one (kind, component, target, downward,
     terminal) row per event; hits inside one step are recorded by theta,
     and in table order where theta ties.  The loop keeps each accepted
-    step's record and completes its dense output only on a step where an
-    event row changes sign, to bisect it; the ``Trajectory`` completes the
-    steps a query reads, those again.  A terminal row's hit ends the run:
-    the step across it is taken again up to the hit, when that shorter step
-    is accepted, and then it is the last step.  Returns ((xs, records),
-    events, steps_used), the step nodes and flat records as ``Trajectory``
-    takes them; the last event ends the run: a terminal row's, or
-    ``Aborted`` when the step budget did.
+    step's record, packed as float64, and completes its dense output only
+    on a step where an event row changes sign, to bisect it; it keeps those
+    rows, which the ``Trajectory`` takes as they are.  A terminal row's hit
+    ends the run: the step across it is taken again up to the hit, when
+    that shorter step is accepted, and then it is the last step.  Returns
+    ((xs, records, rows), events, steps_used), the step nodes, the flat
+    records and the completed rows by step index as ``Trajectory`` takes
+    them; the last event ends the run: a terminal row's, or ``Aborted``
+    when the step budget did.
     """
     step = kernels.dopri5_step_a
+    pack = _RECORD.pack
     c0, lam, p = params.c0, params.lam, params.p
     rtol, atol = cfg.rel_tol, cfg.abs_tol
 
@@ -611,7 +656,8 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
     h = max(h, 1e-13 * (1.0 + abs(x)))
 
     xs = [x]
-    records = array("d")  # kernels.NREC floats per accepted step, flat
+    records = bytearray()  # kernels.NREC float64 per accepted step
+    rows: dict[int, array] = {}
     events: list[Event] = []
     err_prev = 1e-4
     steps = 0
@@ -627,8 +673,8 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
                 # a run that took no step: one zero-length step from y to y,
                 # with zero stages, whose interpolant is y
                 xs.append(x)
-                records.fromlist([0.0, *y, *y] + [0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
-            return (xs, records), events, steps
+                records += pack(0.0, *y, *y, *[0.0] * (kernels.NREC - 1 - 2 * kernels.NSTATE))
+            return (xs, records, rows), events, steps
         if h < 1e-14 * abs(x):
             raise StepUnderflow(f"step size {h!r} underflow at s={x!r}")
         h_use = y[0] if h > y[0] else h
@@ -649,17 +695,16 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
             h = h_use * (fac if fac < 0.9 else 0.9)
             continue
 
-        records.fromlist(rec)
+        records += pack(*rec)
         x_new = x + h_use
         xs.append(x_new)
 
         # event scan on this step; component i of its dense output is
-        # cont[i::NSTATE]
+        # cont[i::NSTATE]; on the finite states of an accepted step,
+        # y > target is y - target > 0 and y <= target is y - target <= 0
         hits = cont = None
         for kind, i, target, downward, terminal in event_table:
-            g0 = y[i] - target
-            g1 = y1[i] - target
-            if (g0 > 0.0 >= g1) if downward else (g0 < 0.0 <= g1):
+            if (y[i] > target >= y1[i]) if downward else (y[i] < target <= y1[i]):
                 if cont is None:
                     cont = _dense_rows(rec, c0, lam, p)
                 th = _bisect_step(cont[i::kernels.NSTATE], target, h_use, x, cfg.event_tol)
@@ -680,9 +725,10 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
                     err = math.inf
                 steps += 1
                 if err <= 1.0:
-                    records[-kernels.NREC:] = array("d", rec)
+                    records[-_RECORD.size:] = pack(*rec)
                     xs[-1] = x + h_end
                     cont, h_ev = _dense_rows(rec, c0, lam, p), h_end
+            rows[len(xs) - 2] = array("d", cont)
             for th, kind, terminal in hits:
                 x_ev = x + th * h_use
                 if h_ev != h_use:
@@ -691,7 +737,7 @@ def _run(x0, y0, params, cfg, event_table, steps_budget):
                               for i in range(kernels.NSTATE)])
                 events.append(Event(kind, x_ev, y_ev))
                 if terminal:
-                    return (xs, records), events, steps
+                    return (xs, records, rows), events, steps
 
         x, y, f = x_new, y1, f1
 
@@ -741,6 +787,6 @@ def integrate(params: HelfrichParams, w0p: float,
         (ABORTED, 0, r_max, False, True),
     ]
     # a start at or past the abort radius takes no step
-    (xs, records), events, _ = _run(eps, series_start(params, w0p, eps, a), params, cfg,
-                                    table, cfg.max_steps if eps < r_max else 0)
-    return Trajectory(params, w0p, cfg, xs, records, events, a)
+    (xs, records, rows), events, _ = _run(eps, series_start(params, w0p, eps, a), params, cfg,
+                                          table, cfg.max_steps if eps < r_max else 0)
+    return Trajectory(params, w0p, cfg, xs, records, events, a, rows)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helfrich import (
     HelfrichParams,
@@ -14,6 +15,11 @@ from helfrich import (
     integrate,
     kernel_backend,
 )
+
+# a failing property prints the @reproduce_failure line that replays it
+# elsewhere: the example database, .hypothesis/, stays with the checkout
+settings.register_profile("helfrich", print_blob=True)
+settings.load_profile("helfrich")
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_critical_point_count_from_events(ref_traj, max_xs, wp_r0, want):
     events.sort(key=lambda ev: ev.x)
     # one zero-length step: the landmarks read the events alone
     lm = extract_landmarks(Trajectory(ref_traj.params, ref_traj.w0p, ref_traj.cfg,
-                                      [ref_traj.x_start] * 2, [0.0] * kernels.NREC, events,
+                                      [ref_traj.x_start] * 2, array("d", [0.0] * kernels.NREC), events,
                                       ref_traj.axis_coeffs))
     assert (lm.r0, lm.wp_r0, lm.n_critical_points) == (2.0, wp_r0, want)
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helfrich import HelfrichParams, analyze_cubic, derived_constants, eval_q, eval_r
@@ -340,21 +340,19 @@ def test_q_at_zero_where_c0_squared_plus_lambda_overflows():
 
 @settings(max_examples=300, deadline=None)
 @given(params_st, st.floats(1e-4, 2.0))
+# p / 2 underflows to 0 here: -p/2 would be -0.0 where eval_q gives +0.0
+@example(HelfrichParams(0.0, 0.0, 5e-324), 1.0)
 def test_q_at_zero_keeps_the_bits_of_eval_q(params, w0p):
-    """Where c0^2 + lambda is finite, Q(0) = -p/2 gives ``delta_minus`` and
-    the constants of ``derived_constants`` that ``eval_q(0.0)`` gave, bit
-    for bit; at p = 0 exactly only the sign of a zero may differ, as
-    eval_q gives Q(0) the sign of (c0^2 + lambda) * 0."""
+    """Where c0^2 + lambda is finite, ``delta_minus`` and the constants of
+    ``derived_constants`` take Q(0) from ``eval_q(0.0)``, bit for bit, the
+    sign of a zero included."""
     crit = _q_critical_points(params)
     qv = [eval_q(t, params) for t in [0.0, w0p] + [t for t in crit if 0.0 < t < w0p]]
     d_minus = -max(eval_q(t, params) for t in [0.0] + [t for t in crit if t < 0.0])
     want = [-min(qv), -max(qv), d_minus, d_minus]
     dc = derived_constants(params, w0p)
     got = [dc.mu, dc.delta_plus, dc.delta_minus, delta_minus(params)]
-    if params.p == 0.0:
-        assert got == want
-    else:
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("params, root", [

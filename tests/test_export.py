@@ -395,6 +395,35 @@ def test_json_matches_json_dumps_of_a_jsonable_copy(payload, tmp_path):
     assert _json_bytes(tmp_path, payload) == (json_via_copy(payload) + "\n").encode()
 
 
+# named tuples with no field, one field (whose values ``itemgetter`` would
+# not give as a tuple) and fields out of sorted order
+_Empty = namedtuple("_Empty", "")
+_One = namedtuple("_One", "only")
+_Three = namedtuple("_Three", "zeta alpha mid")
+
+_json_payloads = st.recursive(
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.just(_Empty()), inner.map(_One), st.tuples(inner, inner, inner).map(lambda t: _Three(*t)),
+        st.builds(CheckRecord, st.text(max_size=4), st.booleans(), inner, inner, inner,
+                  st.floats(), st.sampled_from(["Pass", "Fail", "Skipped"]),
+                  st.dictionaries(st.text(max_size=4), inner, max_size=3))),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_json_payloads)
+def test_json_walk_matches_json_dumps_on_nested_payloads(payload, tmp_path):
+    """Records of one type at several depths, each depth with its own
+    indentation, and every container and scalar nested in any other: the
+    text is ``json.dumps(x, sort_keys=True, indent=2)`` of the JSON-ready
+    copy x."""
+    assert _json_bytes(tmp_path, payload) == (json_via_copy(payload) + "\n").encode()
+
+
 def test_json_writes_any_named_tuple_as_an_object_and_refuses_a_dataclass(tmp_path):
     """A named tuple that is not one of the package's records, here a
     ``collections.namedtuple``, is written as the object of its fields,

@@ -114,7 +114,7 @@ def test_reference_solve_step_counts(monkeypatch):
 # the step completions (``kernels.dense_a`` calls) of the golden solve,
 # verify and sweep commands in one process: the event steps each run
 # bisects, and the steps its readers complete
-COMPLETION_COUNTS = {"solve": 37, "verify": 361, "sweep": 136}
+COMPLETION_COUNTS = {"solve": 34, "verify": 329, "sweep": 136}
 
 
 @pytest.mark.skipif(kernel_backend() != "python",

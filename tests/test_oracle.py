@@ -12,6 +12,7 @@ be the same.
 """
 
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_verdicts_over_a_seeded_sweep_match_the_arc_length_oracle():
                         key=lambda ev: ev.x)
         # one zero-length step: the verdict reads the events alone
         oracle = Trajectory(params, w0p, SolverConfig(), [traj.x_start] * 2,
-                            [0.0] * kernels.NREC, events)
+                            array("d", [0.0] * kernels.NREC), events)
         assert oracle.status == status
         cell = (c0, lam, p, w0p)
         assert got == classify(oracle, extract_landmarks(oracle)).verdict, cell

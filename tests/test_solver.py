@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -22,9 +23,13 @@ from helfrich.solver import (
     SERIES_ORDER,
     STEEP,
     ZERO_OF_W,
+    _RECORD,
     Event,
     Trajectory,
+    _bisect_step,
+    _dense_rows,
     _initial_step,
+    _interpolant,
     _run,
     axis_coefficients,
     axis_series,
@@ -349,14 +354,14 @@ def _step_thetas(xs, s_end, m):
 
 @pytest.mark.parametrize("where", ["ZeroOfW", "first step", "step boundary"])
 def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
-    """``sample_steps`` gives, in the order of s, the axis series at the
-    radii j dr below the start, then each step up to s_end at its own
-    thetas.  A step's theta = 0 sample is its node, bit for bit.  Every
-    other sample is the one ``eval_many`` gives at s = x_i + theta h_i, up
-    to the rounding of theta that ``eval_many`` re-derives from s: an ulp
-    or two of s times the state's slope, well inside 1e-13 (1 + |y|).
-    Only the steps that start before s_end are completed, and s_end is the
-    last sample."""
+    """``sample_steps`` gives r, psi and psi', in the order of s, of the
+    axis series at the radii j dr below the start, then of each step up to
+    s_end at its own thetas.  A step's theta = 0 sample is its node, bit
+    for bit.  Every other sample is the one ``eval_many`` gives at
+    s = x_i + theta h_i, up to the rounding of theta that ``eval_many``
+    re-derives from s: an ulp or two of s times the state's slope, well
+    inside 1e-13 (1 + |y|).  Only the steps that start before s_end are
+    completed, and s_end is the last sample."""
     m = 16
     traj = integrate(PAPER, 0.05)
     xs = traj.xs
@@ -368,15 +373,16 @@ def test_sample_steps_reads_each_step_on_its_own_theta_grid(where):
     dr = xs[0] / 6.5
     y = traj.sample_steps(s_end, m, dr)
     assert traj._done == k + 1
-    assert y.shape == (6 + (k + 1) * m, kernels.NSTATE)
+    assert y.shape == (6 + (k + 1) * m, 3)
 
+    cols = [0, 2, 3]
     r = np.arange(1, 7) * dr
-    assert np.array_equal(y[:6], traj.state_at(r))
+    assert np.array_equal(y[:6], traj.state_at(r, cols))
     dense = y[6:]
-    assert np.array_equal(dense[::m], traj.nodes[:k + 1])
-    want = traj.eval_many(xs[step] + th * (xs[step + 1] - xs[step]))
+    assert np.array_equal(dense[::m], traj.nodes[:k + 1, cols])
+    want = traj.eval_many(xs[step] + th * (xs[step + 1] - xs[step]), cols)
     assert np.all(np.abs(dense - want) <= 1e-13 * (1.0 + np.abs(want)))
-    assert dense[-1] == pytest.approx(traj.eval_many(s_end)[0], rel=1e-13, abs=1e-13)
+    assert dense[-1] == pytest.approx(traj.eval_many(s_end, cols)[0], rel=1e-13, abs=1e-13)
     s = np.concatenate([r, xs[step] + th * (xs[step + 1] - xs[step])])
     assert np.all(np.diff(s) > 0.0)
 
@@ -430,7 +436,7 @@ def test_float_overflow_in_a_step_rejects_it(monkeypatch):
         return _step(y, 1e120 if len(asked) == 1 else h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
-    (xs, _), events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
+    (xs, _, _), events, steps = _run(x, y, PAPER, SolverConfig(), [], 20)
     assert asked[1] == 0.1 * asked[0]
     assert steps == 20 > len(xs) - 1  # more tries than accepted steps
     assert [ev.kind for ev in events] == [ABORTED]
@@ -459,7 +465,7 @@ def test_step_whose_new_state_overflows_has_non_finite_err(monkeypatch):
         return _step(y, h, *rest)
 
     monkeypatch.setattr(kernels, "dopri5_step_a", step)
-    (xs, _), events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
+    (xs, _, _), events, steps = _run(x, y, HelfrichParams(0.0, 0.0, 0.0), SolverConfig(), [], 1)
     assert steps == 1
     assert [ev.kind for ev in events] == [ABORTED] and events[-1].x == x == xs[-1]
 
@@ -551,6 +557,89 @@ def test_landmarks_read_no_dense_output(ref_traj, ref_landmarks, monkeypatch):
     assert extract_landmarks(ref_traj) == ref_landmarks
 
 
+def _bisect_on_interpolant(c, target, h, x0, tol, lo=0.0, hi=1.0):
+    """``_bisect_step`` as it was first written, on ``_interpolant``."""
+    glo = _interpolant(c, lo) - target
+    h_abs = abs(h)
+    bound = tol * (1.0 + abs(x0))
+    for _ in range(200):
+        if abs(hi - lo) * h_abs <= bound:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = _interpolant(c, mid) - target
+        if (gm > 0.0) == (glo > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_row_values = st.one_of(st.floats(-1e3, 1e3), st.just(math.nan), st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_row_values, min_size=kernels.NROWS, max_size=kernels.NROWS),
+       st.floats(-10.0, 10.0), st.floats(1e-9, 10.0), st.floats(0.0, 100.0),
+       st.sampled_from([1e-12, 1e-6]), st.sampled_from([(0.0, 1.0), (0.25, 0.75)]))
+def test_inline_bisection_is_the_interpolant_bisection(c, target, h, x0, tol, bracket):
+    """``_bisect_step`` writes the step polynomial out on the rows' floats;
+    on random rows, NaN rows included, its theta is the one bisection on
+    ``_interpolant`` gives, bit for bit."""
+    got = _bisect_step(c, target, h, x0, tol, *bracket)
+    assert got.hex() == _bisect_on_interpolant(c, target, h, x0, tol, *bracket).hex()
+
+
+def test_axis_angles_are_rows_of_the_axis_state(figure_runs, random_triples):
+    """The near-axis block of ``sample_steps`` computes r, psi and psi'
+    alone: rows 0, 2 and 3 of the full axis state, bit for bit."""
+    for traj in [run[0] for run in figure_runs.values()] + [t[2] for t in random_triples]:
+        r = np.linspace(0.0, traj.x_start, 97)[1:]
+        got = traj._axis_angles(r)
+        assert got.shape == (3, 96)
+        assert np.array_equal(got.view(np.uint64), traj._axis_state(r)[[0, 2, 3]].view(np.uint64))
+
+
+@pytest.mark.parametrize("params, w0p, cfg", [
+    (PAPER, 0.05, None),
+    (PAPER, 0.001, None),
+    (HelfrichParams(5.0, 0.0, 0.1), 1.0, None),  # BlowUpPositive
+    (PAPER, 0.05, SolverConfig(r_max=1.0)),  # Aborted at r_max
+    (HelfrichParams(0.491, -0.92, 0.01997), 0.3, None),
+])
+def test_kept_event_rows_are_the_completions_of_their_steps(params, w0p, cfg):
+    """The run keeps the dense rows it completed to bisect a step, one set
+    for each step that holds an event and none else, and they are the
+    rows a fresh ``kernels.dense_a`` gives for the stored record, bit for
+    bit: for the last step, those of the step the run ended on."""
+    traj = integrate(params, w0p, cfg)
+    kept = dict(traj._event_rows)
+    assert sorted(kept) == sorted({min(int(np.searchsorted(traj.xs, ev.x, side="right")) - 1,
+                                       len(traj.xs) - 2) for ev in traj.events})
+    for i, rows in kept.items():
+        fresh = _dense_rows(_RECORD.unpack_from(traj._records, _RECORD.size * i), *params)
+        assert np.array_equal(np.array(rows).view(np.uint64), np.array(fresh).view(np.uint64))
+    # reading the run takes the kept rows in place of a completion
+    assert np.array_equal(traj.conts[sorted(kept)].reshape(len(kept), -1).view(np.uint64),
+                          np.array([kept[i] for i in sorted(kept)]).view(np.uint64))
+    assert traj._event_rows == {}
+
+
+def test_queries_below_eps_read_no_dense_output(ref_traj, monkeypatch):
+    """``by_arc_length`` calls ``dense`` only when some s lies at or past
+    eps; below it the values are the axis series', as with a mixed query."""
+    eps = ref_traj.x_start
+    r = np.array([0.0, 0.25 * eps, math.nextafter(eps, 0.0)])
+    want = ref_traj.state_at(np.append(r, eps))[:3]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense output evaluated")
+
+    monkeypatch.setattr(Trajectory, "eval_many", refuse)
+    assert np.array_equal(ref_traj.state_at(r), want)
+    assert np.array_equal(ref_traj.state_at(r, [0, 2]), want[:, [0, 2]])
+    assert ref_traj.state_at([]).shape == (0, kernels.NSTATE)
+
+
 def _record_completions(monkeypatch):
     """Wrap ``kernels.dense_a``, which the loop and the trajectories read when
     they complete a step, so that each call records the start radius of
@@ -578,10 +667,10 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     """A sweep cell completes the dense output of the steps that hold an
     event, to bisect them, and of no other step; the last one twice, as it
     is taken again to end on the terminal event.  ``check_single`` then
-    completes every step that starts before s(r0), the event steps there
-    again, and none that starts at or beyond it: it evaluates (0, s(r0)]
-    only, and reads the steps past the Steep event at their start states,
-    which the step records keep."""
+    completes every step that starts before s(r0) but the event steps
+    there, whose rows the run kept, and none that starts at or beyond it:
+    it evaluates (0, s(r0)] only, and reads the steps past the Steep event
+    at their start states, which the step records keep."""
     calls = _record_completions(monkeypatch)
     traj = integrate(PAPER, 0.05)
     want = _event_steps(traj)
@@ -600,7 +689,10 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
     assert check_single(traj, lm).passed
     s0 = traj.first_event(ZERO_OF_W).x
     starts = traj.nodes[:, 0].tolist()
-    assert sorted(calls) == [r for r, x in zip(starts, traj.xs[:-1]) if x < s0] != starts
+    before = [r for r, x in zip(starts, traj.xs[:-1]) if x < s0]
+    kept = [r for r in want[:-1] if r in before]
+    assert len(kept) == 2  # the MaxOfW and ZeroOfW steps
+    assert sorted(calls) == [r for r in before if r not in kept] != starts
     # the nodes are the completed rows y, bit for bit
     assert np.array_equal(traj.nodes.view(np.uint64), traj.conts[:, 0, :].view(np.uint64))
 
@@ -608,16 +700,19 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
 @pytest.mark.parametrize("j", [0, 7, -1])
 def test_a_query_completes_the_steps_up_to_the_one_it_reads(j, monkeypatch):
     """A run is read outward from the axis: ``eval_many`` at one point of
-    step j completes steps 0..j, each once, and no later step, and a
-    query that reads an earlier step completes nothing."""
+    step j completes steps 0..j, each once but for the event steps, whose
+    rows the run kept, and no later step, and a query that reads an
+    earlier step completes nothing."""
     traj = integrate(PAPER, 0.05)
     xs = traj.xs
     j %= len(xs) - 1
+    kept = _event_steps(traj)
     calls = _record_completions(monkeypatch)
     traj.eval_many(0.5 * (xs[j] + xs[j + 1]))
-    assert calls == traj.nodes[:j + 1, 0].tolist() and traj._done == j + 1
+    want = [r for r in traj.nodes[:j + 1, 0].tolist() if r not in kept]
+    assert calls == want and traj._done == j + 1
     traj.eval_many([xs[0], 0.5 * (xs[j] + xs[j + 1])])
-    assert len(calls) == j + 1
+    assert len(calls) == len(want)
 
 
 def test_raising_completion_gives_nan_rows():
@@ -628,7 +723,7 @@ def test_raising_completion_gives_nan_rows():
     rec = [0.1] + [0.0] * (kernels.NREC - 1)
     with pytest.raises(ZeroDivisionError):
         kernels.dense_a(rec, PAPER.c0, PAPER.lam, PAPER.p)
-    traj = Trajectory(PAPER, 0.05, SolverConfig(), [1.0, 1.1], rec,
+    traj = Trajectory(PAPER, 0.05, SolverConfig(), [1.0, 1.1], array("d", rec),
                       [Event(ABORTED, 1.1, (0.0,) * kernels.NSTATE)])
     assert np.isnan(traj.eval_many([1.0, 1.05])).all()
     assert np.isnan(traj.conts).all() and traj.nodes.tolist() == [[0.0] * kernels.NSTATE]
@@ -642,8 +737,8 @@ def test_run_chart_records_tied_events_in_table_order(ref_traj):
     table = [("second", 0, 0.0, True, False), ("first", 0, 0.0, True, False),
              ("end", 0, 0.0, True, True), ("never", 0, 0.0, True, False)]
     table = [(kind, 2, 0.0, True, terminal) for kind, _, _, _, terminal in table]
-    (xs, _), events, _ = _run(eps, series_start(params, w0p, eps), params, SolverConfig(),
-                              table, 1_000_000)
+    (xs, _, _), events, _ = _run(eps, series_start(params, w0p, eps), params, SolverConfig(),
+                                 table, 1_000_000)
     assert [ev.kind for ev in events] == ["second", "first", "end"]
     s0 = ref_traj.first_event(ZERO_OF_W).x
     assert all(ev.x == s0 for ev in events) and xs[-1] == s0
