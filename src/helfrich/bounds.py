@@ -442,14 +442,33 @@ class PhaseCell(NamedTuple):
     z_inf: float | None = None
 
 
-def _phase_cell(cell, cfg: SolverConfig | None) -> PhaseCell:
+def _cubic_analyses(grid) -> list:
+    """``analyze_cubic`` of each cell's (c0, lambda, p), or the
+    ArithmeticError it raised, computed once per distinct set: a list
+    with one entry per cell of ``grid``.  0.0 and -0.0 are one dict key,
+    so the key holds the signs too and such sets stay apart."""
+    analyses, out = {}, []
+    for c0, lam, p, _ in grid:
+        key = (c0, lam, p, math.copysign(1.0, c0), math.copysign(1.0, lam),
+               math.copysign(1.0, p))
+        ca = analyses.get(key)
+        if ca is None:
+            try:
+                ca = analyze_cubic(HelfrichParams(c0, lam, p))
+            except ArithmeticError as exc:
+                ca = exc
+            analyses[key] = ca
+        out.append(ca)
+    return out
+
+
+def _phase_cell(cell, cfg: SolverConfig | None, ca) -> PhaseCell:
+    """The sweep row of one cell, with ``ca`` its parameter set's
+    ``analyze_cubic`` result or the ArithmeticError it raised."""
     c0, lam, p, w0p = cell
-    params = HelfrichParams(c0, lam, p)
-    try:
-        ca = analyze_cubic(params)
-    except ArithmeticError as exc:
-        return PhaseCell(c0, lam, p, w0p, _error_verdict(exc), False, False)
-    _, lm, verdict = solve_and_classify(params, w0p, cfg)
+    if isinstance(ca, ArithmeticError):
+        return PhaseCell(c0, lam, p, w0p, _error_verdict(ca), False, False)
+    _, lm, verdict = solve_and_classify(HelfrichParams(c0, lam, p), w0p, cfg)
     expected = ca.all_roots_positive and 0.0 < w0p <= 0.1 * ca.smallest_root
     return PhaseCell(
         c0, lam, p, w0p, verdict, ca.all_roots_positive,
@@ -463,11 +482,15 @@ def phase_sweep(grid, cfg: SolverConfig | None = None) -> list[PhaseCell]:
 
     Cells where every real root of Q is positive (``delta_minus`` > 0, the
     hypothesis ``check_single`` applies) and 0 < w0p is at most a tenth
-    of the smallest root, both read off one ``analyze_cubic`` call, are
-    expected biconcave; such a cell that fails to classify Biconcave is
-    flagged as an anomaly.  A cell whose cubic analysis overflows gets the
-    verdict ``Error:<Name>``, as a failing solve does, with
-    ``roots_all_positive`` false, and is no anomaly.
-    The cells are solved side by side on every CPU (see ``_map_points``).
+    of the smallest root are expected biconcave; such a cell that fails
+    to classify Biconcave is flagged as an anomaly.  Both facts come from
+    one ``analyze_cubic`` call per distinct (c0, lambda, p), made here
+    before the cells are shared out (``_cubic_analyses``).  The cells of
+    a set whose cubic analysis overflows get the verdict ``Error:<Name>``,
+    as a failing solve does, with ``roots_all_positive`` false, and are no
+    anomaly.  The cells are solved side by side on every CPU (see
+    ``_map_points``).
     """
-    return _map_points(lambda cell: _phase_cell(cell, cfg), grid)
+    grid = list(grid)
+    items = zip(grid, _cubic_analyses(grid))
+    return _map_points(lambda item: _phase_cell(item[0], cfg, item[1]), items)

@@ -289,6 +289,8 @@ def _parse_range(parser, spec, flag):
     gives, bit for bit, from its formula in Python floats: start + i * step
     with step = (stop - start) / (count - 1), or start + (i / (count - 1))
     * (stop - start) where the step rounds to 0, and stop as the last value.
+    A range whose stop - start overflows is a usage error: numpy gives NaN
+    and inf values there.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -306,6 +308,8 @@ def _parse_range(parser, spec, flag):
         return [start]
     div = count - 1
     delta = stop - start
+    if not math.isfinite(delta):
+        parser.error(f"{flag}: stop - start must be finite, got {spec!r}")
     step = delta / div
     if step == 0.0:  # numpy's branch for a subnormal step
         values = [i / div * delta + start for i in range(div)]

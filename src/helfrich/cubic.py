@@ -113,20 +113,24 @@ class CubicAnalysis(NamedTuple):
     all_roots_positive: bool
 
 
-def _bisect(f, lo, hi):
-    """Root of f on a bracket [lo, hi] with f(lo) < 0 < f(hi), by halving.
+def _bisect(params: HelfrichParams, lo, hi):
+    """Root of Q on a bracket [lo, hi] with Q(lo) < 0 < Q(hi), by halving.
 
-    Each step keeps the half of the bracket where f changes sign, until
+    Each step keeps the half of the bracket where Q changes sign, until
     the midpoint equals an end: then lo and hi are adjacent doubles and
-    hi is returned.  So either f(root) == 0, or f(root) > 0 and f is < 0
+    hi is returned.  So either Q(root) == 0, or Q(root) > 0 and Q is < 0
     at the double below root.  A finite bracket shrinks to adjacent
-    doubles in at most about 2,100 halvings, at any scale.
+    doubles in at most about 2,100 halvings, at any scale.  Q is the
+    Horner form of ``eval_q`` written inline, with 2 c0, c0^2 + lambda and
+    p/2 formed once as ``eval_q`` forms them, so each value has its bits
+    and a halving makes no call.
     """
+    c2, c1, c = 2.0 * params.c0, params.c0 * params.c0 + params.lam, 0.5 * params.p
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        fm = f(mid)
+        fm = ((mid + c2) * mid + c1) * mid - c
         if fm == 0.0:
             return mid
         if fm > 0.0:
@@ -146,17 +150,18 @@ def analyze_cubic(params: HelfrichParams) -> CubicAnalysis:
     at the double below it.  Positivity is the sign of ``delta_minus``,
     the test ``check_single``'s hypotheses read.  A coefficient that
     leaves the float range, c0^2 or c0^2 + lambda, is an OverflowError.
+    ``bounds.phase_sweep`` calls it once per distinct parameter set of its
+    grid, and hands each cell that set's result.
     """
     scale = max(1.0, abs(2.0 * params.c0), abs(params.c0 ** 2 + params.lam), abs(0.5 * params.p))
     if math.isinf(scale):
         raise OverflowError("c0^2 + lambda leaves the float range")
     bound = 1.0 + scale  # Cauchy bound for a monic cubic
-    f = lambda t: eval_q(t, params)
     xs = [-bound] + [t for t in _q_critical_points(params) if -bound < t < bound] + [bound]
-    vals = [f(x) for x in xs]
+    vals = [eval_q(x, params) for x in xs]
     for i in range(1, len(xs)):
         if vals[i] >= 0.0:
-            root = xs[i] if vals[i] == 0.0 else _bisect(f, xs[i - 1], xs[i])
+            root = xs[i] if vals[i] == 0.0 else _bisect(params, xs[i - 1], xs[i])
             return CubicAnalysis(root, delta_minus(params) > 0.0)
 
 

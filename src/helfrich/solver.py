@@ -28,6 +28,10 @@ floats, and a ``Trajectory`` makes its ndarrays, and imports numpy, only
 when a caller first reads them.  A run that is only classified imports
 no numpy here; with the numba backend, numba's own import has loaded it
 already.
+
+The start's series coefficients come from ``axis_coefficients``, the
+axis recurrence unrolled into straight-line text at import
+(``_axis_source``), which spares a start some 45 calls over short lists.
 """
 
 from __future__ import annotations
@@ -148,27 +152,7 @@ class SolverConfig(_Config):
 # highest power of r in the axis series: its odd coefficients a1 ... a11
 SERIES_ORDER = 11
 
-
-def _cauchy(a, b, k, j0=0):
-    """Coefficient k of the product of the power series a and b, from term
-    j0 of a on, summed in index order."""
-    total = 0.0
-    for j in range(j0, k + 1):
-        total += a[j] * b[k - j]
-    return total
-
-
-def _miller(P, A, alpha, k):
-    """Coefficient k >= 1 of A = P^alpha from its lower ones, for P_0 = 1:
-    J. C. P. Miller's recurrence k A_k = sum_j ((alpha + 1) j - k) P_j A_(k-j)."""
-    total = 0.0
-    for j in range(1, k + 1):
-        total += ((alpha + 1.0) * j - k) * P[j] * A[k - j]
-    return total / k
-
-
-def axis_coefficients(params: HelfrichParams, w0p: float) -> tuple[float, ...]:
-    """Odd coefficients (a1, a3, ..., a11) of the axis series
+_AXIS_DOC = """Odd coefficients (a1, a3, ..., a11) of the axis series
     w = sum a_n r^n, with a1 = w0p, in the arithmetic of w0p and the
     parameters: Python floats in ``integrate``.
 
@@ -184,39 +168,81 @@ def axis_coefficients(params: HelfrichParams, w0p: float) -> tuple[float, ...]:
     1/P a series division and P^(3/2), P^(5/2) Miller's recurrence, the
     truncated-power-series arithmetic of Knuth, TAOCP vol. 2, 4.7.
 
+    The function is generated text (``_axis_source``): the recurrence
+    unrolled to SERIES_ORDER, one local per coefficient.
+
     A non-finite a3 raises OverflowError.  A higher coefficient that is
     not finite ends the series below it, and ``integrate`` then starts at
     its smallest default radius.
     """
-    c0 = params.c0
-    cl = 0.5 * (c0 * c0 + params.lam)
-    pq = 0.25 * params.p
-    # coefficient lists in t, grown by one index per pass
-    b, g = [w0p], [w0p]
-    P, P32, P52 = [1.0], [1.0], [1.0]
+
+
+def _axis_source():
+    """Source text of ``axis_coefficients(params, w0p)``.
+
+    The recurrence of its docstring runs here on names instead of
+    numbers: each list holds the text of its coefficients in t, a local
+    such as ``v2_3`` or a constant, and each new coefficient becomes one
+    assignment.  Every Cauchy product sum_j a_j b_(k-j) and every Miller
+    sum (sum_j ((alpha + 1) j - k) P_j A_(k-j)) / k (J. C. P. Miller's
+    recurrence for A = P^alpha, P_0 = 1) is written out in increasing j,
+    starting from 0.0, with its weights as literals, so that the text
+    performs the arithmetic of the recurrence run as loops over lists,
+    in their order, and each coefficient has the loops' bits, signed
+    zeros included.  The function makes no call but one ``isfinite`` per
+    coefficient, where the loops make some 45 calls over short lists.
+    """
+    def cauchy(a, b, k, j0=0):
+        return "(0.0" + "".join(f" + {a[j]} * {b[k - j]}" for j in range(j0, k + 1)) + ")"
+
+    def miller(P, A, alpha, k):
+        return ("(0.0" + "".join(f" + ({(alpha + 1.0) * j - k!r}) * {P[j]} * {A[k - j]}"
+                                 for j in range(1, k + 1)) + f") / {k}")
+
+    body = ["c0 = params.c0", "cl = 0.5 * (c0 * c0 + params.lam)", "pq = 0.25 * params.p"]
+    b, g = ["w0p"], ["w0p"]
+    P, P32, P52 = ["1.0"], ["1.0"], ["1.0"]
     v2, v3, gg, vgg, q, P2 = [], [], [], [], [], []
+
+    def let(lst, name, expr):
+        body.append(f"{name} = {expr}")
+        lst.append(name)
+
     for m in range(1, (SERIES_ORDER + 1) // 2):
         k = m - 1
         if k:
             P.append(v2[k - 1])
-            P32.append(_miller(P, P32, 1.5, k))
-            P52.append(_miller(P, P52, 2.5, k))
-        v2.append(_cauchy(b, b, k))
-        v3.append(_cauchy(b, v2, k))
-        gg.append(_cauchy(g, g, k))
-        vgg.append(_cauchy(b, gg, k))
-        q.append(vgg[k] - _cauchy(P, q, k, 1))  # v g^2 / P, as P_0 = 1
-        P2.append(_cauchy(P, P, k))
-        G = (2.5 * q[k] + v3[k] + 0.5 * _cauchy(v3, P, k) + c0 * _cauchy(v2, P32, k)
-             + cl * _cauchy(b, P2, k) - pq * P52[k])
-        bm = G / (4 * m * (m + 1))
-        if not math.isfinite(bm):
-            if m == 1:
-                raise OverflowError(f"axis series coefficient a3 not finite at w0p={w0p!r}")
-            break
-        b.append(bm)
-        g.append((2 * m + 1) * bm)
-    return tuple(b)
+            let(P32, f"P32_{k}", miller(P, P32, 1.5, k))
+            let(P52, f"P52_{k}", miller(P, P52, 2.5, k))
+        let(v2, f"v2_{k}", cauchy(b, b, k))
+        let(v3, f"v3_{k}", cauchy(b, v2, k))
+        let(gg, f"gg_{k}", cauchy(g, g, k))
+        let(vgg, f"vgg_{k}", cauchy(b, gg, k))
+        let(q, f"q_{k}", f"{vgg[k]} - {cauchy(P, q, k, 1)}")  # v g^2 / P, as P_0 = 1
+        let(P2, f"P2_{k}", cauchy(P, P, k))
+        body.append(f"G = (2.5 * {q[k]} + {v3[k]} + 0.5 * {cauchy(v3, P, k)}"
+                    f" + c0 * {cauchy(v2, P32, k)} + cl * {cauchy(b, P2, k)} - pq * {P52[k]})")
+        let(b, f"b{m}", f"G / {4 * m * (m + 1)}")
+        body.append(f"if not isfinite(b{m}):")
+        body.append('    raise OverflowError(f"axis series coefficient a3 not finite at '
+                    'w0p={w0p!r}")' if m == 1 else f"    return ({', '.join(b[:-1])},)")
+        let(g, f"g{m}", f"{2 * m + 1} * b{m}")
+    body.append(f"return ({', '.join(b)},)")
+    return "def axis_coefficients(params, w0p):\n    " + "\n    ".join(body) + "\n"
+
+
+def _compile_axis():
+    """``axis_coefficients`` built from ``_axis_source`` once at import, by
+    plain ``compile``: never jitted, because the tests also run it on
+    80-digit mpmath numbers."""
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(_axis_source(), "<axis_coefficients>", "exec"), namespace)
+    fn = namespace["axis_coefficients"]
+    fn.__doc__ = _AXIS_DOC
+    return fn
+
+
+axis_coefficients = _compile_axis()
 
 
 def _horner(cs, t):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from helfrich import (
     HelfrichParams,
@@ -23,6 +24,14 @@ settings.load_profile("helfrich")
 
 PAPER = HelfrichParams(1.0, 0.25, 1.0)
 FIGURE_W0P = (0.2, 0.1, 0.05, 0.02)
+
+# parameter sets of moderate size, for the cubic and the axis series
+params_st = st.builds(
+    HelfrichParams,
+    st.floats(-3, 3),
+    st.floats(-4, 4),
+    st.floats(-4, 4),
+)
 
 
 def pytest_report_header(config):

@@ -26,9 +26,11 @@ Three former code paths judge their replacements: two evaluations of the
 pointwise estimates where ``check_single`` now samples each step of the
 run on its own theta grid, the r-grid ``pointwise_r_grid``, which finds
 s(r) at 4000 radii by bisection of r(s) (``s_at_r``), and the evenly
-spaced arc-length grid ``pointwise_s_grid``; and ``json_via_copy``, the
+spaced arc-length grid ``pointwise_s_grid``; ``json_via_copy``, the
 JSON-ready copy dumped by ``json.dumps``, which ``write_json``'s one-walk
-text must equal byte for byte.
+text must equal byte for byte; and ``axis_coefficients_loop``, the axis
+recurrence as loops over coefficient lists, whose every coefficient the
+generated straight-line ``axis_coefficients`` must reproduce bit for bit.
 """
 
 import json
@@ -331,6 +333,61 @@ def write_obj_loops(path, verts: np.ndarray, faces: np.ndarray) -> None:
             fh.write(f"v {fmt17(v[0])} {fmt17(v[1])} {fmt17(v[2])}\n")
         for f in faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def _cauchy(a, b, k, j0=0):
+    """Coefficient k of the product of the power series a and b, from term
+    j0 of a on, summed in index order."""
+    total = 0.0
+    for j in range(j0, k + 1):
+        total += a[j] * b[k - j]
+    return total
+
+
+def _miller(P, A, alpha, k):
+    """Coefficient k >= 1 of A = P^alpha from its lower ones, for P_0 = 1:
+    J. C. P. Miller's recurrence k A_k = sum_j ((alpha + 1) j - k) P_j A_(k-j)."""
+    total = 0.0
+    for j in range(1, k + 1):
+        total += ((alpha + 1.0) * j - k) * P[j] * A[k - j]
+    return total / k
+
+
+def axis_coefficients_loop(params, w0p):
+    """The odd axis-series coefficients (a1, ..., a11) of
+    ``solver.axis_coefficients`` (its docstring has the recurrence), from
+    the recurrence run as loops over lists of coefficients in t = r^2,
+    with the same non-finite ends: OverflowError at a3, and the series cut
+    below a higher coefficient that is not finite."""
+    c0 = params.c0
+    cl = 0.5 * (c0 * c0 + params.lam)
+    pq = 0.25 * params.p
+    # coefficient lists in t, grown by one index per pass
+    b, g = [w0p], [w0p]
+    P, P32, P52 = [1.0], [1.0], [1.0]
+    v2, v3, gg, vgg, q, P2 = [], [], [], [], [], []
+    for m in range(1, (SERIES_ORDER + 1) // 2):
+        k = m - 1
+        if k:
+            P.append(v2[k - 1])
+            P32.append(_miller(P, P32, 1.5, k))
+            P52.append(_miller(P, P52, 2.5, k))
+        v2.append(_cauchy(b, b, k))
+        v3.append(_cauchy(b, v2, k))
+        gg.append(_cauchy(g, g, k))
+        vgg.append(_cauchy(b, gg, k))
+        q.append(vgg[k] - _cauchy(P, q, k, 1))  # v g^2 / P, as P_0 = 1
+        P2.append(_cauchy(P, P, k))
+        G = (2.5 * q[k] + v3[k] + 0.5 * _cauchy(v3, P, k) + c0 * _cauchy(v2, P32, k)
+             + cl * _cauchy(b, P2, k) - pq * P52[k])
+        bm = G / (4 * m * (m + 1))
+        if not math.isfinite(bm):
+            if m == 1:
+                raise OverflowError(f"axis series coefficient a3 not finite at w0p={w0p!r}")
+            break
+        b.append(bm)
+        g.append((2 * m + 1) * bm)
+    return tuple(b)
 
 
 def series_residual(params, w0p, eps, with_a3=True, order=SERIES_ORDER):

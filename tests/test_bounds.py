@@ -332,6 +332,66 @@ def test_phase_sweep_above_root_never_anomaly():
     assert not cells[0].anomaly
 
 
+def _analysis_per_cell(grid):
+    """The cubic analyses of ``bounds._cubic_analyses``, made once per cell."""
+    out = []
+    for c0, lam, p, _ in grid:
+        try:
+            out.append(analyze_cubic(HelfrichParams(c0, lam, p)))
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
+
+
+def test_phase_sweep_analyses_each_parameter_set_once(monkeypatch):
+    """A 2 x 1 x 2 x 3 grid has 4 parameter sets for its 12 cells: with one
+    worker, the sweep analyses Q 4 times, and its rows are those of an
+    analysis per cell.  0.0 and -0.0 are two sets."""
+    import itertools
+    calls = []
+
+    def counted(params):  # the sweep calls it by this name
+        calls.append(params)
+        return analyze_cubic(params)
+
+    monkeypatch.setattr(bounds, "analyze_cubic", counted)
+    monkeypatch.setattr(bounds, "_cpu_count", lambda: 1)
+    grid = list(itertools.product([1.0, 2.0], [0.25], [0.5, 1.0], [0.01, 0.02, 0.04]))
+    cells = phase_sweep(grid)
+    assert len(calls) == 4
+    assert cells == [bounds._phase_cell(cell, None, ca)
+                     for cell, ca in zip(grid, _analysis_per_cell(grid))]
+    calls.clear()
+    phase_sweep([(0.0, 0.25, 1.0, 0.05), (-0.0, 0.25, 1.0, 0.05), (0.0, 0.25, 1.0, 0.05)])
+    assert [math.copysign(1.0, params.c0) for params in calls] == [1.0, -1.0]
+
+
+def _sweep_csv(argv, out):
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+    return (out / "phase.csv").read_bytes()
+
+
+def test_overflowing_parameter_set_is_an_error_row_on_each_of_its_cells(tmp_path):
+    """c0 = 1e160 squares out of the float range: each of its three cells
+    reads Error:OverflowError, and the cells of c0 = 1 are solved."""
+    text = _sweep_csv(["--c0-range", "1:1e160:2", "--w0p-range", "0.01:0.05:3"], tmp_path)
+    rows = [row.split(",") for row in text.decode().splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        want = "Error:OverflowError" if row[0] == "1e+160" else BICONCAVE
+        assert row[4] == want, row
+
+
+def test_signed_zero_sets_write_the_bytes_of_an_analysis_per_cell(tmp_path, monkeypatch):
+    """A c0 axis of 0.0 and -0.0 writes the phase.csv that analysing Q
+    once per cell writes."""
+    argv = ["--c0-range=0.0:-0.0:2", "--lambda-range=-1:0.5:2", "--w0p-range", "0.01:0.05:2"]
+    once = _sweep_csv(argv, tmp_path / "once")
+    assert b"\n-0," in once and b"\n0," in once
+    monkeypatch.setattr(bounds, "_cubic_analyses", _analysis_per_cell)
+    assert _sweep_csv(argv, tmp_path / "per_cell") == once
+
+
 def _all_roots_positive_sets(rng, c0_range, lam_range, log10_p_range, n):
     """n draws of (params, t1), t1 the smallest root of Q, redrawn until
     every real root of Q is positive; p is log-uniform."""

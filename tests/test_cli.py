@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import warnings
 import xml.etree.ElementTree as ET
@@ -237,11 +238,20 @@ _TINY, _HUGE = 5e-324, 1.7976931348623157e308
 @example(a=0.0, b=_TINY, n=3)  # the step rounds to 0: numpy's subnormal branch
 @example(a=-_TINY, b=2.2250738585072014e-308, n=11)
 @example(a=-_HUGE, b=_HUGE, n=3)  # stop - start overflows
+@example(a=_HUGE, b=-_HUGE, n=2)
 @example(a=_HUGE, b=_HUGE / 3, n=9)
 def test_parse_range_equals_numpy_linspace_bit_for_bit(a, b, n):
-    """A sweep axis holds the values numpy.linspace gives, in Python floats."""
-    got = cli._parse_range(None, f"{a!r}:{b!r}:{n}", "--c0-range")
-    assert all(type(v) is float for v in got)
+    """A sweep axis holds the values numpy.linspace gives, in Python floats,
+    wherever stop - start is finite; where it overflows, numpy gives NaN
+    and inf values, and the range is a usage error."""
+    spec = f"{a!r}:{b!r}:{n}"
+    if not math.isfinite(b - a):
+        with pytest.raises(SystemExit) as ei:
+            cli._parse_range(cli.build_parser(), spec, "--c0-range")
+        assert ei.value.code == 64
+        return
+    got = cli._parse_range(None, spec, "--c0-range")
+    assert all(type(v) is float and math.isfinite(v) for v in got)
     with np.errstate(all="ignore"):
         want = np.linspace(a, b, n)
     assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
@@ -408,6 +418,10 @@ def test_config_values_typed_like_flags(key, value, tmp_path, capsys):
      "--sweep-min/--sweep-max must satisfy 0 < min <= max"),
     (["sweep", "--c0-range", "a:1:2"], "--c0-range must be start:stop:count"),
     (["sweep", "--w0p-range", "0.01:0.1:0"], "--w0p-range: count must be >= 1"),
+    (["sweep", "--c0-range=-1e308:1e308:3"], "--c0-range: stop - start must be finite"),
+    (["sweep", "--lambda-range=1e308:-1e308:2"], "--lambda-range: stop - start must be finite"),
+    (["sweep", "--p-range=-1e308:1e308:3"], "--p-range: stop - start must be finite"),
+    (["sweep", "--w0p-range=-1e308:1e308:3"], "--w0p-range: stop - start must be finite"),
 ])
 def test_usage_errors_exit_64_and_write_nothing(argv, message, tmp_path, capsys):
     """Non-finite values, bad config values, bad grids, unreadable inputs

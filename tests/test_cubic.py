@@ -1,4 +1,6 @@
 import math
+import struct
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -7,16 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helfrich import HelfrichParams, analyze_cubic, derived_constants, eval_q, eval_r
+from helfrich import cubic
 from helfrich.cubic import _q_critical_points, delta_minus
 from helfrich.errors import InvalidSlope
+from conftest import params_st
 from oracles import sample_extrema_oracle
-
-params_st = st.builds(
-    HelfrichParams,
-    st.floats(-3, 3),
-    st.floats(-4, 4),
-    st.floats(-4, 4),
-)
 
 
 def test_eval_q_constant_term():
@@ -296,8 +293,7 @@ def test_huge_cube_root_keeps_its_relative_accuracy(mantissa):
         assert math.isclose(root, 5e-201, rel_tol=1e-12), c0
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+wide_params_st = st.one_of(
     params_st,
     # the fuzz ranges of the ROADMAP baseline, and p <= 0
     st.builds(HelfrichParams, st.floats(-5, 5), st.floats(-3, 3),
@@ -309,13 +305,56 @@ def test_huge_cube_root_keeps_its_relative_accuracy(mantissa):
     # huge coefficient scales
     st.builds(HelfrichParams, st.sampled_from([0.0, 1e100, -1e100]), st.just(0.0),
               st.floats(0, 308).map(lambda e: 10.0 ** e)),
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_params_st)
 def test_smallest_root_is_where_q_changes_sign(params):
     """The root is a double where Q is 0, or the first double where Q is
     positive with Q negative at the double below it."""
     root = analyze_cubic(params).smallest_root
     q = eval_q(root, params)
     assert q == 0.0 or q > 0.0 > eval_q(math.nextafter(root, -math.inf), params)
+
+
+def _bisect_calls(f, lo, hi):
+    """The halving ``cubic._bisect`` once was: a call of f per halving."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fm > 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_params_st)
+@example(HelfrichParams(1.0, 0.25, 1.0))
+@example(HelfrichParams(0.0, 0.0, 1e200))  # root 3.68e66, Q overflows at the bracket end
+@example(HelfrichParams(0.0, 0.0, 1.5273595210586674e-209))  # tiny root, 1.97e-70
+@example(HelfrichParams(-0.0, -0.0, 2.0))
+def test_inline_halving_is_the_halving_of_eval_q(params):
+    """On every bracket ``analyze_cubic`` builds, the halving on Q's
+    inline Horner form returns the double that halving with a call of
+    ``eval_q`` per step returns."""
+    bisect, brackets = cubic._bisect, []
+
+    def spy(params_, lo, hi):
+        brackets.append((lo, hi))
+        return bisect(params_, lo, hi)
+
+    with mock.patch.object(cubic, "_bisect", spy):
+        root = analyze_cubic(params).smallest_root
+    for lo, hi in brackets:
+        want = _bisect_calls(lambda t: eval_q(t, params), lo, hi)
+        assert struct.pack("<d", bisect(params, lo, hi)) == struct.pack("<d", want)
+        assert struct.pack("<d", root) == struct.pack("<d", want)
 
 
 def test_coefficient_out_of_float_range_is_overflow():

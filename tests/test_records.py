@@ -37,7 +37,7 @@ def test_records_sent_through_the_pipes_come_back_equal(monkeypatch):
     """``_map_points`` pickles each child's results: the phase cells of
     ``phase_sweep``, and the (landmarks, verdict, report) triples of
     ``verify_point``, whose report holds its check records."""
-    cells = [bounds._phase_cell(cell, None) for cell in CELLS]
+    cells = [bounds._phase_cell(cell, None, analyze_cubic(PAPER)) for cell in CELLS]
     point = bounds.verify_point(PAPER, 0.05, None)
     assert [type(v) for v in point] == [Landmarks, str, BoundsReport]
     assert {type(rec) for rec in point[2].records} == {bounds.CheckRecord}

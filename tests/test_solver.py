@@ -1,4 +1,5 @@
 import math
+import struct
 from array import array
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from helfrich import (
     HelfrichParams,
     SolverConfig,
+    analyze_cubic,
     derived_constants,
     eval_r,
     extract_landmarks,
@@ -42,8 +44,9 @@ from helfrich.errors import (
     OutOfRange,
 )
 
-from conftest import FIGURE_W0P
+from conftest import FIGURE_W0P, params_st
 from oracles import (
+    axis_coefficients_loop,
     critical_points_full_scan,
     find_crossing,
     graph_at,
@@ -97,7 +100,7 @@ def test_start_angle_that_underflows_is_invalid_slope():
     from helfrich.bounds import _phase_cell
     with pytest.raises(InvalidSlope, match="start angle"):
         integrate(PAPER, 1e-300)
-    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 1e-300), None)
+    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 1e-300), None, analyze_cubic(PAPER))
     assert cell.classification == "Error:InvalidSlope"
     traj = integrate(PAPER, 1e-215)
     assert 0.0 < traj.nodes[0, 2] < 1e-300
@@ -149,6 +152,45 @@ def test_axis_coefficients_match_sympy_derivation():
         for Ak, an in zip(A, got[1:4]):
             want = float(sol[Ak].subs(values))
             assert math.isclose(an, want, rel_tol=1e-13), (point, Ak, an, want)
+
+
+def _float_bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(params_st,
+                 st.builds(HelfrichParams, *[st.floats(allow_nan=False, allow_infinity=False)] * 3)),
+       st.one_of(st.floats(1e-4, 2.0), st.floats(allow_nan=False, allow_infinity=False)))
+@example(PAPER, 0.05)
+@example(HelfrichParams(-0.0, -0.0, 1.0), -0.0)  # the sums start from 0.0: 0.0 + -0.0 is 0.0
+@example(HelfrichParams(0.0, 0.0, -0.0), 5e-324)
+@example(PAPER, 1e60)  # a7 leaves the float range: the series ends below it
+@example(PAPER, 1e100)  # a5 does
+@example(PAPER, 1e103)  # a3 does: OverflowError
+def test_generated_axis_series_is_the_loop_series_bit_for_bit(params, w0p):
+    """The straight-line ``axis_coefficients`` gives the coefficients of
+    the loop recurrence bit for bit, signs of zero included, ends the
+    series where the loops end it, and raises the loops' OverflowError
+    at a3."""
+    try:
+        want = axis_coefficients_loop(params, w0p)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as ei:
+            axis_coefficients(params, w0p)
+        assert str(ei.value) == str(exc)
+        return
+    got = axis_coefficients(params, w0p)
+    assert type(got) is tuple and _float_bits(got) == _float_bits(want)
+
+
+def test_axis_series_ends_early_and_overflows_at_a3():
+    """The non-finite ends the bit-for-bit property covers: a run that
+    ends below a non-finite a7 or a5, and the a3 OverflowError."""
+    assert len(axis_coefficients(PAPER, 1e60)) == 3
+    assert len(axis_coefficients(PAPER, 1e100)) == 2
+    with pytest.raises(OverflowError, match=r"a3 not finite at w0p=1e\+103"):
+        axis_coefficients(PAPER, 1e103)
 
 
 def test_default_start_keeps_the_slope_near_w0p():
@@ -680,7 +722,7 @@ def test_dense_output_is_completed_only_where_read(monkeypatch):
 
     calls.clear()
     from helfrich.bounds import _phase_cell, check_single, solve
-    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 0.05), None)
+    cell = _phase_cell((PAPER.c0, PAPER.lam, PAPER.p, 0.05), None, analyze_cubic(PAPER))
     assert cell.classification == BICONCAVE
     assert sorted(calls) == want
 
